@@ -38,10 +38,12 @@ def _thread_limit(n: int | None):
         return contextlib.nullcontext()
     try:
         from threadpoolctl import threadpool_limits
-
-        return threadpool_limits(limits=n)
     except ImportError:
+        print("warning: --threads has no effect without the threadpoolctl "
+              "package; set OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS) instead",
+              file=sys.stderr)
         return contextlib.nullcontext()
+    return threadpool_limits(limits=n)
 
 
 def _asym_model(cfg: RunConfig) -> AsymptoticModel:
@@ -141,6 +143,7 @@ def cmd_compare(args) -> int:
             "max_error": err,
             "error_over_delta": err / delta,
             "mesh_nodes": len(sol.mesh),
+            "solve_residual": sol.phi.residual,
             "wall_seconds": time.perf_counter() - t0,
         })
     report = {"probe_radius": cfg.sweep_probe_radius,
@@ -206,7 +209,8 @@ def cmd_forward(args) -> int:
     dump_field_csv(sol, pts, args.out)
     if args.density:
         dump_density_csv(sol.phi, args.density)
-    print(f"forward: wrote {len(pts)} rows to {args.out}")
+    print(f"forward: wrote {len(pts)} rows to {args.out}  n={len(sol.mesh)}  "
+          f"residual={sol.phi.residual:.2e}")
     return EXIT_OK
 
 

@@ -128,15 +128,8 @@ class BoundaryMesh:
                             float(self.curvatures[i]), float(self.weights[i]),
                             str(self.tags[i]))
 
-    @property
-    def counts(self) -> tuple[int, int]:
-        return self.n_cap, self.n_facade
-
     def tag_mask(self, tag: str) -> NDArray:
         return self.tags == tag
-
-    def max_spacing(self) -> float:
-        return float(self.weights.max())
 
 
 #: Gauss-Legendre points per panel.

@@ -14,8 +14,8 @@ from numpy.typing import NDArray
 
 from .background import HarmonicBackground
 from .geometry import BoundaryMesh, RodSpec, ValidationError, build_mesh, default_counts
-from .potentials import (DensityVector, NpMatrix, assemble_np, neumann_data,
-                         single_layer, single_layer_grad, solve_density)
+from .potentials import (DensityVector, assemble_np, neumann_data, single_layer,
+                         single_layer_grad, solve_density)
 
 
 def lambda_of_sigma(sigma0: float) -> float:
@@ -35,7 +35,6 @@ class ForwardSolution:
     phi: DensityVector = field(repr=False)
     lam: float = 0.0
     background: HarmonicBackground = None
-    np_matrix: NpMatrix = field(default=None, repr=False)
 
     @property
     def spec(self) -> RodSpec:
@@ -49,12 +48,9 @@ def solve_forward(spec: RodSpec, bg: HarmonicBackground,
     dc, df = default_counts(spec)
     mesh = build_mesh(spec, n_cap if n_cap is not None else dc,
                       n_facade if n_facade is not None else df)
-    np_matrix = assemble_np(mesh)
     lam = lambda_of_sigma(spec.sigma0)
-    rhs = neumann_data(mesh, bg)
-    phi = solve_density(np_matrix, lam, rhs)
-    return ForwardSolution(mesh=mesh, phi=phi, lam=lam, background=bg,
-                           np_matrix=np_matrix)
+    phi = solve_density(assemble_np(mesh), lam, neumann_data(mesh, bg))
+    return ForwardSolution(mesh=mesh, phi=phi, lam=lam, background=bg)
 
 
 def eval_u(sol: ForwardSolution, x) -> tuple[NDArray, NDArray]:
@@ -70,14 +66,17 @@ def eval_grad_u(sol: ForwardSolution, x) -> tuple[NDArray, NDArray]:
 
 
 def transmission_check(sol: ForwardSolution, n_probe: int = 16,
-                       h_factor: float = 5.0) -> dict:
+                       h_factor: float = 5.0, idx=None) -> dict:
     """Flux continuity report: exterior vs sigma0 * interior normal derivative.
 
     Normal derivatives are approximated at offset points x +- h*nu with
     h = ``h_factor`` local spacings, avoiding on-boundary principal values.
+    The probes are the nodes ``idx``, or else ``n_probe`` nodes spread
+    evenly over the mesh.
     """
     mesh = sol.mesh
-    idx = np.linspace(0, len(mesh) - 1, n_probe).round().astype(int)
+    if idx is None:
+        idx = np.linspace(0, len(mesh) - 1, n_probe).round().astype(int)
     pts = mesh.points[idx]
     nus = mesh.normals[idx]
     h = h_factor * mesh.weights[idx][:, None]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import sys
 
 import pytest
 
@@ -70,7 +71,7 @@ def test_fieldmap_asymptotic_matches_repeat(config_path, tmp_path):
     assert out1.read_text() == out2.read_text()
 
 
-def test_forward_with_density(config_path, tmp_path):
+def test_forward_with_density(config_path, tmp_path, capsys):
     out = tmp_path / "forward.csv"
     dens = tmp_path / "density.csv"
     code = main(["forward", "--config", config_path, "--out", str(out),
@@ -78,6 +79,21 @@ def test_forward_with_density(config_path, tmp_path):
     assert code == EXIT_OK
     assert _read_csv(out)[0][:2] == ["x1", "x2"]
     assert len(_read_csv(dens)) > 1
+    summary = capsys.readouterr().out
+    assert "n=128" in summary
+    assert float(summary.split("residual=")[1].split()[0]) < 1e-10
+
+
+def test_threads_without_threadpoolctl_warns(config_path, tmp_path, capsys,
+                                             monkeypatch):
+    # a None entry in sys.modules makes the import raise ImportError
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    code = main(["--threads", "1", "asymptotic", "--config", config_path,
+                 "--out", str(tmp_path / "asym.csv")])
+    assert code == EXIT_OK
+    assert "warning: --threads" in capsys.readouterr().err
+    main(["asymptotic", "--config", config_path, "--out", str(tmp_path / "asym.csv")])
+    assert capsys.readouterr().err == ""
 
 
 def test_asymptotic_command(config_path, tmp_path):
@@ -96,8 +112,9 @@ def test_compare_report(config_path, tmp_path):
     assert len(report["rows"]) == 2
     for row in report["rows"]:
         assert set(row) == {"delta", "max_error", "error_over_delta",
-                            "mesh_nodes", "wall_seconds"}
+                            "mesh_nodes", "solve_residual", "wall_seconds"}
         assert row["max_error"] > 0
+        assert 0.0 <= row["solve_residual"] < 1e-10
 
 
 def test_compare_requires_sweep(tmp_path):

@@ -1,11 +1,15 @@
 """Layer-potential kernels, the boundary operator and the density solve."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rodfield import (DensityVector, HarmonicBackground, RodSpec,
-                      build_mesh, assemble_np, neumann_data, single_layer,
-                      single_layer_grad, solve_density)
+                      ValidationError, build_mesh, assemble_np, lambda_of_sigma,
+                      neumann_data, single_layer, single_layer_grad,
+                      solve_density)
 from rodfield.potentials import SolverError, dump_density_csv
 
 
@@ -15,6 +19,66 @@ def disc_mesh(n=64):
 
 def rod_mesh():
     return build_mesh(RodSpec(L=2.0, delta=0.1), n_cap=32, n_facade=64)
+
+
+def dense_np(mesh):
+    """Reference: the dense (n, n) Nystrom assembly, one einsum per pair."""
+    x, nu, w = mesh.points, mesh.normals, mesh.weights
+    dx = x[:, None, :] - x[None, :, :]
+    r2 = np.einsum("ijk,ijk->ij", dx, dx)
+    np.fill_diagonal(r2, 1.0)
+    kern = np.einsum("ijk,ik->ij", dx, nu) / (2.0 * np.pi * r2)
+    np.fill_diagonal(kern, mesh.curvatures / (4.0 * np.pi))
+    kern[np.diag_indices_from(kern)] += (0.5 - (w @ kern)) / w
+    return kern * w[None, :]
+
+
+SYMMETRY_MESHES = {
+    "disc": lambda: build_mesh(RodSpec(L=0.0, delta=0.7, center=(0.3, 0.1)),
+                               n_cap=24),
+    "odd_panels": lambda: build_mesh(
+        RodSpec(L=2.0, delta=0.1, angle=0.7, center=(0.4, -1.3)),
+        n_cap=24, n_facade=40),
+    "minimal": lambda: build_mesh(RodSpec(L=1.0, delta=0.2), n_cap=8,
+                                  n_facade=8),
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRY_MESHES)
+def test_parity_blocks_match_dense_assembly(name):
+    mesh = SYMMETRY_MESHES[name]()
+    ref = dense_np(mesh)
+    npm = assemble_np(mesh)
+    assert npm.n == len(mesh)
+    assert np.abs(npm.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+    v = np.random.default_rng(3).standard_normal(len(mesh))
+    assert np.allclose(npm.apply(v), ref @ v, rtol=0, atol=1e-12 * np.abs(ref @ v).max())
+    assert np.allclose(np.sort_complex(npm.eigenvalues()),
+                       np.sort_complex(np.linalg.eigvals(ref)), atol=1e-10)
+
+
+@pytest.mark.parametrize("sigma0", [2.0, 100.0, 0.01])
+@pytest.mark.parametrize("name", ["odd_panels", "minimal"])
+def test_block_solve_matches_dense_lu(name, sigma0):
+    mesh = SYMMETRY_MESHES[name]()
+    lam = lambda_of_sigma(sigma0)
+    # a background with all four parities present in its Neumann data
+    rhs = neumann_data(mesh, HarmonicBackground.polynomial((0.0, 1.0, 0.5, 0.3, 0.8)))
+    phi = solve_density(assemble_np(mesh), lam, rhs)
+    ref = scipy.linalg.solve(lam * np.eye(len(mesh)) - dense_np(mesh), rhs.values)
+    assert np.linalg.norm(phi.values - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert phi.residual <= 1e-13
+
+
+def test_asymmetric_mesh_is_refused():
+    mesh = rod_mesh()
+    points = mesh.points.copy()
+    points[5] += [0.0, 1e-4]
+    with pytest.raises(ValidationError, match="mirror-symmetric"):
+        assemble_np(dataclasses.replace(mesh, points=points))
+    # node counts that do not describe a stadium
+    with pytest.raises(ValidationError):
+        assemble_np(dataclasses.replace(mesh, n_facade=0))
 
 
 def test_np_kernel_on_disc_is_constant():
@@ -78,6 +142,7 @@ def test_solve_density_residual_and_total():
     assert abs(phi.weighted_total()) < 1e-10 * scale
     sys_res = 1.5 * phi.values - npm.apply(phi.values) - rhs.values
     assert np.linalg.norm(sys_res) < 1e-10 * np.linalg.norm(rhs.values)
+    assert 0.0 <= phi.residual < 1e-13
 
 
 def test_solve_density_singular_lam_raises():
