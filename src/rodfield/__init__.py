@@ -2,7 +2,7 @@
 single-measurement inversion for a thin conductive rod inclusion in 2D."""
 
 from .asymptotics import (AsymptoticModel, a_delta_apply, asym_grad_linear,
-                          asym_u_general, asym_u_linear, f1_f2)
+                          asym_u_general, asym_u_linear, asymptotic_field, f1_f2)
 from .background import HarmonicBackground
 from .geometry import (BoundaryMesh, BoundaryNode, RodSpec, ValidationError,
                        build_mesh, to_local, to_world)

@@ -18,11 +18,13 @@ from numpy.typing import NDArray
 from scipy.integrate import quad
 
 from .background import HarmonicBackground
-from .geometry import rotation_matrix
+from .geometry import RodSpec, rotation_matrix, to_local
+from .solver import lambda_of_sigma
 
 __all__ = [
     "AsymptoticModel", "cap_points", "f1_f2", "f_sq_sum", "f_sq_sum_cap_form",
-    "asym_u_linear", "asym_grad_linear", "asym_u_general", "a_delta_apply",
+    "asym_u_linear", "asym_grad_linear", "asym_u_general", "asymptotic_field",
+    "a_delta_apply",
     "perturbation_linear", "perturbation_grad_linear",
 ]
 
@@ -144,6 +146,12 @@ class AsymptoticModel:
     angle: float = 0.0
     background: HarmonicBackground = None
 
+    @classmethod
+    def from_spec(cls, spec: RodSpec, bg: HarmonicBackground) -> "AsymptoticModel":
+        """The model of a placed rod; lam comes from its contrast sigma0."""
+        return cls(L=spec.L, delta=spec.delta, lam=lambda_of_sigma(spec.sigma0),
+                   center=spec.center, angle=spec.angle, background=bg)
+
     @property
     def strength(self) -> float:
         """Axial channel strength c_ax = delta / (lam - 1/2)."""
@@ -154,9 +162,6 @@ class AsymptoticModel:
         """Transverse channel strength c_tr = delta / (lam + 1/2)."""
         return self.delta / (self.lam + 0.5)
 
-    def _to_local(self, x: NDArray) -> NDArray:
-        return (np.asarray(x, dtype=float) - np.asarray(self.center)) @ rotation_matrix(self.angle)
-
     def _local_background(self) -> HarmonicBackground:
         return self.background.rotated(self.angle)
 
@@ -165,7 +170,7 @@ def asym_u_linear(model: AsymptoticModel, x) -> NDArray:
     """Leading-order potential for a linear background (world frame)."""
     if not model.background.is_linear:
         raise ValueError("asym_u_linear requires a linear background")
-    xl = model._to_local(x)
+    xl = to_local(model, x)
     a_loc = model._local_background().linear_part
     pert = perturbation_linear(a_loc, model.L, model.strength,
                                model.strength_transverse, xl)
@@ -176,7 +181,7 @@ def asym_grad_linear(model: AsymptoticModel, x) -> NDArray:
     """Leading-order gradient for a linear background (world frame)."""
     if not model.background.is_linear:
         raise ValueError("asym_grad_linear requires a linear background")
-    xl = model._to_local(x)
+    xl = to_local(model, x)
     a_loc = model._local_background().linear_part
     g_loc = perturbation_grad_linear(a_loc, model.L, model.strength,
                                      model.strength_transverse, xl)
@@ -202,71 +207,109 @@ def _graded_panels(L: float, x1: float, x2: float, n_refine: int = 6) -> NDArray
     return np.unique(np.asarray(pts))
 
 
-def asym_u_general(model: AsymptoticModel, x, n_quad: int = 32) -> NDArray:
-    """Leading-order potential for any degree-2 harmonic background.
+def _general_field(model: AsymptoticModel, x, n_quad: int) -> tuple[NDArray, NDArray]:
+    """Leading-order u and grad u (world frame) for any degree-2 background.
 
     Composite Gauss-Legendre quadrature of the two axis integrals (the
     log kernel against the second transverse derivative of H on the axis,
     and the Poisson kernel against the first), plus the endpoint log term
-    carrying the axial derivative at the right cap.
+    carrying the axial derivative at the right cap.  The gradient
+    differentiates each kernel under the integral sign on the same nodes:
+    grad log r^2 = 2 (x - y) / r^2, grad (x2 / r^2) =
+    (-2 x2 (x1 - y1), (x1 - y1)^2 - x2^2) / r^4, and the normalisation by
+    |x - P|^2 contributes -grad log |x - P|^2 times the integral of the
+    second derivative.
+
+    On the axis inside the segment (x2 = 0 in the rod frame) u and grad u
+    are the upper-side limits x2 -> +0, the convention of
+    :func:`_arctan_pair`.  There the gradient uses the closed forms of the
+    limits, which hold because a degree-2 H has a constant second and a
+    linear first transverse derivative along the axis.
     """
     if n_quad < 16:
         raise ValueError(f"n_quad must be >= 16, got {n_quad}")
     L, c = model.L, model.strength
     c_tr = model.strength_transverse
     bg = model._local_background()
-    xl = np.atleast_2d(model._to_local(x))
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    xl = to_local(model, x)
 
     nodes, wts = np.polynomial.legendre.leggauss(n_quad)
-    out = np.empty(len(xl))
+    (_, d12h), (_, d2h) = bg.hessian(np.zeros(2))
+    (_, d1h_p), (gq, d1h_q) = bg.grad(np.array([[-L / 2.0, 0.0], [L / 2.0, 0.0]]))
+    u = model.background.value(x)
+    g_loc = np.empty_like(xl)
     for i, (x1, x2) in enumerate(xl):
         _check_not_singular(np.asarray(x1), np.asarray(x2), L)
         if x2 != 0.0 and abs(x2) < L / n_quad:
             warnings.warn("target close to the rod axis: Poisson kernel may be "
                           "under-resolved at this n_quad", RuntimeWarning)
         breaks = _graded_panels(L, x1, x2)
-        y1 = np.concatenate([(b + a) / 2.0 + (b - a) / 2.0 * nodes
-                             for a, b in zip(breaks[:-1], breaks[1:])])
-        wy = np.concatenate([(b - a) / 2.0 * wts
-                             for a, b in zip(breaks[:-1], breaks[1:])])
-        axis_pts = np.stack([y1, np.zeros_like(y1)], axis=1)
-        hess = bg.hessian(axis_pts)
-        d2h = hess[:, 1, 1]
-        d1h = bg.grad(axis_pts)[:, 1]
+        a, b = breaks[:-1, None], breaks[1:, None]
+        y1 = ((b + a) / 2.0 + (b - a) / 2.0 * nodes).ravel()
+        wy = ((b - a) / 2.0 * wts).ravel()
+        d1h = bg.grad(np.stack([y1, np.zeros_like(y1)], axis=1))[:, 1]
 
+        dx = x1 - y1
+        r2 = dx**2 + x2**2
         rp2 = (x1 + L / 2.0) ** 2 + x2**2
-        log_kern = np.log(((x1 - y1) ** 2 + x2**2) / rp2)
-        t1 = (c / (2.0 * np.pi)) * np.dot(wy, log_kern * d2h)
-
-        if x2 == 0.0:
-            # upper-side limit of the Poisson integral (+0 convention):
-            # pi * d1h(x1) inside the segment, 0 outside
-            t2 = -c_tr * d1h_at(bg, x1) if abs(x1) < L / 2.0 else 0.0
-        else:
-            poisson = x2 / ((x1 - y1) ** 2 + x2**2)
-            t2 = -(c_tr / np.pi) * np.dot(wy, poisson * d1h)
-
         rq2 = (x1 - L / 2.0) ** 2 + x2**2
-        gq = bg.grad(np.array([L / 2.0, 0.0]))[0]
+        grad_log_p = np.array([x1 + L / 2.0, x2]) / rp2
+        grad_log_q = np.array([x1 - L / 2.0, x2]) / rq2
+        t1 = (c / (2.0 * np.pi)) * np.dot(wy, np.log(r2 / rp2) * d2h)
+        if x2 == 0.0 and abs(x1) < L / 2.0:
+            # upper-side limits: the Poisson integral tends to pi * d1h(x1);
+            # the log kernel's gradient tends to its principal value plus
+            # the pi * d2h jump of its normal part
+            tq, tp = L / 2.0 - x1, L / 2.0 + x1
+            t2 = -c_tr * bg.grad(np.array([x1, 0.0]))[1]
+            g_log = (c / np.pi) * d2h * np.array([np.log(tp / tq) - L / tp, np.pi])
+            g_poi = -c_tr * np.array([d12h, (d12h * np.log(tq / tp)
+                                             - d1h_q / tq - d1h_p / tp) / np.pi])
+        else:
+            poisson = x2 / r2
+            t2 = -(c_tr / np.pi) * np.dot(wy, poisson * d1h)
+            g_log = (c / np.pi) * d2h * (np.array([np.dot(wy, dx / r2), np.dot(wy, poisson)])
+                                         - wy.sum() * grad_log_p)
+            k = d1h / r2**2
+            g_poi = -(c_tr / np.pi) * np.array([np.dot(wy, -2.0 * x2 * dx * k),
+                                                np.dot(wy, (dx**2 - x2**2) * k)])
+
         t3 = (c / (2.0 * np.pi)) * np.log(rq2 / rp2) * gq
+        g_end = (c / np.pi) * gq * (grad_log_q - grad_log_p)
 
-        out[i] = model.background.value(
-            np.asarray(x, dtype=float).reshape(-1, 2)[i]) + t1 + t2 + t3
-    return out if np.asarray(x).ndim > 1 else out[0]
-
-
-def d1h_at(bg: HarmonicBackground, x1: float) -> float:
-    return float(bg.grad(np.array([x1, 0.0]))[1])
+        u[i] = u[i] + t1 + t2 + t3
+        g_loc[i] = g_log + g_poi + g_end
+    return u, model.background.grad(x) + g_loc @ rotation_matrix(model.angle).T
 
 
-def a_delta_apply(psi, delta: float, L: float, x1: float,
-                  n_quad: int = 0) -> float:
+def asym_u_general(model: AsymptoticModel, x, n_quad: int = 32) -> NDArray:
+    """Leading-order potential for any degree-2 harmonic background.
+
+    The u part of the quadrature behind :func:`asymptotic_field`.
+    """
+    u, _ = _general_field(model, x, n_quad)
+    return u if np.asarray(x).ndim > 1 else u[0]
+
+
+def asymptotic_field(model: AsymptoticModel, x, n_quad: int = 32) -> tuple[NDArray, NDArray]:
+    """Leading-order potential u (m,) and gradient (m, 2) on world points (m, 2).
+
+    A linear background takes the exact closed forms; any other degree-2
+    background takes the axis quadrature with ``n_quad`` Gauss points per
+    panel, which differentiates the integrals exactly.
+    """
+    if model.background.is_linear:
+        return asym_u_linear(model, x), asym_grad_linear(model, x)
+    return _general_field(model, x, n_quad)
+
+
+def a_delta_apply(psi, delta: float, L: float, x1: float) -> float:
     """Averaging operator with the width-2*delta Poisson-type kernel:
 
     (1/pi) * integral of delta/((x1 - y1)^2 + 4 delta^2) * psi(y1) over
     (-L/2, L/2).  Acts as multiplication by 1/2 on polynomials as
-    delta -> 0.  Adaptive quadrature resolves the delta-scale peak; the
-    ``n_quad`` knob caps the subdivision limit.
+    delta -> 0.  Adaptive quadrature resolves the delta-scale peak.
     """
     if not (-L / 2.0 < x1 < L / 2.0):
         raise ValueError(f"x1 must lie strictly inside (-L/2, L/2), got {x1}")
@@ -274,7 +317,6 @@ def a_delta_apply(psi, delta: float, L: float, x1: float,
     def integrand(y1: float) -> float:
         return delta / ((x1 - y1) ** 2 + 4.0 * delta**2) * psi(y1)
 
-    limit = max(200, n_quad)
-    val, _ = quad(integrand, -L / 2.0, L / 2.0, points=[x1], limit=limit,
+    val, _ = quad(integrand, -L / 2.0, L / 2.0, points=[x1], limit=200,
                   epsabs=1e-12, epsrel=1e-12)
     return val / np.pi

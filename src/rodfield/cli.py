@@ -10,22 +10,20 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import sys
 import time
 
 import numpy as np
 
-from .asymptotics import AsymptoticModel, asym_grad_linear, asym_u_general, asym_u_linear
+from .asymptotics import AsymptoticModel, asymptotic_field
 from .config import ConfigError, RunConfig, load_config
-from .geometry import RodSpec, ValidationError, signed_distance
+from .geometry import RodSpec, ValidationError, signed_distance, write_csv
 from .inverse import (IdentifiabilityError, dump_fit_json, dump_measurements_csv,
                       fit_rod, load_measurements_csv, sensor_circle,
                       simulate_measurements)
 from .potentials import SolverError, dump_density_csv
-from .solver import (dump_field_csv, eval_grad_u, eval_u, lambda_of_sigma,
-                     solve_forward)
+from .solver import dump_field_csv, eval_grad_u, eval_u, solve_forward, write_field_csv
 from .validate import run_validation
 
 EXIT_OK = 0
@@ -46,27 +44,17 @@ def _thread_limit(n: int | None):
     return threadpool_limits(limits=n)
 
 
-def _asym_model(cfg: RunConfig) -> AsymptoticModel:
-    rod = cfg.rod
-    return AsymptoticModel(L=rod.L, delta=rod.delta,
-                           lam=lambda_of_sigma(rod.sigma0),
-                           center=rod.center, angle=rod.angle,
-                           background=cfg.background)
-
-
 def _grid_or_error(cfg: RunConfig) -> np.ndarray:
     if cfg.grid is None:
         raise ConfigError("this command needs a 'grid' block")
     return cfg.grid.points()
 
 
-def _write_fieldmap(path: str, pts, du, dg, near) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["x1", "x2", "du", "dgrad", "near_flag"])
-        for i in range(len(pts)):
-            w.writerow([repr(float(pts[i, 0])), repr(float(pts[i, 1])), repr(float(du[i])),
-                        repr(float(dg[i])), int(near[i])])
+def _asymptotic_arrays(cfg: RunConfig, pts: np.ndarray):
+    """Closed-form u, grad u and the near flag (within 0.1 delta) on points."""
+    u, g = asymptotic_field(AsymptoticModel.from_spec(cfg.rod, cfg.background),
+                            pts, cfg.n_quad)
+    return u, g, signed_distance(cfg.rod, pts) < cfg.rod.delta * 0.1
 
 
 def fieldmap_arrays(cfg: RunConfig, model: str, pts: np.ndarray):
@@ -76,27 +64,12 @@ def fieldmap_arrays(cfg: RunConfig, model: str, pts: np.ndarray):
                             n_cap=cfg.n_cap, n_facade=cfg.n_facade)
         u, near = eval_u(sol, pts)
         g, _ = eval_grad_u(sol, pts)
-        du = np.abs(u - cfg.background.value(pts))
-        dg = np.linalg.norm(g - cfg.background.grad(pts), axis=1)
     elif model == "asymptotic":
-        amodel = _asym_model(cfg)
-        if cfg.background.is_linear:
-            u = asym_u_linear(amodel, pts)
-            g = asym_grad_linear(amodel, pts)
-        else:
-            u = asym_u_general(amodel, pts, n_quad=cfg.n_quad)
-            h = 1e-5
-            g = np.stack([
-                (asym_u_general(amodel, pts + [h, 0.0], n_quad=cfg.n_quad)
-                 - asym_u_general(amodel, pts - [h, 0.0], n_quad=cfg.n_quad)) / (2 * h),
-                (asym_u_general(amodel, pts + [0.0, h], n_quad=cfg.n_quad)
-                 - asym_u_general(amodel, pts - [0.0, h], n_quad=cfg.n_quad)) / (2 * h),
-            ], axis=1)
-        du = np.abs(u - cfg.background.value(pts))
-        dg = np.linalg.norm(g - cfg.background.grad(pts), axis=1)
-        near = signed_distance(cfg.rod, pts) < cfg.rod.delta * 0.1
+        u, g, near = _asymptotic_arrays(cfg, pts)
     else:
         raise ConfigError(f"unknown model {model!r}")
+    du = np.abs(u - cfg.background.value(pts))
+    dg = np.linalg.norm(g - cfg.background.grad(pts), axis=1)
     return du, dg, near
 
 
@@ -104,7 +77,8 @@ def cmd_fieldmap(args) -> int:
     cfg = load_config(args.config)
     pts = _grid_or_error(cfg)
     du, dg, near = fieldmap_arrays(cfg, args.model, pts)
-    _write_fieldmap(args.out, pts, du, dg, near)
+    write_csv(args.out, ["x1", "x2", "du", "dgrad", "near_flag"],
+              pts[:, 0], pts[:, 1], du, dg, near)
     print(f"fieldmap: wrote {len(pts)} rows to {args.out}")
     return EXIT_OK
 
@@ -129,14 +103,8 @@ def cmd_compare(args) -> int:
         sol = solve_forward(rod, cfg.background, n_cap=cfg.n_cap,
                             n_facade=cfg.n_facade)
         u_bem, _ = eval_u(sol, probe)
-        model = AsymptoticModel(L=rod.L, delta=delta,
-                                lam=lambda_of_sigma(rod.sigma0),
-                                center=rod.center, angle=rod.angle,
-                                background=cfg.background)
-        if cfg.background.is_linear:
-            u_asym = asym_u_linear(model, probe)
-        else:
-            u_asym = asym_u_general(model, probe, n_quad=cfg.n_quad)
+        u_asym, _ = asymptotic_field(AsymptoticModel.from_spec(rod, cfg.background),
+                                     probe, cfg.n_quad)
         err = float(np.abs(u_bem - u_asym).max())
         rows.append({
             "delta": delta,
@@ -176,8 +144,7 @@ def cmd_invert(args) -> int:
         points = sensor_circle(cfg.sensors.center, cfg.sensors.radius,
                                cfg.sensors.count)
         data = simulate_measurements(cfg.rod, cfg.background, points,
-                                     noise_rms=args.noise, source=args.model
-                                     if args.model != "asymptotic" else "asymptotic",
+                                     noise_rms=args.noise, source=args.model,
                                      seed=args.seed, n_cap=cfg.n_cap,
                                      n_facade=cfg.n_facade)
         if args.data:
@@ -217,21 +184,7 @@ def cmd_forward(args) -> int:
 def cmd_asymptotic(args) -> int:
     cfg = load_config(args.config)
     pts = _grid_or_error(cfg)
-    model = _asym_model(cfg)
-    if cfg.background.is_linear:
-        u = asym_u_linear(model, pts)
-        g = asym_grad_linear(model, pts)
-    else:
-        u = asym_u_general(model, pts, n_quad=cfg.n_quad)
-        g = np.zeros_like(pts)
-    near = signed_distance(cfg.rod, pts) < cfg.rod.delta * 0.1
-    with open(args.out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["x1", "x2", "u", "ux", "uy", "near_boundary_flag"])
-        for i in range(len(pts)):
-            w.writerow([repr(float(pts[i, 0])), repr(float(pts[i, 1])), repr(float(u[i])),
-                        repr(float(g[i, 0])), repr(float(g[i, 1])),
-                        int(near[i])])
+    write_field_csv(args.out, pts, *_asymptotic_arrays(cfg, pts))
     print(f"asymptotic: wrote {len(pts)} rows to {args.out}")
     return EXIT_OK
 

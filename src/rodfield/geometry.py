@@ -87,8 +87,12 @@ def to_world(spec: RodSpec, x_local: NDArray) -> NDArray:
     return x_local @ rotation_matrix(spec.angle).T + np.asarray(spec.center)
 
 
-def to_local(spec: RodSpec, x_world: NDArray) -> NDArray:
-    """Inverse of :func:`to_world`."""
+def to_local(spec, x_world: NDArray) -> NDArray:
+    """Inverse of :func:`to_world`.
+
+    Reads only ``spec.center`` and ``spec.angle``, so any placed object
+    (a RodSpec or an AsymptoticModel) gives its frame.
+    """
     x_world = np.asarray(x_world, dtype=float)
     return (x_world - np.asarray(spec.center)) @ rotation_matrix(spec.angle)
 
@@ -239,12 +243,21 @@ def signed_distance(spec: RodSpec, x: NDArray) -> NDArray:
     return d if np.asarray(x).ndim > 1 else d[0]
 
 
-def dump_mesh_csv(mesh: BoundaryMesh, path: str) -> None:
+def write_csv(path: str, header, *columns) -> None:
+    """Write equal-length columns under ``header``.
+
+    Floats are written as their repr (shortest round-trip form), integers
+    and strings as themselves, and boolean flags as 0/1.
+    """
+    cols = [np.asarray(c) for c in columns]
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(MESH_CSV_HEADER)
-        for i in range(len(mesh)):
-            w.writerow([repr(float(mesh.points[i, 0])), repr(float(mesh.points[i, 1])),
-                        repr(float(mesh.normals[i, 0])), repr(float(mesh.normals[i, 1])),
-                        repr(float(mesh.curvatures[i])),
-                        repr(float(mesh.weights[i])), str(mesh.tags[i])])
+        w.writerow(header)
+        w.writerows(zip(*(c.astype(int).tolist() if c.dtype == bool else c.tolist()
+                          for c in cols)))
+
+
+def dump_mesh_csv(mesh: BoundaryMesh, path: str) -> None:
+    write_csv(path, MESH_CSV_HEADER, mesh.points[:, 0], mesh.points[:, 1],
+              mesh.normals[:, 0], mesh.normals[:, 1], mesh.curvatures,
+              mesh.weights, mesh.tags)

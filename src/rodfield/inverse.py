@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import least_squares
 
-from .asymptotics import perturbation_linear
+from .asymptotics import AsymptoticModel, asym_u_linear, perturbation_linear
 from .background import HarmonicBackground
-from .geometry import RodSpec, ValidationError, rotation_matrix, signed_distance
-from .solver import eval_u, lambda_of_sigma, solve_forward
+from .geometry import RodSpec, ValidationError, rotation_matrix, signed_distance, write_csv
+from .solver import eval_u, solve_forward
 
 
 class IdentifiabilityError(ValueError):
@@ -55,7 +55,6 @@ class FitResult:
     residual: float
     iterations: int
     converged: bool
-    history: NDArray = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         P, Q = self.endpoints
@@ -98,13 +97,7 @@ def simulate_measurements(spec: RodSpec, bg: HarmonicBackground,
         sol = solve_forward(spec, bg, n_cap=n_cap, n_facade=n_facade)
         values, _ = eval_u(sol, points)
     elif source == "asymptotic":
-        from .asymptotics import AsymptoticModel, asym_u_linear
-
-        model = AsymptoticModel(L=spec.L, delta=spec.delta,
-                                lam=lambda_of_sigma(spec.sigma0),
-                                center=spec.center, angle=spec.angle,
-                                background=bg)
-        values = asym_u_linear(model, points)
+        values = asym_u_linear(AsymptoticModel.from_spec(spec, bg), points)
     else:
         raise ValueError(f"unknown source {source!r}")
 
@@ -205,11 +198,8 @@ def endpoint_error(result: FitResult, spec: RodSpec) -> float:
 
 
 def dump_measurements_csv(data: SensorSet, path: str) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["x1", "x2", "u"])
-        for p, v in zip(data.points, data.values):
-            w.writerow([repr(float(p[0])), repr(float(p[1])), repr(float(v))])
+    write_csv(path, ["x1", "x2", "u"], data.points[:, 0], data.points[:, 1],
+              data.values)
 
 
 def load_measurements_csv(path: str, bg: HarmonicBackground) -> SensorSet:

@@ -23,7 +23,7 @@ import scipy.linalg
 from numpy.typing import NDArray
 
 from .background import HarmonicBackground
-from .geometry import BoundaryMesh, ValidationError, rotation_matrix, to_local
+from .geometry import BoundaryMesh, ValidationError, rotation_matrix, to_local, write_csv
 
 #: evaluation points closer than this many local spacings to the boundary
 #: get a proximity flag on the result.
@@ -293,11 +293,5 @@ def single_layer_grad(mesh: BoundaryMesh, phi: DensityVector,
 
 def dump_density_csv(phi: DensityVector, path: str) -> None:
     mesh = phi.mesh
-    import csv
-
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["index", "x1", "x2", "phi"])
-        for i in range(len(mesh)):
-            w.writerow([i, repr(float(mesh.points[i, 0])), repr(float(mesh.points[i, 1])),
-                        repr(float(phi.values[i]))])
+    write_csv(path, ["index", "x1", "x2", "phi"], np.arange(len(mesh)),
+              mesh.points[:, 0], mesh.points[:, 1], phi.values)

@@ -13,7 +13,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .background import HarmonicBackground
-from .geometry import BoundaryMesh, RodSpec, ValidationError, build_mesh, default_counts
+from .geometry import (BoundaryMesh, RodSpec, ValidationError, build_mesh, default_counts,
+                       write_csv)
 from .potentials import (DensityVector, assemble_np, neumann_data, single_layer,
                          single_layer_grad, solve_density)
 
@@ -133,15 +134,14 @@ def disc_exterior_grad(a, radius: float, sigma0: float, x) -> NDArray:
     return a - m * radius**2 * dip
 
 
+def write_field_csv(path: str, pts: NDArray, u: NDArray, grad: NDArray,
+                    near: NDArray) -> None:
+    """The field CSV of ``forward`` and ``asymptotic``: u, grad u, near flag."""
+    write_csv(path, ["x1", "x2", "u", "ux", "uy", "near_boundary_flag"],
+              pts[:, 0], pts[:, 1], u, grad[:, 0], grad[:, 1], near)
+
+
 def dump_field_csv(sol: ForwardSolution, pts: NDArray, path: str) -> None:
     u, near = eval_u(sol, pts)
     g, _ = eval_grad_u(sol, pts)
-    import csv
-
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["x1", "x2", "u", "ux", "uy", "near_boundary_flag"])
-        for i in range(len(pts)):
-            w.writerow([repr(float(pts[i, 0])), repr(float(pts[i, 1])), repr(float(u[i])),
-                        repr(float(g[i, 0])), repr(float(g[i, 1])),
-                        int(near[i])])
+    write_field_csv(path, pts, u, g, near)

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from rodfield import (AsymptoticModel, HarmonicBackground, a_delta_apply,
-                      asym_grad_linear, asym_u_general, asym_u_linear, f1_f2)
-from rodfield.asymptotics import (SingularPointError, cap_points, f_sq_sum,
-                                  f_sq_sum_cap_form, perturbation_linear)
-from rodfield.geometry import rotation_matrix
+from rodfield import (AsymptoticModel, HarmonicBackground, RodSpec, a_delta_apply,
+                      asym_grad_linear, asym_u_general, asym_u_linear,
+                      asymptotic_field, f1_f2)
+from rodfield.asymptotics import (SingularPointError, _general_field, cap_points,
+                                  f_sq_sum, f_sq_sum_cap_form, perturbation_linear)
+from rodfield.geometry import rotation_matrix, signed_distance
 
 
 def linear_model(a, L=2.0, delta=0.05, lam=1.5, **kw):
@@ -181,6 +182,41 @@ def test_general_odd_symmetry_outside_segment():
     model = AsymptoticModel(L=2.0, delta=0.02, lam=1.5, background=bg)
     x = np.array([1.7, 0.0])
     assert asym_u_general(model, x) == pytest.approx(bg.value(x), abs=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:target close to the rod axis")
+def test_general_gradient_matches_finite_difference():
+    spec = RodSpec(L=2.0, delta=0.01, center=(0.1, -0.1), angle=0.3, sigma0=3.0)
+    bg = HarmonicBackground.polynomial((0.0, 1.0, 0.5, 0.3, 0.2))
+    model = AsymptoticModel.from_spec(spec, bg)
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-2.5, 2.5, size=(120, 2))
+    pts = pts[signed_distance(spec, pts) >= 0.1][:60]
+    _, g = asymptotic_field(model, pts)
+    h = 1e-5
+    fd = np.stack([(asym_u_general(model, pts + e) - asym_u_general(model, pts - e))
+                   / (2 * h) for e in (np.array([h, 0.0]), np.array([0.0, h]))], axis=1)
+    rel = np.linalg.norm(g - fd, axis=1) / np.linalg.norm(fd, axis=1)
+    assert rel.max() < 1e-6
+
+
+@pytest.mark.filterwarnings("ignore:target close to the rod axis")
+def test_general_gradient_on_axis_is_upper_side_limit():
+    # on the axis inside the segment the gradient is the x2 -> +0 limit,
+    # which differs from the lower-side one (the Poisson term jumps)
+    bg = HarmonicBackground.polynomial((0.0, 1.0, 0.5, 0.3, 0.2))
+    model = AsymptoticModel(L=2.0, delta=0.01, lam=1.5, background=bg)
+    _, g0 = asymptotic_field(model, np.array([[0.3, 0.0]]))
+    assert np.isfinite(g0).all()
+    _, above = asymptotic_field(model, np.array([[0.3, 1e-4]]), n_quad=64)
+    _, below = asymptotic_field(model, np.array([[0.3, -1e-4]]), n_quad=64)
+    assert np.abs(g0 - above).max() < 1e-3
+    assert np.abs(g0 - below).max() > 1e-2
+    # a linear background has no jump: the closed form agrees exactly
+    lin = linear_model((1.0, 0.7), delta=0.01)
+    _, g_lin = asymptotic_field(lin, np.array([[0.3, 0.0]]))
+    _, g_gen = _general_field(lin, np.array([[0.3, 0.0]]), 32)
+    assert np.allclose(g_gen, g_lin, rtol=1e-12, atol=1e-14)
 
 
 def test_general_rejects_small_n_quad():

@@ -4,6 +4,7 @@ import csv
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from rodfield.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
@@ -101,6 +102,25 @@ def test_asymptotic_command(config_path, tmp_path):
     code = main(["asymptotic", "--config", config_path, "--out", str(out)])
     assert code == EXIT_OK
     assert len(_read_csv(out)) == 26
+
+
+def test_asymptotic_gradient_on_quadratic_background(tmp_path):
+    # the `asymptotic` command writes the exact gradient, the one that
+    # `fieldmap --model asymptotic` reduces to |grad u - grad H|
+    coeffs = [0.0, 1.0, 0.5, 0.3, 0.2]
+    path = tmp_path / "quad.yaml"
+    path.write_text(CONFIG.replace("  a: [1.0, 0.5]", f"  coefficients: {coeffs}"))
+    asym, fmap = tmp_path / "asym.csv", tmp_path / "fieldmap.csv"
+    assert main(["asymptotic", "--config", str(path), "--out", str(asym)]) == EXIT_OK
+    assert main(["fieldmap", "--config", str(path), "--model", "asymptotic",
+                 "--out", str(fmap)]) == EXIT_OK
+    rows = np.array(_read_csv(asym)[1:], dtype=float)
+    x1, x2, grad = rows[:, 0], rows[:, 1], rows[:, 3:5]
+    assert (grad != 0.0).any(axis=0).all()
+    _, c1, c2, c3, c4 = coeffs
+    grad_h = np.stack([c1 + 2 * c3 * x1 + c4 * x2, c2 - 2 * c3 * x2 + c4 * x1], axis=1)
+    dgrad = np.array(_read_csv(fmap)[1:], dtype=float)[:, 3]
+    assert np.abs(np.linalg.norm(grad - grad_h, axis=1) - dgrad).max() < 1e-10
 
 
 def test_compare_report(config_path, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rodfield import RodSpec, ValidationError, build_mesh, to_local, to_world
 from rodfield.geometry import (default_counts, dump_mesh_csv, rotation_matrix,
-                               signed_distance)
+                               signed_distance, write_csv)
 
 
 def test_spec_validation():
@@ -129,6 +129,28 @@ def test_dump_mesh_csv(tmp_path):
     assert len(rows) == len(mesh) + 1
     x = np.array([[float(r[0]), float(r[1])] for r in rows[1:]])
     assert np.allclose(x, mesh.points)
+
+
+def loop_csv(path, header, floats, ints, strs, flags):
+    """Reference: the per-row loop the CSV dumps used before ``write_csv``."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        for i in range(len(flags)):
+            w.writerow([ints[i]] + [repr(float(c[i])) for c in floats]
+                       + [str(strs[i]), int(flags[i])])
+
+
+def test_write_csv_matches_row_loop(tmp_path):
+    x = np.array([-0.0, 1e-320, 1e300, -1e300, 0.1, 1.0 / 3.0, -2.5e-7, 0.0])
+    y = np.linspace(-3.0, 3.0, len(x))
+    ints = np.arange(len(x))
+    tags = np.full(len(x), "cap_left")
+    flags = x > 0.0
+    header = ["index", "x", "y", "tag", "flag"]
+    loop_csv(tmp_path / "loop.csv", header, (x, y), ints, tags, flags)
+    write_csv(str(tmp_path / "new.csv"), header, ints, x, y, tags, flags)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
 def test_node_accessor():
