@@ -9,9 +9,9 @@ from .geometry import (BoundaryMesh, BoundaryNode, RodSpec, ValidationError,
 from .inverse import (FitResult, SensorSet, distinguishability_gap, fit_rod,
                       sensor_circle, simulate_measurements)
 from .potentials import (DensityVector, NpMatrix, SolverError, assemble_np,
-                         neumann_data, single_layer, single_layer_grad,
-                         solve_density)
-from .solver import (ForwardSolution, eval_grad_u, eval_u, lambda_of_sigma,
-                     solve_forward, transmission_check)
+                         neumann_data, single_layer, single_layer_field,
+                         single_layer_grad, solve_density)
+from .solver import (ForwardSolution, eval_field, eval_grad_u, eval_u,
+                     lambda_of_sigma, solve_forward, transmission_check)
 
 __version__ = "0.1.0"

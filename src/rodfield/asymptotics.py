@@ -193,7 +193,9 @@ def _graded_panels(L: float, x1: float, x2: float, n_refine: int = 6) -> NDArray
     """Panel breakpoints on (-L/2, L/2), graded toward the endpoints.
 
     When the target sits close to the axis the Poisson kernel peaks at
-    y1 = x1 on the scale |x2|; extra breakpoints resolve it.
+    y1 = x1 on the scale |x2|; extra breakpoints resolve it.  On the axis
+    the log kernel is singular at y1 = x1; breakpoints at x1 and x1 +-
+    s 2^-k (k = 1 ... 19, s the distance to the nearer end) resolve that.
     """
     t = np.cos(np.linspace(np.pi, 0.0, 13))  # Chebyshev grading
     pts = list((L / 2.0) * t)
@@ -204,6 +206,9 @@ def _graded_panels(L: float, x1: float, x2: float, n_refine: int = 6) -> NDArray
                 b = x1 + sgn * s * 2.0**k
                 if -L / 2.0 < b < L / 2.0:
                     pts.append(b)
+    elif abs(x1) < L / 2.0:
+        s = L / 2.0 - abs(x1)
+        pts += [x1] + [x1 + sgn * s * 2.0**-k for k in range(1, 20) for sgn in (-1, 1)]
     return np.unique(np.asarray(pts))
 
 

@@ -23,7 +23,7 @@ from .inverse import (IdentifiabilityError, dump_fit_json, dump_measurements_csv
                       fit_rod, load_measurements_csv, sensor_circle,
                       simulate_measurements)
 from .potentials import SolverError, dump_density_csv
-from .solver import dump_field_csv, eval_grad_u, eval_u, solve_forward, write_field_csv
+from .solver import dump_field_csv, eval_field, eval_u, solve_forward, write_field_csv
 from .validate import run_validation
 
 EXIT_OK = 0
@@ -62,8 +62,7 @@ def fieldmap_arrays(cfg: RunConfig, model: str, pts: np.ndarray):
     if model == "bem":
         sol = solve_forward(cfg.rod, cfg.background,
                             n_cap=cfg.n_cap, n_facade=cfg.n_facade)
-        u, near = eval_u(sol, pts)
-        g, _ = eval_grad_u(sol, pts)
+        u, g, near = eval_field(sol, pts)
     elif model == "asymptotic":
         u, g, near = _asymptotic_arrays(cfg, pts)
     else:
@@ -79,7 +78,8 @@ def cmd_fieldmap(args) -> int:
     du, dg, near = fieldmap_arrays(cfg, args.model, pts)
     write_csv(args.out, ["x1", "x2", "du", "dgrad", "near_flag"],
               pts[:, 0], pts[:, 1], du, dg, near)
-    print(f"fieldmap: wrote {len(pts)} rows to {args.out}")
+    print(f"fieldmap: wrote {len(pts)} rows to {args.out}  "
+          f"near={np.count_nonzero(near)}")
     return EXIT_OK
 
 
@@ -173,11 +173,11 @@ def cmd_forward(args) -> int:
     pts = _grid_or_error(cfg)
     sol = solve_forward(cfg.rod, cfg.background, n_cap=cfg.n_cap,
                         n_facade=cfg.n_facade)
-    dump_field_csv(sol, pts, args.out)
+    near = dump_field_csv(sol, pts, args.out)
     if args.density:
         dump_density_csv(sol.phi, args.density)
     print(f"forward: wrote {len(pts)} rows to {args.out}  n={len(sol.mesh)}  "
-          f"residual={sol.phi.residual:.2e}")
+          f"residual={sol.phi.residual:.2e}  near={np.count_nonzero(near)}")
     return EXIT_OK
 
 

@@ -29,6 +29,10 @@ from .geometry import BoundaryMesh, ValidationError, rotation_matrix, to_local, 
 #: get a proximity flag on the result.
 NEAR_FACTOR = 2.0
 
+#: byte budget of the scratch of field evaluation, three (chunk, n) float
+#: arrays: memory is bounded by the chunk, not by the number of points.
+FIELD_CHUNK_BYTES = 1 << 21
+
 #: Character table of the mirror group.  Column g is the group element
 #: (e, R1, R2, R1R2), row s the parity (p1, p2) in the order (+, +),
 #: (-, +), (+, -), (-, -).  Element indices compose by XOR; the table is
@@ -253,41 +257,61 @@ def solve_density(np_matrix: NpMatrix, lam: float,
                          residual=float(residual))
 
 
-def _near_flags(mesh: BoundaryMesh, pts: NDArray) -> NDArray:
-    d = np.linalg.norm(pts[:, None, :] - mesh.points[None, :, :], axis=2)
-    j = np.argmin(d, axis=1)
-    return d[np.arange(len(pts)), j] < NEAR_FACTOR * mesh.weights[j]
+def _near_flags(mesh: BoundaryMesh, r2: NDArray) -> NDArray:
+    """Rows of the squared distances ``r2`` (points, nodes) whose nearest
+    node is closer than NEAR_FACTOR local spacings."""
+    j = np.argmin(r2, axis=1)
+    return np.sqrt(r2[np.arange(len(r2)), j]) < NEAR_FACTOR * mesh.weights[j]
+
+
+def single_layer_field(mesh: BoundaryMesh, phi: DensityVector,
+                       x) -> tuple[NDArray, NDArray, NDArray]:
+    """Single-layer potential of ``phi``, its exact gradient and the near flag.
+
+    ``near`` flags points closer to the boundary than NEAR_FACTOR local
+    spacings, where midpoint quadrature degrades.  Each chunk of points
+    forms d = x - y and r^2 = |d|^2 once, by direct subtraction (the GEMM
+    expansion of r^2 cancels near the boundary).  Accepts a single point or
+    an (m, 2) array; a point on a mesh node raises ValidationError.
+    """
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    pw = phi.values * mesh.weights
+    rows = max(1, FIELD_CHUNK_BYTES // (24 * len(mesh)))
+    buf = np.empty((3, min(rows, len(pts)), len(mesh)))
+    out = np.empty((len(pts), 3))   # 2 pi dS/dx1, 2 pi dS/dx2, 4 pi S
+    near = np.empty(len(pts), dtype=bool)
+    for s in range(0, len(pts), rows):
+        p = pts[s:s + rows]
+        scratch = d1, d2, r2 = buf[:, :len(p)]
+        np.subtract(p[:, 0, None], mesh.points[:, 0], out=d1)
+        np.subtract(p[:, 1, None], mesh.points[:, 1], out=d2)
+        np.square(d1, out=r2)
+        r2 += np.square(d2)
+        hit = near[s:s + len(p)] = _near_flags(mesh, r2)
+        if hit.any() and not r2[hit].all():
+            i = s + np.flatnonzero(hit)[~r2[hit].all(axis=1)][0]
+            raise ValidationError(f"evaluation point ({pts[i, 0]!r}, {pts[i, 1]!r}) "
+                                  "lies on a mesh node, where the kernel is singular")
+        scratch[:2] /= r2
+        np.log(r2, out=r2)
+        out[s:s + len(p)] = (scratch @ pw).T
+    vals, grads = out[:, 2] / (4.0 * np.pi), out[:, :2] / (2.0 * np.pi)
+    if np.ndim(x) == 1:
+        return vals[0], grads[0], near[0]
+    return vals, grads, near
 
 
 def single_layer(mesh: BoundaryMesh, phi: DensityVector,
                  x) -> tuple[NDArray, NDArray]:
-    """Evaluate the single-layer potential of ``phi`` at points ``x``.
-
-    Returns ``(values, near)``; ``near`` flags points closer to the
-    boundary than NEAR_FACTOR local spacings, where midpoint quadrature
-    degrades.  Accepts a single point or an (n, 2) array.
-    """
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    d = pts[:, None, :] - mesh.points[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", d, d)
-    vals = (np.log(r2) / (4.0 * np.pi)) @ (phi.values * mesh.weights)
-    near = _near_flags(mesh, pts)
-    if np.asarray(x).ndim == 1:
-        return vals[0], near[0]
+    """``(values, near)`` of :func:`single_layer_field`."""
+    vals, _, near = single_layer_field(mesh, phi, x)
     return vals, near
 
 
 def single_layer_grad(mesh: BoundaryMesh, phi: DensityVector,
                       x) -> tuple[NDArray, NDArray]:
-    """Gradient of the single-layer potential (kernel differentiated exactly)."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    d = pts[:, None, :] - mesh.points[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", d, d)
-    coef = (phi.values * mesh.weights) / (2.0 * np.pi * r2)
-    grads = np.einsum("ij,ijk->ik", coef, d)
-    near = _near_flags(mesh, pts)
-    if np.asarray(x).ndim == 1:
-        return grads[0], near[0]
+    """``(grads, near)`` of :func:`single_layer_field`."""
+    _, grads, near = single_layer_field(mesh, phi, x)
     return grads, near
 
 

@@ -15,8 +15,8 @@ from numpy.typing import NDArray
 from .background import HarmonicBackground
 from .geometry import (BoundaryMesh, RodSpec, ValidationError, build_mesh, default_counts,
                        write_csv)
-from .potentials import (DensityVector, assemble_np, neumann_data, single_layer,
-                         single_layer_grad, solve_density)
+from .potentials import (DensityVector, assemble_np, neumann_data, single_layer_field,
+                         solve_density)
 
 
 def lambda_of_sigma(sigma0: float) -> float:
@@ -54,16 +54,23 @@ def solve_forward(spec: RodSpec, bg: HarmonicBackground,
     return ForwardSolution(mesh=mesh, phi=phi, lam=lam, background=bg)
 
 
+def eval_field(sol: ForwardSolution, x) -> tuple[NDArray, NDArray, NDArray]:
+    """Total potential u = H + S[phi], its gradient and the near flag."""
+    x = np.asarray(x, dtype=float)
+    s, g, near = single_layer_field(sol.mesh, sol.phi, x)
+    return sol.background.value(x) + s, sol.background.grad(x) + g, near
+
+
 def eval_u(sol: ForwardSolution, x) -> tuple[NDArray, NDArray]:
-    """Total potential u = H + S[phi] at exterior/interior points."""
-    s, near = single_layer(sol.mesh, sol.phi, x)
-    return sol.background.value(np.asarray(x, dtype=float)) + s, near
+    """``(u, near)`` of :func:`eval_field`."""
+    u, _, near = eval_field(sol, x)
+    return u, near
 
 
 def eval_grad_u(sol: ForwardSolution, x) -> tuple[NDArray, NDArray]:
-    """Gradient of the total potential."""
-    g, near = single_layer_grad(sol.mesh, sol.phi, x)
-    return sol.background.grad(np.asarray(x, dtype=float)) + g, near
+    """``(grad u, near)`` of :func:`eval_field`."""
+    _, g, near = eval_field(sol, x)
+    return g, near
 
 
 def transmission_check(sol: ForwardSolution, n_probe: int = 16,
@@ -141,7 +148,7 @@ def write_field_csv(path: str, pts: NDArray, u: NDArray, grad: NDArray,
               pts[:, 0], pts[:, 1], u, grad[:, 0], grad[:, 1], near)
 
 
-def dump_field_csv(sol: ForwardSolution, pts: NDArray, path: str) -> None:
-    u, near = eval_u(sol, pts)
-    g, _ = eval_grad_u(sol, pts)
+def dump_field_csv(sol: ForwardSolution, pts: NDArray, path: str) -> NDArray:
+    u, g, near = eval_field(sol, pts)
     write_field_csv(path, pts, u, g, near)
+    return near

@@ -176,6 +176,18 @@ def test_general_quadrature_self_convergence():
     assert np.abs(lo - hi).max() < 1e-8
 
 
+def test_general_on_axis_log_singularity_converges():
+    # on the axis inside the segment the log kernel is singular at y1 = x1;
+    # the panels must resolve it as they resolve the Poisson peak off the axis
+    bg = HarmonicBackground.polynomial((0.0, 1.0, 0.5, 0.3, 0.2))
+    pts = np.array([[0.3, 0.0], [-0.97, 0.0], [0.0, 0.0]])
+    for lam in (0.75, 1.5):
+        model = AsymptoticModel(L=2.0, delta=0.05, lam=lam, background=bg)
+        ref = asym_u_general(model, pts, n_quad=512)
+        for n_quad in (16, 32, 64):
+            assert np.abs(asym_u_general(model, pts, n_quad=n_quad) - ref).max() < 1e-8
+
+
 def test_general_odd_symmetry_outside_segment():
     # transverse-only linear part, on-axis beyond the rod: no perturbation
     bg = HarmonicBackground.linear((0.0, 1.0))

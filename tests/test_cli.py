@@ -53,13 +53,18 @@ def _read_csv(path):
         return list(csv.reader(f))
 
 
-def test_fieldmap_bem(config_path, tmp_path):
+def _near_count(summary):
+    return int(summary.split("near=")[1].split()[0])
+
+
+def test_fieldmap_bem(config_path, tmp_path, capsys):
     out = tmp_path / "fieldmap.csv"
     code = main(["fieldmap", "--config", config_path, "--out", str(out)])
     assert code == EXIT_OK
     rows = _read_csv(out)
     assert rows[0] == ["x1", "x2", "du", "dgrad", "near_flag"]
     assert len(rows) == 26
+    assert _near_count(capsys.readouterr().out) == sum(int(r[4]) for r in rows[1:])
 
 
 def test_fieldmap_asymptotic_matches_repeat(config_path, tmp_path):
@@ -83,6 +88,7 @@ def test_forward_with_density(config_path, tmp_path, capsys):
     summary = capsys.readouterr().out
     assert "n=128" in summary
     assert float(summary.split("residual=")[1].split()[0]) < 1e-10
+    assert _near_count(summary) == sum(int(r[5]) for r in _read_csv(out)[1:])
 
 
 def test_threads_without_threadpoolctl_warns(config_path, tmp_path, capsys,

@@ -1,16 +1,19 @@
 """Layer-potential kernels, the boundary operator and the density solve."""
 
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from rodfield import potentials
 from rodfield import (DensityVector, HarmonicBackground, RodSpec,
                       ValidationError, build_mesh, assemble_np, lambda_of_sigma,
-                      neumann_data, single_layer, single_layer_grad,
-                      solve_density)
-from rodfield.potentials import SolverError, dump_density_csv
+                      neumann_data, single_layer, single_layer_field,
+                      single_layer_grad, solve_density)
+from rodfield.potentials import NEAR_FACTOR, SolverError, dump_density_csv
 
 
 def disc_mesh(n=64):
@@ -31,6 +34,38 @@ def dense_np(mesh):
     np.fill_diagonal(kern, mesh.curvatures / (4.0 * np.pi))
     kern[np.diag_indices_from(kern)] += (0.5 - (w @ kern)) / w
     return kern * w[None, :]
+
+
+def dense_near_flags(mesh, pts):
+    """Reference: the unchunked near flags, from a dense (m, n) distance."""
+    d = np.linalg.norm(pts[:, None, :] - mesh.points[None, :, :], axis=2)
+    j = np.argmin(d, axis=1)
+    return d[np.arange(len(pts)), j] < NEAR_FACTOR * mesh.weights[j]
+
+
+def dense_single_layer(mesh, phi, x):
+    """Reference: the unchunked single-layer potential over (m, n, 2)."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    d = pts[:, None, :] - mesh.points[None, :, :]
+    r2 = np.einsum("ijk,ijk->ij", d, d)
+    vals = (np.log(r2) / (4.0 * np.pi)) @ (phi.values * mesh.weights)
+    near = dense_near_flags(mesh, pts)
+    if np.asarray(x).ndim == 1:
+        return vals[0], near[0]
+    return vals, near
+
+
+def dense_single_layer_grad(mesh, phi, x):
+    """Reference: the unchunked single-layer gradient over (m, n, 2)."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    d = pts[:, None, :] - mesh.points[None, :, :]
+    r2 = np.einsum("ijk,ijk->ij", d, d)
+    coef = (phi.values * mesh.weights) / (2.0 * np.pi * r2)
+    grads = np.einsum("ij,ijk->ik", coef, d)
+    near = dense_near_flags(mesh, pts)
+    if np.asarray(x).ndim == 1:
+        return grads[0], near[0]
+    return grads, near
 
 
 SYMMETRY_MESHES = {
@@ -203,6 +238,72 @@ def test_near_flags():
     pts = np.array([[0.0, 0.1001], [0.0, 3.0]])
     _, near = single_layer(mesh, phi, pts)
     assert near[0] and not near[1]
+
+
+def _field_case(m):
+    """A solved density on a rotated, shifted rod and m points around it,
+    every fourth one within a local spacing of the boundary."""
+    mesh = SYMMETRY_MESHES["odd_panels"]()
+    bg = HarmonicBackground.polynomial((0.1, 1.0, -0.5, 0.3, 0.2))
+    phi = solve_density(assemble_np(mesh), 1.5, neumann_data(mesh, bg))
+    rng = np.random.default_rng(m)
+    pts = mesh.spec.center + rng.uniform(-2.0, 2.0, size=(m, 2))
+    k = rng.integers(len(mesh), size=m)[::4]
+    off = rng.uniform(-1.0, 1.0, size=(len(k), 1)) * mesh.weights[k, None]
+    pts[::4] = mesh.points[k] + off * mesh.normals[k]
+    return mesh, phi, pts
+
+
+def _assert_close(got, ref):
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("chunk", [7, None])
+def test_single_layer_field_matches_dense_across_chunks(chunk, monkeypatch):
+    n = len(SYMMETRY_MESHES["odd_panels"]())
+    if chunk is None:
+        chunk = potentials.FIELD_CHUNK_BYTES // (24 * n)
+        assert 1 < chunk < 4096
+    else:
+        # the scratch is three (chunk, n) float arrays
+        monkeypatch.setattr(potentials, "FIELD_CHUNK_BYTES", 24 * n * chunk)
+    for m in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 2):
+        mesh, phi, pts = _field_case(m)
+        vals, grads, near = single_layer_field(mesh, phi, pts)
+        ref_vals, ref_near = dense_single_layer(mesh, phi, pts)
+        ref_grads, _ = dense_single_layer_grad(mesh, phi, pts)
+        _assert_close(vals, ref_vals)
+        _assert_close(grads, ref_grads)
+        assert np.array_equal(near, ref_near)
+        assert near.any() or m == 1
+        assert np.array_equal(single_layer(mesh, phi, pts)[0], vals)
+        assert np.array_equal(single_layer_grad(mesh, phi, pts)[0], grads)
+
+
+def test_single_layer_field_single_point():
+    mesh, phi, pts = _field_case(8)
+    for x in pts[:2]:
+        val, grad, near = single_layer_field(mesh, phi, x)
+        ref_val, ref_near = dense_single_layer(mesh, phi, x)
+        ref_grad, _ = dense_single_layer_grad(mesh, phi, x)
+        assert np.ndim(val) == 0 and grad.shape == (2,) and np.ndim(near) == 0
+        _assert_close(val, ref_val)
+        _assert_close(grad, ref_grad)
+        assert near == ref_near
+        assert single_layer(mesh, phi, x) == (val, near)
+
+
+def test_evaluation_on_a_mesh_node_is_refused():
+    mesh, phi, _ = _field_case(1)
+    node = mesh.points[5]
+    where = re.escape(f"({node[0]!r}, {node[1]!r})")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (single_layer, single_layer_grad, single_layer_field):
+            with pytest.raises(ValidationError, match=where):
+                fn(mesh, phi, np.array([[3.0, 3.0], node]))
+            with pytest.raises(ValidationError, match=where):
+                fn(mesh, phi, node)
 
 
 def test_dump_density_csv(tmp_path):

@@ -1,10 +1,12 @@
 """Forward transmission solves against analytic and structural oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rodfield import (HarmonicBackground, RodSpec, ValidationError, eval_grad_u,
-                      eval_u, lambda_of_sigma, solve_forward,
+from rodfield import (HarmonicBackground, RodSpec, ValidationError, eval_field,
+                      eval_grad_u, eval_u, lambda_of_sigma, solve_forward,
                       transmission_check)
 from rodfield.solver import (disc_exterior_grad, disc_exterior_u,
                              disc_interior_u, dump_field_csv)
@@ -125,3 +127,24 @@ def test_near_flags_on_eval(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].split(",")[:2] == ["x1", "x2"]
     assert len(lines) == 3
+
+
+def test_eval_field_memory_bounded_by_chunk():
+    # n = 464; the unchunked evaluation peaked at 341 MB on the 101^2 grid
+    sol = solve_forward(RodSpec(L=2.0, delta=0.01, sigma0=2.0),
+                        HarmonicBackground.linear((1.0, 0.5)))
+    assert len(sol.mesh) == 464
+    peaks = {}
+    for nx in (101, 201):
+        g = np.linspace(-3.0, 3.0, nx)
+        pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        tracemalloc.start()
+        try:
+            u, grad, near = eval_field(sol, pts)
+            peaks[nx] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert u.shape == near.shape == (nx * nx,) and grad.shape == (nx * nx, 2)
+    assert peaks[101] < 16e6
+    # beyond the chunk scratch only the O(m) outputs grow with the grid
+    assert peaks[201] - peaks[101] < 100 * (201**2 - 101**2)
