@@ -19,12 +19,13 @@ from scipy.integrate import quad
 
 from .background import HarmonicBackground
 from .geometry import RodSpec, rotation_matrix, to_local
+from . import potentials
 from .solver import lambda_of_sigma
 
 __all__ = [
     "AsymptoticModel", "cap_points", "f1_f2", "f_sq_sum", "f_sq_sum_cap_form",
     "asym_u_linear", "asym_grad_linear", "asym_u_general", "asymptotic_field",
-    "a_delta_apply",
+    "asymptotic_perturbation", "a_delta_apply",
     "perturbation_linear", "perturbation_grad_linear",
 ]
 
@@ -166,14 +167,17 @@ class AsymptoticModel:
         return self.background.rotated(self.angle)
 
 
+def _linear_args(model: AsymptoticModel, x) -> tuple:
+    """Arguments (a, L, c_ax, c_tr, x) of the linear closed forms, rod frame."""
+    return (model._local_background().linear_part, model.L, model.strength,
+            model.strength_transverse, to_local(model, x))
+
+
 def asym_u_linear(model: AsymptoticModel, x) -> NDArray:
     """Leading-order potential for a linear background (world frame)."""
     if not model.background.is_linear:
         raise ValueError("asym_u_linear requires a linear background")
-    xl = to_local(model, x)
-    a_loc = model._local_background().linear_part
-    pert = perturbation_linear(a_loc, model.L, model.strength,
-                               model.strength_transverse, xl)
+    pert = perturbation_linear(*_linear_args(model, x))
     return model.background.value(np.asarray(x, dtype=float)) + pert
 
 
@@ -181,39 +185,68 @@ def asym_grad_linear(model: AsymptoticModel, x) -> NDArray:
     """Leading-order gradient for a linear background (world frame)."""
     if not model.background.is_linear:
         raise ValueError("asym_grad_linear requires a linear background")
-    xl = to_local(model, x)
-    a_loc = model._local_background().linear_part
-    g_loc = perturbation_grad_linear(a_loc, model.L, model.strength,
-                                     model.strength_transverse, xl)
+    g_loc = perturbation_grad_linear(*_linear_args(model, x))
     R = rotation_matrix(model.angle)
     return model.background.grad(np.asarray(x, dtype=float)) + g_loc @ R.T
 
 
-def _graded_panels(L: float, x1: float, x2: float, n_refine: int = 6) -> NDArray:
-    """Panel breakpoints on (-L/2, L/2), graded toward the endpoints.
+# targets over the segment closer than this many rod lengths to the axis
+# (but off it) get a warning: cancellation in the Poisson kernel costs the
+# gradient about 6e-17 L / |x2| of relative accuracy, 6e-9 at this distance
+AXIS_WARN = 1e-8
+# Chebyshev grading of the base panels toward the segment's ends
+_BASE_BREAKS = np.cos(np.linspace(np.pi, 0.0, 13))
+# on the axis inside the segment: offsets 0 and +-2^-k (k = 1 ... 19) of x1,
+# in units of the distance to the nearer end
+_AXIS_STEPS = np.concatenate([[0.0], np.outer(2.0 ** -np.arange(1, 20), [-1.0, 1.0]).ravel()])
 
-    When the target sits close to the axis the Poisson kernel peaks at
-    y1 = x1 on the scale |x2|; extra breakpoints resolve it.  On the axis
-    the log kernel is singular at y1 = x1; breakpoints at x1 and x1 +-
-    s 2^-k (k = 1 ... 19, s the distance to the nearer end) resolve that.
+
+def _refinement(L: float, x1: NDArray, x2: NDArray) -> tuple[NDArray, NDArray]:
+    """Per target: the number of k >= 0 with |x2| 2^k < L when it lies off
+    the axis over the segment (else 0), and whether it lies on the axis
+    inside the segment."""
+    inside = np.abs(x1) < L / 2.0
+    with np.errstate(divide="ignore"):
+        depth = np.floor(np.log2(L / np.abs(x2))) + 1.0
+    depth = np.where(inside & (x2 != 0.0), np.maximum(depth, 0.0), 0.0)
+    return depth.astype(int), inside & (x2 == 0.0)
+
+
+def _graded_panels(L: float, x1: NDArray, x2: NDArray) -> NDArray:
+    """Panel breakpoints on [-L/2, L/2] as offsets y1 - x1 from the target,
+    one sorted row per target (x1, x2).
+
+    The base breakpoints are graded toward the ends.  Off the axis the
+    Poisson kernel peaks at y1 = x1 on the scale |x2|; breakpoints x1 +-
+    |x2| 2^k for every k with |x2| 2^k < L resolve it, down to any |x2|.
+    On the axis the log kernel is singular at y1 = x1; breakpoints at x1
+    and x1 +- s 2^-k (k = 1 ... 19, s the distance to the nearer end)
+    resolve that.  Offsets keep the distances to the target exact near it,
+    where the kernels are largest.  Each row holds its distinct breakpoints
+    in order and is padded with repeats of the right end, which make
+    zero-width panels at the end.
     """
-    t = np.cos(np.linspace(np.pi, 0.0, 13))  # Chebyshev grading
-    pts = list((L / 2.0) * t)
-    if abs(x1) < L / 2.0 and x2 != 0.0:
-        s = abs(x2)
-        for k in range(n_refine):
-            for sgn in (-1.0, 1.0):
-                b = x1 + sgn * s * 2.0**k
-                if -L / 2.0 < b < L / 2.0:
-                    pts.append(b)
-    elif abs(x1) < L / 2.0:
-        s = L / 2.0 - abs(x1)
-        pts += [x1] + [x1 + sgn * s * 2.0**-k for k in range(1, 20) for sgn in (-1, 1)]
-    return np.unique(np.asarray(pts))
+    h = L / 2.0
+    lo, hi = (-h - x1)[:, None], (h - x1)[:, None]
+    depth, on_axis = _refinement(L, x1, x2)
+    k = np.arange(depth.max(initial=0))
+    with np.errstate(over="ignore"):
+        off = np.where(k < depth[:, None], np.abs(x2)[:, None] * 2.0**k, np.inf)
+    cands = [h * _BASE_BREAKS[1:-1] - x1[:, None], lo, hi, -off, off]
+    if on_axis.any():
+        cands.append(np.where(on_axis[:, None],
+                              (h - np.abs(x1))[:, None] * _AXIS_STEPS, hi))
+    b = np.sort(np.clip(np.concatenate(cands, axis=1), lo, hi), axis=1)
+    dup = np.zeros(b.shape, dtype=bool)
+    dup[:, 1:] = b[:, 1:] == b[:, :-1]
+    b[dup] = np.broadcast_to(hi, b.shape)[dup]
+    b.sort(axis=1)
+    return b[:, :b.shape[1] - dup.sum(axis=1).min()]
 
 
-def _general_field(model: AsymptoticModel, x, n_quad: int) -> tuple[NDArray, NDArray]:
-    """Leading-order u and grad u (world frame) for any degree-2 background.
+def _axis_perturbation(model: AsymptoticModel, x, n_quad: int) -> tuple[NDArray, NDArray]:
+    """Leading-order perturbation u - H and its gradient (world frame) for
+    any degree-2 background.
 
     Composite Gauss-Legendre quadrature of the two axis integrals (the
     log kernel against the second transverse derivative of H on the axis,
@@ -225,67 +258,109 @@ def _general_field(model: AsymptoticModel, x, n_quad: int) -> tuple[NDArray, NDA
     |x - P|^2 contributes -grad log |x - P|^2 times the integral of the
     second derivative.
 
-    On the axis inside the segment (x2 = 0 in the rod frame) u and grad u
+    On the axis inside the segment (x2 = 0 in the rod frame) the values
     are the upper-side limits x2 -> +0, the convention of
     :func:`_arctan_pair`.  There the gradient uses the closed forms of the
     limits, which hold because a degree-2 H has a constant second and a
     linear first transverse derivative along the axis.
+
+    Points go in chunks whose quadrature scratch fits
+    ``potentials.FIELD_CHUNK_BYTES``.
     """
     if n_quad < 16:
         raise ValueError(f"n_quad must be >= 16, got {n_quad}")
-    L, c = model.L, model.strength
-    c_tr = model.strength_transverse
+    xl = np.atleast_2d(to_local(model, x))
+    L = model.L
+    _check_not_singular(xl[:, 0], xl[:, 1], L)
+    close = np.count_nonzero((np.abs(xl[:, 0]) < L / 2.0) & (xl[:, 1] != 0.0)
+                             & (np.abs(xl[:, 1]) < AXIS_WARN * L))
+    if close:
+        warnings.warn(f"{close} target(s) within {AXIS_WARN:g} L of the rod axis: "
+                      "cancellation in the Poisson kernel costs the gradient "
+                      "about 6e-17 L/|x2| of relative accuracy there", RuntimeWarning)
+    depth, on_axis = _refinement(L, xl[:, 0], xl[:, 1])
+    width = 13 + 2 * depth.max(initial=0) + _AXIS_STEPS.size * on_axis.any()
+    # the scratch is five (rows, nodes) float arrays
+    rows = max(1, potentials.FIELD_CHUNK_BYTES // (40 * (width - 1) * n_quad))
     bg = model._local_background()
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    xl = to_local(model, x)
+    rule = np.polynomial.legendre.leggauss(n_quad)
+    s = np.empty(len(xl))
+    g = np.empty_like(xl)
+    for i in range(0, len(xl), rows):
+        s[i:i + rows], g[i:i + rows] = _axis_chunk(model, bg, xl[i:i + rows], *rule)
+    return s, g @ rotation_matrix(model.angle).T
 
-    nodes, wts = np.polynomial.legendre.leggauss(n_quad)
+
+def _axis_chunk(model: AsymptoticModel, bg: HarmonicBackground, xl: NDArray,
+                nodes: NDArray, wts: NDArray) -> tuple[NDArray, NDArray]:
+    """u - H and its rod-frame gradient on one chunk of rod-frame points."""
+    L, c, c_tr = model.L, model.strength, model.strength_transverse
     (_, d12h), (_, d2h) = bg.hessian(np.zeros(2))
     (_, d1h_p), (gq, d1h_q) = bg.grad(np.array([[-L / 2.0, 0.0], [L / 2.0, 0.0]]))
-    u = model.background.value(x)
-    g_loc = np.empty_like(xl)
-    for i, (x1, x2) in enumerate(xl):
-        _check_not_singular(np.asarray(x1), np.asarray(x2), L)
-        if x2 != 0.0 and abs(x2) < L / n_quad:
-            warnings.warn("target close to the rod axis: Poisson kernel may be "
-                          "under-resolved at this n_quad", RuntimeWarning)
-        breaks = _graded_panels(L, x1, x2)
-        a, b = breaks[:-1, None], breaks[1:, None]
-        y1 = ((b + a) / 2.0 + (b - a) / 2.0 * nodes).ravel()
-        wy = ((b - a) / 2.0 * wts).ravel()
-        d1h = bg.grad(np.stack([y1, np.zeros_like(y1)], axis=1))[:, 1]
+    _, _, c2, _, c4 = bg.coeffs
 
-        dx = x1 - y1
-        r2 = dx**2 + x2**2
-        rp2 = (x1 + L / 2.0) ** 2 + x2**2
-        rq2 = (x1 - L / 2.0) ** 2 + x2**2
-        grad_log_p = np.array([x1 + L / 2.0, x2]) / rp2
-        grad_log_q = np.array([x1 - L / 2.0, x2]) / rq2
-        t1 = (c / (2.0 * np.pi)) * np.dot(wy, np.log(r2 / rp2) * d2h)
-        if x2 == 0.0 and abs(x1) < L / 2.0:
-            # upper-side limits: the Poisson integral tends to pi * d1h(x1);
-            # the log kernel's gradient tends to its principal value plus
-            # the pi * d2h jump of its normal part
-            tq, tp = L / 2.0 - x1, L / 2.0 + x1
-            t2 = -c_tr * bg.grad(np.array([x1, 0.0]))[1]
-            g_log = (c / np.pi) * d2h * np.array([np.log(tp / tq) - L / tp, np.pi])
-            g_poi = -c_tr * np.array([d12h, (d12h * np.log(tq / tp)
-                                             - d1h_q / tq - d1h_p / tp) / np.pi])
-        else:
-            poisson = x2 / r2
-            t2 = -(c_tr / np.pi) * np.dot(wy, poisson * d1h)
-            g_log = (c / np.pi) * d2h * (np.array([np.dot(wy, dx / r2), np.dot(wy, poisson)])
-                                         - wy.sum() * grad_log_p)
-            k = d1h / r2**2
-            g_poi = -(c_tr / np.pi) * np.array([np.dot(wy, -2.0 * x2 * dx * k),
-                                                np.dot(wy, (dx**2 - x2**2) * k)])
+    b = _graded_panels(L, xl[:, 0], xl[:, 1])
+    half = (b[:, 1:, None] - b[:, :-1, None]) / 2.0
+    dx = ((b[:, 1:, None] + b[:, :-1, None]) / -2.0 - half * nodes).reshape(len(b), -1)
+    wy = (half * wts).reshape(len(b), -1)   # 0 on the padding panels, at y1 = L/2
+    x1, x2 = xl[:, :1], xl[:, 1:]
+    r2 = dx**2 + x2**2
+    d1h = np.subtract(x1, dx)
+    d1h *= c4
+    d1h += c2                               # d1h = c2 + c4 y1 on the axis
 
-        t3 = (c / (2.0 * np.pi)) * np.log(rq2 / rp2) * gq
-        g_end = (c / np.pi) * gq * (grad_log_q - grad_log_p)
+    def wsum(f):
+        return np.einsum("ij,ij->i", wy, f)
 
-        u[i] = u[i] + t1 + t2 + t3
-        g_loc[i] = g_log + g_poi + g_end
-    return u, model.background.grad(x) + g_loc @ rotation_matrix(model.angle).T
+    rp2 = (x1 + L / 2.0) ** 2 + x2**2
+    t = r2 / rp2
+    i_log = wsum(np.log(t, out=t))
+    np.divide(x2, r2, out=t)                # the Poisson kernel
+    i_poisson = wsum(t)
+    t *= d1h
+    i_poisson_h = wsum(t)
+    i_cauchy = wsum(np.divide(dx, r2, out=t))
+    k = d1h
+    k /= np.square(r2, out=r2)              # d1h / r^4
+    np.multiply(-2.0 * x2, dx, out=t)
+    i_g1 = wsum(np.multiply(t, k, out=t))
+    np.square(dx, out=dx)
+    dx -= x2**2
+    i_g2 = wsum(np.multiply(dx, k, out=dx))
+
+    x1, x2, rp2 = x1[:, 0], x2[:, 0], rp2[:, 0]
+    rq2 = (x1 - L / 2.0) ** 2 + x2**2
+    grad_log_p = np.stack([x1 + L / 2.0, x2], axis=1) / rp2[:, None]
+    grad_log_q = np.stack([x1 - L / 2.0, x2], axis=1) / rq2[:, None]
+    t1 = (c / (2.0 * np.pi)) * i_log * d2h
+    t2 = -(c_tr / np.pi) * i_poisson_h
+    g_log = (c / np.pi) * d2h * (np.stack([i_cauchy, i_poisson], axis=1)
+                                 - wy.sum(axis=1)[:, None] * grad_log_p)
+    g_poi = -(c_tr / np.pi) * np.stack([i_g1, i_g2], axis=1)
+    on = (x2 == 0.0) & (np.abs(x1) < L / 2.0)
+    if on.any():
+        # upper-side limits: the Poisson integral tends to pi * d1h(x1);
+        # the log kernel's gradient tends to its principal value plus the
+        # pi * d2h jump of its normal part
+        tq, tp = L / 2.0 - x1[on], L / 2.0 + x1[on]
+        t2[on] = -c_tr * (c2 + c4 * x1[on])
+        g_log[on] = (c / np.pi) * d2h * np.stack(
+            [np.log(tp / tq) - L / tp, np.full(len(tp), np.pi)], axis=1)
+        g_poi[on] = -c_tr * np.stack(
+            [np.full(len(tp), d12h),
+             (d12h * np.log(tq / tp) - d1h_q / tq - d1h_p / tp) / np.pi], axis=1)
+
+    t3 = (c / (2.0 * np.pi)) * np.log(rq2 / rp2) * gq
+    g_end = (c / np.pi) * gq * (grad_log_q - grad_log_p)
+    return t1 + t2 + t3, g_log + g_poi + g_end
+
+
+def _general_field(model: AsymptoticModel, x, n_quad: int) -> tuple[NDArray, NDArray]:
+    """Leading-order u and grad u (world frame) from the axis quadrature,
+    on any degree-2 background (see :func:`_axis_perturbation`)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    s, gs = _axis_perturbation(model, x, n_quad)
+    return model.background.value(x) + s, model.background.grad(x) + gs
 
 
 def asym_u_general(model: AsymptoticModel, x, n_quad: int = 32) -> NDArray:
@@ -307,6 +382,18 @@ def asymptotic_field(model: AsymptoticModel, x, n_quad: int = 32) -> tuple[NDArr
     if model.background.is_linear:
         return asym_u_linear(model, x), asym_grad_linear(model, x)
     return _general_field(model, x, n_quad)
+
+
+def asymptotic_perturbation(model: AsymptoticModel, x,
+                            n_quad: int = 32) -> tuple[NDArray, NDArray]:
+    """The perturbation u - H (m,) and its gradient (m, 2) of
+    :func:`asymptotic_field`, formed without H, so no digits cancel where
+    |u - H| is small against |H|."""
+    if not model.background.is_linear:
+        return _axis_perturbation(model, x, n_quad)
+    args = _linear_args(model, np.atleast_2d(np.asarray(x, dtype=float)))
+    return (perturbation_linear(*args),
+            perturbation_grad_linear(*args) @ rotation_matrix(model.angle).T)
 
 
 def a_delta_apply(psi, delta: float, L: float, x1: float) -> float:

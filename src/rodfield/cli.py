@@ -16,14 +16,14 @@ import time
 
 import numpy as np
 
-from .asymptotics import AsymptoticModel, asymptotic_field
+from .asymptotics import AsymptoticModel, asymptotic_field, asymptotic_perturbation
 from .config import ConfigError, RunConfig, load_config
 from .geometry import RodSpec, ValidationError, signed_distance, write_csv
 from .inverse import (IdentifiabilityError, dump_fit_json, dump_measurements_csv,
                       fit_rod, load_measurements_csv, sensor_circle,
                       simulate_measurements)
-from .potentials import SolverError, dump_density_csv
-from .solver import dump_field_csv, eval_field, eval_u, solve_forward, write_field_csv
+from .potentials import SolverError, dump_density_csv, single_layer_field
+from .solver import dump_field_csv, eval_u, solve_forward, write_field_csv
 from .validate import run_validation
 
 EXIT_OK = 0
@@ -50,26 +50,29 @@ def _grid_or_error(cfg: RunConfig) -> np.ndarray:
     return cfg.grid.points()
 
 
-def _asymptotic_arrays(cfg: RunConfig, pts: np.ndarray):
-    """Closed-form u, grad u and the near flag (within 0.1 delta) on points."""
-    u, g = asymptotic_field(AsymptoticModel.from_spec(cfg.rod, cfg.background),
-                            pts, cfg.n_quad)
-    return u, g, signed_distance(cfg.rod, pts) < cfg.rod.delta * 0.1
+def _asymptotic_near(cfg: RunConfig, pts: np.ndarray) -> np.ndarray:
+    """The closed form's near flag: within 0.1 delta of the rod."""
+    return signed_distance(cfg.rod, pts) < cfg.rod.delta * 0.1
 
 
 def fieldmap_arrays(cfg: RunConfig, model: str, pts: np.ndarray):
-    """Perturbation magnitude |u - H| and |grad u - grad H| on points."""
+    """Perturbation magnitude |u - H| and |grad u - grad H| on points.
+
+    Both come from the perturbation itself (the single layer, or the
+    closed form's terms), never from u - H, which cancels where the
+    perturbation is small against the background.
+    """
     if model == "bem":
         sol = solve_forward(cfg.rod, cfg.background,
                             n_cap=cfg.n_cap, n_facade=cfg.n_facade)
-        u, g, near = eval_field(sol, pts)
+        s, gs, near = single_layer_field(sol.mesh, sol.phi, pts)
     elif model == "asymptotic":
-        u, g, near = _asymptotic_arrays(cfg, pts)
+        s, gs = asymptotic_perturbation(
+            AsymptoticModel.from_spec(cfg.rod, cfg.background), pts, cfg.n_quad)
+        near = _asymptotic_near(cfg, pts)
     else:
         raise ConfigError(f"unknown model {model!r}")
-    du = np.abs(u - cfg.background.value(pts))
-    dg = np.linalg.norm(g - cfg.background.grad(pts), axis=1)
-    return du, dg, near
+    return np.abs(s), np.linalg.norm(gs, axis=1), near
 
 
 def cmd_fieldmap(args) -> int:
@@ -155,7 +158,8 @@ def cmd_invert(args) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         try:
-            data = load_measurements_csv(args.data, cfg.background)
+            data = load_measurements_csv(args.data, cfg.background,
+                                         noise_rms=args.noise)
         except FileNotFoundError:
             print(f"invert: data file not found: {args.data}\n"
                   "hint: pass --synthesize to generate it first", file=sys.stderr)
@@ -184,7 +188,9 @@ def cmd_forward(args) -> int:
 def cmd_asymptotic(args) -> int:
     cfg = load_config(args.config)
     pts = _grid_or_error(cfg)
-    write_field_csv(args.out, pts, *_asymptotic_arrays(cfg, pts))
+    u, g = asymptotic_field(AsymptoticModel.from_spec(cfg.rod, cfg.background),
+                            pts, cfg.n_quad)
+    write_field_csv(args.out, pts, u, g, _asymptotic_near(cfg, pts))
     print(f"asymptotic: wrote {len(pts)} rows to {args.out}")
     return EXIT_OK
 
@@ -217,7 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     iv.add_argument("--data", default=None, help="measurement CSV (x1,x2,u)")
     iv.add_argument("--synthesize", action="store_true",
                     help="generate the data from the configured rod first")
-    iv.add_argument("--noise", type=float, default=0.0, help="noise RMS")
+    iv.add_argument("--noise", type=float, default=0.0,
+                    help="noise RMS: added to synthesized data, and stated for "
+                         "loaded data; the fit converges only to a residual "
+                         "within twice it or 1e-3 of the signal")
     iv.add_argument("--model", choices=["bem", "asymptotic"], default="bem")
     iv.add_argument("--out", default="fit.json")
     iv.set_defaults(func=cmd_invert)

@@ -1,19 +1,109 @@
 """Closed-form field approximations: frozen values, identities, covariance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rodfield import (AsymptoticModel, HarmonicBackground, RodSpec, a_delta_apply,
                       asym_grad_linear, asym_u_general, asym_u_linear,
-                      asymptotic_field, f1_f2)
-from rodfield.asymptotics import (SingularPointError, _general_field, cap_points,
+                      asymptotic_field, f1_f2, potentials)
+from rodfield import asymptotics
+from rodfield.asymptotics import (SingularPointError, _check_not_singular,
+                                  _general_field, asymptotic_perturbation, cap_points,
                                   f_sq_sum, f_sq_sum_cap_form, perturbation_linear)
-from rodfield.geometry import rotation_matrix, signed_distance
+from rodfield.geometry import rotation_matrix, signed_distance, to_local
 
 
 def linear_model(a, L=2.0, delta=0.05, lam=1.5, **kw):
     return AsymptoticModel(L=L, delta=delta, lam=lam,
                            background=HarmonicBackground.linear(a), **kw)
+
+
+def loop_graded_panels(L, x1, x2, n_refine=6):
+    """Reference: the per-point breakpoints of the loop below."""
+    t = np.cos(np.linspace(np.pi, 0.0, 13))
+    pts = list((L / 2.0) * t)
+    if abs(x1) < L / 2.0 and x2 != 0.0:
+        s = abs(x2)
+        for k in range(n_refine):
+            for sgn in (-1.0, 1.0):
+                b = x1 + sgn * s * 2.0**k
+                if -L / 2.0 < b < L / 2.0:
+                    pts.append(b)
+    elif abs(x1) < L / 2.0:
+        s = L / 2.0 - abs(x1)
+        pts += [x1] + [x1 + sgn * s * 2.0**-k for k in range(1, 20) for sgn in (-1, 1)]
+    return np.unique(np.asarray(pts))
+
+
+def loop_general_field(model, x, n_quad):
+    """Reference: the axis quadrature as one Python loop over the points.
+
+    It refines near the axis only for k < 6, so it is under-resolved for
+    0 < |x2| < L/64 over the segment; compare it only outside that band.
+    """
+    L, c = model.L, model.strength
+    c_tr = model.strength_transverse
+    bg = model._local_background()
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    xl = to_local(model, x)
+    nodes, wts = np.polynomial.legendre.leggauss(n_quad)
+    (_, d12h), (_, d2h) = bg.hessian(np.zeros(2))
+    (_, d1h_p), (gq, d1h_q) = bg.grad(np.array([[-L / 2.0, 0.0], [L / 2.0, 0.0]]))
+    u = model.background.value(x)
+    g_loc = np.empty_like(xl)
+    for i, (x1, x2) in enumerate(xl):
+        _check_not_singular(np.asarray(x1), np.asarray(x2), L)
+        breaks = loop_graded_panels(L, x1, x2)
+        a, b = breaks[:-1, None], breaks[1:, None]
+        y1 = ((b + a) / 2.0 + (b - a) / 2.0 * nodes).ravel()
+        wy = ((b - a) / 2.0 * wts).ravel()
+        d1h = bg.grad(np.stack([y1, np.zeros_like(y1)], axis=1))[:, 1]
+        dx = x1 - y1
+        r2 = dx**2 + x2**2
+        rp2 = (x1 + L / 2.0) ** 2 + x2**2
+        rq2 = (x1 - L / 2.0) ** 2 + x2**2
+        grad_log_p = np.array([x1 + L / 2.0, x2]) / rp2
+        grad_log_q = np.array([x1 - L / 2.0, x2]) / rq2
+        t1 = (c / (2.0 * np.pi)) * np.dot(wy, np.log(r2 / rp2) * d2h)
+        if x2 == 0.0 and abs(x1) < L / 2.0:
+            tq, tp = L / 2.0 - x1, L / 2.0 + x1
+            t2 = -c_tr * bg.grad(np.array([x1, 0.0]))[1]
+            g_log = (c / np.pi) * d2h * np.array([np.log(tp / tq) - L / tp, np.pi])
+            g_poi = -c_tr * np.array([d12h, (d12h * np.log(tq / tp)
+                                             - d1h_q / tq - d1h_p / tp) / np.pi])
+        else:
+            poisson = x2 / r2
+            t2 = -(c_tr / np.pi) * np.dot(wy, poisson * d1h)
+            g_log = (c / np.pi) * d2h * (np.array([np.dot(wy, dx / r2), np.dot(wy, poisson)])
+                                         - wy.sum() * grad_log_p)
+            k = d1h / r2**2
+            g_poi = -(c_tr / np.pi) * np.array([np.dot(wy, -2.0 * x2 * dx * k),
+                                                np.dot(wy, (dx**2 - x2**2) * k)])
+        t3 = (c / (2.0 * np.pi)) * np.log(rq2 / rp2) * gq
+        g_end = (c / np.pi) * gq * (grad_log_q - grad_log_p)
+        u[i] = u[i] + t1 + t2 + t3
+        g_loc[i] = g_log + g_poi + g_end
+    return u, model.background.grad(x) + g_loc @ rotation_matrix(model.angle).T
+
+
+QUAD_BG = HarmonicBackground.polynomial((0.0, 1.0, 0.5, 0.3, 0.2))
+
+
+def _assert_matches_loop(model, pts, tol=1e-13):
+    u, g = _general_field(model, pts, 32)
+    ref_u, ref_g = loop_general_field(model, pts, 32)
+    assert np.abs(u - ref_u).max() <= tol * np.abs(ref_u).max()
+    assert np.abs(g - ref_g).max() <= tol * np.abs(ref_g).max()
+
+
+def _outside_axis_band(model, pts):
+    """Points off the band 0 < |x2| < L/64 over the segment, where the
+    near-axis refinement changed on purpose."""
+    x1, x2 = to_local(model, pts).T
+    return pts[~((np.abs(x1) < model.L / 2.0) & (x2 != 0.0)
+                 & (np.abs(x2) < model.L / 64.0))]
 
 
 def test_cap_points():
@@ -196,7 +286,6 @@ def test_general_odd_symmetry_outside_segment():
     assert asym_u_general(model, x) == pytest.approx(bg.value(x), abs=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:target close to the rod axis")
 def test_general_gradient_matches_finite_difference():
     spec = RodSpec(L=2.0, delta=0.01, center=(0.1, -0.1), angle=0.3, sigma0=3.0)
     bg = HarmonicBackground.polynomial((0.0, 1.0, 0.5, 0.3, 0.2))
@@ -212,7 +301,6 @@ def test_general_gradient_matches_finite_difference():
     assert rel.max() < 1e-6
 
 
-@pytest.mark.filterwarnings("ignore:target close to the rod axis")
 def test_general_gradient_on_axis_is_upper_side_limit():
     # on the axis inside the segment the gradient is the x2 -> +0 limit,
     # which differs from the lower-side one (the Poisson term jumps)
@@ -229,6 +317,109 @@ def test_general_gradient_on_axis_is_upper_side_limit():
     _, g_lin = asymptotic_field(lin, np.array([[0.3, 0.0]]))
     _, g_gen = _general_field(lin, np.array([[0.3, 0.0]]), 32)
     assert np.allclose(g_gen, g_lin, rtol=1e-12, atol=1e-14)
+
+
+def test_general_field_matches_loop_on_rotated_grid():
+    spec = RodSpec(L=1.7, delta=0.03, center=(0.37, -0.21), angle=1.1, sigma0=3.0)
+    model = AsymptoticModel.from_spec(spec, QUAD_BG)
+    g = np.linspace(-2.5, 2.5, 37)
+    pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    pts = _outside_axis_band(model, pts)
+    assert len(pts) > 1300
+    _assert_matches_loop(model, pts)
+
+
+def _loop_pool(model):
+    """On-axis points inside and outside the segment, points near the caps
+    and a shifted grid, for a rod frame without rotation."""
+    h, c = model.L / 2.0, np.asarray(model.center)
+    axis = [[x1, 0.0] for x1 in (0.0, 0.3, -0.62, 0.97 * h, -0.999 * h,
+                                 1.2 * h, -1.5 * h, 3.0 * h)]
+    caps = [[sgn * h + r * np.cos(t), r * np.sin(t)] for sgn in (-1.0, 1.0)
+            for r in (0.02, 0.05, 0.3) for t in np.linspace(0.0, 2 * np.pi, 7)]
+    g = np.linspace(-2.3, 2.1, 11)
+    grid = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    # the first two fix the chunk width: the on-axis refinement and the
+    # deepest near-axis one
+    pts = np.concatenate([[[0.1, 0.0], [0.2, model.L / 64.0]], axis, caps, grid]) + c
+    return _outside_axis_band(model, pts)
+
+
+@pytest.mark.parametrize("budget", ["small", "real"])
+def test_general_field_matches_loop_across_chunks(budget, monkeypatch):
+    model = AsymptoticModel(L=2.0, delta=0.05, lam=1.5, center=(0.4, -1.3),
+                            background=QUAD_BG)
+    if budget == "small":
+        monkeypatch.setattr(potentials, "FIELD_CHUNK_BYTES", 1 << 19)
+    sizes = []
+    chunk_fn = asymptotics._axis_chunk
+
+    def spy(model, bg, xl, *rule):
+        sizes.append(len(xl))
+        return chunk_fn(model, bg, xl, *rule)
+
+    monkeypatch.setattr(asymptotics, "_axis_chunk", spy)
+    pool = _loop_pool(model)
+    _general_field(model, pool, 32)
+    chunk = sizes[0]
+    assert 1 < chunk < len(pool) // 3 - 1
+    for m in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 2):
+        sizes.clear()
+        _assert_matches_loop(model, pool[:m])
+        assert sizes == [chunk] * (m // chunk) + ([m % chunk] if m % chunk else [])
+
+
+def test_general_near_axis_band_converges():
+    # breakpoints x1 +- |x2| 2^k stopped at k = 5, leaving a gap of ~0.1 at
+    # |x2| = 1e-6 next to the Poisson peak: grad u was off by O(10-100)
+    model = AsymptoticModel(L=2.0, delta=0.05, lam=1.5, background=QUAD_BG)
+    pts = np.array([[x1, x2] for x1 in (0.3, 0.999, -0.5, 0.0)
+                    for x2 in (1e-6, -1e-6, 1e-5, 3e-3)])
+    u, g = _general_field(model, pts, 32)
+    ref_u, ref_g = _general_field(model, pts, 512)
+    assert np.abs(u - ref_u).max() <= 1e-12 * np.abs(ref_u).max()
+    assert (np.linalg.norm(g - ref_g, axis=1)
+            <= 1e-8 * np.linalg.norm(ref_g, axis=1)).all()
+
+
+def test_near_axis_warning_counts_targets_once():
+    model = AsymptoticModel(L=2.0, delta=0.05, lam=1.5, background=QUAD_BG)
+    quiet = np.array([[0.3, 1e-6], [0.3, 0.0], [1.5, 1e-12]])
+    asymptotic_field(model, quiet)   # warnings are errors here
+    close = np.array([[0.3, 1e-10], [-0.9, -3e-9], [0.0, 1e-12]])
+    with pytest.warns(RuntimeWarning, match="^3 target") as record:
+        asymptotic_field(model, np.concatenate([quiet, close]))
+    assert len(record) == 1
+
+
+def test_perturbation_is_the_field_without_background():
+    spec = RodSpec(L=1.7, delta=0.03, center=(0.37, -0.21), angle=1.1, sigma0=3.0)
+    pts = np.array([[2.0, 0.5], [0.4, 1.3], [-1.8, -0.7]])
+    for bg in (QUAD_BG, HarmonicBackground.linear((1.0, -0.4))):
+        model = AsymptoticModel.from_spec(spec, bg)
+        u, g = asymptotic_field(model, pts)
+        s, gs = asymptotic_perturbation(model, pts)
+        assert np.allclose(s, u - bg.value(pts), rtol=0, atol=1e-15)
+        assert np.allclose(gs, g - bg.grad(pts), rtol=0, atol=1e-14)
+
+
+def test_general_field_memory_bounded_by_chunk():
+    spec = RodSpec(L=2.0, delta=0.01, center=(0.1, -0.1), angle=0.3, sigma0=2.0)
+    model = AsymptoticModel.from_spec(spec, QUAD_BG)
+    peaks = {}
+    for nx in (101, 201):
+        g = np.linspace(-3.0, 3.0, nx)
+        pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        tracemalloc.start()
+        try:
+            u, grad = asymptotic_field(model, pts)
+            peaks[nx] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert u.shape == (nx * nx,) and grad.shape == (nx * nx, 2)
+    assert peaks[201] < 8e6
+    # beyond the chunk scratch only the O(m) outputs grow with the grid
+    assert peaks[201] - peaks[101] < 100 * (201**2 - 101**2)
 
 
 def test_general_rejects_small_n_quad():

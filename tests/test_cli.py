@@ -7,7 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from rodfield import AsymptoticModel, single_layer_field, solve_forward
+from rodfield.asymptotics import asymptotic_perturbation
 from rodfield.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from rodfield.config import load_config
 
 
 CONFIG = """\
@@ -75,6 +78,43 @@ def test_fieldmap_asymptotic_matches_repeat(config_path, tmp_path):
                      "--model", "asymptotic", "--out", str(out)])
         assert code == EXIT_OK
     assert out1.read_text() == out2.read_text()
+
+
+FIELDMAP_CONFIGS = {
+    "bem": """\
+rod: {L: 2.0, delta: 0.01, center: [0.0, 0.0], angle: 0.0, sigma0: 2.0}
+background: {a: [1.0, 0.5]}
+grid: {xmin: -3.0, xmax: 3.0, ymin: -3.0, ymax: 3.0, nx: 101, ny: 101}
+""",
+    "asymptotic": """\
+rod: {L: 2.0, delta: 0.01, center: [0.1, -0.1], angle: 0.3, sigma0: 2.0}
+background: {coefficients: [0.0, 1.0, 0.5, 0.3, 0.2]}
+grid: {xmin: -3.0, xmax: 3.0, ymin: -3.0, ymax: 3.0, nx: 41, ny: 41}
+""",
+}
+
+
+@pytest.mark.parametrize("model", ["bem", "asymptotic"])
+def test_fieldmap_du_is_the_perturbation(model, tmp_path):
+    # |u - H| loses digits where the perturbation is small against H (up to
+    # 7.6e-11 relative on the bem grid): du and dgrad come from S itself
+    path = tmp_path / "fm.yaml"
+    path.write_text(FIELDMAP_CONFIGS[model])
+    out = tmp_path / "fm.csv"
+    assert main(["fieldmap", "--config", str(path), "--model", model,
+                 "--out", str(out)]) == EXIT_OK
+    cfg = load_config(str(path))
+    pts = cfg.grid.points()
+    if model == "bem":
+        sol = solve_forward(cfg.rod, cfg.background, n_cap=cfg.n_cap,
+                            n_facade=cfg.n_facade)
+        s, gs, _ = single_layer_field(sol.mesh, sol.phi, pts)
+    else:
+        s, gs = asymptotic_perturbation(
+            AsymptoticModel.from_spec(cfg.rod, cfg.background), pts, cfg.n_quad)
+    rows = np.array([[float(v) for v in row] for row in _read_csv(out)[1:]])
+    assert np.array_equal(rows[:, 2], np.abs(s))
+    assert np.array_equal(rows[:, 3], np.linalg.norm(gs, axis=1))
 
 
 def test_forward_with_density(config_path, tmp_path, capsys):
@@ -165,6 +205,33 @@ def test_invert_synthesize_round_trip(config_path, tmp_path, capsys):
     code = main(["invert", "--config", config_path, "--data", str(data),
                  "--out", str(out)])
     assert code == EXIT_OK
+
+
+def test_invert_wrong_minimum_exits_1(tmp_path):
+    # rod at 1.2 rad: LM stops in a wrong local minimum on noise-free data
+    path = tmp_path / "tilted.yaml"
+    path.write_text(CONFIG.replace("  center: [0.0, 0.0]\n  angle: 0.0",
+                                   "  center: [0.3, -0.2]\n  angle: 1.2")
+                    .replace("a: [1.0, 0.5]", "a: [1.0, 1.0]")
+                    .replace("count: 32", "count: 64"))
+    out = tmp_path / "fit.json"
+    code = main(["invert", "--config", str(path), "--synthesize",
+                 "--model", "asymptotic", "--out", str(out)])
+    assert code == EXIT_FAILURE
+    assert json.loads(out.read_text())["converged"] is False
+
+
+def test_invert_noise_is_stated_for_loaded_data(config_path, tmp_path):
+    data = tmp_path / "noisy.csv"
+    out = str(tmp_path / "fit.json")
+    assert main(["--seed", "3", "invert", "--config", config_path, "--synthesize",
+                 "--model", "asymptotic", "--noise", "1e-3", "--data", str(data),
+                 "--out", out]) == EXIT_OK
+    # without the noise level, a residual at the noise is not a fit
+    assert main(["invert", "--config", config_path, "--data", str(data),
+                 "--out", out]) == EXIT_FAILURE
+    assert main(["invert", "--config", config_path, "--data", str(data),
+                 "--noise", "1e-3", "--out", out]) == EXIT_OK
 
 
 def test_invert_missing_data_hint(config_path, tmp_path, capsys):

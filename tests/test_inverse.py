@@ -101,6 +101,17 @@ def test_round_trip_bem_data():
     assert endpoint_error(fit, SPEC) < 2 * SPEC.delta
 
 
+def test_wrong_local_minimum_is_not_converged():
+    # at 1.2 rad LM stops in a wrong minimum, 0.41 off at the endpoints,
+    # with an RMS residual of 2.8e-2 of the signal; the stop alone used to
+    # count as converged
+    spec = RodSpec(L=2.0, delta=0.05, center=(0.3, -0.2), angle=1.2, sigma0=2.0)
+    data = simulate_measurements(spec, BG, POINTS, source="asymptotic")
+    fit = fit_rod(data)
+    assert endpoint_error(fit, spec) > 0.1
+    assert not fit.converged
+
+
 def test_fit_determinism():
     data = simulate_measurements(SPEC, BG, POINTS, source="asymptotic")
     f1 = fit_rod(data)
