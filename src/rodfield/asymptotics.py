@@ -5,12 +5,12 @@ built from two arctan terms (transverse component) and a log ratio of the
 cap distances (axial component); its gradient is expressed through the
 localisation functions f1, f2, which blow up like 1/delta at the caps.
 For a general degree-2 harmonic background the leading term is a pair of
-axis integrals evaluated by graded Gauss-Legendre quadrature.
+axis integrals whose integrands, and their gradients, have elementary
+antiderivatives along the axis, so it is a closed form too.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,207 +190,117 @@ def asym_grad_linear(model: AsymptoticModel, x) -> NDArray:
     return model.background.grad(np.asarray(x, dtype=float)) + g_loc @ R.T
 
 
-# targets over the segment closer than this many rod lengths to the axis
-# (but off it) get a warning: cancellation in the Poisson kernel costs the
-# gradient about 6e-17 L / |x2| of relative accuracy, 6e-9 at this distance
-AXIS_WARN = 1e-8
-# Chebyshev grading of the base panels toward the segment's ends
-_BASE_BREAKS = np.cos(np.linspace(np.pi, 0.0, 13))
-# on the axis inside the segment: offsets 0 and +-2^-k (k = 1 ... 19) of x1,
-# in units of the distance to the nearer end
-_AXIS_STEPS = np.concatenate([[0.0], np.outer(2.0 ** -np.arange(1, 20), [-1.0, 1.0]).ravel()])
-
-
-def _refinement(L: float, x1: NDArray, x2: NDArray) -> tuple[NDArray, NDArray]:
-    """Per target: the number of k >= 0 with |x2| 2^k < L when it lies off
-    the axis over the segment (else 0), and whether it lies on the axis
-    inside the segment."""
-    inside = np.abs(x1) < L / 2.0
-    with np.errstate(divide="ignore"):
-        depth = np.floor(np.log2(L / np.abs(x2))) + 1.0
-    depth = np.where(inside & (x2 != 0.0), np.maximum(depth, 0.0), 0.0)
-    return depth.astype(int), inside & (x2 == 0.0)
-
-
-def _graded_panels(L: float, x1: NDArray, x2: NDArray) -> NDArray:
-    """Panel breakpoints on [-L/2, L/2] as offsets y1 - x1 from the target,
-    one sorted row per target (x1, x2).
-
-    The base breakpoints are graded toward the ends.  Off the axis the
-    Poisson kernel peaks at y1 = x1 on the scale |x2|; breakpoints x1 +-
-    |x2| 2^k for every k with |x2| 2^k < L resolve it, down to any |x2|.
-    On the axis the log kernel is singular at y1 = x1; breakpoints at x1
-    and x1 +- s 2^-k (k = 1 ... 19, s the distance to the nearer end)
-    resolve that.  Offsets keep the distances to the target exact near it,
-    where the kernels are largest.  Each row holds its distinct breakpoints
-    in order and is padded with repeats of the right end, which make
-    zero-width panels at the end.
-    """
-    h = L / 2.0
-    lo, hi = (-h - x1)[:, None], (h - x1)[:, None]
-    depth, on_axis = _refinement(L, x1, x2)
-    k = np.arange(depth.max(initial=0))
-    with np.errstate(over="ignore"):
-        off = np.where(k < depth[:, None], np.abs(x2)[:, None] * 2.0**k, np.inf)
-    cands = [h * _BASE_BREAKS[1:-1] - x1[:, None], lo, hi, -off, off]
-    if on_axis.any():
-        cands.append(np.where(on_axis[:, None],
-                              (h - np.abs(x1))[:, None] * _AXIS_STEPS, hi))
-    b = np.sort(np.clip(np.concatenate(cands, axis=1), lo, hi), axis=1)
-    dup = np.zeros(b.shape, dtype=bool)
-    dup[:, 1:] = b[:, 1:] == b[:, :-1]
-    b[dup] = np.broadcast_to(hi, b.shape)[dup]
-    b.sort(axis=1)
-    return b[:, :b.shape[1] - dup.sum(axis=1).min()]
-
-
-def _axis_perturbation(model: AsymptoticModel, x, n_quad: int) -> tuple[NDArray, NDArray]:
+def _axis_perturbation(model: AsymptoticModel, x) -> tuple[NDArray, NDArray]:
     """Leading-order perturbation u - H and its gradient (world frame) for
     any degree-2 background.
 
-    Composite Gauss-Legendre quadrature of the two axis integrals (the
-    log kernel against the second transverse derivative of H on the axis,
-    and the Poisson kernel against the first), plus the endpoint log term
-    carrying the axial derivative at the right cap.  The gradient
-    differentiates each kernel under the integral sign on the same nodes:
-    grad log r^2 = 2 (x - y) / r^2, grad (x2 / r^2) =
-    (-2 x2 (x1 - y1), (x1 - y1)^2 - x2^2) / r^4, and the normalisation by
-    |x - P|^2 contributes -grad log |x - P|^2 times the integral of the
-    second derivative.
+    The leading term is a pair of integrals along the axis: the log kernel
+    against the second transverse derivative of H (a constant), and the
+    Poisson kernel against the first (linear in y1), plus the endpoint log
+    term carrying the axial derivative at the right cap.  Both integrands,
+    and their gradients, have elementary antiderivatives in t = x1 - y1,
+    evaluated at t = x1 -+ L/2 (see :func:`_axis_chunk`).  So u and grad u
+    are exact up to rounding at every point but the cap centres, close to
+    the axis and inside the cap discs included.
 
     On the axis inside the segment (x2 = 0 in the rod frame) the values
     are the upper-side limits x2 -> +0, the convention of
-    :func:`_arctan_pair`.  There the gradient uses the closed forms of the
-    limits, which hold because a degree-2 H has a constant second and a
-    linear first transverse derivative along the axis.
+    :func:`_arctan_pair`.
 
-    Points go in chunks whose quadrature scratch fits
+    Points go in chunks, so the few dozen float temporaries per point fit
     ``potentials.FIELD_CHUNK_BYTES``.
     """
-    if n_quad < 16:
-        raise ValueError(f"n_quad must be >= 16, got {n_quad}")
     xl = np.atleast_2d(to_local(model, x))
-    L = model.L
-    _check_not_singular(xl[:, 0], xl[:, 1], L)
-    close = np.count_nonzero((np.abs(xl[:, 0]) < L / 2.0) & (xl[:, 1] != 0.0)
-                             & (np.abs(xl[:, 1]) < AXIS_WARN * L))
-    if close:
-        warnings.warn(f"{close} target(s) within {AXIS_WARN:g} L of the rod axis: "
-                      "cancellation in the Poisson kernel costs the gradient "
-                      "about 6e-17 L/|x2| of relative accuracy there", RuntimeWarning)
-    depth, on_axis = _refinement(L, xl[:, 0], xl[:, 1])
-    width = 13 + 2 * depth.max(initial=0) + _AXIS_STEPS.size * on_axis.any()
-    # the scratch is five (rows, nodes) float arrays
-    rows = max(1, potentials.FIELD_CHUNK_BYTES // (40 * (width - 1) * n_quad))
+    _check_not_singular(xl[:, 0], xl[:, 1], model.L)
     bg = model._local_background()
-    rule = np.polynomial.legendre.leggauss(n_quad)
+    rows = max(1, potentials.FIELD_CHUNK_BYTES // 512)
     s = np.empty(len(xl))
     g = np.empty_like(xl)
     for i in range(0, len(xl), rows):
-        s[i:i + rows], g[i:i + rows] = _axis_chunk(model, bg, xl[i:i + rows], *rule)
+        s[i:i + rows], g[i:i + rows] = _axis_chunk(model, bg, xl[i:i + rows])
     return s, g @ rotation_matrix(model.angle).T
 
 
-def _axis_chunk(model: AsymptoticModel, bg: HarmonicBackground, xl: NDArray,
-                nodes: NDArray, wts: NDArray) -> tuple[NDArray, NDArray]:
-    """u - H and its rod-frame gradient on one chunk of rod-frame points."""
+def _axis_chunk(model: AsymptoticModel, bg: HarmonicBackground,
+                xl: NDArray) -> tuple[NDArray, NDArray]:
+    """u - H and its rod-frame gradient on one chunk of rod-frame points.
+
+    With r^2 = t^2 + x2^2 and a = c2 + c4 x1, the transverse derivative of
+    H at the target's foot on the axis (so c2 + c4 y1 = a - c4 t), the
+    antiderivatives in t of the six axis integrands are:
+
+    - log r^2: t log r^2 - 2 t + 2 x2 arctan(t/x2);
+    - Poisson x2/r^2: arctan(t/x2), whose difference is the arctan pair;
+    - Poisson times (a - c4 t): a arctan(t/x2) - (c4 x2/2) log r^2;
+    - Cauchy t/r^2: (1/2) log r^2;
+    - -2 x2 t (a - c4 t)/r^4: a x2/r^2 + c4 arctan(t/x2) - c4 x2 t/r^2;
+    - (t^2 - x2^2)(a - c4 t)/r^4: -a t/r^2 - c4 ((1/2) log r^2 + x2^2/r^2).
+
+    Their differences between t = x1 + L/2 and x1 - L/2 are written through
+    log(rp^2/rq^2) and the localisation functions f1, f2 of :func:`f1_f2`.
+    """
     L, c, c_tr = model.L, model.strength, model.strength_transverse
-    (_, d12h), (_, d2h) = bg.hessian(np.zeros(2))
-    (_, d1h_p), (gq, d1h_q) = bg.grad(np.array([[-L / 2.0, 0.0], [L / 2.0, 0.0]]))
     _, _, c2, _, c4 = bg.coeffs
+    d2h = bg.hessian(np.zeros(2))[1, 1]
+    gq = bg.grad(np.array([L / 2.0, 0.0]))[0]
+    x1, x2 = xl[:, 0], xl[:, 1]
+    tp, tq = x1 + L / 2.0, x1 - L / 2.0
+    rp2, rq2 = tp**2 + x2**2, tq**2 + x2**2
+    poisson = _arctan_pair(x1, x2, L)
+    log_pq = np.log(rp2 / rq2)
+    f1 = x2 / rq2 - x2 / rp2
+    f2 = tq / rq2 - tp / rp2
+    a = c2 + c4 * x1
 
-    b = _graded_panels(L, xl[:, 0], xl[:, 1])
-    half = (b[:, 1:, None] - b[:, :-1, None]) / 2.0
-    dx = ((b[:, 1:, None] + b[:, :-1, None]) / -2.0 - half * nodes).reshape(len(b), -1)
-    wy = (half * wts).reshape(len(b), -1)   # 0 on the padding panels, at y1 = L/2
-    x1, x2 = xl[:, :1], xl[:, 1:]
-    r2 = dx**2 + x2**2
-    d1h = np.subtract(x1, dx)
-    d1h *= c4
-    d1h += c2                               # d1h = c2 + c4 y1 on the axis
-
-    def wsum(f):
-        return np.einsum("ij,ij->i", wy, f)
-
-    rp2 = (x1 + L / 2.0) ** 2 + x2**2
-    t = r2 / rp2
-    i_log = wsum(np.log(t, out=t))
-    np.divide(x2, r2, out=t)                # the Poisson kernel
-    i_poisson = wsum(t)
-    t *= d1h
-    i_poisson_h = wsum(t)
-    i_cauchy = wsum(np.divide(dx, r2, out=t))
-    k = d1h
-    k /= np.square(r2, out=r2)              # d1h / r^4
-    np.multiply(-2.0 * x2, dx, out=t)
-    i_g1 = wsum(np.multiply(t, k, out=t))
-    np.square(dx, out=dx)
-    dx -= x2**2
-    i_g2 = wsum(np.multiply(dx, k, out=dx))
-
-    x1, x2, rp2 = x1[:, 0], x2[:, 0], rp2[:, 0]
-    rq2 = (x1 - L / 2.0) ** 2 + x2**2
-    grad_log_p = np.stack([x1 + L / 2.0, x2], axis=1) / rp2[:, None]
-    grad_log_q = np.stack([x1 - L / 2.0, x2], axis=1) / rq2[:, None]
-    t1 = (c / (2.0 * np.pi)) * i_log * d2h
-    t2 = -(c_tr / np.pi) * i_poisson_h
-    g_log = (c / np.pi) * d2h * (np.stack([i_cauchy, i_poisson], axis=1)
-                                 - wy.sum(axis=1)[:, None] * grad_log_p)
-    g_poi = -(c_tr / np.pi) * np.stack([i_g1, i_g2], axis=1)
-    on = (x2 == 0.0) & (np.abs(x1) < L / 2.0)
-    if on.any():
-        # upper-side limits: the Poisson integral tends to pi * d1h(x1);
-        # the log kernel's gradient tends to its principal value plus the
-        # pi * d2h jump of its normal part
-        tq, tp = L / 2.0 - x1[on], L / 2.0 + x1[on]
-        t2[on] = -c_tr * (c2 + c4 * x1[on])
-        g_log[on] = (c / np.pi) * d2h * np.stack(
-            [np.log(tp / tq) - L / tp, np.full(len(tp), np.pi)], axis=1)
-        g_poi[on] = -c_tr * np.stack(
-            [np.full(len(tp), d12h),
-             (d12h * np.log(tq / tp) - d1h_q / tq - d1h_p / tp) / np.pi], axis=1)
-
-    t3 = (c / (2.0 * np.pi)) * np.log(rq2 / rp2) * gq
-    g_end = (c / np.pi) * gq * (grad_log_q - grad_log_p)
-    return t1 + t2 + t3, g_log + g_poi + g_end
+    i_log = tq * log_pq - 2.0 * L + 2.0 * x2 * poisson      # of log(r^2 / rp^2)
+    i_poisson_h = a * poisson - 0.5 * c4 * x2 * log_pq
+    i_g1 = c4 * (poisson + x2 * f2) - a * f1
+    i_g2 = a * f2 - c4 * (0.5 * log_pq - x2 * f1)
+    k_log, k_tr = c / np.pi, c_tr / np.pi
+    u = 0.5 * k_log * (d2h * i_log - gq * log_pq) - k_tr * i_poisson_h
+    g1 = k_log * (d2h * (0.5 * log_pq - L * tp / rp2) + gq * f2) - k_tr * i_g1
+    g2 = k_log * (d2h * (poisson - L * x2 / rp2) + gq * f1) - k_tr * i_g2
+    return u, np.stack([g1, g2], axis=1)
 
 
-def _general_field(model: AsymptoticModel, x, n_quad: int) -> tuple[NDArray, NDArray]:
-    """Leading-order u and grad u (world frame) from the axis quadrature,
+def _general_field(model: AsymptoticModel, x) -> tuple[NDArray, NDArray]:
+    """Leading-order u and grad u (world frame) from the axis closed form,
     on any degree-2 background (see :func:`_axis_perturbation`)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    s, gs = _axis_perturbation(model, x, n_quad)
+    s, gs = _axis_perturbation(model, x)
     return model.background.value(x) + s, model.background.grad(x) + gs
 
 
-def asym_u_general(model: AsymptoticModel, x, n_quad: int = 32) -> NDArray:
+def asym_u_general(model: AsymptoticModel, x, n_quad: int | None = None) -> NDArray:
     """Leading-order potential for any degree-2 harmonic background.
 
-    The u part of the quadrature behind :func:`asymptotic_field`.
+    The u part of the closed form behind :func:`asymptotic_field`.
+    ``n_quad`` is accepted and ignored: it set the quadrature order of an
+    earlier version, and callers that still pass it keep working.
     """
-    u, _ = _general_field(model, x, n_quad)
+    u, _ = _general_field(model, x)
     return u if np.asarray(x).ndim > 1 else u[0]
 
 
-def asymptotic_field(model: AsymptoticModel, x, n_quad: int = 32) -> tuple[NDArray, NDArray]:
+def asymptotic_field(model: AsymptoticModel, x) -> tuple[NDArray, NDArray]:
     """Leading-order potential u (m,) and gradient (m, 2) on world points (m, 2).
 
-    A linear background takes the exact closed forms; any other degree-2
-    background takes the axis quadrature with ``n_quad`` Gauss points per
-    panel, which differentiates the integrals exactly.
+    A linear background takes the linear closed forms, through f1 and f2;
+    any other degree-2 background takes the elementary antiderivatives of
+    the axis integrals.  Both are exact up to rounding, at every point but
+    the cap centres, which are refused.
     """
     if model.background.is_linear:
         return asym_u_linear(model, x), asym_grad_linear(model, x)
-    return _general_field(model, x, n_quad)
+    return _general_field(model, x)
 
 
-def asymptotic_perturbation(model: AsymptoticModel, x,
-                            n_quad: int = 32) -> tuple[NDArray, NDArray]:
+def asymptotic_perturbation(model: AsymptoticModel, x) -> tuple[NDArray, NDArray]:
     """The perturbation u - H (m,) and its gradient (m, 2) of
     :func:`asymptotic_field`, formed without H, so no digits cancel where
     |u - H| is small against |H|."""
     if not model.background.is_linear:
-        return _axis_perturbation(model, x, n_quad)
+        return _axis_perturbation(model, x)
     args = _linear_args(model, np.atleast_2d(np.asarray(x, dtype=float)))
     return (perturbation_linear(*args),
             perturbation_grad_linear(*args) @ rotation_matrix(model.angle).T)

@@ -68,7 +68,7 @@ def fieldmap_arrays(cfg: RunConfig, model: str, pts: np.ndarray):
         s, gs, near = single_layer_field(sol.mesh, sol.phi, pts)
     elif model == "asymptotic":
         s, gs = asymptotic_perturbation(
-            AsymptoticModel.from_spec(cfg.rod, cfg.background), pts, cfg.n_quad)
+            AsymptoticModel.from_spec(cfg.rod, cfg.background), pts)
         near = _asymptotic_near(cfg, pts)
     else:
         raise ConfigError(f"unknown model {model!r}")
@@ -107,7 +107,7 @@ def cmd_compare(args) -> int:
                             n_facade=cfg.n_facade)
         u_bem, _ = eval_u(sol, probe)
         u_asym, _ = asymptotic_field(AsymptoticModel.from_spec(rod, cfg.background),
-                                     probe, cfg.n_quad)
+                                     probe)
         err = float(np.abs(u_bem - u_asym).max())
         rows.append({
             "delta": delta,
@@ -188,8 +188,7 @@ def cmd_forward(args) -> int:
 def cmd_asymptotic(args) -> int:
     cfg = load_config(args.config)
     pts = _grid_or_error(cfg)
-    u, g = asymptotic_field(AsymptoticModel.from_spec(cfg.rod, cfg.background),
-                            pts, cfg.n_quad)
+    u, g = asymptotic_field(AsymptoticModel.from_spec(cfg.rod, cfg.background), pts)
     write_field_csv(args.out, pts, u, g, _asymptotic_near(cfg, pts))
     print(f"asymptotic: wrote {len(pts)} rows to {args.out}")
     return EXIT_OK

@@ -19,6 +19,8 @@ _ROD_KEYS = {"L", "delta", "center", "angle", "sigma0"}
 _BACKGROUND_KEYS = {"a", "coefficients"}
 _GRID_KEYS = {"xmin", "xmax", "ymin", "ymax", "nx", "ny"}
 _SENSOR_KEYS = {"center", "radius", "count"}
+# n_quad set the order of a quadrature the closed form no longer uses; it
+# still loads, and is ignored, so older configs keep working
 _SOLVER_KEYS = {"n_cap", "n_facade", "n_quad"}
 _SWEEP_KEYS = {"deltas", "probe_radius", "probe_count", "probe_offset"}
 _TOP_KEYS = {"rod", "background", "grid", "sensors", "solver", "sweep"}
@@ -63,7 +65,6 @@ class RunConfig:
     sensors: SensorSpec | None = None
     n_cap: int | None = None
     n_facade: int | None = None
-    n_quad: int = 32
     sweep_deltas: tuple[float, ...] = ()
     sweep_probe_radius: float = 3.0
     sweep_probe_count: int = 64
@@ -137,13 +138,11 @@ def parse_config(raw: dict) -> RunConfig:
                               "a 2*delta margin")
 
     n_cap = n_facade = None
-    n_quad = 32
     if "solver" in raw:
         _require_keys(raw["solver"], _SOLVER_KEYS, "solver")
         s = raw["solver"]
         n_cap = int(s["n_cap"]) if "n_cap" in s else None
         n_facade = int(s["n_facade"]) if "n_facade" in s else None
-        n_quad = int(s.get("n_quad", 32))
 
     deltas: tuple[float, ...] = ()
     probe_radius, probe_count = 3.0, 64
@@ -163,7 +162,7 @@ def parse_config(raw: dict) -> RunConfig:
 
     return RunConfig(rod=rod, background=background, grid=grid,
                      sensors=sensors, n_cap=n_cap, n_facade=n_facade,
-                     n_quad=n_quad, sweep_deltas=deltas,
+                     sweep_deltas=deltas,
                      sweep_probe_radius=probe_radius,
                      sweep_probe_count=probe_count,
                      sweep_probe_offset=probe_offset)

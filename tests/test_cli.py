@@ -111,7 +111,7 @@ def test_fieldmap_du_is_the_perturbation(model, tmp_path):
         s, gs, _ = single_layer_field(sol.mesh, sol.phi, pts)
     else:
         s, gs = asymptotic_perturbation(
-            AsymptoticModel.from_spec(cfg.rod, cfg.background), pts, cfg.n_quad)
+            AsymptoticModel.from_spec(cfg.rod, cfg.background), pts)
     rows = np.array([[float(v) for v in row] for row in _read_csv(out)[1:]])
     assert np.array_equal(rows[:, 2], np.abs(s))
     assert np.array_equal(rows[:, 3], np.linalg.norm(gs, axis=1))
@@ -167,6 +167,21 @@ def test_asymptotic_gradient_on_quadratic_background(tmp_path):
     grad_h = np.stack([c1 + 2 * c3 * x1 + c4 * x2, c2 - 2 * c3 * x2 + c4 * x1], axis=1)
     dgrad = np.array(_read_csv(fmap)[1:], dtype=float)[:, 3]
     assert np.abs(np.linalg.norm(grad - grad_h, axis=1) - dgrad).max() < 1e-10
+
+
+def test_asymptotic_ignores_n_quad(tmp_path):
+    # solver.n_quad set the order of a quadrature the closed form no longer
+    # uses: an old config still runs, to the same bytes
+    quad = CONFIG.replace("  a: [1.0, 0.5]", "  coefficients: [0.0, 1.0, 0.5, 0.3, 0.2]")
+    outs = []
+    for i, text in enumerate((quad, quad.replace("  n_facade: 48\n",
+                                                 "  n_facade: 48\n  n_quad: 48\n"))):
+        path, out = tmp_path / f"run{i}.yaml", tmp_path / f"asym{i}.csv"
+        path.write_text(text)
+        assert main(["asymptotic", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        outs.append(out.read_bytes())
+    assert "n_quad: 48" in (tmp_path / "run1.yaml").read_text()
+    assert outs[0] == outs[1]
 
 
 def test_compare_report(config_path, tmp_path):

@@ -24,7 +24,6 @@ def test_minimal_config():
     assert cfg.background.is_linear
     assert cfg.grid is None
     assert cfg.sensors is None
-    assert cfg.n_quad == 32
     assert cfg.sweep_probe_offset == (0.0, 1.0)
 
 
@@ -107,9 +106,11 @@ def test_sweep_block():
 
 
 def test_solver_block():
+    # n_quad loads and is ignored: the closed form has no quadrature order
     raw = _cfg(solver={"n_cap": 64, "n_facade": 128, "n_quad": 48})
     cfg = parse_config(raw)
-    assert (cfg.n_cap, cfg.n_facade, cfg.n_quad) == (64, 128, 48)
+    assert (cfg.n_cap, cfg.n_facade) == (64, 128)
+    assert cfg == parse_config(_cfg(solver={"n_cap": 64, "n_facade": 128}))
 
 
 def test_load_config_yaml(tmp_path):
