@@ -4,9 +4,11 @@ For a linear background a.x the perturbation has an exact leading term
 built from two arctan terms (transverse component) and a log ratio of the
 cap distances (axial component); its gradient is expressed through the
 localisation functions f1, f2, which blow up like 1/delta at the caps.
-For a general degree-2 harmonic background the leading term is a pair of
-axis integrals whose integrands, and their gradients, have elementary
-antiderivatives along the axis, so it is a closed form too.
+Any degree-2 harmonic background H takes the same closed form, at the
+effective field (d1 H at the right cap, d2 H at the rod centre), plus two
+curvature terms that vanish on a linear background: a log term carrying
+d2^2 H and a Poisson term carrying d1 d2 H.  Both are elementary, so u and
+grad u are exact up to rounding everywhere but at the cap centres.
 """
 
 from __future__ import annotations
@@ -18,19 +20,18 @@ from numpy.typing import NDArray
 from scipy.integrate import quad
 
 from .background import HarmonicBackground
-from .geometry import RodSpec, rotation_matrix, to_local
+from .geometry import RodSpec, ValidationError, rotation_matrix, to_local
 from . import potentials
 from .solver import lambda_of_sigma
 
 __all__ = [
     "AsymptoticModel", "cap_points", "f1_f2", "f_sq_sum", "f_sq_sum_cap_form",
     "asym_u_linear", "asym_grad_linear", "asym_u_general", "asymptotic_field",
-    "asymptotic_perturbation", "a_delta_apply",
-    "perturbation_linear", "perturbation_grad_linear",
+    "asymptotic_perturbation", "a_delta_apply", "perturbation_linear",
 ]
 
 
-class SingularPointError(ValueError):
+class SingularPointError(ValidationError):
     """Evaluation requested at a cap centre, where f1/f2 are singular."""
 
 
@@ -99,6 +100,12 @@ def _arctan_pair(x1: NDArray, x2: NDArray, L: float) -> NDArray:
     return out
 
 
+def _linear_form(a, c_ax: float, c_tr: float, pair: NDArray,
+                 log_qp: NDArray) -> NDArray:
+    """The linear closed form from the arctan pair and log(rq^2 / rp^2)."""
+    return -(c_tr / np.pi) * a[1] * pair + (c_ax / (2.0 * np.pi)) * a[0] * log_qp
+
+
 def perturbation_linear(a, L: float, c_ax: float, c_tr: float, x) -> NDArray:
     """Leading-order perturbation u - a.x in the rod frame.
 
@@ -117,18 +124,7 @@ def perturbation_linear(a, L: float, c_ax: float, c_tr: float, x) -> NDArray:
     _check_not_singular(x1, x2, L)
     rq2 = (x1 - L / 2.0) ** 2 + x2**2
     rp2 = (x1 + L / 2.0) ** 2 + x2**2
-    term_a2 = -(c_tr / np.pi) * a[1] * _arctan_pair(x1, x2, L)
-    term_a1 = (c_ax / (2.0 * np.pi)) * a[0] * np.log(rq2 / rp2)
-    return term_a2 + term_a1
-
-
-def perturbation_grad_linear(a, L: float, c_ax: float, c_tr: float, x) -> NDArray:
-    """Gradient of the leading-order perturbation, via f1 and f2."""
-    a = np.asarray(a, dtype=float)
-    f1, f2 = f1_f2(x, L)
-    gx = c_ax * f2 * a[0] + c_tr * f1 * a[1]
-    gy = c_ax * f1 * a[0] - c_tr * f2 * a[1]
-    return (1.0 / np.pi) * np.stack([gx, gy], axis=-1)
+    return _linear_form(a, c_ax, c_tr, _arctan_pair(x1, x2, L), np.log(rq2 / rp2))
 
 
 @dataclass(frozen=True)
@@ -164,48 +160,63 @@ class AsymptoticModel:
         return self.delta / (self.lam + 0.5)
 
     def _local_background(self) -> HarmonicBackground:
+        # rotated only, not translated to the rod centre (ROADMAP D9)
         return self.background.rotated(self.angle)
 
 
-def _linear_args(model: AsymptoticModel, x) -> tuple:
-    """Arguments (a, L, c_ax, c_tr, x) of the linear closed forms, rod frame."""
-    return (model._local_background().linear_part, model.L, model.strength,
-            model.strength_transverse, to_local(model, x))
+def _axis_chunk(model: AsymptoticModel, bg: HarmonicBackground,
+                xl: NDArray) -> tuple[NDArray, NDArray]:
+    """u - H and its rod-frame gradient on one chunk of rod-frame points.
+
+    With rod-frame coefficients (c0, c1, c2, c3, c4) of ``bg``, the leading
+    term is the linear closed form at the effective field
+    a_eff = (d1 H(Q), d2 H(0)) = (c1 + c3 L, c2), plus two curvature terms,
+    both zero on a linear background.  Each is an integral along the axis
+    whose integrand has an elementary antiderivative in t = x1 - y1, with
+    r^2 = t^2 + x2^2, taken between t = x1 - L/2 and x1 + L/2:
+
+    - the log term, (c_ax/2pi) d2^2 H times the integral of log(r^2/rp^2),
+      with d2^2 H = -2 c3 and antiderivative t log r^2 - 2 t + 2 x2 arctan(t/x2);
+    - the Poisson term, -(c_tr/pi) d1 d2 H times the integral of
+      x2 y1 / r^2, with d1 d2 H = c4 and y1 = x1 - t: x1 arctan(t/x2)
+      - (x2/2) log r^2.
+
+    Their gradients follow through the localisation functions f1, f2 of
+    :func:`f1_f2`, since grad(arctan pair) = (-f1, f2) and
+    grad log(rq^2/rp^2) = 2 (f2, f1).
+    """
+    L, c_ax, c_tr = model.L, model.strength, model.strength_transverse
+    _, c1, c2, c3, c4 = bg.coeffs
+    d1h_q, d22h = c1 + c3 * L, -2.0 * c3
+    x1, x2 = xl[:, 0], xl[:, 1]
+    tp, tq = x1 + L / 2.0, x1 - L / 2.0
+    rp2, rq2 = tp**2 + x2**2, tq**2 + x2**2
+    pair = _arctan_pair(x1, x2, L)
+    log_qp = np.log(rq2 / rp2)
+    f1 = x2 / rq2 - x2 / rp2
+    f2 = tq / rq2 - tp / rp2
+    u = _linear_form((d1h_q, c2), c_ax, c_tr, pair, log_qp)
+    g1 = (1.0 / np.pi) * (c_ax * f2 * d1h_q + c_tr * f1 * c2)
+    g2 = (1.0 / np.pi) * (c_ax * f1 * d1h_q - c_tr * f2 * c2)
+    k_log, k_poisson = c_ax * d22h / np.pi, c_tr * c4 / np.pi
+    u += (0.5 * k_log * (2.0 * x2 * pair - tq * log_qp - 2.0 * L)
+          - k_poisson * (x1 * pair + 0.5 * x2 * log_qp))
+    g1 += (k_log * (-0.5 * log_qp - L * tp / rp2)
+           - k_poisson * (pair + x2 * f2 - x1 * f1))
+    g2 += (k_log * (pair - L * x2 / rp2)
+           - k_poisson * (x1 * f2 + x2 * f1 + 0.5 * log_qp))
+    return u, np.stack([g1, g2], axis=1)
 
 
-def asym_u_linear(model: AsymptoticModel, x) -> NDArray:
-    """Leading-order potential for a linear background (world frame)."""
-    if not model.background.is_linear:
-        raise ValueError("asym_u_linear requires a linear background")
-    pert = perturbation_linear(*_linear_args(model, x))
-    return model.background.value(np.asarray(x, dtype=float)) + pert
+def asymptotic_perturbation(model: AsymptoticModel, x) -> tuple[NDArray, NDArray]:
+    """The leading-order perturbation u - H (m,) and its gradient (m, 2) on
+    world points (m, 2), for any degree-2 background (see :func:`_axis_chunk`).
 
-
-def asym_grad_linear(model: AsymptoticModel, x) -> NDArray:
-    """Leading-order gradient for a linear background (world frame)."""
-    if not model.background.is_linear:
-        raise ValueError("asym_grad_linear requires a linear background")
-    g_loc = perturbation_grad_linear(*_linear_args(model, x))
-    R = rotation_matrix(model.angle)
-    return model.background.grad(np.asarray(x, dtype=float)) + g_loc @ R.T
-
-
-def _axis_perturbation(model: AsymptoticModel, x) -> tuple[NDArray, NDArray]:
-    """Leading-order perturbation u - H and its gradient (world frame) for
-    any degree-2 background.
-
-    The leading term is a pair of integrals along the axis: the log kernel
-    against the second transverse derivative of H (a constant), and the
-    Poisson kernel against the first (linear in y1), plus the endpoint log
-    term carrying the axial derivative at the right cap.  Both integrands,
-    and their gradients, have elementary antiderivatives in t = x1 - y1,
-    evaluated at t = x1 -+ L/2 (see :func:`_axis_chunk`).  So u and grad u
-    are exact up to rounding at every point but the cap centres, close to
-    the axis and inside the cap discs included.
-
-    On the axis inside the segment (x2 = 0 in the rod frame) the values
-    are the upper-side limits x2 -> +0, the convention of
-    :func:`_arctan_pair`.
+    Formed without H, so no digits cancel where |u - H| is small against
+    |H|.  Exact up to rounding at every point but the cap centres, which
+    are refused, close to the axis and inside the cap discs included.  On
+    the axis inside the segment (x2 = 0 in the rod frame) the values are the
+    upper-side limits x2 -> +0, the convention of :func:`_arctan_pair`.
 
     Points go in chunks, so the few dozen float temporaries per point fit
     ``potentials.FIELD_CHUNK_BYTES``.
@@ -221,89 +232,40 @@ def _axis_perturbation(model: AsymptoticModel, x) -> tuple[NDArray, NDArray]:
     return s, g @ rotation_matrix(model.angle).T
 
 
-def _axis_chunk(model: AsymptoticModel, bg: HarmonicBackground,
-                xl: NDArray) -> tuple[NDArray, NDArray]:
-    """u - H and its rod-frame gradient on one chunk of rod-frame points.
-
-    With r^2 = t^2 + x2^2 and a = c2 + c4 x1, the transverse derivative of
-    H at the target's foot on the axis (so c2 + c4 y1 = a - c4 t), the
-    antiderivatives in t of the six axis integrands are:
-
-    - log r^2: t log r^2 - 2 t + 2 x2 arctan(t/x2);
-    - Poisson x2/r^2: arctan(t/x2), whose difference is the arctan pair;
-    - Poisson times (a - c4 t): a arctan(t/x2) - (c4 x2/2) log r^2;
-    - Cauchy t/r^2: (1/2) log r^2;
-    - -2 x2 t (a - c4 t)/r^4: a x2/r^2 + c4 arctan(t/x2) - c4 x2 t/r^2;
-    - (t^2 - x2^2)(a - c4 t)/r^4: -a t/r^2 - c4 ((1/2) log r^2 + x2^2/r^2).
-
-    Their differences between t = x1 + L/2 and x1 - L/2 are written through
-    log(rp^2/rq^2) and the localisation functions f1, f2 of :func:`f1_f2`.
-    """
-    L, c, c_tr = model.L, model.strength, model.strength_transverse
-    _, _, c2, _, c4 = bg.coeffs
-    d2h = bg.hessian(np.zeros(2))[1, 1]
-    gq = bg.grad(np.array([L / 2.0, 0.0]))[0]
-    x1, x2 = xl[:, 0], xl[:, 1]
-    tp, tq = x1 + L / 2.0, x1 - L / 2.0
-    rp2, rq2 = tp**2 + x2**2, tq**2 + x2**2
-    poisson = _arctan_pair(x1, x2, L)
-    log_pq = np.log(rp2 / rq2)
-    f1 = x2 / rq2 - x2 / rp2
-    f2 = tq / rq2 - tp / rp2
-    a = c2 + c4 * x1
-
-    i_log = tq * log_pq - 2.0 * L + 2.0 * x2 * poisson      # of log(r^2 / rp^2)
-    i_poisson_h = a * poisson - 0.5 * c4 * x2 * log_pq
-    i_g1 = c4 * (poisson + x2 * f2) - a * f1
-    i_g2 = a * f2 - c4 * (0.5 * log_pq - x2 * f1)
-    k_log, k_tr = c / np.pi, c_tr / np.pi
-    u = 0.5 * k_log * (d2h * i_log - gq * log_pq) - k_tr * i_poisson_h
-    g1 = k_log * (d2h * (0.5 * log_pq - L * tp / rp2) + gq * f2) - k_tr * i_g1
-    g2 = k_log * (d2h * (poisson - L * x2 / rp2) + gq * f1) - k_tr * i_g2
-    return u, np.stack([g1, g2], axis=1)
-
-
-def _general_field(model: AsymptoticModel, x) -> tuple[NDArray, NDArray]:
-    """Leading-order u and grad u (world frame) from the axis closed form,
-    on any degree-2 background (see :func:`_axis_perturbation`)."""
+def asymptotic_field(model: AsymptoticModel, x) -> tuple[NDArray, NDArray]:
+    """Leading-order potential u (m,) and gradient (m, 2) on world points
+    (m, 2): the background plus :func:`asymptotic_perturbation`."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    s, gs = _axis_perturbation(model, x)
+    s, gs = asymptotic_perturbation(model, x)
     return model.background.value(x) + s, model.background.grad(x) + gs
+
+
+def _single(x, values: NDArray) -> NDArray:
+    """``values`` for points ``x``, or its one row if ``x`` is one point."""
+    return values if np.asarray(x).ndim > 1 else values[0]
+
+
+def asym_u_linear(model: AsymptoticModel, x) -> NDArray:
+    """Leading-order potential for a linear background (world frame); any
+    other background is refused."""
+    if not model.background.is_linear:
+        raise ValueError("asym_u_linear requires a linear background")
+    return _single(x, asymptotic_field(model, x)[0])
+
+
+def asym_grad_linear(model: AsymptoticModel, x) -> NDArray:
+    """Leading-order gradient (world frame), the grad u of
+    :func:`asymptotic_field`, right on any degree-2 background."""
+    return _single(x, asymptotic_field(model, x)[1])
 
 
 def asym_u_general(model: AsymptoticModel, x, n_quad: int | None = None) -> NDArray:
     """Leading-order potential for any degree-2 harmonic background.
 
-    The u part of the closed form behind :func:`asymptotic_field`.
     ``n_quad`` is accepted and ignored: it set the quadrature order of an
     earlier version, and callers that still pass it keep working.
     """
-    u, _ = _general_field(model, x)
-    return u if np.asarray(x).ndim > 1 else u[0]
-
-
-def asymptotic_field(model: AsymptoticModel, x) -> tuple[NDArray, NDArray]:
-    """Leading-order potential u (m,) and gradient (m, 2) on world points (m, 2).
-
-    A linear background takes the linear closed forms, through f1 and f2;
-    any other degree-2 background takes the elementary antiderivatives of
-    the axis integrals.  Both are exact up to rounding, at every point but
-    the cap centres, which are refused.
-    """
-    if model.background.is_linear:
-        return asym_u_linear(model, x), asym_grad_linear(model, x)
-    return _general_field(model, x)
-
-
-def asymptotic_perturbation(model: AsymptoticModel, x) -> tuple[NDArray, NDArray]:
-    """The perturbation u - H (m,) and its gradient (m, 2) of
-    :func:`asymptotic_field`, formed without H, so no digits cancel where
-    |u - H| is small against |H|."""
-    if not model.background.is_linear:
-        return _axis_perturbation(model, x)
-    args = _linear_args(model, np.atleast_2d(np.asarray(x, dtype=float)))
-    return (perturbation_linear(*args),
-            perturbation_grad_linear(*args) @ rotation_matrix(model.angle).T)
+    return _single(x, asymptotic_field(model, x)[0])
 
 
 def a_delta_apply(psi, delta: float, L: float, x1: float) -> float:

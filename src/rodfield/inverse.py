@@ -148,13 +148,14 @@ def _canonicalize(z0: NDArray, theta: float, L: float):
     return z0, theta, L
 
 
-def fit_rod(data: SensorSet, init: dict | None = None,
-            max_iter: int = 400, tol: float = 1e-10) -> FitResult:
+def fit_rod(data: SensorSet) -> FitResult:
     """Least-squares fit of (center, angle, length, strengths) to the data.
 
     Uses the leading-order closed form as forward model with
-    finite-difference Jacobians.  The initial guess should place the
-    center within half the sensor radius and the angle within pi/4.
+    finite-difference Jacobians.  LM starts from
+    :func:`initial_center_guess`, angle 0, half the sensor radius as length
+    and strengths (0.05, 0.025); the start should place the center within
+    half the sensor radius and the angle within pi/4.
     ``converged`` means that LM stopped and the RMS residual is within
     RESIDUAL_TOL of the signal RMS |u - H| or within twice the stated
     noise: a stop at a wrong local minimum does not count.
@@ -163,20 +164,15 @@ def fit_rod(data: SensorSet, init: dict | None = None,
     if not data.background.is_linear or np.linalg.norm(a) == 0.0:
         raise IdentifiabilityError("fit requires a nontrivial linear background")
 
-    if init is None:
-        init = {}
-    z0 = np.asarray(init.get("center", initial_center_guess(data)), dtype=float)
-    theta0 = float(init.get("angle", 0.0))
-    L0 = float(init.get("L", data.radius / 2.0 if data.radius else 1.0))
-    c0 = float(init.get("c", 0.05))
-    c_tr0 = float(init.get("c_tr", c0 / 2.0))
-    p0 = np.array([z0[0], z0[1], theta0, L0, c0, c_tr0])
+    z0 = initial_center_guess(data)
+    L0 = data.radius / 2.0 if data.radius else 1.0
+    p0 = np.array([z0[0], z0[1], 0.0, L0, 0.05, 0.025])
 
     def residuals(p: NDArray) -> NDArray:
         return _model_values(p, a, data.points, data.background) - data.values
 
-    res = least_squares(residuals, p0, method="lm", xtol=tol, ftol=tol,
-                        gtol=tol, max_nfev=max_iter * len(p0))
+    res = least_squares(residuals, p0, method="lm", xtol=1e-10, ftol=1e-10,
+                        gtol=1e-10, max_nfev=400 * len(p0))
 
     z0, theta, L = _canonicalize(res.x[:2], res.x[2], res.x[3])
     c, c_tr = res.x[4], res.x[5]

@@ -165,7 +165,7 @@ class NpMatrix:
         return np.concatenate([np.linalg.eigvals(b) for b in self.blocks])
 
 
-def assemble_np(mesh: BoundaryMesh, correct_columns: bool = True) -> NpMatrix:
+def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
     """Assemble the parity blocks of the Nystrom NP matrix for ``mesh``.
 
     Raises ValidationError if the mesh is not mirror-symmetric.
@@ -202,15 +202,11 @@ def assemble_np(mesh: BoundaryMesh, correct_columns: bool = True) -> NpMatrix:
     blocks = np.tensordot(CHI, parts, axes=1)
     del parts
 
-    if correct_columns:
-        # diagonal entries lie in A_e alone, which enters every block with +1
-        fix = 0.5 - (wq @ blocks[0]) / wq
-        blocks[:, diag, diag] += fix
-        correction = fix / wq
-    else:
-        correction = np.zeros(m)
+    # diagonal entries lie in A_e alone, which enters every block with +1
+    fix = 0.5 - (wq @ blocks[0]) / wq
+    blocks[:, diag, diag] += fix
     diag_correction = np.empty(len(mesh))
-    diag_correction[orbits] = correction
+    diag_correction[orbits] = fix / wq
 
     return NpMatrix(blocks=blocks, orbits=orbits, mesh=mesh,
                     diag_correction=diag_correction)
@@ -223,8 +219,7 @@ def neumann_data(mesh: BoundaryMesh, bg: HarmonicBackground) -> DensityVector:
                          mesh=mesh)
 
 
-def solve_density(np_matrix: NpMatrix, lam: float,
-                  rhs: DensityVector, residual_tol: float = 1e-10) -> DensityVector:
+def solve_density(np_matrix: NpMatrix, lam: float, rhs: DensityVector) -> DensityVector:
     """Solve ``(lam*I - K)[phi] = rhs`` for the nodal density.
 
     The contrast constant satisfies |lam| > 1/2 for any admissible
@@ -248,10 +243,10 @@ def solve_density(np_matrix: NpMatrix, lam: float,
     # looks tiny relative to phi itself
     scale = max(np.linalg.norm(rhs.values), 1e-300)
     residual = 2.0 * np.sqrt(r2) / scale
-    if not np.isfinite(residual) or residual > residual_tol:
+    if not np.isfinite(residual) or residual > 1e-10:
         cond = max(np.linalg.cond(lam * eye - block) for block in np_matrix.blocks)
         raise SolverError(
-            f"density solve residual {residual:.2e} exceeds {residual_tol:.1e} "
+            f"density solve residual {residual:.2e} exceeds 1.0e-10 "
             f"(largest block condition estimate {cond:.2e}, lam={lam})")
     return DensityVector(values=np_matrix.join(phi), mesh=np_matrix.mesh,
                          residual=float(residual))

@@ -73,21 +73,20 @@ def eval_grad_u(sol: ForwardSolution, x) -> tuple[NDArray, NDArray]:
     return g, near
 
 
-def transmission_check(sol: ForwardSolution, n_probe: int = 16,
-                       h_factor: float = 5.0, idx=None) -> dict:
+def transmission_check(sol: ForwardSolution, idx=None) -> dict:
     """Flux continuity report: exterior vs sigma0 * interior normal derivative.
 
     Normal derivatives are approximated at offset points x +- h*nu with
-    h = ``h_factor`` local spacings, avoiding on-boundary principal values.
-    The probes are the nodes ``idx``, or else ``n_probe`` nodes spread
-    evenly over the mesh.
+    h = 5 local spacings, avoiding on-boundary principal values.  The
+    probes are the nodes ``idx``, or else 16 nodes spread evenly over the
+    mesh.
     """
     mesh = sol.mesh
     if idx is None:
-        idx = np.linspace(0, len(mesh) - 1, n_probe).round().astype(int)
+        idx = np.linspace(0, len(mesh) - 1, 16).round().astype(int)
     pts = mesh.points[idx]
     nus = mesh.normals[idx]
-    h = h_factor * mesh.weights[idx][:, None]
+    h = 5.0 * mesh.weights[idx][:, None]
 
     g_out, _ = eval_grad_u(sol, pts + h * nus)
     g_in, _ = eval_grad_u(sol, pts - h * nus)

@@ -138,7 +138,7 @@ def run_validation(verbose: bool = False) -> list[CheckResult]:
     # flux transmission
     sol = solve_forward(RodSpec(L=0.0, delta=1.0, sigma0=2.0),
                         HarmonicBackground.linear([1.0, 0.0]), n_cap=512)
-    rep = transmission_check(sol, n_probe=16)
+    rep = transmission_check(sol)
     checks.append(CheckResult("disc flux transmission", rep["max_mismatch"] <= 0.02,
                               rep["max_mismatch"], 0.02))
     sol = solve_forward(RodSpec(L=2.0, delta=0.1, sigma0=2.0),

@@ -271,6 +271,20 @@ def test_missing_grid_exit_code(tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [["asymptotic"],
+                                  ["fieldmap", "--model", "asymptotic"]])
+def test_cap_centre_grid_point_exits_2(argv, tmp_path, capsys):
+    # L = 2 at centre (0, 0): the 7x7 grid over [-3, 3]^2 holds the cap
+    # centres (+-1, 0), where the closed form is singular
+    path = tmp_path / "caps.yaml"
+    path.write_text(CONFIG.replace("  nx: 5\n  ny: 5", "  nx: 7\n  ny: 7"))
+    assert "nx: 7" in path.read_text()
+    code = main([argv[0], "--config", str(path), *argv[1:],
+                 "--out", str(tmp_path / "out.csv")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_validate_runs_clean(capsys):
     code = main(["validate"])
     assert code == EXIT_OK

@@ -102,7 +102,7 @@ def test_far_field_approaches_background():
 def test_transmission_check_disc():
     sol = solve_forward(RodSpec(L=0.0, delta=1.0, sigma0=2.0),
                         HarmonicBackground.linear((1.0, 0.0)), n_cap=512)
-    rep = transmission_check(sol, n_probe=16)
+    rep = transmission_check(sol)
     assert rep["max_mismatch"] < 0.02
     assert len(rep["flux_out"]) == 16
 
