@@ -31,11 +31,16 @@ class PlacementError(ValueError):
 
 
 # A fit converges only to an RMS residual within this share of the signal
-# RMS |u - H| (or within twice the stated noise).  Correct fits reach
-# <= 1e-14 on closed-form data and <= 3.7e-5 on BEM data; fits that stop in
-# a wrong local minimum (rod angle 1.2 or 3 pi/8, 64 sensors at radius 3)
-# leave 2.7e-2 to 4.0e-2.
+# RMS |u - H| (or within twice the stated noise).  Over 24 rod angles
+# (L = 2, delta = 0.05, 64 sensors at radius 3) correct fits reach <= 3e-14
+# on closed-form data and <= 3.9e-5 on BEM data; the sum of two rods'
+# fields, which no single rod explains, leaves 2.2e-2.
 RESIDUAL_TOL = 1e-3
+
+# Rod angles at which the LM start solves for the channel amplitudes.
+START_ANGLES = np.arange(8) * (np.pi / 8.0)
+# At a = (1, 1) perturbation_linear's strengths are the amplitudes.
+_UNIT = np.ones(2)
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,7 @@ class FitResult:
     angle: float
     length: float
     residual: float
+    residual_rel: float
     iterations: int
     converged: bool
 
@@ -76,9 +82,15 @@ class FitResult:
             "angle": float(self.angle),
             "length": float(self.length),
             "residual": float(self.residual),
+            "residual_rel": float(self.residual_rel),
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
         }
+
+
+def _require_identifiable(bg: HarmonicBackground) -> None:
+    if not bg.is_linear or np.linalg.norm(bg.linear_part) == 0.0:
+        raise IdentifiabilityError("fit requires a nontrivial linear background")
 
 
 def sensor_circle(center, radius: float, count: int) -> NDArray:
@@ -95,8 +107,10 @@ def simulate_measurements(spec: RodSpec, bg: HarmonicBackground,
     """Synthesize boundary voltage data at the sensor points.
 
     ``source`` selects the forward model ('bem' or 'asymptotic'); noise is
-    additive, zero-mean, seed-controlled.
+    additive, zero-mean, seed-controlled.  Data on a background that
+    :func:`fit_rod` refuses are refused here, before the forward solve.
     """
+    _require_identifiable(bg)
     points = np.asarray(points, dtype=float)
     dist = signed_distance(spec, points)
     if np.any(dist < 2.0 * spec.delta):
@@ -122,15 +136,25 @@ def simulate_measurements(spec: RodSpec, bg: HarmonicBackground,
                      noise_rms=noise_rms)
 
 
-def _model_values(params: NDArray, a: NDArray, points: NDArray,
-                  bg: HarmonicBackground) -> NDArray:
-    z0 = params[:2]
-    theta, L, c_ax, c_tr = params[2], params[3], params[4], params[5]
-    R = rotation_matrix(theta)
-    x_loc = (points - z0) @ R
-    a_loc = R.T @ a
-    return bg.value(points) + perturbation_linear(a_loc, abs(L), c_ax, c_tr,
-                                                  x_loc)
+def _perturbation(params: NDArray, points: NDArray) -> NDArray:
+    """u - H of a rod with parameters (z0, theta, L, b_ax, b_tr), where
+    b_ax = c_ax*a_loc1 and b_tr = c_tr*a_loc2 are the channel amplitudes."""
+    x_loc = (points - params[:2]) @ rotation_matrix(params[2])
+    return perturbation_linear(_UNIT, abs(params[3]), params[4], params[5], x_loc)
+
+
+def _start(data: SensorSet, signal: NDArray) -> NDArray:
+    """LM start: the centre guess, half the sensor radius as length, and of
+    START_ANGLES the angle whose least-squares amplitudes fit best."""
+    z0 = initial_center_guess(data)
+    L0 = data.radius / 2.0 if data.radius else 1.0
+    starts = []
+    for theta in START_ANGLES:
+        cols = np.stack([_perturbation(np.array([*z0, theta, L0, *e]), data.points)
+                         for e in np.eye(2)], axis=1)
+        b = np.linalg.lstsq(cols, signal, rcond=None)[0]
+        starts.append((np.linalg.norm(cols @ b - signal), np.array([*z0, theta, L0, *b])))
+    return min(starts, key=lambda s: s[0])[1]
 
 
 def initial_center_guess(data: SensorSet) -> NDArray:
@@ -152,43 +176,45 @@ def fit_rod(data: SensorSet) -> FitResult:
     """Least-squares fit of (center, angle, length, strengths) to the data.
 
     Uses the leading-order closed form as forward model with
-    finite-difference Jacobians.  LM starts from
-    :func:`initial_center_guess`, angle 0, half the sensor radius as length
-    and strengths (0.05, 0.025); the start should place the center within
-    half the sensor radius and the angle within pi/4.
+    finite-difference Jacobians.  LM fits the channel amplitudes
+    b_ax = c_ax*a_loc1 and b_tr = c_tr*a_loc2 rather than the strengths,
+    which keeps the parameters finite where a rod-frame component of a
+    vanishes; c_ax and c_tr are recovered at the fitted angle (a strength
+    whose component vanishes there is undetermined).  The start
+    takes :func:`initial_center_guess` and half the sensor radius as length;
+    at each angle k*pi/8 the two amplitudes enter linearly and are solved
+    by linear least squares, and LM starts from the angle that leaves the
+    smallest residual.
     ``converged`` means that LM stopped and the RMS residual is within
     RESIDUAL_TOL of the signal RMS |u - H| or within twice the stated
     noise: a stop at a wrong local minimum does not count.
     """
-    a = data.background.linear_part
-    if not data.background.is_linear or np.linalg.norm(a) == 0.0:
-        raise IdentifiabilityError("fit requires a nontrivial linear background")
-
-    z0 = initial_center_guess(data)
-    L0 = data.radius / 2.0 if data.radius else 1.0
-    p0 = np.array([z0[0], z0[1], 0.0, L0, 0.05, 0.025])
+    _require_identifiable(data.background)
+    signal = data.values - data.background.value(data.points)
+    p0 = _start(data, signal)
 
     def residuals(p: NDArray) -> NDArray:
-        return _model_values(p, a, data.points, data.background) - data.values
+        return _perturbation(p, data.points) - signal
 
     res = least_squares(residuals, p0, method="lm", xtol=1e-10, ftol=1e-10,
                         gtol=1e-10, max_nfev=400 * len(p0))
 
+    a_loc = rotation_matrix(res.x[2]).T @ data.background.linear_part
+    c, c_tr = res.x[4] / a_loc[0], res.x[5] / a_loc[1]
     z0, theta, L = _canonicalize(res.x[:2], res.x[2], res.x[3])
-    c, c_tr = res.x[4], res.x[5]
     axis = np.array([np.cos(theta), np.sin(theta)])
     P_hat = z0 - (L / 2.0) * axis
     Q_hat = z0 + (L / 2.0) * axis
     rms = float(np.sqrt(np.mean(res.fun**2)))
-    signal = float(np.sqrt(np.mean(
-        (data.values - data.background.value(data.points)) ** 2)))
-    converged = res.status > 0 and rms <= max(RESIDUAL_TOL * signal,
+    signal_rms = float(np.sqrt(np.mean(signal**2)))
+    converged = res.status > 0 and rms <= max(RESIDUAL_TOL * signal_rms,
                                               2.0 * data.noise_rms)
     return FitResult(endpoints=(P_hat, Q_hat), strength=float(c),
                      strength_transverse=float(c_tr),
                      center=z0, angle=float(theta), length=float(L),
-                     residual=rms, iterations=int(res.nfev),
-                     converged=bool(converged))
+                     residual=rms,
+                     residual_rel=rms / signal_rms if signal_rms else float("inf"),
+                     iterations=int(res.nfev), converged=bool(converged))
 
 
 def distinguishability_gap(spec1: RodSpec, spec2: RodSpec,

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from rodfield import AsymptoticModel, single_layer_field, solve_forward
+from rodfield import (AsymptoticModel, RodSpec, sensor_circle, single_layer_field,
+                      solve_forward)
 from rodfield.asymptotics import asymptotic_perturbation
 from rodfield.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from rodfield.config import load_config
@@ -222,18 +223,39 @@ def test_invert_synthesize_round_trip(config_path, tmp_path, capsys):
     assert code == EXIT_OK
 
 
-def test_invert_wrong_minimum_exits_1(tmp_path):
-    # rod at 1.2 rad: LM stops in a wrong local minimum on noise-free data
-    path = tmp_path / "tilted.yaml"
-    path.write_text(CONFIG.replace("  center: [0.0, 0.0]\n  angle: 0.0",
-                                   "  center: [0.3, -0.2]\n  angle: 1.2")
-                    .replace("a: [1.0, 0.5]", "a: [1.0, 1.0]")
+def test_invert_two_rod_data_exits_1(tmp_path):
+    # the data holds two rods' perturbations, which no single rod explains
+    path = tmp_path / "two.yaml"
+    path.write_text(CONFIG.replace("a: [1.0, 0.5]", "a: [1.0, 1.0]")
                     .replace("count: 32", "count: 64"))
+    cfg = load_config(str(path))
+    pts = sensor_circle((0.0, 0.0), 3.0, 64)
+    u = cfg.background.value(pts)
+    for center, angle in (((-0.8, 0.3), 0.2), ((0.7, -0.4), 1.9)):
+        rod = RodSpec(L=1.0, delta=0.05, center=center, angle=angle, sigma0=2.0)
+        u = u + asymptotic_perturbation(
+            AsymptoticModel.from_spec(rod, cfg.background), pts)[0]
+    data = tmp_path / "two.csv"
+    np.savetxt(data, np.column_stack([pts, u]), delimiter=",",
+               header="x1,x2,u", comments="", fmt="%.17g")
     out = tmp_path / "fit.json"
-    code = main(["invert", "--config", str(path), "--synthesize",
-                 "--model", "asymptotic", "--out", str(out)])
+    code = main(["invert", "--config", str(path), "--data", str(data),
+                 "--out", str(out)])
     assert code == EXIT_FAILURE
-    assert json.loads(out.read_text())["converged"] is False
+    fit = json.loads(out.read_text())
+    assert fit["converged"] is False
+    assert fit["residual_rel"] > 1e-3
+
+
+@pytest.mark.parametrize("model", ["asymptotic", "bem"])
+def test_invert_synthesize_on_quadratic_background_exits_1(model, tmp_path, capsys):
+    path = tmp_path / "quad.yaml"
+    path.write_text(CONFIG.replace("  a: [1.0, 0.5]",
+                                   "  coefficients: [0.0, 1.0, 0.5, 0.3, 0.2]"))
+    code = main(["invert", "--config", str(path), "--synthesize",
+                 "--model", model, "--out", str(tmp_path / "fit.json")])
+    assert code == EXIT_FAILURE
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_invert_noise_is_stated_for_loaded_data(config_path, tmp_path):
