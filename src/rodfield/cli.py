@@ -115,6 +115,7 @@ def cmd_compare(args) -> int:
             "error_over_delta": err / delta,
             "mesh_nodes": len(sol.mesh),
             "solve_residual": sol.phi.residual,
+            "factored_blocks": sol.phi.factored_blocks,
             "wall_seconds": time.perf_counter() - t0,
         })
     report = {"probe_radius": cfg.sweep_probe_radius,
@@ -181,7 +182,8 @@ def cmd_forward(args) -> int:
     if args.density:
         dump_density_csv(sol.phi, args.density)
     print(f"forward: wrote {len(pts)} rows to {args.out}  n={len(sol.mesh)}  "
-          f"residual={sol.phi.residual:.2e}  near={np.count_nonzero(near)}")
+          f"residual={sol.phi.residual:.2e}  blocks={sol.phi.factored_blocks}  "
+          f"near={np.count_nonzero(near)}")
     return EXIT_OK
 
 

@@ -136,8 +136,9 @@ class BoundaryMesh:
         return self.tags == tag
 
 
-#: Gauss-Legendre points per panel.
+#: Gauss-Legendre points per panel, and the rule on (-1, 1).
 PANEL_ORDER = 8
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(PANEL_ORDER)
 
 
 def _segment_rule(length: float, n_nodes: int) -> tuple[NDArray, NDArray]:
@@ -147,11 +148,10 @@ def _segment_rule(length: float, n_nodes: int) -> tuple[NDArray, NDArray]:
     are equal.
     """
     n_panels = -(-n_nodes // PANEL_ORDER)
-    xi, wi = np.polynomial.legendre.leggauss(PANEL_ORDER)
     h = length / n_panels
     starts = h * np.arange(n_panels)
-    s = (starts[:, None] + h * (xi[None, :] + 1.0) / 2.0).ravel()
-    w = np.broadcast_to(h * wi / 2.0, (n_panels, PANEL_ORDER)).ravel().copy()
+    s = (starts[:, None] + h * (_GAUSS_NODES[None, :] + 1.0) / 2.0).ravel()
+    w = np.broadcast_to(h * _GAUSS_WEIGHTS / 2.0, (n_panels, PANEL_ORDER)).ravel().copy()
     return s, w
 
 

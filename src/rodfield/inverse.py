@@ -187,7 +187,8 @@ def fit_rod(data: SensorSet) -> FitResult:
     smallest residual.
     ``converged`` means that LM stopped and the RMS residual is within
     RESIDUAL_TOL of the signal RMS |u - H| or within twice the stated
-    noise: a stop at a wrong local minimum does not count.
+    noise: a stop at a wrong local minimum does not count, and neither
+    does any fit to data with no signal.
     """
     _require_identifiable(data.background)
     signal = data.values - data.background.value(data.points)
@@ -207,8 +208,9 @@ def fit_rod(data: SensorSet) -> FitResult:
     Q_hat = z0 + (L / 2.0) * axis
     rms = float(np.sqrt(np.mean(res.fun**2)))
     signal_rms = float(np.sqrt(np.mean(signal**2)))
-    converged = res.status > 0 and rms <= max(RESIDUAL_TOL * signal_rms,
-                                              2.0 * data.noise_rms)
+    # data equal to H has no rod in it: a zero residual there is no fit
+    converged = res.status > 0 and signal_rms > 0 and rms <= max(
+        RESIDUAL_TOL * signal_rms, 2.0 * data.noise_rms)
     return FitResult(endpoints=(P_hat, Q_hat), strength=float(c),
                      strength_transverse=float(c_tr),
                      center=z0, angle=float(theta), length=float(L),

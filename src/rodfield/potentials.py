@@ -10,8 +10,12 @@ The stadium mesh maps onto itself under the rod-frame mirrors
 R1: x1 -> -x1 and R2: x2 -> -x2, and the NP kernel is invariant under
 isometries.  So the Nystrom matrix commutes with the group
 {e, R1, R2, R1R2} and splits into four parity blocks of size n/4, one for
-each pair of parities (p1, p2).  Assembly evaluates the kernel only on the
-rows of one quarter arc, and the density solve runs four small LU solves.
+each pair of parities (p1, p2).  Assembly evaluates the kernel in the rod
+frame, only on the rows of one quarter arc, and only where a cap node is
+involved: facade pairs on one side are 0, and across the rod they are
+the closed form's A_delta Lorentzian.  The density solve factors a block
+only if the data has a part of its parity; a linear background excites
+two of the four.
 """
 
 from __future__ import annotations
@@ -33,6 +37,13 @@ NEAR_FACTOR = 2.0
 #: arrays: memory is bounded by the chunk, not by the number of points.
 FIELD_CHUNK_BYTES = 1 << 21
 
+#: A parity part of the data below this share of its norm is rounding of
+#: the other parts, not data: for a linear background a.nu two of the four
+#: parts are about 1e-16 of it.  Such a part is not solved (phi = 0); it
+#: still enters the residual, which adds about this share to it, far
+#: inside the 1e-10 gate.
+SKIP_SHARE = 1e-13
+
 #: Character table of the mirror group.  Column g is the group element
 #: (e, R1, R2, R1R2), row s the parity (p1, p2) in the order (+, +),
 #: (-, +), (+, -), (-, -).  Element indices compose by XOR; the table is
@@ -52,12 +63,14 @@ class DensityVector:
     """Layer density sampled at the mesh nodes.
 
     ``residual`` is the relative residual ||(lam I - K) phi - b|| / ||b||
-    of the solve that produced the density; None for data vectors.
+    of the solve that produced the density and ``factored_blocks`` the
+    number of parity blocks it factored; both None for data vectors.
     """
 
     values: NDArray
     mesh: BoundaryMesh = field(repr=False)
     residual: float | None = None
+    factored_blocks: int | None = None
 
     def weighted_total(self) -> float:
         return float(np.dot(self.mesh.weights, self.values))
@@ -82,12 +95,16 @@ def _mirror_orbits(mesh: BoundaryMesh) -> NDArray:
                      (q + n // 2) % n])
 
 
-def _check_mirror_symmetry(mesh: BoundaryMesh, orbits: NDArray) -> None:
-    """Refuse a mesh whose nodes are not mirror images along each orbit."""
+def _rod_frame(mesh: BoundaryMesh, orbits: NDArray) -> tuple[NDArray, NDArray]:
+    """Rod-frame positions and normals of the mesh nodes.
+
+    Refuses a mesh whose nodes are not mirror images along each orbit, or
+    whose facade nodes on the quarter arc are off the side x2 = delta.
+    """
     spec = mesh.spec
     xl = to_local(spec, mesh.points)
-    feat = np.column_stack([xl, mesh.normals @ rotation_matrix(spec.angle),
-                            mesh.weights, mesh.curvatures])
+    nl = mesh.normals @ rotation_matrix(spec.angle)
+    feat = np.column_stack([xl, nl, mesh.weights, mesh.curvatures])
     # x1 and nu1 have parity (-, +), x2 and nu2 (+, -), the scalars (+, +)
     flips = CHI[:, [1, 2, 1, 2, 0, 0]]
     gap = np.abs(feat[orbits] - flips[:, None, :] * feat[orbits[0]])
@@ -100,20 +117,40 @@ def _check_mirror_symmetry(mesh: BoundaryMesh, orbits: NDArray) -> None:
         raise ValidationError(
             "mesh is not mirror-symmetric in the rod frame "
             f"(largest mismatch {gap.max():.2e})")
+    # assembly writes the facade pairs from x2 = +-delta and nu = (0, +-1)
+    side = feat[orbits[0, mesh.n_cap // 2:], 1:4] - [spec.delta, 0.0, 1.0]
+    if (np.abs(side) > 1e-9 * scale[1:4]).any():
+        raise ValidationError(
+            f"facade nodes are off the rod's sides x2 = +-{spec.delta!r} "
+            f"(largest mismatch {np.abs(side).max():.2e})")
+    return xl, nl
+
+
+def _np_kernel(x: NDArray, nu: NDArray, y: NDArray, w: NDArray) -> NDArray:
+    """k(x_a, y_b) * w_b for rows x, nu (r, 2) and columns y (..., c, 2).
+
+    A pair with x = y gives NaN; the caller writes the diagonal.
+    """
+    d1 = x[:, 0, None] - y[..., None, :, 0]
+    d2 = x[:, 1, None] - y[..., None, :, 1]
+    with np.errstate(invalid="ignore"):
+        return ((d1 * nu[:, 0, None] + d2 * nu[:, 1, None])
+                / (d1 * d1 + d2 * d2) * (w / (2.0 * np.pi)))
 
 
 @dataclass(frozen=True)
 class NpMatrix:
-    """Nystrom matrix of the NP operator composed with weights, by parity block.
+    """Nystrom matrix of the NP operator composed with weights, by mirror orbit.
 
     The dense matrix is ``A[i, j] = k(x_i, x_j) * w_j`` with the NP kernel
     k(x, y) = <x - y, nu_x> / (2*pi*|x - y|^2) and diagonal kernel limit
-    kappa/(4*pi) (plus the column-identity correction).  With
-    ``A_g[a, b] = A[q_a, g(q_b)]`` on the quarter arc q, the parity blocks
-    are ``blocks[s] = sum_g CHI[s, g] * A_g``.
+    kappa/(4*pi) (plus the column-identity correction).  It is kept as the
+    four orbit matrices ``A_g[a, b] = A[q_a, g(q_b)]`` on the quarter arc
+    q, which give every entry: ``A[h(q), g(q)] = A_{hg}``.  The parity
+    block s, ``sum_g CHI[s, g] * A_g``, is formed only where it is needed.
     """
 
-    blocks: NDArray                      # (4, n/4, n/4)
+    orbit_matrices: NDArray              # (4, n/4, n/4): A_e, A_R1, A_R2, A_R1R2
     orbits: NDArray = field(repr=False)  # (4, n/4), see _mirror_orbits
     mesh: BoundaryMesh = field(repr=False)
     diag_correction: NDArray = field(repr=False)
@@ -132,18 +169,25 @@ class NpMatrix:
         out[self.orbits] = CHI @ parts
         return out
 
+    def block(self, s: int) -> NDArray:
+        """Parity block s, ``sum_g CHI[s, g] * A_g``."""
+        return np.tensordot(CHI[s], self.orbit_matrices, axes=1)
+
+    def apply_blocks(self, parts: NDArray) -> NDArray:
+        """Each parity block applied to its own part: (4, n/4) -> (4, n/4)."""
+        return np.einsum("sg,gas->sa", CHI, self.orbit_matrices @ parts.T)
+
     @property
     def matrix(self) -> NDArray:
         """Dense (n, n) matrix: ``A[h(q), g(q)] = A_{hg}``.  For tests."""
-        parts = np.tensordot(CHI, self.blocks, axes=1) / 4.0
         dense = np.empty((self.n, self.n))
         for h in range(4):
             for g in range(4):
-                dense[np.ix_(self.orbits[h], self.orbits[g])] = parts[h ^ g]
+                dense[np.ix_(self.orbits[h], self.orbits[g])] = self.orbit_matrices[h ^ g]
         return dense
 
     def apply(self, values: NDArray) -> NDArray:
-        return self.join(np.einsum("sab,sb->sa", self.blocks, self.split(values)))
+        return self.join(self.apply_blocks(self.split(values)))
 
     def weighted_column_sums(self) -> NDArray:
         """Sum_i w_i k(x_i, x_j) for every column j; 1/2 in the continuum.
@@ -153,7 +197,7 @@ class NpMatrix:
         """
         wq = self.mesh.weights[self.orbits[0]]
         out = np.empty(self.n)
-        out[self.orbits] = (wq @ self.blocks[0]) / wq
+        out[self.orbits] = (wq @ self.orbit_matrices).sum(axis=0) / wq
         return out
 
     def raw_weighted_column_sums(self) -> NDArray:
@@ -162,53 +206,51 @@ class NpMatrix:
 
     def eigenvalues(self) -> NDArray:
         """The union of the four block spectra."""
-        return np.concatenate([np.linalg.eigvals(b) for b in self.blocks])
+        return np.concatenate([np.linalg.eigvals(self.block(s)) for s in range(4)])
 
 
 def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
-    """Assemble the parity blocks of the Nystrom NP matrix for ``mesh``.
+    """Assemble the orbit matrices of the Nystrom NP matrix for ``mesh``.
 
-    Raises ValidationError if the mesh is not mirror-symmetric.
+    The kernel is evaluated in the rod frame.  The quarter arc q holds
+    n_cap/2 cap nodes and then n_facade/2 nodes of the top side, and so
+    does each of its images.  Entries with a cap node on either end take
+    the general kernel.  Facade pairs follow from the straight sides:
+    on one side (x - y).nu_x = 0, so the pair is 0, and across the rod
+    x2 - y2 = 2 delta gives the Lorentzian delta / (pi (t^2 + 4 delta^2))
+    with t = x1 - y1, the kernel of the closed form's A_delta.
+
+    Raises ValidationError if the mesh is not mirror-symmetric or its
+    facade nodes are off the sides x2 = +-delta.
     """
     orbits = _mirror_orbits(mesh)
-    _check_mirror_symmetry(mesh, orbits)
-    q = orbits[0]
+    xl, nl = _rod_frame(mesh, orbits)
+    q, mc = orbits[0], mesh.n_cap // 2
     m = len(q)
-    x1, x2 = mesh.points[q, 0, None], mesh.points[q, 1, None]
-    nu1, nu2 = mesh.normals[q, 0, None], mesh.normals[q, 1, None]
     wq = mesh.weights[q]
     diag = np.arange(m)
 
     # rows on the quarter arc against the columns of each orbit: A_g.
     # The weights are equal along each orbit, so every A_g carries wq.
-    parts = np.empty((4, m, m))
-    d1, d2 = np.empty((m, m)), np.empty((m, m))
-    for g, cols in enumerate(orbits):
-        np.subtract(x1, mesh.points[cols, 0], out=d1)
-        np.subtract(x2, mesh.points[cols, 1], out=d2)
-        kern = parts[g]
-        np.multiply(d1, nu1, out=kern)
-        d1 *= d1
-        d1 += np.square(d2)   # d1 now holds |x - y|^2
-        d2 *= nu2
-        kern += d2
-        if g == 0:
-            d1[diag, diag] = 1.0
-        kern /= d1
-        kern *= wq / (2.0 * np.pi)
-        if g == 0:
-            kern[diag, diag] = mesh.curvatures[q] * wq / (4.0 * np.pi)
-    del d1, d2
-    blocks = np.tensordot(CHI, parts, axes=1)
-    del parts
+    mats = np.zeros((4, m, m))
+    mats[:, :mc] = _np_kernel(xl[q[:mc]], nl[q[:mc]], xl[orbits], wq)
+    mats[:, mc:, :mc] = _np_kernel(xl[q[mc:]], nl[q[mc:]], xl[orbits[:, :mc]], wq[:mc])
+    delta = mesh.spec.delta
+    for g in (2, 3):   # the columns of R2 and R1R2 lie on the bottom side
+        ff = mats[g, mc:, mc:]
+        np.subtract(xl[q[mc:], 0, None], xl[orbits[g, mc:], 0], out=ff)
+        ff *= ff
+        ff += 4.0 * delta * delta
+        np.divide(wq[mc:] * (delta / np.pi), ff, out=ff)
+    mats[0, diag, diag] = mesh.curvatures[q] * wq / (4.0 * np.pi)
 
     # diagonal entries lie in A_e alone, which enters every block with +1
-    fix = 0.5 - (wq @ blocks[0]) / wq
-    blocks[:, diag, diag] += fix
+    fix = 0.5 - (wq @ mats).sum(axis=0) / wq
+    mats[0, diag, diag] += fix
     diag_correction = np.empty(len(mesh))
     diag_correction[orbits] = fix / wq
 
-    return NpMatrix(blocks=blocks, orbits=orbits, mesh=mesh,
+    return NpMatrix(orbit_matrices=mats, orbits=orbits, mesh=mesh,
                     diag_correction=diag_correction)
 
 
@@ -224,32 +266,45 @@ def solve_density(np_matrix: NpMatrix, lam: float, rhs: DensityVector) -> Densit
 
     The contrast constant satisfies |lam| > 1/2 for any admissible
     conductivity, which keeps the system away from the NP spectrum.
-    Each parity part of ``rhs`` is solved with its own block.
+    Each parity part of ``rhs`` is solved with its own block; a part below
+    SKIP_SHARE of the data gets phi = 0 and its block is not factored.
     """
     b = np_matrix.split(rhs.values)
-    eye = np.eye(b.shape[1])
-    phi = np.empty_like(b)
-    r2 = 0.0
-    for s, block in enumerate(np_matrix.blocks):
+    norms = np.linalg.norm(b, axis=1)
+    live = np.flatnonzero(norms > SKIP_SHARE * np.linalg.norm(norms))
+    phi = np.zeros_like(b)
+    m = b.shape[1]
+    diag = np.arange(m)
+    # lam I - block is built in one C-ordered buffer; its transpose is
+    # Fortran-ordered, so LAPACK factors it in place and lu_solve solves
+    # the transposed system (trans=1)
+    system = np.empty((m, m))
+    for s in live:
+        np.negative(np_matrix.orbit_matrices[0], out=system)
+        for g in (1, 2, 3):
+            (np.subtract if CHI[s, g] > 0 else np.add)(
+                system, np_matrix.orbit_matrices[g], out=system)
+        system[diag, diag] += lam
         try:
-            lu = scipy.linalg.lu_factor(lam * eye - block, overwrite_a=True)
-            phi[s] = scipy.linalg.lu_solve(lu, b[s])
+            lu = scipy.linalg.lu_factor(system.T, overwrite_a=True, check_finite=False)
+            phi[s] = scipy.linalg.lu_solve(lu, b[s], trans=1, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             raise SolverError(f"density system is singular (lam={lam})") from exc
-        r2 += float(np.sum((lam * phi[s] - block @ phi[s] - b[s]) ** 2))
 
-    # ||r||^2 = 4 * sum_s ||r_s||^2 over the full vector; scale by the data
-    # only: a near-singular system yields a huge phi whose backward error
-    # looks tiny relative to phi itself
+    # ||r||^2 = 4 * sum_s ||r_s||^2 over the full vector, skipped parts
+    # included (r_s = -b_s); scale by the data only: a near-singular
+    # system yields a huge phi whose backward error looks tiny relative to
+    # phi itself
+    r = lam * phi - np_matrix.apply_blocks(phi) - b
     scale = max(np.linalg.norm(rhs.values), 1e-300)
-    residual = 2.0 * np.sqrt(r2) / scale
+    residual = 2.0 * np.linalg.norm(r) / scale
     if not np.isfinite(residual) or residual > 1e-10:
-        cond = max(np.linalg.cond(lam * eye - block) for block in np_matrix.blocks)
+        cond = max(np.linalg.cond(lam * np.eye(m) - np_matrix.block(s)) for s in range(4))
         raise SolverError(
             f"density solve residual {residual:.2e} exceeds 1.0e-10 "
             f"(largest block condition estimate {cond:.2e}, lam={lam})")
     return DensityVector(values=np_matrix.join(phi), mesh=np_matrix.mesh,
-                         residual=float(residual))
+                         residual=float(residual), factored_blocks=len(live))
 
 
 def _near_flags(mesh: BoundaryMesh, r2: NDArray) -> NDArray:

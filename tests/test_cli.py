@@ -129,6 +129,8 @@ def test_forward_with_density(config_path, tmp_path, capsys):
     summary = capsys.readouterr().out
     assert "n=128" in summary
     assert float(summary.split("residual=")[1].split()[0]) < 1e-10
+    # a linear background excites two of the four parity blocks
+    assert "blocks=2" in summary
     assert _near_count(summary) == sum(int(r[5]) for r in _read_csv(out)[1:])
 
 
@@ -194,9 +196,11 @@ def test_compare_report(config_path, tmp_path):
     assert len(report["rows"]) == 2
     for row in report["rows"]:
         assert set(row) == {"delta", "max_error", "error_over_delta",
-                            "mesh_nodes", "solve_residual", "wall_seconds"}
+                            "mesh_nodes", "solve_residual", "factored_blocks",
+                            "wall_seconds"}
         assert row["max_error"] > 0
         assert 0.0 <= row["solve_residual"] < 1e-10
+        assert row["factored_blocks"] == 2
 
 
 def test_compare_requires_sweep(tmp_path):
@@ -245,6 +249,21 @@ def test_invert_two_rod_data_exits_1(tmp_path):
     fit = json.loads(out.read_text())
     assert fit["converged"] is False
     assert fit["residual_rel"] > 1e-3
+
+
+def test_invert_data_without_perturbation_exits_1(tmp_path):
+    # values equal to H: a zero residual there is no fit
+    path = tmp_path / "flat.yaml"
+    path.write_text(CONFIG.replace("a: [1.0, 0.5]", "a: [1.0, 1.0]"))
+    pts = sensor_circle((0.0, 0.0), 3.0, 64)
+    data = tmp_path / "flat.csv"
+    np.savetxt(data, np.column_stack([pts, pts.sum(axis=1)]), delimiter=",",
+               header="x1,x2,u", comments="", fmt="%.17g")
+    out = tmp_path / "fit.json"
+    code = main(["invert", "--config", str(path), "--data", str(data),
+                 "--out", str(out)])
+    assert code == EXIT_FAILURE
+    assert json.loads(out.read_text())["converged"] is False
 
 
 @pytest.mark.parametrize("model", ["asymptotic", "bem"])

@@ -120,6 +120,13 @@ def test_two_rod_data_is_not_converged():
     assert not fit.converged
 
 
+def test_data_without_perturbation_is_not_converged():
+    # the residual gate read 0 <= 0 and passed a rod fitted to nothing
+    data = SensorSet(points=POINTS, values=BG.value(POINTS), background=BG,
+                     radius=3.0)
+    assert not fit_rod(data).converged
+
+
 @pytest.mark.parametrize("source, tol", [("asymptotic", 1e-6),
                                          ("bem", 2 * SPEC.delta)])
 def test_angle_sweep_finds_global_minimum(source, tol):

@@ -13,6 +13,7 @@ from rodfield import (DensityVector, HarmonicBackground, RodSpec,
                       ValidationError, build_mesh, assemble_np, lambda_of_sigma,
                       neumann_data, single_layer, single_layer_field,
                       single_layer_grad, solve_density)
+from rodfield.geometry import TAG_FACADE_BOTTOM, TAG_FACADE_TOP, to_local
 from rodfield.potentials import NEAR_FACTOR, SolverError, dump_density_csv
 
 
@@ -92,17 +93,81 @@ def test_parity_blocks_match_dense_assembly(name):
                        np.sort_complex(np.linalg.eigvals(ref)), atol=1e-10)
 
 
-@pytest.mark.parametrize("sigma0", [2.0, 100.0, 0.01])
-@pytest.mark.parametrize("name", ["odd_panels", "minimal"])
-def test_block_solve_matches_dense_lu(name, sigma0):
-    mesh = SYMMETRY_MESHES[name]()
+def _facade_sides(mesh):
+    return [np.flatnonzero(mesh.tag_mask(t)) for t in (TAG_FACADE_TOP, TAG_FACADE_BOTTOM)]
+
+
+def test_same_side_facade_pairs_are_zero():
+    # (x - y).nu_x vanishes on a straight side; the world-frame assembly
+    # wrote rounding there
+    mesh = SYMMETRY_MESHES["odd_panels"]()
+    dense = assemble_np(mesh).matrix
+    for side in _facade_sides(mesh):
+        pairs = dense[np.ix_(side, side)]
+        np.fill_diagonal(pairs, 0.0)   # the column-identity correction
+        assert not pairs.any()
+
+
+def test_opposite_side_facade_pairs_are_the_a_delta_kernel():
+    mesh = SYMMETRY_MESHES["odd_panels"]()
+    delta = mesh.spec.delta
+    dense = assemble_np(mesh).matrix
+    x1 = to_local(mesh.spec, mesh.points)[:, 0]
+    top, bottom = _facade_sides(mesh)
+    for rows, cols in ((top, bottom), (bottom, top)):
+        t = x1[rows, None] - x1[cols]
+        ref = delta / (np.pi * (t * t + 4.0 * delta**2)) * mesh.weights[cols]
+        assert np.abs(dense[np.ix_(rows, cols)] / ref - 1.0).max() <= 1e-14
+
+
+@pytest.fixture
+def lu_calls(monkeypatch):
+    """Counts the LU factorizations of the density solve."""
+    calls = []
+    factor = scipy.linalg.lu_factor
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+    return calls
+
+
+def _assert_matches_dense_lu(mesh, sigma0, rhs):
     lam = lambda_of_sigma(sigma0)
-    # a background with all four parities present in its Neumann data
-    rhs = neumann_data(mesh, HarmonicBackground.polynomial((0.0, 1.0, 0.5, 0.3, 0.8)))
     phi = solve_density(assemble_np(mesh), lam, rhs)
     ref = scipy.linalg.solve(lam * np.eye(len(mesh)) - dense_np(mesh), rhs.values)
     assert np.linalg.norm(phi.values - ref) <= 1e-10 * np.linalg.norm(ref)
     assert phi.residual <= 1e-13
+    return phi
+
+
+@pytest.mark.parametrize("sigma0", [2.0, 100.0, 0.01])
+@pytest.mark.parametrize("name", ["odd_panels", "minimal"])
+def test_block_solve_matches_dense_lu(name, sigma0, lu_calls):
+    mesh = SYMMETRY_MESHES[name]()
+    # a background with all four parities present in its Neumann data
+    rhs = neumann_data(mesh, HarmonicBackground.polynomial((0.0, 1.0, 0.5, 0.3, 0.8)))
+    phi = _assert_matches_dense_lu(mesh, sigma0, rhs)
+    assert phi.factored_blocks == len(lu_calls) == 4
+
+
+@pytest.mark.parametrize("sigma0", [2.0, 100.0, 0.01])
+def test_linear_background_factors_two_blocks(sigma0, lu_calls):
+    # a.nu has the parities of nu1 and nu2 in the rod frame, (-, +) and
+    # (+, -); the other two parts are rounding
+    mesh = SYMMETRY_MESHES["odd_panels"]()
+    rhs = neumann_data(mesh, HarmonicBackground.linear((1.0, 0.5)))
+    phi = _assert_matches_dense_lu(mesh, sigma0, rhs)
+    assert phi.factored_blocks == len(lu_calls) == 2
+
+
+def test_axial_field_on_a_disc_factors_one_block(lu_calls):
+    mesh = build_mesh(RodSpec(L=0.0, delta=0.7), n_cap=24)
+    rhs = neumann_data(mesh, HarmonicBackground.linear((1.0, 0.0)))
+    phi = _assert_matches_dense_lu(mesh, 2.0, rhs)
+    assert phi.factored_blocks == len(lu_calls) == 1
 
 
 def test_asymmetric_mesh_is_refused():
@@ -114,6 +179,10 @@ def test_asymmetric_mesh_is_refused():
     # node counts that do not describe a stadium
     with pytest.raises(ValidationError):
         assemble_np(dataclasses.replace(mesh, n_facade=0))
+    # a symmetric mesh whose sides are not at the spec's +-delta
+    thick = dataclasses.replace(mesh.spec, delta=0.2)
+    with pytest.raises(ValidationError, match="sides"):
+        assemble_np(dataclasses.replace(mesh, spec=thick))
 
 
 def test_np_kernel_on_disc_is_constant():
