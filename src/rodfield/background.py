@@ -22,6 +22,8 @@ class HarmonicBackground:
     @classmethod
     def linear(cls, a) -> "HarmonicBackground":
         a = np.asarray(a, dtype=float)
+        if a.shape != (2,):
+            raise ValueError(f"expected a 2-vector a, got shape {a.shape}")
         return cls((0.0, float(a[0]), float(a[1]), 0.0, 0.0))
 
     @classmethod

@@ -9,7 +9,7 @@ errors.
 from __future__ import annotations
 
 import argparse
-import contextlib
+import dataclasses
 import json
 import sys
 import time
@@ -18,7 +18,7 @@ import numpy as np
 
 from .asymptotics import AsymptoticModel, asymptotic_field, asymptotic_perturbation
 from .config import ConfigError, RunConfig, load_config
-from .geometry import RodSpec, ValidationError, signed_distance, write_csv
+from .geometry import ValidationError, signed_distance, write_csv
 from .inverse import (IdentifiabilityError, dump_fit_json, dump_measurements_csv,
                       fit_rod, load_measurements_csv, sensor_circle,
                       simulate_measurements)
@@ -29,19 +29,6 @@ from .validate import run_validation
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-
-def _thread_limit(n: int | None):
-    if n is None:
-        return contextlib.nullcontext()
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        print("warning: --threads has no effect without the threadpoolctl "
-              "package; set OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS) instead",
-              file=sys.stderr)
-        return contextlib.nullcontext()
-    return threadpool_limits(limits=n)
 
 
 def _grid_or_error(cfg: RunConfig) -> np.ndarray:
@@ -100,8 +87,7 @@ def cmd_compare(args) -> int:
                           cfg.sweep_probe_count)
     rows = []
     for delta in cfg.sweep_deltas:
-        rod = RodSpec(L=cfg.rod.L, delta=delta, center=cfg.rod.center,
-                      angle=cfg.rod.angle, sigma0=cfg.rod.sigma0)
+        rod = dataclasses.replace(cfg.rod, delta=delta)
         t0 = time.perf_counter()
         sol = solve_forward(rod, cfg.background, n_cap=cfg.n_cap,
                             n_facade=cfg.n_facade)
@@ -131,7 +117,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    checks = run_validation(verbose=args.verbose)
+    checks = run_validation()
     for c in checks:
         print(c.line(verbose=args.verbose))
     failed = [c for c in checks if not c.passed]
@@ -200,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rodfield",
                                 description="Rod-inclusion conductivity tools")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap BLAS thread count for reproducible runs")
     sub = p.add_subparsers(dest="command", required=True)
 
     fm = sub.add_parser("fieldmap", help="perturbed field magnitudes on a grid")
@@ -250,8 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _thread_limit(args.threads):
-            return args.func(args)
+        return args.func(args)
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,28 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
 from .background import HarmonicBackground
-from .geometry import RodSpec, ValidationError, signed_distance
+from .geometry import RodSpec
 
 
 class ConfigError(ValueError):
     """Raised for unknown keys, missing blocks or inconsistent values."""
-
-
-_ROD_KEYS = {"L", "delta", "center", "angle", "sigma0"}
-_BACKGROUND_KEYS = {"a", "coefficients"}
-_GRID_KEYS = {"xmin", "xmax", "ymin", "ymax", "nx", "ny"}
-_SENSOR_KEYS = {"center", "radius", "count"}
-# n_quad set the order of a quadrature the closed form no longer uses; it
-# still loads, and is ignored, so older configs keep working
-_SOLVER_KEYS = {"n_cap", "n_facade", "n_quad"}
-_SWEEP_KEYS = {"deltas", "probe_radius", "probe_count", "probe_offset"}
-_TOP_KEYS = {"rod", "background", "grid", "sensors", "solver", "sweep"}
 
 
 def _require_keys(block: dict, allowed: set, name: str) -> None:
@@ -82,87 +71,99 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
-def parse_config(raw: dict) -> RunConfig:
-    _require_keys(raw, _TOP_KEYS, "config")
-    if "rod" not in raw:
-        raise ConfigError("missing required 'rod' block")
-    if "background" not in raw:
-        raise ConfigError("missing required 'background' block")
+def _rod(r: dict) -> dict:
+    return {"rod": RodSpec(L=float(r.get("L", 0.0)), delta=float(r["delta"]),
+                           center=_pair(r.get("center", (0.0, 0.0)), "center"),
+                           angle=float(r.get("angle", 0.0)),
+                           sigma0=float(r.get("sigma0", 2.0)))}
 
-    rod_raw = raw["rod"]
-    _require_keys(rod_raw, _ROD_KEYS, "rod")
+
+def _background(b: dict) -> dict:
+    if "a" in b and "coefficients" in b:
+        raise ValueError("give either 'a' or 'coefficients', not both")
+    if "a" in b:
+        return {"background": HarmonicBackground.linear(b["a"])}
+    if "coefficients" in b:
+        return {"background": HarmonicBackground.polynomial(b["coefficients"])}
+    raise ValueError("need 'a' or 'coefficients'")
+
+
+def _grid(g: dict) -> dict:
+    grid = GridSpec(float(g["xmin"]), float(g["xmax"]),
+                    float(g["ymin"]), float(g["ymax"]), int(g["nx"]), int(g["ny"]))
+    if grid.nx < 2 or grid.ny < 2:
+        raise ValueError("nx and ny must be >= 2")
+    return {"grid": grid}
+
+
+def _sensors(s: dict) -> dict:
+    return {"sensors": SensorSpec(_pair(s.get("center", (0.0, 0.0)), "center"),
+                                  float(s["radius"]), int(s["count"]))}
+
+
+def _solver(s: dict) -> dict:
+    return {k: int(s[k]) for k in ("n_cap", "n_facade") if k in s}
+
+
+def _sweep(s: dict) -> dict:
+    deltas = tuple(float(d) for d in s.get("deltas", ()))
+    if any(d <= 0 for d in deltas):
+        raise ValueError("deltas must be positive")
+    return {"sweep_deltas": deltas,
+            "sweep_probe_radius": float(s.get("probe_radius", 3.0)),
+            "sweep_probe_count": int(s.get("probe_count", 64)),
+            "sweep_probe_offset": _pair(s.get("probe_offset", (0.0, 1.0)),
+                                        "probe_offset")}
+
+
+def _pair(v, name: str) -> tuple[float, float]:
+    if len(v) != 2:
+        raise ValueError(f"{name} must have two entries, got {len(v)}")
+    return float(v[0]), float(v[1])
+
+
+# block -> (allowed keys, parser returning RunConfig fields), in parse order
+_BLOCKS = {
+    "rod": ({"L", "delta", "center", "angle", "sigma0"}, _rod),
+    "background": ({"a", "coefficients"}, _background),
+    "grid": ({"xmin", "xmax", "ymin", "ymax", "nx", "ny"}, _grid),
+    "sensors": ({"center", "radius", "count"}, _sensors),
+    # n_quad set the order of a quadrature the closed form no longer uses;
+    # it still loads, and is ignored, so older configs keep working
+    "solver": ({"n_cap", "n_facade", "n_quad"}, _solver),
+    "sweep": ({"deltas", "probe_radius", "probe_count", "probe_offset"}, _sweep),
+}
+
+
+def _parse_block(name: str, block) -> dict:
+    """Parse one block with its typo-checked keys.  A missing key or a
+    malformed value is refused as a ConfigError that names the block."""
+    keys, parse = _BLOCKS[name]
+    _require_keys(block, keys, name)
     try:
-        rod = RodSpec(L=float(rod_raw.get("L", 0.0)),
-                      delta=float(rod_raw["delta"]),
-                      center=tuple(rod_raw.get("center", (0.0, 0.0))),
-                      angle=float(rod_raw.get("angle", 0.0)),
-                      sigma0=float(rod_raw.get("sigma0", 2.0)))
+        return parse(block)
     except KeyError as exc:
-        raise ConfigError(f"rod block missing {exc}") from exc
-    except ValidationError as exc:
-        raise ConfigError(f"rod: {exc}") from exc
+        raise ConfigError(f"{name} block missing {exc}") from exc
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
-    bg_raw = raw["background"]
-    _require_keys(bg_raw, _BACKGROUND_KEYS, "background")
-    if "a" in bg_raw and "coefficients" in bg_raw:
-        raise ConfigError("background: give either 'a' or 'coefficients', not both")
-    if "a" in bg_raw:
-        background = HarmonicBackground.linear(bg_raw["a"])
-    elif "coefficients" in bg_raw:
-        background = HarmonicBackground.polynomial(bg_raw["coefficients"])
-    else:
-        raise ConfigError("background: need 'a' or 'coefficients'")
 
-    grid = None
-    if "grid" in raw:
-        _require_keys(raw["grid"], _GRID_KEYS, "grid")
-        g = raw["grid"]
-        grid = GridSpec(float(g["xmin"]), float(g["xmax"]),
-                        float(g["ymin"]), float(g["ymax"]),
-                        int(g["nx"]), int(g["ny"]))
-        if grid.nx < 2 or grid.ny < 2:
-            raise ConfigError("grid: nx and ny must be >= 2")
-
-    sensors = None
-    if "sensors" in raw:
-        _require_keys(raw["sensors"], _SENSOR_KEYS, "sensors")
-        s = raw["sensors"]
-        sensors = SensorSpec(tuple(s.get("center", (0.0, 0.0))),
-                             float(s["radius"]), int(s["count"]))
+def parse_config(raw: dict) -> RunConfig:
+    _require_keys(raw, set(_BLOCKS), "config")
+    for name in ("rod", "background"):
+        if name not in raw:
+            raise ConfigError(f"missing required '{name}' block")
+    kwargs = {}
+    for name in _BLOCKS:
+        if name in raw:
+            kwargs.update(_parse_block(name, raw[name]))
+    cfg = RunConfig(**kwargs)
+    if cfg.sensors is not None:
         # the sensor circle must enclose the rod with a safety margin
+        rod, c = cfg.rod, np.asarray(cfg.sensors.center)
         P, Q = rod.cap_centers_world()
-        c = np.asarray(sensors.center)
         reach = max(np.linalg.norm(P - c), np.linalg.norm(Q - c)) + rod.delta
-        if reach + 2.0 * rod.delta >= sensors.radius:
+        if reach + 2.0 * rod.delta >= cfg.sensors.radius:
             raise ConfigError("sensors: circle does not enclose the rod with "
                               "a 2*delta margin")
-
-    n_cap = n_facade = None
-    if "solver" in raw:
-        _require_keys(raw["solver"], _SOLVER_KEYS, "solver")
-        s = raw["solver"]
-        n_cap = int(s["n_cap"]) if "n_cap" in s else None
-        n_facade = int(s["n_facade"]) if "n_facade" in s else None
-
-    deltas: tuple[float, ...] = ()
-    probe_radius, probe_count = 3.0, 64
-    probe_offset = (0.0, 1.0)
-    if "sweep" in raw:
-        _require_keys(raw["sweep"], _SWEEP_KEYS, "sweep")
-        s = raw["sweep"]
-        deltas = tuple(float(d) for d in s.get("deltas", ()))
-        if any(d <= 0 for d in deltas):
-            raise ConfigError("sweep: deltas must be positive")
-        probe_radius = float(s.get("probe_radius", 3.0))
-        probe_count = int(s.get("probe_count", 64))
-        off = s.get("probe_offset", probe_offset)
-        if len(off) != 2:
-            raise ConfigError("sweep: probe_offset must have two entries")
-        probe_offset = (float(off[0]), float(off[1]))
-
-    return RunConfig(rod=rod, background=background, grid=grid,
-                     sensors=sensors, n_cap=n_cap, n_facade=n_facade,
-                     sweep_deltas=deltas,
-                     sweep_probe_radius=probe_radius,
-                     sweep_probe_count=probe_count,
-                     sweep_probe_offset=probe_offset)
+    return cfg

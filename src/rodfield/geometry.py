@@ -25,8 +25,6 @@ TAG_CAP_RIGHT = "cap_right"
 TAG_FACADE_BOTTOM = "facade_bottom"
 TAG_FACADE_TOP = "facade_top"
 
-MESH_CSV_HEADER = ["x1", "x2", "nu1", "nu2", "kappa", "weight", "tag"]
-
 
 class ValidationError(ValueError):
     """Raised when a rod specification or mesh request is invalid."""
@@ -98,15 +96,6 @@ def to_local(spec, x_world: NDArray) -> NDArray:
 
 
 @dataclass(frozen=True)
-class BoundaryNode:
-    position: NDArray
-    normal: NDArray
-    curvature: float
-    weight: float
-    tag: str
-
-
-@dataclass(frozen=True)
 class BoundaryMesh:
     """Quadrature discretization of the rod boundary, counterclockwise.
 
@@ -126,11 +115,6 @@ class BoundaryMesh:
 
     def __len__(self) -> int:
         return len(self.weights)
-
-    def node(self, i: int) -> BoundaryNode:
-        return BoundaryNode(self.points[i], self.normals[i],
-                            float(self.curvatures[i]), float(self.weights[i]),
-                            str(self.tags[i]))
 
     def tag_mask(self, tag: str) -> NDArray:
         return self.tags == tag
@@ -212,13 +196,8 @@ def build_mesh(spec: RodSpec, n_cap: int, n_facade: int = 0) -> BoundaryMesh:
         facade(d, True, TAG_FACADE_TOP)
         cap(P, np.pi / 2.0, TAG_CAP_LEFT)
 
-    points = np.concatenate(pts)
-    normals = np.concatenate(nrm)
-    R = rotation_matrix(spec.angle)
-    points = points @ R.T + np.asarray(spec.center)
-    normals = normals @ R.T
-
-    return BoundaryMesh(points=points, normals=normals,
+    normals = np.concatenate(nrm) @ rotation_matrix(spec.angle).T
+    return BoundaryMesh(points=to_world(spec, np.concatenate(pts)), normals=normals,
                         curvatures=np.concatenate(kap),
                         weights=np.concatenate(wts),
                         tags=np.concatenate(tags),
@@ -256,8 +235,3 @@ def write_csv(path: str, header, *columns) -> None:
         w.writerows(zip(*(c.astype(int).tolist() if c.dtype == bool else c.tolist()
                           for c in cols)))
 
-
-def dump_mesh_csv(mesh: BoundaryMesh, path: str) -> None:
-    write_csv(path, MESH_CSV_HEADER, mesh.points[:, 0], mesh.points[:, 1],
-              mesh.normals[:, 0], mesh.normals[:, 1], mesh.curvatures,
-              mesh.weights, mesh.tags)

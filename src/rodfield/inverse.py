@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.typing import NDArray
@@ -23,7 +23,8 @@ from .solver import eval_u, solve_forward
 
 
 class IdentifiabilityError(ValueError):
-    """Raised when the data cannot constrain the rod (e.g. a = 0)."""
+    """Raised when the data cannot constrain the rod (a = 0, or fewer
+    sensors than fit parameters)."""
 
 
 class PlacementError(ValueError):
@@ -41,6 +42,9 @@ RESIDUAL_TOL = 1e-3
 START_ANGLES = np.arange(8) * (np.pi / 8.0)
 # At a = (1, 1) perturbation_linear's strengths are the amplitudes.
 _UNIT = np.ones(2)
+# The fit's parameters: centre (2), angle, length and two channel
+# amplitudes.  Fewer sensors than this leave LM underdetermined.
+N_PARAMS = 6
 
 
 @dataclass(frozen=True)
@@ -51,12 +55,20 @@ class SensorSet:
     points: NDArray
     values: NDArray
     background: HarmonicBackground
-    center: tuple[float, float] = (0.0, 0.0)
-    radius: float = 0.0
     noise_rms: float = 0.0
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @property
+    def center(self) -> NDArray:
+        """Centroid of the sensor points."""
+        return self.points.mean(axis=0)
+
+    @property
+    def radius(self) -> float:
+        """Mean distance of the sensors from their centroid."""
+        return float(np.linalg.norm(self.points - self.center, axis=1).mean())
 
 
 @dataclass(frozen=True)
@@ -73,19 +85,9 @@ class FitResult:
     converged: bool
 
     def to_dict(self) -> dict:
-        P, Q = self.endpoints
-        return {
-            "endpoints": [list(map(float, P)), list(map(float, Q))],
-            "strength": float(self.strength),
-            "strength_transverse": float(self.strength_transverse),
-            "center": list(map(float, self.center)),
-            "angle": float(self.angle),
-            "length": float(self.length),
-            "residual": float(self.residual),
-            "residual_rel": float(self.residual_rel),
-            "iterations": int(self.iterations),
-            "converged": bool(self.converged),
-        }
+        """Fields in order, arrays as (nested) lists of plain floats."""
+        return {f.name: np.asarray(getattr(self, f.name)).tolist()
+                for f in fields(self)}
 
 
 def _require_identifiable(bg: HarmonicBackground) -> None:
@@ -129,11 +131,8 @@ def simulate_measurements(spec: RodSpec, bg: HarmonicBackground,
         rng = np.random.default_rng(seed)
         values = values + rng.normal(0.0, noise_rms, size=len(points))
 
-    center = points.mean(axis=0)
-    radius = float(np.linalg.norm(points - center, axis=1).mean())
     return SensorSet(points=points, values=np.asarray(values),
-                     background=bg, center=tuple(center), radius=radius,
-                     noise_rms=noise_rms)
+                     background=bg, noise_rms=noise_rms)
 
 
 def _perturbation(params: NDArray, points: NDArray) -> NDArray:
@@ -161,15 +160,8 @@ def initial_center_guess(data: SensorSet) -> NDArray:
     """Warm start: centroid of |u - H| over the sensor circle."""
     w = np.abs(data.values - data.background.value(data.points))
     if w.sum() == 0.0:
-        return np.asarray(data.center, dtype=float)
+        return data.center
     return (w[:, None] * data.points).sum(axis=0) / w.sum()
-
-
-def _canonicalize(z0: NDArray, theta: float, L: float):
-    """Fold the theta <-> theta+pi symmetry: theta in [0, pi), L >= 0."""
-    L = abs(L)
-    theta = theta % np.pi
-    return z0, theta, L
 
 
 def fit_rod(data: SensorSet) -> FitResult:
@@ -191,6 +183,9 @@ def fit_rod(data: SensorSet) -> FitResult:
     does any fit to data with no signal.
     """
     _require_identifiable(data.background)
+    if len(data) < N_PARAMS:
+        raise IdentifiabilityError(f"fit needs at least {N_PARAMS} sensors for "
+                                   f"its {N_PARAMS} parameters, got {len(data)}")
     signal = data.values - data.background.value(data.points)
     p0 = _start(data, signal)
 
@@ -202,7 +197,8 @@ def fit_rod(data: SensorSet) -> FitResult:
 
     a_loc = rotation_matrix(res.x[2]).T @ data.background.linear_part
     c, c_tr = res.x[4] / a_loc[0], res.x[5] / a_loc[1]
-    z0, theta, L = _canonicalize(res.x[:2], res.x[2], res.x[3])
+    # fold the theta <-> theta + pi symmetry: theta in [0, pi), L >= 0
+    z0, theta, L = res.x[:2], res.x[2] % np.pi, abs(res.x[3])
     axis = np.array([np.cos(theta), np.sin(theta)])
     P_hat = z0 - (L / 2.0) * axis
     Q_hat = z0 + (L / 2.0) * axis
@@ -258,11 +254,10 @@ def load_measurements_csv(path: str, bg: HarmonicBackground,
                 vals.append(float(row[2]))
             except (IndexError, ValueError) as exc:
                 raise ValidationError(f"{path}:{ln}: bad row {row!r}") from exc
-    points = np.asarray(pts)
-    center = points.mean(axis=0)
-    radius = float(np.linalg.norm(points - center, axis=1).mean())
-    return SensorSet(points=points, values=np.asarray(vals), background=bg,
-                     center=tuple(center), radius=radius, noise_rms=noise_rms)
+    if not pts:
+        raise ValidationError(f"{path}: no data rows")
+    return SensorSet(points=np.asarray(pts), values=np.asarray(vals), background=bg,
+                     noise_rms=noise_rms)
 
 
 def dump_fit_json(result: FitResult, path: str) -> None:

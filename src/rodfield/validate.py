@@ -59,7 +59,7 @@ def _suite_meshes() -> list[BoundaryMesh]:
     ]
 
 
-def run_validation(verbose: bool = False) -> list[CheckResult]:
+def run_validation() -> list[CheckResult]:
     checks: list[CheckResult] = []
     meshes = _suite_meshes()
 

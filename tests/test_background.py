@@ -25,6 +25,12 @@ def test_polynomial_length_check():
         HarmonicBackground.polynomial((1.0, 2.0))
 
 
+@pytest.mark.parametrize("a", [(1.0,), (1.0, 0.5, 7.0), ((1.0, 0.5),)])
+def test_linear_length_check(a):
+    with pytest.raises(ValueError):
+        HarmonicBackground.linear(a)
+
+
 @given(coef, coef, coef, coef, coef, st.floats(-3, 3), st.floats(-3, 3))
 @settings(max_examples=60, deadline=None)
 def test_harmonicity(c0, c1, c2, c3, c4, x1, x2):

@@ -2,7 +2,6 @@
 
 import csv
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -132,18 +131,6 @@ def test_forward_with_density(config_path, tmp_path, capsys):
     # a linear background excites two of the four parity blocks
     assert "blocks=2" in summary
     assert _near_count(summary) == sum(int(r[5]) for r in _read_csv(out)[1:])
-
-
-def test_threads_without_threadpoolctl_warns(config_path, tmp_path, capsys,
-                                             monkeypatch):
-    # a None entry in sys.modules makes the import raise ImportError
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-    code = main(["--threads", "1", "asymptotic", "--config", config_path,
-                 "--out", str(tmp_path / "asym.csv")])
-    assert code == EXIT_OK
-    assert "warning: --threads" in capsys.readouterr().err
-    main(["asymptotic", "--config", config_path, "--out", str(tmp_path / "asym.csv")])
-    assert capsys.readouterr().err == ""
 
 
 def test_asymptotic_command(config_path, tmp_path):
@@ -290,6 +277,27 @@ def test_invert_noise_is_stated_for_loaded_data(config_path, tmp_path):
                  "--noise", "1e-3", "--out", out]) == EXIT_OK
 
 
+def test_invert_header_only_data_exits_2(config_path, tmp_path, capsys):
+    data = tmp_path / "empty.csv"
+    data.write_text("x1,x2,u\n")
+    code = main(["invert", "--config", config_path, "--data", str(data),
+                 "--out", str(tmp_path / "fit.json")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_invert_three_sensors_exits_1(config_path, tmp_path, capsys):
+    # three values cannot fix the fit's six parameters
+    pts = sensor_circle((0.0, 0.0), 3.0, 3)
+    data = tmp_path / "three.csv"
+    np.savetxt(data, np.column_stack([pts, pts @ [1.0, 0.5] + 0.01]), delimiter=",",
+               header="x1,x2,u", comments="", fmt="%.17g")
+    code = main(["invert", "--config", config_path, "--data", str(data),
+                 "--out", str(tmp_path / "fit.json")])
+    assert code == EXIT_FAILURE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_invert_missing_data_hint(config_path, tmp_path, capsys):
     code = main(["invert", "--config", config_path,
                  "--data", str(tmp_path / "absent.csv")])
@@ -302,6 +310,24 @@ def test_bad_config_exit_code(tmp_path, capsys):
     path.write_text("rod:\n  L: 2.0\n  delta: -1.0\nbackground:\n  a: [1, 0]\n")
     code = main(["fieldmap", "--config", str(path)])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("old, new", [
+    ("  ny: 5\n", ""),
+    ("  radius: 3.0\n", ""),
+    ("  n_cap: 16", "  n_cap: abc"),
+    ("a: [1.0, 0.5]", "a: [1.0]"),
+    ("a: [1.0, 0.5]", "a: [1.0, 0.5, 7.0]"),
+    ("deltas: [0.1, 0.05]", "deltas: 0.1"),
+])
+def test_malformed_config_exits_2(old, new, tmp_path, capsys):
+    # each of these ended in a traceback, or (a 3-vector a) was read silently
+    assert CONFIG.count(old) == 1
+    path = tmp_path / "bad.yaml"
+    path.write_text(CONFIG.replace(old, new))
+    code = main(["compare", "--config", str(path), "--out", str(tmp_path / "c.json")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_missing_grid_exit_code(tmp_path):

@@ -105,6 +105,21 @@ def test_sweep_block():
         parse_config(raw)
 
 
+@pytest.mark.parametrize("block, value, match", [
+    ("grid", {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 3},
+     "grid block missing 'ny'"),
+    ("sensors", {"center": [0.0, 0.0], "count": 32},
+     "sensors block missing 'radius'"),
+    ("solver", {"n_cap": "abc"}, "solver: "),
+    ("background", {"a": [1.0]}, "background: "),
+    ("background", {"a": [1.0, 0.5, 7.0]}, "background: "),
+    ("sweep", {"deltas": 0.1}, "sweep: "),
+])
+def test_malformed_block_names_it(block, value, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(_cfg(**{block: value}))
+
+
 def test_solver_block():
     # n_quad loads and is ignored: the closed form has no quadrature order
     raw = _cfg(solver={"n_cap": 64, "n_facade": 128, "n_quad": 48})

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rodfield import RodSpec, ValidationError, build_mesh, to_local, to_world
-from rodfield.geometry import (default_counts, dump_mesh_csv, rotation_matrix,
-                               signed_distance, write_csv)
+from rodfield.geometry import (default_counts, rotation_matrix, signed_distance,
+                               write_csv)
 
 
 def test_spec_validation():
@@ -120,17 +120,6 @@ def test_signed_distance_signs():
     assert d[2] == pytest.approx(2.0 - 0.1, abs=1e-12)
 
 
-def test_dump_mesh_csv(tmp_path):
-    mesh = build_mesh(RodSpec(L=2.0, delta=0.1), n_cap=8, n_facade=16)
-    path = tmp_path / "mesh.csv"
-    dump_mesh_csv(mesh, str(path))
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    assert len(rows) == len(mesh) + 1
-    x = np.array([[float(r[0]), float(r[1])] for r in rows[1:]])
-    assert np.allclose(x, mesh.points)
-
-
 def loop_csv(path, header, floats, ints, strs, flags):
     """Reference: the per-row loop the CSV dumps used before ``write_csv``."""
     with open(path, "w", newline="") as f:
@@ -151,10 +140,3 @@ def test_write_csv_matches_row_loop(tmp_path):
     loop_csv(tmp_path / "loop.csv", header, (x, y), ints, tags, flags)
     write_csv(str(tmp_path / "new.csv"), header, ints, x, y, tags, flags)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
-
-
-def test_node_accessor():
-    mesh = build_mesh(RodSpec(L=2.0, delta=0.1), n_cap=8, n_facade=8)
-    node = mesh.node(0)
-    assert np.allclose(node.position, mesh.points[0])
-    assert node.tag in {"facade_bottom", "facade_top", "cap_left", "cap_right"}

@@ -61,8 +61,7 @@ def test_identifiability_error_for_flat_background():
     flat = HarmonicBackground.linear((0.0, 0.0))
     data = simulate_measurements(SPEC, BG, POINTS, source="asymptotic")
     data = data.__class__(points=data.points, values=data.values,
-                          background=flat, center=data.center,
-                          radius=data.radius)
+                          background=flat)
     with pytest.raises(IdentifiabilityError):
         fit_rod(data)
 
@@ -110,7 +109,7 @@ def _two_rod_data():
     values = BG.value(POINTS) + sum(
         simulate_measurements(r, BG, POINTS, source="asymptotic").values
         - BG.value(POINTS) for r in rods)
-    return SensorSet(points=POINTS, values=values, background=BG, radius=3.0)
+    return SensorSet(points=POINTS, values=values, background=BG)
 
 
 def test_two_rod_data_is_not_converged():
@@ -122,8 +121,7 @@ def test_two_rod_data_is_not_converged():
 
 def test_data_without_perturbation_is_not_converged():
     # the residual gate read 0 <= 0 and passed a rod fitted to nothing
-    data = SensorSet(points=POINTS, values=BG.value(POINTS), background=BG,
-                     radius=3.0)
+    data = SensorSet(points=POINTS, values=BG.value(POINTS), background=BG)
     assert not fit_rod(data).converged
 
 
@@ -238,6 +236,28 @@ def test_measurement_csv_errors(tmp_path):
         load_measurements_csv(str(no_header), BG)
 
 
+def test_header_only_csv_is_refused(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("x1,x2,u\n")
+    with pytest.raises(ValidationError, match="no data rows"):
+        load_measurements_csv(str(path), BG)
+
+
+def test_fit_refuses_fewer_sensors_than_parameters():
+    data = simulate_measurements(SPEC, BG, POINTS, source="asymptotic")
+    few = SensorSet(points=data.points[::13], values=data.values[::13], background=BG)
+    assert len(few) == 5
+    with pytest.raises(IdentifiabilityError, match="6 sensors"):
+        fit_rod(few)
+
+
+def test_sensor_center_and_radius_follow_points():
+    data = SensorSet(points=POINTS + [1.0, -2.0], values=np.zeros(len(POINTS)),
+                     background=BG)
+    assert np.allclose(data.center, [1.0, -2.0], atol=1e-14)
+    assert data.radius == pytest.approx(3.0, rel=1e-14)
+
+
 def test_dump_fit_json(tmp_path):
     import json
 
@@ -246,6 +266,15 @@ def test_dump_fit_json(tmp_path):
     path = tmp_path / "fit.json"
     dump_fit_json(fit, str(path))
     loaded = json.loads(path.read_text())
+    assert list(loaded) == ["endpoints", "strength", "strength_transverse",
+                            "center", "angle", "length", "residual",
+                            "residual_rel", "iterations", "converged"]
     assert loaded["converged"] is True
     assert loaded["residual_rel"] == fit.residual_rel
     assert len(loaded["endpoints"]) == 2
+    for point in (*loaded["endpoints"], loaded["center"]):
+        assert len(point) == 2 and all(type(x) is float for x in point)
+    assert type(loaded["iterations"]) is int
+    assert all(type(loaded[k]) is float for k in (
+        "strength", "strength_transverse", "angle", "length", "residual",
+        "residual_rel"))
