@@ -43,32 +43,36 @@ def _asymptotic_near(cfg: RunConfig, pts: np.ndarray) -> np.ndarray:
 
 
 def fieldmap_arrays(cfg: RunConfig, model: str, pts: np.ndarray):
-    """Perturbation magnitude |u - H| and |grad u - grad H| on points.
+    """Perturbation magnitude |u - H| and |grad u - grad H| on points, the
+    near flags and the BEM mesh size (None for the closed form).
 
     Both come from the perturbation itself (the single layer, or the
     closed form's terms), never from u - H, which cancels where the
     perturbation is small against the background.
     """
+    n = None
     if model == "bem":
         sol = solve_forward(cfg.rod, cfg.background,
                             n_cap=cfg.n_cap, n_facade=cfg.n_facade)
         s, gs, near = single_layer_field(sol.mesh, sol.phi, pts)
+        n = len(sol.mesh)
     elif model == "asymptotic":
         s, gs = asymptotic_perturbation(
             AsymptoticModel.from_spec(cfg.rod, cfg.background), pts)
         near = _asymptotic_near(cfg, pts)
     else:
         raise ConfigError(f"unknown model {model!r}")
-    return np.abs(s), np.linalg.norm(gs, axis=1), near
+    return np.abs(s), np.linalg.norm(gs, axis=1), near, n
 
 
 def cmd_fieldmap(args) -> int:
     cfg = load_config(args.config)
     pts = _grid_or_error(cfg)
-    du, dg, near = fieldmap_arrays(cfg, args.model, pts)
+    du, dg, near, n = fieldmap_arrays(cfg, args.model, pts)
     write_csv(args.out, ["x1", "x2", "du", "dgrad", "near_flag"],
               pts[:, 0], pts[:, 1], du, dg, near)
-    print(f"fieldmap: wrote {len(pts)} rows to {args.out}  "
+    mesh = f"  n={n}" if n is not None else ""
+    print(f"fieldmap: wrote {len(pts)} rows to {args.out}{mesh}  "
           f"near={np.count_nonzero(near)}")
     return EXIT_OK
 
@@ -81,9 +85,7 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare: L = 0 (disc) has no rod asymptotic model")
     # Probe circle offset from the rod center: on the axis the leading
     # error term has a sign change that masks the delta decay.
-    probe_center = (cfg.rod.center[0] + cfg.sweep_probe_offset[0],
-                    cfg.rod.center[1] + cfg.sweep_probe_offset[1])
-    probe = sensor_circle(probe_center, cfg.sweep_probe_radius,
+    probe = sensor_circle(cfg.probe_center, cfg.sweep_probe_radius,
                           cfg.sweep_probe_count)
     rows = []
     for delta in cfg.sweep_deltas:
@@ -105,7 +107,7 @@ def cmd_compare(args) -> int:
             "wall_seconds": time.perf_counter() - t0,
         })
     report = {"probe_radius": cfg.sweep_probe_radius,
-              "probe_center": list(probe_center), "rows": rows}
+              "probe_center": list(cfg.probe_center), "rows": rows}
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2)
         f.write("\n")

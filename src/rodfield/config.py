@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
@@ -59,6 +59,12 @@ class RunConfig:
     sweep_probe_count: int = 64
     sweep_probe_offset: tuple[float, float] = (0.0, 1.0)
 
+    @property
+    def probe_center(self) -> tuple[float, float]:
+        """Centre of compare's probe circle: the rod centre plus the offset."""
+        return (self.rod.center[0] + self.sweep_probe_offset[0],
+                self.rod.center[1] + self.sweep_probe_offset[1])
+
 
 def load_config(path: str) -> RunConfig:
     try:
@@ -88,21 +94,27 @@ def _background(b: dict) -> dict:
     raise ValueError("need 'a' or 'coefficients'")
 
 
+def _count(v, name: str, least: int = 1) -> int:
+    """An integer field.  A fractional value is refused, not truncated."""
+    f = float(v)
+    if not f.is_integer() or f < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+    return int(f)
+
+
 def _grid(g: dict) -> dict:
-    grid = GridSpec(float(g["xmin"]), float(g["xmax"]),
-                    float(g["ymin"]), float(g["ymax"]), int(g["nx"]), int(g["ny"]))
-    if grid.nx < 2 or grid.ny < 2:
-        raise ValueError("nx and ny must be >= 2")
-    return {"grid": grid}
+    return {"grid": GridSpec(float(g["xmin"]), float(g["xmax"]),
+                             float(g["ymin"]), float(g["ymax"]),
+                             _count(g["nx"], "nx", 2), _count(g["ny"], "ny", 2))}
 
 
 def _sensors(s: dict) -> dict:
     return {"sensors": SensorSpec(_pair(s.get("center", (0.0, 0.0)), "center"),
-                                  float(s["radius"]), int(s["count"]))}
+                                  float(s["radius"]), _count(s["count"], "count"))}
 
 
 def _solver(s: dict) -> dict:
-    return {k: int(s[k]) for k in ("n_cap", "n_facade") if k in s}
+    return {k: _count(s[k], k) for k in ("n_cap", "n_facade") if k in s}
 
 
 def _sweep(s: dict) -> dict:
@@ -111,7 +123,7 @@ def _sweep(s: dict) -> dict:
         raise ValueError("deltas must be positive")
     return {"sweep_deltas": deltas,
             "sweep_probe_radius": float(s.get("probe_radius", 3.0)),
-            "sweep_probe_count": int(s.get("probe_count", 64)),
+            "sweep_probe_count": _count(s.get("probe_count", 64), "probe_count"),
             "sweep_probe_offset": _pair(s.get("probe_offset", (0.0, 1.0)),
                                         "probe_offset")}
 
@@ -148,6 +160,16 @@ def _parse_block(name: str, block) -> dict:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
+def _check_encloses(rod: RodSpec, center, radius: float, name: str) -> None:
+    """Refuse a circle that does not enclose the rod with a 2*delta margin."""
+    c = np.asarray(center)
+    P, Q = rod.cap_centers_world()
+    reach = max(np.linalg.norm(P - c), np.linalg.norm(Q - c)) + rod.delta
+    if reach + 2.0 * rod.delta >= radius:
+        raise ConfigError(f"{name}: circle does not enclose the rod with "
+                          f"a 2*delta margin (delta={rod.delta!r})")
+
+
 def parse_config(raw: dict) -> RunConfig:
     _require_keys(raw, set(_BLOCKS), "config")
     for name in ("rod", "background"):
@@ -159,11 +181,9 @@ def parse_config(raw: dict) -> RunConfig:
             kwargs.update(_parse_block(name, raw[name]))
     cfg = RunConfig(**kwargs)
     if cfg.sensors is not None:
-        # the sensor circle must enclose the rod with a safety margin
-        rod, c = cfg.rod, np.asarray(cfg.sensors.center)
-        P, Q = rod.cap_centers_world()
-        reach = max(np.linalg.norm(P - c), np.linalg.norm(Q - c)) + rod.delta
-        if reach + 2.0 * rod.delta >= cfg.sensors.radius:
-            raise ConfigError("sensors: circle does not enclose the rod with "
-                              "a 2*delta margin")
+        _check_encloses(cfg.rod, cfg.sensors.center, cfg.sensors.radius, "sensors")
+    if cfg.sweep_deltas:
+        # the probe circle of compare, at the sweep's thickest rod
+        _check_encloses(replace(cfg.rod, delta=max(cfg.sweep_deltas)),
+                        cfg.probe_center, cfg.sweep_probe_radius, "sweep")
     return cfg

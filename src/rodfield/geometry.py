@@ -53,6 +53,8 @@ class RodSpec:
             raise ValidationError(f"L must be >= 0, got {self.L}")
         if not np.isfinite(self.delta) or self.delta <= 0:
             raise ValidationError(f"delta must be > 0, got {self.delta}")
+        if not np.isfinite(self.angle):
+            raise ValidationError(f"angle must be finite, got {self.angle}")
         if not np.isfinite(self.sigma0) or self.sigma0 <= 0:
             raise ValidationError(f"sigma0 must be > 0, got {self.sigma0}")
         if self.sigma0 == 1.0:
@@ -122,7 +124,7 @@ class BoundaryMesh:
 
 #: Gauss-Legendre points per panel, and the rule on (-1, 1).
 PANEL_ORDER = 8
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(PANEL_ORDER)
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(PANEL_ORDER)
 
 
 def _segment_rule(length: float, n_nodes: int) -> tuple[NDArray, NDArray]:
@@ -134,8 +136,8 @@ def _segment_rule(length: float, n_nodes: int) -> tuple[NDArray, NDArray]:
     n_panels = -(-n_nodes // PANEL_ORDER)
     h = length / n_panels
     starts = h * np.arange(n_panels)
-    s = (starts[:, None] + h * (_GAUSS_NODES[None, :] + 1.0) / 2.0).ravel()
-    w = np.broadcast_to(h * _GAUSS_WEIGHTS / 2.0, (n_panels, PANEL_ORDER)).ravel().copy()
+    s = (starts[:, None] + h * (GAUSS_NODES[None, :] + 1.0) / 2.0).ravel()
+    w = np.broadcast_to(h * GAUSS_WEIGHTS / 2.0, (n_panels, PANEL_ORDER)).ravel().copy()
     return s, w
 
 
@@ -205,11 +207,18 @@ def build_mesh(spec: RodSpec, n_cap: int, n_facade: int = 0) -> BoundaryMesh:
 
 
 def default_counts(spec: RodSpec) -> tuple[int, int]:
-    """Default node counts: resolve the delta-scale kernel variation."""
+    """Default node counts: 32 per cap and L/(2 delta) per facade side.
+
+    Facade panels are then 16 delta long, 8 times the gap between the
+    sides.  The kernel across the gap, the A_delta Lorentzian, is
+    integrated exactly against each panel's interpolant (see
+    ``potentials.assemble_np``), so the panels only have to resolve the
+    density, not the 2 delta width of the kernel.
+    """
     n_cap = 32
     if spec.L == 0.0:
         return n_cap, 0
-    n_facade = max(32, int(np.ceil(spec.L / spec.delta)))
+    n_facade = max(32, int(np.ceil(spec.L / (2.0 * spec.delta))))
     return n_cap, n_facade
 
 

@@ -67,7 +67,9 @@ def test_fieldmap_bem(config_path, tmp_path, capsys):
     rows = _read_csv(out)
     assert rows[0] == ["x1", "x2", "du", "dgrad", "near_flag"]
     assert len(rows) == 26
-    assert _near_count(capsys.readouterr().out) == sum(int(r[4]) for r in rows[1:])
+    summary = capsys.readouterr().out
+    assert _near_count(summary) == sum(int(r[4]) for r in rows[1:])
+    assert "  n=128  " in summary   # 2 * (n_cap + n_facade)
 
 
 def test_fieldmap_asymptotic_matches_repeat(config_path, tmp_path):
@@ -328,6 +330,33 @@ def test_malformed_config_exits_2(old, new, tmp_path, capsys):
     code = main(["compare", "--config", str(path), "--out", str(tmp_path / "c.json")])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("old, new, block", [
+    # RodSpec did not check the angle, and the rotation failed in an SVD
+    ("angle: 0.0", "angle: .nan", "rod"),
+    # int() read 2.7 as 2 and the run went on
+    ("nx: 5", "nx: 2.7", "grid"),
+    ("ny: 5", "ny: 5.5", "grid"),
+    ("count: 32", "count: 32.5", "sensors"),
+    ("n_cap: 16", "n_cap: 16.5", "solver"),
+    ("n_facade: 48", "n_facade: 47.9", "solver"),
+    ("probe_count: 16", "probe_count: 16.5", "sweep"),
+    # a numpy traceback
+    ("probe_count: 16", "probe_count: 0", "sweep"),
+    # the probe circle was never checked against the rod.  Around (0, 1) it
+    # must exceed sqrt(2) + 3 delta at the sweep's largest delta, 1.71: a
+    # radius of 1.6 clears the rod of delta = 0.05 but not that of 0.1
+    ("probe_radius: 3.0", "probe_radius: 0.5", "sweep"),
+    ("probe_radius: 3.0", "probe_radius: 1.6", "sweep"),
+])
+def test_bad_value_exits_2_naming_its_block(old, new, block, tmp_path, capsys):
+    assert CONFIG.count(old) == 1
+    path = tmp_path / "bad.yaml"
+    path.write_text(CONFIG.replace(old, new))
+    code = main(["compare", "--config", str(path), "--out", str(tmp_path / "c.json")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {block}: ")
 
 
 def test_missing_grid_exit_code(tmp_path):

@@ -4,6 +4,7 @@ import dataclasses
 import re
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,7 +14,7 @@ from rodfield import (DensityVector, HarmonicBackground, RodSpec,
                       ValidationError, build_mesh, assemble_np, lambda_of_sigma,
                       neumann_data, single_layer, single_layer_field,
                       single_layer_grad, solve_density)
-from rodfield.geometry import TAG_FACADE_BOTTOM, TAG_FACADE_TOP, to_local
+from rodfield.geometry import PANEL_ORDER, TAG_FACADE_BOTTOM, TAG_FACADE_TOP, to_local
 from rodfield.potentials import NEAR_FACTOR, SolverError, dump_density_csv
 
 
@@ -25,14 +26,67 @@ def rod_mesh():
     return build_mesh(RodSpec(L=2.0, delta=0.1), n_cap=32, n_facade=64)
 
 
+def _facade_sides(mesh):
+    return [np.flatnonzero(mesh.tag_mask(t)) for t in (TAG_FACADE_TOP, TAG_FACADE_BOTTOM)]
+
+
+def _facade_panels(mesh, cols):
+    """The panels of one facade side: (node indices in increasing x1, lower
+    and upper x1 of each panel), PANEL_ORDER nodes to a panel."""
+    x1 = to_local(mesh.spec, mesh.points)[:, 0]
+    n_panels = len(cols) // PANEL_ORDER
+    h = mesh.spec.L / n_panels
+    lo = -mesh.spec.L / 2.0 + h * np.arange(n_panels)
+    return cols[np.argsort(x1[cols])].reshape(n_panels, PANEL_ORDER), lo, lo + h
+
+
+def _twin_panel(mesh, rows, lo):
+    """Index of the opposite-side panel over which each row node sits."""
+    x1 = to_local(mesh.spec, mesh.points)[rows, 0]
+    return np.searchsorted(lo, x1, side="right") - 1
+
+
+def product_facade_weights(mesh, reach=1, sub=64, order=16):
+    """Reference: opposite-facade entries within ``reach`` panels of the
+    row's twin panel, the A_delta Lorentzian integrated against the
+    source panel's Lagrange basis by a composite sub-rule.  Returns
+    (rows, cols, weights) in dense indices."""
+    delta = mesh.spec.delta
+    x1 = to_local(mesh.spec, mesh.points)[:, 0]
+    t, tw = np.polynomial.legendre.leggauss(order)
+    top, bottom = _facade_sides(mesh)
+    out = []
+    for rows, cols in ((top, bottom), (bottom, top)):
+        panels, lo, hi = _facade_panels(mesh, cols)
+        twin = _twin_panel(mesh, rows, lo)
+        for p, nodes in enumerate(panels):
+            edges = np.linspace(lo[p], hi[p], sub + 1)
+            half = (edges[1] - edges[0]) / 2.0
+            s = ((edges[:-1] + edges[1:])[:, None] / 2.0 + half * t).ravel()
+            ws = np.tile(half * tw, sub)
+            y = x1[nodes]
+            basis = np.stack([np.prod([(s - y[k]) / (y[j] - y[k])
+                                       for k in range(len(y)) if k != j], axis=0)
+                              for j in range(len(y))], axis=1)
+            near = rows[np.abs(twin - p) <= reach]
+            lor = delta / (np.pi * ((x1[near, None] - s) ** 2 + 4.0 * delta**2))
+            out.append((np.repeat(near, len(y)), np.tile(nodes, len(near)),
+                        ((lor * ws) @ basis).ravel()))
+    return tuple(np.concatenate(a) for a in zip(*out))
+
+
 def dense_np(mesh):
-    """Reference: the dense (n, n) Nystrom assembly, one einsum per pair."""
+    """Reference: the dense (n, n) Nystrom assembly, one einsum per pair,
+    with the product-quadrature facade entries of product_facade_weights."""
     x, nu, w = mesh.points, mesh.normals, mesh.weights
     dx = x[:, None, :] - x[None, :, :]
     r2 = np.einsum("ijk,ijk->ij", dx, dx)
     np.fill_diagonal(r2, 1.0)
     kern = np.einsum("ijk,ik->ij", dx, nu) / (2.0 * np.pi * r2)
     np.fill_diagonal(kern, mesh.curvatures / (4.0 * np.pi))
+    if mesh.n_facade:
+        rows, cols, weights = product_facade_weights(mesh)
+        kern[rows, cols] = weights / w[cols]
     kern[np.diag_indices_from(kern)] += (0.5 - (w @ kern)) / w
     return kern * w[None, :]
 
@@ -93,10 +147,6 @@ def test_parity_blocks_match_dense_assembly(name):
                        np.sort_complex(np.linalg.eigvals(ref)), atol=1e-10)
 
 
-def _facade_sides(mesh):
-    return [np.flatnonzero(mesh.tag_mask(t)) for t in (TAG_FACADE_TOP, TAG_FACADE_BOTTOM)]
-
-
 def test_same_side_facade_pairs_are_zero():
     # (x - y).nu_x vanishes on a straight side; the world-frame assembly
     # wrote rounding there
@@ -108,6 +158,38 @@ def test_same_side_facade_pairs_are_zero():
         assert not pairs.any()
 
 
+def mp_panel_weights(delta, x, lo, hi):
+    """30-digit quadrature: the A_delta Lorentzian at x1 = x integrated
+    against the Lagrange basis of the Gauss nodes of the panel (lo, hi)
+    on the other side, through the monomial moments in panel coordinates."""
+    with mp.workdps(30):
+        c, r = (mp.mpf(lo) + mp.mpf(hi)) / 2, (mp.mpf(hi) - mp.mpf(lo)) / 2
+        w, beta = (mp.mpf(x) - c) / r, 2 * mp.mpf(delta) / r
+        nodes = np.polynomial.legendre.leggauss(PANEL_ORDER)[0]
+        cuts = [-1, w, 1] if -1 < w < 1 else [-1, 1]
+        moments = mp.matrix([mp.quad(lambda t: t**k * beta / ((t - w) ** 2 + beta**2), cuts)
+                             for k in range(PANEL_ORDER)])
+        vander = mp.matrix([[mp.mpf(t) ** k for k in range(PANEL_ORDER)] for t in nodes])
+        weights = mp.lu_solve(vander.T, moments) / (2 * mp.pi)
+        return np.array([float(v) for v in weights])
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.25, 1.5, 6.4])
+def test_lorentzian_table_matches_mpmath(beta):
+    # on panels (-1, 1) across a gap 2 delta, beta = 2 delta; offset o puts
+    # the source panel at (2 o - 1, 2 o + 1).  beta = 0.25 is the default
+    # mesh, 6.4 the finest in validate, where every target takes the far
+    # rule.  Measured: <= 3.2e-14 of the largest entry here, <= 1.0e-13 for
+    # beta from 0.01 to 20 (at 0.8)
+    table = potentials.lorentzian_panel_weights(beta)
+    reach = potentials.PRODUCT_REACH
+    assert table.shape == (2 * reach + 1, PANEL_ORDER, PANEL_ORDER)
+    nodes = np.polynomial.legendre.leggauss(PANEL_ORDER)[0]
+    ref = np.array([[mp_panel_weights(beta / 2, x, 2 * o - 1, 2 * o + 1) for x in nodes]
+                    for o in range(-reach, reach + 1)])
+    assert np.abs(table - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_opposite_side_facade_pairs_are_the_a_delta_kernel():
     mesh = SYMMETRY_MESHES["odd_panels"]()
     delta = mesh.spec.delta
@@ -115,9 +197,30 @@ def test_opposite_side_facade_pairs_are_the_a_delta_kernel():
     x1 = to_local(mesh.spec, mesh.points)[:, 0]
     top, bottom = _facade_sides(mesh)
     for rows, cols in ((top, bottom), (bottom, top)):
+        lo = _facade_panels(mesh, cols)[1]
+        twin = _twin_panel(mesh, rows, lo)
+        # beyond one panel of the row's twin: the plain Lorentzian entry
+        col_panel = _twin_panel(mesh, cols, lo)
+        far = np.abs(twin[:, None] - col_panel) > 1
+        assert far.any() and not far.all()
         t = x1[rows, None] - x1[cols]
         ref = delta / (np.pi * (t * t + 4.0 * delta**2)) * mesh.weights[cols]
-        assert np.abs(dense[np.ix_(rows, cols)] / ref - 1.0).max() <= 1e-14
+        got = dense[np.ix_(rows, cols)]
+        assert np.abs(got[far] / ref[far] - 1.0).max() <= 1e-14
+    # within reach: the Lorentzian against the source panel's interpolant,
+    # on the top rows over the middle panel (which straddles x1 = 0, so its
+    # columns split between A_R2 and A_R1R2) and over the last one.
+    # Measured: 8.2e-14 of the largest entry (beta = 1 on this mesh)
+    panels, lo, hi = _facade_panels(mesh, bottom)
+    twin = _twin_panel(mesh, top, lo)
+    got, want = [], []
+    for p in (len(panels) // 2, len(panels) - 1):
+        for r in top[twin == p]:
+            for s in range(max(p - 1, 0), min(p + 2, len(panels))):
+                got.append(dense[r, panels[s]])
+                want.append(mp_panel_weights(delta, x1[r], lo[s], hi[s]))
+    want = np.array(want)
+    assert np.abs(np.array(got) - want).max() <= 2e-13 * np.abs(want).max()
 
 
 @pytest.fixture

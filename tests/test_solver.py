@@ -4,10 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from rodfield import (HarmonicBackground, RodSpec, ValidationError, eval_field,
-                      eval_grad_u, eval_u, lambda_of_sigma, solve_forward,
-                      transmission_check)
+from rodfield import (DensityVector, HarmonicBackground, RodSpec, ValidationError,
+                      build_mesh, eval_field, eval_grad_u, eval_u, lambda_of_sigma,
+                      single_layer_field, solve_forward, transmission_check)
+from rodfield.inverse import sensor_circle
 from rodfield.solver import (disc_exterior_grad, disc_exterior_u,
                              disc_interior_u, dump_field_csv)
 
@@ -132,7 +134,7 @@ def test_near_flags_on_eval(tmp_path):
 def test_eval_field_memory_bounded_by_chunk():
     # n = 464; the unchunked evaluation peaked at 341 MB on the 101^2 grid
     sol = solve_forward(RodSpec(L=2.0, delta=0.01, sigma0=2.0),
-                        HarmonicBackground.linear((1.0, 0.5)))
+                        HarmonicBackground.linear((1.0, 0.5)), n_cap=32, n_facade=200)
     assert len(sol.mesh) == 464
     peaks = {}
     for nx in (101, 201):
@@ -148,3 +150,41 @@ def test_eval_field_memory_bounded_by_chunk():
     assert peaks[101] < 16e6
     # beyond the chunk scratch only the O(m) outputs grow with the grid
     assert peaks[201] - peaks[101] < 100 * (201**2 - 101**2)
+
+
+def plain_nystrom_density(mesh, lam, bg):
+    """Reference: the plain Nystrom density, the NP kernel at every pair
+    (kappa/(4 pi) on the diagonal, plus the column-identity correction),
+    solved dense."""
+    x, nu, w = mesh.points, mesh.normals, mesh.weights
+    d1 = x[:, 0, None] - x[:, 0]
+    d2 = x[:, 1, None] - x[:, 1]
+    k = d1 * nu[:, 0, None] + d2 * nu[:, 1, None]
+    r2 = d1 * d1 + d2 * d2
+    np.fill_diagonal(r2, 1.0)
+    k /= 2.0 * np.pi * r2
+    np.fill_diagonal(k, mesh.curvatures / (4.0 * np.pi))
+    k[np.diag_indices_from(k)] += (0.5 - w @ k) / w
+    system = lam * np.eye(len(mesh)) - k * w
+    rhs = np.einsum("ij,ij->i", bg.grad(x), nu)
+    return DensityVector(scipy.linalg.solve(system, rhs), mesh)
+
+
+def test_near_insulating_rod_at_default_counts():
+    # D6: at sigma0 = 0.01, lam = -0.51 lies 0.017 from the NP spectrum.
+    # With the Lorentzian across the 2 delta gap taken by the plain 8-point
+    # rule, the default-count BEM was off by 1.03e-2 of the perturbation
+    # on the probe circle (n = 704); with the product quadrature it is off
+    # by 1.9e-6 at n = 384.  The reference is the plain Nystrom on a mesh
+    # of 4x the caps and 6x the new facade count (panels 4/3 delta long),
+    # which agrees with 4x, 12x to 2e-8.
+    spec = RodSpec(L=2.0, delta=0.00625, sigma0=0.01)
+    bg = HarmonicBackground.linear((1.0, 1.0))
+    probe = sensor_circle((0.1, 0.05), 2.0, 64)
+    sol = solve_forward(spec, bg)
+    assert len(sol.mesh) == 384
+    s_bem, _, _ = single_layer_field(sol.mesh, sol.phi, probe)
+    fine = build_mesh(spec, n_cap=128, n_facade=960)
+    ref = plain_nystrom_density(fine, lambda_of_sigma(spec.sigma0), bg)
+    s_ref, _, _ = single_layer_field(fine, ref, probe)
+    assert np.abs(s_bem - s_ref).max() <= 5e-6 * np.abs(s_ref).max()
