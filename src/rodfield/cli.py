@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -128,6 +129,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_invert(args) -> int:
+    if not (math.isfinite(args.noise) and args.noise >= 0.0):
+        raise ConfigError(f"--noise: must be finite and >= 0, got {args.noise!r}")
     cfg = load_config(args.config)
     if cfg.sensors is None:
         raise ConfigError("invert needs a 'sensors' block")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -13,6 +14,11 @@ from .geometry import RodSpec
 
 class ConfigError(ValueError):
     """Raised for unknown keys, missing blocks or inconsistent values."""
+
+
+# libyaml's parser where PyYAML was built with it, the pure-Python one
+# otherwise: both build the same plain data from a config
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _require_keys(block: dict, allowed: set, name: str) -> None:
@@ -69,7 +75,7 @@ class RunConfig:
 def load_config(path: str) -> RunConfig:
     try:
         with open(path) as f:
-            raw = yaml.safe_load(f)
+            raw = yaml.load(f, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -78,20 +84,31 @@ def load_config(path: str) -> RunConfig:
 
 
 def _rod(r: dict) -> dict:
-    return {"rod": RodSpec(L=float(r.get("L", 0.0)), delta=float(r["delta"]),
+    return {"rod": RodSpec(L=_real(r.get("L", 0.0), "L"),
+                           delta=_real(r["delta"], "delta"),
                            center=_pair(r.get("center", (0.0, 0.0)), "center"),
-                           angle=float(r.get("angle", 0.0)),
-                           sigma0=float(r.get("sigma0", 2.0)))}
+                           angle=_real(r.get("angle", 0.0), "angle"),
+                           sigma0=_real(r.get("sigma0", 2.0), "sigma0"))}
 
 
 def _background(b: dict) -> dict:
     if "a" in b and "coefficients" in b:
         raise ValueError("give either 'a' or 'coefficients', not both")
     if "a" in b:
-        return {"background": HarmonicBackground.linear(b["a"])}
+        return {"background": HarmonicBackground.linear(_pair(b["a"], "a"))}
     if "coefficients" in b:
-        return {"background": HarmonicBackground.polynomial(b["coefficients"])}
+        return {"background": HarmonicBackground.polynomial(
+            [_real(c, "coefficients") for c in b["coefficients"]])}
     raise ValueError("need 'a' or 'coefficients'")
+
+
+def _real(v, name: str) -> float:
+    """A real field.  NaN and infinities are refused: no result can use
+    them, and NaN passes every comparison check."""
+    f = float(v)
+    if not math.isfinite(f):
+        raise ValueError(f"{name} must be finite, got {v!r}")
+    return f
 
 
 def _count(v, name: str, least: int = 1) -> int:
@@ -103,14 +120,14 @@ def _count(v, name: str, least: int = 1) -> int:
 
 
 def _grid(g: dict) -> dict:
-    return {"grid": GridSpec(float(g["xmin"]), float(g["xmax"]),
-                             float(g["ymin"]), float(g["ymax"]),
-                             _count(g["nx"], "nx", 2), _count(g["ny"], "ny", 2))}
+    lims = (_real(g[k], k) for k in ("xmin", "xmax", "ymin", "ymax"))
+    return {"grid": GridSpec(*lims, _count(g["nx"], "nx", 2), _count(g["ny"], "ny", 2))}
 
 
 def _sensors(s: dict) -> dict:
     return {"sensors": SensorSpec(_pair(s.get("center", (0.0, 0.0)), "center"),
-                                  float(s["radius"]), _count(s["count"], "count"))}
+                                  _real(s["radius"], "radius"),
+                                  _count(s["count"], "count"))}
 
 
 def _solver(s: dict) -> dict:
@@ -118,20 +135,20 @@ def _solver(s: dict) -> dict:
 
 
 def _sweep(s: dict) -> dict:
-    deltas = tuple(float(d) for d in s.get("deltas", ()))
+    deltas = tuple(_real(d, "deltas") for d in s.get("deltas", ()))
     if any(d <= 0 for d in deltas):
         raise ValueError("deltas must be positive")
     return {"sweep_deltas": deltas,
-            "sweep_probe_radius": float(s.get("probe_radius", 3.0)),
+            "sweep_probe_radius": _real(s.get("probe_radius", 3.0), "probe_radius"),
             "sweep_probe_count": _count(s.get("probe_count", 64), "probe_count"),
             "sweep_probe_offset": _pair(s.get("probe_offset", (0.0, 1.0)),
                                         "probe_offset")}
 
 
 def _pair(v, name: str) -> tuple[float, float]:
-    if len(v) != 2:
-        raise ValueError(f"{name} must have two entries, got {len(v)}")
-    return float(v[0]), float(v[1])
+    if isinstance(v, str) or len(v) != 2:
+        raise ValueError(f"{name} must have two entries, got {v!r}")
+    return _real(v[0], name), _real(v[1], name)
 
 
 # block -> (allowed keys, parser returning RunConfig fields), in parse order

@@ -349,6 +349,19 @@ def test_malformed_config_exits_2(old, new, tmp_path, capsys):
     # radius of 1.6 clears the rod of delta = 0.05 but not that of 0.1
     ("probe_radius: 3.0", "probe_radius: 0.5", "sweep"),
     ("probe_radius: 3.0", "probe_radius: 1.6", "sweep"),
+    # non-finite values: NaN passed every range check and ran through to
+    # NaN columns, invalid JSON or a LinAlgError
+    pytest.param("  center: [0.0, 0.0]\n  angle", "  center: [.nan, 0]\n  angle",
+                 "rod", id="rod-center-nan"),
+    ("a: [1.0, 0.5]", "a: [.nan, 1]", "background"),
+    ("a: [1.0, 0.5]", "coefficients: [0, 1, .inf, 0, 0]", "background"),
+    ("xmin: -3.0", "xmin: .nan", "grid"),
+    ("probe_radius: 3.0", "probe_radius: .nan", "sweep"),
+    ("deltas: [0.1, 0.05]", "deltas: [.nan, 0.05]", "sweep"),
+    pytest.param("  radius: 3.0\n", "  radius: .nan\n", "sensors",
+                 id="sensors-radius-nan"),
+    pytest.param("  center: [0.0, 0.0]\n  radius", "  center: [.nan, 0]\n  radius",
+                 "sensors", id="sensors-center-nan"),
 ])
 def test_bad_value_exits_2_naming_its_block(old, new, block, tmp_path, capsys):
     assert CONFIG.count(old) == 1
@@ -357,6 +370,16 @@ def test_bad_value_exits_2_naming_its_block(old, new, block, tmp_path, capsys):
     code = main(["compare", "--config", str(path), "--out", str(tmp_path / "c.json")])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"error: {block}: ")
+
+
+@pytest.mark.parametrize("noise", ["-0.1", "nan", "inf"])
+def test_bad_noise_exits_2(noise, config_path, tmp_path, capsys):
+    # a negative noise RMS was accepted as the fit's convergence floor
+    code = main(["invert", "--config", config_path, "--synthesize",
+                 "--model", "asymptotic", "--noise", noise,
+                 "--out", str(tmp_path / "fit.json")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: --noise: ")
 
 
 def test_missing_grid_exit_code(tmp_path):

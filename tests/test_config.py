@@ -1,8 +1,14 @@
 """YAML run-configuration parsing and validation."""
 
-import pytest
+from pathlib import Path
 
+import pytest
+import yaml
+
+from rodfield import config
 from rodfield.config import ConfigError, load_config, parse_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 BASE = {
@@ -114,6 +120,8 @@ def test_sweep_block():
     ("background", {"a": [1.0]}, "background: "),
     ("background", {"a": [1.0, 0.5, 7.0]}, "background: "),
     ("sweep", {"deltas": 0.1}, "sweep: "),
+    # a two-character string was read as two numbers
+    ("rod", {"L": 2.0, "delta": 0.05, "center": "12"}, "rod: center must have"),
 ])
 def test_malformed_block_names_it(block, value, match):
     with pytest.raises(ConfigError, match=match):
@@ -128,17 +136,24 @@ def test_solver_block():
     assert cfg == parse_config(_cfg(solver={"n_cap": 64, "n_facade": 128}))
 
 
-def test_load_config_yaml(tmp_path):
-    path = tmp_path / "run.yaml"
-    path.write_text(
-        "rod:\n  L: 2.0\n  delta: 0.05\nbackground:\n  a: [1.0, 1.0]\n")
-    cfg = load_config(str(path))
-    assert cfg.rod.delta == 0.05
+def test_load_config_yaml(tmp_path, monkeypatch):
+    # libyaml's loader and the pure-Python one give the same config for the
+    # README example, and the same refusals
+    example = tmp_path / "run.yaml"
+    example.write_text(README.read_text().split("```yaml\n")[1].split("```")[0])
     bad = tmp_path / "bad.yaml"
     bad.write_text("- just\n- a list\n")
-    with pytest.raises(ConfigError, match="mapping"):
-        load_config(str(bad))
     broken = tmp_path / "broken.yaml"
     broken.write_text("rod: {L: 2.0, delta: 0.05\n")
-    with pytest.raises(ConfigError):
-        load_config(str(broken))
+    loaded = []
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        monkeypatch.setattr(config, "_LOADER", loader)
+        loaded.append(load_config(str(example)))
+        with pytest.raises(ConfigError, match="mapping"):
+            load_config(str(bad))
+        with pytest.raises(ConfigError):
+            load_config(str(broken))
+    assert loaded[0] == loaded[1]
+    assert loaded[0].rod.delta == 0.05
+    assert loaded[0].grid.nx == 101
+    assert loaded[0].sweep_deltas == (0.1, 0.05, 0.025)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rodfield import RodSpec, ValidationError, build_mesh, to_local, to_world
-from rodfield.geometry import (default_counts, rotation_matrix, signed_distance,
-                               write_csv)
+from rodfield.geometry import (CSV_BLOCK_ROWS, default_counts, rotation_matrix,
+                               signed_distance, write_csv)
 
 
 def test_spec_validation():
@@ -140,3 +140,34 @@ def test_write_csv_matches_row_loop(tmp_path):
     loop_csv(tmp_path / "loop.csv", header, (x, y), ints, tags, flags)
     write_csv(str(tmp_path / "new.csv"), header, ints, x, y, tags, flags)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+def csv_writer_reference(path, header, *columns):
+    """Reference: ``csv.writer`` over the rows, as ``write_csv`` once was."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(zip(*(c.astype(int).tolist() if c.dtype == bool else c.tolist()
+                          for c in map(np.asarray, columns))))
+
+
+def test_write_csv_matches_csv_writer_across_blocks(tmp_path):
+    n = 2 * CSV_BLOCK_ROWS + 37
+    rng = np.random.default_rng(7)
+    # few distinct values, -0.0 next to 0.0: formatted once per bit pattern
+    lattice = rng.choice([-0.0, 0.0, 0.5, -1.25, 1.0 / 3.0], size=n)
+    special = rng.choice([np.nan, np.inf, -np.inf, 1e-320, -0.0, 2.5], size=n)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
+    values[:6] = [np.nan, np.inf, -np.inf, 1e-320, -0.0, 0.0]
+    ints = np.arange(n) - n // 2
+    flags = values > 0.0
+    tags = rng.choice(["cap_left", "facade_top"], size=n)
+    header = ["lattice", "special", "values", "index", "flag", "tag"]
+    cols = (lattice, special, values, ints, flags, tags)
+    for rows in (n, CSV_BLOCK_ROWS, 1, 0):
+        for case in (cols, cols[:1], cols[2:3], cols[4:5]):
+            part = [c[:rows] for c in case]
+            csv_writer_reference(tmp_path / "ref.csv", header[:len(part)], *part)
+            write_csv(str(tmp_path / "new.csv"), header[:len(part)], *part)
+            assert ((tmp_path / "new.csv").read_bytes()
+                    == (tmp_path / "ref.csv").read_bytes()), (rows, len(part))
