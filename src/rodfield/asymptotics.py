@@ -52,11 +52,7 @@ def f1_f2(x, L: float) -> tuple[NDArray, NDArray]:
     x = np.asarray(x, dtype=float)
     x1, x2 = x[..., 0], x[..., 1]
     _check_not_singular(x1, x2, L)
-    rq2 = (x1 - L / 2.0) ** 2 + x2**2
-    rp2 = (x1 + L / 2.0) ** 2 + x2**2
-    f1 = x2 / rq2 - x2 / rp2
-    f2 = (x1 - L / 2.0) / rq2 - (x1 + L / 2.0) / rp2
-    return f1, f2
+    return _cap_terms(x1, x2, L)[4:6]
 
 
 def f_sq_sum(x, L: float) -> NDArray:
@@ -100,6 +96,20 @@ def _arctan_pair(x1: NDArray, x2: NDArray, L: float) -> NDArray:
     return out
 
 
+def _cap_terms(x1: NDArray, x2: NDArray, L: float) -> tuple[NDArray, ...]:
+    """The terms every closed form here is built from, at rod-frame points
+    that the caller has checked with :func:`_check_not_singular`:
+    (tq, tp, rq2, rp2, f1, f2, pair, log_qp), with tq = x1 - L/2 and
+    tp = x1 + L/2, rq2 = |x - Q|^2 and rp2 = |x - P|^2, the f1, f2 of
+    :func:`f1_f2`, :func:`_arctan_pair` and log(rq2 / rp2).
+    grad(pair) = (-f1, f2) and grad(log_qp) = 2 (f2, f1).
+    """
+    tq, tp = x1 - L / 2.0, x1 + L / 2.0
+    rq2, rp2 = tq**2 + x2**2, tp**2 + x2**2
+    return (tq, tp, rq2, rp2, x2 / rq2 - x2 / rp2, tq / rq2 - tp / rp2,
+            _arctan_pair(x1, x2, L), np.log(rq2 / rp2))
+
+
 def _linear_form(a, c_ax: float, c_tr: float, pair: NDArray,
                  log_qp: NDArray) -> NDArray:
     """The linear closed form from the arctan pair and log(rq^2 / rp^2)."""
@@ -122,9 +132,7 @@ def perturbation_linear(a, L: float, c_ax: float, c_tr: float, x) -> NDArray:
     x = np.asarray(x, dtype=float)
     x1, x2 = x[..., 0], x[..., 1]
     _check_not_singular(x1, x2, L)
-    rq2 = (x1 - L / 2.0) ** 2 + x2**2
-    rp2 = (x1 + L / 2.0) ** 2 + x2**2
-    return _linear_form(a, c_ax, c_tr, _arctan_pair(x1, x2, L), np.log(rq2 / rp2))
+    return _linear_form(a, c_ax, c_tr, *_cap_terms(x1, x2, L)[6:])
 
 
 @dataclass(frozen=True)
@@ -189,12 +197,7 @@ def _axis_chunk(model: AsymptoticModel, bg: HarmonicBackground,
     _, c1, c2, c3, c4 = bg.coeffs
     d1h_q, d22h = c1 + c3 * L, -2.0 * c3
     x1, x2 = xl[:, 0], xl[:, 1]
-    tp, tq = x1 + L / 2.0, x1 - L / 2.0
-    rp2, rq2 = tp**2 + x2**2, tq**2 + x2**2
-    pair = _arctan_pair(x1, x2, L)
-    log_qp = np.log(rq2 / rp2)
-    f1 = x2 / rq2 - x2 / rp2
-    f2 = tq / rq2 - tp / rp2
+    tq, tp, rq2, rp2, f1, f2, pair, log_qp = _cap_terms(x1, x2, L)
     u = _linear_form((d1h_q, c2), c_ax, c_tr, pair, log_qp)
     g1 = (1.0 / np.pi) * (c_ax * f2 * d1h_q + c_tr * f1 * c2)
     g2 = (1.0 / np.pi) * (c_ax * f1 * d1h_q - c_tr * f2 * c2)

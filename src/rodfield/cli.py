@@ -158,9 +158,7 @@ def cmd_invert(args) -> int:
             return EXIT_USAGE
 
     result = fit_rod(data)
-    dump_fit_json(result, args.out)
-    d = result.to_dict()
-    print(json.dumps(d, indent=2))
+    print(dump_fit_json(result, args.out))
     return EXIT_OK if result.converged else EXIT_FAILURE
 
 

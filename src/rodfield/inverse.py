@@ -16,7 +16,8 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import least_squares
 
-from .asymptotics import AsymptoticModel, asym_u_linear, perturbation_linear
+from .asymptotics import (AsymptoticModel, _cap_terms, _check_not_singular,
+                          _linear_form, asym_u_linear)
 from .background import HarmonicBackground
 from .geometry import RodSpec, ValidationError, rotation_matrix, signed_distance, write_csv
 from .solver import eval_u, solve_forward
@@ -40,8 +41,6 @@ RESIDUAL_TOL = 1e-3
 
 # Rod angles at which the LM start solves for the channel amplitudes.
 START_ANGLES = np.arange(8) * (np.pi / 8.0)
-# At a = (1, 1) perturbation_linear's strengths are the amplitudes.
-_UNIT = np.ones(2)
 # The fit's parameters: centre (2), angle, length and two channel
 # amplitudes.  Fewer sensors than this leave LM underdetermined.
 N_PARAMS = 6
@@ -80,12 +79,15 @@ class FitResult:
     angle: float
     length: float
     residual: float
-    residual_rel: float
+    residual_rel: float | None
     iterations: int
     converged: bool
+    strength_stderr: float | None
+    strength_transverse_stderr: float | None
 
     def to_dict(self) -> dict:
-        """Fields in order, arrays as (nested) lists of plain floats."""
+        """Fields in order, arrays as (nested) lists of plain floats; a
+        value that is not there stays None."""
         return {f.name: np.asarray(getattr(self, f.name)).tolist()
                 for f in fields(self)}
 
@@ -135,11 +137,35 @@ def simulate_measurements(spec: RodSpec, bg: HarmonicBackground,
                      background=bg, noise_rms=noise_rms)
 
 
-def _perturbation(params: NDArray, points: NDArray) -> NDArray:
+def _closed_form(params: NDArray, points: NDArray, jac: bool = False):
     """u - H of a rod with parameters (z0, theta, L, b_ax, b_tr), where
-    b_ax = c_ax*a_loc1 and b_tr = c_tr*a_loc2 are the channel amplitudes."""
-    x_loc = (points - params[:2]) @ rotation_matrix(params[2])
-    return perturbation_linear(_UNIT, abs(params[3]), params[4], params[5], x_loc)
+    b_ax = c_ax*a_loc1 and b_tr = c_tr*a_loc2 are the channel amplitudes,
+    and with ``jac`` also its (m, 6) Jacobian in those parameters.
+
+    At rod-frame points x = (p - z0) R(theta) the rod-frame gradient g
+    comes from f1, f2; d/dz0 is -R g and, since dx/dtheta = (x2, -x1),
+    d/dtheta is g1 x2 - g2 x1.  d/dL comes from the cap terms, times
+    sign(L) as the model uses |L|.  The amplitude columns are exact.
+    """
+    rot = rotation_matrix(params[2])
+    x = (points - params[:2]) @ rot
+    x1, x2 = x[:, 0], x[:, 1]
+    L, b_ax, b_tr = abs(params[3]), params[4], params[5]
+    _check_not_singular(x1, x2, L)
+    tq, tp, rq2, rp2, f1, f2, pair, log_qp = _cap_terms(x1, x2, L)
+    u = _linear_form((1.0, 1.0), b_ax, b_tr, pair, log_qp)
+    if not jac:
+        return u
+    g1 = (b_ax * f2 + b_tr * f1) / np.pi
+    g2 = (b_ax * f1 - b_tr * f2) / np.pi
+    J = np.empty((len(x), N_PARAMS))
+    J[:, :2] = np.stack([g1, g2], axis=1) @ -rot.T
+    J[:, 2] = g1 * x2 - g2 * x1
+    J[:, 3] = np.sign(params[3]) / (-2.0 * np.pi) * (
+        b_ax * (tq / rq2 + tp / rp2) + b_tr * x2 * (1.0 / rq2 + 1.0 / rp2))
+    J[:, 4] = log_qp / (2.0 * np.pi)
+    J[:, 5] = -pair / np.pi
+    return u, J
 
 
 def _start(data: SensorSet, signal: NDArray) -> NDArray:
@@ -149,10 +175,10 @@ def _start(data: SensorSet, signal: NDArray) -> NDArray:
     L0 = data.radius / 2.0 if data.radius else 1.0
     starts = []
     for theta in START_ANGLES:
-        cols = np.stack([_perturbation(np.array([*z0, theta, L0, *e]), data.points)
-                         for e in np.eye(2)], axis=1)
-        b = np.linalg.lstsq(cols, signal, rcond=None)[0]
-        starts.append((np.linalg.norm(cols @ b - signal), np.array([*z0, theta, L0, *b])))
+        p = np.array([*z0, theta, L0, 0.0, 0.0])
+        cols = _closed_form(p, data.points, jac=True)[1][:, 4:]
+        p[4:] = np.linalg.lstsq(cols, signal, rcond=None)[0]
+        starts.append((np.linalg.norm(cols @ p[4:] - signal), p))
     return min(starts, key=lambda s: s[0])[1]
 
 
@@ -167,8 +193,8 @@ def initial_center_guess(data: SensorSet) -> NDArray:
 def fit_rod(data: SensorSet) -> FitResult:
     """Least-squares fit of (center, angle, length, strengths) to the data.
 
-    Uses the leading-order closed form as forward model with
-    finite-difference Jacobians.  LM fits the channel amplitudes
+    Uses the leading-order closed form as forward model, with its analytic
+    Jacobian (:func:`_closed_form`).  LM fits the channel amplitudes
     b_ax = c_ax*a_loc1 and b_tr = c_tr*a_loc2 rather than the strengths,
     which keeps the parameters finite where a rod-frame component of a
     vanishes; c_ax and c_tr are recovered at the fitted angle (a strength
@@ -180,7 +206,11 @@ def fit_rod(data: SensorSet) -> FitResult:
     ``converged`` means that LM stopped and the RMS residual is within
     RESIDUAL_TOL of the signal RMS |u - H| or within twice the stated
     noise: a stop at a wrong local minimum does not count, and neither
-    does any fit to data with no signal.
+    does any fit to data with no signal, whose ``residual_rel`` is None.
+    The strengths' standard errors come from s^2 (J^T J)^-1 at the
+    solution (:func:`_amplitude_stderr`), divided by |a_loc| as the
+    strengths are; an undetermined strength shows as an error of its own
+    size or more, and both errors are None where J^T J is singular.
     """
     _require_identifiable(data.background)
     if len(data) < N_PARAMS:
@@ -190,13 +220,18 @@ def fit_rod(data: SensorSet) -> FitResult:
     p0 = _start(data, signal)
 
     def residuals(p: NDArray) -> NDArray:
-        return _perturbation(p, data.points) - signal
+        return _closed_form(p, data.points) - signal
 
-    res = least_squares(residuals, p0, method="lm", xtol=1e-10, ftol=1e-10,
-                        gtol=1e-10, max_nfev=400 * len(p0))
+    def jacobian(p: NDArray) -> NDArray:
+        return _closed_form(p, data.points, jac=True)[1]
+
+    res = least_squares(residuals, p0, jac=jacobian, method="lm", xtol=1e-10,
+                        ftol=1e-10, gtol=1e-10, max_nfev=400 * len(p0))
 
     a_loc = rotation_matrix(res.x[2]).T @ data.background.linear_part
     c, c_tr = res.x[4] / a_loc[0], res.x[5] / a_loc[1]
+    se_b = _amplitude_stderr(res.jac, res.fun)
+    se, se_tr = (None, None) if se_b is None else (se_b / np.abs(a_loc)).tolist()
     # fold the theta <-> theta + pi symmetry: theta in [0, pi), L >= 0
     z0, theta, L = res.x[:2], res.x[2] % np.pi, abs(res.x[3])
     axis = np.array([np.cos(theta), np.sin(theta)])
@@ -211,8 +246,21 @@ def fit_rod(data: SensorSet) -> FitResult:
                      strength_transverse=float(c_tr),
                      center=z0, angle=float(theta), length=float(L),
                      residual=rms,
-                     residual_rel=rms / signal_rms if signal_rms else float("inf"),
-                     iterations=int(res.nfev), converged=bool(converged))
+                     residual_rel=rms / signal_rms if signal_rms else None,
+                     iterations=int(res.nfev), converged=bool(converged),
+                     strength_stderr=se, strength_transverse_stderr=se_tr)
+
+
+def _amplitude_stderr(jac: NDArray, r: NDArray) -> NDArray | None:
+    """Standard errors of (b_ax, b_tr): the diagonal of s^2 (J^T J)^-1 with
+    s^2 = |r|^2 / (m - 6), through the SVD of J.  None where J^T J is
+    singular (rank below 6 at np.linalg.matrix_rank's tolerance) or m = 6
+    leaves s^2 undefined."""
+    _, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    dof = len(r) - N_PARAMS
+    if dof == 0 or sv[-1] <= sv[0] * max(jac.shape) * np.finfo(float).eps:
+        return None
+    return np.sqrt((r @ r) / dof * ((vt[:, 4:] / sv[:, None]) ** 2).sum(axis=0))
 
 
 def distinguishability_gap(spec1: RodSpec, spec2: RodSpec,
@@ -260,7 +308,10 @@ def load_measurements_csv(path: str, bg: HarmonicBackground,
                      noise_rms=noise_rms)
 
 
-def dump_fit_json(result: FitResult, path: str) -> None:
+def dump_fit_json(result: FitResult, path: str) -> str:
+    """Write ``result`` as strict JSON (no NaN or Infinity) and return the
+    text; a non-finite value raises ValueError before the file is opened."""
+    text = json.dumps(result.to_dict(), indent=2, allow_nan=False)
     with open(path, "w") as f:
-        json.dump(result.to_dict(), f, indent=2)
-        f.write("\n")
+        f.write(text + "\n")
+    return text

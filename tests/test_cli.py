@@ -240,8 +240,16 @@ def test_invert_two_rod_data_exits_1(tmp_path):
     assert fit["residual_rel"] > 1e-3
 
 
-def test_invert_data_without_perturbation_exits_1(tmp_path):
-    # values equal to H: a zero residual there is no fit
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_invert_data_without_perturbation_exits_1(tmp_path, capsys):
+    # values equal to H: a zero residual there is no fit, and no relative
+    # residual either; fit.json had "residual_rel": Infinity, which strict
+    # JSON parsers refuse
     path = tmp_path / "flat.yaml"
     path.write_text(CONFIG.replace("a: [1.0, 0.5]", "a: [1.0, 1.0]"))
     pts = sensor_circle((0.0, 0.0), 3.0, 64)
@@ -252,7 +260,11 @@ def test_invert_data_without_perturbation_exits_1(tmp_path):
     code = main(["invert", "--config", str(path), "--data", str(data),
                  "--out", str(out)])
     assert code == EXIT_FAILURE
-    assert json.loads(out.read_text())["converged"] is False
+    fit = _strict_json(out.read_text())
+    assert fit["converged"] is False
+    assert fit["residual_rel"] is None
+    assert fit["strength_stderr"] is None and fit["strength_transverse_stderr"] is None
+    assert _strict_json(capsys.readouterr().out) == fit
 
 
 @pytest.mark.parametrize("model", ["asymptotic", "bem"])

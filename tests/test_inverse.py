@@ -6,6 +6,8 @@ import pytest
 from rodfield import (HarmonicBackground, RodSpec, SensorSet, fit_rod,
                       sensor_circle, simulate_measurements)
 from rodfield.asymptotics import AsymptoticModel, asym_u_linear
+from rodfield import inverse
+from rodfield.geometry import rotation_matrix
 from rodfield.inverse import (IdentifiabilityError, PlacementError,
                               dump_fit_json, dump_measurements_csv,
                               endpoint_error, initial_center_guess,
@@ -268,7 +270,8 @@ def test_dump_fit_json(tmp_path):
     loaded = json.loads(path.read_text())
     assert list(loaded) == ["endpoints", "strength", "strength_transverse",
                             "center", "angle", "length", "residual",
-                            "residual_rel", "iterations", "converged"]
+                            "residual_rel", "iterations", "converged",
+                            "strength_stderr", "strength_transverse_stderr"]
     assert loaded["converged"] is True
     assert loaded["residual_rel"] == fit.residual_rel
     assert len(loaded["endpoints"]) == 2
@@ -277,4 +280,90 @@ def test_dump_fit_json(tmp_path):
     assert type(loaded["iterations"]) is int
     assert all(type(loaded[k]) is float for k in (
         "strength", "strength_transverse", "angle", "length", "residual",
-        "residual_rel"))
+        "residual_rel", "strength_stderr", "strength_transverse_stderr"))
+
+
+def _jacobian_cases():
+    """About 20 seeded (params, points): theta in all four quadrants, L < 0
+    in every other case, and one sensor on the axis beyond a cap."""
+    rng = np.random.default_rng(7)
+    pts = sensor_circle((0.0, 0.0), 3.0, 16)
+    cases = []
+    for i in range(20):
+        theta = (i % 4 + rng.uniform(0.05, 0.95)) * (np.pi / 2.0)
+        L = (-1.0) ** i * rng.uniform(0.5, 2.5)
+        cases.append((np.array([*rng.uniform(-0.5, 0.5, 2), theta, L,
+                                *rng.normal(0.0, 1.0, 2)]), pts))
+    # theta = 0: the sensor at z0 + (2, 0) has x2 = 0 and x1 = 2 > L/2
+    z0 = np.array([0.1, -0.2])
+    cases.append((np.array([*z0, 0.0, -1.5, 0.7, -0.4]),
+                  np.vstack([pts, z0 + [2.0, 0.0]])))
+    return cases
+
+
+def test_fit_jacobian_matches_central_differences():
+    cases = _jacobian_cases()
+    p, pts = cases[-1]
+    assert ((pts - p[:2]) @ rotation_matrix(p[2]))[-1, 1] == 0.0
+    for p, pts in cases:
+        u, J = inverse._closed_form(p, pts, jac=True)
+        assert np.array_equal(u, inverse._closed_form(p, pts))
+        fd = np.empty_like(J)
+        for j in range(len(p)):
+            step = np.zeros(len(p))
+            step[j] = 1e-6 * max(1.0, abs(p[j]))
+            fd[:, j] = (inverse._closed_form(p + step, pts)
+                        - inverse._closed_form(p - step, pts)) / (2.0 * step[j])
+        assert np.abs(J - fd).max() <= 1e-7 * np.abs(J).max()
+
+
+def _k_pi_8_data():
+    """Noise-free closed-form data of the rods at angles k*pi/8."""
+    for k in range(8):
+        spec = RodSpec(L=2.0, delta=0.05, center=(0.3, -0.2),
+                       angle=k * np.pi / 8, sigma0=2.0)
+        yield k, spec, simulate_measurements(spec, BG, POINTS, source="asymptotic")
+
+
+def test_fit_uses_the_analytic_jacobian(monkeypatch):
+    # the kernel runs once per LM value and Jacobian, once per start angle
+    # and once more for the Jacobian at the solution: no difference columns
+    kernel, lsq = inverse._closed_form, inverse.least_squares
+    calls, runs = [], []
+    monkeypatch.setattr(inverse, "_closed_form",
+                        lambda *a, **kw: calls.append(1) or kernel(*a, **kw))
+    monkeypatch.setattr(inverse, "least_squares",
+                        lambda *a, **kw: runs.append(lsq(*a, **kw)) or runs[-1])
+    for k, spec, data in _k_pi_8_data():
+        calls.clear()
+        fit = fit_rod(data)
+        res = runs[-1]
+        assert len(calls) <= res.nfev + res.njev + len(inverse.START_ANGLES) + 1
+        assert fit.iterations <= 12
+        assert fit.converged and endpoint_error(fit, spec) < 1e-12
+
+
+def test_strength_stderr_marks_undetermined_strengths():
+    # at k = 2 (6) the rod-frame a has no transverse (axial) component, so
+    # that strength is undetermined; every other one is exact on this data
+    undetermined = {2: "strength_transverse", 6: "strength"}
+    for k, spec, data in _k_pi_8_data():
+        fit = fit_rod(data)
+        for name in ("strength", "strength_transverse"):
+            rel = getattr(fit, name + "_stderr") / abs(getattr(fit, name))
+            if undetermined.get(k) == name:
+                assert rel >= 0.5
+            else:
+                assert rel <= 1e-10
+
+
+def test_strength_stderr_is_none_where_undefined():
+    # no signal leaves J^T J singular; six sensors leave no residual dof
+    flat = fit_rod(SensorSet(points=POINTS, values=BG.value(POINTS), background=BG))
+    data = simulate_measurements(SPEC, BG, POINTS, source="asymptotic")
+    six = fit_rod(SensorSet(points=POINTS[::11], values=data.values[::11],
+                            background=BG))
+    for fit in (flat, six):
+        assert fit.strength_stderr is None
+        assert fit.strength_transverse_stderr is None
+    assert flat.residual_rel is None
