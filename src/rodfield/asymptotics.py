@@ -40,19 +40,10 @@ def cap_points(L: float) -> tuple[NDArray, NDArray]:
     return np.array([-L / 2.0, 0.0]), np.array([L / 2.0, 0.0])
 
 
-def _check_not_singular(x1: NDArray, x2: NDArray, L: float) -> None:
-    rq = (x1 - L / 2.0) ** 2 + x2**2
-    rp = (x1 + L / 2.0) ** 2 + x2**2
-    if np.any(rq == 0.0) or np.any(rp == 0.0):
-        raise SingularPointError("evaluation point coincides with a cap centre")
-
-
 def f1_f2(x, L: float) -> tuple[NDArray, NDArray]:
     """Localisation functions of the perturbed gradient (local frame)."""
     x = np.asarray(x, dtype=float)
-    x1, x2 = x[..., 0], x[..., 1]
-    _check_not_singular(x1, x2, L)
-    return _cap_terms(x1, x2, L)[4:6]
+    return _cap_terms(x[..., 0], x[..., 1], L)[4:6]
 
 
 def f_sq_sum(x, L: float) -> NDArray:
@@ -97,15 +88,17 @@ def _arctan_pair(x1: NDArray, x2: NDArray, L: float) -> NDArray:
 
 
 def _cap_terms(x1: NDArray, x2: NDArray, L: float) -> tuple[NDArray, ...]:
-    """The terms every closed form here is built from, at rod-frame points
-    that the caller has checked with :func:`_check_not_singular`:
+    """The terms every closed form here is built from, at rod-frame points:
     (tq, tp, rq2, rp2, f1, f2, pair, log_qp), with tq = x1 - L/2 and
     tp = x1 + L/2, rq2 = |x - Q|^2 and rp2 = |x - P|^2, the f1, f2 of
     :func:`f1_f2`, :func:`_arctan_pair` and log(rq2 / rp2).
-    grad(pair) = (-f1, f2) and grad(log_qp) = 2 (f2, f1).
+    grad(pair) = (-f1, f2) and grad(log_qp) = 2 (f2, f1).  A point on a cap
+    centre (rq2 or rp2 zero) is refused with :class:`SingularPointError`.
     """
     tq, tp = x1 - L / 2.0, x1 + L / 2.0
     rq2, rp2 = tq**2 + x2**2, tp**2 + x2**2
+    if np.any(rq2 == 0.0) or np.any(rp2 == 0.0):
+        raise SingularPointError("evaluation point coincides with a cap centre")
     return (tq, tp, rq2, rp2, x2 / rq2 - x2 / rp2, tq / rq2 - tp / rp2,
             _arctan_pair(x1, x2, L), np.log(rq2 / rp2))
 
@@ -130,9 +123,7 @@ def perturbation_linear(a, L: float, c_ax: float, c_tr: float, x) -> NDArray:
     """
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
-    x1, x2 = x[..., 0], x[..., 1]
-    _check_not_singular(x1, x2, L)
-    return _linear_form(a, c_ax, c_tr, *_cap_terms(x1, x2, L)[6:])
+    return _linear_form(a, c_ax, c_tr, *_cap_terms(x[..., 0], x[..., 1], L)[6:])
 
 
 @dataclass(frozen=True)
@@ -225,7 +216,6 @@ def asymptotic_perturbation(model: AsymptoticModel, x) -> tuple[NDArray, NDArray
     ``potentials.FIELD_CHUNK_BYTES``.
     """
     xl = np.atleast_2d(to_local(model, x))
-    _check_not_singular(xl[:, 0], xl[:, 1], model.L)
     bg = model._local_background()
     rows = max(1, potentials.FIELD_CHUNK_BYTES // 512)
     s = np.empty(len(xl))

@@ -23,8 +23,8 @@ from .geometry import ValidationError, signed_distance, write_csv
 from .inverse import (IdentifiabilityError, dump_fit_json, dump_measurements_csv,
                       fit_rod, load_measurements_csv, sensor_circle,
                       simulate_measurements)
-from .potentials import SolverError, dump_density_csv, single_layer_field
-from .solver import dump_field_csv, eval_u, solve_forward, write_field_csv
+from .potentials import SolverError, single_layer_field
+from .solver import eval_u, solve_forward
 from .validate import run_validation
 
 EXIT_OK = 0
@@ -38,41 +38,38 @@ def _grid_or_error(cfg: RunConfig) -> np.ndarray:
     return cfg.grid.points()
 
 
-def _asymptotic_near(cfg: RunConfig, pts: np.ndarray) -> np.ndarray:
-    """The closed form's near flag: within 0.1 delta of the rod."""
-    return signed_distance(cfg.rod, pts) < cfg.rod.delta * 0.1
-
-
-def fieldmap_arrays(cfg: RunConfig, model: str, pts: np.ndarray):
-    """Perturbation magnitude |u - H| and |grad u - grad H| on points, the
-    near flags and the BEM mesh size (None for the closed form).
+def _perturbation(cfg: RunConfig, model: str, pts: np.ndarray):
+    """The perturbation s = u - H (m,) and its gradient (m, 2) on points,
+    the near flags and the BEM solution (None for the closed form).
 
     Both come from the perturbation itself (the single layer, or the
     closed form's terms), never from u - H, which cancels where the
     perturbation is small against the background.
     """
-    n = None
     if model == "bem":
         sol = solve_forward(cfg.rod, cfg.background,
                             n_cap=cfg.n_cap, n_facade=cfg.n_facade)
-        s, gs, near = single_layer_field(sol.mesh, sol.phi, pts)
-        n = len(sol.mesh)
-    elif model == "asymptotic":
-        s, gs = asymptotic_perturbation(
-            AsymptoticModel.from_spec(cfg.rod, cfg.background), pts)
-        near = _asymptotic_near(cfg, pts)
-    else:
-        raise ConfigError(f"unknown model {model!r}")
-    return np.abs(s), np.linalg.norm(gs, axis=1), near, n
+        return (*single_layer_field(sol.mesh, sol.phi, pts), sol)
+    s, gs = asymptotic_perturbation(
+        AsymptoticModel.from_spec(cfg.rod, cfg.background), pts)
+    # the closed form's near flag: within 0.1 delta of the rod
+    return s, gs, signed_distance(cfg.rod, pts) < cfg.rod.delta * 0.1, None
+
+
+def _write_field(path: str, cfg: RunConfig, pts: np.ndarray, s, gs, near) -> None:
+    """The CSV of ``forward`` and ``asymptotic``: u = H + s, grad u, near flag."""
+    u, g = cfg.background.value(pts) + s, cfg.background.grad(pts) + gs
+    write_csv(path, ["x1", "x2", "u", "ux", "uy", "near_boundary_flag"],
+              pts[:, 0], pts[:, 1], u, g[:, 0], g[:, 1], near)
 
 
 def cmd_fieldmap(args) -> int:
     cfg = load_config(args.config)
     pts = _grid_or_error(cfg)
-    du, dg, near, n = fieldmap_arrays(cfg, args.model, pts)
+    s, gs, near, sol = _perturbation(cfg, args.model, pts)
     write_csv(args.out, ["x1", "x2", "du", "dgrad", "near_flag"],
-              pts[:, 0], pts[:, 1], du, dg, near)
-    mesh = f"  n={n}" if n is not None else ""
+              pts[:, 0], pts[:, 1], np.abs(s), np.linalg.norm(gs, axis=1), near)
+    mesh = f"  n={len(sol.mesh)}" if sol is not None else ""
     print(f"fieldmap: wrote {len(pts)} rows to {args.out}{mesh}  "
           f"near={np.count_nonzero(near)}")
     return EXIT_OK
@@ -165,11 +162,11 @@ def cmd_invert(args) -> int:
 def cmd_forward(args) -> int:
     cfg = load_config(args.config)
     pts = _grid_or_error(cfg)
-    sol = solve_forward(cfg.rod, cfg.background, n_cap=cfg.n_cap,
-                        n_facade=cfg.n_facade)
-    near = dump_field_csv(sol, pts, args.out)
+    s, gs, near, sol = _perturbation(cfg, "bem", pts)
+    _write_field(args.out, cfg, pts, s, gs, near)
     if args.density:
-        dump_density_csv(sol.phi, args.density)
+        write_csv(args.density, ["index", "x1", "x2", "phi"], np.arange(len(sol.mesh)),
+                  *sol.mesh.points.T, sol.phi.values)
     print(f"forward: wrote {len(pts)} rows to {args.out}  n={len(sol.mesh)}  "
           f"residual={sol.phi.residual:.2e}  blocks={sol.phi.factored_blocks}  "
           f"near={np.count_nonzero(near)}")
@@ -179,8 +176,7 @@ def cmd_forward(args) -> int:
 def cmd_asymptotic(args) -> int:
     cfg = load_config(args.config)
     pts = _grid_or_error(cfg)
-    u, g = asymptotic_field(AsymptoticModel.from_spec(cfg.rod, cfg.background), pts)
-    write_field_csv(args.out, pts, u, g, _asymptotic_near(cfg, pts))
+    _write_field(args.out, cfg, pts, *_perturbation(cfg, "asymptotic", pts)[:3])
     print(f"asymptotic: wrote {len(pts)} rows to {args.out}")
     return EXIT_OK
 

@@ -157,9 +157,7 @@ _BLOCKS = {
     "background": ({"a", "coefficients"}, _background),
     "grid": ({"xmin", "xmax", "ymin", "ymax", "nx", "ny"}, _grid),
     "sensors": ({"center", "radius", "count"}, _sensors),
-    # n_quad set the order of a quadrature the closed form no longer uses;
-    # it still loads, and is ignored, so older configs keep working
-    "solver": ({"n_cap", "n_facade", "n_quad"}, _solver),
+    "solver": ({"n_cap", "n_facade"}, _solver),
     "sweep": ({"deltas", "probe_radius", "probe_count", "probe_offset"}, _sweep),
 }
 

@@ -16,8 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import least_squares
 
-from .asymptotics import (AsymptoticModel, _cap_terms, _check_not_singular,
-                          _linear_form, asym_u_linear)
+from .asymptotics import AsymptoticModel, _cap_terms, _linear_form, asym_u_linear
 from .background import HarmonicBackground
 from .geometry import RodSpec, ValidationError, rotation_matrix, signed_distance, write_csv
 from .solver import eval_u, solve_forward
@@ -151,7 +150,6 @@ def _closed_form(params: NDArray, points: NDArray, jac: bool = False):
     x = (points - params[:2]) @ rot
     x1, x2 = x[:, 0], x[:, 1]
     L, b_ax, b_tr = abs(params[3]), params[4], params[5]
-    _check_not_singular(x1, x2, L)
     tq, tp, rq2, rp2, f1, f2, pair, log_qp = _cap_terms(x1, x2, L)
     u = _linear_form((1.0, 1.0), b_ax, b_tr, pair, log_qp)
     if not jac:
@@ -163,9 +161,13 @@ def _closed_form(params: NDArray, points: NDArray, jac: bool = False):
     J[:, 2] = g1 * x2 - g2 * x1
     J[:, 3] = np.sign(params[3]) / (-2.0 * np.pi) * (
         b_ax * (tq / rq2 + tp / rp2) + b_tr * x2 * (1.0 / rq2 + 1.0 / rp2))
-    J[:, 4] = log_qp / (2.0 * np.pi)
-    J[:, 5] = -pair / np.pi
+    J[:, 4:] = _amplitude_columns(pair, log_qp)
     return u, J
+
+
+def _amplitude_columns(pair: NDArray, log_qp: NDArray) -> NDArray:
+    """du/d(b_ax, b_tr), (m, 2): u is linear in the two amplitudes."""
+    return np.stack([log_qp / (2.0 * np.pi), -pair / np.pi], axis=1)
 
 
 def _start(data: SensorSet, signal: NDArray) -> NDArray:
@@ -175,10 +177,11 @@ def _start(data: SensorSet, signal: NDArray) -> NDArray:
     L0 = data.radius / 2.0 if data.radius else 1.0
     starts = []
     for theta in START_ANGLES:
-        p = np.array([*z0, theta, L0, 0.0, 0.0])
-        cols = _closed_form(p, data.points, jac=True)[1][:, 4:]
-        p[4:] = np.linalg.lstsq(cols, signal, rcond=None)[0]
-        starts.append((np.linalg.norm(cols @ p[4:] - signal), p))
+        x = (data.points - z0) @ rotation_matrix(theta)
+        cols = _amplitude_columns(*_cap_terms(x[:, 0], x[:, 1], L0)[6:])
+        b = np.linalg.lstsq(cols, signal, rcond=None)[0]
+        starts.append((np.linalg.norm(cols @ b - signal),
+                       np.array([*z0, theta, L0, *b])))
     return min(starts, key=lambda s: s[0])[1]
 
 
@@ -298,10 +301,14 @@ def load_measurements_csv(path: str, bg: HarmonicBackground,
             raise ValidationError(f"{path}: expected header x1,x2,u")
         for ln, row in enumerate(reader, start=2):
             try:
-                pts.append([float(row[0]), float(row[1])])
-                vals.append(float(row[2]))
-            except (IndexError, ValueError) as exc:
+                x1, x2, u = map(float, row[:3])
+            except ValueError as exc:
                 raise ValidationError(f"{path}:{ln}: bad row {row!r}") from exc
+            # NaN passes every later check and ends in an SVD failure in the fit
+            if not np.isfinite((x1, x2, u)).all():
+                raise ValidationError(f"{path}:{ln}: non-finite value in row {row!r}")
+            pts.append([x1, x2])
+            vals.append(u)
     if not pts:
         raise ValidationError(f"{path}: no data rows")
     return SensorSet(points=np.asarray(pts), values=np.asarray(vals), background=bg,

@@ -31,7 +31,7 @@ from numpy.typing import NDArray
 
 from .background import HarmonicBackground
 from .geometry import (GAUSS_NODES, PANEL_ORDER, BoundaryMesh, ValidationError,
-                       rotation_matrix, to_local, write_csv)
+                       rotation_matrix, to_local)
 
 #: evaluation points closer than this many local spacings to the boundary
 #: get a proximity flag on the result.
@@ -444,8 +444,3 @@ def single_layer_grad(mesh: BoundaryMesh, phi: DensityVector,
     _, grads, near = single_layer_field(mesh, phi, x)
     return grads, near
 
-
-def dump_density_csv(phi: DensityVector, path: str) -> None:
-    mesh = phi.mesh
-    write_csv(path, ["index", "x1", "x2", "phi"], np.arange(len(mesh)),
-              mesh.points[:, 0], mesh.points[:, 1], phi.values)

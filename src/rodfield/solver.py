@@ -13,8 +13,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .background import HarmonicBackground
-from .geometry import (BoundaryMesh, RodSpec, ValidationError, build_mesh, default_counts,
-                       write_csv)
+from .geometry import BoundaryMesh, RodSpec, ValidationError, build_mesh, default_counts
 from .potentials import (DensityVector, assemble_np, neumann_data, single_layer_field,
                          solve_density)
 
@@ -139,15 +138,3 @@ def disc_exterior_grad(a, radius: float, sigma0: float, x) -> NDArray:
     dip = (a[..., :] * r2[..., None] - 2.0 * ax[..., None] * x) / (r2**2)[..., None]
     return a - m * radius**2 * dip
 
-
-def write_field_csv(path: str, pts: NDArray, u: NDArray, grad: NDArray,
-                    near: NDArray) -> None:
-    """The field CSV of ``forward`` and ``asymptotic``: u, grad u, near flag."""
-    write_csv(path, ["x1", "x2", "u", "ux", "uy", "near_boundary_flag"],
-              pts[:, 0], pts[:, 1], u, grad[:, 0], grad[:, 1], near)
-
-
-def dump_field_csv(sol: ForwardSolution, pts: NDArray, path: str) -> NDArray:
-    u, g, near = eval_field(sol, pts)
-    write_field_csv(path, pts, u, g, near)
-    return near

@@ -11,9 +11,9 @@ from rodfield import (AsymptoticModel, HarmonicBackground, RodSpec, a_delta_appl
                       asymptotic_field, f1_f2, potentials, sensor_circle,
                       single_layer_field, solve_forward)
 from rodfield import asymptotics
-from rodfield.asymptotics import (SingularPointError, _check_not_singular,
-                                  asymptotic_perturbation, cap_points,
-                                  f_sq_sum, f_sq_sum_cap_form, perturbation_linear)
+from rodfield.asymptotics import (SingularPointError, asymptotic_perturbation,
+                                  cap_points, f_sq_sum, f_sq_sum_cap_form,
+                                  perturbation_linear)
 from rodfield.geometry import rotation_matrix, signed_distance, to_local, to_world
 
 
@@ -56,7 +56,7 @@ def loop_general_field(model, x, n_quad):
     u = model.background.value(x)
     g_loc = np.empty_like(xl)
     for i, (x1, x2) in enumerate(xl):
-        _check_not_singular(np.asarray(x1), np.asarray(x2), L)
+        f1_f2(np.array([x1, x2]), L)   # refuses a cap centre
         breaks = loop_graded_panels(L, x1, x2)
         a, b = breaks[:-1, None], breaks[1:, None]
         y1 = ((b + a) / 2.0 + (b - a) / 2.0 * nodes).ravel()

@@ -97,14 +97,12 @@ grid: {xmin: -3.0, xmax: 3.0, ymin: -3.0, ymax: 3.0, nx: 41, ny: 41}
 
 
 @pytest.mark.parametrize("model", ["bem", "asymptotic"])
-def test_fieldmap_du_is_the_perturbation(model, tmp_path):
-    # |u - H| loses digits where the perturbation is small against H (up to
-    # 7.6e-11 relative on the bem grid): du and dgrad come from S itself
+def test_grid_commands_write_the_perturbation(model, tmp_path):
+    # fieldmap writes |s| and |grad s| of the perturbation s = u - H itself:
+    # |u - H| loses digits where s is small against H (up to 7.6e-11
+    # relative on the bem grid).  forward and asymptotic write H + s.
     path = tmp_path / "fm.yaml"
     path.write_text(FIELDMAP_CONFIGS[model])
-    out = tmp_path / "fm.csv"
-    assert main(["fieldmap", "--config", str(path), "--model", model,
-                 "--out", str(out)]) == EXIT_OK
     cfg = load_config(str(path))
     pts = cfg.grid.points()
     if model == "bem":
@@ -114,9 +112,25 @@ def test_fieldmap_du_is_the_perturbation(model, tmp_path):
     else:
         s, gs = asymptotic_perturbation(
             AsymptoticModel.from_spec(cfg.rod, cfg.background), pts)
-    rows = np.array([[float(v) for v in row] for row in _read_csv(out)[1:]])
+    fmap, field, dens = (tmp_path / f"{n}.csv" for n in ("fm", "field", "dens"))
+    assert main(["fieldmap", "--config", str(path), "--model", model,
+                 "--out", str(fmap)]) == EXIT_OK
+    rows = np.array(_read_csv(fmap)[1:], dtype=float)
     assert np.array_equal(rows[:, 2], np.abs(s))
     assert np.array_equal(rows[:, 3], np.linalg.norm(gs, axis=1))
+    argv = ["forward", "--density", str(dens)] if model == "bem" else ["asymptotic"]
+    assert main([*argv, "--config", str(path), "--out", str(field)]) == EXIT_OK
+    lines = _read_csv(field)
+    assert lines[0] == ["x1", "x2", "u", "ux", "uy", "near_boundary_flag"]
+    u = np.array(lines[1:], dtype=float)
+    assert np.array_equal(u[:, 2], cfg.background.value(pts) + s)
+    assert np.array_equal(u[:, 3:5], cfg.background.grad(pts) + gs)
+    assert np.array_equal(u[:, 5], rows[:, 4])
+    if model == "bem":
+        lines = _read_csv(dens)
+        assert lines[0] == ["index", "x1", "x2", "phi"]
+        assert np.array_equal(np.array(lines[1:], dtype=float), np.column_stack(
+            [np.arange(len(sol.mesh)), sol.mesh.points, sol.phi.values]))
 
 
 def test_forward_with_density(config_path, tmp_path, capsys):
@@ -161,19 +175,16 @@ def test_asymptotic_gradient_on_quadratic_background(tmp_path):
     assert np.abs(np.linalg.norm(grad - grad_h, axis=1) - dgrad).max() < 1e-10
 
 
-def test_asymptotic_ignores_n_quad(tmp_path):
+def test_asymptotic_refuses_n_quad(tmp_path, capsys):
     # solver.n_quad set the order of a quadrature the closed form no longer
-    # uses: an old config still runs, to the same bytes
-    quad = CONFIG.replace("  a: [1.0, 0.5]", "  coefficients: [0.0, 1.0, 0.5, 0.3, 0.2]")
-    outs = []
-    for i, text in enumerate((quad, quad.replace("  n_facade: 48\n",
-                                                 "  n_facade: 48\n  n_quad: 48\n"))):
-        path, out = tmp_path / f"run{i}.yaml", tmp_path / f"asym{i}.csv"
-        path.write_text(text)
-        assert main(["asymptotic", "--config", str(path), "--out", str(out)]) == EXIT_OK
-        outs.append(out.read_bytes())
-    assert "n_quad: 48" in (tmp_path / "run1.yaml").read_text()
-    assert outs[0] == outs[1]
+    # has; it was read and ignored, and is refused now like any unknown key
+    path = tmp_path / "run.yaml"
+    path.write_text(CONFIG.replace("  n_facade: 48\n", "  n_facade: 48\n  n_quad: 48\n"))
+    assert "n_quad: 48" in path.read_text()
+    code = main(["asymptotic", "--config", str(path),
+                 "--out", str(tmp_path / "asym.csv")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: unknown keys in 'solver'")
 
 
 def test_compare_report(config_path, tmp_path):
@@ -298,6 +309,26 @@ def test_invert_header_only_data_exits_2(config_path, tmp_path, capsys):
                  "--out", str(tmp_path / "fit.json")])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("column, cell", [(2, "nan"), (0, "inf")],
+                         ids=["u-nan", "x1-inf"])
+def test_invert_non_finite_data_exits_2(column, cell, config_path, tmp_path, capsys):
+    # a nan or inf cell was read as a number, and the fit died in a
+    # LinAlgError traceback ("SVD did not converge") with exit 1
+    data = tmp_path / "meas.csv"
+    out = str(tmp_path / "fit.json")
+    assert main(["invert", "--config", config_path, "--synthesize", "--model",
+                 "asymptotic", "--data", str(data), "--out", out]) == EXIT_OK
+    lines = data.read_text().splitlines()
+    row = lines[5].split(",")
+    row[column] = cell
+    lines[5] = ",".join(row)
+    data.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["invert", "--config", config_path, "--data", str(data), "--out", out])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {data}:6: ")
 
 
 def test_invert_three_sensors_exits_1(config_path, tmp_path, capsys):

@@ -129,11 +129,12 @@ def test_malformed_block_names_it(block, value, match):
 
 
 def test_solver_block():
-    # n_quad loads and is ignored: the closed form has no quadrature order
-    raw = _cfg(solver={"n_cap": 64, "n_facade": 128, "n_quad": 48})
-    cfg = parse_config(raw)
+    cfg = parse_config(_cfg(solver={"n_cap": 64, "n_facade": 128}))
     assert (cfg.n_cap, cfg.n_facade) == (64, 128)
-    assert cfg == parse_config(_cfg(solver={"n_cap": 64, "n_facade": 128}))
+    # n_quad set the order of a quadrature the closed form no longer has;
+    # it was read and ignored, and is refused now like any unknown key
+    with pytest.raises(ConfigError, match="unknown keys in 'solver'"):
+        parse_config(_cfg(solver={"n_cap": 64, "n_facade": 128, "n_quad": 48}))
 
 
 def test_load_config_yaml(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from rodfield import (DensityVector, HarmonicBackground, RodSpec,
                       neumann_data, single_layer, single_layer_field,
                       single_layer_grad, solve_density)
 from rodfield.geometry import PANEL_ORDER, TAG_FACADE_BOTTOM, TAG_FACADE_TOP, to_local
-from rodfield.potentials import NEAR_FACTOR, SolverError, dump_density_csv
+from rodfield.potentials import NEAR_FACTOR, SolverError
 
 
 def disc_mesh(n=64):
@@ -477,12 +477,3 @@ def test_evaluation_on_a_mesh_node_is_refused():
                 fn(mesh, phi, np.array([[3.0, 3.0], node]))
             with pytest.raises(ValidationError, match=where):
                 fn(mesh, phi, node)
-
-
-def test_dump_density_csv(tmp_path):
-    mesh = rod_mesh()
-    phi = DensityVector(values=np.arange(float(len(mesh))), mesh=mesh)
-    path = tmp_path / "phi.csv"
-    dump_density_csv(phi, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == len(mesh) + 1

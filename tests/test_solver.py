@@ -10,8 +10,7 @@ from rodfield import (DensityVector, HarmonicBackground, RodSpec, ValidationErro
                       build_mesh, eval_field, eval_grad_u, eval_u, lambda_of_sigma,
                       single_layer_field, solve_forward, transmission_check)
 from rodfield.inverse import sensor_circle
-from rodfield.solver import (disc_exterior_grad, disc_exterior_u,
-                             disc_interior_u, dump_field_csv)
+from rodfield.solver import disc_exterior_grad, disc_exterior_u, disc_interior_u
 
 
 def test_lambda_examples():
@@ -117,18 +116,13 @@ def test_solution_exposes_spec_and_lambda():
     assert sol.lam == pytest.approx(lambda_of_sigma(4.0))
 
 
-def test_near_flags_on_eval(tmp_path):
+def test_near_flags_on_eval():
     sol = solve_forward(RodSpec(L=2.0, delta=0.1, sigma0=2.0),
                         HarmonicBackground.linear((1.0, 0.0)),
                         n_cap=32, n_facade=64)
     pts = np.array([[0.0, 0.101], [0.0, 2.0]])
     _, near = eval_u(sol, pts)
     assert near[0] and not near[1]
-    path = tmp_path / "field.csv"
-    dump_field_csv(sol, pts, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",")[:2] == ["x1", "x2"]
-    assert len(lines) == 3
 
 
 def test_eval_field_memory_bounded_by_chunk():
