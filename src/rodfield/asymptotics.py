@@ -20,9 +20,8 @@ from numpy.typing import NDArray
 from scipy.integrate import quad
 
 from .background import HarmonicBackground
-from .geometry import RodSpec, ValidationError, rotation_matrix, to_local
+from .geometry import RodSpec, ValidationError, lambda_of_sigma, rotation_matrix, to_local
 from . import potentials
-from .solver import lambda_of_sigma
 
 __all__ = [
     "AsymptoticModel", "cap_points", "f1_f2", "f_sq_sum", "f_sq_sum_cap_form",

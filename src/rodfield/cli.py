@@ -17,14 +17,13 @@ import time
 
 import numpy as np
 
-from .asymptotics import AsymptoticModel, asymptotic_field, asymptotic_perturbation
 from .config import ConfigError, RunConfig, load_config
-from .geometry import ValidationError, signed_distance, write_csv
+from .geometry import ValidationError, write_csv
 from .inverse import (IdentifiabilityError, dump_fit_json, dump_measurements_csv,
                       fit_rod, load_measurements_csv, sensor_circle,
                       simulate_measurements)
-from .potentials import SolverError, single_layer_field
-from .solver import eval_u, solve_forward
+from .potentials import SolverError
+from .solver import perturbation
 from .validate import run_validation
 
 EXIT_OK = 0
@@ -38,24 +37,6 @@ def _grid_or_error(cfg: RunConfig) -> np.ndarray:
     return cfg.grid.points()
 
 
-def _perturbation(cfg: RunConfig, model: str, pts: np.ndarray):
-    """The perturbation s = u - H (m,) and its gradient (m, 2) on points,
-    the near flags and the BEM solution (None for the closed form).
-
-    Both come from the perturbation itself (the single layer, or the
-    closed form's terms), never from u - H, which cancels where the
-    perturbation is small against the background.
-    """
-    if model == "bem":
-        sol = solve_forward(cfg.rod, cfg.background,
-                            n_cap=cfg.n_cap, n_facade=cfg.n_facade)
-        return (*single_layer_field(sol.mesh, sol.phi, pts), sol)
-    s, gs = asymptotic_perturbation(
-        AsymptoticModel.from_spec(cfg.rod, cfg.background), pts)
-    # the closed form's near flag: within 0.1 delta of the rod
-    return s, gs, signed_distance(cfg.rod, pts) < cfg.rod.delta * 0.1, None
-
-
 def _write_field(path: str, cfg: RunConfig, pts: np.ndarray, s, gs, near) -> None:
     """The CSV of ``forward`` and ``asymptotic``: u = H + s, grad u, near flag."""
     u, g = cfg.background.value(pts) + s, cfg.background.grad(pts) + gs
@@ -66,7 +47,8 @@ def _write_field(path: str, cfg: RunConfig, pts: np.ndarray, s, gs, near) -> Non
 def cmd_fieldmap(args) -> int:
     cfg = load_config(args.config)
     pts = _grid_or_error(cfg)
-    s, gs, near, sol = _perturbation(cfg, args.model, pts)
+    s, gs, near, sol = perturbation(cfg.rod, cfg.background, pts, args.model,
+                                    cfg.n_cap, cfg.n_facade)
     write_csv(args.out, ["x1", "x2", "du", "dgrad", "near_flag"],
               pts[:, 0], pts[:, 1], np.abs(s), np.linalg.norm(gs, axis=1), near)
     mesh = f"  n={len(sol.mesh)}" if sol is not None else ""
@@ -79,8 +61,6 @@ def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     if not cfg.sweep_deltas:
         raise ConfigError("compare needs a 'sweep' block with a deltas list")
-    if cfg.rod.L == 0.0:
-        raise ConfigError("compare: L = 0 (disc) has no rod asymptotic model")
     # Probe circle offset from the rod center: on the axis the leading
     # error term has a sign change that masks the delta decay.
     probe = sensor_circle(cfg.probe_center, cfg.sweep_probe_radius,
@@ -89,12 +69,11 @@ def cmd_compare(args) -> int:
     for delta in cfg.sweep_deltas:
         rod = dataclasses.replace(cfg.rod, delta=delta)
         t0 = time.perf_counter()
-        sol = solve_forward(rod, cfg.background, n_cap=cfg.n_cap,
-                            n_facade=cfg.n_facade)
-        u_bem, _ = eval_u(sol, probe)
-        u_asym, _ = asymptotic_field(AsymptoticModel.from_spec(rod, cfg.background),
-                                     probe)
-        err = float(np.abs(u_bem - u_asym).max())
+        # the closed form first: it refuses a disc before any solve
+        s_asym = perturbation(rod, cfg.background, probe, "asymptotic")[0]
+        s_bem, _, _, sol = perturbation(rod, cfg.background, probe, "bem",
+                                        cfg.n_cap, cfg.n_facade)
+        err = float(np.abs(s_bem - s_asym).max())
         rows.append({
             "delta": delta,
             "max_error": err,
@@ -128,6 +107,8 @@ def cmd_validate(args) -> int:
 def cmd_invert(args) -> int:
     if not (math.isfinite(args.noise) and args.noise >= 0.0):
         raise ConfigError(f"--noise: must be finite and >= 0, got {args.noise!r}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
     cfg = load_config(args.config)
     if cfg.sensors is None:
         raise ConfigError("invert needs a 'sensors' block")
@@ -162,7 +143,8 @@ def cmd_invert(args) -> int:
 def cmd_forward(args) -> int:
     cfg = load_config(args.config)
     pts = _grid_or_error(cfg)
-    s, gs, near, sol = _perturbation(cfg, "bem", pts)
+    s, gs, near, sol = perturbation(cfg.rod, cfg.background, pts, "bem",
+                                    cfg.n_cap, cfg.n_facade)
     _write_field(args.out, cfg, pts, s, gs, near)
     if args.density:
         write_csv(args.density, ["index", "x1", "x2", "phi"], np.arange(len(sol.mesh)),
@@ -176,7 +158,8 @@ def cmd_forward(args) -> int:
 def cmd_asymptotic(args) -> int:
     cfg = load_config(args.config)
     pts = _grid_or_error(cfg)
-    _write_field(args.out, cfg, pts, *_perturbation(cfg, "asymptotic", pts)[:3])
+    _write_field(args.out, cfg, pts,
+                 *perturbation(cfg.rod, cfg.background, pts, "asymptotic")[:3])
     print(f"asymptotic: wrote {len(pts)} rows to {args.out}")
     return EXIT_OK
 

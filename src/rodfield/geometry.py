@@ -75,6 +75,15 @@ class RodSpec:
         return to_world(self, -half), to_world(self, half)
 
 
+def lambda_of_sigma(sigma0: float) -> float:
+    """Contrast constant (sigma0 + 1) / (2 (sigma0 - 1)); |lam| > 1/2."""
+    if sigma0 <= 0:
+        raise ValidationError(f"sigma0 must be > 0, got {sigma0}")
+    if sigma0 == 1.0:
+        raise ValidationError("sigma0 = 1: no contrast, no inclusion")
+    return (sigma0 + 1.0) / (2.0 * (sigma0 - 1.0))
+
+
 def rotation_matrix(angle: float) -> NDArray:
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])

@@ -16,10 +16,10 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import least_squares
 
-from .asymptotics import AsymptoticModel, _cap_terms, _linear_form, asym_u_linear
+from .asymptotics import _cap_terms, _linear_form
 from .background import HarmonicBackground
 from .geometry import RodSpec, ValidationError, rotation_matrix, signed_distance, write_csv
-from .solver import eval_u, solve_forward
+from .solver import perturbation
 
 
 class IdentifiabilityError(ValueError):
@@ -109,9 +109,9 @@ def simulate_measurements(spec: RodSpec, bg: HarmonicBackground,
                           n_facade: int | None = None) -> SensorSet:
     """Synthesize boundary voltage data at the sensor points.
 
-    ``source`` selects the forward model ('bem' or 'asymptotic'); noise is
-    additive, zero-mean, seed-controlled.  Data on a background that
-    :func:`fit_rod` refuses are refused here, before the forward solve.
+    ``source`` is the model of :func:`solver.perturbation` ('bem' or
+    'asymptotic'); noise is additive, zero-mean, seed-controlled.  Data on a
+    background that :func:`fit_rod` refuses are refused before the solve.
     """
     _require_identifiable(bg)
     points = np.asarray(points, dtype=float)
@@ -119,15 +119,8 @@ def simulate_measurements(spec: RodSpec, bg: HarmonicBackground,
     if np.any(dist < 2.0 * spec.delta):
         raise PlacementError(
             f"sensor within 2*delta of the rod (min distance {dist.min():.3g})")
-
-    if source == "bem":
-        sol = solve_forward(spec, bg, n_cap=n_cap, n_facade=n_facade)
-        values, _ = eval_u(sol, points)
-    elif source == "asymptotic":
-        values = asym_u_linear(AsymptoticModel.from_spec(spec, bg), points)
-    else:
-        raise ValueError(f"unknown source {source!r}")
-
+    values = bg.value(points) + perturbation(spec, bg, points, source,
+                                             n_cap, n_facade)[0]
     if noise_rms > 0.0:
         rng = np.random.default_rng(seed)
         values = values + rng.normal(0.0, noise_rms, size=len(points))
@@ -210,6 +203,7 @@ def fit_rod(data: SensorSet) -> FitResult:
     RESIDUAL_TOL of the signal RMS |u - H| or within twice the stated
     noise: a stop at a wrong local minimum does not count, and neither
     does any fit to data with no signal, whose ``residual_rel`` is None.
+    Data holding a non-finite value are refused with ValidationError.
     The strengths' standard errors come from s^2 (J^T J)^-1 at the
     solution (:func:`_amplitude_stderr`), divided by |a_loc| as the
     strengths are; an undetermined strength shows as an error of its own
@@ -219,6 +213,8 @@ def fit_rod(data: SensorSet) -> FitResult:
     if len(data) < N_PARAMS:
         raise IdentifiabilityError(f"fit needs at least {N_PARAMS} sensors for "
                                    f"its {N_PARAMS} parameters, got {len(data)}")
+    if not (np.isfinite(data.points).all() and np.isfinite(data.values).all()):
+        raise ValidationError("data: a value is not finite (noise past the float range?)")
     signal = data.values - data.background.value(data.points)
     p0 = _start(data, signal)
 
@@ -270,11 +266,12 @@ def distinguishability_gap(spec1: RodSpec, spec2: RodSpec,
                            bg: HarmonicBackground, points: NDArray,
                            n_cap: int | None = None,
                            n_facade: int | None = None) -> float:
-    """Max over sensors of |u1 - u2| between the two rods (full solves)."""
+    """Max over sensors of |u1 - u2| = |s1 - s2| between the two rods'
+    BEM perturbations (full solves)."""
     points = np.asarray(points, dtype=float)
-    u1, _ = eval_u(solve_forward(spec1, bg, n_cap=n_cap, n_facade=n_facade), points)
-    u2, _ = eval_u(solve_forward(spec2, bg, n_cap=n_cap, n_facade=n_facade), points)
-    return float(np.abs(u1 - u2).max())
+    s1, s2 = (perturbation(spec, bg, points, "bem", n_cap, n_facade)[0]
+              for spec in (spec1, spec2))
+    return float(np.abs(s1 - s2).max())
 
 
 def endpoint_error(result: FitResult, spec: RodSpec) -> float:

@@ -1,8 +1,8 @@
 """Forward transmission solve: u = H + S[phi] with phi from the NP system.
 
-Also carries the analytic disc solution (the only exact case, reached via
-L = 0), and offset-point physical checks: flux transmission across the
-boundary and trace-formula consistency.
+Also carries the one choice of forward model (:func:`perturbation`), the
+analytic disc solution (the only exact case, reached via L = 0), and
+offset-point checks: flux transmission and trace-formula consistency.
 """
 
 from __future__ import annotations
@@ -12,19 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
+from .asymptotics import AsymptoticModel, asymptotic_perturbation
 from .background import HarmonicBackground
-from .geometry import BoundaryMesh, RodSpec, ValidationError, build_mesh, default_counts
+from .geometry import (BoundaryMesh, RodSpec, ValidationError, build_mesh, default_counts,
+                       lambda_of_sigma, signed_distance)
 from .potentials import (DensityVector, assemble_np, neumann_data, single_layer_field,
                          solve_density)
-
-
-def lambda_of_sigma(sigma0: float) -> float:
-    """Contrast constant (sigma0 + 1) / (2 (sigma0 - 1)); |lam| > 1/2."""
-    if sigma0 <= 0:
-        raise ValidationError(f"sigma0 must be > 0, got {sigma0}")
-    if sigma0 == 1.0:
-        raise ValidationError("sigma0 = 1: no contrast, no inclusion")
-    return (sigma0 + 1.0) / (2.0 * (sigma0 - 1.0))
 
 
 @dataclass(frozen=True)
@@ -51,6 +44,26 @@ def solve_forward(spec: RodSpec, bg: HarmonicBackground,
     lam = lambda_of_sigma(spec.sigma0)
     phi = solve_density(assemble_np(mesh), lam, neumann_data(mesh, bg))
     return ForwardSolution(mesh=mesh, phi=phi, lam=lam, background=bg)
+
+
+def perturbation(spec: RodSpec, bg: HarmonicBackground, pts, model: str = "bem",
+                 n_cap: int | None = None, n_facade: int | None = None):
+    """The perturbation s = u - H (m,) of ``model`` on points (m, 2), its
+    gradient, the near flags and the BEM solution (None for the closed form).
+
+    'bem' flags points within two spacings of the boundary; 'asymptotic'
+    flags those within 0.1 delta of the rod, and refuses a disc, where it is
+    exactly zero.  Both form s itself, never u - H, which cancels digits.
+    """
+    if model == "bem":
+        sol = solve_forward(spec, bg, n_cap=n_cap, n_facade=n_facade)
+        return (*single_layer_field(sol.mesh, sol.phi, pts), sol)
+    if model != "asymptotic":
+        raise ValueError(f"unknown forward model {model!r}")
+    if spec.L == 0.0:
+        raise ValidationError("L = 0 (disc) has no rod asymptotic model")
+    s, gs = asymptotic_perturbation(AsymptoticModel.from_spec(spec, bg), pts)
+    return s, gs, signed_distance(spec, pts) < spec.delta * 0.1, None
 
 
 def eval_field(sol: ForwardSolution, x) -> tuple[NDArray, NDArray, NDArray]:

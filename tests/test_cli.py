@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from rodfield import (AsymptoticModel, RodSpec, sensor_circle, single_layer_fiel
 from rodfield.asymptotics import asymptotic_perturbation
 from rodfield.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from rodfield.config import load_config
+from rodfield.solver import perturbation
 
 
 CONFIG = """\
@@ -201,6 +203,52 @@ def test_compare_report(config_path, tmp_path):
         assert row["max_error"] > 0
         assert 0.0 <= row["solve_residual"] < 1e-10
         assert row["factored_blocks"] == 2
+
+
+def test_compare_rows_are_the_perturbation_difference(config_path, tmp_path):
+    # E is max |s_bem - s_asym| of the one forward-model route, bit for bit
+    out = tmp_path / "compare.json"
+    assert main(["compare", "--config", config_path, "--out", str(out)]) == EXIT_OK
+    cfg = load_config(config_path)
+    probe = sensor_circle(cfg.probe_center, cfg.sweep_probe_radius,
+                          cfg.sweep_probe_count)
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["delta"] for r in rows] == list(cfg.sweep_deltas)
+    for row in rows:
+        rod = dataclasses.replace(cfg.rod, delta=row["delta"])
+        s_bem = perturbation(rod, cfg.background, probe, "bem", cfg.n_cap,
+                             cfg.n_facade)[0]
+        s_asym = perturbation(rod, cfg.background, probe, "asymptotic")[0]
+        assert row["max_error"] == float(np.abs(s_bem - s_asym).max())
+        assert row["error_over_delta"] == row["max_error"] / row["delta"]
+
+
+DISC_CONFIG = """\
+rod: {L: 0.0, delta: 0.5, center: [0.0, 0.0], angle: 0.0, sigma0: 3.0}
+background: {a: [1.0, 0.5]}
+grid: {xmin: -3.0, xmax: 3.0, ymin: -3.0, ymax: 3.0, nx: 4, ny: 4}
+sensors: {center: [0.0, 0.0], radius: 3.0, count: 32}
+sweep: {deltas: [0.5, 0.25], probe_radius: 3.0, probe_count: 16}
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["asymptotic"],
+    ["fieldmap", "--model", "asymptotic"],
+    ["invert", "--synthesize", "--model", "asymptotic"],
+    ["compare"],
+], ids=["asymptotic", "fieldmap", "invert", "compare"])
+def test_closed_form_refuses_a_disc(argv, tmp_path, capsys):
+    # the rod closed form is exactly 0 on a disc, whose BEM perturbation on
+    # this grid is 0.006 to 0.094: asymptotic and fieldmap wrote du = 0.0
+    # with exit 0, and invert synthesized data equal to H
+    path = tmp_path / "disc.yaml"
+    path.write_text(DISC_CONFIG)
+    out = tmp_path / "out"
+    code = main([argv[0], "--config", str(path), *argv[1:], "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: L = 0 (disc) has no rod asymptotic model\n"
+    assert not out.exists()
 
 
 def test_compare_requires_sweep(tmp_path):
@@ -415,14 +463,23 @@ def test_bad_value_exits_2_naming_its_block(old, new, block, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {block}: ")
 
 
-@pytest.mark.parametrize("noise", ["-0.1", "nan", "inf"])
-def test_bad_noise_exits_2(noise, config_path, tmp_path, capsys):
+@pytest.mark.parametrize("seed, noise, message", [
     # a negative noise RMS was accepted as the fit's convergence floor
-    code = main(["invert", "--config", config_path, "--synthesize",
+    pytest.param("0", "-0.1", "error: --noise: ", id="-0.1"),
+    pytest.param("0", "nan", "error: --noise: ", id="nan"),
+    pytest.param("0", "inf", "error: --noise: ", id="inf"),
+    # default_rng refused the seed in a ValueError traceback
+    pytest.param("-1", "1e-4", "error: --seed: ", id="seed-negative"),
+    # the noise overflowed a synthesized value to inf, and the fit died in
+    # a LinAlgError traceback ("SVD did not converge") with exit 1
+    pytest.param("0", "1e308", "error: data: ", id="1e308"),
+])
+def test_bad_noise_exits_2(seed, noise, message, config_path, tmp_path, capsys):
+    code = main(["--seed", seed, "invert", "--config", config_path, "--synthesize",
                  "--model", "asymptotic", "--noise", noise,
                  "--out", str(tmp_path / "fit.json")])
     assert code == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error: --noise: ")
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_missing_grid_exit_code(tmp_path):
@@ -445,6 +502,24 @@ def test_cap_centre_grid_point_exits_2(argv, tmp_path, capsys):
                  "--out", str(tmp_path / "out.csv")])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_validate_assembles_each_mesh_once(monkeypatch):
+    # the zero-total density checks assembled the second suite mesh again,
+    # once per background: 9 assemblies where 7 meshes are built
+    from rodfield import potentials, solver, validate
+
+    meshes = []
+
+    def counting(mesh):
+        meshes.append(mesh)
+        return potentials.assemble_np(mesh)
+
+    for module in (validate, solver):
+        monkeypatch.setattr(module, "assemble_np", counting)
+    assert all(c.passed for c in validate.run_validation())
+    assert len(meshes) == 7
+    assert len({id(m) for m in meshes}) == 7
 
 
 def test_validate_runs_clean(capsys):

@@ -13,7 +13,7 @@ from rodfield.inverse import (IdentifiabilityError, PlacementError,
                               endpoint_error, initial_center_guess,
                               load_measurements_csv)
 from rodfield.geometry import ValidationError
-from rodfield.solver import lambda_of_sigma
+from rodfield.solver import eval_u, lambda_of_sigma, perturbation, solve_forward
 
 
 SPEC = RodSpec(L=2.0, delta=0.05, center=(0.3, -0.2), angle=0.4, sigma0=2.0)
@@ -52,6 +52,20 @@ def test_model_source_consistency():
     da = simulate_measurements(spec, BG, pts, source="asymptotic")
     a_norm = np.linalg.norm(BG.linear_part)
     assert np.abs(db.values - da.values).max() <= 0.2 * spec.delta * a_norm
+
+
+@pytest.mark.parametrize("source", ["bem", "asymptotic"])
+def test_synthesized_data_is_background_plus_perturbation(source):
+    # the one forward-model route gives the values that the model's own
+    # u-route (eval_u, asym_u_linear) gave before, bit for bit
+    data = simulate_measurements(SPEC, BG, POINTS, source=source)
+    s = perturbation(SPEC, BG, POINTS, source)[0]
+    assert np.array_equal(data.values, BG.value(POINTS) + s)
+    if source == "bem":
+        u = eval_u(solve_forward(SPEC, BG), POINTS)[0]
+    else:
+        u = asym_u_linear(AsymptoticModel.from_spec(SPEC, BG), POINTS)
+    assert np.array_equal(data.values, u)
 
 
 def test_unknown_source_rejected():
