@@ -203,7 +203,8 @@ def fit_rod(data: SensorSet) -> FitResult:
     RESIDUAL_TOL of the signal RMS |u - H| or within twice the stated
     noise: a stop at a wrong local minimum does not count, and neither
     does any fit to data with no signal, whose ``residual_rel`` is None.
-    Data holding a non-finite value are refused with ValidationError.
+    Data holding a non-finite value are refused with ValidationError, and
+    so are data whose sum of squares of |u - H| would overflow.
     The strengths' standard errors come from s^2 (J^T J)^-1 at the
     solution (:func:`_amplitude_stderr`), divided by |a_loc| as the
     strengths are; an undetermined strength shows as an error of its own
@@ -216,6 +217,11 @@ def fit_rod(data: SensorSet) -> FitResult:
     if not (np.isfinite(data.points).all() and np.isfinite(data.values).all()):
         raise ValidationError("data: a value is not finite (noise past the float range?)")
     signal = data.values - data.background.value(data.points)
+    # LM and the RMS values below sum squares of the signal's size
+    top = float(np.abs(signal).max())
+    if top > np.sqrt(np.finfo(float).max / len(signal)):
+        raise ValidationError(f"data: |u - H| reaches {top:.3g}, where the fit's "
+                              "sum of squares overflows")
     p0 = _start(data, signal)
 
     def residuals(p: NDArray) -> NDArray:

@@ -19,6 +19,12 @@ twin it is integrated exactly against the panel's interpolant (product
 quadrature, Helsing & Ojala 2008) instead of sampled at the nodes.  The
 density solve factors a block only if the data has a part of its parity;
 a linear background excites two of the four.
+
+Outside the rod the field S[phi] is fixed by a few moments of the
+density, so grids of many points far from the rod take S and grad S from
+a multipole expansion about the node centroid (the far-field half of the
+fast multipole method, Greengard & Rokhlin 1987) instead of a sum over
+every node.
 """
 
 from __future__ import annotations
@@ -40,6 +46,19 @@ NEAR_FACTOR = 2.0
 #: byte budget of the scratch of field evaluation, three (chunk, n) float
 #: arrays: memory is bounded by the chunk, not by the number of points.
 FIELD_CHUNK_BYTES = 1 << 21
+
+#: Field points at least FAR_RATIO rho from the node centroid, rho the
+#: largest node distance from it, may take the multipole expansion of
+#: :func:`_multipole_field`, whose k-th term there is at most 2^-k of
+#: sum_j |phi_j w_j| (over rho for the gradient): FAR_TERMS terms leave a
+#: remainder below 2^-FAR_TERMS of that, and 48 already reached the
+#: rounding of the direct sum.  The expansion has a fixed cost of about
+#: 0.6 ms (its two loops of FAR_TERMS steps), the direct sum about 9 ns a
+#: (point, node) pair, so it is used only where it replaces at least
+#: FAR_MIN_PAIRS pairs, four times the break-even (one BLAS thread).
+FAR_RATIO = 2.0
+FAR_TERMS = 56
+FAR_MIN_PAIRS = 1 << 18
 
 #: A parity part of the data below this share of its norm is rounding of
 #: the other parts, not data: for a linear background a.nu two of the four
@@ -394,21 +413,13 @@ def _near_flags(mesh: BoundaryMesh, r2: NDArray) -> NDArray:
     return np.sqrt(r2[np.arange(len(r2)), j]) < NEAR_FACTOR * mesh.weights[j]
 
 
-def single_layer_field(mesh: BoundaryMesh, phi: DensityVector,
-                       x) -> tuple[NDArray, NDArray, NDArray]:
-    """Single-layer potential of ``phi``, its exact gradient and the near flag.
-
-    ``near`` flags points closer to the boundary than NEAR_FACTOR local
-    spacings, where midpoint quadrature degrades.  Each chunk of points
-    forms d = x - y and r^2 = |d|^2 once, by direct subtraction (the GEMM
-    expansion of r^2 cancels near the boundary).  Accepts a single point or
-    an (m, 2) array; a point on a mesh node raises ValidationError.
-    """
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    pw = phi.values * mesh.weights
+def _direct_field(mesh: BoundaryMesh, pw: NDArray,
+                  pts: NDArray) -> tuple[NDArray, NDArray]:
+    """Rows (2 pi dS/dx1, 2 pi dS/dx2, 4 pi S) and near flags of ``pts`` (m, 2)
+    by the direct sum over every node, chunked to FIELD_CHUNK_BYTES."""
     rows = max(1, FIELD_CHUNK_BYTES // (24 * len(mesh)))
     buf = np.empty((3, min(rows, len(pts)), len(mesh)))
-    out = np.empty((len(pts), 3))   # 2 pi dS/dx1, 2 pi dS/dx2, 4 pi S
+    out = np.empty((len(pts), 3))
     near = np.empty(len(pts), dtype=bool)
     for s in range(0, len(pts), rows):
         p = pts[s:s + rows]
@@ -425,6 +436,84 @@ def single_layer_field(mesh: BoundaryMesh, phi: DensityVector,
         scratch[:2] /= r2
         np.log(r2, out=r2)
         out[s:s + len(p)] = (scratch @ pw).T
+    return out, near
+
+
+def _multipole_field(mesh: BoundaryMesh, pw: NDArray, pts: NDArray,
+                     c: NDArray, rho: float) -> NDArray:
+    """Rows of :func:`_direct_field` at points at least FAR_RATIO rho from c.
+
+    In complex notation 4 pi S = 2 Re F with F(z) = sum_j q_j log(z - y_j)
+    and q_j = phi_j w_j, and 2 pi grad S = (Re F', -Im F').  With
+    u = rho / (z - c), t_j = (y_j - c) / rho and the moments
+    a_k = sum_j q_j t_j^k, F = a_0 log(z - c) - sum_k a_k u^k / k and
+    rho F' = sum_k a_k u^(k+1), both summed by Horner's rule in u.
+    """
+    t = (mesh.points[:, 0] - c[0] + 1j * (mesh.points[:, 1] - c[1])) / rho
+    moments = np.empty(FAR_TERMS + 1, dtype=complex)
+    qt = pw.astype(complex)
+    for k in range(FAR_TERMS + 1):
+        moments[k] = qt.sum()
+        qt *= t
+    # column 0 sums rho F', column 1 the series of F
+    coef = np.zeros((FAR_TERMS + 1, 2), dtype=complex)
+    coef[:, 0] = moments
+    coef[:-1, 1] = moments[1:] / np.arange(1, FAR_TERMS + 1)
+    d = pts - c
+    u = rho / (d[:, 0] + 1j * d[:, 1])
+    acc = np.empty((2, len(u)), dtype=complex)
+    acc[:] = coef[-1, :, None]
+    for ck in coef[-2::-1]:
+        acc *= u
+        acc += ck[:, None]
+    acc *= u
+    out = np.empty((len(pts), 3))
+    out[:, 0] = acc[0].real / rho
+    out[:, 1] = -acc[0].imag / rho
+    out[:, 2] = moments[0].real * np.log(np.square(d).sum(axis=1)) - 2.0 * acc[1].real
+    return out
+
+
+def single_layer_field(mesh: BoundaryMesh, phi: DensityVector,
+                       x) -> tuple[NDArray, NDArray, NDArray]:
+    """Single-layer potential of ``phi``, its exact gradient and the near flag.
+
+    ``near`` flags points closer to the boundary than NEAR_FACTOR local
+    spacings, where the composite Gauss-Legendre rule degrades.
+
+    Points at least FAR_RATIO rho from the node centroid c, rho the
+    largest node distance from c, take S and grad S from a multipole
+    expansion about c (:func:`_multipole_field`) when together they
+    replace at least FAR_MIN_PAIRS (point, node) pairs of the direct sum,
+    and when rho >= NEAR_FACTOR max w: such a point is at least rho from
+    every node, so none of them can be flagged.  Its truncation is below
+    2^-FAR_TERMS of the sum of |phi_j w_j|; on the ``fieldmap`` benchmark
+    grid it agreed with a long-double direct sum to 8e-16 of the largest
+    |S| and |grad S| there, where the direct sum in double is off by up
+    to 1.3e-14.  Every other point takes the direct sum: each chunk of
+    points forms d = x - y and r^2 = |d|^2 once, by direct subtraction
+    (the GEMM expansion of r^2 cancels near the boundary).
+    Accepts a single point or an (m, 2) array; a point on a mesh node
+    raises ValidationError.
+    """
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    pw = phi.values * mesh.weights
+    far = None
+    if len(pts) * len(mesh) >= FAR_MIN_PAIRS:
+        c = mesh.points.mean(axis=0)
+        rho = float(np.sqrt(np.square(mesh.points - c).sum(axis=1).max()))
+        # a far point is at least rho from every node
+        if rho >= NEAR_FACTOR * mesh.weights.max():
+            far = np.square(pts - c).sum(axis=1) >= (FAR_RATIO * rho) ** 2
+            if np.count_nonzero(far) * len(mesh) < FAR_MIN_PAIRS:
+                far = None
+    if far is None:
+        out, near = _direct_field(mesh, pw, pts)
+    else:
+        out = np.empty((len(pts), 3))   # 2 pi dS/dx1, 2 pi dS/dx2, 4 pi S
+        near = np.zeros(len(pts), dtype=bool)
+        out[far] = _multipole_field(mesh, pw, pts[far], c, rho)
+        out[~far], near[~far] = _direct_field(mesh, pw, pts[~far])
     vals, grads = out[:, 2] / (4.0 * np.pi), out[:, :2] / (2.0 * np.pi)
     if np.ndim(x) == 1:
         return vals[0], grads[0], near[0]

@@ -473,6 +473,10 @@ def test_bad_value_exits_2_naming_its_block(old, new, block, tmp_path, capsys):
     # the noise overflowed a synthesized value to inf, and the fit died in
     # a LinAlgError traceback ("SVD did not converge") with exit 1
     pytest.param("0", "1e308", "error: data: ", id="1e308"),
+    # finite data whose squares overflowed: the RMS residual was inf, and
+    # writing fit.json died in a ValueError traceback ("Out of range float
+    # values are not JSON compliant: inf") with exit 1
+    pytest.param("0", "1e200", "error: data: |u - H| reaches ", id="1e200"),
 ])
 def test_bad_noise_exits_2(seed, noise, message, config_path, tmp_path, capsys):
     code = main(["--seed", seed, "invert", "--config", config_path, "--synthesize",

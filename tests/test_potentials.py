@@ -466,6 +466,125 @@ def test_single_layer_field_single_point():
         assert single_layer(mesh, phi, x) == (val, near)
 
 
+QUADRATIC = HarmonicBackground.polynomial((0.1, 1.0, -0.5, 0.3, 0.2))
+
+#: mesh, and the half width of the square grid about the node centroid in
+#: units of rho, the largest node distance from it
+FAR_CASES = {
+    # a rotated, shifted rod: most of the grid lies beyond 2 rho
+    "rod": ("odd_panels", 4.0),
+    "disc": ("disc", 4.0),
+    # about half the grid lies inside the 2 rho circle
+    "straddling": ("odd_panels", 2.5),
+}
+
+
+def _centroid_and_rho(mesh):
+    c = mesh.points.mean(axis=0)
+    return c, np.sqrt(np.square(mesh.points - c).sum(axis=1).max())
+
+
+def _far_case(name, side):
+    """A solved density and a side x side grid about the mesh, plus 16
+    points within a local spacing of the boundary."""
+    mesh_name, half = FAR_CASES[name]
+    mesh = SYMMETRY_MESHES[mesh_name]()
+    phi = solve_density(assemble_np(mesh), 1.5, neumann_data(mesh, QUADRATIC))
+    c, rho = _centroid_and_rho(mesh)
+    t = np.linspace(-half * rho, half * rho, side)
+    grid = c + np.stack(np.meshgrid(t, t), axis=-1).reshape(-1, 2)
+    rng = np.random.default_rng(side)
+    k = rng.integers(len(mesh), size=16)
+    off = rng.uniform(-1.0, 1.0, size=(16, 1)) * mesh.weights[k, None]
+    return mesh, phi, np.vstack([grid, mesh.points[k] + off * mesh.normals[k]])
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """Counts the calls of the multipole evaluation."""
+    calls = []
+    real = potentials._multipole_field
+
+    def spy(mesh, pw, pts, c, rho):
+        calls.append(len(pts))
+        return real(mesh, pw, pts, c, rho)
+
+    monkeypatch.setattr(potentials, "_multipole_field", spy)
+    return calls
+
+
+@pytest.mark.parametrize("size", ["patched", "default"])
+@pytest.mark.parametrize("name", list(FAR_CASES))
+def test_far_points_from_the_expansion_match_dense(name, size, expansions, monkeypatch):
+    n = len(SYMMETRY_MESHES[FAR_CASES[name][0]]())
+    if size == "patched":
+        monkeypatch.setattr(potentials, "FAR_MIN_PAIRS", 0)
+        side = 21
+    else:
+        # at least half the grid is far, so this passes the pair threshold
+        side = int(np.ceil(np.sqrt(2.2 * potentials.FAR_MIN_PAIRS / n)))
+    mesh, phi, pts = _far_case(name, side)
+    c, rho = _centroid_and_rho(mesh)
+    far = np.square(pts - c).sum(axis=1) >= (potentials.FAR_RATIO * rho) ** 2
+    vals, grads, near = single_layer_field(mesh, phi, pts)
+    assert expansions == [np.count_nonzero(far)]
+    assert far.mean() > 0.4 and (~far).sum() > 16
+    ref_vals, ref_near = dense_single_layer(mesh, phi, pts)
+    ref_grads, _ = dense_single_layer_grad(mesh, phi, pts)
+    _assert_close(vals, ref_vals)
+    _assert_close(grads, ref_grads)
+    assert np.array_equal(near, ref_near) and near.any()
+
+
+def test_single_far_point_from_the_expansion(expansions, monkeypatch):
+    monkeypatch.setattr(potentials, "FAR_MIN_PAIRS", 0)
+    mesh, phi, _ = _far_case("rod", 2)
+    c, rho = _centroid_and_rho(mesh)
+    x = c + 2.0 * rho * np.array([0.6, 0.8])
+    val, grad, near = single_layer_field(mesh, phi, x)
+    assert expansions == [1]
+    assert np.ndim(val) == 0 and grad.shape == (2,) and np.ndim(near) == 0
+    ref_val, ref_near = dense_single_layer(mesh, phi, x)
+    ref_grad, _ = dense_single_layer_grad(mesh, phi, x)
+    _assert_close(val, ref_val)
+    _assert_close(grad, ref_grad)
+    assert near == ref_near and not near
+
+
+def test_below_the_pair_threshold_every_point_takes_the_direct_sum(expansions):
+    mesh, phi, _ = _far_case("rod", 2)
+    c, rho = _centroid_and_rho(mesh)
+    m = -(-potentials.FAR_MIN_PAIRS // len(mesh))
+    angle = np.linspace(0.0, 2.0 * np.pi, m)
+    ring = c + 3.0 * rho * np.column_stack([np.cos(angle), np.sin(angle)])
+    pw = phi.values * mesh.weights
+    direct, direct_near = potentials._direct_field(mesh, pw, ring[1:])
+    vals, grads, near = single_layer_field(mesh, phi, ring[1:])
+    assert expansions == []
+    assert np.array_equal(vals, direct[:, 2] / (4.0 * np.pi))
+    assert np.array_equal(grads, direct[:, :2] / (2.0 * np.pi))
+    assert np.array_equal(near, direct_near)
+    # the threshold counts the far points only
+    single_layer_field(mesh, phi, np.vstack([ring[1:], c + (ring[1:] - c) / 2.0]))
+    assert expansions == []
+    # one point more reaches the threshold: every point is far
+    single_layer_field(mesh, phi, ring)
+    assert expansions == [m]
+
+
+def test_expansion_is_refused_where_a_far_point_could_be_near(expansions, monkeypatch):
+    # on 8 nodes the spacing is 0.55 and 2 spacings pass rho = 0.7, so a
+    # point 2 rho out can be flagged: no point takes the expansion
+    monkeypatch.setattr(potentials, "FAR_MIN_PAIRS", 0)
+    mesh = build_mesh(RodSpec(L=0.0, delta=0.7), n_cap=8)
+    phi = DensityVector(values=np.ones(len(mesh)), mesh=mesh)
+    c, rho = _centroid_and_rho(mesh)
+    pts = c + 2.1 * rho * np.column_stack([np.cos(np.arange(64)), np.sin(np.arange(64))])
+    vals, grads, near = single_layer_field(mesh, phi, pts)
+    assert expansions == []
+    assert near.any() and np.array_equal(near, dense_near_flags(mesh, pts))
+
+
 def test_evaluation_on_a_mesh_node_is_refused():
     mesh, phi, _ = _field_case(1)
     node = mesh.points[5]
