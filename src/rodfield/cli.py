@@ -23,7 +23,7 @@ from .inverse import (IdentifiabilityError, dump_fit_json, dump_measurements_csv
                       fit_rod, load_measurements_csv, sensor_circle,
                       simulate_measurements)
 from .potentials import SolverError
-from .solver import perturbation
+from .solver import perturbation, refuse_non_finite
 from .validate import run_validation
 
 EXIT_OK = 0
@@ -40,6 +40,7 @@ def _grid_or_error(cfg: RunConfig) -> np.ndarray:
 def _write_field(path: str, cfg: RunConfig, pts: np.ndarray, s, gs, near) -> None:
     """The CSV of ``forward`` and ``asymptotic``: u = H + s, grad u, near flag."""
     u, g = cfg.background.value(pts) + s, cfg.background.grad(pts) + gs
+    refuse_non_finite("u", pts, u, g)
     write_csv(path, ["x1", "x2", "u", "ux", "uy", "near_boundary_flag"],
               pts[:, 0], pts[:, 1], u, g[:, 0], g[:, 1], near)
 
@@ -49,8 +50,10 @@ def cmd_fieldmap(args) -> int:
     pts = _grid_or_error(cfg)
     s, gs, near, sol = perturbation(cfg.rod, cfg.background, pts, args.model,
                                     cfg.n_cap, cfg.n_facade)
+    dgrad = np.linalg.norm(gs, axis=1)
+    refuse_non_finite("|grad(u - H)|", pts, dgrad)
     write_csv(args.out, ["x1", "x2", "du", "dgrad", "near_flag"],
-              pts[:, 0], pts[:, 1], np.abs(s), np.linalg.norm(gs, axis=1), near)
+              pts[:, 0], pts[:, 1], np.abs(s), dgrad, near)
     mesh = f"  n={len(sol.mesh)}" if sol is not None else ""
     print(f"fieldmap: wrote {len(pts)} rows to {args.out}{mesh}  "
           f"near={np.count_nonzero(near)}")

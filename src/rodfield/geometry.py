@@ -23,6 +23,9 @@ TAG_CAP_LEFT = "cap_left"
 TAG_CAP_RIGHT = "cap_right"
 TAG_FACADE_BOTTOM = "facade_bottom"
 TAG_FACADE_TOP = "facade_top"
+#: The segments of a mesh in node order, counterclockwise from the bottom
+#: side's left end: n_facade, n_cap, n_facade and n_cap nodes.
+SEGMENTS = (TAG_FACADE_BOTTOM, TAG_CAP_RIGHT, TAG_FACADE_TOP, TAG_CAP_LEFT)
 
 
 class ValidationError(ValueError):
@@ -58,8 +61,8 @@ class RodSpec:
             raise ValidationError(f"sigma0 must be > 0, got {self.sigma0}")
         if self.sigma0 == 1.0:
             raise ValidationError("sigma0 = 1 gives no contrast with the background")
-        if len(self.center) != 2:
-            raise ValidationError(f"center must be a 2-vector, got {self.center}")
+        if len(self.center) != 2 or not np.isfinite(self.center).all():
+            raise ValidationError(f"center must be a finite 2-vector, got {self.center}")
 
     @property
     def perimeter(self) -> float:
@@ -118,7 +121,6 @@ class BoundaryMesh:
     normals: NDArray       # (n, 2), unit outward
     curvatures: NDArray    # (n,)
     weights: NDArray       # (n,)
-    tags: NDArray          # (n,) str
     spec: RodSpec = field(repr=False)
     n_cap: int = 0
     n_facade: int = 0
@@ -127,7 +129,8 @@ class BoundaryMesh:
         return len(self.weights)
 
     def tag_mask(self, tag: str) -> NDArray:
-        return self.tags == tag
+        """The nodes of segment ``tag``, one of SEGMENTS."""
+        return np.repeat(np.array(SEGMENTS) == tag, [self.n_facade, self.n_cap] * 2)
 
 
 #: Gauss-Legendre points per panel, and the rule on (-1, 1).
@@ -156,6 +159,11 @@ def build_mesh(spec: RodSpec, n_cap: int, n_facade: int = 0) -> BoundaryMesh:
     nodes (both rounded up to a multiple of PANEL_ORDER), distributed as
     equal Gauss-Legendre panels in arc length.  ``n_facade`` is ignored
     for the disc case L = 0.
+
+    The half mesh, the bottom side left to right and then the right cap,
+    is built once in the rod frame; the top side and the left cap are its
+    point reflection x -> -x, node for node, so the mesh is symmetric under
+    both mirrors exactly before the one rigid motion.
     """
     if n_cap < 8:
         raise ValidationError(f"n_cap must be >= 8, got {n_cap}")
@@ -163,55 +171,20 @@ def build_mesh(spec: RodSpec, n_cap: int, n_facade: int = 0) -> BoundaryMesh:
         raise ValidationError(f"n_facade must be >= 8, got {n_facade}")
 
     L, d = spec.L, spec.delta
-    P = np.array([-L / 2.0, 0.0])
-    Q = np.array([L / 2.0, 0.0])
-
-    pts, nrm, kap, wts, tags = [], [], [], [], []
-
     s_cap, w_cap = _segment_rule(np.pi, n_cap)
-    n_cap = len(s_cap)
-
-    def cap(center: NDArray, theta0: float, tag: str) -> None:
-        theta = theta0 + s_cap
-        nu = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        pts.append(center + d * nu)
-        nrm.append(nu)
-        kap.append(np.full(n_cap, 1.0 / d))
-        wts.append(d * w_cap)
-        tags.append(np.full(n_cap, tag))
-
-    if L == 0.0:
-        cap(Q, -np.pi / 2.0, TAG_CAP_RIGHT)
-        cap(P, np.pi / 2.0, TAG_CAP_LEFT)
-        n_facade = 0
-    else:
-        s_fac, w_fac = _segment_rule(L, n_facade)
-        n_facade = len(s_fac)
-
-        def facade(y2: float, reverse: bool, tag: str) -> None:
-            x1 = -L / 2.0 + s_fac
-            w = w_fac
-            if reverse:
-                x1, w = x1[::-1], w[::-1]
-            p = np.stack([x1, np.full(n_facade, y2)], axis=1)
-            nu = np.tile([0.0, np.sign(y2)], (n_facade, 1))
-            pts.append(p)
-            nrm.append(nu)
-            kap.append(np.zeros(n_facade))
-            wts.append(w.copy())
-            tags.append(np.full(n_facade, tag))
-
-        facade(-d, False, TAG_FACADE_BOTTOM)
-        cap(Q, -np.pi / 2.0, TAG_CAP_RIGHT)
-        facade(d, True, TAG_FACADE_TOP)
-        cap(P, np.pi / 2.0, TAG_CAP_LEFT)
-
-    normals = np.concatenate(nrm) @ rotation_matrix(spec.angle).T
-    return BoundaryMesh(points=to_world(spec, np.concatenate(pts)), normals=normals,
-                        curvatures=np.concatenate(kap),
-                        weights=np.concatenate(wts),
-                        tags=np.concatenate(tags),
-                        spec=spec, n_cap=n_cap, n_facade=n_facade)
+    s_fac, w_fac = _segment_rule(L, n_facade) if L > 0 else (np.empty(0), np.empty(0))
+    theta = s_cap - np.pi / 2.0
+    nu_cap = np.column_stack([np.cos(theta), np.sin(theta)])
+    half = np.concatenate([np.column_stack([s_fac - L / 2.0, np.full(len(s_fac), -d)]),
+                           [L / 2.0, 0.0] + d * nu_cap])
+    half_normals = np.concatenate([np.tile([0.0, -1.0], (len(s_fac), 1)), nu_cap])
+    normals = np.concatenate([half_normals, -half_normals])
+    return BoundaryMesh(points=to_world(spec, np.concatenate([half, -half])),
+                        normals=normals @ rotation_matrix(spec.angle).T,
+                        curvatures=np.tile(np.repeat([0.0, 1.0 / d],
+                                                     [len(s_fac), len(s_cap)]), 2),
+                        weights=np.tile(np.concatenate([w_fac, d * w_cap]), 2),
+                        spec=spec, n_cap=len(s_cap), n_facade=len(s_fac))
 
 
 def default_counts(spec: RodSpec) -> tuple[int, int]:

@@ -27,7 +27,7 @@ class IdentifiabilityError(ValueError):
     sensors than fit parameters)."""
 
 
-class PlacementError(ValueError):
+class PlacementError(ValidationError):
     """Raised when a sensor sits too close to the rod for the models."""
 
 

@@ -398,10 +398,13 @@ def solve_density(np_matrix: NpMatrix, lam: float, rhs: DensityVector) -> Densit
     scale = max(np.linalg.norm(rhs.values), 1e-300)
     residual = 2.0 * np.linalg.norm(r) / scale
     if not np.isfinite(residual) or residual > 1e-10:
-        cond = max(np.linalg.cond(lam * np.eye(m) - np_matrix.block(s)) for s in range(4))
+        blocks = lam * np.eye(m) - np.tensordot(CHI, np_matrix.orbit_matrices, axes=1)
+        if not np.isfinite(blocks).all():
+            raise SolverError(f"density system has non-finite entries (lam={lam})")
         raise SolverError(
             f"density solve residual {residual:.2e} exceeds 1.0e-10 "
-            f"(largest block condition estimate {cond:.2e}, lam={lam})")
+            f"(largest block condition estimate {np.linalg.cond(blocks).max():.2e}, "
+            f"lam={lam})")
     return DensityVector(values=np_matrix.join(phi), mesh=np_matrix.mesh,
                          residual=float(residual), factored_blocks=len(live))
 
@@ -435,7 +438,10 @@ def _direct_field(mesh: BoundaryMesh, pw: NDArray,
                                   "lies on a mesh node, where the kernel is singular")
         scratch[:2] /= r2
         np.log(r2, out=r2)
-        out[s:s + len(p)] = (scratch @ pw).T
+        # einsum sums each row on its own, so a point's value does not
+        # depend on the points that share its chunk (a BLAS gemv sums the
+        # rows at its block edges in another order)
+        out[s:s + len(p)] = np.einsum("krn,n->rk", scratch, pw)
     return out, near
 
 

@@ -54,16 +54,29 @@ def perturbation(spec: RodSpec, bg: HarmonicBackground, pts, model: str = "bem",
     'bem' flags points within two spacings of the boundary; 'asymptotic'
     flags those within 0.1 delta of the rod, and refuses a disc, where it is
     exactly zero.  Both form s itself, never u - H, which cancels digits.
+    A value that is not finite (r^2 overflows past about 1e154) is refused.
     """
     if model == "bem":
         sol = solve_forward(spec, bg, n_cap=n_cap, n_facade=n_facade)
-        return (*single_layer_field(sol.mesh, sol.phi, pts), sol)
-    if model != "asymptotic":
+        s, gs, near = single_layer_field(sol.mesh, sol.phi, pts)
+    elif model == "asymptotic":
+        if spec.L == 0.0:
+            raise ValidationError("L = 0 (disc) has no rod asymptotic model")
+        s, gs = asymptotic_perturbation(AsymptoticModel.from_spec(spec, bg), pts)
+        near, sol = signed_distance(spec, pts) < spec.delta * 0.1, None
+    else:
         raise ValueError(f"unknown forward model {model!r}")
-    if spec.L == 0.0:
-        raise ValidationError("L = 0 (disc) has no rod asymptotic model")
-    s, gs = asymptotic_perturbation(AsymptoticModel.from_spec(spec, bg), pts)
-    return s, gs, signed_distance(spec, pts) < spec.delta * 0.1, None
+    refuse_non_finite("u - H", pts, s, gs)
+    return s, gs, near, sol
+
+
+def refuse_non_finite(name: str, pts: NDArray, *columns: NDArray) -> None:
+    """Raise ValidationError naming the first of the points (m, 2) at which
+    a column, (m,) or (m, k), is not finite."""
+    bad = ~np.isfinite(np.column_stack(columns)).all(axis=1)
+    if bad.any():
+        x1, x2 = pts[np.flatnonzero(bad)[0]].tolist()
+        raise ValidationError(f"{name} is not finite at ({x1!r}, {x2!r})")
 
 
 def eval_field(sol: ForwardSolution, x) -> tuple[NDArray, NDArray, NDArray]:

@@ -508,6 +508,83 @@ def test_cap_centre_grid_point_exits_2(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+#: L = 2, delta = 0.1, a = (1, 0.5) on a 2 x 2 grid whose x1 passes 1e154,
+#: where r^2 overflows
+OVERFLOW_CONFIG = """\
+rod: {L: 2.0, delta: 0.1, center: [0.0, 0.0], angle: 0.0, sigma0: 2.0}
+background: {a: [1.0, 0.5]}
+grid: {xmin: 1.0e+200, xmax: 1.0e+300, ymin: -3, ymax: 3, nx: 2, ny: 2}
+"""
+
+GRID_COMMANDS = [["forward"], ["fieldmap", "--model", "bem"],
+                 ["fieldmap", "--model", "asymptotic"], ["asymptotic"]]
+GRID_IDS = ["forward", "fieldmap-bem", "fieldmap-asymptotic", "asymptotic"]
+
+
+def _run_grid_command(argv, config, tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text(config)
+    out = tmp_path / "out.csv"
+    code = main([argv[0], "--config", str(path), *argv[1:], "--out", str(out)])
+    assert not out.exists()
+    return code
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("argv", GRID_COMMANDS, ids=GRID_IDS)
+def test_overflowing_grid_exits_2(argv, tmp_path, capsys):
+    # every grid command wrote nan cells and exited 0
+    assert _run_grid_command(argv, OVERFLOW_CONFIG, tmp_path) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: u - H is not finite at (1e+200, -3.0)\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("argv, message", [
+    # H = 1e300 (x1^2 - x2^2) overflows at x1 = 1e5, where s is still finite
+    (["asymptotic"], "error: u is not finite at (100000.0, -3.0)\n"),
+    # grad s is finite there, but its norm overflows
+    (["fieldmap", "--model", "asymptotic"],
+     "error: |grad(u - H)| is not finite at (10000.0, -3.0)\n"),
+], ids=["asymptotic", "fieldmap"])
+def test_overflowing_output_column_exits_2(argv, message, tmp_path, capsys):
+    config = OVERFLOW_CONFIG.replace("a: [1.0, 0.5]", "coefficients: [0, 1, 0.5, 1.0e+300, 0]")
+    config = config.replace("1.0e+200, xmax: 1.0e+300", "1.0e+4, xmax: 1.0e+5")
+    assert _run_grid_command(argv, config, tmp_path) == EXIT_USAGE
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("argv, code, message", [
+    # every rod-frame node collapses onto 0: the solve died in a LinAlgError
+    # traceback ("SVD did not converge") while estimating the condition
+    (["forward"], EXIT_FAILURE, "error: density system has non-finite entries "),
+    (["fieldmap", "--model", "bem"], EXIT_FAILURE,
+     "error: density system has non-finite entries "),
+    # the closed form wrote nan cells and exited 0
+    (["asymptotic"], EXIT_USAGE, "error: u - H is not finite at (-3.0, -3.0)"),
+], ids=["forward", "fieldmap-bem", "asymptotic"])
+def test_rod_centre_at_1e300_is_refused(argv, code, message, tmp_path, capsys):
+    config = OVERFLOW_CONFIG.replace("center: [0.0, 0.0]", "center: [1.0e+300, 0.0]")
+    config = config.replace("1.0e+200, xmax: 1.0e+300", "-3, xmax: 3")
+    assert _run_grid_command(argv, config, tmp_path) == code
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("model", ["bem", "asymptotic"])
+def test_sensors_round_onto_a_1e300_rod_centre_exit_2(model, tmp_path, capsys):
+    # the config's enclosure check passes, but in floats every sensor lands
+    # on the rod centre: the refusal was a PlacementError traceback
+    path = tmp_path / "run.yaml"
+    path.write_text(CONFIG.replace("center: [0.0, 0.0]", "center: [1.0e+300, 0.0]"))
+    assert path.read_text().count("1.0e+300") == 2
+    code = main(["invert", "--config", str(path), "--synthesize", "--model", model,
+                 "--out", str(tmp_path / "fit.json")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: sensor within 2*delta of the rod")
+
+
 def test_validate_assembles_each_mesh_once(monkeypatch):
     # the zero-total density checks assembled the second suite mesh again,
     # once per background: 9 assemblies where 7 meshes are built

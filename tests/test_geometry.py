@@ -1,6 +1,7 @@
 """Mesh construction and coordinate-frame invariants."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rodfield import RodSpec, ValidationError, build_mesh, to_local, to_world
-from rodfield.geometry import (CSV_BLOCK_ROWS, default_counts, rotation_matrix,
-                               signed_distance, write_csv)
+from rodfield.geometry import (CSV_BLOCK_ROWS, SEGMENTS, TAG_CAP_LEFT, TAG_CAP_RIGHT,
+                               TAG_FACADE_BOTTOM, TAG_FACADE_TOP, _segment_rule,
+                               default_counts, rotation_matrix, signed_distance,
+                               write_csv)
 
 
 def test_spec_validation():
@@ -21,6 +24,11 @@ def test_spec_validation():
         RodSpec(L=2.0, delta=0.1, sigma0=-3.0)
     with pytest.raises(ValidationError):
         RodSpec(L=2.0, delta=0.1, sigma0=1.0)
+    # a NaN centre was accepted: the closed form then gave NaN silently and
+    # the BEM solve died in a LinAlgError
+    for center in ((np.nan, 0.0), (0.0, np.inf)):
+        with pytest.raises(ValidationError, match="center"):
+            RodSpec(L=2.0, delta=0.1, center=center)
 
 
 def test_perimeter_and_area():
@@ -103,6 +111,93 @@ def test_disc_mesh_has_no_facade():
     assert not (mesh.tag_mask("facade_top") | mesh.tag_mask("facade_bottom")).any()
     r = np.linalg.norm(mesh.points, axis=1)
     assert np.allclose(r, 1.0, atol=1e-14)
+
+
+def loop_build_mesh(spec, n_cap, n_facade=0):
+    """Reference: the mesh built segment by segment, each cap and side on
+    its own, with a tag per node, as ``build_mesh`` once was."""
+    L, d = spec.L, spec.delta
+    P = np.array([-L / 2.0, 0.0])
+    Q = np.array([L / 2.0, 0.0])
+    pts, nrm, kap, wts, tags = [], [], [], [], []
+    s_cap, w_cap = _segment_rule(np.pi, n_cap)
+    n_cap = len(s_cap)
+
+    def cap(center, theta0, tag):
+        theta = theta0 + s_cap
+        nu = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        pts.append(center + d * nu)
+        nrm.append(nu)
+        kap.append(np.full(n_cap, 1.0 / d))
+        wts.append(d * w_cap)
+        tags.append(np.full(n_cap, tag))
+
+    if L == 0.0:
+        cap(Q, -np.pi / 2.0, TAG_CAP_RIGHT)
+        cap(P, np.pi / 2.0, TAG_CAP_LEFT)
+        n_facade = 0
+    else:
+        s_fac, w_fac = _segment_rule(L, n_facade)
+        n_facade = len(s_fac)
+
+        def facade(y2, reverse, tag):
+            x1 = -L / 2.0 + s_fac
+            w = w_fac
+            if reverse:
+                x1, w = x1[::-1], w[::-1]
+            pts.append(np.stack([x1, np.full(n_facade, y2)], axis=1))
+            nrm.append(np.tile([0.0, np.sign(y2)], (n_facade, 1)))
+            kap.append(np.zeros(n_facade))
+            wts.append(w.copy())
+            tags.append(np.full(n_facade, tag))
+
+        facade(-d, False, TAG_FACADE_BOTTOM)
+        cap(Q, -np.pi / 2.0, TAG_CAP_RIGHT)
+        facade(d, True, TAG_FACADE_TOP)
+        cap(P, np.pi / 2.0, TAG_CAP_LEFT)
+
+    return dict(points=to_world(spec, np.concatenate(pts)),
+                normals=np.concatenate(nrm) @ rotation_matrix(spec.angle).T,
+                curvatures=np.concatenate(kap), weights=np.concatenate(wts),
+                tags=np.concatenate(tags), n_cap=n_cap, n_facade=n_facade)
+
+
+MESH_CASES = {
+    "disc": (RodSpec(L=0.0, delta=0.7, center=(0.3, 0.1)), (32, 64)),
+    "default": (RodSpec(L=2.0, delta=0.01), default_counts(RodSpec(L=2.0, delta=0.01))),
+    "placed": (RodSpec(L=1.5, delta=0.05, center=(-7.3, 2.9), angle=2.2), (32, 48)),
+    "uneven_counts": (RodSpec(L=2.0, delta=0.1, angle=-0.4), (13, 21)),
+}
+
+
+@pytest.mark.parametrize("name", MESH_CASES)
+def test_mesh_matches_segment_by_segment_build(name):
+    spec, counts = MESH_CASES[name]
+    mesh, ref = build_mesh(spec, *counts), loop_build_mesh(spec, *counts)
+    n = len(ref["weights"])
+    assert len(mesh) == n and (mesh.n_cap, mesh.n_facade) == (ref["n_cap"], ref["n_facade"])
+    # the half mesh is built as before; its reflection differs in rounding
+    for key in ("points", "normals"):
+        assert np.array_equal(getattr(mesh, key)[:n // 2], ref[key][:n // 2])
+    extent = np.abs(ref["points"]).max()
+    assert np.abs(mesh.points - ref["points"]).max() <= 1e-15 * extent
+    assert np.abs(mesh.normals - ref["normals"]).max() <= 1e-15
+    assert np.array_equal(mesh.curvatures, ref["curvatures"])
+    assert np.array_equal(mesh.weights, ref["weights"])
+    for tag in SEGMENTS:
+        assert np.array_equal(mesh.tag_mask(tag), ref["tags"] == tag)
+    assert not mesh.tag_mask("no_such_segment").any()
+
+
+@pytest.mark.parametrize("name", MESH_CASES)
+def test_unplaced_mesh_is_its_own_point_reflection(name):
+    spec = dataclasses.replace(MESH_CASES[name][0], center=(0.0, 0.0), angle=0.0)
+    mesh = build_mesh(spec, *MESH_CASES[name][1])
+    half = len(mesh) // 2
+    # exact, though the rotation by angle 0 may leave a zero component of
+    # a facade normal with either sign
+    assert np.array_equal(mesh.points[half:], -mesh.points[:half])
+    assert np.array_equal(mesh.normals[half:], -mesh.normals[:half])
 
 
 def test_default_counts_scale_with_slenderness():

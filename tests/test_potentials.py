@@ -466,6 +466,24 @@ def test_single_layer_field_single_point():
         assert single_layer(mesh, phi, x) == (val, near)
 
 
+def test_direct_values_do_not_depend_on_the_chunk():
+    # the chunk's sum was a BLAS gemv, which sums the rows at its block
+    # edges in another order: 1906 of these 2047 points got another S or
+    # grad S in the last bits when evaluated alone
+    n = len(SYMMETRY_MESHES["odd_panels"]())
+    mesh, phi, pts = _field_case((potentials.FAR_MIN_PAIRS - 1) // n)
+    assert len(pts) > 2 * potentials.FIELD_CHUNK_BYTES // (24 * n)
+    vals, grads, near = single_layer_field(mesh, phi, pts)
+    assert near.any()
+    for i, x in enumerate(pts):
+        val, grad, flag = single_layer_field(mesh, phi, x)
+        assert val == vals[i] and np.array_equal(grad, grads[i]) and flag == near[i]
+    subset = np.random.default_rng(5).permutation(len(pts))[:700]
+    val, grad, flag = single_layer_field(mesh, phi, pts[subset])
+    assert np.array_equal(val, vals[subset]) and np.array_equal(grad, grads[subset])
+    assert np.array_equal(flag, near[subset])
+
+
 QUADRATIC = HarmonicBackground.polynomial((0.1, 1.0, -0.5, 0.3, 0.2))
 
 #: mesh, and the half width of the square grid about the node centroid in
