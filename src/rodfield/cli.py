@@ -127,16 +127,13 @@ def cmd_invert(args) -> int:
             dump_measurements_csv(data, args.data)
     else:
         if args.data is None:
-            print("invert: provide a data CSV with --data or use --synthesize",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise ConfigError("invert: provide a data CSV with --data or use --synthesize")
         try:
             data = load_measurements_csv(args.data, cfg.background,
                                          noise_rms=args.noise)
-        except FileNotFoundError:
-            print(f"invert: data file not found: {args.data}\n"
-                  "hint: pass --synthesize to generate it first", file=sys.stderr)
-            return EXIT_USAGE
+        except FileNotFoundError as exc:
+            raise ConfigError(f"invert: data file not found: {args.data}\n"
+                              "hint: pass --synthesize to generate it first") from exc
 
     result = fit_rod(data)
     print(dump_fit_json(result, args.out))
@@ -220,7 +217,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValidationError) as exc:
+    except (ConfigError, ValidationError, OSError) as exc:
+        # OSError: a missing or unreadable input file, an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SolverError, IdentifiabilityError) as exc:

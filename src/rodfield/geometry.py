@@ -80,7 +80,7 @@ class RodSpec:
 
 def lambda_of_sigma(sigma0: float) -> float:
     """Contrast constant (sigma0 + 1) / (2 (sigma0 - 1)); |lam| > 1/2."""
-    if sigma0 <= 0:
+    if not np.isfinite(sigma0) or sigma0 <= 0:
         raise ValidationError(f"sigma0 must be > 0, got {sigma0}")
     if sigma0 == 1.0:
         raise ValidationError("sigma0 = 1: no contrast, no inclusion")
@@ -112,18 +112,65 @@ def to_local(spec, x_world: NDArray) -> NDArray:
 class BoundaryMesh:
     """Quadrature discretization of the rod boundary, counterclockwise.
 
-    Nodes and weights form a composite Gauss-Legendre rule in arc length
-    over each smooth segment, so weighted sums are high-order accurate
-    boundary integrals.  Positions and normals are in world coordinates.
+    A value of ``spec`` and the node counts: the arrays are computed from
+    them once, at construction, and are read-only, so a mesh made by
+    ``dataclasses.replace`` is rebuilt and checked like any other.  Each
+    cap carries ``n_cap`` nodes and each facade side ``n_facade`` nodes
+    (both rounded up to a multiple of PANEL_ORDER), distributed as equal
+    Gauss-Legendre panels in arc length, so weighted sums are high-order
+    accurate boundary integrals.  ``n_facade`` is ignored for the disc
+    case L = 0.  Positions and normals are in world coordinates.
+
+    The half mesh, the bottom side left to right and then the right cap,
+    is built once in the rod frame; the top side and the left cap are its
+    point reflection x -> -x, node for node, so the mesh is symmetric under
+    both mirrors exactly before the one rigid motion.  Row g of ``orbits``
+    (4, n/4) is g(q) for the elements (e, R1, R2, R1R2) of that mirror
+    group, q the quarter arc that starts at the middle of the right cap.
+    Nodes run counterclockwise, so each mirror reverses the index order:
+    R1 is i -> (n_facade - 1 - i) mod n and R2 is
+    i -> (2 n_facade + n_cap - 1 - i) mod n.
     """
 
-    points: NDArray        # (n, 2)
-    normals: NDArray       # (n, 2), unit outward
-    curvatures: NDArray    # (n,)
-    weights: NDArray       # (n,)
-    spec: RodSpec = field(repr=False)
-    n_cap: int = 0
+    spec: RodSpec
+    n_cap: int
     n_facade: int = 0
+    points: NDArray = field(init=False, repr=False, compare=False)      # (n, 2)
+    normals: NDArray = field(init=False, repr=False, compare=False)     # (n, 2), unit outward
+    curvatures: NDArray = field(init=False, repr=False, compare=False)  # (n,)
+    weights: NDArray = field(init=False, repr=False, compare=False)     # (n,)
+    orbits: NDArray = field(init=False, repr=False, compare=False)      # (4, n/4)
+
+    def __post_init__(self) -> None:
+        spec = self.spec
+        if self.n_cap < 8:
+            raise ValidationError(f"n_cap must be >= 8, got {self.n_cap}")
+        if spec.L > 0 and self.n_facade < 8:
+            raise ValidationError(f"n_facade must be >= 8, got {self.n_facade}")
+
+        L, d = spec.L, spec.delta
+        s_cap, w_cap = _segment_rule(np.pi, self.n_cap)
+        s_fac, w_fac = _segment_rule(L, self.n_facade) if L > 0 else (np.empty(0), np.empty(0))
+        nc, nf = len(s_cap), len(s_fac)
+        theta = s_cap - np.pi / 2.0
+        nu_cap = np.column_stack([np.cos(theta), np.sin(theta)])
+        half = np.concatenate([np.column_stack([s_fac - L / 2.0, np.full(nf, -d)]),
+                               [L / 2.0, 0.0] + d * nu_cap])
+        half_normals = np.concatenate([np.tile([0.0, -1.0], (nf, 1)), nu_cap])
+        normals = np.concatenate([half_normals, -half_normals])
+        n = 2 * (nc + nf)
+        q = np.arange(nf + nc // 2, nf + nc // 2 + n // 4) % n
+        object.__setattr__(self, "n_cap", nc)
+        object.__setattr__(self, "n_facade", nf)
+        for name, value in (
+                ("points", to_world(spec, np.concatenate([half, -half]))),
+                ("normals", normals @ rotation_matrix(spec.angle).T),
+                ("curvatures", np.tile(np.repeat([0.0, 1.0 / d], [nf, nc]), 2)),
+                ("weights", np.tile(np.concatenate([w_fac, d * w_cap]), 2)),
+                ("orbits", np.stack([q, (nf - 1 - q) % n, (2 * nf + nc - 1 - q) % n,
+                                     (q + n // 2) % n]))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -153,38 +200,8 @@ def _segment_rule(length: float, n_nodes: int) -> tuple[NDArray, NDArray]:
 
 
 def build_mesh(spec: RodSpec, n_cap: int, n_facade: int = 0) -> BoundaryMesh:
-    """Build the counterclockwise boundary mesh of the rod.
-
-    Each cap carries ``n_cap`` nodes and each facade side ``n_facade``
-    nodes (both rounded up to a multiple of PANEL_ORDER), distributed as
-    equal Gauss-Legendre panels in arc length.  ``n_facade`` is ignored
-    for the disc case L = 0.
-
-    The half mesh, the bottom side left to right and then the right cap,
-    is built once in the rod frame; the top side and the left cap are its
-    point reflection x -> -x, node for node, so the mesh is symmetric under
-    both mirrors exactly before the one rigid motion.
-    """
-    if n_cap < 8:
-        raise ValidationError(f"n_cap must be >= 8, got {n_cap}")
-    if spec.L > 0 and n_facade < 8:
-        raise ValidationError(f"n_facade must be >= 8, got {n_facade}")
-
-    L, d = spec.L, spec.delta
-    s_cap, w_cap = _segment_rule(np.pi, n_cap)
-    s_fac, w_fac = _segment_rule(L, n_facade) if L > 0 else (np.empty(0), np.empty(0))
-    theta = s_cap - np.pi / 2.0
-    nu_cap = np.column_stack([np.cos(theta), np.sin(theta)])
-    half = np.concatenate([np.column_stack([s_fac - L / 2.0, np.full(len(s_fac), -d)]),
-                           [L / 2.0, 0.0] + d * nu_cap])
-    half_normals = np.concatenate([np.tile([0.0, -1.0], (len(s_fac), 1)), nu_cap])
-    normals = np.concatenate([half_normals, -half_normals])
-    return BoundaryMesh(points=to_world(spec, np.concatenate([half, -half])),
-                        normals=normals @ rotation_matrix(spec.angle).T,
-                        curvatures=np.tile(np.repeat([0.0, 1.0 / d],
-                                                     [len(s_fac), len(s_cap)]), 2),
-                        weights=np.tile(np.concatenate([w_fac, d * w_cap]), 2),
-                        spec=spec, n_cap=len(s_cap), n_facade=len(s_fac))
+    """The counterclockwise boundary mesh of the rod; see :class:`BoundaryMesh`."""
+    return BoundaryMesh(spec, n_cap, n_facade)
 
 
 def default_counts(spec: RodSpec) -> tuple[int, int]:

@@ -167,56 +167,6 @@ class DensityVector:
         return float(np.dot(self.mesh.weights, self.values))
 
 
-def _mirror_orbits(mesh: BoundaryMesh) -> NDArray:
-    """Node indices of the quarter arc and of its three mirror images.
-
-    Row g of the (4, n/4) result is g(q) for the elements (e, R1, R2,
-    R1R2), where q is the quarter arc that starts at the middle of the
-    right cap.  Nodes run counterclockwise, so each mirror reverses the
-    index order: R1 is i -> (n_facade - 1 - i) mod n and R2 is
-    i -> (2 n_facade + n_cap - 1 - i) mod n.
-    """
-    n, nc, nf = len(mesh), mesh.n_cap, mesh.n_facade
-    if n != 2 * (nc + nf) or nc % 2 or nf % 2:
-        raise ValidationError(
-            f"mesh of {n} nodes does not match n_cap={nc}, n_facade={nf} "
-            "on a mirror-symmetric stadium")
-    q = np.arange(nf + nc // 2, nf + nc // 2 + n // 4) % n
-    return np.stack([q, (nf - 1 - q) % n, (2 * nf + nc - 1 - q) % n,
-                     (q + n // 2) % n])
-
-
-def _rod_frame(mesh: BoundaryMesh, orbits: NDArray) -> tuple[NDArray, NDArray]:
-    """Rod-frame positions and normals of the mesh nodes.
-
-    Refuses a mesh whose nodes are not mirror images along each orbit, or
-    whose facade nodes on the quarter arc are off the side x2 = delta.
-    """
-    spec = mesh.spec
-    xl = to_local(spec, mesh.points)
-    nl = mesh.normals @ rotation_matrix(spec.angle)
-    feat = np.column_stack([xl, nl, mesh.weights, mesh.curvatures])
-    # x1 and nu1 have parity (-, +), x2 and nu2 (+, -), the scalars (+, +)
-    flips = CHI[:, [1, 2, 1, 2, 0, 0]]
-    gap = np.abs(feat[orbits] - flips[:, None, :] * feat[orbits[0]])
-    # positions carry the rounding of the rigid motion, which grows with
-    # the rod's length and its distance from the origin, not with delta
-    scale = np.abs(feat).max(axis=0)
-    scale[:2] = np.abs(xl).max() + np.abs(spec.center).max()
-    scale[2:4] = 1.0
-    if (gap > 1e-9 * scale).any():
-        raise ValidationError(
-            "mesh is not mirror-symmetric in the rod frame "
-            f"(largest mismatch {gap.max():.2e})")
-    # assembly writes the facade pairs from x2 = +-delta and nu = (0, +-1)
-    side = feat[orbits[0, mesh.n_cap // 2:], 1:4] - [spec.delta, 0.0, 1.0]
-    if (np.abs(side) > 1e-9 * scale[1:4]).any():
-        raise ValidationError(
-            f"facade nodes are off the rod's sides x2 = +-{spec.delta!r} "
-            f"(largest mismatch {np.abs(side).max():.2e})")
-    return xl, nl
-
-
 def _np_kernel(x: NDArray, nu: NDArray, y: NDArray, w: NDArray) -> NDArray:
     """k(x_a, y_b) * w_b for rows x, nu (r, 2) and columns y (..., c, 2).
 
@@ -237,27 +187,27 @@ class NpMatrix:
     k(x, y) = <x - y, nu_x> / (2*pi*|x - y|^2) and diagonal kernel limit
     kappa/(4*pi) (plus the column-identity correction).  It is kept as the
     four orbit matrices ``A_g[a, b] = A[q_a, g(q_b)]`` on the quarter arc
-    q, which give every entry: ``A[h(q), g(q)] = A_{hg}``.  The parity
-    block s, ``sum_g CHI[s, g] * A_g``, is formed only where it is needed.
+    q of ``mesh.orbits``, which give every entry:
+    ``A[h(q), g(q)] = A_{hg}``.  The parity block s,
+    ``sum_g CHI[s, g] * A_g``, is formed only where it is needed.
     """
 
-    orbit_matrices: NDArray              # (4, n/4, n/4): A_e, A_R1, A_R2, A_R1R2
-    orbits: NDArray = field(repr=False)  # (4, n/4), see _mirror_orbits
+    orbit_matrices: NDArray   # (4, n/4, n/4): A_e, A_R1, A_R2, A_R1R2
     mesh: BoundaryMesh = field(repr=False)
     diag_correction: NDArray = field(repr=False)
 
     @property
     def n(self) -> int:
-        return self.orbits.size
+        return len(self.mesh)
 
     def split(self, values: NDArray) -> NDArray:
         """Parity parts (4, n/4) of a nodal vector, on the quarter arc."""
-        return CHI @ values[self.orbits] / 4.0
+        return CHI @ values[self.mesh.orbits] / 4.0
 
     def join(self, parts: NDArray) -> NDArray:
         """Inverse of :meth:`split`."""
         out = np.empty(self.n)
-        out[self.orbits] = CHI @ parts
+        out[self.mesh.orbits] = CHI @ parts
         return out
 
     def block(self, s: int) -> NDArray:
@@ -272,9 +222,10 @@ class NpMatrix:
     def matrix(self) -> NDArray:
         """Dense (n, n) matrix: ``A[h(q), g(q)] = A_{hg}``.  For tests."""
         dense = np.empty((self.n, self.n))
+        orbits = self.mesh.orbits
         for h in range(4):
             for g in range(4):
-                dense[np.ix_(self.orbits[h], self.orbits[g])] = self.orbit_matrices[h ^ g]
+                dense[np.ix_(orbits[h], orbits[g])] = self.orbit_matrices[h ^ g]
         return dense
 
     def apply(self, values: NDArray) -> NDArray:
@@ -286,9 +237,9 @@ class NpMatrix:
         Invariant along each orbit, and on the quarter arc equal to the
         weighted column sums of the sum of the four A_g.
         """
-        wq = self.mesh.weights[self.orbits[0]]
+        wq = self.mesh.weights[self.mesh.orbits[0]]
         out = np.empty(self.n)
-        out[self.orbits] = (wq @ self.orbit_matrices).sum(axis=0) / wq
+        out[self.mesh.orbits] = (wq @ self.orbit_matrices).sum(axis=0) / wq
         return out
 
     def raw_weighted_column_sums(self) -> NDArray:
@@ -313,12 +264,10 @@ def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
     panels within PRODUCT_REACH panels of the row's twin panel take the
     weights of :func:`lorentzian_panel_weights`, written in one scatter;
     the others take the Lorentzian at the nodes times the Gauss weight.
-
-    Raises ValidationError if the mesh is not mirror-symmetric or its
-    facade nodes are off the sides x2 = +-delta.
     """
-    orbits = _mirror_orbits(mesh)
-    xl, nl = _rod_frame(mesh, orbits)
+    spec, orbits = mesh.spec, mesh.orbits
+    xl = to_local(spec, mesh.points)
+    nl = mesh.normals @ rotation_matrix(spec.angle)
     q, mc = orbits[0], mesh.n_cap // 2
     m = len(q)
     wq = mesh.weights[q]
@@ -329,7 +278,7 @@ def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
     mats = np.zeros((4, m, m))
     mats[:, :mc] = _np_kernel(xl[q[:mc]], nl[q[:mc]], xl[orbits], wq)
     mats[:, mc:, :mc] = _np_kernel(xl[q[mc:]], nl[q[mc:]], xl[orbits[:, :mc]], wq[:mc])
-    delta, nf = mesh.spec.delta, mesh.n_facade
+    delta, nf = spec.delta, mesh.n_facade
     for g in (2, 3):   # the columns of R2 and R1R2 lie on the bottom side
         ff = mats[g, mc:, mc:]
         np.subtract(xl[q[mc:], 0, None], xl[orbits[g, mc:], 0], out=ff)
@@ -337,7 +286,7 @@ def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
         ff += 4.0 * delta * delta
         np.divide(wq[mc:] * (delta / np.pi), ff, out=ff)
     if nf:
-        h = mesh.spec.L / (nf // PANEL_ORDER)
+        h = spec.L / (nf // PANEL_ORDER)
         table = lorentzian_panel_weights(4.0 * delta / h)
         g, a, b, i, w = _facade_band(nf)
         mats[g, mc + a, mc + b] = table.transpose(1, 0, 2).reshape(PANEL_ORDER, -1)[i, w]
@@ -349,8 +298,7 @@ def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
     diag_correction = np.empty(len(mesh))
     diag_correction[orbits] = fix / wq
 
-    return NpMatrix(orbit_matrices=mats, orbits=orbits, mesh=mesh,
-                    diag_correction=diag_correction)
+    return NpMatrix(orbit_matrices=mats, mesh=mesh, diag_correction=diag_correction)
 
 
 def neumann_data(mesh: BoundaryMesh, bg: HarmonicBackground) -> DensityVector:
@@ -434,7 +382,8 @@ def _direct_field(mesh: BoundaryMesh, pw: NDArray,
         hit = near[s:s + len(p)] = _near_flags(mesh, r2)
         if hit.any() and not r2[hit].all():
             i = s + np.flatnonzero(hit)[~r2[hit].all(axis=1)][0]
-            raise ValidationError(f"evaluation point ({pts[i, 0]!r}, {pts[i, 1]!r}) "
+            x1, x2 = pts[i].tolist()
+            raise ValidationError(f"evaluation point ({x1!r}, {x2!r}) "
                                   "lies on a mesh node, where the kernel is singular")
         scratch[:2] /= r2
         np.log(r2, out=r2)

@@ -398,6 +398,32 @@ def test_invert_missing_data_hint(config_path, tmp_path, capsys):
     assert "--synthesize" in capsys.readouterr().err
 
 
+def test_invert_without_data_exits_2(config_path, capsys):
+    code = main(["invert", "--config", config_path])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: invert: provide a data CSV")
+
+
+@pytest.mark.parametrize("command", ["fieldmap", "compare", "invert", "forward", "asymptotic"])
+def test_missing_config_exits_2(command, tmp_path, capsys):
+    # died in a FileNotFoundError traceback with exit 1
+    missing = str(tmp_path / "absent.yaml")
+    assert main([command, "--config", missing]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fieldmap"], ["fieldmap", "--model", "asymptotic"], ["compare"],
+    ["invert", "--synthesize", "--model", "asymptotic"], ["forward"], ["asymptotic"]])
+def test_unwritable_out_exits_2(argv, config_path, tmp_path, capsys):
+    # died in a FileNotFoundError traceback with exit 1
+    out = str(tmp_path / "absent_dir" / "out.csv")
+    assert main([argv[0], "--config", config_path, "--out", out, *argv[1:]]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and out in err
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("rod:\n  L: 2.0\n  delta: -1.0\nbackground:\n  a: [1, 0]\n")

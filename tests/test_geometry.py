@@ -200,6 +200,36 @@ def test_unplaced_mesh_is_its_own_point_reflection(name):
     assert np.array_equal(mesh.normals[half:], -mesh.normals[:half])
 
 
+#: Column g is the sign that mirror g of (e, R1, R2, R1R2) puts on the
+#: rod-frame (x1, x2) and (nu1, nu2).
+MIRROR_SIGNS = np.array([[1.0, -1.0, 1.0, -1.0],
+                         [1.0, 1.0, -1.0, -1.0]])
+
+
+@pytest.mark.parametrize("name", MESH_CASES)
+def test_orbits_are_mirror_images(name):
+    spec, counts = MESH_CASES[name]
+    mesh = build_mesh(spec, *counts)
+    orbits = mesh.orbits
+    assert orbits.shape == (4, len(mesh) // 4)
+    assert np.array_equal(np.sort(orbits, axis=None), np.arange(len(mesh)))
+    xl = to_local(spec, mesh.points)
+    nl = mesh.normals @ rotation_matrix(spec.angle)
+    # positions carry the rounding of the rigid motion, which grows with
+    # the rod's size and its distance from the origin
+    scale = np.abs(xl).max() + np.abs(spec.center).max()
+    for g in range(4):
+        flip = MIRROR_SIGNS[:, g]
+        assert np.abs(xl[orbits[g]] - flip * xl[orbits[0]]).max() <= 1e-14 * scale
+        assert np.abs(nl[orbits[g]] - flip * nl[orbits[0]]).max() <= 1e-14
+        assert np.array_equal(mesh.weights[orbits[g]], mesh.weights[orbits[0]])
+        assert np.array_equal(mesh.curvatures[orbits[g]], mesh.curvatures[orbits[0]])
+    for tag, side in ((TAG_FACADE_TOP, 1.0), (TAG_FACADE_BOTTOM, -1.0)):
+        facade = mesh.tag_mask(tag)
+        assert np.abs(xl[facade, 1] - side * spec.delta).max(initial=0.0) <= 1e-14 * scale
+        assert np.abs(nl[facade] - [0.0, side]).max(initial=0.0) <= 1e-14
+
+
 def test_default_counts_scale_with_slenderness():
     nc1, nf1 = default_counts(RodSpec(L=2.0, delta=0.1))
     nc2, nf2 = default_counts(RodSpec(L=2.0, delta=0.01))

@@ -26,6 +26,10 @@ def test_lambda_invalid_sigma():
         lambda_of_sigma(1.0)
     with pytest.raises(ValidationError):
         lambda_of_sigma(-2.0)
+    # nan and inf gave a nan lambda
+    for sigma0 in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="sigma0"):
+            lambda_of_sigma(sigma0)
 
 
 def test_disc_exterior_oracle():
