@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 
@@ -37,12 +38,33 @@ def _grid_or_error(cfg: RunConfig) -> np.ndarray:
     return cfg.grid.points()
 
 
-def _write_field(path: str, cfg: RunConfig, pts: np.ndarray, s, gs, near) -> None:
-    """The CSV of ``forward`` and ``asymptotic``: u = H + s, grad u, near flag."""
+#: Header of the CSV of ``forward`` and ``asymptotic``.
+FIELD_HEADER = ["x1", "x2", "u", "ux", "uy", "near_boundary_flag"]
+
+
+def _field_columns(cfg: RunConfig, pts: np.ndarray, s, gs, near) -> tuple:
+    """The columns under FIELD_HEADER: u = H + s, grad u, near flag."""
     u, g = cfg.background.value(pts) + s, cfg.background.grad(pts) + gs
     refuse_non_finite("u", pts, u, g)
-    write_csv(path, ["x1", "x2", "u", "ux", "uy", "near_boundary_flag"],
-              pts[:, 0], pts[:, 1], u, g[:, 0], g[:, 1], near)
+    return pts[:, 0], pts[:, 1], u, g[:, 0], g[:, 1], near
+
+
+def _open_outputs(*paths: str | None) -> None:
+    """Open every output path of a command before any is written, so that
+    a command refused on one unwritable path writes none of them.  Each
+    opens for append, which leaves a file already there as it was; a file
+    made here is removed again when a later path fails."""
+    made = []
+    try:
+        for path in filter(None, paths):
+            new = not os.path.exists(path)
+            open(path, "a").close()
+            if new:
+                made.append(path)
+    except OSError:
+        for path in made:
+            os.remove(path)
+        raise
 
 
 def cmd_fieldmap(args) -> int:
@@ -123,8 +145,6 @@ def cmd_invert(args) -> int:
                                      noise_rms=args.noise, source=args.model,
                                      seed=args.seed, n_cap=cfg.n_cap,
                                      n_facade=cfg.n_facade)
-        if args.data:
-            dump_measurements_csv(data, args.data)
     else:
         if args.data is None:
             raise ConfigError("invert: provide a data CSV with --data or use --synthesize")
@@ -136,6 +156,10 @@ def cmd_invert(args) -> int:
                               "hint: pass --synthesize to generate it first") from exc
 
     result = fit_rod(data)
+    data_out = args.data if args.synthesize else None
+    _open_outputs(data_out, args.out)
+    if data_out:
+        dump_measurements_csv(data, data_out)
     print(dump_fit_json(result, args.out))
     return EXIT_OK if result.converged else EXIT_FAILURE
 
@@ -145,7 +169,9 @@ def cmd_forward(args) -> int:
     pts = _grid_or_error(cfg)
     s, gs, near, sol = perturbation(cfg.rod, cfg.background, pts, "bem",
                                     cfg.n_cap, cfg.n_facade)
-    _write_field(args.out, cfg, pts, s, gs, near)
+    field = _field_columns(cfg, pts, s, gs, near)
+    _open_outputs(args.out, args.density)
+    write_csv(args.out, FIELD_HEADER, *field)
     if args.density:
         write_csv(args.density, ["index", "x1", "x2", "phi"], np.arange(len(sol.mesh)),
                   *sol.mesh.points.T, sol.phi.values)
@@ -158,8 +184,8 @@ def cmd_forward(args) -> int:
 def cmd_asymptotic(args) -> int:
     cfg = load_config(args.config)
     pts = _grid_or_error(cfg)
-    _write_field(args.out, cfg, pts,
-                 *perturbation(cfg.rod, cfg.background, pts, "asymptotic")[:3])
+    s, gs, near, _ = perturbation(cfg.rod, cfg.background, pts, "asymptotic")
+    write_csv(args.out, FIELD_HEADER, *_field_columns(cfg, pts, s, gs, near))
     print(f"asymptotic: wrote {len(pts)} rows to {args.out}")
     return EXIT_OK
 
@@ -216,7 +242,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # every non-finite value is refused with its own error line; numpy's
+        # overflow and invalid-value warnings would only print before it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ConfigError, ValidationError, OSError) as exc:
         # OSError: a missing or unreadable input file, an unwritable output
         print(f"error: {exc}", file=sys.stderr)

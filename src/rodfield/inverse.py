@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import least_squares
 
 from .asymptotics import _cap_terms, _linear_form
 from .background import HarmonicBackground
@@ -210,6 +209,10 @@ def fit_rod(data: SensorSet) -> FitResult:
     strengths are; an undetermined strength shows as an error of its own
     size or more, and both errors are None where J^T J is singular.
     """
+    # MINPACK's LM is the one part of rodfield that needs scipy: imported
+    # here, the other commands start without it
+    from scipy.optimize import least_squares
+
     _require_identifiable(data.background)
     if len(data) < N_PARAMS:
         raise IdentifiabilityError(f"fit needs at least {N_PARAMS} sensors for "

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from numpy.typing import NDArray
 
 from .background import HarmonicBackground
@@ -214,10 +213,6 @@ class NpMatrix:
         """Parity block s, ``sum_g CHI[s, g] * A_g``."""
         return np.tensordot(CHI[s], self.orbit_matrices, axes=1)
 
-    def apply_blocks(self, parts: NDArray) -> NDArray:
-        """Each parity block applied to its own part: (4, n/4) -> (4, n/4)."""
-        return np.einsum("sg,gas->sa", CHI, self.orbit_matrices @ parts.T)
-
     @property
     def matrix(self) -> NDArray:
         """Dense (n, n) matrix: ``A[h(q), g(q)] = A_{hg}``.  For tests."""
@@ -229,7 +224,9 @@ class NpMatrix:
         return dense
 
     def apply(self, values: NDArray) -> NDArray:
-        return self.join(self.apply_blocks(self.split(values)))
+        """The dense matrix times ``values``, each parity part by its block."""
+        parts = self.split(values)
+        return self.join(np.einsum("sg,gas->sa", CHI, self.orbit_matrices @ parts.T))
 
     def weighted_column_sums(self) -> NDArray:
         """Sum_i w_i k(x_i, x_j) for every column j; 1/2 in the continuum.
@@ -320,33 +317,30 @@ def solve_density(np_matrix: NpMatrix, lam: float, rhs: DensityVector) -> Densit
     norms = np.linalg.norm(b, axis=1)
     live = np.flatnonzero(norms > SKIP_SHARE * np.linalg.norm(norms))
     phi = np.zeros_like(b)
+    mats = np_matrix.orbit_matrices
     m = b.shape[1]
     diag = np.arange(m)
-    # lam I - block is built in one C-ordered buffer; its transpose is
-    # Fortran-ordered, so LAPACK factors it in place and lu_solve solves
-    # the transposed system (trans=1)
+    # a skipped part leaves r_s = -b_s.  lam I - block is formed in one
+    # BLAS pass over the four orbit matrices; np.linalg.solve factors a
+    # copy, so the block is still there for its part of the residual
+    r = -b
     system = np.empty((m, m))
     for s in live:
-        np.negative(np_matrix.orbit_matrices[0], out=system)
-        for g in (1, 2, 3):
-            (np.subtract if CHI[s, g] > 0 else np.add)(
-                system, np_matrix.orbit_matrices[g], out=system)
+        np.dot(-CHI[s], mats.reshape(4, -1), out=system.reshape(-1))
         system[diag, diag] += lam
         try:
-            lu = scipy.linalg.lu_factor(system.T, overwrite_a=True, check_finite=False)
-            phi[s] = scipy.linalg.lu_solve(lu, b[s], trans=1, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
+            phi[s] = np.linalg.solve(system, b[s])
+        except np.linalg.LinAlgError as exc:
             raise SolverError(f"density system is singular (lam={lam})") from exc
+        r[s] += system @ phi[s]
 
-    # ||r||^2 = 4 * sum_s ||r_s||^2 over the full vector, skipped parts
-    # included (r_s = -b_s); scale by the data only: a near-singular
-    # system yields a huge phi whose backward error looks tiny relative to
-    # phi itself
-    r = lam * phi - np_matrix.apply_blocks(phi) - b
+    # ||r||^2 = 4 * sum_s ||r_s||^2 over the full vector; scale by the data
+    # only: a near-singular system yields a huge phi whose backward error
+    # looks tiny relative to phi itself
     scale = max(np.linalg.norm(rhs.values), 1e-300)
     residual = 2.0 * np.linalg.norm(r) / scale
     if not np.isfinite(residual) or residual > 1e-10:
-        blocks = lam * np.eye(m) - np.tensordot(CHI, np_matrix.orbit_matrices, axes=1)
+        blocks = lam * np.eye(m) - np.tensordot(CHI, mats, axes=1)
         if not np.isfinite(blocks).all():
             raise SolverError(f"density system has non-finite entries (lam={lam})")
         raise SolverError(

@@ -540,6 +540,33 @@ def test_a_delta_moment_convergence():
             assert errs[2] < 5e-3
 
 
+def mp_a_delta(n, delta, L, x1):
+    """(1/pi) times the integral of delta y^n / ((x1 - y)^2 + 4 delta^2)
+    over (-L/2, L/2), in 30-digit mpmath.  With t = y - x1 and c = 2 delta,
+    y^n is a binomial sum of t^k, and t^k / (t^2 + c^2) has the
+    antiderivatives I_0 = atan(t/c)/c, I_1 = log(t^2 + c^2)/2 and
+    I_k = t^(k-1)/(k-1) - c^2 I_(k-2)."""
+    with mp.workdps(30):
+        d, x, c = mp.mpf(delta), mp.mpf(x1), 2 * mp.mpf(delta)
+        lo, hi = -mp.mpf(L) / 2 - x, mp.mpf(L) / 2 - x
+        I = [(mp.atan(hi / c) - mp.atan(lo / c)) / c,
+             mp.log((hi**2 + c**2) / (lo**2 + c**2)) / 2]
+        for k in range(2, n + 1):
+            I.append((hi**(k - 1) - lo**(k - 1)) / (k - 1) - c**2 * I[k - 2])
+        return float(d / mp.pi * sum(mp.binomial(n, k) * x**(n - k) * I[k]
+                                     for k in range(n + 1)))
+
+
+@pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
+def test_a_delta_matches_mpmath(delta):
+    # adaptive quadrature was off by 0.25 at delta = 1e-5, x1 = -0.9999,
+    # psi = y^2, with only an IntegrationWarning, and by 2e-10 at x1 = 0
+    for x1 in (0.0, 0.5, -0.5, 0.999, -0.9999):
+        for n in range(6):
+            got = a_delta_apply(lambda y: y**n, delta, 2.0, x1)
+            assert abs(got - mp_a_delta(n, delta, 2.0, x1)) <= 1e-12, (x1, n)
+
+
 def test_a_delta_domain_check():
     with pytest.raises(ValueError):
         a_delta_apply(lambda y: 1.0, 0.01, 2.0, 1.5)

@@ -3,10 +3,15 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import rodfield
 from rodfield import (AsymptoticModel, RodSpec, sensor_circle, single_layer_field,
                       solve_forward)
 from rodfield.asymptotics import asymptotic_perturbation
@@ -424,6 +429,27 @@ def test_unwritable_out_exits_2(argv, config_path, tmp_path, capsys):
     assert err.startswith("error: ") and out in err
 
 
+def test_unwritable_density_leaves_out_unwritten(config_path, tmp_path, capsys):
+    # forward wrote the grid CSV before it opened the density file
+    out = tmp_path / "out.csv"
+    dens = str(tmp_path / "absent_dir" / "d.csv")
+    code = main(["forward", "--config", config_path, "--out", str(out), "--density", dens])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_unwritable_fit_leaves_data_unwritten(config_path, tmp_path, capsys):
+    # invert --synthesize wrote the measurement CSV before it opened fit.json
+    data = tmp_path / "m.csv"
+    out = str(tmp_path / "absent_dir" / "fit.json")
+    code = main(["invert", "--config", config_path, "--synthesize", "--model", "asymptotic",
+                 "--data", str(data), "--out", out])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not data.exists()
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("rod:\n  L: 2.0\n  delta: -1.0\nbackground:\n  a: [1, 0]\n")
@@ -546,6 +572,10 @@ GRID_COMMANDS = [["forward"], ["fieldmap", "--model", "bem"],
                  ["fieldmap", "--model", "asymptotic"], ["asymptotic"]]
 GRID_IDS = ["forward", "fieldmap-bem", "fieldmap-asymptotic", "asymptotic"]
 
+#: the rod centred at 1e300 under a 2 x 2 grid over [-3, 3]^2
+ROD_AT_1E300_CONFIG = (OVERFLOW_CONFIG.replace("center: [0.0, 0.0]", "center: [1.0e+300, 0.0]")
+                       .replace("1.0e+200, xmax: 1.0e+300", "-3, xmax: 3"))
+
 
 def _run_grid_command(argv, config, tmp_path):
     path = tmp_path / "run.yaml"
@@ -556,8 +586,6 @@ def _run_grid_command(argv, config, tmp_path):
     return code
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("argv", GRID_COMMANDS, ids=GRID_IDS)
 def test_overflowing_grid_exits_2(argv, tmp_path, capsys):
     # every grid command wrote nan cells and exited 0
@@ -565,7 +593,6 @@ def test_overflowing_grid_exits_2(argv, tmp_path, capsys):
     assert capsys.readouterr().err == "error: u - H is not finite at (1e+200, -3.0)\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("argv, message", [
     # H = 1e300 (x1^2 - x2^2) overflows at x1 = 1e5, where s is still finite
     (["asymptotic"], "error: u is not finite at (100000.0, -3.0)\n"),
@@ -580,8 +607,6 @@ def test_overflowing_output_column_exits_2(argv, message, tmp_path, capsys):
     assert capsys.readouterr().err == message
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("argv, code, message", [
     # every rod-frame node collapses onto 0: the solve died in a LinAlgError
     # traceback ("SVD did not converge") while estimating the condition
@@ -592,10 +617,25 @@ def test_overflowing_output_column_exits_2(argv, message, tmp_path, capsys):
     (["asymptotic"], EXIT_USAGE, "error: u - H is not finite at (-3.0, -3.0)"),
 ], ids=["forward", "fieldmap-bem", "asymptotic"])
 def test_rod_centre_at_1e300_is_refused(argv, code, message, tmp_path, capsys):
-    config = OVERFLOW_CONFIG.replace("center: [0.0, 0.0]", "center: [1.0e+300, 0.0]")
-    config = config.replace("1.0e+200, xmax: 1.0e+300", "-3, xmax: 3")
-    assert _run_grid_command(argv, config, tmp_path) == code
+    assert _run_grid_command(argv, ROD_AT_1E300_CONFIG, tmp_path) == code
     assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("argv, config", [
+    *((argv, OVERFLOW_CONFIG) for argv in GRID_COMMANDS),
+    (["asymptotic"], ROD_AT_1E300_CONFIG)],
+    ids=[*GRID_IDS, "asymptotic-rod-at-1e300"])
+def test_refusal_prints_only_its_error_line(argv, config, tmp_path, capsys):
+    # numpy's RuntimeWarnings, each with its source line, printed before
+    # the error line: "potentials.py:380: RuntimeWarning: overflow
+    # encountered in square".  Warnings are recorded here, not printed, so
+    # they are added to stderr as a shell would show them
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run_grid_command(argv, config, tmp_path) == EXIT_USAGE
+    err = capsys.readouterr().err + "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("model", ["bem", "asymptotic"])
@@ -609,6 +649,48 @@ def test_sensors_round_onto_a_1e300_rod_centre_exit_2(model, tmp_path, capsys):
                  "--out", str(tmp_path / "fit.json")])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: sensor within 2*delta of the rod")
+
+
+SCIPY_PROBE = """
+import json, sys
+from rodfield.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+commands, invert = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+codes = [main(argv) for argv in commands]
+without = scipy_modules()
+codes.append(main(invert))
+print(json.dumps({"codes": codes, "without": without, "with": scipy_modules()}))
+"""
+
+
+def test_only_invert_loads_scipy(config_path, tmp_path):
+    # scipy.linalg, scipy.integrate and scipy.optimize were imported with
+    # rodfield.cli: 355 modules, about 0.7 s and 50 MB of RSS in a fresh
+    # process, where only invert's least-squares fit needs scipy
+    def out(name):
+        return ["--out", str(tmp_path / name)]
+
+    commands = [["fieldmap", "--config", config_path, *out("fm.csv")],
+                ["forward", "--config", config_path, *out("fw.csv"),
+                 "--density", str(tmp_path / "d.csv")],
+                ["asymptotic", "--config", config_path, *out("asym.csv")],
+                ["compare", "--config", config_path, *out("c.json")],
+                ["validate"]]
+    invert = ["invert", "--config", config_path, "--synthesize", *out("fit.json")]
+    src = os.path.dirname(os.path.dirname(rodfield.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(commands),
+                           json.dumps(invert)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [EXIT_OK] * 6
+    assert result["without"] == []
+    assert "scipy.optimize" in result["with"]
+    assert "scipy.integrate" not in result["with"]
 
 
 def test_validate_assembles_each_mesh_once(monkeypatch):
