@@ -98,7 +98,7 @@ def _background(b: dict) -> dict:
         return {"background": HarmonicBackground.linear(_pair(b["a"], "a"))}
     if "coefficients" in b:
         return {"background": HarmonicBackground.polynomial(
-            [_real(c, "coefficients") for c in b["coefficients"]])}
+            [_real(c, "coefficients") for c in _list(b["coefficients"], "coefficients")])}
     raise ValueError("need 'a' or 'coefficients'")
 
 
@@ -135,7 +135,7 @@ def _solver(s: dict) -> dict:
 
 
 def _sweep(s: dict) -> dict:
-    deltas = tuple(_real(d, "deltas") for d in s.get("deltas", ()))
+    deltas = tuple(_real(d, "deltas") for d in _list(s.get("deltas", ()), "deltas"))
     if any(d <= 0 for d in deltas):
         raise ValueError("deltas must be positive")
     return {"sweep_deltas": deltas,
@@ -145,8 +145,16 @@ def _sweep(s: dict) -> dict:
                                         "probe_offset")}
 
 
+def _list(v, name: str) -> list | tuple:
+    """A list field: a YAML string or mapping is refused, not read entry by
+    entry ("12" as (1, 2), {0: 1, 1: 2} as (1, 2))."""
+    if not isinstance(v, (list, tuple)):
+        raise ValueError(f"{name} must have a YAML list of values, got {v!r}")
+    return v
+
+
 def _pair(v, name: str) -> tuple[float, float]:
-    if isinstance(v, str) or len(v) != 2:
+    if len(_list(v, name)) != 2:
         raise ValueError(f"{name} must have two entries, got {v!r}")
     return _real(v[0], name), _real(v[1], name)
 

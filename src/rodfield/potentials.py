@@ -14,9 +14,10 @@ each pair of parities (p1, p2).  Assembly evaluates the kernel in the rod
 frame, only on the rows of one quarter arc, and only where a cap node is
 involved: facade pairs on one side are 0, and across the rod they are
 the closed form's A_delta Lorentzian.  The Lorentzian is 2 delta wide,
-narrower than a facade panel, so on the source panels next to a node's
-twin it is integrated exactly against the panel's interpolant (product
-quadrature, Helsing & Ojala 2008) instead of sampled at the nodes.  The
+narrower than a facade panel, so it is integrated exactly against each
+source panel's interpolant (product quadrature, Helsing & Ojala 2008)
+instead of sampled at the nodes.  The facade panels are equal, so these
+weights depend only on the panel offset and come from one table.  The
 density solve factors a block only if the data has a part of its parity;
 a linear background excites two of the four.
 
@@ -76,14 +77,6 @@ CHI = np.array([[1.0, 1.0, 1.0, 1.0],
                 [1.0, -1.0, -1.0, 1.0]])
 
 
-#: Facade panels within this many panels of a node's twin on the other side
-#: take the product-quadrature weights of the Lorentzian.  Beyond, the
-#: target is a panel length or more away, and the plain rule is off by
-#: about 1e-11 of the panel's integral on a density constant over the
-#: panel (3e-7 on its degree-7 Legendre mode); a reach of 2 gave the same
-#: benchmark errors to 4 digits.
-PRODUCT_REACH = 1
-
 # The Lagrange basis on the panel's Gauss nodes: a moment vector
 # m_k = int t^k f(t) dt over (-1, 1) gives the node weights m @ _VANDER_INV.
 _VANDER_INV = np.linalg.inv(np.vander(GAUSS_NODES, increasing=True))
@@ -99,11 +92,12 @@ _FAR_NODES, _FAR_WEIGHTS = np.polynomial.legendre.leggauss(3 * PANEL_ORDER)
 _FAR_POWERS = _FAR_WEIGHTS[:, None] * _FAR_NODES[:, None] ** np.arange(PANEL_ORDER)
 
 
-def lorentzian_panel_weights(beta: float) -> NDArray:
+def lorentzian_panel_weights(beta: float, panels: int) -> NDArray:
     """Product-quadrature weights of the A_delta Lorentzian on equal panels.
 
-    With panels of length h across a gap 2 delta, ``beta = 4 delta / h``.
-    Entry [o + PRODUCT_REACH, i, j] is the integral of
+    With ``panels`` panels of length h on each side, across a gap 2 delta,
+    ``beta = 4 delta / h``.  Entry [o + panels - 1, i, j], for every offset
+    o from 1 - panels to panels - 1, is the integral of
     delta / (pi ((x - y)^2 + 4 delta^2)) against the Lagrange basis
     function of Gauss node j, over the panel o panels to the right of the
     one that holds x, where x sits at Gauss node i.  In panel coordinates
@@ -112,36 +106,15 @@ def lorentzian_panel_weights(beta: float) -> NDArray:
     (Helsing & Ojala 2008): p_0 = log(1 - z) - log(-1 - z) and
     p_{k+1} = z p_k + int t^k dt.
     """
-    off = np.arange(-PRODUCT_REACH, PRODUCT_REACH + 1)
-    z = (GAUSS_NODES - 2.0 * off[:, None] + 1j * beta)[..., None]
-    zk = z ** np.arange(PANEL_ORDER)
-    near = (np.log(1.0 - z) - np.log(-1.0 - z)) * zk + zk @ _UNROLLED
-    far = (1.0 / (_FAR_NODES - z)) @ _FAR_POWERS
-    p = np.where(np.abs(z) < _FAR_Z, near, far)
+    off = np.arange(1 - panels, panels)
+    z = GAUSS_NODES - 2.0 * off[:, None] + 1j * beta
+    near = np.abs(z) < _FAR_Z
+    p = np.empty(z.shape + (PANEL_ORDER,), dtype=complex)
+    zn = z[near, None]
+    zk = zn ** np.arange(PANEL_ORDER)
+    p[near] = (np.log(1.0 - zn) - np.log(-1.0 - zn)) * zk + zk @ _UNROLLED
+    p[~near] = (1.0 / (_FAR_NODES - z[~near, None])) @ _FAR_POWERS
     return p.imag @ _VANDER_INV / (2.0 * np.pi)
-
-
-def _facade_band(nf: int) -> tuple[NDArray, ...]:
-    """Where the Lorentzian table goes in the orbit matrices.
-
-    Facade nodes are counted by their bottom index k, 0..nf-1 in
-    increasing x1, PANEL_ORDER to a panel.  Row a' of the quarter arc's
-    facade part is the top node over bottom index nf-1-a'; the column of
-    bottom index k is b' = nf-1-k in A_R2 for k >= nf/2 and b' = k in
-    A_R1R2 otherwise, so a panel across x1 = 0 splits between the two.
-    Returns the orbit, row and column in the facade part of each entry,
-    and its row i and column (o + PRODUCT_REACH) * PANEL_ORDER + j in the
-    table laid out as (PANEL_ORDER, (2 PRODUCT_REACH + 1) * PANEL_ORDER).
-    """
-    kr = np.arange(nf // 2, nf)[:, None]
-    window = np.arange((2 * PRODUCT_REACH + 1) * PANEL_ORDER)
-    kc = kr - kr % PANEL_ORDER - PRODUCT_REACH * PANEL_ORDER + window
-    ok = (kc >= 0) & (kc < nf)
-    kr, window = (np.broadcast_to(a, ok.shape)[ok] for a in (kr, window))
-    kc = kc[ok]
-    right = kc >= nf // 2
-    return (np.where(right, 2, 3), nf - 1 - kr, np.where(right, nf - 1 - kc, kc),
-            kr % PANEL_ORDER, window)
 
 
 class SolverError(RuntimeError):
@@ -257,10 +230,9 @@ def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
     the general kernel.  Facade pairs follow from the straight sides:
     on one side (x - y).nu_x = 0, so the pair is 0, and across the rod
     x2 - y2 = 2 delta gives the Lorentzian delta / (pi (t^2 + 4 delta^2))
-    with t = x1 - y1, the kernel of the closed form's A_delta.  Source
-    panels within PRODUCT_REACH panels of the row's twin panel take the
-    weights of :func:`lorentzian_panel_weights`, written in one scatter;
-    the others take the Lorentzian at the nodes times the Gauss weight.
+    with t = x1 - y1, the kernel of the closed form's A_delta.  Every such
+    pair takes its weight from the table of
+    :func:`lorentzian_panel_weights`, one gather per orbit.
     """
     spec, orbits = mesh.spec, mesh.orbits
     xl = to_local(spec, mesh.points)
@@ -275,18 +247,22 @@ def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
     mats = np.zeros((4, m, m))
     mats[:, :mc] = _np_kernel(xl[q[:mc]], nl[q[:mc]], xl[orbits], wq)
     mats[:, mc:, :mc] = _np_kernel(xl[q[mc:]], nl[q[mc:]], xl[orbits[:, :mc]], wq[:mc])
-    delta, nf = spec.delta, mesh.n_facade
-    for g in (2, 3):   # the columns of R2 and R1R2 lie on the bottom side
-        ff = mats[g, mc:, mc:]
-        np.subtract(xl[q[mc:], 0, None], xl[orbits[g, mc:], 0], out=ff)
-        ff *= ff
-        ff += 4.0 * delta * delta
-        np.divide(wq[mc:] * (delta / np.pi), ff, out=ff)
+    nf = mesh.n_facade
     if nf:
-        h = spec.L / (nf // PANEL_ORDER)
-        table = lorentzian_panel_weights(4.0 * delta / h)
-        g, a, b, i, w = _facade_band(nf)
-        mats[g, mc + a, mc + b] = table.transpose(1, 0, 2).reshape(PANEL_ORDER, -1)[i, w]
+        # facade nodes by bottom index k, 0..nf-1 in increasing x1: row a'
+        # is the top node over k = nf-1-a', and column b' is the bottom
+        # node k = nf-1-b' in A_R2 and k = b' in A_R1R2.  For a row node
+        # at Gauss node i, lines[i, 8 (o + panels - 1) + j] weighs source
+        # node j of the panel o to the right, so the row over k reads its
+        # columns 0..nf-1 from lines[k % 8], starting at 8 (panels-1-k//8)
+        panels = nf // PANEL_ORDER
+        table = lorentzian_panel_weights(4.0 * spec.delta / (spec.L / panels), panels)
+        lines = table.transpose(1, 0, 2).reshape(PANEL_ORDER, -1)
+        windows = np.lib.stride_tricks.sliding_window_view(lines, nf // 2, axis=1)
+        k = np.arange(nf - 1, nf // 2 - 1, -1)
+        i, start = k % PANEL_ORDER, PANEL_ORDER * (panels - 1 - k // PANEL_ORDER)
+        mats[3, mc:, mc:] = windows[i, start]
+        mats[2, mc:, mc:] = windows[i, start + nf // 2, ::-1]
     mats[0, diag, diag] = mesh.curvatures[q] * wq / (4.0 * np.pi)
 
     # diagonal entries lie in A_e alone, which enters every block with +1

@@ -409,6 +409,30 @@ def test_invert_without_data_exits_2(config_path, capsys):
     assert capsys.readouterr().err.startswith("error: invert: provide a data CSV")
 
 
+@pytest.mark.parametrize("line, bad", [
+    ("  center: [0.0, 0.0]\n  angle", "  center: {0: 1.0, 1: 2.0}\n  angle"),
+    ("  center: [0.0, 0.0]\n  angle", "  center: {a: 1, b: 2}\n  angle"),
+    ("  a: [1.0, 0.5]", "  a: {0: 1.0, 1: 0.5}"),
+    ("  a: [1.0, 0.5]", '  coefficients: "01000"'),
+    ("  center: [0.0, 0.0]\n  radius", "  center: {0: 0.0, 1: 0.0}\n  radius"),
+    ("  deltas: [0.1, 0.05]", '  deltas: "12"'),
+    ("  probe_offset: [0.0, 1.0]", "  probe_offset: {0: 0.0, 1: 1.0}"),
+], ids=["rod-center-indexed", "rod-center-named", "a-indexed", "coefficients-string",
+        "sensors-center-indexed", "deltas-string", "probe_offset-indexed"])
+def test_list_key_refuses_a_string_or_mapping(line, bad, tmp_path, capsys):
+    # each was read entry by entry ("01000" as (0, 1, 0, 0, 0)), or failed
+    # as "rod block missing 0"
+    assert CONFIG.count(line) == 1
+    path = tmp_path / "bad.yaml"
+    path.write_text(CONFIG.replace(line, bad))
+    out = tmp_path / "out.csv"
+    assert main(["asymptotic", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    key = bad.split(":")[0].strip()
+    assert err.startswith("error: ") and f": {key} must have a YAML list of values" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["fieldmap", "compare", "invert", "forward", "asymptotic"])
 def test_missing_config_exits_2(command, tmp_path, capsys):
     # died in a FileNotFoundError traceback with exit 1

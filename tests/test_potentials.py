@@ -40,17 +40,10 @@ def _facade_panels(mesh, cols):
     return cols[np.argsort(x1[cols])].reshape(n_panels, PANEL_ORDER), lo, lo + h
 
 
-def _twin_panel(mesh, rows, lo):
-    """Index of the opposite-side panel over which each row node sits."""
-    x1 = to_local(mesh.spec, mesh.points)[rows, 0]
-    return np.searchsorted(lo, x1, side="right") - 1
-
-
-def product_facade_weights(mesh, reach=1, sub=64, order=16):
-    """Reference: opposite-facade entries within ``reach`` panels of the
-    row's twin panel, the A_delta Lorentzian integrated against the
-    source panel's Lagrange basis by a composite sub-rule.  Returns
-    (rows, cols, weights) in dense indices."""
+def product_facade_weights(mesh, sub=64, order=16):
+    """Reference: every opposite-facade entry, the A_delta Lorentzian
+    integrated against the source panel's Lagrange basis by a composite
+    sub-rule.  Returns (rows, cols, weights) in dense indices."""
     delta = mesh.spec.delta
     x1 = to_local(mesh.spec, mesh.points)[:, 0]
     t, tw = np.polynomial.legendre.leggauss(order)
@@ -58,7 +51,6 @@ def product_facade_weights(mesh, reach=1, sub=64, order=16):
     out = []
     for rows, cols in ((top, bottom), (bottom, top)):
         panels, lo, hi = _facade_panels(mesh, cols)
-        twin = _twin_panel(mesh, rows, lo)
         for p, nodes in enumerate(panels):
             edges = np.linspace(lo[p], hi[p], sub + 1)
             half = (edges[1] - edges[0]) / 2.0
@@ -68,9 +60,8 @@ def product_facade_weights(mesh, reach=1, sub=64, order=16):
             basis = np.stack([np.prod([(s - y[k]) / (y[j] - y[k])
                                        for k in range(len(y)) if k != j], axis=0)
                               for j in range(len(y))], axis=1)
-            near = rows[np.abs(twin - p) <= reach]
-            lor = delta / (np.pi * ((x1[near, None] - s) ** 2 + 4.0 * delta**2))
-            out.append((np.repeat(near, len(y)), np.tile(nodes, len(near)),
+            lor = delta / (np.pi * ((x1[rows, None] - s) ** 2 + 4.0 * delta**2))
+            out.append((np.repeat(rows, len(y)), np.tile(nodes, len(rows)),
                         ((lor * ws) @ basis).ravel()))
     return tuple(np.concatenate(a) for a in zip(*out))
 
@@ -159,16 +150,24 @@ def test_same_side_facade_pairs_are_zero():
 
 
 def mp_panel_weights(delta, x, lo, hi):
-    """30-digit quadrature: the A_delta Lorentzian at x1 = x integrated
+    """30-digit reference: the A_delta Lorentzian at x1 = x integrated
     against the Lagrange basis of the Gauss nodes of the panel (lo, hi)
-    on the other side, through the monomial moments in panel coordinates."""
+    on the other side, through the monomial moments in panel coordinates.
+    With u = t - w, the moment of t^k is sum_j C(k, j) w^(k-j) I_j, and
+    I_j = int u^j beta / (u^2 + beta^2) du has the closed forms
+    I_0 = atan(u / beta), I_1 = beta log(u^2 + beta^2) / 2 and
+    I_j = beta u^(j-1) / (j-1) - beta^2 I_(j-2)."""
     with mp.workdps(30):
         c, r = (mp.mpf(lo) + mp.mpf(hi)) / 2, (mp.mpf(hi) - mp.mpf(lo)) / 2
         w, beta = (mp.mpf(x) - c) / r, 2 * mp.mpf(delta) / r
+        a, b = -1 - w, 1 - w
+        ints = [mp.atan(b / beta) - mp.atan(a / beta),
+                beta * mp.log((b**2 + beta**2) / (a**2 + beta**2)) / 2]
+        for j in range(2, PANEL_ORDER):
+            ints.append(beta * (b ** (j - 1) - a ** (j - 1)) / (j - 1) - beta**2 * ints[j - 2])
+        moments = mp.matrix([mp.fsum(mp.binomial(k, j) * w ** (k - j) * ints[j]
+                                     for j in range(k + 1)) for k in range(PANEL_ORDER)])
         nodes = np.polynomial.legendre.leggauss(PANEL_ORDER)[0]
-        cuts = [-1, w, 1] if -1 < w < 1 else [-1, 1]
-        moments = mp.matrix([mp.quad(lambda t: t**k * beta / ((t - w) ** 2 + beta**2), cuts)
-                             for k in range(PANEL_ORDER)])
         vander = mp.matrix([[mp.mpf(t) ** k for k in range(PANEL_ORDER)] for t in nodes])
         weights = mp.lu_solve(vander.T, moments) / (2 * mp.pi)
         return np.array([float(v) for v in weights])
@@ -179,45 +178,33 @@ def test_lorentzian_table_matches_mpmath(beta):
     # on panels (-1, 1) across a gap 2 delta, beta = 2 delta; offset o puts
     # the source panel at (2 o - 1, 2 o + 1).  beta = 0.25 is the default
     # mesh, 6.4 the finest in validate, where every target takes the far
-    # rule.  Measured: <= 3.2e-14 of the largest entry here, <= 1.0e-13 for
-    # beta from 0.01 to 20 (at 0.8)
-    table = potentials.lorentzian_panel_weights(beta)
-    reach = potentials.PRODUCT_REACH
-    assert table.shape == (2 * reach + 1, PANEL_ORDER, PANEL_ORDER)
+    # rule; offsets 2 and 3 take it at every beta.  Measured: <= 3.2e-14 of
+    # the largest entry
+    panels = 4
+    table = potentials.lorentzian_panel_weights(beta, panels)
+    assert table.shape == (2 * panels - 1, PANEL_ORDER, PANEL_ORDER)
     nodes = np.polynomial.legendre.leggauss(PANEL_ORDER)[0]
     ref = np.array([[mp_panel_weights(beta / 2, x, 2 * o - 1, 2 * o + 1) for x in nodes]
-                    for o in range(-reach, reach + 1)])
+                    for o in range(1 - panels, panels)])
     assert np.abs(table - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_opposite_side_facade_pairs_are_the_a_delta_kernel():
+    # every pair across the rod is the Lorentzian against the source
+    # panel's interpolant, also over the middle panel, which straddles
+    # x1 = 0, so that its columns split between A_R2 and A_R1R2.
+    # Measured: 8.2e-14 of the largest entry (beta = 1 on this mesh)
     mesh = SYMMETRY_MESHES["odd_panels"]()
     delta = mesh.spec.delta
     dense = assemble_np(mesh).matrix
     x1 = to_local(mesh.spec, mesh.points)[:, 0]
     top, bottom = _facade_sides(mesh)
-    for rows, cols in ((top, bottom), (bottom, top)):
-        lo = _facade_panels(mesh, cols)[1]
-        twin = _twin_panel(mesh, rows, lo)
-        # beyond one panel of the row's twin: the plain Lorentzian entry
-        col_panel = _twin_panel(mesh, cols, lo)
-        far = np.abs(twin[:, None] - col_panel) > 1
-        assert far.any() and not far.all()
-        t = x1[rows, None] - x1[cols]
-        ref = delta / (np.pi * (t * t + 4.0 * delta**2)) * mesh.weights[cols]
-        got = dense[np.ix_(rows, cols)]
-        assert np.abs(got[far] / ref[far] - 1.0).max() <= 1e-14
-    # within reach: the Lorentzian against the source panel's interpolant,
-    # on the top rows over the middle panel (which straddles x1 = 0, so its
-    # columns split between A_R2 and A_R1R2) and over the last one.
-    # Measured: 8.2e-14 of the largest entry (beta = 1 on this mesh)
-    panels, lo, hi = _facade_panels(mesh, bottom)
-    twin = _twin_panel(mesh, top, lo)
     got, want = [], []
-    for p in (len(panels) // 2, len(panels) - 1):
-        for r in top[twin == p]:
-            for s in range(max(p - 1, 0), min(p + 2, len(panels))):
-                got.append(dense[r, panels[s]])
+    for rows, cols in ((top, bottom), (bottom, top)):
+        panels, lo, hi = _facade_panels(mesh, cols)
+        for r in rows:
+            for s, nodes in enumerate(panels):
+                got.append(dense[r, nodes])
                 want.append(mp_panel_weights(delta, x1[r], lo[s], hi[s]))
     want = np.array(want)
     assert np.abs(np.array(got) - want).max() <= 2e-13 * np.abs(want).max()
