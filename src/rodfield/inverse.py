@@ -40,8 +40,15 @@ RESIDUAL_TOL = 1e-3
 # Rod angles at which the LM start solves for the channel amplitudes.
 START_ANGLES = np.arange(8) * (np.pi / 8.0)
 # The fit's parameters: centre (2), angle, length and two channel
-# amplitudes.  Fewer sensors than this leave LM underdetermined.
+# amplitudes.  Fewer distinct sensors than this leave LM underdetermined.
 N_PARAMS = 6
+# LM stops where a step moves the scaled parameters by at most this share
+# of their norm (MINPACK's xtol), where a step's actual and predicted
+# reductions of the cost are both at most this share of it (ftol), or where
+# r makes at most this cosine with every column of J (gtol).
+LM_TOL = 1e-10
+# LM gives up after this many evaluations of (r, J), unconverged.
+MAX_NFEV = 400 * N_PARAMS
 
 
 @dataclass(frozen=True)
@@ -185,11 +192,63 @@ def initial_center_guess(data: SensorSet) -> NDArray:
     return (w[:, None] * data.points).sum(axis=0) / w.sum()
 
 
+def _lm(fun, x0: NDArray):
+    """Levenberg-Marquardt on the residual of ``fun(x) -> (r, J)`` from x0.
+
+    A trial step h solves min |J h + r|^2 + mu |D h|^2 by least squares,
+    where D holds the largest column norms of J met so far (Moré 1978).
+    mu starts at 1e-3 and follows Nielsen's rule (1999): a step that lowers
+    the cost |r|^2 is taken and mu shrinks by max(1/3, 1 - (2 rho - 1)^3),
+    rho being the ratio of actual to predicted reduction; any other step
+    is refused and mu grows by a factor that doubles on each refusal.  The
+    xtol and ftol stops of LM_TOL are tested after every trial, taken or
+    not: at a minimum every trial is refused, and only they end the run.
+    Returns x, r, J, the stop ("gtol", "ftol", "xtol" or "max_nfev") and
+    the number of evaluations.
+    """
+    x = np.asarray(x0, dtype=float)
+    r, J = fun(x)
+    nfev, mu, grow = 1, 1e-3, 2.0
+    d = np.zeros(len(x))
+    while True:
+        cost = r @ r
+        cols = np.linalg.norm(J, axis=0)
+        d = np.maximum(d, cols)
+        if np.all(np.abs(J.T @ r) <= LM_TOL * cols * np.sqrt(cost)):
+            return x, r, J, "gtol", nfev
+        while True:
+            if nfev >= MAX_NFEV:
+                return x, r, J, "max_nfev", nfev
+            h = np.linalg.lstsq(np.vstack([J, np.diag(np.sqrt(mu) * d)]),
+                                np.concatenate([-r, np.zeros(len(x))]),
+                                rcond=None)[0]
+            r_new, J_new = fun(x + h)
+            nfev += 1
+            # |r|^2 - |r + J h|^2, exact as h solves the damped problem
+            predicted = np.sum((J @ h) ** 2) + 2.0 * mu * np.sum((d * h) ** 2)
+            actual = cost - r_new @ r_new
+            small_step = np.linalg.norm(d * h) <= LM_TOL * np.linalg.norm(d * x)
+            small_gain = max(abs(actual), predicted) <= LM_TOL * cost
+            taken = actual > 0.0
+            if taken:
+                x, r, J = x + h, r_new, J_new
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * actual / predicted - 1.0) ** 3)
+                grow = 2.0
+            else:
+                mu *= grow
+                grow *= 2.0
+            if small_gain or small_step:
+                return x, r, J, "ftol" if small_gain else "xtol", nfev
+            if taken:
+                break
+
+
 def fit_rod(data: SensorSet) -> FitResult:
     """Least-squares fit of (center, angle, length, strengths) to the data.
 
     Uses the leading-order closed form as forward model, with its analytic
-    Jacobian (:func:`_closed_form`).  LM fits the channel amplitudes
+    Jacobian (:func:`_closed_form`), in the Levenberg-Marquardt of
+    :func:`_lm`.  LM fits the channel amplitudes
     b_ax = c_ax*a_loc1 and b_tr = c_tr*a_loc2 rather than the strengths,
     which keeps the parameters finite where a rod-frame component of a
     vanishes; c_ax and c_tr are recovered at the fitted angle (a strength
@@ -198,7 +257,8 @@ def fit_rod(data: SensorSet) -> FitResult:
     at each angle k*pi/8 the two amplitudes enter linearly and are solved
     by linear least squares, and LM starts from the angle that leaves the
     smallest residual.
-    ``converged`` means that LM stopped and the RMS residual is within
+    ``converged`` means that LM stopped on one of its LM_TOL tests, not
+    at MAX_NFEV evaluations, and that the RMS residual is within
     RESIDUAL_TOL of the signal RMS |u - H| or within twice the stated
     noise: a stop at a wrong local minimum does not count, and neither
     does any fit to data with no signal, whose ``residual_rel`` is None.
@@ -209,14 +269,13 @@ def fit_rod(data: SensorSet) -> FitResult:
     strengths are; an undetermined strength shows as an error of its own
     size or more, and both errors are None where J^T J is singular.
     """
-    # MINPACK's LM is the one part of rodfield that needs scipy: imported
-    # here, the other commands start without it
-    from scipy.optimize import least_squares
-
     _require_identifiable(data.background)
-    if len(data) < N_PARAMS:
+    # a repeated sensor adds a row but no constraint
+    distinct = len(np.unique(data.points, axis=0))
+    if distinct < N_PARAMS:
         raise IdentifiabilityError(f"fit needs at least {N_PARAMS} sensors for "
-                                   f"its {N_PARAMS} parameters, got {len(data)}")
+                                   f"its {N_PARAMS} parameters, got {distinct} "
+                                   "distinct")
     if not (np.isfinite(data.points).all() and np.isfinite(data.values).all()):
         raise ValidationError("data: a value is not finite (noise past the float range?)")
     signal = data.values - data.background.value(data.points)
@@ -225,37 +284,33 @@ def fit_rod(data: SensorSet) -> FitResult:
     if top > np.sqrt(np.finfo(float).max / len(signal)):
         raise ValidationError(f"data: |u - H| reaches {top:.3g}, where the fit's "
                               "sum of squares overflows")
-    p0 = _start(data, signal)
 
-    def residuals(p: NDArray) -> NDArray:
-        return _closed_form(p, data.points) - signal
+    def fun(p: NDArray) -> tuple[NDArray, NDArray]:
+        u, J = _closed_form(p, data.points, jac=True)
+        return u - signal, J
 
-    def jacobian(p: NDArray) -> NDArray:
-        return _closed_form(p, data.points, jac=True)[1]
+    p, r, J, stop, nfev = _lm(fun, _start(data, signal))
 
-    res = least_squares(residuals, p0, jac=jacobian, method="lm", xtol=1e-10,
-                        ftol=1e-10, gtol=1e-10, max_nfev=400 * len(p0))
-
-    a_loc = rotation_matrix(res.x[2]).T @ data.background.linear_part
-    c, c_tr = res.x[4] / a_loc[0], res.x[5] / a_loc[1]
-    se_b = _amplitude_stderr(res.jac, res.fun)
+    a_loc = rotation_matrix(p[2]).T @ data.background.linear_part
+    c, c_tr = p[4] / a_loc[0], p[5] / a_loc[1]
+    se_b = _amplitude_stderr(J, r)
     se, se_tr = (None, None) if se_b is None else (se_b / np.abs(a_loc)).tolist()
     # fold the theta <-> theta + pi symmetry: theta in [0, pi), L >= 0
-    z0, theta, L = res.x[:2], res.x[2] % np.pi, abs(res.x[3])
+    z0, theta, L = p[:2], p[2] % np.pi, abs(p[3])
     axis = np.array([np.cos(theta), np.sin(theta)])
     P_hat = z0 - (L / 2.0) * axis
     Q_hat = z0 + (L / 2.0) * axis
-    rms = float(np.sqrt(np.mean(res.fun**2)))
+    rms = float(np.sqrt(np.mean(r**2)))
     signal_rms = float(np.sqrt(np.mean(signal**2)))
     # data equal to H has no rod in it: a zero residual there is no fit
-    converged = res.status > 0 and signal_rms > 0 and rms <= max(
+    converged = stop != "max_nfev" and signal_rms > 0 and rms <= max(
         RESIDUAL_TOL * signal_rms, 2.0 * data.noise_rms)
     return FitResult(endpoints=(P_hat, Q_hat), strength=float(c),
                      strength_transverse=float(c_tr),
                      center=z0, angle=float(theta), length=float(L),
                      residual=rms,
                      residual_rel=rms / signal_rms if signal_rms else None,
-                     iterations=int(res.nfev), converged=bool(converged),
+                     iterations=nfev, converged=bool(converged),
                      strength_stderr=se, strength_transverse_stderr=se_tr)
 
 

@@ -675,46 +675,78 @@ def test_sensors_round_onto_a_1e300_rod_centre_exit_2(model, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: sensor within 2*delta of the rod")
 
 
-SCIPY_PROBE = """
-import json, sys
+NO_SCIPY = """
+import importlib.abc, json, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
 from rodfield.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-commands, invert = json.loads(sys.argv[1]), json.loads(sys.argv[2])
-codes = [main(argv) for argv in commands]
-without = scipy_modules()
-codes.append(main(invert))
-print(json.dumps({"codes": codes, "without": without, "with": scipy_modules()}))
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
-def test_only_invert_loads_scipy(config_path, tmp_path):
-    # scipy.linalg, scipy.integrate and scipy.optimize were imported with
-    # rodfield.cli: 355 modules, about 0.7 s and 50 MB of RSS in a fresh
-    # process, where only invert's least-squares fit needs scipy
+def test_no_command_needs_scipy(config_path, tmp_path):
+    # invert imported scipy.optimize for its least-squares fit: 0.6 s and
+    # 50 MB of RSS in a fresh process; every command now runs where an
+    # import of scipy fails
     def out(name):
         return ["--out", str(tmp_path / name)]
 
+    invert = ["invert", "--config", config_path]
+    data = ["--data", str(tmp_path / "meas.csv")]
     commands = [["fieldmap", "--config", config_path, *out("fm.csv")],
                 ["forward", "--config", config_path, *out("fw.csv"),
                  "--density", str(tmp_path / "d.csv")],
                 ["asymptotic", "--config", config_path, *out("asym.csv")],
                 ["compare", "--config", config_path, *out("c.json")],
-                ["validate"]]
-    invert = ["invert", "--config", config_path, "--synthesize", *out("fit.json")]
+                ["validate"],
+                [*invert, "--synthesize", "--model", "bem", *data, *out("fb.json")],
+                [*invert, "--synthesize", "--model", "asymptotic", *out("fa.json")],
+                [*invert, *data, *out("fd.json")]]
     src = os.path.dirname(os.path.dirname(rodfield.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(commands),
-                           json.dumps(invert)], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(commands)],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [EXIT_OK] * 6
-    assert result["without"] == []
-    assert "scipy.optimize" in result["with"]
-    assert "scipy.integrate" not in result["with"]
+    assert result == {"codes": [EXIT_OK] * len(commands), "scipy": []}
+
+
+def test_fit_stopped_at_the_evaluation_cap_exits_1(config_path, tmp_path, monkeypatch):
+    # LM that runs out of evaluations has not converged, whatever its residual
+    from rodfield import inverse
+
+    monkeypatch.setattr(inverse, "MAX_NFEV", 3)
+    out = tmp_path / "fit.json"
+    code = main(["invert", "--config", config_path, "--synthesize",
+                 "--model", "asymptotic", "--out", str(out)])
+    assert code == EXIT_FAILURE
+    fit = json.loads(out.read_text())
+    assert fit["converged"] is False
+    assert fit["iterations"] == 3
+
+
+def test_invert_repeated_sensor_exits_1(tmp_path, capsys):
+    # eight rows of one sensor passed the six-sensor check, and the fit
+    # "converged" with residual_rel 2e-16 to a rod through that sensor
+    path = tmp_path / "run.yaml"
+    path.write_text(CONFIG.replace("a: [1.0, 0.5]", "a: [1.0, 1.0]"))
+    data = tmp_path / "same.csv"
+    data.write_text("x1,x2,u\n" + "3.0,0.0,3.001\n" * 8)
+    out = tmp_path / "fit.json"
+    code = main(["invert", "--config", str(path), "--data", str(data),
+                 "--out", str(out)])
+    assert code == EXIT_FAILURE
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: fit needs at least 6 sensors")
 
 
 def test_validate_assembles_each_mesh_once(monkeypatch):

@@ -341,21 +341,61 @@ def _k_pi_8_data():
 
 
 def test_fit_uses_the_analytic_jacobian(monkeypatch):
-    # the kernel runs once per LM value and Jacobian, once per start angle
-    # and once more for the Jacobian at the solution: no difference columns
-    kernel, lsq = inverse._closed_form, scipy.optimize.least_squares
+    # the kernel runs once per LM evaluation of (r, J), always with J, and
+    # at most once per start angle: no difference columns
+    kernel, lm = inverse._closed_form, inverse._lm
     calls, runs = [], []
-    monkeypatch.setattr(inverse, "_closed_form",
-                        lambda *a, **kw: calls.append(1) or kernel(*a, **kw))
-    monkeypatch.setattr(scipy.optimize, "least_squares",
-                        lambda *a, **kw: runs.append(lsq(*a, **kw)) or runs[-1])
+    monkeypatch.setattr(inverse, "_closed_form", lambda *a, **kw:
+                        calls.append(kw.get("jac", False)) or kernel(*a, **kw))
+    monkeypatch.setattr(inverse, "_lm", lambda *a: runs.append(lm(*a)) or runs[-1])
     for k, spec, data in _k_pi_8_data():
         calls.clear()
         fit = fit_rod(data)
-        res = runs[-1]
-        assert len(calls) <= res.nfev + res.njev + len(inverse.START_ANGLES) + 1
-        assert fit.iterations <= 12
+        nfev = runs[-1][-1]
+        assert len(calls) <= nfev + len(inverse.START_ANGLES)
+        assert all(calls)
+        assert fit.iterations == nfev <= 12
         assert fit.converged and endpoint_error(fit, spec) < 1e-12
+
+
+def _random_rods(seed, count):
+    """Seeded random rods: L, centre, angle and the direction of a, sigma0
+    from 0.01 to 100, and 32 or 64 sensors at radius 3."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        spec = RodSpec(L=rng.uniform(0.5, 2.5), delta=0.05,
+                       center=tuple(rng.uniform(-0.5, 0.5, 2)),
+                       angle=rng.uniform(0.0, np.pi),
+                       sigma0=rng.choice([0.01, 0.1, 0.5, 2.0, 10.0, 100.0]))
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        yield (spec, HarmonicBackground.linear((np.cos(phi), np.sin(phi))),
+               sensor_circle((0.0, 0.0), 3.0, rng.choice([32, 64])))
+
+
+def test_random_rods_converge_to_their_endpoints():
+    wrong = []
+    for i, (spec, bg, pts) in enumerate(_random_rods(11, 40)):
+        fit = fit_rod(simulate_measurements(spec, bg, pts, source="asymptotic"))
+        if not (fit.converged and endpoint_error(fit, spec) <= 1e-10):
+            wrong.append(i)
+    assert wrong == []
+
+
+def test_noisy_fits_match_minpack():
+    # MINPACK's LM from the same start, as an independent implementation,
+    # reaches the same minimum of the noisy data
+    for i, (spec, bg, pts) in enumerate(_random_rods(12, 10)):
+        data = simulate_measurements(spec, bg, pts, noise_rms=(1e-5, 1e-4)[i % 2],
+                                     source="asymptotic", seed=i)
+        signal = data.values - bg.value(pts)
+        ref = scipy.optimize.least_squares(
+            lambda p: inverse._closed_form(p, pts) - signal,
+            inverse._start(data, signal),
+            jac=lambda p: inverse._closed_form(p, pts, jac=True)[1],
+            method="lm", xtol=1e-10, ftol=1e-10, gtol=1e-10).x
+        rod = RodSpec(L=abs(ref[3]), delta=spec.delta, center=tuple(ref[:2]),
+                      angle=ref[2], sigma0=spec.sigma0)
+        assert endpoint_error(fit_rod(data), rod) <= 1e-6
 
 
 def test_strength_stderr_marks_undetermined_strengths():
