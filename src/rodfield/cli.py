@@ -2,6 +2,8 @@
 
 Subcommands: fieldmap, compare, validate, invert, forward, asymptotic.
 Outputs are CSV/JSON data files; plotting is left to external tools.
+This module holds every data-file format: the numerical modules return
+arrays and open no files.
 Exit codes: 0 success, 1 validation/convergence failure, 2 usage/config
 errors.
 """
@@ -9,6 +11,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -18,10 +21,10 @@ import time
 
 import numpy as np
 
+from .background import HarmonicBackground
 from .config import ConfigError, RunConfig, load_config
-from .geometry import ValidationError, write_csv
-from .inverse import (IdentifiabilityError, dump_fit_json, dump_measurements_csv,
-                      fit_rod, load_measurements_csv, sensor_circle,
+from .geometry import ValidationError
+from .inverse import (IdentifiabilityError, SensorSet, fit_rod, sensor_circle,
                       simulate_measurements)
 from .potentials import SolverError
 from .solver import perturbation, refuse_non_finite
@@ -31,11 +34,67 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
+#: Rows formatted at a time by :func:`write_csv`: the cells it holds at
+#: once are bounded by the block, not by the table.
+CSV_BLOCK_ROWS = 256
 
-def _grid_or_error(cfg: RunConfig) -> np.ndarray:
+
+def _blocks(col: np.ndarray):
+    """The CSV cells of one column, a list per block of CSV_BLOCK_ROWS rows:
+    floats by repr, integers and strings as themselves, flags as 0/1."""
+    if col.dtype == bool:
+        col = col.astype(np.int8)
+    fmt = repr if col.dtype.kind == "f" else str
+    for start in range(0, len(col), CSV_BLOCK_ROWS):
+        yield list(map(fmt, col[start:start + CSV_BLOCK_ROWS].tolist()))
+
+
+def write_csv(path: str, header, *columns) -> None:
+    """Write equal-length columns under ``header``.
+
+    One header line, then one line per row, each ended by CRLF.  Floats
+    are written as their repr (shortest round-trip form), integers and
+    strings as themselves, and boolean flags as 0/1.  No cell is quoted,
+    so a string cell must not hold a comma, a quote or a line break.
+    """
+    with open(path, "w", newline="") as f:
+        f.write(",".join(header) + "\r\n")
+        for block in zip(*(_blocks(np.asarray(c)) for c in columns)):
+            f.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+
+
+def load_measurements_csv(path: str, bg: HarmonicBackground,
+                          noise_rms: float = 0.0) -> SensorSet:
+    """The sensors of a CSV with header x1,x2,u (further columns ignored)."""
+    pts, vals = [], []
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header[:3]] != ["x1", "x2", "u"]:
+            raise ValidationError(f"{path}: expected header x1,x2,u")
+        for ln, row in enumerate(reader, start=2):
+            try:
+                x1, x2, u = map(float, row[:3])
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{ln}: bad row {row!r}") from exc
+            # NaN passes every later check and ends in an SVD failure in the fit
+            if not np.isfinite((x1, x2, u)).all():
+                raise ValidationError(f"{path}:{ln}: non-finite value in row {row!r}")
+            pts.append([x1, x2])
+            vals.append(u)
+    if not pts:
+        raise ValidationError(f"{path}: no data rows")
+    return SensorSet(points=np.asarray(pts), values=np.asarray(vals), background=bg,
+                     noise_rms=noise_rms)
+
+
+def _grid_or_error(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid points (m, 2) and their x1 and x2 cells: each axis value is
+    formatted once and its text repeated in the order of GridSpec.points."""
     if cfg.grid is None:
         raise ConfigError("this command needs a 'grid' block")
-    return cfg.grid.points()
+    xs, ys = (np.array(list(map(repr, a.tolist())), dtype=object) for a in cfg.grid.axes())
+    return cfg.grid.points(), np.repeat(xs, len(ys)), np.tile(ys, len(xs))
 
 
 #: Header of the CSV of ``forward`` and ``asymptotic``.
@@ -43,10 +102,11 @@ FIELD_HEADER = ["x1", "x2", "u", "ux", "uy", "near_boundary_flag"]
 
 
 def _field_columns(cfg: RunConfig, pts: np.ndarray, s, gs, near) -> tuple:
-    """The columns under FIELD_HEADER: u = H + s, grad u, near flag."""
+    """The columns under FIELD_HEADER after x1, x2: u = H + s, grad u and
+    the near flag."""
     u, g = cfg.background.value(pts) + s, cfg.background.grad(pts) + gs
     refuse_non_finite("u", pts, u, g)
-    return pts[:, 0], pts[:, 1], u, g[:, 0], g[:, 1], near
+    return u, g[:, 0], g[:, 1], near
 
 
 def _open_outputs(*paths: str | None) -> None:
@@ -69,13 +129,13 @@ def _open_outputs(*paths: str | None) -> None:
 
 def cmd_fieldmap(args) -> int:
     cfg = load_config(args.config)
-    pts = _grid_or_error(cfg)
+    pts, *cells = _grid_or_error(cfg)
     s, gs, near, sol = perturbation(cfg.rod, cfg.background, pts, args.model,
                                     cfg.n_cap, cfg.n_facade)
     dgrad = np.linalg.norm(gs, axis=1)
     refuse_non_finite("|grad(u - H)|", pts, dgrad)
     write_csv(args.out, ["x1", "x2", "du", "dgrad", "near_flag"],
-              pts[:, 0], pts[:, 1], np.abs(s), dgrad, near)
+              *cells, np.abs(s), dgrad, near)
     mesh = f"  n={len(sol.mesh)}" if sol is not None else ""
     print(f"fieldmap: wrote {len(pts)} rows to {args.out}{mesh}  "
           f"near={np.count_nonzero(near)}")
@@ -156,22 +216,26 @@ def cmd_invert(args) -> int:
                               "hint: pass --synthesize to generate it first") from exc
 
     result = fit_rod(data)
+    # strict JSON: a non-finite value raises before any file is opened
+    text = json.dumps(result.to_dict(), indent=2, allow_nan=False)
     data_out = args.data if args.synthesize else None
     _open_outputs(data_out, args.out)
     if data_out:
-        dump_measurements_csv(data, data_out)
-    print(dump_fit_json(result, args.out))
+        write_csv(data_out, ["x1", "x2", "u"], *data.points.T, data.values)
+    with open(args.out, "w") as f:
+        f.write(text + "\n")
+    print(text)
     return EXIT_OK if result.converged else EXIT_FAILURE
 
 
 def cmd_forward(args) -> int:
     cfg = load_config(args.config)
-    pts = _grid_or_error(cfg)
+    pts, *cells = _grid_or_error(cfg)
     s, gs, near, sol = perturbation(cfg.rod, cfg.background, pts, "bem",
                                     cfg.n_cap, cfg.n_facade)
     field = _field_columns(cfg, pts, s, gs, near)
     _open_outputs(args.out, args.density)
-    write_csv(args.out, FIELD_HEADER, *field)
+    write_csv(args.out, FIELD_HEADER, *cells, *field)
     if args.density:
         write_csv(args.density, ["index", "x1", "x2", "phi"], np.arange(len(sol.mesh)),
                   *sol.mesh.points.T, sol.phi.values)
@@ -183,9 +247,9 @@ def cmd_forward(args) -> int:
 
 def cmd_asymptotic(args) -> int:
     cfg = load_config(args.config)
-    pts = _grid_or_error(cfg)
+    pts, *cells = _grid_or_error(cfg)
     s, gs, near, _ = perturbation(cfg.rod, cfg.background, pts, "asymptotic")
-    write_csv(args.out, FIELD_HEADER, *_field_columns(cfg, pts, s, gs, near))
+    write_csv(args.out, FIELD_HEADER, *cells, *_field_columns(cfg, pts, s, gs, near))
     print(f"asymptotic: wrote {len(pts)} rows to {args.out}")
     return EXIT_OK
 

@@ -38,10 +38,14 @@ class GridSpec:
     nx: int
     ny: int
 
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nx lattice values of x1 and the ny of x2."""
+        return (np.linspace(self.xmin, self.xmax, self.nx),
+                np.linspace(self.ymin, self.ymax, self.ny))
+
     def points(self) -> np.ndarray:
-        xs = np.linspace(self.xmin, self.xmax, self.nx)
-        ys = np.linspace(self.ymin, self.ymax, self.ny)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        """The lattice points (nx ny, 2), x1 varying slowest."""
+        X, Y = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([X.ravel(), Y.ravel()], axis=1)
 
 

@@ -227,63 +227,3 @@ def signed_distance(spec: RodSpec, x: NDArray) -> NDArray:
     seg = np.stack([t, np.zeros_like(t)], axis=-1)
     d = np.linalg.norm(xl - seg, axis=-1) - spec.delta
     return d if np.asarray(x).ndim > 1 else d[0]
-
-
-#: Rows formatted at a time by :func:`write_csv`: the cells it holds at
-#: once are bounded by the block, not by the table.
-CSV_BLOCK_ROWS = 256
-
-
-def _distinct(col: NDArray):
-    """The sorted distinct bit patterns of a float column and their text,
-    or None unless they number fewer than half the column and fit in a
-    block.  Bits, not values, so -0.0 and 0.0 keep their own text.
-
-    A column no longer than a block, or whose first block repeats no
-    value, is never sorted: it would not pay, and the first int64 sort in
-    a process pages in about 0.5 MB of numpy's sort code.
-    """
-    if len(col) <= CSV_BLOCK_ROWS:
-        return None
-    if 2 * len(set(col[:CSV_BLOCK_ROWS].view(np.int64).tolist())) >= CSV_BLOCK_ROWS:
-        return None
-    bits = np.unique(col.view(np.int64))
-    if 2 * len(bits) >= len(col) or len(bits) > CSV_BLOCK_ROWS:
-        return None
-    return bits, np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
-
-
-def _blocks(col: NDArray):
-    """The CSV cells of one column, a list per block of CSV_BLOCK_ROWS rows.
-
-    Floats by repr, integers and strings as themselves, flags as 0/1.  A
-    float column with few distinct values (a lattice coordinate) has each
-    formatted once.
-    """
-    if col.dtype == bool:
-        col = col.astype(np.int8)
-    is_float = col.dtype.kind == "f"
-    if is_float:
-        col = col.astype(float, copy=False)
-    distinct = _distinct(col) if is_float else None
-    for start in range(0, len(col), CSV_BLOCK_ROWS):
-        block = col[start:start + CSV_BLOCK_ROWS]
-        if distinct is not None:
-            bits, text = distinct
-            yield text[np.searchsorted(bits, block.view(np.int64))].tolist()
-        else:
-            yield list(map(repr if is_float else str, block.tolist()))
-
-
-def write_csv(path: str, header, *columns) -> None:
-    """Write equal-length columns under ``header``.
-
-    One header line, then one line per row, each ended by CRLF.  Floats
-    are written as their repr (shortest round-trip form), integers and
-    strings as themselves, and boolean flags as 0/1.  No cell is quoted,
-    so a string cell must not hold a comma, a quote or a line break.
-    """
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\r\n")
-        for block in zip(*(_blocks(np.asarray(c)) for c in columns)):
-            f.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")

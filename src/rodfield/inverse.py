@@ -8,8 +8,6 @@ combinations at leading order.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -17,7 +15,7 @@ from numpy.typing import NDArray
 
 from .asymptotics import _cap_terms, _linear_form
 from .background import HarmonicBackground
-from .geometry import RodSpec, ValidationError, rotation_matrix, signed_distance, write_csv
+from .geometry import RodSpec, ValidationError, rotation_matrix, signed_distance
 from .solver import perturbation
 
 
@@ -345,41 +343,3 @@ def endpoint_error(result: FitResult, spec: RodSpec) -> float:
     direct = max(np.linalg.norm(P_hat - P), np.linalg.norm(Q_hat - Q))
     swapped = max(np.linalg.norm(P_hat - Q), np.linalg.norm(Q_hat - P))
     return float(min(direct, swapped))
-
-
-def dump_measurements_csv(data: SensorSet, path: str) -> None:
-    write_csv(path, ["x1", "x2", "u"], data.points[:, 0], data.points[:, 1],
-              data.values)
-
-
-def load_measurements_csv(path: str, bg: HarmonicBackground,
-                          noise_rms: float = 0.0) -> SensorSet:
-    pts, vals = [], []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["x1", "x2", "u"]:
-            raise ValidationError(f"{path}: expected header x1,x2,u")
-        for ln, row in enumerate(reader, start=2):
-            try:
-                x1, x2, u = map(float, row[:3])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{ln}: bad row {row!r}") from exc
-            # NaN passes every later check and ends in an SVD failure in the fit
-            if not np.isfinite((x1, x2, u)).all():
-                raise ValidationError(f"{path}:{ln}: non-finite value in row {row!r}")
-            pts.append([x1, x2])
-            vals.append(u)
-    if not pts:
-        raise ValidationError(f"{path}: no data rows")
-    return SensorSet(points=np.asarray(pts), values=np.asarray(vals), background=bg,
-                     noise_rms=noise_rms)
-
-
-def dump_fit_json(result: FitResult, path: str) -> str:
-    """Write ``result`` as strict JSON (no NaN or Infinity) and return the
-    text; a non-finite value raises ValueError before the file is opened."""
-    text = json.dumps(result.to_dict(), indent=2, allow_nan=False)
-    with open(path, "w") as f:
-        f.write(text + "\n")
-    return text

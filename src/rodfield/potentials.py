@@ -104,17 +104,20 @@ def lorentzian_panel_weights(beta: float, panels: int) -> NDArray:
     that is Im(p_k(z)) / (2 pi) times the inverse Vandermonde, with the
     Cauchy moments p_k(z) = int t^k / (t - z) dt at z = t_i - 2 o + i beta
     (Helsing & Ojala 2008): p_0 = log(1 - z) - log(-1 - z) and
-    p_{k+1} = z p_k + int t^k dt.
+    p_{k+1} = z p_k + int t^k dt.  Far from the panel, Im(p_k(z)) is the
+    integral of t^k against the Lorentzian beta / ((t - Re z)^2 + beta^2),
+    taken in real arithmetic.
     """
     off = np.arange(1 - panels, panels)
     z = GAUSS_NODES - 2.0 * off[:, None] + 1j * beta
     near = np.abs(z) < _FAR_Z
-    p = np.empty(z.shape + (PANEL_ORDER,), dtype=complex)
+    p = np.empty(z.shape + (PANEL_ORDER,))
     zn = z[near, None]
     zk = zn ** np.arange(PANEL_ORDER)
-    p[near] = (np.log(1.0 - zn) - np.log(-1.0 - zn)) * zk + zk @ _UNROLLED
-    p[~near] = (1.0 / (_FAR_NODES - z[~near, None])) @ _FAR_POWERS
-    return p.imag @ _VANDER_INV / (2.0 * np.pi)
+    p[near] = ((np.log(1.0 - zn) - np.log(-1.0 - zn)) * zk + zk @ _UNROLLED).imag
+    t = _FAR_NODES - z.real[~near, None]
+    p[~near] = (beta / (t * t + beta * beta)) @ _FAR_POWERS
+    return p @ _VANDER_INV / (2.0 * np.pi)
 
 
 class SolverError(RuntimeError):

@@ -37,12 +37,21 @@ class ForwardSolution:
 def solve_forward(spec: RodSpec, bg: HarmonicBackground,
                   n_cap: int | None = None,
                   n_facade: int | None = None) -> ForwardSolution:
-    """Compose mesh build, NP assembly and the density solve."""
+    """Compose mesh build, NP assembly and the density solve.
+
+    A mesh whose dense system does not fit in memory is refused with
+    ValidationError: assembly holds four (n/4, n/4) blocks.
+    """
     dc, df = default_counts(spec)
     mesh = build_mesh(spec, n_cap if n_cap is not None else dc,
                       n_facade if n_facade is not None else df)
     lam = lambda_of_sigma(spec.sigma0)
-    phi = solve_density(assemble_np(mesh), lam, neumann_data(mesh, bg))
+    try:
+        phi = solve_density(assemble_np(mesh), lam, neumann_data(mesh, bg))
+    except MemoryError as exc:
+        raise ValidationError(f"the dense system of n={len(mesh)} nodes (delta="
+                              f"{spec.delta!r}) does not fit in memory; raise delta "
+                              "or lower solver.n_cap and n_facade") from exc
     return ForwardSolution(mesh=mesh, phi=phi, lam=lam, background=bg)
 
 

@@ -771,3 +771,64 @@ def test_validate_runs_clean(capsys):
     code = main(["validate"])
     assert code == EXIT_OK
     assert "pass" in capsys.readouterr().out.lower()
+
+
+def test_only_cli_touches_data_files():
+    # geometry held the CSV writer and inverse the measurement CSV and the
+    # fit JSON; every data-file format is now in cli, the config in config
+    import ast
+    import pathlib
+
+    imports, opens = set(), set()
+    for path in pathlib.Path(rodfield.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if {"csv", "json"} & {str(n).split(".")[0] for n in names}:
+                imports.add(path.name)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                opens.add(path.name)
+    assert imports == {"cli.py"}
+    assert opens == {"cli.py", "config.py"}
+
+
+# 23 x 17 = 391 points, more than one CSV block; x2 ends on -0.0
+LATTICE_CONFIG = CONFIG.replace("xmin: -3.0\n  xmax: 3.0\n  ymin: -3.0\n  ymax: 3.0\n  nx: 5\n  ny: 5",
+                                "xmin: -0.0\n  xmax: 3.0\n  ymin: -3.0\n  ymax: -0.0\n  nx: 23\n  ny: 17")
+
+
+@pytest.mark.parametrize("argv", [["fieldmap"], ["forward"], ["asymptotic"]],
+                         ids=["fieldmap", "forward", "asymptotic"])
+def test_grid_cells_are_the_repr_of_the_lattice(argv, tmp_path):
+    # the x1 and x2 cells are formatted once per axis value and repeated
+    path = tmp_path / "run.yaml"
+    path.write_text(LATTICE_CONFIG)
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--config", str(path), "--out", str(out)]) == EXIT_OK
+    pts = load_config(str(path)).grid.points()
+    cells = [row[:2] for row in _read_csv(out)[1:]]
+    assert cells == [[repr(x1), repr(x2)] for x1, x2 in pts.tolist()]
+    assert len(cells) == 391 and "-0.0" in {x2 for _, x2 in cells}
+
+
+@pytest.mark.parametrize("argv", [
+    ["forward", "--density", "density.csv"], ["fieldmap"], ["compare"],
+    ["invert", "--synthesize", "--model", "bem", "--data", "data.csv"]],
+    ids=["forward", "fieldmap", "compare", "invert"])
+def test_mesh_too_large_for_memory_exits_2(argv, config_path, tmp_path, monkeypatch,
+                                          capsys):
+    # a mesh of n = 200,064 (L = 2, delta = 1e-5) died in a MemoryError
+    # traceback from assembly, exit 1; the allocation is only simulated here
+    from rodfield import solver
+
+    def no_memory(mesh):
+        raise MemoryError("Unable to allocate 74.6 GiB")
+
+    monkeypatch.setattr(solver, "assemble_np", no_memory)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--config", config_path, "--out", "out"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: the dense system of n=") and "(delta=0." in err
+    assert len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rodfield import RodSpec, ValidationError, build_mesh, to_local, to_world
-from rodfield.geometry import (CSV_BLOCK_ROWS, SEGMENTS, TAG_CAP_LEFT, TAG_CAP_RIGHT,
-                               TAG_FACADE_BOTTOM, TAG_FACADE_TOP, _segment_rule,
-                               default_counts, rotation_matrix, signed_distance,
-                               write_csv)
+from rodfield.cli import CSV_BLOCK_ROWS, write_csv
+from rodfield.geometry import (SEGMENTS, TAG_CAP_LEFT, TAG_CAP_RIGHT, TAG_FACADE_BOTTOM,
+                               TAG_FACADE_TOP, _segment_rule, default_counts,
+                               rotation_matrix, signed_distance)
 
 
 def test_spec_validation():
@@ -279,7 +279,7 @@ def csv_writer_reference(path, header, *columns):
 def test_write_csv_matches_csv_writer_across_blocks(tmp_path):
     n = 2 * CSV_BLOCK_ROWS + 37
     rng = np.random.default_rng(7)
-    # few distinct values, -0.0 next to 0.0: formatted once per bit pattern
+    # few distinct values, -0.0 next to 0.0: each keeps its own text
     lattice = rng.choice([-0.0, 0.0, 0.5, -1.25, 1.0 / 3.0], size=n)
     special = rng.choice([np.nan, np.inf, -np.inf, 1e-320, -0.0, 2.5], size=n)
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)

@@ -9,10 +9,9 @@ from rodfield import (HarmonicBackground, RodSpec, SensorSet, fit_rod,
 from rodfield.asymptotics import AsymptoticModel, asym_u_linear
 from rodfield import inverse
 from rodfield.geometry import rotation_matrix
+from rodfield.cli import load_measurements_csv, main
 from rodfield.inverse import (IdentifiabilityError, PlacementError,
-                              dump_fit_json, dump_measurements_csv,
-                              endpoint_error, initial_center_guess,
-                              load_measurements_csv)
+                              endpoint_error, initial_center_guess)
 from rodfield.geometry import ValidationError
 from rodfield.solver import eval_u, lambda_of_sigma, perturbation, solve_forward
 
@@ -20,6 +19,20 @@ from rodfield.solver import eval_u, lambda_of_sigma, perturbation, solve_forward
 SPEC = RodSpec(L=2.0, delta=0.05, center=(0.3, -0.2), angle=0.4, sigma0=2.0)
 BG = HarmonicBackground.linear((1.0, 1.0))
 POINTS = sensor_circle((0.0, 0.0), 3.0, 64)
+# SPEC, BG and POINTS as a config of the CLI
+CONFIG = """\
+rod: {L: 2.0, delta: 0.05, center: [0.3, -0.2], angle: 0.4, sigma0: 2.0}
+background: {a: [1.0, 1.0]}
+sensors: {center: [0.0, 0.0], radius: 3.0, count: 64}
+"""
+
+
+def invert_synthesize(tmp_path, *argv):
+    """``rodfield invert --synthesize --model asymptotic`` on CONFIG."""
+    path = tmp_path / "run.yaml"
+    path.write_text(CONFIG)
+    assert main(["invert", "--config", str(path), "--synthesize",
+                 "--model", "asymptotic", *argv]) == 0
 
 
 def test_sensor_circle_layout():
@@ -236,7 +249,7 @@ def test_gap_monotone_in_translation():
 def test_measurement_csv_round_trip(tmp_path):
     data = simulate_measurements(SPEC, BG, POINTS, source="asymptotic")
     path = tmp_path / "meas.csv"
-    dump_measurements_csv(data, str(path))
+    invert_synthesize(tmp_path, "--data", str(path), "--out", str(tmp_path / "fit.json"))
     loaded = load_measurements_csv(str(path), BG)
     assert np.array_equal(loaded.points, data.points)
     assert np.array_equal(loaded.values, data.values)
@@ -281,7 +294,7 @@ def test_dump_fit_json(tmp_path):
     data = simulate_measurements(SPEC, BG, POINTS, source="asymptotic")
     fit = fit_rod(data)
     path = tmp_path / "fit.json"
-    dump_fit_json(fit, str(path))
+    invert_synthesize(tmp_path, "--out", str(path))
     loaded = json.loads(path.read_text())
     assert list(loaded) == ["endpoints", "strength", "strength_transverse",
                             "center", "angle", "length", "residual",
