@@ -13,14 +13,14 @@ grad u are exact up to rounding everywhere but at the cap centres.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .background import HarmonicBackground
-from .geometry import RodSpec, ValidationError, lambda_of_sigma, rotation_matrix, to_local
+from .geometry import (PANEL_ORDER, RodSpec, ValidationError, _segment_rule, lambda_of_sigma,
+                       rotation_matrix, to_local)
 from . import potentials
 
 __all__ = [
@@ -260,8 +260,8 @@ def asym_u_general(model: AsymptoticModel, x, n_quad: int | None = None) -> NDAr
     return _single(x, asymptotic_field(model, x)[0])
 
 
-#: Gauss-Legendre order of each panel of :func:`a_delta_apply`.
-_AXIS_NODES, _AXIS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+#: Equal panels of :func:`a_delta_apply` over the rod.
+_AXIS_PANELS = 32
 
 
 def a_delta_apply(psi, delta: float, L: float, x1: float) -> float:
@@ -271,21 +271,15 @@ def a_delta_apply(psi, delta: float, L: float, x1: float) -> float:
     (-L/2, L/2).  Acts as multiplication by 1/2 on polynomials as
     delta -> 0.  ``psi`` is called once, on an array of points.
 
-    The kernel's poles sit at y1 = x1 +- 2i delta, so the panels are graded
-    geometrically away from x1: the breakpoints are x1 and x1 +- 2 delta 2^k
-    (k = 0, 1, ...), clipped to the rod, and each panel takes a 16-point
-    Gauss-Legendre rule.  A panel's distance from the poles is then at
-    least its own length, and about 2 log2(L / delta) panels cover the rod.
-    For psi = y1^n, n <= 5, it agrees with 30-digit mpmath to 1.3e-14 for
-    delta from 1e-1 to 1e-5 and x1 up to 1e-4 from a rod end.
+    psi is interpolated on _AXIS_PANELS equal Gauss panels of length h, and
+    the kernel integrated exactly against that: ``potentials.lorentzian_weights``,
+    the NP assembly's facade weights, at s + 4i delta/h in panel k's coordinates,
+    s = (x1 + L/2) 2/h - (2k + 1).  Off 30-digit mpmath by 7.1e-15 for y1^n,
+    n <= 5, and 6.0e-15 for cos 3y1 and e^y1 (L = 2, delta 1e-1 to 1e-9).
     """
-    if not (-L / 2.0 < x1 < L / 2.0):
-        raise ValueError(f"x1 must lie strictly inside (-L/2, L/2), got {x1}")
-    k = np.arange(max(0, math.ceil(math.log2(L / (2.0 * delta)))) + 1)
-    steps = 2.0 * delta * 2.0 ** k
-    cuts = np.unique(np.clip(np.concatenate([x1 - steps, [x1], x1 + steps]),
-                             -L / 2.0, L / 2.0))
-    half = np.diff(cuts)[:, None] / 2.0
-    y = cuts[:-1, None] + half * (_AXIS_NODES + 1.0)
-    kernel = half * _AXIS_WEIGHTS * delta / ((x1 - y) ** 2 + 4.0 * delta * delta)
-    return float((kernel * psi(y)).sum() / np.pi)
+    if not (delta > 0.0 and -L / 2.0 < x1 < L / 2.0):
+        raise ValueError(f"need delta > 0 and -L/2 < x1 < L/2, got delta={delta}, x1={x1}")
+    h = L / _AXIS_PANELS
+    y = _segment_rule(L, _AXIS_PANELS * PANEL_ORDER)[0].reshape(_AXIS_PANELS, -1) - L / 2.0
+    s = (x1 + L / 2.0) * 2.0 / h - (2.0 * np.arange(_AXIS_PANELS) + 1.0)
+    return float((potentials.lorentzian_weights(s + 4j * delta / h) * psi(y)).sum())

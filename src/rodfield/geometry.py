@@ -211,13 +211,16 @@ def default_counts(spec: RodSpec) -> tuple[int, int]:
     sides.  The kernel across the gap, the A_delta Lorentzian, is
     integrated exactly against each panel's interpolant (see
     ``potentials.assemble_np``), so the panels only have to resolve the
-    density, not the 2 delta width of the kernel.
+    density, not the 2 delta width of the kernel.  A delta for which
+    L/(2 delta) overflows is refused.
     """
     n_cap = 32
     if spec.L == 0.0:
         return n_cap, 0
-    n_facade = max(32, int(np.ceil(spec.L / (2.0 * spec.delta))))
-    return n_cap, n_facade
+    n_facade = spec.L / (2.0 * spec.delta)
+    if not np.isfinite(n_facade):
+        raise ValidationError(f"L/(2 delta) overflows at delta={spec.delta!r}, L={spec.L!r}")
+    return n_cap, max(32, int(np.ceil(n_facade)))
 
 
 def signed_distance(spec: RodSpec, x: NDArray) -> NDArray:

@@ -17,9 +17,10 @@ the closed form's A_delta Lorentzian.  The Lorentzian is 2 delta wide,
 narrower than a facade panel, so it is integrated exactly against each
 source panel's interpolant (product quadrature, Helsing & Ojala 2008)
 instead of sampled at the nodes.  The facade panels are equal, so these
-weights depend only on the panel offset and come from one table.  The
-density solve factors a block only if the data has a part of its parity;
-a linear background excites two of the four.
+weights depend only on the panel offset and come from one table of
+:func:`lorentzian_weights`, which ``asymptotics.a_delta_apply`` also uses
+for A_delta.  The density solve factors a block only if the data has a
+part of its parity; a linear background excites two of the four.
 
 Outside the rod the field S[phi] is fixed by a few moments of the
 density, so grids of many points far from the rod take S and grad S from
@@ -92,31 +93,27 @@ _FAR_NODES, _FAR_WEIGHTS = np.polynomial.legendre.leggauss(3 * PANEL_ORDER)
 _FAR_POWERS = _FAR_WEIGHTS[:, None] * _FAR_NODES[:, None] ** np.arange(PANEL_ORDER)
 
 
-def lorentzian_panel_weights(beta: float, panels: int) -> NDArray:
-    """Product-quadrature weights of the A_delta Lorentzian on equal panels.
+def lorentzian_weights(z) -> NDArray:
+    """Product-quadrature weights (..., PANEL_ORDER) of the Lorentzian
+    beta / (2 pi ((t - s)^2 + beta^2)) against the Lagrange basis of the
+    Gauss nodes of the panel (-1, 1), for a complex array z = s + i beta, beta > 0.
 
-    With ``panels`` panels of length h on each side, across a gap 2 delta,
-    ``beta = 4 delta / h``.  Entry [o + panels - 1, i, j], for every offset
-    o from 1 - panels to panels - 1, is the integral of
-    delta / (pi ((x - y)^2 + 4 delta^2)) against the Lagrange basis
-    function of Gauss node j, over the panel o panels to the right of the
-    one that holds x, where x sits at Gauss node i.  In panel coordinates
-    that is Im(p_k(z)) / (2 pi) times the inverse Vandermonde, with the
-    Cauchy moments p_k(z) = int t^k / (t - z) dt at z = t_i - 2 o + i beta
-    (Helsing & Ojala 2008): p_0 = log(1 - z) - log(-1 - z) and
-    p_{k+1} = z p_k + int t^k dt.  Far from the panel, Im(p_k(z)) is the
-    integral of t^k against the Lorentzian beta / ((t - Re z)^2 + beta^2),
-    taken in real arithmetic.
+    That is Im(p_k(z)) / (2 pi) times the inverse Vandermonde, with the
+    Cauchy moments p_k(z) = int t^k / (t - z) dt (Helsing & Ojala 2008):
+    p_0 = log(1 - z) - log(-1 - z), p_{k+1} = z p_k + int t^k dt; far from
+    the panel, the real integral of t^k against the Lorentzian.  Both agree
+    with 30-digit mpmath to 9.1e-15 at |s| < 4, 1e-8 < beta < 10, which at
+    1 < |s| < 1.3, beta = 1.3e-8 is up to 1.2e-6 of a row's largest entry.
     """
-    off = np.arange(1 - panels, panels)
-    z = GAUSS_NODES - 2.0 * off[:, None] + 1j * beta
     near = np.abs(z) < _FAR_Z
     p = np.empty(z.shape + (PANEL_ORDER,))
     zn = z[near, None]
     zk = zn ** np.arange(PANEL_ORDER)
     p[near] = ((np.log(1.0 - zn) - np.log(-1.0 - zn)) * zk + zk @ _UNROLLED).imag
-    t = _FAR_NODES - z.real[~near, None]
-    p[~near] = (beta / (t * t + beta * beta)) @ _FAR_POWERS
+    zf = z[~near, None]
+    t = np.square(_FAR_NODES - zf.real)
+    t += zf.imag * zf.imag   # in place: a new broadcast sum took 0.2 ms more at n = 2064
+    p[~near] = np.divide(zf.imag, t, out=t) @ _FAR_POWERS
     return p @ _VANDER_INV / (2.0 * np.pi)
 
 
@@ -234,8 +231,8 @@ def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
     on one side (x - y).nu_x = 0, so the pair is 0, and across the rod
     x2 - y2 = 2 delta gives the Lorentzian delta / (pi (t^2 + 4 delta^2))
     with t = x1 - y1, the kernel of the closed form's A_delta.  Every such
-    pair takes its weight from the table of
-    :func:`lorentzian_panel_weights`, one gather per orbit.
+    pair takes its weight from one table of :func:`lorentzian_weights`
+    over all panel offsets, one gather per orbit.
     """
     spec, orbits = mesh.spec, mesh.orbits
     xl = to_local(spec, mesh.points)
@@ -257,10 +254,12 @@ def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
         # node k = nf-1-b' in A_R2 and k = b' in A_R1R2.  For a row node
         # at Gauss node i, lines[i, 8 (o + panels - 1) + j] weighs source
         # node j of the panel o to the right, so the row over k reads its
-        # columns 0..nf-1 from lines[k % 8], starting at 8 (panels-1-k//8)
+        # columns 0..nf-1 from lines[k % 8], starting at 8 (panels-1-k//8),
+        # at z = t_i - 2 o + i beta: the gap 2 delta is beta in panel units
         panels = nf // PANEL_ORDER
-        table = lorentzian_panel_weights(4.0 * spec.delta / (spec.L / panels), panels)
-        lines = table.transpose(1, 0, 2).reshape(PANEL_ORDER, -1)
+        beta = 4.0 * spec.delta / (spec.L / panels)
+        z = GAUSS_NODES - 2.0 * np.arange(1 - panels, panels)[:, None] + 1j * beta
+        lines = lorentzian_weights(z).transpose(1, 0, 2).reshape(PANEL_ORDER, -1)
         windows = np.lib.stride_tricks.sliding_window_view(lines, nf // 2, axis=1)
         k = np.arange(nf - 1, nf // 2 - 1, -1)
         i, start = k % PANEL_ORDER, PANEL_ORDER * (panels - 1 - k // PANEL_ORDER)

@@ -43,13 +43,16 @@ def solve_forward(spec: RodSpec, bg: HarmonicBackground,
     ValidationError: assembly holds four (n/4, n/4) blocks.
     """
     dc, df = default_counts(spec)
-    mesh = build_mesh(spec, n_cap if n_cap is not None else dc,
-                      n_facade if n_facade is not None else df)
+    n_cap, n_facade = dc if n_cap is None else n_cap, df if n_facade is None else n_facade
+    n = 2 * int(n_cap + (n_facade if spec.L > 0 else 0))
     lam = lambda_of_sigma(spec.sigma0)
     try:
+        if 2 * n * n > np.iinfo(np.intp).max:   # bytes of the four (n/4)^2 blocks
+            raise MemoryError
+        mesh = build_mesh(spec, n_cap, n_facade)
         phi = solve_density(assemble_np(mesh), lam, neumann_data(mesh, bg))
     except MemoryError as exc:
-        raise ValidationError(f"the dense system of n={len(mesh)} nodes (delta="
+        raise ValidationError(f"the dense system of n={n} nodes (delta="
                               f"{spec.delta!r}) does not fit in memory; raise delta "
                               "or lower solver.n_cap and n_facade") from exc
     return ForwardSolution(mesh=mesh, phi=phi, lam=lam, background=bg)

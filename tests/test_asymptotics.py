@@ -557,7 +557,7 @@ def mp_a_delta(n, delta, L, x1):
                                      for k in range(n + 1)))
 
 
-@pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
+@pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-7, 1e-9])
 def test_a_delta_matches_mpmath(delta):
     # adaptive quadrature was off by 0.25 at delta = 1e-5, x1 = -0.9999,
     # psi = y^2, with only an IntegrationWarning, and by 2e-10 at x1 = 0
@@ -567,6 +567,41 @@ def test_a_delta_matches_mpmath(delta):
             assert abs(got - mp_a_delta(n, delta, 2.0, x1)) <= 1e-12, (x1, n)
 
 
+def mp_a_delta_quad(f, delta, x1):
+    """30-digit A_delta of f on L = 2 by mpmath quadrature, with breakpoints
+    at x1 and x1 +- 2 delta 10^k, where the kernel changes scale."""
+    with mp.workdps(30):
+        d, x = mp.mpf(delta), mp.mpf(x1)
+        cuts = {x} | {x + s * 2 * d * 10**k for k in range(12) for s in (-1, 1)}
+        pts = [mp.mpf(-1)] + sorted(c for c in cuts if -1 < c < 1) + [mp.mpf(1)]
+        return float(mp.quad(lambda y: d / ((x - y)**2 + 4 * d * d) * f(y), pts) / mp.pi)
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-5, 1e-9])
+def test_a_delta_matches_mpmath_beyond_polynomials(delta):
+    # a polynomial of degree < 8 is exact on any panel count; cos 3y and e^y
+    # are not, so they catch too few panels (16 are off by 3.7e-13).
+    # Measured: <= 6.0e-15; the graded 16-point rule was off by 1.3e-10
+    for x1 in (0.0, 0.7, -0.9999):
+        for f, mf in ((lambda y: np.cos(3.0 * y), lambda y: mp.cos(3 * y)), (np.exp, mp.exp)):
+            got = a_delta_apply(f, delta, 2.0, x1)
+            assert abs(got - mp_a_delta_quad(mf, delta, x1)) <= 1e-13, (x1, f)
+
+
+def test_a_delta_calls_psi_once():
+    calls = []
+
+    def psi(y):
+        calls.append(y.shape)
+        return y**2
+
+    a_delta_apply(psi, 1e-3, 2.0, 0.5)
+    assert len(calls) == 1
+
+
 def test_a_delta_domain_check():
     with pytest.raises(ValueError):
         a_delta_apply(lambda y: 1.0, 0.01, 2.0, 1.5)
+    for delta in (0.0, -0.01):
+        with pytest.raises(ValueError, match="delta > 0"):
+            a_delta_apply(lambda y: 1.0, delta, 2.0, 0.0)

@@ -1,11 +1,14 @@
 """End-to-end checks of the command-line front end."""
 
+import ast
 import csv
 import dataclasses
 import json
 import os
+import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -773,24 +776,36 @@ def test_validate_runs_clean(capsys):
     assert "pass" in capsys.readouterr().out.lower()
 
 
+def _src_nodes():
+    """(module file name, AST node) for every node of every rodfield module."""
+    for path in pathlib.Path(rodfield.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield path.name, node
+
+
 def test_only_cli_touches_data_files():
     # geometry held the CSV writer and inverse the measurement CSV and the
     # fit JSON; every data-file format is now in cli, the config in config
-    import ast
-    import pathlib
-
     imports, opens = set(), set()
-    for path in pathlib.Path(rodfield.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
-                     [node.module] if isinstance(node, ast.ImportFrom) else [])
-            if {"csv", "json"} & {str(n).split(".")[0] for n in names}:
-                imports.add(path.name)
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "open"):
-                opens.add(path.name)
+    for module, node in _src_nodes():
+        names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                 [node.module] if isinstance(node, ast.ImportFrom) else [])
+        if {"csv", "json"} & {str(n).split(".")[0] for n in names}:
+            imports.add(module)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            opens.add(module)
     assert imports == {"cli.py"}
     assert opens == {"cli.py", "config.py"}
+
+
+def test_gauss_rules_are_built_in_geometry_and_potentials_only():
+    # a_delta_apply built its own 16-point rule; it now takes the mesh's
+    # Gauss panels and the NP assembly's Lorentzian weights
+    calls = {module for module, node in _src_nodes()
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "leggauss"}
+    assert calls == {"geometry.py", "potentials.py"}
 
 
 # 23 x 17 = 391 points, more than one CSV block; x2 ends on -0.0
@@ -812,23 +827,55 @@ def test_grid_cells_are_the_repr_of_the_lattice(argv, tmp_path):
     assert len(cells) == 391 and "-0.0" in {x2 for _, x2 in cells}
 
 
-@pytest.mark.parametrize("argv", [
+#: every command that solves the BEM; forward and invert also write the file named here
+BEM_COMMANDS = pytest.mark.parametrize("argv", [
     ["forward", "--density", "density.csv"], ["fieldmap"], ["compare"],
     ["invert", "--synthesize", "--model", "bem", "--data", "data.csv"]],
     ids=["forward", "fieldmap", "compare", "invert"])
+
+
+@BEM_COMMANDS
 def test_mesh_too_large_for_memory_exits_2(argv, config_path, tmp_path, monkeypatch,
                                           capsys):
     # a mesh of n = 200,064 (L = 2, delta = 1e-5) died in a MemoryError
-    # traceback from assembly, exit 1; the allocation is only simulated here
+    # traceback from assembly, exit 1, and a mesh too large to build died
+    # in the build; the allocation is only simulated here
     from rodfield import solver
 
-    def no_memory(mesh):
+    def no_memory(*args):
         raise MemoryError("Unable to allocate 74.6 GiB")
 
-    monkeypatch.setattr(solver, "assemble_np", no_memory)
     monkeypatch.chdir(tmp_path)
-    assert main([*argv, "--config", config_path, "--out", "out"]) == EXIT_USAGE
+    for stage in ("assemble_np", "build_mesh"):
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, stage, no_memory)
+            assert main([*argv, "--config", config_path, "--out", "out"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: the dense system of n=128 nodes (delta=0."), stage
+        assert len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
+
+@pytest.mark.parametrize("delta", ["1.0e-320", "1.0e-300"])
+@BEM_COMMANDS
+def test_tiny_delta_is_refused_before_any_allocation(argv, delta, tmp_path, monkeypatch,
+                                                     capsys):
+    # L = 2 at default counts: L / (2 delta) overflowed int() at 1e-320, and
+    # np.arange refused 1e300 nodes at 1e-300; both were tracebacks, exit 1
+    path = tmp_path / "run.yaml"
+    path.write_text(CONFIG.replace("delta: 0.05", f"delta: {delta}")
+                    .replace("deltas: [0.1, 0.05]", f"deltas: [{delta}]")
+                    .replace("solver:\n  n_cap: 16\n  n_facade: 48\n", ""))
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--config", str(path), "--out", "out"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("error: the dense system of n=") and "(delta=0." in err
-    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"delta={float(delta)!r}" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+    assert peak < 1 << 20
