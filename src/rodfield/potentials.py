@@ -13,11 +13,14 @@ isometries.  So the Nystrom matrix commutes with the group
 each pair of parities (p1, p2).  Assembly evaluates the kernel in the rod
 frame, only on the rows of one quarter arc, and only where a cap node is
 involved: facade pairs on one side are 0, and across the rod they are
-the closed form's A_delta Lorentzian.  The Lorentzian is 2 delta wide,
-narrower than a facade panel, so it is integrated exactly against each
-source panel's interpolant (product quadrature, Helsing & Ojala 2008)
-instead of sampled at the nodes.  The facade panels are equal, so these
-weights depend only on the panel offset and come from one table of
+the closed form's A_delta Lorentzian.  The mirror images of a quarter-arc
+node are the sign flips of its rod-frame coordinates, so one pass over
+chunks of cap rows, with scratch bounded by NP_CHUNK_BYTES, forms the
+differences once for all four orbit matrices.  The Lorentzian is 2 delta
+wide, narrower than a facade panel, so it is integrated exactly against
+each source panel's interpolant (product quadrature, Helsing & Ojala
+2008) instead of sampled at the nodes.  The facade panels are equal, so
+these weights depend only on the panel offset and come from one table of
 :func:`lorentzian_weights`, which ``asymptotics.a_delta_apply`` also uses
 for A_delta.  The density solve factors a block only if the data has a
 part of its parity; a linear background excites two of the four.
@@ -47,6 +50,9 @@ NEAR_FACTOR = 2.0
 #: byte budget of the scratch of field evaluation, three (chunk, n) float
 #: arrays: memory is bounded by the chunk, not by the number of points.
 FIELD_CHUNK_BYTES = 1 << 21
+
+#: byte budget of the scratch of one row chunk of the NP assembly kernel.
+NP_CHUNK_BYTES = 1 << 19
 
 #: Field points at least FAR_RATIO rho from the node centroid, rho the
 #: largest node distance from it, may take the multipole expansion of
@@ -139,16 +145,44 @@ class DensityVector:
         return float(np.dot(self.mesh.weights, self.values))
 
 
-def _np_kernel(x: NDArray, nu: NDArray, y: NDArray, w: NDArray) -> NDArray:
-    """k(x_a, y_b) * w_b for rows x, nu (r, 2) and columns y (..., c, 2).
+def _orbit_kernel(mats: NDArray, x: NDArray, nu: NDArray, w: NDArray, mc: int) -> None:
+    """Write the entries of the orbit matrices ``mats`` (4, m, m) with a
+    cap node at either end.  x (m, 2) and w (m,) are the quarter arc in the
+    rod frame, its first mc nodes on the cap and the rest on the top side,
+    and nu (mc, 2) the normals of its cap nodes.
 
-    A pair with x = y gives NaN; the caller writes the diagonal.
+    The image g = 2 j2 + j1 (e, R1, R2, R1R2) of a node y is
+    (flips[0, j1], flips[1, j2]), where flips[i, j] is y_i for j = 0 and
+    -y_i for j = 1.  Each chunk of cap rows a forms d = x_a - g(y_b) from
+    x_i - flips[i, j], and r^2 = |d|^2 from their squares, once for all
+    four images.  The same d give the top side's rows b against the cap
+    columns a: x_b - g(x_a) = -g(d) and the normal there is (0, 1), so
+    A_g[b, a] = -s2 d_2 w_a / (2 pi r^2), s2 the sign g gives y2.  The
+    scratch is fourteen (chunk, m) float arrays, NP_CHUNK_BYTES in all.
+    A pair with x_a = g(y_b) gives NaN; the caller writes the diagonal.
     """
-    d1 = x[:, 0, None] - y[..., None, :, 0]
-    d2 = x[:, 1, None] - y[..., None, :, 1]
+    m = len(x)
+    rows = max(1, NP_CHUNK_BYTES // (112 * m))
+    buf = np.empty((14, min(rows, mc), m))
+    flips = np.stack([x.T, -x.T], axis=1)
+    w = w / (2.0 * np.pi)
+    sw = np.multiply.outer([-1.0, 1.0], w[:mc])   # -s2 w_a / (2 pi) for j2 = 0, 1
     with np.errstate(invalid="ignore"):
-        return ((d1 * nu[:, 0, None] + d2 * nu[:, 1, None])
-                / (d1 * d1 + d2 * d2) * (w / (2.0 * np.pi)))
+        for s in range(0, mc, rows):
+            xs, ns = x[:mc][s:s + rows].T, nu[s:s + rows].T
+            k = xs.shape[1]
+            d, sq, den = buf[:12, :k].reshape(3, 2, 2, k, m)
+            nw = buf[12:, :k]
+            np.subtract(xs[:, None, :, None], flips[:, :, None, :], out=d)
+            np.square(d, out=sq)
+            np.add(sq[1, :, None], sq[0], out=den)
+            # the top side's rows against this chunk's columns, transposed
+            side = np.multiply(d[1, :, :, mc:], sw[:, s:s + k, None], out=nw[..., mc:])
+            top = mats[:, mc:, s:s + k].transpose(0, 2, 1).reshape(2, 2, k, m - mc)
+            np.divide(side[:, None], den[..., mc:], out=top)
+            d *= np.multiply(ns[:, :, None], w, out=nw)[:, None]
+            num = np.add(d[1, :, None], d[0], out=sq)
+            np.divide(num, den, out=mats[:, s:s + k].reshape(num.shape))
 
 
 @dataclass(frozen=True)
@@ -226,29 +260,31 @@ def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
 
     The kernel is evaluated in the rod frame.  The quarter arc q holds
     n_cap/2 cap nodes and then n_facade/2 nodes of the top side, and so
-    does each of its images.  Entries with a cap node on either end take
-    the general kernel.  Facade pairs follow from the straight sides:
-    on one side (x - y).nu_x = 0, so the pair is 0, and across the rod
-    x2 - y2 = 2 delta gives the Lorentzian delta / (pi (t^2 + 4 delta^2))
-    with t = x1 - y1, the kernel of the closed form's A_delta.  Every such
-    pair takes its weight from one table of :func:`lorentzian_weights`
-    over all panel offsets, one gather per orbit.
+    does each of its images, the exact sign flips of its coordinates.
+    Entries with a cap node on either end take the general kernel, in one
+    pass of :func:`_orbit_kernel` over the cap rows.  Facade pairs follow
+    from the straight sides: on one side (x - y).nu_x = 0, so the pair is
+    0, and across the rod x2 - y2 = 2 delta gives the Lorentzian
+    delta / (pi (t^2 + 4 delta^2)) with t = x1 - y1, the kernel of the
+    closed form's A_delta.  Every such pair takes its weight from one
+    table of :func:`lorentzian_weights` over all panel offsets, one gather
+    per orbit.  Each entry is written once.
     """
     spec, orbits = mesh.spec, mesh.orbits
-    xl = to_local(spec, mesh.points)
-    nl = mesh.normals @ rotation_matrix(spec.angle)
     q, mc = orbits[0], mesh.n_cap // 2
     m = len(q)
+    xq = to_local(spec, mesh.points[q])
+    nq = mesh.normals[q[:mc]] @ rotation_matrix(spec.angle)
     wq = mesh.weights[q]
     diag = np.arange(m)
 
     # rows on the quarter arc against the columns of each orbit: A_g.
     # The weights are equal along each orbit, so every A_g carries wq.
-    mats = np.zeros((4, m, m))
-    mats[:, :mc] = _np_kernel(xl[q[:mc]], nl[q[:mc]], xl[orbits], wq)
-    mats[:, mc:, :mc] = _np_kernel(xl[q[mc:]], nl[q[mc:]], xl[orbits[:, :mc]], wq[:mc])
+    mats = np.empty((4, m, m))
+    _orbit_kernel(mats, xq, nq, wq, mc)
     nf = mesh.n_facade
     if nf:
+        mats[:2, mc:, mc:] = 0.0   # same side
         # facade nodes by bottom index k, 0..nf-1 in increasing x1: row a'
         # is the top node over k = nf-1-a', and column b' is the bottom
         # node k = nf-1-b' in A_R2 and k = b' in A_R1R2.  For a row node

@@ -19,6 +19,12 @@ from .geometry import (BoundaryMesh, RodSpec, ValidationError, build_mesh, defau
 from .potentials import (DensityVector, assemble_np, neumann_data, single_layer_field,
                          solve_density)
 
+#: The smallest delta / L the BEM accepts.  Its two facade charge sheets,
+#: 2 delta apart, cancel in S[phi], so a field of size delta comes out of
+#: O(1) sums: the error floor is about 2.6e-17 L / delta of the field,
+#: 2.6e-7 at this ratio, and it grows tenfold for each decade below.
+DELTA_FLOOR = 1e-10
+
 
 @dataclass(frozen=True)
 class ForwardSolution:
@@ -39,9 +45,14 @@ def solve_forward(spec: RodSpec, bg: HarmonicBackground,
                   n_facade: int | None = None) -> ForwardSolution:
     """Compose mesh build, NP assembly and the density solve.
 
-    A mesh whose dense system does not fit in memory is refused with
-    ValidationError: assembly holds four (n/4, n/4) blocks.
+    A rod with delta < DELTA_FLOOR L, and a mesh whose dense system does
+    not fit in memory (assembly holds four (n/4, n/4) blocks), are refused
+    with ValidationError.
     """
+    if spec.delta < DELTA_FLOOR * spec.L:
+        raise ValidationError(f"delta={spec.delta!r} is below the BEM's floor "
+                              f"{DELTA_FLOOR:g} L = {DELTA_FLOOR * spec.L!r}, under which its "
+                              "error passes 2.6e-7 of the field")
     dc, df = default_counts(spec)
     n_cap, n_facade = dc if n_cap is None else n_cap, df if n_facade is None else n_facade
     n = 2 * int(n_cap + (n_facade if spec.L > 0 else 0))

@@ -754,7 +754,8 @@ def test_invert_repeated_sensor_exits_1(tmp_path, capsys):
 
 def test_validate_assembles_each_mesh_once(monkeypatch):
     # the zero-total density checks assembled the second suite mesh again,
-    # once per background: 9 assemblies where 7 meshes are built
+    # once per background: 9 assemblies where 7 meshes were built; the rod
+    # flux check then built and assembled the trace-formula check's rod again
     from rodfield import potentials, solver, validate
 
     meshes = []
@@ -766,8 +767,8 @@ def test_validate_assembles_each_mesh_once(monkeypatch):
     for module in (validate, solver):
         monkeypatch.setattr(module, "assemble_np", counting)
     assert all(c.passed for c in validate.run_validation())
-    assert len(meshes) == 7
-    assert len({id(m) for m in meshes}) == 7
+    assert len(meshes) == 6
+    assert len({id(m) for m in meshes}) == 6
 
 
 def test_validate_runs_clean(capsys):
@@ -879,3 +880,32 @@ def test_tiny_delta_is_refused_before_any_allocation(argv, delta, tmp_path, monk
     assert f"delta={float(delta)!r}" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
     assert peak < 1 << 20
+
+
+def _write_delta_config(tmp_path, delta):
+    """CONFIG with the rod and the last compare delta at ``delta``."""
+    path = tmp_path / "run.yaml"
+    path.write_text(CONFIG.replace("delta: 0.05", f"delta: {delta}")
+                    .replace("deltas: [0.1, 0.05]", f"deltas: [0.1, {delta}]"))
+    return str(path)
+
+
+@BEM_COMMANDS
+def test_delta_below_the_bem_floor_is_refused(argv, tmp_path, monkeypatch, capsys):
+    # the two facade sheets 2 delta apart cancel in S[phi]: below
+    # delta = 1e-10 L the BEM's error passes 2.6e-7 of the field (5.2e-5 at
+    # 1e-12, with L = 2 and counts 16/48), and it was returned with exit 0
+    path = _write_delta_config(tmp_path, "1.0e-12")
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--config", path, "--out", "out"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: delta=1e-12 is below") and "2e-10" in err
+    assert len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
+
+@BEM_COMMANDS
+def test_delta_above_the_bem_floor_is_solved(argv, tmp_path, monkeypatch):
+    path = _write_delta_config(tmp_path, "1.0e-9")
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--config", path, "--out", "out"]) == EXIT_OK

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -136,6 +137,37 @@ def test_parity_blocks_match_dense_assembly(name):
     assert np.allclose(npm.apply(v), ref @ v, rtol=0, atol=1e-12 * np.abs(ref @ v).max())
     assert np.allclose(np.sort_complex(npm.eigenvalues()),
                        np.sort_complex(np.linalg.eigvals(ref)), atol=1e-10)
+
+
+@pytest.mark.parametrize("mesh", [
+    disc_mesh, rod_mesh,
+    lambda: build_mesh(RodSpec(L=2.0, delta=0.001, angle=0.3, center=(0.1, -0.2)),
+                       n_cap=32, n_facade=1000)], ids=["disc", "rod", "thin_rod"])
+def test_orbit_matrices_do_not_depend_on_the_chunk(mesh, monkeypatch):
+    # every entry is formed by itself, so one row per chunk and a single
+    # chunk give the same bits
+    mesh = mesh()
+    mats = {}
+    for budget in (1, 1 << 30):
+        monkeypatch.setattr(potentials, "NP_CHUNK_BYTES", budget)
+        mats[budget] = assemble_np(mesh).orbit_matrices
+    assert np.isfinite(mats[1]).all()
+    assert np.array_equal(mats[1], mats[1 << 30])
+
+
+def test_assembly_scratch_is_bounded_by_the_chunk():
+    # the kernel ran once per mirror orbit through (4, n/4, n/4)
+    # temporaries after zero-filling the result: 12.6 MB traced for 2.1 MB
+    # of orbit matrices on this disc
+    mesh = disc_mesh(512)
+    assemble_np(mesh)
+    tracemalloc.start()
+    try:
+        npm = assemble_np(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= npm.orbit_matrices.nbytes + (1 << 20)
 
 
 def test_same_side_facade_pairs_are_zero():
