@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -254,7 +255,9 @@ def cmd_asymptotic(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process however often main runs."""
     p = argparse.ArgumentParser(prog="rodfield",
                                 description="Rod-inclusion conductivity tools")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
@@ -264,16 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     fm.add_argument("--config", required=True)
     fm.add_argument("--model", choices=["bem", "asymptotic"], default="bem")
     fm.add_argument("--out", default="fieldmap.csv")
-    fm.set_defaults(func=cmd_fieldmap)
 
     cp = sub.add_parser("compare", help="BEM vs asymptotic error sweep over delta")
     cp.add_argument("--config", required=True)
     cp.add_argument("--out", default="compare.json")
-    cp.set_defaults(func=cmd_compare)
 
     va = sub.add_parser("validate", help="run the built-in cross-check suite")
     va.add_argument("--verbose", action="store_true")
-    va.set_defaults(func=cmd_validate)
 
     iv = sub.add_parser("invert", help="fit rod parameters to boundary data")
     iv.add_argument("--config", required=True)
@@ -286,30 +286,27 @@ def build_parser() -> argparse.ArgumentParser:
                          "within twice it or 1e-3 of the signal")
     iv.add_argument("--model", choices=["bem", "asymptotic"], default="bem")
     iv.add_argument("--out", default="fit.json")
-    iv.set_defaults(func=cmd_invert)
 
     fw = sub.add_parser("forward", help="full boundary-integral field on a grid")
     fw.add_argument("--config", required=True)
     fw.add_argument("--out", default="forward.csv")
     fw.add_argument("--density", default=None, help="also dump the density CSV")
-    fw.set_defaults(func=cmd_forward)
 
     asy = sub.add_parser("asymptotic", help="closed-form field on a grid")
     asy.add_argument("--config", required=True)
     asy.add_argument("--out", default="asymptotic.csv")
-    asy.set_defaults(func=cmd_asymptotic)
 
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # every non-finite value is refused with its own error line; numpy's
         # overflow and invalid-value warnings would only print before it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            # looked up per call, so that a rebound cmd_* (a tracer's span) runs
+            return globals()[f"cmd_{args.command}"](args)
     except (ConfigError, ValidationError, OSError) as exc:
         # OSError: a missing or unreadable input file, an unwritable output
         print(f"error: {exc}", file=sys.stderr)

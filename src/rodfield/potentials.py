@@ -267,8 +267,8 @@ def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
     0, and across the rod x2 - y2 = 2 delta gives the Lorentzian
     delta / (pi (t^2 + 4 delta^2)) with t = x1 - y1, the kernel of the
     closed form's A_delta.  Every such pair takes its weight from one
-    table of :func:`lorentzian_weights` over all panel offsets, one gather
-    per orbit.  Each entry is written once.
+    table of :func:`lorentzian_weights` over all panel offsets, gathered
+    one Gauss node's rows at a time.  Each entry is written once.
     """
     spec, orbits = mesh.spec, mesh.orbits
     q, mc = orbits[0], mesh.n_cap // 2
@@ -299,8 +299,11 @@ def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
         windows = np.lib.stride_tricks.sliding_window_view(lines, nf // 2, axis=1)
         k = np.arange(nf - 1, nf // 2 - 1, -1)
         i, start = k % PANEL_ORDER, PANEL_ORDER * (panels - 1 - k // PANEL_ORDER)
-        mats[3, mc:, mc:] = windows[i, start]
-        mats[2, mc:, mc:] = windows[i, start + nf // 2, ::-1]
+        # a gather per Gauss node's rows copies 1/8 of the block, not all
+        for r in range(PANEL_ORDER):
+            ir, sr = i[r::PANEL_ORDER], start[r::PANEL_ORDER]
+            mats[3, mc + r::PANEL_ORDER, mc:] = windows[ir, sr]
+            mats[2, mc + r::PANEL_ORDER, mc:] = windows[ir, sr + nf // 2, ::-1]
     mats[0, diag, diag] = mesh.curvatures[q] * wq / (4.0 * np.pi)
 
     # diagonal entries lie in A_e alone, which enters every block with +1

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import argparse
 import ast
 import csv
 import dataclasses
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import rodfield
+from rodfield import cli
 from rodfield import (AsymptoticModel, RodSpec, sensor_circle, single_layer_field,
                       solve_forward)
 from rodfield.asymptotics import asymptotic_perturbation
@@ -695,6 +697,13 @@ print(json.dumps({"codes": codes,
 """
 
 
+def _src_env():
+    """The environment of a fresh process that imports this rodfield."""
+    src = os.path.dirname(os.path.dirname(rodfield.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_no_command_needs_scipy(config_path, tmp_path):
     # invert imported scipy.optimize for its least-squares fit: 0.6 s and
     # 50 MB of RSS in a fresh process; every command now runs where an
@@ -713,11 +722,8 @@ def test_no_command_needs_scipy(config_path, tmp_path):
                 [*invert, "--synthesize", "--model", "bem", *data, *out("fb.json")],
                 [*invert, "--synthesize", "--model", "asymptotic", *out("fa.json")],
                 [*invert, *data, *out("fd.json")]]
-    src = os.path.dirname(os.path.dirname(rodfield.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(commands)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"codes": [EXIT_OK] * len(commands), "scipy": []}
@@ -775,6 +781,60 @@ def test_validate_runs_clean(capsys):
     code = main(["validate"])
     assert code == EXIT_OK
     assert "pass" in capsys.readouterr().out.lower()
+
+
+def test_main_looks_up_the_handler_at_call_time(config_path, tmp_path, monkeypatch):
+    # perfbench/tracing.py installs its spans by rebinding cli.cmd_*; a
+    # parser built once with func= defaults would run the unwrapped handler
+    assert main(["asymptotic", "--config", config_path,
+                 "--out", str(tmp_path / "a.csv")]) == EXIT_OK
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(args) or EXIT_OK)
+    assert main(["validate", "--verbose"]) == EXIT_OK
+    assert [(a.command, a.verbose) for a in seen] == [("validate", True)]
+
+
+def test_repeated_main_calls_build_one_parser(config_path, tmp_path, monkeypatch):
+    # every call built the whole tree again: 7 parsers, about 25 arguments
+    # and their gettext lookups, about 1.6 ms a command in a benchmark pass
+    def run(name):
+        return main(["asymptotic", "--config", config_path, "--out", str(tmp_path / name)])
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    assert run("a.csv") == EXIT_OK   # may build the tree
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run("b.csv") == run("c.csv") == EXIT_OK
+    assert built == []
+
+
+def test_main_calls_share_no_state(config_path, tmp_path, monkeypatch):
+    # one parser serves every call: no option may keep the value of an
+    # earlier call, and a usage error must leave the parser as it was
+    seen = []
+    monkeypatch.setattr(cli, "cmd_invert", lambda args: seen.append(vars(args)) or EXIT_OK)
+    main(["--seed", "3", "invert", "--config", config_path, "--synthesize",
+          "--noise", "1e-3", "--model", "asymptotic", "--data", "d.csv"])
+    main(["invert", "--config", config_path])
+    defaults = {"seed": 0, "data": None, "synthesize": False, "noise": 0.0,
+                "model": "bem", "out": "fit.json"}
+    assert {k: seen[1][k] for k in defaults} == defaults
+
+    with pytest.raises(SystemExit) as exc:
+        main(["fieldmap"])   # --config is required
+    assert exc.value.code == EXIT_USAGE
+    argv = ["fieldmap", "--config", config_path]
+    in_process, fresh = tmp_path / "in_process.csv", tmp_path / "fresh.csv"
+    assert main([*argv, "--out", str(in_process)]) == EXIT_OK
+    proc = subprocess.run([sys.executable, "-m", "rodfield.cli", *argv, "--out", str(fresh)],
+                          capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert in_process.read_bytes() == fresh.read_bytes()
 
 
 def _src_nodes():

@@ -15,7 +15,8 @@ from rodfield import (DensityVector, HarmonicBackground, RodSpec,
                       ValidationError, build_mesh, assemble_np, lambda_of_sigma,
                       neumann_data, single_layer, single_layer_field,
                       single_layer_grad, solve_density)
-from rodfield.geometry import PANEL_ORDER, TAG_FACADE_BOTTOM, TAG_FACADE_TOP, to_local
+from rodfield.geometry import (PANEL_ORDER, TAG_FACADE_BOTTOM, TAG_FACADE_TOP,
+                              default_counts, to_local)
 from rodfield.potentials import NEAR_FACTOR, SolverError
 
 
@@ -155,11 +156,9 @@ def test_orbit_matrices_do_not_depend_on_the_chunk(mesh, monkeypatch):
     assert np.array_equal(mats[1], mats[1 << 30])
 
 
-def test_assembly_scratch_is_bounded_by_the_chunk():
-    # the kernel ran once per mirror orbit through (4, n/4, n/4)
-    # temporaries after zero-filling the result: 12.6 MB traced for 2.1 MB
-    # of orbit matrices on this disc
-    mesh = disc_mesh(512)
+def _assembly_scratch(mesh):
+    """Bytes that the second of two assemblies of ``mesh`` traces beyond
+    its orbit matrices."""
     assemble_np(mesh)
     tracemalloc.start()
     try:
@@ -167,7 +166,22 @@ def test_assembly_scratch_is_bounded_by_the_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= npm.orbit_matrices.nbytes + (1 << 20)
+    return peak - npm.orbit_matrices.nbytes
+
+
+def test_assembly_scratch_is_bounded_by_the_chunk():
+    # the kernel ran once per mirror orbit through (4, n/4, n/4)
+    # temporaries after zero-filling the result: 12.6 MB traced for 2.1 MB
+    # of orbit matrices on this disc
+    assert _assembly_scratch(disc_mesh(512)) <= 1 << 20
+
+
+def test_lorentzian_gather_scratch_is_a_fraction_of_the_block():
+    # the cross-rod blocks of A_R2 and A_R1R2 were gathered whole, a
+    # (n_facade/2)^2 copy each: 10.72 MB traced for 8.52 MB of orbit
+    # matrices at n = 2,064
+    spec = RodSpec(L=2.0, delta=0.001, angle=0.3, center=(0.1, -0.2))
+    assert _assembly_scratch(build_mesh(spec, *default_counts(spec))) <= 3 << 19
 
 
 def test_same_side_facade_pairs_are_zero():
