@@ -300,7 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed usage (exit 2) or --help (exit 0): a caller
+        # in process gets the code, as from any other error
+        return exc.code
     try:
         # every non-finite value is refused with its own error line; numpy's
         # overflow and invalid-value warnings would only print before it

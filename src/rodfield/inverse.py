@@ -84,6 +84,7 @@ class FitResult:
     residual: float
     residual_rel: float | None
     iterations: int
+    lm_stop: str
     converged: bool
     strength_stderr: float | None
     strength_transverse_stderr: float | None
@@ -154,32 +155,41 @@ def _closed_form(params: NDArray, points: NDArray, jac: bool = False):
     g1 = (b_ax * f2 + b_tr * f1) / np.pi
     g2 = (b_ax * f1 - b_tr * f2) / np.pi
     J = np.empty((len(x), N_PARAMS))
-    J[:, :2] = np.stack([g1, g2], axis=1) @ -rot.T
+    J[:, 0] = -(g1 * rot[0, 0] + g2 * rot[0, 1])
+    J[:, 1] = -(g1 * rot[1, 0] + g2 * rot[1, 1])
     J[:, 2] = g1 * x2 - g2 * x1
     J[:, 3] = np.sign(params[3]) / (-2.0 * np.pi) * (
         b_ax * (tq / rq2 + tp / rp2) + b_tr * x2 * (1.0 / rq2 + 1.0 / rp2))
-    J[:, 4:] = _amplitude_columns(pair, log_qp)
+    _amplitude_columns(pair, log_qp, J[:, 4:])
     return u, J
 
 
-def _amplitude_columns(pair: NDArray, log_qp: NDArray) -> NDArray:
-    """du/d(b_ax, b_tr), (m, 2): u is linear in the two amplitudes."""
-    return np.stack([log_qp / (2.0 * np.pi), -pair / np.pi], axis=1)
+def _amplitude_columns(pair: NDArray, log_qp: NDArray, out: NDArray) -> NDArray:
+    """du/d(b_ax, b_tr), written into ``out`` (..., 2): u is linear in the
+    two amplitudes."""
+    np.divide(log_qp, 2.0 * np.pi, out=out[..., 0])
+    np.divide(pair, -np.pi, out=out[..., 1])
+    return out
 
 
 def _start(data: SensorSet, signal: NDArray) -> NDArray:
     """LM start: the centre guess, half the sensor radius as length, and of
-    START_ANGLES the angle whose least-squares amplitudes fit best."""
+    START_ANGLES the angle whose least-squares amplitudes fit best.
+
+    All angles are solved at once: the amplitudes come from a stacked
+    pseudo-inverse with lstsq's cutoff, eps*max(m, 2), so that dependent
+    columns give the minimum-norm solution, and the first of equal
+    residuals wins."""
     z0 = initial_center_guess(data)
     L0 = data.radius / 2.0 if data.radius else 1.0
-    starts = []
-    for theta in START_ANGLES:
-        x = (data.points - z0) @ rotation_matrix(theta)
-        cols = _amplitude_columns(*_cap_terms(x[:, 0], x[:, 1], L0)[6:])
-        b = np.linalg.lstsq(cols, signal, rcond=None)[0]
-        starts.append((np.linalg.norm(cols @ b - signal),
-                       np.array([*z0, theta, L0, *b])))
-    return min(starts, key=lambda s: s[0])[1]
+    rot = rotation_matrix(START_ANGLES).transpose(2, 0, 1)   # (8, 2, 2)
+    x = (data.points - z0) @ rot
+    pair, log_qp = _cap_terms(x[..., 0], x[..., 1], L0)[6:]
+    cols = _amplitude_columns(pair, log_qp, np.empty((*pair.shape, 2)))
+    rcond = np.finfo(float).eps * max(len(signal), 2)
+    b = np.linalg.pinv(cols, rcond=rcond) @ signal
+    k = np.argmin(np.linalg.norm((cols @ b[..., None])[..., 0] - signal, axis=1))
+    return np.array([*z0, START_ANGLES[k], L0, *b[k]])
 
 
 def initial_center_guess(data: SensorSet) -> NDArray:
@@ -207,19 +217,25 @@ def _lm(fun, x0: NDArray):
     x = np.asarray(x0, dtype=float)
     r, J = fun(x)
     nfev, mu, grow = 1, 1e-3, 2.0
-    d = np.zeros(len(x))
+    m, n = J.shape
+    d = np.zeros(n)
+    # the damped system [J; sqrt(mu) D] h = [-r; 0], built once and refilled;
+    # damping is a view of the diagonal of its lower block
+    A, rhs = np.zeros((m + n, n)), np.zeros(m + n)
+    damping = A[m:].reshape(-1)[::n + 1]
     while True:
         cost = r @ r
         cols = np.linalg.norm(J, axis=0)
         d = np.maximum(d, cols)
         if np.all(np.abs(J.T @ r) <= LM_TOL * cols * np.sqrt(cost)):
             return x, r, J, "gtol", nfev
+        A[:m] = J
+        np.negative(r, out=rhs[:m])
         while True:
             if nfev >= MAX_NFEV:
                 return x, r, J, "max_nfev", nfev
-            h = np.linalg.lstsq(np.vstack([J, np.diag(np.sqrt(mu) * d)]),
-                                np.concatenate([-r, np.zeros(len(x))]),
-                                rcond=None)[0]
+            np.multiply(np.sqrt(mu), d, out=damping)
+            h = np.linalg.lstsq(A, rhs, rcond=None)[0]
             r_new, J_new = fun(x + h)
             nfev += 1
             # |r|^2 - |r + J h|^2, exact as h solves the damped problem
@@ -253,8 +269,10 @@ def fit_rod(data: SensorSet) -> FitResult:
     whose component vanishes there is undetermined).  The start
     takes :func:`initial_center_guess` and half the sensor radius as length;
     at each angle k*pi/8 the two amplitudes enter linearly and are solved
-    by linear least squares, and LM starts from the angle that leaves the
-    smallest residual.
+    by linear least squares, all eight angles in one pass (:func:`_start`),
+    and LM starts from the angle that leaves the smallest residual.
+    ``lm_stop`` is the test that ended LM ("gtol", "ftol", "xtol", or
+    "max_nfev" at MAX_NFEV evaluations).
     ``converged`` means that LM stopped on one of its LM_TOL tests, not
     at MAX_NFEV evaluations, and that the RMS residual is within
     RESIDUAL_TOL of the signal RMS |u - H| or within twice the stated
@@ -268,8 +286,8 @@ def fit_rod(data: SensorSet) -> FitResult:
     size or more, and both errors are None where J^T J is singular.
     """
     _require_identifiable(data.background)
-    # a repeated sensor adds a row but no constraint
-    distinct = len(np.unique(data.points, axis=0))
+    # a repeated sensor adds a row but no constraint; -0.0 and 0.0 are one point
+    distinct = len(set(map(tuple, data.points.tolist())))
     if distinct < N_PARAMS:
         raise IdentifiabilityError(f"fit needs at least {N_PARAMS} sensors for "
                                    f"its {N_PARAMS} parameters, got {distinct} "
@@ -308,7 +326,7 @@ def fit_rod(data: SensorSet) -> FitResult:
                      center=z0, angle=float(theta), length=float(L),
                      residual=rms,
                      residual_rel=rms / signal_rms if signal_rms else None,
-                     iterations=nfev, converged=bool(converged),
+                     iterations=nfev, lm_stop=stop, converged=bool(converged),
                      strength_stderr=se, strength_transverse_stderr=se_tr)
 
 

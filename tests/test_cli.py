@@ -825,9 +825,7 @@ def test_main_calls_share_no_state(config_path, tmp_path, monkeypatch):
                 "model": "bem", "out": "fit.json"}
     assert {k: seen[1][k] for k in defaults} == defaults
 
-    with pytest.raises(SystemExit) as exc:
-        main(["fieldmap"])   # --config is required
-    assert exc.value.code == EXIT_USAGE
+    assert main(["fieldmap"]) == EXIT_USAGE   # --config is required
     argv = ["fieldmap", "--config", config_path]
     in_process, fresh = tmp_path / "in_process.csv", tmp_path / "fresh.csv"
     assert main([*argv, "--out", str(in_process)]) == EXIT_OK
@@ -835,6 +833,21 @@ def test_main_calls_share_no_state(config_path, tmp_path, monkeypatch):
                           capture_output=True, text=True, env=_src_env())
     assert proc.returncode == EXIT_OK, proc.stderr
     assert in_process.read_bytes() == fresh.read_bytes()
+
+
+def test_usage_error_returns_2_in_process(capsys):
+    # argparse raised SystemExit(2) out of main, where every other usage
+    # error returns 2
+    assert main(["fieldmap"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: rodfield fieldmap")
+    assert "required: --config" in err
+    assert main(["--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: rodfield")
+    proc = subprocess.run([sys.executable, "-m", "rodfield.cli", "fieldmap"],
+                          capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr == err
 
 
 def _src_nodes():

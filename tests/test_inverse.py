@@ -281,6 +281,23 @@ def test_fit_refuses_fewer_sensors_than_parameters():
         fit_rod(few)
 
 
+def test_fit_counts_repeated_and_signed_zero_sensors_once():
+    # five distinct sensors, once with repeated rows and once with a row
+    # that differs from another only in the sign of a zero
+    data = simulate_measurements(SPEC, BG, POINTS, source="asymptotic")
+    rows = [0, 13, 26, 39, 52]
+    repeated = SensorSet(points=data.points[rows * 2], values=data.values[rows * 2],
+                         background=BG)
+    points = np.vstack([data.points[rows[1:]], [0.0, 3.0], [-0.0, 3.0]])
+    signed_zero = SensorSet(points=points, values=BG.value(points) + 1e-3,
+                            background=BG)
+    assert np.array_equal(signed_zero.points[-2], signed_zero.points[-1])
+    for few in (repeated, signed_zero):
+        with pytest.raises(IdentifiabilityError, match="got 5 distinct"):
+            fit_rod(few)
+    assert len(np.unique(points, axis=0)) == 5
+
+
 def test_sensor_center_and_radius_follow_points():
     data = SensorSet(points=POINTS + [1.0, -2.0], values=np.zeros(len(POINTS)),
                      background=BG)
@@ -298,9 +315,10 @@ def test_dump_fit_json(tmp_path):
     loaded = json.loads(path.read_text())
     assert list(loaded) == ["endpoints", "strength", "strength_transverse",
                             "center", "angle", "length", "residual",
-                            "residual_rel", "iterations", "converged",
+                            "residual_rel", "iterations", "lm_stop", "converged",
                             "strength_stderr", "strength_transverse_stderr"]
     assert loaded["converged"] is True
+    assert loaded["lm_stop"] == fit.lm_stop in ("gtol", "ftol", "xtol")
     assert loaded["residual_rel"] == fit.residual_rel
     assert len(loaded["endpoints"]) == 2
     for point in (*loaded["endpoints"], loaded["center"]):
@@ -409,6 +427,72 @@ def test_noisy_fits_match_minpack():
         rod = RodSpec(L=abs(ref[3]), delta=spec.delta, center=tuple(ref[:2]),
                       angle=ref[2], sigma0=spec.sigma0)
         assert endpoint_error(fit_rod(data), rod) <= 1e-6
+
+
+def test_fit_stopped_at_the_evaluation_cap_reports_max_nfev(tmp_path, monkeypatch):
+    import json
+
+    monkeypatch.setattr(inverse, "MAX_NFEV", 3)
+    fit = fit_rod(simulate_measurements(SPEC, BG, POINTS, source="asymptotic"))
+    assert (fit.lm_stop, fit.converged, fit.iterations) == ("max_nfev", False, 3)
+    path, out = tmp_path / "run.yaml", tmp_path / "fit.json"
+    path.write_text(CONFIG)
+    assert main(["invert", "--config", str(path), "--synthesize",
+                 "--model", "asymptotic", "--out", str(out)]) == 1
+    loaded = json.loads(out.read_text())
+    assert (loaded["lm_stop"], loaded["converged"]) == ("max_nfev", False)
+
+
+def _start_by_angle(data, signal):
+    """The LM start as one np.linalg.lstsq per start angle: the oracle of
+    the stacked start."""
+    z0 = initial_center_guess(data)
+    L0 = data.radius / 2.0 if data.radius else 1.0
+    starts = []
+    for theta in inverse.START_ANGLES:
+        x = (data.points - z0) @ rotation_matrix(theta)
+        pair, log_qp = inverse._cap_terms(x[:, 0], x[:, 1], L0)[6:]
+        cols = np.stack([log_qp / (2.0 * np.pi), -pair / np.pi], axis=1)
+        b = np.linalg.lstsq(cols, signal, rcond=None)[0]
+        starts.append((np.linalg.norm(cols @ b - signal), np.array([*z0, theta, L0, *b])))
+    return min(starts, key=lambda s: s[0])[1]
+
+
+def _assert_start_matches_lstsq(data):
+    signal = data.values - data.background.value(data.points)
+    want = _start_by_angle(data, signal)
+    got = inverse._start(data, signal)
+    assert np.array_equal(got[:4], want[:4])
+    assert np.linalg.norm(got[4:] - want[4:]) <= 1e-12 * np.linalg.norm(want[4:])
+
+
+def test_start_matches_lstsq_per_angle():
+    for _, _, data in _k_pi_8_data():
+        _assert_start_matches_lstsq(data)
+    # no signal: every angle ties at a zero residual, and the first wins
+    _assert_start_matches_lstsq(SensorSet(points=POINTS, values=BG.value(POINTS),
+                                          background=BG))
+    for i, (spec, bg, pts) in enumerate(_random_rods(13, 12)):
+        _assert_start_matches_lstsq(simulate_measurements(
+            spec, bg, pts, noise_rms=1e-4, source="asymptotic", seed=i))
+
+
+def test_start_takes_the_minimum_norm_amplitudes_of_dependent_columns():
+    # every sensor on the x1 axis, which runs through the centre guess: at
+    # angle 0 the arctan pair vanishes at each sensor, the two columns are
+    # dependent, and that angle fits best, as the rod lies there with the
+    # start's length (half the sensors' mean radius, 3.5)
+    rod = RodSpec(L=1.75, delta=0.05, center=(0.0, 0.0), angle=0.0, sigma0=2.0)
+    bg = HarmonicBackground.linear((1.0, 0.0))
+    x1 = np.array([-5.0, -4.0, -3.0, -2.0, 2.0, 3.0, 4.0, 5.0])
+    data = simulate_measurements(rod, bg, np.stack([x1, np.zeros(8)], axis=1),
+                                 source="asymptotic")
+    signal = data.values - bg.value(data.points)
+    want = _start_by_angle(data, signal)
+    assert want[2] == 0.0 and want[5] == 0.0
+    pair = inverse._cap_terms(data.points[:, 0] - want[0], data.points[:, 1], want[3])[6]
+    assert not pair.any()
+    _assert_start_matches_lstsq(data)
 
 
 def test_strength_stderr_marks_undetermined_strengths():
