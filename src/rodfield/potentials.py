@@ -27,9 +27,9 @@ part of its parity; a linear background excites two of the four.
 
 Outside the rod the field S[phi] is fixed by a few moments of the
 density, so grids of many points far from the rod take S and grad S from
-a multipole expansion about the node centroid (the far-field half of the
-fast multipole method, Greengard & Rokhlin 1987) instead of a sum over
-every node.
+an expansion in the rod frame's Joukowski variable w (the far-field half
+of the fast multipole method, Greengard & Rokhlin 1987, on the ellipses
+|w| = const, confocal with the rod) instead of a sum over every node.
 """
 
 from __future__ import annotations
@@ -54,15 +54,15 @@ FIELD_CHUNK_BYTES = 1 << 21
 #: byte budget of the scratch of one row chunk of the NP assembly kernel.
 NP_CHUNK_BYTES = 1 << 19
 
-#: Field points at least FAR_RATIO rho from the node centroid, rho the
-#: largest node distance from it, may take the multipole expansion of
-#: :func:`_multipole_field`, whose k-th term there is at most 2^-k of
-#: sum_j |phi_j w_j| (over rho for the gradient): FAR_TERMS terms leave a
-#: remainder below 2^-FAR_TERMS of that, and 48 already reached the
-#: rounding of the direct sum.  The expansion has a fixed cost of about
-#: 0.6 ms (its two loops of FAR_TERMS steps), the direct sum about 9 ns a
-#: (point, node) pair, so it is used only where it replaces at least
-#: FAR_MIN_PAIRS pairs, four times the break-even (one BLAS thread).
+#: Field points with |w| >= FAR_RATIO R, w of :func:`_joukowski` and R the
+#: largest |w_j| of a node, may take the expansion of :func:`_multipole_field`,
+#: whose k-th term there is at most 2^(1-k) of sum_j |q_j|, q_j the density
+#: times the node weight (over |w| for dF/dw): FAR_TERMS terms leave a
+#: remainder below 2^(1-FAR_TERMS) of that, and 48 already reached the
+#: rounding of the direct sum.  Its fixed cost is about 0.3 ms at n = 272
+#: and 0.6 ms at n = 2064 (two loops of FAR_TERMS steps), the direct sum's
+#: about 8.5 ns a (point, node) pair, so it is used only where it replaces
+#: at least FAR_MIN_PAIRS pairs, four times the break-even at n = 2064.
 FAR_RATIO = 2.0
 FAR_TERMS = 56
 FAR_MIN_PAIRS = 1 << 18
@@ -405,38 +405,59 @@ def _direct_field(mesh: BoundaryMesh, pw: NDArray,
     return out, near
 
 
-def _multipole_field(mesh: BoundaryMesh, pw: NDArray, pts: NDArray,
-                     c: NDArray, rho: float) -> NDArray:
-    """Rows of :func:`_direct_field` at points at least FAR_RATIO rho from c.
+def _joukowski(spec, a: float, pts: NDArray) -> NDArray:
+    """The exterior Joukowski variable w (m,) of points (m, 2) in the frame
+    of ``spec``: (z - c) e^(-i theta) = a (w + 1/w) / 2 with |w| >= 1, the
+    branch w = s + sqrt(s - 1) sqrt(s + 1), s = (z - c) e^(-i theta) / a.
+    The scratch is chunked to FIELD_CHUNK_BYTES."""
+    w = np.empty(len(pts), dtype=complex)
+    rows = max(1, FIELD_CHUNK_BYTES // 96)
+    for i in range(0, len(pts), rows):
+        s = to_local(spec, pts[i:i + rows]).view(complex)[:, 0] / a
+        w[i:i + rows] = s + np.sqrt(s - 1.0) * np.sqrt(s + 1.0)
+    return w
 
-    In complex notation 4 pi S = 2 Re F with F(z) = sum_j q_j log(z - y_j)
-    and q_j = phi_j w_j, and 2 pi grad S = (Re F', -Im F').  With
-    u = rho / (z - c), t_j = (y_j - c) / rho and the moments
-    a_k = sum_j q_j t_j^k, F = a_0 log(z - c) - sum_k a_k u^k / k and
-    rho F' = sum_k a_k u^(k+1), both summed by Horner's rule in u.
+
+def _multipole_field(mesh: BoundaryMesh, pw: NDArray, w: NDArray,
+                     nodes: NDArray, a: float) -> NDArray:
+    """Rows of :func:`_direct_field` at points of Joukowski variable w
+    (:func:`_joukowski`), |w| >= FAR_RATIO R, R the largest |w_j| of ``nodes``.
+
+    In complex notation 4 pi S = 2 Re F with F(z) = sum_j q_j log(z - y_j),
+    q_j = pw[j], and 2 pi grad S = (Re F', -Im F').  As
+    z - y_j = (a/2) (w - w_j) (1 - 1/(w w_j)) e^(i theta), with u = R / w
+    and c_k = sum_j q_j ((w_j / R)^k + (1 / (w_j R))^k), Re F is
+    Q log(a |w| / 2) - Re sum_k c_k u^k / k, Q = sum_j q_j, and
+    R dF/dw = u (Q + sum_k c_k u^k), both summed by Horner's rule in u;
+    dz/dw = (a/2) (1 - w^-2) e^(i theta).  (a |w| / 2)^2 is |z - c|^2 to
+    rounding, so S is not finite where the direct sum's r^2 overflows.
+    The scratch is chunked to FIELD_CHUNK_BYTES.
     """
-    t = (mesh.points[:, 0] - c[0] + 1j * (mesh.points[:, 1] - c[1])) / rho
-    moments = np.empty(FAR_TERMS + 1, dtype=complex)
-    qt = pw.astype(complex)
-    for k in range(FAR_TERMS + 1):
-        moments[k] = qt.sum()
-        qt *= t
-    # column 0 sums rho F', column 1 the series of F
+    R = np.abs(nodes).max()
+    t = np.concatenate([nodes, 1.0 / nodes]) / R
+    qt = np.concatenate([pw, pw]).astype(complex)
+    # column 0 sums R dF/dw (its first coefficient Q), column 1 the series of F
     coef = np.zeros((FAR_TERMS + 1, 2), dtype=complex)
-    coef[:, 0] = moments
-    coef[:-1, 1] = moments[1:] / np.arange(1, FAR_TERMS + 1)
-    d = pts - c
-    u = rho / (d[:, 0] + 1j * d[:, 1])
-    acc = np.empty((2, len(u)), dtype=complex)
-    acc[:] = coef[-1, :, None]
-    for ck in coef[-2::-1]:
+    for k in range(FAR_TERMS + 1):
+        coef[k, 0] = qt.sum()
+        qt *= t
+    coef[:-1, 1] = coef[1:, 0] / np.arange(1, FAR_TERMS + 1)
+    coef[0, 0] /= 2.0
+    rot = 2.0 * np.exp(-1j * mesh.spec.angle) / (a * R)
+    out = np.empty((len(w), 3))
+    rows = max(1, FIELD_CHUNK_BYTES // 160)
+    for i in range(0, len(w), rows):
+        wc = w[i:i + rows]
+        u = R / wc
+        acc = np.repeat(coef[-1, :, None], len(u), axis=1)
+        for ck in coef[-2::-1]:
+            acc *= u
+            acc += ck[:, None]
         acc *= u
-        acc += ck[:, None]
-    acc *= u
-    out = np.empty((len(pts), 3))
-    out[:, 0] = acc[0].real / rho
-    out[:, 1] = -acc[0].imag / rho
-    out[:, 2] = moments[0].real * np.log(np.square(d).sum(axis=1)) - 2.0 * acc[1].real
+        acc[0] *= rot / (1.0 - np.square(u / R))   # F', as 1/w = u / R
+        out[i:i + rows, :2] = np.conj(acc[0]).view(float).reshape(-1, 2)   # Re F', -Im F'
+        out[i:i + rows, 2] = (coef[0, 0].real * np.log(np.square(0.5 * a * np.abs(wc)))
+                              - 2.0 * acc[1].real)
     return out
 
 
@@ -447,18 +468,19 @@ def single_layer_field(mesh: BoundaryMesh, phi: DensityVector,
     ``near`` flags points closer to the boundary than NEAR_FACTOR local
     spacings, where the composite Gauss-Legendre rule degrades.
 
-    Points at least FAR_RATIO rho from the node centroid c, rho the
-    largest node distance from c, take S and grad S from a multipole
-    expansion about c (:func:`_multipole_field`) when together they
+    Points with |w| >= FAR_RATIO R, w the rod frame's exterior Joukowski
+    variable (:func:`_joukowski`, a = max(L/2, delta)) and R the largest
+    |w_j| of a node, lie outside an ellipse confocal with the rod.  They
+    take S and grad S from :func:`_multipole_field` when together they
     replace at least FAR_MIN_PAIRS (point, node) pairs of the direct sum,
-    and when rho >= NEAR_FACTOR max w: such a point is at least rho from
-    every node, so none of them can be flagged.  Its truncation is below
-    2^-FAR_TERMS of the sum of |phi_j w_j|; on the ``fieldmap`` benchmark
-    grid it agreed with a long-double direct sum to 8e-16 of the largest
-    |S| and |grad S| there, where the direct sum in double is off by up
-    to 1.3e-14.  Every other point takes the direct sum: each chunk of
-    points forms d = x - y and r^2 = |d|^2 once, by direct subtraction
-    (the GEMM expansion of r^2 cancels near the boundary).
+    and when a R / 4 >= NEAR_FACTOR times the largest node weight: such a
+    point is at least a R / 4 from every node, so none can be flagged.  On
+    the ``fieldmap`` benchmark grid the expansion agreed with a long-double
+    direct sum to 4e-16 of the largest |S| and |grad S| there, where the
+    direct sum in double is off by up to 6e-15.  Every other point takes
+    the direct sum: each chunk of points forms d = x - y and r^2 = |d|^2
+    once, by direct subtraction (the GEMM expansion of r^2 cancels near the
+    boundary).
     Accepts a single point or an (m, 2) array; a point on a mesh node
     raises ValidationError.
     """
@@ -466,11 +488,13 @@ def single_layer_field(mesh: BoundaryMesh, phi: DensityVector,
     pw = phi.values * mesh.weights
     far = None
     if len(pts) * len(mesh) >= FAR_MIN_PAIRS:
-        c = mesh.points.mean(axis=0)
-        rho = float(np.sqrt(np.square(mesh.points - c).sum(axis=1).max()))
-        # a far point is at least rho from every node
-        if rho >= NEAR_FACTOR * mesh.weights.max():
-            far = np.square(pts - c).sum(axis=1) >= (FAR_RATIO * rho) ** 2
+        a = max(mesh.spec.L / 2.0, mesh.spec.delta)
+        nodes = _joukowski(mesh.spec, a, mesh.points)
+        R = np.abs(nodes).max()
+        # a point with |w| >= 2 R is at least a R / 4 from every node
+        if a * R / 4.0 >= NEAR_FACTOR * mesh.weights.max():
+            w = _joukowski(mesh.spec, a, pts)
+            far = np.abs(w) >= FAR_RATIO * R
             if np.count_nonzero(far) * len(mesh) < FAR_MIN_PAIRS:
                 far = None
     if far is None:
@@ -478,7 +502,8 @@ def single_layer_field(mesh: BoundaryMesh, phi: DensityVector,
     else:
         out = np.empty((len(pts), 3))   # 2 pi dS/dx1, 2 pi dS/dx2, 4 pi S
         near = np.zeros(len(pts), dtype=bool)
-        out[far] = _multipole_field(mesh, pw, pts[far], c, rho)
+        out[far] = _multipole_field(mesh, pw, w[far], nodes, a)
+        del w   # before the direct sum's scratch is allocated
         out[~far], near[~far] = _direct_field(mesh, pw, pts[~far])
     vals, grads = out[:, 2] / (4.0 * np.pi), out[:, :2] / (2.0 * np.pi)
     if np.ndim(x) == 1:

@@ -17,11 +17,12 @@ import pytest
 
 import rodfield
 from rodfield import cli
-from rodfield import (AsymptoticModel, RodSpec, sensor_circle, single_layer_field,
-                      solve_forward)
+from rodfield import (AsymptoticModel, RodSpec, build_mesh, potentials, sensor_circle,
+                      single_layer_field, solve_forward)
 from rodfield.asymptotics import asymptotic_perturbation
 from rodfield.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from rodfield.config import load_config
+from rodfield.geometry import default_counts
 from rodfield.solver import perturbation
 
 
@@ -619,6 +620,17 @@ def _run_grid_command(argv, config, tmp_path):
 def test_overflowing_grid_exits_2(argv, tmp_path, capsys):
     # every grid command wrote nan cells and exited 0
     assert _run_grid_command(argv, OVERFLOW_CONFIG, tmp_path) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: u - H is not finite at (1e+200, -3.0)\n"
+
+
+def test_overflowing_grid_above_the_expansion_threshold_exits_2(tmp_path, capsys):
+    # on 64 x 64 points every point takes the far-field expansion, whose
+    # Joukowski variable w stays finite where r^2 overflows: it wrote 4096
+    # finite rows and exited 0
+    config = OVERFLOW_CONFIG.replace("nx: 2, ny: 2", "nx: 64, ny: 64")
+    spec = RodSpec(L=2.0, delta=0.1)
+    assert 64 * 64 * len(build_mesh(spec, *default_counts(spec))) >= potentials.FAR_MIN_PAIRS
+    assert _run_grid_command(["fieldmap", "--model", "bem"], config, tmp_path) == EXIT_USAGE
     assert capsys.readouterr().err == "error: u - H is not finite at (1e+200, -3.0)\n"
 
 

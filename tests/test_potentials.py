@@ -16,8 +16,8 @@ from rodfield import (DensityVector, HarmonicBackground, RodSpec,
                       neumann_data, single_layer, single_layer_field,
                       single_layer_grad, solve_density)
 from rodfield.geometry import (PANEL_ORDER, TAG_FACADE_BOTTOM, TAG_FACADE_TOP,
-                              default_counts, to_local)
-from rodfield.potentials import NEAR_FACTOR, SolverError
+                              default_counts, to_local, to_world)
+from rodfield.potentials import SolverError
 
 
 def disc_mesh(n=64):
@@ -88,7 +88,7 @@ def dense_near_flags(mesh, pts):
     """Reference: the unchunked near flags, from a dense (m, n) distance."""
     d = np.linalg.norm(pts[:, None, :] - mesh.points[None, :, :], axis=2)
     j = np.argmin(d, axis=1)
-    return d[np.arange(len(pts)), j] < NEAR_FACTOR * mesh.weights[j]
+    return d[np.arange(len(pts)), j] < potentials.NEAR_FACTOR * mesh.weights[j]
 
 
 def dense_single_layer(mesh, phi, x):
@@ -542,20 +542,42 @@ def test_direct_values_do_not_depend_on_the_chunk():
 
 QUADRATIC = HarmonicBackground.polynomial((0.1, 1.0, -0.5, 0.3, 0.2))
 
-#: mesh, and the half width of the square grid about the node centroid in
-#: units of rho, the largest node distance from it
+#: mesh, and the half width of the square grid about the rod centre in
+#: units of the semi-major axis of the far ellipse |w| = FAR_RATIO R
 FAR_CASES = {
-    # a rotated, shifted rod: most of the grid lies beyond 2 rho
-    "rod": ("odd_panels", 4.0),
-    "disc": ("disc", 4.0),
-    # about half the grid lies inside the 2 rho circle
-    "straddling": ("odd_panels", 2.5),
+    # a rotated, shifted rod: most of the grid lies outside the ellipse
+    "rod": ("odd_panels", 2.5),
+    "disc": ("disc", 2.5),
+    # about half the grid lies inside the ellipse
+    "straddling": ("odd_panels", 1.15),
 }
 
 
-def _centroid_and_rho(mesh):
-    c = mesh.points.mean(axis=0)
-    return c, np.sqrt(np.square(mesh.points - c).sum(axis=1).max())
+def focal(spec):
+    """a = max(L/2, delta), half the focal distance of the Joukowski map."""
+    return max(spec.L / 2.0, spec.delta)
+
+
+def joukowski(mesh, pts):
+    """The exterior Joukowski variable w of points (m, 2):
+    z - c = e^(i theta) a (w + 1/w) / 2 in the rod frame, |w| >= 1."""
+    s = to_local(mesh.spec, pts) @ np.array([1.0, 1.0j]) / focal(mesh.spec)
+    return s + np.sqrt(s - 1.0) * np.sqrt(s + 1.0)
+
+
+def joukowski_points(mesh, w):
+    """Inverse of :func:`joukowski`: the points (m, 2) at w."""
+    zeta = focal(mesh.spec) * (w + 1.0 / w) / 2.0
+    return to_world(mesh.spec, np.column_stack([zeta.real, zeta.imag]))
+
+
+def _far_radius(mesh):
+    """R = max |w_j| over the nodes: |w| >= FAR_RATIO R is far."""
+    return np.abs(joukowski(mesh, mesh.points)).max()
+
+
+def _far_mask(mesh, pts):
+    return np.abs(joukowski(mesh, pts)) >= potentials.FAR_RATIO * _far_radius(mesh)
 
 
 def _far_case(name, side):
@@ -564,9 +586,9 @@ def _far_case(name, side):
     mesh_name, half = FAR_CASES[name]
     mesh = SYMMETRY_MESHES[mesh_name]()
     phi = solve_density(assemble_np(mesh), 1.5, neumann_data(mesh, QUADRATIC))
-    c, rho = _centroid_and_rho(mesh)
-    t = np.linspace(-half * rho, half * rho, side)
-    grid = c + np.stack(np.meshgrid(t, t), axis=-1).reshape(-1, 2)
+    r = potentials.FAR_RATIO * _far_radius(mesh)
+    t = np.linspace(-1.0, 1.0, side) * half * focal(mesh.spec) * (r + 1.0 / r) / 2.0
+    grid = np.asarray(mesh.spec.center) + np.stack(np.meshgrid(t, t), axis=-1).reshape(-1, 2)
     rng = np.random.default_rng(side)
     k = rng.integers(len(mesh), size=16)
     off = rng.uniform(-1.0, 1.0, size=(16, 1)) * mesh.weights[k, None]
@@ -575,13 +597,13 @@ def _far_case(name, side):
 
 @pytest.fixture
 def expansions(monkeypatch):
-    """Counts the calls of the multipole evaluation."""
+    """Counts the points of each call of the far-field expansion."""
     calls = []
     real = potentials._multipole_field
 
-    def spy(mesh, pw, pts, c, rho):
-        calls.append(len(pts))
-        return real(mesh, pw, pts, c, rho)
+    def spy(mesh, pw, w, *args):
+        calls.append(len(w))
+        return real(mesh, pw, w, *args)
 
     monkeypatch.setattr(potentials, "_multipole_field", spy)
     return calls
@@ -598,8 +620,7 @@ def test_far_points_from_the_expansion_match_dense(name, size, expansions, monke
         # at least half the grid is far, so this passes the pair threshold
         side = int(np.ceil(np.sqrt(2.2 * potentials.FAR_MIN_PAIRS / n)))
     mesh, phi, pts = _far_case(name, side)
-    c, rho = _centroid_and_rho(mesh)
-    far = np.square(pts - c).sum(axis=1) >= (potentials.FAR_RATIO * rho) ** 2
+    far = _far_mask(mesh, pts)
     vals, grads, near = single_layer_field(mesh, phi, pts)
     assert expansions == [np.count_nonzero(far)]
     assert far.mean() > 0.4 and (~far).sum() > 16
@@ -613,8 +634,9 @@ def test_far_points_from_the_expansion_match_dense(name, size, expansions, monke
 def test_single_far_point_from_the_expansion(expansions, monkeypatch):
     monkeypatch.setattr(potentials, "FAR_MIN_PAIRS", 0)
     mesh, phi, _ = _far_case("rod", 2)
-    c, rho = _centroid_and_rho(mesh)
-    x = c + 2.0 * rho * np.array([0.6, 0.8])
+    radius = _far_radius(mesh)
+    # just outside the far ellipse, off both rod axes
+    x = joukowski_points(mesh, np.array([2.01 * radius * np.exp(0.9j)]))[0]
     val, grad, near = single_layer_field(mesh, phi, x)
     assert expansions == [1]
     assert np.ndim(val) == 0 and grad.shape == (2,) and np.ndim(near) == 0
@@ -627,10 +649,10 @@ def test_single_far_point_from_the_expansion(expansions, monkeypatch):
 
 def test_below_the_pair_threshold_every_point_takes_the_direct_sum(expansions):
     mesh, phi, _ = _far_case("rod", 2)
-    c, rho = _centroid_and_rho(mesh)
+    radius = _far_radius(mesh)
     m = -(-potentials.FAR_MIN_PAIRS // len(mesh))
     angle = np.linspace(0.0, 2.0 * np.pi, m)
-    ring = c + 3.0 * rho * np.column_stack([np.cos(angle), np.sin(angle)])
+    ring = joukowski_points(mesh, 3.0 * radius * np.exp(1j * angle))
     pw = phi.values * mesh.weights
     direct, direct_near = potentials._direct_field(mesh, pw, ring[1:])
     vals, grads, near = single_layer_field(mesh, phi, ring[1:])
@@ -639,7 +661,9 @@ def test_below_the_pair_threshold_every_point_takes_the_direct_sum(expansions):
     assert np.array_equal(grads, direct[:, :2] / (2.0 * np.pi))
     assert np.array_equal(near, direct_near)
     # the threshold counts the far points only
-    single_layer_field(mesh, phi, np.vstack([ring[1:], c + (ring[1:] - c) / 2.0]))
+    inner = joukowski_points(mesh, 1.5 * radius * np.exp(1j * angle[1:]))
+    assert not _far_mask(mesh, inner).any()
+    single_layer_field(mesh, phi, np.vstack([ring[1:], inner]))
     assert expansions == []
     # one point more reaches the threshold: every point is far
     single_layer_field(mesh, phi, ring)
@@ -647,16 +671,59 @@ def test_below_the_pair_threshold_every_point_takes_the_direct_sum(expansions):
 
 
 def test_expansion_is_refused_where_a_far_point_could_be_near(expansions, monkeypatch):
-    # on 8 nodes the spacing is 0.55 and 2 spacings pass rho = 0.7, so a
-    # point 2 rho out can be flagged: no point takes the expansion
+    # a point with |w| >= 2 R is at least a R / 4 from every node, so the
+    # expansion is taken only where a R / 4 >= NEAR_FACTOR max w_j: on this
+    # disc (a R / 4 = 0.42, max w_j = 0.40) below a factor of 1.06, not
+    # above it.  At a factor of 3 points at |w| = 2.01 R are flagged
     monkeypatch.setattr(potentials, "FAR_MIN_PAIRS", 0)
     mesh = build_mesh(RodSpec(L=0.0, delta=0.7), n_cap=8)
     phi = DensityVector(values=np.ones(len(mesh)), mesh=mesh)
-    c, rho = _centroid_and_rho(mesh)
-    pts = c + 2.1 * rho * np.column_stack([np.cos(np.arange(64)), np.sin(np.arange(64))])
-    vals, grads, near = single_layer_field(mesh, phi, pts)
-    assert expansions == []
+    radius = _far_radius(mesh)
+    pts = joukowski_points(mesh, 2.01 * radius * np.exp(1j * np.arange(64)))
+    assert _far_mask(mesh, pts).all()
+    bound = focal(mesh.spec) * radius / 4.0 / mesh.weights.max()
+    for factor in (bound * (1.0 - 1e-9), bound * (1.0 + 1e-9), 3.0):
+        monkeypatch.setattr(potentials, "NEAR_FACTOR", factor)
+        vals, grads, near = single_layer_field(mesh, phi, pts)
+    assert expansions == [64]
     assert near.any() and np.array_equal(near, dense_near_flags(mesh, pts))
+
+
+#: the meshes of the accuracy check: the ``fieldmap`` benchmark rod, a
+#: rotated and shifted thin rod at sigma0 = 100, a disc and two short rods,
+#: each with its background and grid half width
+ACCURACY_CASES = {
+    "fieldmap": (RodSpec(L=2.0, delta=0.01), HarmonicBackground.linear((1.0, 0.5)), 3.0),
+    "thin": (RodSpec(L=2.0, delta=0.002, sigma0=100.0, angle=0.7, center=(0.4, -1.3)),
+             QUADRATIC, 3.0),
+    "disc": (RodSpec(L=0.0, delta=0.7), HarmonicBackground.linear((1.0, 0.5)), 3.0),
+    "short": (RodSpec(L=0.2, delta=0.1), HarmonicBackground.linear((1.0, 0.5)), 1.0),
+    "stubby": (RodSpec(L=1.0, delta=0.3, angle=-0.4), QUADRATIC, 2.0),
+}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the reference needs an extended long double")
+@pytest.mark.parametrize("name", list(ACCURACY_CASES))
+def test_expansion_matches_a_long_double_direct_sum(name, expansions, monkeypatch):
+    monkeypatch.setattr(potentials, "FAR_MIN_PAIRS", 0)
+    spec, bg, half = ACCURACY_CASES[name]
+    mesh = build_mesh(spec, *default_counts(spec))
+    phi = solve_density(assemble_np(mesh), lambda_of_sigma(spec.sigma0),
+                        neumann_data(mesh, bg))
+    t = np.linspace(-half, half, 61)
+    pts = np.asarray(spec.center) + np.stack(np.meshgrid(t, t), axis=-1).reshape(-1, 2)
+    vals, grads, near = single_layer_field(mesh, phi, pts)
+    far = _far_mask(mesh, pts)
+    assert expansions == [np.count_nonzero(far)] and far.mean() > 0.5
+    assert np.array_equal(near, dense_near_flags(mesh, pts))
+    d = pts[far, None, :].astype(np.longdouble) - mesh.points
+    r2 = np.square(d).sum(axis=2)
+    q = phi.values * mesh.weights
+    ref_vals = np.log(r2) @ q / (4.0 * np.pi)
+    ref_grads = np.einsum("mnk,n->mk", d / r2[..., None], q) / (2.0 * np.pi)
+    assert np.abs(vals[far] - ref_vals).max() <= 1e-15 * np.abs(vals).max()
+    assert np.abs(grads[far] - ref_grads).max() <= 1e-15 * np.abs(grads).max()
 
 
 def test_evaluation_on_a_mesh_node_is_refused():
