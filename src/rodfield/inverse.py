@@ -35,11 +35,14 @@ class PlacementError(ValidationError):
 # fields, which no single rod explains, leaves 2.2e-2.
 RESIDUAL_TOL = 1e-3
 
-# Rod angles at which the LM start solves for the channel amplitudes.
-START_ANGLES = np.arange(8) * (np.pi / 8.0)
 # The fit's parameters: centre (2), angle, length and two channel
 # amplitudes.  Fewer distinct sensors than this leave LM underdetermined.
 N_PARAMS = 6
+# The moment start is kept where its RMS residual is within this share of the
+# signal RMS plus twice the stated noise; on sensors that do not enclose the rod
+# its series diverges.  Without noise it leaves <= 2e-2 on circles around the
+# rod, mostly < 0.2 on grids around it, 0.24 to 9 on a line or arc to one side.
+START_TOL = 0.3
 # LM stops where a step moves the scaled parameters by at most this share
 # of their norm (MINPACK's xtol), where a step's actual and predicted
 # reductions of the cost are both at most this share of it (ftol), or where
@@ -127,9 +130,7 @@ def simulate_measurements(spec: RodSpec, bg: HarmonicBackground,
     values = bg.value(points) + perturbation(spec, bg, points, source,
                                              n_cap, n_facade)[0]
     if noise_rms > 0.0:
-        rng = np.random.default_rng(seed)
-        values = values + rng.normal(0.0, noise_rms, size=len(points))
-
+        values = values + np.random.default_rng(seed).normal(0.0, noise_rms, len(points))
     return SensorSet(points=points, values=np.asarray(values),
                      background=bg, noise_rms=noise_rms)
 
@@ -160,44 +161,47 @@ def _closed_form(params: NDArray, points: NDArray, jac: bool = False):
     J[:, 2] = g1 * x2 - g2 * x1
     J[:, 3] = np.sign(params[3]) / (-2.0 * np.pi) * (
         b_ax * (tq / rq2 + tp / rp2) + b_tr * x2 * (1.0 / rq2 + 1.0 / rp2))
-    _amplitude_columns(pair, log_qp, J[:, 4:])
+    J[:, 4] = log_qp / (2.0 * np.pi)
+    J[:, 5] = pair / -np.pi
     return u, J
 
 
-def _amplitude_columns(pair: NDArray, log_qp: NDArray, out: NDArray) -> NDArray:
-    """du/d(b_ax, b_tr), written into ``out`` (..., 2): u is linear in the
-    two amplitudes."""
-    np.divide(log_qp, 2.0 * np.pi, out=out[..., 0])
-    np.divide(pair, -np.pi, out=out[..., 1])
-    return out
+def _far_moments(data: SensorSet, signal: NDArray) -> NDArray:
+    """M_1..M_K of the far field Re sum_k M_k / (k w^k) about the sensors'
+    centroid, w over their mean radius, by least squares; K = min(8, (m - 1)
+    // 2), at least 3.  The series holds only beyond both caps, so sensors
+    within half the mean radius, as in the middle of a grid, are left out."""
+    w = (data.points - data.center) @ np.array([1.0, 1.0j]) / data.radius
+    far = np.abs(w) >= 0.5
+    w, signal = w[far], signal[far]
+    K = max(3, min(8, (len(signal) - 1) // 2))
+    k = np.arange(1, K + 1)
+    terms = w[:, None] ** -k / k
+    b = np.linalg.lstsq(np.hstack([terms.real, -terms.imag]), signal, rcond=None)[0]
+    return b[:K] + 1j * b[K:]
 
 
 def _start(data: SensorSet, signal: NDArray) -> NDArray:
-    """LM start: the centre guess, half the sensor radius as length, and of
-    START_ANGLES the angle whose least-squares amplitudes fit best.
-
-    All angles are solved at once: the amplitudes come from a stacked
-    pseudo-inverse with lstsq's cutoff, eps*max(m, 2), so that dependent
-    columns give the minimum-norm solution, and the first of equal
-    residuals wins."""
-    z0 = initial_center_guess(data)
-    L0 = data.radius / 2.0 if data.radius else 1.0
-    rot = rotation_matrix(START_ANGLES).transpose(2, 0, 1)   # (8, 2, 2)
-    x = (data.points - z0) @ rot
-    pair, log_qp = _cap_terms(x[..., 0], x[..., 1], L0)[6:]
-    cols = _amplitude_columns(pair, log_qp, np.empty((*pair.shape, 2)))
-    rcond = np.finfo(float).eps * max(len(signal), 2)
-    b = np.linalg.pinv(cols, rcond=rcond) @ signal
-    k = np.argmin(np.linalg.norm((cols @ b[..., None])[..., 0] - signal, axis=1))
-    return np.array([*z0, START_ANGLES[k], L0, *b[k]])
-
-
-def initial_center_guess(data: SensorSet) -> NDArray:
-    """Warm start: centroid of |u - H| over the sensor circle."""
-    w = np.abs(data.values - data.background.value(data.points))
-    if w.sum() == 0.0:
-        return data.center
-    return (w[:, None] * data.points).sum(axis=0) / w.sum()
+    """LM start: the closed form inverted from the data's far-field moments
+    (:func:`_far_moments`).  The model is s = Re[A log((z - q)/(z - p))] with
+    A = (b_ax + i b_tr)/pi and cap centres p, q, so M_k = A (p'^k - q'^k) for
+    p' = p - c and q' = q - c, c the centroid: p' + q' = M_2/M_1, (q' - p')^2
+    = 4 M_3/M_1 - 3 (M_2/M_1)^2 and A = M_1/(p' - q').  Where that is not
+    finite (no signal, p' = q') or leaves more than START_TOL of the signal
+    RMS, LM starts at the centroid, angle 0, half the sensor radius as length
+    and no amplitudes."""
+    c, rho = data.center, data.radius
+    M = _far_moments(data, signal)
+    with np.errstate(all="ignore"):
+        mid = M[1] / M[0]
+        d = np.sqrt(4.0 * M[2] / M[0] - 3.0 * mid * mid)
+        A = -np.pi * M[0] / d
+        start = np.array([*(c + rho / 2.0 * np.array([mid.real, mid.imag])),
+                          np.angle(d), rho * abs(d), A.real, A.imag])
+        rms = np.sqrt(np.mean((_closed_form(start, data.points) - signal) ** 2))
+    if rms <= START_TOL * np.sqrt(np.mean(signal**2)) + 2.0 * data.noise_rms:
+        return start
+    return np.array([*c, 0.0, rho / 2.0, 0.0, 0.0])
 
 
 def _lm(fun, x0: NDArray):
@@ -261,25 +265,23 @@ def fit_rod(data: SensorSet) -> FitResult:
     """Least-squares fit of (center, angle, length, strengths) to the data.
 
     Uses the leading-order closed form as forward model, with its analytic
-    Jacobian (:func:`_closed_form`), in the Levenberg-Marquardt of
-    :func:`_lm`.  LM fits the channel amplitudes
-    b_ax = c_ax*a_loc1 and b_tr = c_tr*a_loc2 rather than the strengths,
-    which keeps the parameters finite where a rod-frame component of a
-    vanishes; c_ax and c_tr are recovered at the fitted angle (a strength
-    whose component vanishes there is undetermined).  The start
-    takes :func:`initial_center_guess` and half the sensor radius as length;
-    at each angle k*pi/8 the two amplitudes enter linearly and are solved
-    by linear least squares, all eight angles in one pass (:func:`_start`),
-    and LM starts from the angle that leaves the smallest residual.
-    ``lm_stop`` is the test that ended LM ("gtol", "ftol", "xtol", or
-    "max_nfev" at MAX_NFEV evaluations).
-    ``converged`` means that LM stopped on one of its LM_TOL tests, not
-    at MAX_NFEV evaluations, and that the RMS residual is within
-    RESIDUAL_TOL of the signal RMS |u - H| or within twice the stated
-    noise: a stop at a wrong local minimum does not count, and neither
-    does any fit to data with no signal, whose ``residual_rel`` is None.
-    Data holding a non-finite value are refused with ValidationError, and
-    so are data whose sum of squares of |u - H| would overflow.
+    Jacobian (:func:`_closed_form`), in the Levenberg-Marquardt of :func:`_lm`.
+    LM fits the channel amplitudes b_ax = c_ax*a_loc1 and b_tr = c_tr*a_loc2
+    rather than the strengths, which keeps the parameters finite where a
+    rod-frame component of a vanishes; c_ax and c_tr are recovered at the
+    fitted angle (a strength whose component vanishes there is undetermined).
+    LM starts from the closed form inverted from the data's first three
+    far-field moments (:func:`_start`), exact on closed-form data, so it only
+    polishes.  ``lm_stop`` is the test that ended LM ("gtol", "ftol", "xtol",
+    or "max_nfev" at MAX_NFEV evaluations).
+    ``converged`` means that LM stopped on one of its LM_TOL tests, not at
+    MAX_NFEV evaluations, and that the RMS residual is within RESIDUAL_TOL of
+    the signal RMS |u - H| or within twice the stated noise: a stop at a
+    wrong local minimum does not count.  Nor does a fit whose signal RMS is
+    at most twice the noise RMS, as the no-rod model s = 0 explains such data
+    as well; data with no signal are one case, and their ``residual_rel`` is
+    None.  Data holding a non-finite value are refused with ValidationError,
+    and so are data whose sum of squares of |u - H| would overflow.
     The strengths' standard errors come from s^2 (J^T J)^-1 at the
     solution (:func:`_amplitude_stderr`), divided by |a_loc| as the
     strengths are; an undetermined strength shows as an error of its own
@@ -289,9 +291,8 @@ def fit_rod(data: SensorSet) -> FitResult:
     # a repeated sensor adds a row but no constraint; -0.0 and 0.0 are one point
     distinct = len(set(map(tuple, data.points.tolist())))
     if distinct < N_PARAMS:
-        raise IdentifiabilityError(f"fit needs at least {N_PARAMS} sensors for "
-                                   f"its {N_PARAMS} parameters, got {distinct} "
-                                   "distinct")
+        raise IdentifiabilityError(f"fit needs at least {N_PARAMS} sensors for its "
+                                   f"{N_PARAMS} parameters, got {distinct} distinct")
     if not (np.isfinite(data.points).all() and np.isfinite(data.values).all()):
         raise ValidationError("data: a value is not finite (noise past the float range?)")
     signal = data.values - data.background.value(data.points)
@@ -314,17 +315,16 @@ def fit_rod(data: SensorSet) -> FitResult:
     # fold the theta <-> theta + pi symmetry: theta in [0, pi), L >= 0
     z0, theta, L = p[:2], p[2] % np.pi, abs(p[3])
     axis = np.array([np.cos(theta), np.sin(theta)])
-    P_hat = z0 - (L / 2.0) * axis
-    Q_hat = z0 + (L / 2.0) * axis
+    P_hat, Q_hat = z0 - (L / 2.0) * axis, z0 + (L / 2.0) * axis
     rms = float(np.sqrt(np.mean(r**2)))
     signal_rms = float(np.sqrt(np.mean(signal**2)))
-    # data equal to H has no rod in it: a zero residual there is no fit
-    converged = stop != "max_nfev" and signal_rms > 0 and rms <= max(
-        RESIDUAL_TOL * signal_rms, 2.0 * data.noise_rms)
+    # where the no-rod model s = 0 fits within the noise, so does any rod;
+    # data equal to H has no rod in it, and a zero residual there is no fit
+    converged = (stop != "max_nfev" and signal_rms > 2.0 * data.noise_rms
+                 and rms <= max(RESIDUAL_TOL * signal_rms, 2.0 * data.noise_rms))
     return FitResult(endpoints=(P_hat, Q_hat), strength=float(c),
-                     strength_transverse=float(c_tr),
-                     center=z0, angle=float(theta), length=float(L),
-                     residual=rms,
+                     strength_transverse=float(c_tr), center=z0, angle=float(theta),
+                     length=float(L), residual=rms,
                      residual_rel=rms / signal_rms if signal_rms else None,
                      iterations=nfev, lm_stop=stop, converged=bool(converged),
                      strength_stderr=se, strength_transverse_stderr=se_tr)

@@ -469,7 +469,7 @@ def single_layer_field(mesh: BoundaryMesh, phi: DensityVector,
     spacings, where the composite Gauss-Legendre rule degrades.
 
     Points with |w| >= FAR_RATIO R, w the rod frame's exterior Joukowski
-    variable (:func:`_joukowski`, a = max(L/2, delta)) and R the largest
+    variable (:func:`_joukowski`, a = max(L/2, 1e-3 delta)) and R the largest
     |w_j| of a node, lie outside an ellipse confocal with the rod.  They
     take S and grad S from :func:`_multipole_field` when together they
     replace at least FAR_MIN_PAIRS (point, node) pairs of the direct sum,
@@ -488,7 +488,7 @@ def single_layer_field(mesh: BoundaryMesh, phi: DensityVector,
     pw = phi.values * mesh.weights
     far = None
     if len(pts) * len(mesh) >= FAR_MIN_PAIRS:
-        a = max(mesh.spec.L / 2.0, mesh.spec.delta)
+        a = max(mesh.spec.L / 2.0, 1e-3 * mesh.spec.delta)
         nodes = _joukowski(mesh.spec, a, mesh.points)
         R = np.abs(nodes).max()
         # a point with |w| >= 2 R is at least a R / 4 from every node

@@ -18,7 +18,7 @@ import pytest
 import rodfield
 from rodfield import cli
 from rodfield import (AsymptoticModel, RodSpec, build_mesh, potentials, sensor_circle,
-                      single_layer_field, solve_forward)
+                      simulate_measurements, single_layer_field, solve_forward)
 from rodfield.asymptotics import asymptotic_perturbation
 from rodfield.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from rodfield.config import load_config
@@ -359,6 +359,37 @@ def test_invert_noise_is_stated_for_loaded_data(config_path, tmp_path):
                  "--out", out]) == EXIT_FAILURE
     assert main(["invert", "--config", config_path, "--data", str(data),
                  "--noise", "1e-3", "--out", out]) == EXIT_OK
+
+
+@pytest.mark.parametrize("n, spacing", [(3, 2.0), (5, 1.0)])
+def test_invert_grid_data_with_a_sensor_on_the_centroid(config_path, tmp_path, n, spacing):
+    # the far-field series has no finite terms at the centroid, and the
+    # moment start leaves that sensor out instead of failing in lstsq
+    g = spacing * (np.arange(n) - (n - 1) / 2.0)
+    pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    rod = RodSpec(L=0.6, delta=0.02, center=(0.5, 0.4), angle=0.3, sigma0=10.0)
+    data = simulate_measurements(rod, load_config(config_path).background, pts,
+                                 source="asymptotic")
+    path, out = tmp_path / "grid.csv", tmp_path / "fit.json"
+    np.savetxt(path, np.column_stack([pts, data.values]), delimiter=",",
+               header="x1,x2,u", comments="")
+    assert main(["invert", "--config", config_path, "--data", str(path),
+                 "--out", str(out)]) == EXIT_OK
+    fit = _strict_json(out.read_text())
+    axis = 0.3 * np.array([np.cos(0.3), np.sin(0.3)])
+    assert fit["converged"] is True
+    assert np.abs(np.array(fit["endpoints"]) - [(0.5, 0.4) - axis,
+                                                (0.5, 0.4) + axis]).max() <= 1e-10
+
+
+def test_invert_noise_that_swamps_the_signal_is_not_converged(config_path, tmp_path):
+    # the no-rod model s = 0 leaves the signal RMS as its residual, within
+    # twice the noise: the fit said converged at L = 3.31 for L = 2
+    out = tmp_path / "fit.json"
+    assert main(["invert", "--config", config_path, "--synthesize", "--model",
+                 "asymptotic", "--noise", "1e150", "--out", str(out)]) == EXIT_FAILURE
+    fit = _strict_json(out.read_text())
+    assert fit["converged"] is False and fit["lm_stop"] != "max_nfev"
 
 
 def test_invert_header_only_data_exits_2(config_path, tmp_path, capsys):
@@ -742,13 +773,14 @@ def test_no_command_needs_scipy(config_path, tmp_path):
 
 
 def test_fit_stopped_at_the_evaluation_cap_exits_1(config_path, tmp_path, monkeypatch):
-    # LM that runs out of evaluations has not converged, whatever its residual
+    # LM that runs out of evaluations has not converged, whatever its
+    # residual; on BEM data it takes 6 evaluations
     from rodfield import inverse
 
     monkeypatch.setattr(inverse, "MAX_NFEV", 3)
     out = tmp_path / "fit.json"
     code = main(["invert", "--config", config_path, "--synthesize",
-                 "--model", "asymptotic", "--out", str(out)])
+                 "--model", "bem", "--out", str(out)])
     assert code == EXIT_FAILURE
     fit = json.loads(out.read_text())
     assert fit["converged"] is False

@@ -11,7 +11,7 @@ from rodfield import inverse
 from rodfield.geometry import rotation_matrix
 from rodfield.cli import load_measurements_csv, main
 from rodfield.inverse import (IdentifiabilityError, PlacementError,
-                              endpoint_error, initial_center_guess)
+                              endpoint_error)
 from rodfield.geometry import ValidationError
 from rodfield.solver import eval_u, lambda_of_sigma, perturbation, solve_forward
 
@@ -94,12 +94,6 @@ def test_identifiability_error_for_flat_background():
                           background=flat)
     with pytest.raises(IdentifiabilityError):
         fit_rod(data)
-
-
-def test_initial_center_guess_near_rod():
-    data = simulate_measurements(SPEC, BG, POINTS, source="asymptotic")
-    guess = initial_center_guess(data)
-    assert np.linalg.norm(guess - [0.3, -0.2]) < 1.5
 
 
 def test_round_trip_asymptotic_data():
@@ -372,8 +366,8 @@ def _k_pi_8_data():
 
 
 def test_fit_uses_the_analytic_jacobian(monkeypatch):
-    # the kernel runs once per LM evaluation of (r, J), always with J, and
-    # at most once per start angle: no difference columns
+    # the kernel runs once per LM evaluation of (r, J), always with J: no
+    # difference columns; the start calls it once, without J, to check itself
     kernel, lm = inverse._closed_form, inverse._lm
     calls, runs = [], []
     monkeypatch.setattr(inverse, "_closed_form", lambda *a, **kw:
@@ -383,9 +377,8 @@ def test_fit_uses_the_analytic_jacobian(monkeypatch):
         calls.clear()
         fit = fit_rod(data)
         nfev = runs[-1][-1]
-        assert len(calls) <= nfev + len(inverse.START_ANGLES)
-        assert all(calls)
-        assert fit.iterations == nfev <= 12
+        assert calls == [False] + [True] * nfev
+        assert fit.iterations == nfev <= 3
         assert fit.converged and endpoint_error(fit, spec) < 1e-12
 
 
@@ -403,13 +396,30 @@ def _random_rods(seed, count):
                sensor_circle((0.0, 0.0), 3.0, rng.choice([32, 64])))
 
 
+def _relative_residual(params, data):
+    signal = data.values - data.background.value(data.points)
+    return (np.linalg.norm(inverse._closed_form(params, data.points) - signal)
+            / np.linalg.norm(signal))
+
+
 def test_random_rods_converge_to_their_endpoints():
-    wrong = []
+    # the start inverts closed-form data; on m evenly spaced sensors the
+    # moment of order m - 3 aliases onto M_3, so it is exact only up to
+    # (|cap| / rho)^(m - 3): 3e-8 on four of the 32-sensor rods, which LM
+    # then polishes in 4 evaluations
+    wrong, nfev = [], []
     for i, (spec, bg, pts) in enumerate(_random_rods(11, 40)):
-        fit = fit_rod(simulate_measurements(spec, bg, pts, source="asymptotic"))
+        data = simulate_measurements(spec, bg, pts, source="asymptotic")
+        rel = _relative_residual(inverse._start(data, data.values - bg.value(pts)), data)
+        cap = max(np.linalg.norm(x) for x in spec.cap_centers_world()) / 3.0
+        assert rel <= max(1e-12, cap ** (len(pts) - 3))
+        fit = fit_rod(data)
         if not (fit.converged and endpoint_error(fit, spec) <= 1e-10):
             wrong.append(i)
+        assert fit.iterations <= (3 if rel <= 1e-12 else 4)
+        nfev.append(fit.iterations)
     assert wrong == []
+    assert np.mean(nfev) <= 2.2
 
 
 def test_noisy_fits_match_minpack():
@@ -430,69 +440,119 @@ def test_noisy_fits_match_minpack():
 
 
 def test_fit_stopped_at_the_evaluation_cap_reports_max_nfev(tmp_path, monkeypatch):
+    # closed-form data converge in 2 evaluations; BEM data take 6
     import json
 
     monkeypatch.setattr(inverse, "MAX_NFEV", 3)
-    fit = fit_rod(simulate_measurements(SPEC, BG, POINTS, source="asymptotic"))
+    fit = fit_rod(simulate_measurements(SPEC, BG, POINTS, source="bem"))
     assert (fit.lm_stop, fit.converged, fit.iterations) == ("max_nfev", False, 3)
     path, out = tmp_path / "run.yaml", tmp_path / "fit.json"
     path.write_text(CONFIG)
     assert main(["invert", "--config", str(path), "--synthesize",
-                 "--model", "asymptotic", "--out", str(out)]) == 1
+                 "--model", "bem", "--out", str(out)]) == 1
     loaded = json.loads(out.read_text())
     assert (loaded["lm_stop"], loaded["converged"]) == ("max_nfev", False)
 
 
-def _start_by_angle(data, signal):
-    """The LM start as one np.linalg.lstsq per start angle: the oracle of
-    the stacked start."""
-    z0 = initial_center_guess(data)
-    L0 = data.radius / 2.0 if data.radius else 1.0
-    starts = []
-    for theta in inverse.START_ANGLES:
-        x = (data.points - z0) @ rotation_matrix(theta)
-        pair, log_qp = inverse._cap_terms(x[:, 0], x[:, 1], L0)[6:]
-        cols = np.stack([log_qp / (2.0 * np.pi), -pair / np.pi], axis=1)
-        b = np.linalg.lstsq(cols, signal, rcond=None)[0]
-        starts.append((np.linalg.norm(cols @ b - signal), np.array([*z0, theta, L0, *b])))
-    return min(starts, key=lambda s: s[0])[1]
+def test_start_moments_match_the_fft_of_evenly_spaced_data():
+    # on m evenly spaced sensors the columns of the moment solve are
+    # orthogonal, so M_k is the k-th DFT coefficient: 2 k conj(F_k) / m
+    pts = sensor_circle((1.0, -2.0), 3.0, 64)
+    spec = RodSpec(L=1.6, delta=0.05, center=(1.4, -2.3), angle=2.2, sigma0=10.0)
+    data = simulate_measurements(spec, BG, pts, noise_rms=1e-4,
+                                 source="asymptotic", seed=5)
+    signal = data.values - BG.value(pts)
+    M = inverse._far_moments(data, signal)
+    k = np.arange(1, len(M) + 1)
+    want = np.conj(2.0 * k * np.fft.fft(signal)[1:len(M) + 1] / len(pts))
+    assert len(M) == 8
+    assert np.abs(M - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def _assert_start_matches_lstsq(data):
-    signal = data.values - data.background.value(data.points)
-    want = _start_by_angle(data, signal)
-    got = inverse._start(data, signal)
-    assert np.array_equal(got[:4], want[:4])
-    assert np.linalg.norm(got[4:] - want[4:]) <= 1e-12 * np.linalg.norm(want[4:])
-
-
-def test_start_matches_lstsq_per_angle():
-    for _, _, data in _k_pi_8_data():
-        _assert_start_matches_lstsq(data)
-    # no signal: every angle ties at a zero residual, and the first wins
-    _assert_start_matches_lstsq(SensorSet(points=POINTS, values=BG.value(POINTS),
-                                          background=BG))
-    for i, (spec, bg, pts) in enumerate(_random_rods(13, 12)):
-        _assert_start_matches_lstsq(simulate_measurements(
-            spec, bg, pts, noise_rms=1e-4, source="asymptotic", seed=i))
-
-
-def test_start_takes_the_minimum_norm_amplitudes_of_dependent_columns():
-    # every sensor on the x1 axis, which runs through the centre guess: at
-    # angle 0 the arctan pair vanishes at each sensor, the two columns are
-    # dependent, and that angle fits best, as the rod lies there with the
-    # start's length (half the sensors' mean radius, 3.5)
+def test_start_is_finite_on_degenerate_data():
+    # collinear sensors leave half the moments undetermined (lstsq takes the
+    # minimum norm); six sensors determine M_1..M_3 exactly; data equal to
+    # H have M_1 = 0 and take the fallback start.  The fits end as before
+    # the moment start: the first two converge, the last does not
     rod = RodSpec(L=1.75, delta=0.05, center=(0.0, 0.0), angle=0.0, sigma0=2.0)
     bg = HarmonicBackground.linear((1.0, 0.0))
     x1 = np.array([-5.0, -4.0, -3.0, -2.0, 2.0, 3.0, 4.0, 5.0])
-    data = simulate_measurements(rod, bg, np.stack([x1, np.zeros(8)], axis=1),
-                                 source="asymptotic")
-    signal = data.values - bg.value(data.points)
-    want = _start_by_angle(data, signal)
-    assert want[2] == 0.0 and want[5] == 0.0
-    pair = inverse._cap_terms(data.points[:, 0] - want[0], data.points[:, 1], want[3])[6]
-    assert not pair.any()
-    _assert_start_matches_lstsq(data)
+    collinear = simulate_measurements(rod, bg, np.stack([x1, np.zeros(8)], axis=1),
+                                      source="asymptotic")
+    full = simulate_measurements(SPEC, BG, POINTS, source="asymptotic")
+    six = SensorSet(points=POINTS[::11], values=full.values[::11], background=BG)
+    flat = SensorSet(points=POINTS, values=BG.value(POINTS), background=BG)
+    for data, spec in ((collinear, rod), (six, SPEC), (flat, None)):
+        signal = data.values - data.background.value(data.points)
+        start = inverse._start(data, signal)
+        assert np.isfinite(start).all()
+        fit = fit_rod(data)
+        if spec is None:
+            assert np.array_equal(start, [*data.center, 0.0, 1.5, 0.0, 0.0])
+            assert not fit.converged
+        else:
+            assert fit.converged and endpoint_error(fit, spec) <= 1e-10
+
+
+@pytest.mark.parametrize("sigma0, delta, error", [
+    (2.0, 0.05, 0.2139), (2.0, 0.01, 0.1376), (10.0, 0.01, 1.790),
+    (100.0, 0.01, 4.845), (100.0, 0.0025, 15.16)])
+def test_bem_fits_land_where_the_angle_search_did(sigma0, delta, error):
+    # the closed form's bias on BEM data (endpoint error over 2 delta) does
+    # not depend on the start: the eight-angle start reached these minima
+    spec = RodSpec(L=2.0, delta=delta, center=(0.3, -0.2), angle=0.4, sigma0=sigma0)
+    fit = fit_rod(simulate_measurements(spec, BG, POINTS, source="bem"))
+    assert fit.converged
+    assert endpoint_error(fit, spec) / (2.0 * delta) == pytest.approx(error, rel=5e-4)
+
+
+def _grid(n, spacing):
+    g = spacing * (np.arange(n) - (n - 1) / 2.0)
+    return np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+
+
+_QUARTER = np.linspace(-np.pi / 4.0, np.pi / 4.0, 16)
+QUARTER_ARC = 3.0 * np.stack([np.cos(_QUARTER), np.sin(_QUARTER)], axis=1)
+GRID_ROD = RodSpec(L=0.6, delta=0.02, center=(0.5, 0.4), angle=0.3, sigma0=10.0)
+ARC_ROD = RodSpec(L=1.0, delta=0.02, center=(0.2, -0.1), angle=0.7, sigma0=10.0)
+
+
+@pytest.mark.parametrize("points, spec, source, error, moment_start", [
+    (_grid(5, 1.0), GRID_ROD, "asymptotic", 0.0, True),
+    (_grid(5, 1.0), GRID_ROD, "bem", 0.00800335, True),
+    (QUARTER_ARC, ARC_ROD, "asymptotic", 0.0, False),
+    (QUARTER_ARC, ARC_ROD, "bem", 0.0195713, False)])
+def test_fits_off_a_circle_land_where_the_angle_search_did(points, spec, source,
+                                                            error, moment_start):
+    # a 5 x 5 grid has a sensor on its centroid, where the far-field series
+    # has no finite terms, and the sensors within half the mean radius are
+    # left out of the moment solve.  On a quarter arc to one side of the rod
+    # the series diverges at the sensors, its start leaves more than
+    # START_TOL of the signal, and the fit starts from the fallback.  Both
+    # reach the endpoint errors that the eight-angle start reached
+    bg = HarmonicBackground.linear((1.0, 0.5))
+    data = simulate_measurements(spec, bg, points, source=source)
+    start = inverse._start(data, data.values - bg.value(points))
+    assert start[4:].any() == moment_start
+    fit = fit_rod(data)
+    assert fit.converged
+    if error:
+        assert endpoint_error(fit, spec) == pytest.approx(error, rel=1e-4)
+    else:
+        assert endpoint_error(fit, spec) <= 1e-10
+
+
+def test_a_line_of_sensors_fits_the_rod_or_its_mirror_image():
+    # on the line z = conj(z) + const the closed form of a rod equals that of
+    # its mirror image with conjugate amplitudes, so the data tell them not
+    # apart: the fit converges to one of the two
+    spec = RodSpec(L=1.0, delta=0.02, center=(0.2, 0.1), angle=0.7, sigma0=10.0)
+    mirror = RodSpec(L=1.0, delta=0.02, center=(0.2, -4.1), angle=-0.7, sigma0=10.0)
+    pts = np.stack([np.linspace(-5.0, 5.0, 21), np.full(21, -2.0)], axis=1)
+    fit = fit_rod(simulate_measurements(spec, HarmonicBackground.linear((1.0, 0.5)),
+                                        pts, source="asymptotic"))
+    assert fit.converged
+    assert min(endpoint_error(fit, spec), endpoint_error(fit, mirror)) <= 1e-10
 
 
 def test_strength_stderr_marks_undetermined_strengths():

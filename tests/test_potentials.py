@@ -554,8 +554,8 @@ FAR_CASES = {
 
 
 def focal(spec):
-    """a = max(L/2, delta), half the focal distance of the Joukowski map."""
-    return max(spec.L / 2.0, spec.delta)
+    """a = max(L/2, 1e-3 delta), half the focal distance of the Joukowski map."""
+    return max(spec.L / 2.0, 1e-3 * spec.delta)
 
 
 def joukowski(mesh, pts):
@@ -673,7 +673,7 @@ def test_below_the_pair_threshold_every_point_takes_the_direct_sum(expansions):
 def test_expansion_is_refused_where_a_far_point_could_be_near(expansions, monkeypatch):
     # a point with |w| >= 2 R is at least a R / 4 from every node, so the
     # expansion is taken only where a R / 4 >= NEAR_FACTOR max w_j: on this
-    # disc (a R / 4 = 0.42, max w_j = 0.40) below a factor of 1.06, not
+    # disc (a R / 4 = 0.35, max w_j = 0.40) below a factor of 0.88, not
     # above it.  At a factor of 3 points at |w| = 2.01 R are flagged
     monkeypatch.setattr(potentials, "FAR_MIN_PAIRS", 0)
     mesh = build_mesh(RodSpec(L=0.0, delta=0.7), n_cap=8)
@@ -724,6 +724,25 @@ def test_expansion_matches_a_long_double_direct_sum(name, expansions, monkeypatc
     ref_grads = np.einsum("mnk,n->mk", d / r2[..., None], q) / (2.0 * np.pi)
     assert np.abs(vals[far] - ref_vals).max() <= 1e-15 * np.abs(vals).max()
     assert np.abs(grads[far] - ref_grads).max() <= 1e-15 * np.abs(grads).max()
+
+
+def test_a_disc_takes_the_expansion_outside_nearly_the_circle_of_twice_its_radius(expansions):
+    # a = delta would make the far ellipse's semi-axes 2.52 delta and
+    # 2.31 delta, and leave 76% of this grid far
+    spec = RodSpec(L=0.0, delta=0.7)
+    mesh = build_mesh(spec, *default_counts(spec))
+    assert len(mesh) == 64
+    phi = solve_density(assemble_np(mesh), lambda_of_sigma(spec.sigma0),
+                        neumann_data(mesh, HarmonicBackground.linear((1.0, 0.5))))
+    t = np.linspace(-3.0, 3.0, 101)
+    pts = np.stack(np.meshgrid(t, t), axis=-1).reshape(-1, 2)
+    single_layer_field(mesh, phi, pts)
+    far = _far_mask(mesh, pts)
+    assert expansions == [np.count_nonzero(far)] and far.mean() >= 0.83
+    # the far region is nearly |z| >= FAR_RATIO delta: its nearest grid
+    # point lies within a grid spacing (0.06) of that circle
+    r = np.linalg.norm(pts[far], axis=1).min()
+    assert potentials.FAR_RATIO * spec.delta <= r <= potentials.FAR_RATIO * spec.delta + 0.06
 
 
 def test_evaluation_on_a_mesh_node_is_refused():
