@@ -165,6 +165,7 @@ def cmd_compare(args) -> int:
             "max_error": err,
             "error_over_delta": err / delta,
             "mesh_nodes": len(sol.mesh),
+            "mesh": sol.mesh.rule,
             "solve_residual": sol.phi.residual,
             "factored_blocks": sol.phi.factored_blocks,
             "wall_seconds": time.perf_counter() - t0,
@@ -177,7 +178,7 @@ def cmd_compare(args) -> int:
     for r in rows:
         print(f"delta={r['delta']:g}  E={r['max_error']:.3e}  "
               f"E/delta={r['error_over_delta']:.3e}  "
-              f"n={r['mesh_nodes']}  {r['wall_seconds']:.2f}s")
+              f"n={r['mesh_nodes']}  mesh={r['mesh']}  {r['wall_seconds']:.2f}s")
     return EXIT_OK
 
 
@@ -241,6 +242,7 @@ def cmd_forward(args) -> int:
         write_csv(args.density, ["index", "x1", "x2", "phi"], np.arange(len(sol.mesh)),
                   *sol.mesh.points.T, sol.phi.values)
     print(f"forward: wrote {len(pts)} rows to {args.out}  n={len(sol.mesh)}  "
+          f"mesh={sol.mesh.rule}  "
           f"residual={sol.phi.residual:.2e}  blocks={sol.phi.factored_blocks}  "
           f"near={np.count_nonzero(near)}")
     return EXIT_OK

@@ -123,15 +123,31 @@ def _count(v, name: str, least: int = 1) -> int:
     return int(f)
 
 
+#: The most points a grid, a sensor circle or a probe circle may hold.
+#: A command keeps about 100 bytes a point (coordinates, values, gradients
+#: and the cells of its CSV), so this is some 10 GB; a larger set is
+#: refused before anything is allocated, where numpy would raise a memory
+#: error or refuse the array's size.
+MAX_POINTS = 10**8
+
+
+def _points(m: int, name: str) -> int:
+    if m > MAX_POINTS:
+        raise ValueError(f"{name} = {m} points, more than the {MAX_POINTS} allowed")
+    return m
+
+
 def _grid(g: dict) -> dict:
     lims = (_real(g[k], k) for k in ("xmin", "xmax", "ymin", "ymax"))
-    return {"grid": GridSpec(*lims, _count(g["nx"], "nx", 2), _count(g["ny"], "ny", 2))}
+    nx, ny = _count(g["nx"], "nx", 2), _count(g["ny"], "ny", 2)
+    _points(nx * ny, "nx * ny")
+    return {"grid": GridSpec(*lims, nx, ny)}
 
 
 def _sensors(s: dict) -> dict:
     return {"sensors": SensorSpec(_pair(s.get("center", (0.0, 0.0)), "center"),
                                   _real(s["radius"], "radius"),
-                                  _count(s["count"], "count"))}
+                                  _points(_count(s["count"], "count"), "count"))}
 
 
 def _solver(s: dict) -> dict:
@@ -144,7 +160,8 @@ def _sweep(s: dict) -> dict:
         raise ValueError("deltas must be positive")
     return {"sweep_deltas": deltas,
             "sweep_probe_radius": _real(s.get("probe_radius", 3.0), "probe_radius"),
-            "sweep_probe_count": _count(s.get("probe_count", 64), "probe_count"),
+            "sweep_probe_count": _points(_count(s.get("probe_count", 64), "probe_count"),
+                                         "probe_count"),
             "sweep_probe_offset": _pair(s.get("probe_offset", (0.0, 1.0)),
                                         "probe_offset")}
 

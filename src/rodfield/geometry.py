@@ -6,14 +6,20 @@ P = (-L/2, 0) and Q = (L/2, 0); the world placement is a rotation by
 ``angle`` followed by a translation by ``center``.
 
 Quadrature: each smooth segment (two caps, two facade sides) is split
-into equal panels carrying a Gauss-Legendre rule, so sums against the
-node weights integrate segment-smooth functions to near machine
-precision.  Panels abut the four curvature junctions; no node ever sits
-on one.
+into panels carrying a Gauss-Legendre rule, so sums against the node
+weights integrate segment-smooth functions to near machine precision.
+Panels abut the four curvature junctions; no node ever sits on one.  The
+panels follow one of two rules.  The uniform rule makes the panels of a
+segment equal, from node counts per cap and per facade side.  The graded
+rule refines them into both sides of each cap junction, where the field
+of a thin rod localises: the mesh then grows like log(L/delta), not like
+L/delta.  :func:`build_mesh` takes the uniform rule for given counts, and
+by default the rule with fewer nodes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,14 +118,18 @@ def to_local(spec, x_world: NDArray) -> NDArray:
 class BoundaryMesh:
     """Quadrature discretization of the rod boundary, counterclockwise.
 
-    A value of ``spec`` and the node counts: the arrays are computed from
-    them once, at construction, and are read-only, so a mesh made by
-    ``dataclasses.replace`` is rebuilt and checked like any other.  Each
-    cap carries ``n_cap`` nodes and each facade side ``n_facade`` nodes
-    (both rounded up to a multiple of PANEL_ORDER), distributed as equal
-    Gauss-Legendre panels in arc length, so weighted sums are high-order
-    accurate boundary integrals.  ``n_facade`` is ignored for the disc
-    case L = 0.  Positions and normals are in world coordinates.
+    A value of ``spec``, the node counts and the rule: the arrays are
+    computed from them once, at construction, and are read-only, so a mesh
+    made by ``dataclasses.replace`` is rebuilt and checked like any other.
+    Each cap carries ``n_cap`` nodes and each facade side ``n_facade``
+    nodes in Gauss-Legendre panels, so weighted sums are high-order
+    accurate boundary integrals.  The uniform rule rounds both counts up
+    to a multiple of PANEL_ORDER and makes the panels of a segment equal
+    in arc length.  The ``graded`` rule (:func:`graded_panels`) takes its
+    panels from ``spec`` alone and ignores the counts given; ``n_cap`` and
+    ``n_facade`` then hold its own.  ``n_facade`` is ignored for the disc
+    case L = 0.  Positions and normals are in world coordinates, and
+    ``panel_lengths`` holds the arc length of each node's panel.
 
     The half mesh, the bottom side left to right and then the right cap,
     is built once in the rod frame; the top side and the left cap are its
@@ -133,24 +143,28 @@ class BoundaryMesh:
     """
 
     spec: RodSpec
-    n_cap: int
+    n_cap: int = 0
     n_facade: int = 0
+    graded: bool = False
     points: NDArray = field(init=False, repr=False, compare=False)      # (n, 2)
     normals: NDArray = field(init=False, repr=False, compare=False)     # (n, 2), unit outward
     curvatures: NDArray = field(init=False, repr=False, compare=False)  # (n,)
     weights: NDArray = field(init=False, repr=False, compare=False)     # (n,)
+    panel_lengths: NDArray = field(init=False, repr=False, compare=False)  # (n,)
     orbits: NDArray = field(init=False, repr=False, compare=False)      # (4, n/4)
 
     def __post_init__(self) -> None:
         spec = self.spec
-        if self.n_cap < 8:
-            raise ValidationError(f"n_cap must be >= 8, got {self.n_cap}")
-        if spec.L > 0 and self.n_facade < 8:
-            raise ValidationError(f"n_facade must be >= 8, got {self.n_facade}")
-
         L, d = spec.L, spec.delta
-        s_cap, w_cap = _segment_rule(np.pi, self.n_cap)
-        s_fac, w_fac = _segment_rule(L, self.n_facade) if L > 0 else (np.empty(0), np.empty(0))
+        if self.graded:
+            (s_cap, w_cap, h_cap), (s_fac, w_fac, h_fac) = map(_panel_rule, graded_panels(spec))
+        else:
+            if self.n_cap < 8:
+                raise ValidationError(f"n_cap must be >= 8, got {self.n_cap}")
+            if L > 0 and self.n_facade < 8:
+                raise ValidationError(f"n_facade must be >= 8, got {self.n_facade}")
+            s_cap, w_cap, h_cap = _segment_rule(np.pi, self.n_cap)
+            s_fac, w_fac, h_fac = _segment_rule(L, self.n_facade) if L > 0 else np.empty((3, 0))
         nc, nf = len(s_cap), len(s_fac)
         theta = s_cap - np.pi / 2.0
         nu_cap = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -167,6 +181,7 @@ class BoundaryMesh:
                 ("normals", normals @ rotation_matrix(spec.angle).T),
                 ("curvatures", np.tile(np.repeat([0.0, 1.0 / d], [nf, nc]), 2)),
                 ("weights", np.tile(np.concatenate([w_fac, d * w_cap]), 2)),
+                ("panel_lengths", np.tile(np.concatenate([h_fac, d * h_cap]), 2)),
                 ("orbits", np.stack([q, (nf - 1 - q) % n, (2 * nf + nc - 1 - q) % n,
                                      (q + n // 2) % n]))):
             value.setflags(write=False)
@@ -174,6 +189,11 @@ class BoundaryMesh:
 
     def __len__(self) -> int:
         return len(self.weights)
+
+    @property
+    def rule(self) -> str:
+        """The panel rule, 'graded' or 'uniform'."""
+        return "graded" if self.graded else "uniform"
 
     def tag_mask(self, tag: str) -> NDArray:
         """The nodes of segment ``tag``, one of SEGMENTS."""
@@ -185,27 +205,103 @@ PANEL_ORDER = 8
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(PANEL_ORDER)
 
 
-def _segment_rule(length: float, n_nodes: int) -> tuple[NDArray, NDArray]:
-    """Composite Gauss-Legendre nodes/weights on (0, length).
+def _panel_rule(lengths: NDArray,
+                starts: NDArray | None = None) -> tuple[NDArray, NDArray, NDArray]:
+    """Composite Gauss-Legendre nodes, weights and panel lengths, per node,
+    of panels of the given lengths, laid end to end from 0 unless their
+    ``starts`` are given."""
+    if starts is None:
+        starts = np.concatenate([[0.0], np.cumsum(lengths)[:-1]])
+    s = (starts[:, None] + lengths[:, None] * (GAUSS_NODES + 1.0) / 2.0).ravel()
+    return s, (lengths[:, None] * GAUSS_WEIGHTS / 2.0).ravel(), np.repeat(lengths, PANEL_ORDER)
+
+
+def _whole_panels(n_nodes: int) -> int:
+    return -(-n_nodes // PANEL_ORDER)
+
+
+def _segment_rule(length: float, n_nodes: int) -> tuple[NDArray, NDArray, NDArray]:
+    """:func:`_panel_rule` on (0, length).
 
     ``n_nodes`` is rounded up to a multiple of PANEL_ORDER so the panels
     are equal.
     """
-    n_panels = -(-n_nodes // PANEL_ORDER)
+    n_panels = _whole_panels(n_nodes)
     h = length / n_panels
-    starts = h * np.arange(n_panels)
-    s = (starts[:, None] + h * (GAUSS_NODES[None, :] + 1.0) / 2.0).ravel()
-    w = np.broadcast_to(h * GAUSS_WEIGHTS / 2.0, (n_panels, PANEL_ORDER)).ravel().copy()
-    return s, w
+    return _panel_rule(np.full(n_panels, h), h * np.arange(n_panels))
 
 
-def build_mesh(spec: RodSpec, n_cap: int, n_facade: int = 0) -> BoundaryMesh:
-    """The counterclockwise boundary mesh of the rod; see :class:`BoundaryMesh`."""
-    return BoundaryMesh(spec, n_cap, n_facade)
+#: The graded rule.  A cap has GRADED_CAP_PANELS equal panels, and the one
+#: at each junction is halved GRADED_HALVINGS times toward it.  A facade
+#: side's first panel at each junction is GRADED_FIRST delta long; the
+#: panels double toward the middle while shorter than GRADED_LONGEST L, and
+#: equal panels no longer than that fill the middle.
+GRADED_CAP_PANELS = 4
+GRADED_HALVINGS = 4
+GRADED_FIRST = 1.0 / 16.0
+GRADED_LONGEST = 1.0 / 32.0
+
+
+def _graded_side(spec: RodSpec) -> tuple[float, int, int]:
+    """A graded facade side's first panel length, its number of doubling
+    panels at each end, and its number of equal middle panels."""
+    first, longest = GRADED_FIRST * spec.delta, GRADED_LONGEST * spec.L
+    steps = max(0, math.ceil(math.log2(longest / first)))
+    return first, steps, math.ceil((spec.L - 2.0 * first * (2**steps - 1)) / longest)
+
+
+def graded_panels(spec: RodSpec) -> tuple[NDArray, NDArray]:
+    """Panel lengths of the graded rule: a cap's in angle, from one
+    junction to the other, and a facade side's, left to right (empty for
+    L = 0).  Both are symmetric, so the mesh keeps its mirror orbits.
+
+    At L = 2 a cap has 12 panels, and a side 48 at delta = 0.002, 50 at
+    0.001 and 64 at 1e-5: n = 960, 992 and 1,216.
+    """
+    quarter = np.pi / GRADED_CAP_PANELS
+    end = quarter / 2.0 ** np.concatenate([[GRADED_HALVINGS], np.arange(GRADED_HALVINGS, 0, -1)])
+    cap = np.concatenate([end, np.full(GRADED_CAP_PANELS - 2, quarter), end[::-1]])
+    if spec.L == 0.0:
+        return cap, np.empty(0)
+    first, steps, n_mid = _graded_side(spec)
+    grown = first * 2.0 ** np.arange(steps)
+    middle = (spec.L - 2.0 * grown.sum()) / n_mid
+    return cap, np.concatenate([grown, np.full(n_mid, middle), grown[::-1]])
+
+
+def mesh_counts(spec: RodSpec, n_cap: int | None = None,
+                n_facade: int | None = None) -> tuple[int, int, bool]:
+    """The node counts per cap and per facade side of
+    ``build_mesh(spec, n_cap, n_facade)`` and whether it is graded, without
+    building it.
+
+    Given counts take the uniform rule, and a count left out its
+    :func:`default_counts` value.  With both left out the mesh is graded
+    where that has fewer nodes than the uniform default, which at L/delta
+    >~ 900 it has (delta <~ 0.0022 at L = 2).
+    """
+    if n_cap is None or n_facade is None:
+        dc, df = default_counts(spec)
+        if n_cap is None and n_facade is None:
+            _, steps, n_mid = _graded_side(spec) if spec.L > 0 else (0.0, 0, 0)
+            cap, side = GRADED_CAP_PANELS + 2 * GRADED_HALVINGS, 2 * steps + n_mid
+            if cap + side < _whole_panels(dc) + _whole_panels(df):
+                return PANEL_ORDER * cap, PANEL_ORDER * side, True
+        n_cap, n_facade = dc if n_cap is None else n_cap, df if n_facade is None else n_facade
+    n_facade = n_facade if spec.L > 0 else 0
+    return PANEL_ORDER * _whole_panels(n_cap), PANEL_ORDER * _whole_panels(n_facade), False
+
+
+def build_mesh(spec: RodSpec, n_cap: int | None = None,
+               n_facade: int | None = None) -> BoundaryMesh:
+    """The counterclockwise boundary mesh of the rod; see :class:`BoundaryMesh`
+    and, for the rule and the counts, :func:`mesh_counts`."""
+    return BoundaryMesh(spec, *mesh_counts(spec, n_cap, n_facade))
 
 
 def default_counts(spec: RodSpec) -> tuple[int, int]:
-    """Default node counts: 32 per cap and L/(2 delta) per facade side.
+    """Default node counts of the uniform rule: 32 per cap and L/(2 delta)
+    per facade side.
 
     Facade panels are then 16 delta long, 8 times the gap between the
     sides.  The kernel across the gap, the A_delta Lorentzian, is

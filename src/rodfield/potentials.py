@@ -1,10 +1,12 @@
 """Single-layer potential and Neumann-Poincare operator on a boundary mesh.
 
 Nystrom discretization with the bounded-kernel diagonal limit kappa/(4*pi).
-A small diagonal correction enforces the exact discrete counterpart of the
-column identity (the weighted integral of the kernel over the boundary is
-1/2); the correction is a quadrature-error term of size O(h^2) and vanishes
-identically on a disc, where the kernel is constant.
+A small correction enforces the exact discrete counterpart of the column
+identity (the weighted integral of the kernel over the boundary is 1/2):
+on the diagonal for a uniform mesh, and as a rank-one term on the even
+parity block for a graded one, whose junction panels are far shorter
+than the rest.  It is a quadrature-error term and vanishes identically on
+a disc, where the kernel is constant.
 
 The stadium mesh maps onto itself under the rod-frame mirrors
 R1: x1 -> -x1 and R2: x2 -> -x2, and the NP kernel is invariant under
@@ -17,13 +19,14 @@ the closed form's A_delta Lorentzian.  The mirror images of a quarter-arc
 node are the sign flips of its rod-frame coordinates, so one pass over
 chunks of cap rows, with scratch bounded by NP_CHUNK_BYTES, forms the
 differences once for all four orbit matrices.  The Lorentzian is 2 delta
-wide, narrower than a facade panel, so it is integrated exactly against
-each source panel's interpolant (product quadrature, Helsing & Ojala
-2008) instead of sampled at the nodes.  The facade panels are equal, so
-these weights depend only on the panel offset and come from one table of
-:func:`lorentzian_weights`, which ``asymptotics.a_delta_apply`` also uses
-for A_delta.  The density solve factors a block only if the data has a
-part of its parity; a linear background excites two of the four.
+wide, narrower than a long facade panel, so on the source panels near a
+row it is integrated exactly against the panel's interpolant (product
+quadrature, Helsing & Ojala 2008) by :func:`lorentzian_weights`, which
+``asymptotics.a_delta_apply`` also uses for A_delta; farther panels take
+the node rule, within 5e-12 of an entry there.  One routine serves equal
+and graded panels.  The density solve factors a block only if the
+data has a part of its parity; a linear background excites two of the
+four.
 
 Outside the rod the field S[phi] is fixed by a few moments of the
 density, so grids of many points far from the rod take S and grad S from
@@ -43,9 +46,10 @@ from .background import HarmonicBackground
 from .geometry import (GAUSS_NODES, PANEL_ORDER, BoundaryMesh, ValidationError,
                        rotation_matrix, to_local)
 
-#: evaluation points closer than this many local spacings to the boundary
-#: get a proximity flag on the result.
-NEAR_FACTOR = 2.0
+#: An evaluation point whose nearest node is closer than this many times
+#: that node's panel length gets a proximity flag on the result: off a
+#: panel by less than half its length, the panel's Gauss rule degrades.
+NEAR_FACTOR = 0.5
 
 #: byte budget of the scratch of field evaluation, three (chunk, n) float
 #: arrays: memory is bounded by the chunk, not by the number of points.
@@ -185,13 +189,78 @@ def _orbit_kernel(mats: NDArray, x: NDArray, nu: NDArray, w: NDArray, mc: int) -
             np.divide(num, den, out=mats[:, s:s + k].reshape(num.shape))
 
 
+#: A source panel whose target z, in the panel's coordinates, has |z| at
+#: least this takes the node rule across the rod; a nearer one takes
+#: :func:`lorentzian_weights`.  The node rule's weights are off by 2e-10
+#: of themselves at |z| = 8, 3e-11 at 10 and 5e-12 at 12: at 8 the column
+#: sums of a uniform mesh with panels 4 delta long moved its diagonal
+#: correction by 2e-13, four times what a dense assembly allows.
+CROSS_NEAR_Z = 12.0
+
+#: (row, panel) pairs given product weights at a time by :func:`_cross_facade`.
+#: Their scratch, about 0.5 KB a pair, stays within the NP_CHUNK_BYTES of
+#: :func:`_orbit_kernel`; a fixed count, so the entries do not depend on it.
+CROSS_CHUNK = 1024
+
+
+def _cross_facade(mats: NDArray, x: NDArray, w: NDArray, h: NDArray,
+                  mc: int, delta: float) -> None:
+    """Write the facade pairs across the rod into the orbit matrices
+    ``mats`` (4, m, m): the top side's rows of A_R2 and A_R1R2 against
+    their top side columns, from index mc on.  x, w and h (k,) are the x1
+    in the rod frame, the weights and the panel lengths of the top side's
+    k quarter-arc nodes, x1 falling from the right junction to the middle.
+
+    Row a is the top node over x1 = x_a; column b is the bottom node at
+    x_b in A_R2 and at -x_b in A_R1R2.  Each entry is the A_delta kernel
+    delta / (pi (t^2 + 4 delta^2)), t the difference in x1, times the
+    node weight.  That node rule serves a source panel (length h, centre
+    c) whose target z = 2 (x_a - c) / h + 4 i delta / h has
+    |z| >= CROSS_NEAR_Z: the kernel's poles lie so far off the panel that
+    its Gauss rule is off by 5e-12 of an entry at most.  The pairs with a
+    nearer panel, |x_a - c| < sqrt((CROSS_NEAR_Z h / 2)^2 - 4 delta^2),
+    are found panel by panel by a band search over the rows, and take the
+    product weights of :func:`lorentzian_weights` against the panel's
+    interpolant in place of the node rule, CROSS_CHUNK pairs at a time.
+    """
+    k, m = len(x), mats.shape[1]
+    dw = delta / np.pi * w
+    for g, sign in ((2, -1.0), (3, 1.0)):
+        blk = mats[g, mc:, mc:]
+        np.add.outer(x, sign * x, out=blk)
+        np.square(blk, out=blk)
+        blk += 4.0 * delta * delta
+        np.divide(dw, blk, out=blk)
+    # the bottom side left to right, by panel: node b < k is column b of
+    # A_R1R2, and node b >= k column 2k-1-b of A_R2; cols are flat indices.
+    # The Gauss nodes are symmetric, so a panel's end nodes give its centre
+    panels = np.concatenate([-x, x[::-1]]).reshape(-1, PANEL_ORDER)
+    centre = (panels[:, 0] + panels[:, -1]) / 2.0
+    length = np.concatenate([h, h[::-1]])[::PANEL_ORDER]
+    node = np.arange(2 * k).reshape(panels.shape)
+    cols = mc + np.where(node < k, 3 * m * m + node, 2 * m * m + 2 * k - 1 - node)
+    reach = np.sqrt(np.maximum(np.square(CROSS_NEAR_Z / 2.0 * length) - 4.0 * delta**2, 0.0))
+    rows = x[::-1]   # increasing
+    lo = np.searchsorted(rows, centre - reach, side="right")
+    count = np.searchsorted(rows, centre + reach, side="left") - lo
+    panel = np.repeat(np.arange(len(centre)), count)
+    row = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+    for s in range(0, len(row), CROSS_CHUNK):
+        p, i = panel[s:s + CROSS_CHUNK], row[s:s + CROSS_CHUNK]
+        z = (2.0 * (rows[i] - centre[p]) + 4j * delta) / length[p]
+        np.put(mats, cols[p] + (m * (mc + k - 1 - i))[:, None], lorentzian_weights(z))
+
+
 @dataclass(frozen=True)
 class NpMatrix:
     """Nystrom matrix of the NP operator composed with weights, by mirror orbit.
 
     The dense matrix is ``A[i, j] = k(x_i, x_j) * w_j`` with the NP kernel
     k(x, y) = <x - y, nu_x> / (2*pi*|x - y|^2) and diagonal kernel limit
-    kappa/(4*pi) (plus the column-identity correction).  It is kept as the
+    kappa/(4*pi), plus the column-identity correction of
+    :func:`assemble_np`: ``correction[j] * w_j`` is the deficit of column
+    j's weighted sum that it made up, on the diagonal entry (uniform mesh)
+    or spread over the column (graded).  It is kept as the
     four orbit matrices ``A_g[a, b] = A[q_a, g(q_b)]`` on the quarter arc
     q of ``mesh.orbits``, which give every entry:
     ``A[h(q), g(q)] = A_{hg}``.  The parity block s,
@@ -200,7 +269,7 @@ class NpMatrix:
 
     orbit_matrices: NDArray   # (4, n/4, n/4): A_e, A_R1, A_R2, A_R1R2
     mesh: BoundaryMesh = field(repr=False)
-    diag_correction: NDArray = field(repr=False)
+    correction: NDArray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -248,7 +317,7 @@ class NpMatrix:
 
     def raw_weighted_column_sums(self) -> NDArray:
         """Column sums with the pure kappa/(4*pi) diagonal (no correction)."""
-        return self.weighted_column_sums() - self.diag_correction * self.mesh.weights
+        return self.weighted_column_sums() - self.correction * self.mesh.weights
 
     def eigenvalues(self) -> NDArray:
         """The union of the four block spectra."""
@@ -266,9 +335,15 @@ def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
     from the straight sides: on one side (x - y).nu_x = 0, so the pair is
     0, and across the rod x2 - y2 = 2 delta gives the Lorentzian
     delta / (pi (t^2 + 4 delta^2)) with t = x1 - y1, the kernel of the
-    closed form's A_delta.  Every such pair takes its weight from one
-    table of :func:`lorentzian_weights` over all panel offsets, gathered
-    one Gauss node's rows at a time.  Each entry is written once.
+    closed form's A_delta, written by :func:`_cross_facade`.
+
+    The kernel's weighted column sums are 1/2 in the continuum; the
+    quadrature leaves a deficit fix_b in column b.  A uniform mesh adds
+    fix_b to the diagonal entry.  On a graded mesh that correction fails
+    (its junction panels are far shorter than the rest); it adds
+    fix_b w_b / |Gamma| to every entry of column b instead, in all four
+    A_g, which cancels in every parity block but (+, +).  Either way every
+    weighted column sum is 1/2 to rounding.
     """
     spec, orbits = mesh.spec, mesh.orbits
     q, mc = orbits[0], mesh.n_cap // 2
@@ -282,37 +357,24 @@ def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
     # The weights are equal along each orbit, so every A_g carries wq.
     mats = np.empty((4, m, m))
     _orbit_kernel(mats, xq, nq, wq, mc)
-    nf = mesh.n_facade
-    if nf:
+    if mesh.n_facade:
         mats[:2, mc:, mc:] = 0.0   # same side
-        # facade nodes by bottom index k, 0..nf-1 in increasing x1: row a'
-        # is the top node over k = nf-1-a', and column b' is the bottom
-        # node k = nf-1-b' in A_R2 and k = b' in A_R1R2.  For a row node
-        # at Gauss node i, lines[i, 8 (o + panels - 1) + j] weighs source
-        # node j of the panel o to the right, so the row over k reads its
-        # columns 0..nf-1 from lines[k % 8], starting at 8 (panels-1-k//8),
-        # at z = t_i - 2 o + i beta: the gap 2 delta is beta in panel units
-        panels = nf // PANEL_ORDER
-        beta = 4.0 * spec.delta / (spec.L / panels)
-        z = GAUSS_NODES - 2.0 * np.arange(1 - panels, panels)[:, None] + 1j * beta
-        lines = lorentzian_weights(z).transpose(1, 0, 2).reshape(PANEL_ORDER, -1)
-        windows = np.lib.stride_tricks.sliding_window_view(lines, nf // 2, axis=1)
-        k = np.arange(nf - 1, nf // 2 - 1, -1)
-        i, start = k % PANEL_ORDER, PANEL_ORDER * (panels - 1 - k // PANEL_ORDER)
-        # a gather per Gauss node's rows copies 1/8 of the block, not all
-        for r in range(PANEL_ORDER):
-            ir, sr = i[r::PANEL_ORDER], start[r::PANEL_ORDER]
-            mats[3, mc + r::PANEL_ORDER, mc:] = windows[ir, sr]
-            mats[2, mc + r::PANEL_ORDER, mc:] = windows[ir, sr + nf // 2, ::-1]
+        _cross_facade(mats, xq[mc:, 0], wq[mc:], mesh.panel_lengths[q[mc:]], mc,
+                      spec.delta)
     mats[0, diag, diag] = mesh.curvatures[q] * wq / (4.0 * np.pi)
 
-    # diagonal entries lie in A_e alone, which enters every block with +1
+    # the deficit of each weighted column sum, equal along each orbit
     fix = 0.5 - (wq @ mats).sum(axis=0) / wq
-    mats[0, diag, diag] += fix
-    diag_correction = np.empty(len(mesh))
-    diag_correction[orbits] = fix / wq
+    if mesh.graded:
+        # fix_b w_b / |Gamma| on every entry of column b, in each A_g
+        mats += fix * wq / (4.0 * wq.sum())
+    else:
+        # diagonal entries lie in A_e alone, which enters every block with +1
+        mats[0, diag, diag] += fix
+    correction = np.empty(len(mesh))
+    correction[orbits] = fix / wq
 
-    return NpMatrix(orbit_matrices=mats, mesh=mesh, diag_correction=diag_correction)
+    return NpMatrix(orbit_matrices=mats, mesh=mesh, correction=correction)
 
 
 def neumann_data(mesh: BoundaryMesh, bg: HarmonicBackground) -> DensityVector:
@@ -370,9 +432,9 @@ def solve_density(np_matrix: NpMatrix, lam: float, rhs: DensityVector) -> Densit
 
 def _near_flags(mesh: BoundaryMesh, r2: NDArray) -> NDArray:
     """Rows of the squared distances ``r2`` (points, nodes) whose nearest
-    node is closer than NEAR_FACTOR local spacings."""
+    node is closer than NEAR_FACTOR times that node's panel length."""
     j = np.argmin(r2, axis=1)
-    return np.sqrt(r2[np.arange(len(r2)), j]) < NEAR_FACTOR * mesh.weights[j]
+    return np.sqrt(r2[np.arange(len(r2)), j]) < NEAR_FACTOR * mesh.panel_lengths[j]
 
 
 def _direct_field(mesh: BoundaryMesh, pw: NDArray,
@@ -465,19 +527,23 @@ def single_layer_field(mesh: BoundaryMesh, phi: DensityVector,
                        x) -> tuple[NDArray, NDArray, NDArray]:
     """Single-layer potential of ``phi``, its exact gradient and the near flag.
 
-    ``near`` flags points closer to the boundary than NEAR_FACTOR local
-    spacings, where the composite Gauss-Legendre rule degrades.
+    ``near`` flags points whose nearest node is closer than NEAR_FACTOR
+    times its panel length, where the composite Gauss-Legendre rule
+    degrades.
 
     Points with |w| >= FAR_RATIO R, w the rod frame's exterior Joukowski
     variable (:func:`_joukowski`, a = max(L/2, 1e-3 delta)) and R the largest
     |w_j| of a node, lie outside an ellipse confocal with the rod.  They
     take S and grad S from :func:`_multipole_field` when together they
     replace at least FAR_MIN_PAIRS (point, node) pairs of the direct sum,
-    and when a R / 4 >= NEAR_FACTOR times the largest node weight: such a
-    point is at least a R / 4 from every node, so none can be flagged.  On
-    the ``fieldmap`` benchmark grid the expansion agreed with a long-double
-    direct sum to 4e-16 of the largest |S| and |grad S| there, where the
-    direct sum in double is off by up to 6e-15.  Every other point takes
+    and when the gap between the ellipses |w| = R and |w| = FAR_RATIO R,
+    confocal, so the difference of their major semi-axes ((a/2)(R - 1/(2R))
+    at FAR_RATIO = 2), is at least NEAR_FACTOR times the longest panel:
+    such a point is at least that gap from every node, so none can be
+    flagged.  On the ``fieldmap`` benchmark grid the expansion agreed with
+    a long-double direct sum to 4e-16 of the largest |S| and |grad S|
+    there, where the direct sum in double is off by up to 6e-15.  Every
+    other point takes
     the direct sum: each chunk of points forms d = x - y and r^2 = |d|^2
     once, by direct subtraction (the GEMM expansion of r^2 cancels near the
     boundary).
@@ -491,8 +557,9 @@ def single_layer_field(mesh: BoundaryMesh, phi: DensityVector,
         a = max(mesh.spec.L / 2.0, 1e-3 * mesh.spec.delta)
         nodes = _joukowski(mesh.spec, a, mesh.points)
         R = np.abs(nodes).max()
-        # a point with |w| >= 2 R is at least a R / 4 from every node
-        if a * R / 4.0 >= NEAR_FACTOR * mesh.weights.max():
+        # the gap between the ellipses |w| = R and |w| = FAR_RATIO R
+        rho = FAR_RATIO * R
+        if a * (rho + 1.0 / rho - R - 1.0 / R) / 2.0 >= NEAR_FACTOR * mesh.panel_lengths.max():
             w = _joukowski(mesh.spec, a, pts)
             far = np.abs(w) >= FAR_RATIO * R
             if np.count_nonzero(far) * len(mesh) < FAR_MIN_PAIRS:

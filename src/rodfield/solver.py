@@ -14,8 +14,8 @@ from numpy.typing import NDArray
 
 from .asymptotics import AsymptoticModel, asymptotic_perturbation
 from .background import HarmonicBackground
-from .geometry import (BoundaryMesh, RodSpec, ValidationError, build_mesh, default_counts,
-                       lambda_of_sigma, signed_distance)
+from .geometry import (BoundaryMesh, RodSpec, ValidationError, build_mesh,
+                       lambda_of_sigma, mesh_counts, signed_distance)
 from .potentials import (DensityVector, assemble_np, neumann_data, single_layer_field,
                          solve_density)
 
@@ -45,17 +45,17 @@ def solve_forward(spec: RodSpec, bg: HarmonicBackground,
                   n_facade: int | None = None) -> ForwardSolution:
     """Compose mesh build, NP assembly and the density solve.
 
-    A rod with delta < DELTA_FLOOR L, and a mesh whose dense system does
-    not fit in memory (assembly holds four (n/4, n/4) blocks), are refused
-    with ValidationError.
+    The mesh is ``build_mesh(spec, n_cap, n_facade)``: counts left out
+    take the default rule, which is graded for a thin rod.  A rod with
+    delta < DELTA_FLOOR L, and a mesh whose dense system does not fit in
+    memory (assembly holds four (n/4, n/4) blocks), are refused with
+    ValidationError.
     """
     if spec.delta < DELTA_FLOOR * spec.L:
         raise ValidationError(f"delta={spec.delta!r} is below the BEM's floor "
                               f"{DELTA_FLOOR:g} L = {DELTA_FLOOR * spec.L!r}, under which its "
                               "error passes 2.6e-7 of the field")
-    dc, df = default_counts(spec)
-    n_cap, n_facade = dc if n_cap is None else n_cap, df if n_facade is None else n_facade
-    n = 2 * int(n_cap + (n_facade if spec.L > 0 else 0))
+    n = 2 * sum(mesh_counts(spec, n_cap, n_facade)[:2])
     lam = lambda_of_sigma(spec.sigma0)
     try:
         if 2 * n * n > np.iinfo(np.intp).max:   # bytes of the four (n/4)^2 blocks
@@ -74,7 +74,7 @@ def perturbation(spec: RodSpec, bg: HarmonicBackground, pts, model: str = "bem",
     """The perturbation s = u - H (m,) of ``model`` on points (m, 2), its
     gradient, the near flags and the BEM solution (None for the closed form).
 
-    'bem' flags points within two spacings of the boundary; 'asymptotic'
+    'bem' flags points off a panel by less than half its length; 'asymptotic'
     flags those within 0.1 delta of the rod, and refuses a disc, where it is
     exactly zero.  Both form s itself, never u - H, which cancels digits.
     A value that is not finite (r^2 overflows past about 1e154) is refused.

@@ -209,8 +209,9 @@ def test_compare_report(config_path, tmp_path):
     assert len(report["rows"]) == 2
     for row in report["rows"]:
         assert set(row) == {"delta", "max_error", "error_over_delta",
-                            "mesh_nodes", "solve_residual", "factored_blocks",
+                            "mesh_nodes", "mesh", "solve_residual", "factored_blocks",
                             "wall_seconds"}
+        assert row["mesh"] == "uniform"   # the config's solver block gives counts
         assert row["max_error"] > 0
         assert 0.0 <= row["solve_residual"] < 1e-10
         assert row["factored_blocks"] == 2
@@ -1026,3 +1027,64 @@ def test_delta_above_the_bem_floor_is_solved(argv, tmp_path, monkeypatch):
     path = _write_delta_config(tmp_path, "1.0e-9")
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--config", path, "--out", "out"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("sigma0", [2.0, 100.0])
+@pytest.mark.parametrize("delta", ["1.0e-5", "1.0e-7"])
+def test_forward_solves_a_rod_thinner_than_the_uniform_mesh_allows(delta, sigma0, tmp_path,
+                                                                    refined_graded_mesh, capsys):
+    # at delta = 1e-5 the uniform default had n = 200,064 and exited 2, its
+    # dense system out of memory.  The graded mesh has n = 1,216 (1,424 at
+    # 1e-7) and agrees with a twice refined one (n = 3,008 and 3,216) to
+    # 8.5e-8 of the perturbation (measured over both sigma0 and 0.01)
+    path = tmp_path / "run.yaml"
+    path.write_text(f"rod: {{L: 2.0, delta: {delta}, center: [0.1, -0.2], angle: 0.3, "
+                    f"sigma0: {sigma0}}}\nbackground: {{a: [1.0, 0.5]}}\n"
+                    "grid: {xmin: -3.0, xmax: 3.0, ymin: -3.0, ymax: 3.0, nx: 4, ny: 4}\n")
+    out = tmp_path / "forward.csv"
+    assert main(["forward", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    summary = capsys.readouterr().out
+    assert "mesh=graded" in summary
+    assert int(summary.split("n=")[1].split()[0]) <= 1500
+    rows = np.array(_read_csv(out)[1:], dtype=float)
+    assert np.isfinite(rows).all()
+    cfg = load_config(str(path))
+    s = rows[:, 2] - cfg.background.value(rows[:, :2])
+    mesh = refined_graded_mesh(cfg.rod, 2)
+    phi = potentials.solve_density(potentials.assemble_np(mesh), rodfield.lambda_of_sigma(sigma0),
+                                   potentials.neumann_data(mesh, cfg.background))
+    ref = single_layer_field(mesh, phi, rows[:, :2])[0]
+    assert np.abs(s - ref).max() <= 1e-6 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("command, block, count", [
+    (["fieldmap"], "grid: {xmin: -3.0, xmax: 3.0, ymin: -3.0, ymax: 3.0, nx: 200000, ny: 200000}",
+     "40000000000"),
+    (["forward"], "grid: {xmin: -3.0, xmax: 3.0, ymin: -3.0, ymax: 3.0, nx: 200000, ny: 200000}",
+     "40000000000"),
+    (["asymptotic"], "grid: {xmin: -3.0, xmax: 3.0, ymin: -3.0, ymax: 3.0, nx: 1.0e19, ny: 2}",
+     "20000000000000000000"),
+    (["invert", "--synthesize", "--data", "data.csv"],
+     "sensors: {center: [0.0, 0.0], radius: 3.0, count: 3.0e9}", "3000000000"),
+    (["compare"], "sweep: {deltas: [0.1], probe_count: 3.0e9}", "3000000000"),
+], ids=["fieldmap", "forward", "asymptotic", "invert", "compare"])
+def test_oversized_point_set_is_refused_before_any_allocation(command, block, count, tmp_path,
+                                                              monkeypatch, capsys):
+    # the grids died in numpy's memory error (nx = ny = 200000) or its
+    # "Maximum allowed size exceeded" (nx = 1e19), and 3e9 sensors or
+    # probes in a memory error: tracebacks, exit 1
+    path = tmp_path / "run.yaml"
+    path.write_text("rod: {L: 2.0, delta: 0.05}\nbackground: {a: [1.0, 0.5]}\n" + block + "\n")
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        code = main([*command, "--config", str(path), "--out", "out"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"= {count} points" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+    assert peak < 1 << 20

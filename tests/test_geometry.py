@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from rodfield import RodSpec, ValidationError, build_mesh, to_local, to_world
 from rodfield.cli import CSV_BLOCK_ROWS, write_csv
 from rodfield.geometry import (SEGMENTS, TAG_CAP_LEFT, TAG_CAP_RIGHT, TAG_FACADE_BOTTOM,
-                               TAG_FACADE_TOP, _segment_rule, default_counts,
+                               BoundaryMesh,
+                               TAG_FACADE_TOP, _segment_rule, default_counts, mesh_counts,
                                rotation_matrix, signed_distance)
 
 
@@ -120,7 +121,7 @@ def loop_build_mesh(spec, n_cap, n_facade=0):
     P = np.array([-L / 2.0, 0.0])
     Q = np.array([L / 2.0, 0.0])
     pts, nrm, kap, wts, tags = [], [], [], [], []
-    s_cap, w_cap = _segment_rule(np.pi, n_cap)
+    s_cap, w_cap, _ = _segment_rule(np.pi, n_cap)
     n_cap = len(s_cap)
 
     def cap(center, theta0, tag):
@@ -137,7 +138,7 @@ def loop_build_mesh(spec, n_cap, n_facade=0):
         cap(P, np.pi / 2.0, TAG_CAP_LEFT)
         n_facade = 0
     else:
-        s_fac, w_fac = _segment_rule(L, n_facade)
+        s_fac, w_fac, _ = _segment_rule(L, n_facade)
         n_facade = len(s_fac)
 
         def facade(y2, reverse, tag):
@@ -228,6 +229,56 @@ def test_orbits_are_mirror_images(name):
         facade = mesh.tag_mask(tag)
         assert np.abs(xl[facade, 1] - side * spec.delta).max(initial=0.0) <= 1e-14 * scale
         assert np.abs(nl[facade] - [0.0, side]).max(initial=0.0) <= 1e-14
+
+
+#: graded meshes: the thin_rod benchmark rods, one far below the uniform
+#: rule's reach, and a placed short rod with an odd number of facade panels
+GRADED_CASES = {
+    "thin_rod_0.002": (RodSpec(L=2.0, delta=0.002, angle=0.4), 960),
+    "thin_rod_0.001": (RodSpec(L=2.0, delta=0.001, angle=0.4), 992),
+    "delta_1e-5": (RodSpec(L=2.0, delta=1e-5, center=(0.1, -0.2), angle=0.3), 1216),
+    "delta_1e-7": (RodSpec(L=2.0, delta=1e-7), 1424),
+    "odd_panels": (RodSpec(L=1.0, delta=0.05, center=(-7.3, 2.9), angle=2.2), 784),
+}
+
+
+@pytest.mark.parametrize("name", GRADED_CASES)
+def test_graded_mesh(name):
+    spec, n = GRADED_CASES[name]
+    mesh = BoundaryMesh(spec, graded=True)
+    assert len(mesh) == n and mesh.rule == "graded"
+    assert (mesh.n_cap, mesh.n_facade) == (96, n // 2 - 96)
+    assert mesh.weights.sum() == pytest.approx(spec.perimeter, rel=1e-13)
+    assert np.linalg.norm(mesh.weights @ mesh.normals) < 1e-12 * spec.perimeter
+    # each panel's nodes share its length, which sums its weights
+    h = mesh.panel_lengths.reshape(-1, 8)
+    assert np.array_equal(h, np.repeat(h[:, :1], 8, axis=1))
+    assert np.allclose(h[:, 0], mesh.weights.reshape(-1, 8).sum(axis=1), rtol=1e-14, atol=0)
+    # a side's panels: delta/16 at each junction, doubling, none over L/32
+    side = h[:mesh.n_facade // 8, 0]
+    assert side[0] == side[-1] == spec.delta / 16.0
+    assert side.max() <= spec.L / 32.0 * (1.0 + 1e-12)
+    assert np.array_equal(side, side[::-1])
+    xl = to_local(spec, mesh.points)
+    scale = np.abs(xl).max() + np.abs(spec.center).max()
+    nl = mesh.normals @ rotation_matrix(spec.angle)
+    for g in range(4):
+        flip = MIRROR_SIGNS[:, g]
+        assert np.abs(xl[mesh.orbits[g]] - flip * xl[mesh.orbits[0]]).max() <= 1e-14 * scale
+        assert np.abs(nl[mesh.orbits[g]] - flip * nl[mesh.orbits[0]]).max() <= 1e-14
+        assert np.array_equal(mesh.weights[mesh.orbits[g]], mesh.weights[mesh.orbits[0]])
+
+
+@pytest.mark.parametrize("delta, rule", [(0.1, "uniform"), (0.0025, "uniform"),
+                                         (0.0022, "graded"), (0.001, "graded")])
+def test_default_mesh_takes_the_rule_with_fewer_nodes(delta, rule):
+    # the rules cross at L / delta of about 900; given counts stay uniform
+    spec = RodSpec(L=2.0, delta=delta)
+    uniform, graded = build_mesh(spec, *default_counts(spec)), BoundaryMesh(spec, graded=True)
+    mesh = build_mesh(spec)
+    assert mesh.rule == rule and len(mesh) == min(len(uniform), len(graded))
+    assert mesh_counts(spec) == (mesh.n_cap, mesh.n_facade, mesh.graded)
+    assert build_mesh(spec, n_cap=32).rule == build_mesh(spec, n_facade=64).rule == "uniform"
 
 
 def test_default_counts_scale_with_slenderness():

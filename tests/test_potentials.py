@@ -36,10 +36,10 @@ def _facade_panels(mesh, cols):
     """The panels of one facade side: (node indices in increasing x1, lower
     and upper x1 of each panel), PANEL_ORDER nodes to a panel."""
     x1 = to_local(mesh.spec, mesh.points)[:, 0]
-    n_panels = len(cols) // PANEL_ORDER
-    h = mesh.spec.L / n_panels
-    lo = -mesh.spec.L / 2.0 + h * np.arange(n_panels)
-    return cols[np.argsort(x1[cols])].reshape(n_panels, PANEL_ORDER), lo, lo + h
+    panels = cols[np.argsort(x1[cols])].reshape(-1, PANEL_ORDER)
+    h = mesh.panel_lengths[panels[:, 0]]
+    lo = -mesh.spec.L / 2.0 + np.concatenate([[0.0], np.cumsum(h)[:-1]])
+    return panels, lo, lo + h
 
 
 def product_facade_weights(mesh, sub=64, order=16):
@@ -68,9 +68,10 @@ def product_facade_weights(mesh, sub=64, order=16):
     return tuple(np.concatenate(a) for a in zip(*out))
 
 
-def dense_np(mesh):
+def dense_np(mesh, correct=True):
     """Reference: the dense (n, n) Nystrom assembly, one einsum per pair,
-    with the product-quadrature facade entries of product_facade_weights."""
+    with the product-quadrature facade entries of product_facade_weights,
+    and with the diagonal column-identity correction unless not ``correct``."""
     x, nu, w = mesh.points, mesh.normals, mesh.weights
     dx = x[:, None, :] - x[None, :, :]
     r2 = np.einsum("ijk,ijk->ij", dx, dx)
@@ -80,7 +81,8 @@ def dense_np(mesh):
     if mesh.n_facade:
         rows, cols, weights = product_facade_weights(mesh)
         kern[rows, cols] = weights / w[cols]
-    kern[np.diag_indices_from(kern)] += (0.5 - (w @ kern)) / w
+    if correct:
+        kern[np.diag_indices_from(kern)] += (0.5 - (w @ kern)) / w
     return kern * w[None, :]
 
 
@@ -88,7 +90,7 @@ def dense_near_flags(mesh, pts):
     """Reference: the unchunked near flags, from a dense (m, n) distance."""
     d = np.linalg.norm(pts[:, None, :] - mesh.points[None, :, :], axis=2)
     j = np.argmin(d, axis=1)
-    return d[np.arange(len(pts)), j] < potentials.NEAR_FACTOR * mesh.weights[j]
+    return d[np.arange(len(pts)), j] < potentials.NEAR_FACTOR * mesh.panel_lengths[j]
 
 
 def dense_single_layer(mesh, phi, x):
@@ -182,6 +184,69 @@ def test_lorentzian_gather_scratch_is_a_fraction_of_the_block():
     # matrices at n = 2,064
     spec = RodSpec(L=2.0, delta=0.001, angle=0.3, center=(0.1, -0.2))
     assert _assembly_scratch(build_mesh(spec, *default_counts(spec))) <= 3 << 19
+
+
+def table_cross_blocks(mesh):
+    """Oracle on equal facade panels: the top side's rows of A_R2 and
+    A_R1R2 against their top side columns, from one table of
+    lorentzian_weights over every panel offset, as assembly once gathered
+    them.  Row a' is the top node over bottom node k = nf-1-a'; column b'
+    is bottom node nf-1-b' in A_R2 and b' in A_R1R2.  For a row at Gauss
+    node i, lines[i, 8 (o + panels - 1) + j] weighs source node j of the
+    panel o to the right, at z = t_i - 2 o + i beta."""
+    nf = mesh.n_facade
+    panels = nf // PANEL_ORDER
+    beta = 4.0 * mesh.spec.delta / (mesh.spec.L / panels)
+    z = potentials.GAUSS_NODES - 2.0 * np.arange(1 - panels, panels)[:, None] + 1j * beta
+    lines = potentials.lorentzian_weights(z).transpose(1, 0, 2).reshape(PANEL_ORDER, -1)
+    windows = np.lib.stride_tricks.sliding_window_view(lines, nf // 2, axis=1)
+    k = np.arange(nf - 1, nf // 2 - 1, -1)
+    i, start = k % PANEL_ORDER, PANEL_ORDER * (panels - 1 - k // PANEL_ORDER)
+    return windows[i, start + nf // 2, ::-1], windows[i, start]
+
+
+@pytest.mark.parametrize("mesh", [
+    SYMMETRY_MESHES["odd_panels"], SYMMETRY_MESHES["minimal"], rod_mesh,
+    lambda: build_mesh(RodSpec(L=2.0, delta=0.01), *default_counts(RodSpec(L=2.0, delta=0.01))),
+    lambda: build_mesh(RodSpec(L=2.0, delta=0.001, angle=0.3, center=(0.1, -0.2)),
+                       n_cap=32, n_facade=1000)],
+    ids=["odd_panels", "minimal", "rod", "fieldmap", "thin_rod"])
+def test_cross_facade_blocks_match_the_offset_table(mesh):
+    # the node rule beyond |z| = 12 and the product weights within it,
+    # one routine for any panels, against the table that equal panels
+    # allowed.  Measured: <= 1.3e-13 of each block's largest entry
+    mesh = mesh()
+    mc = mesh.n_cap // 2
+    mats = assemble_np(mesh).orbit_matrices
+    for got, want in zip(mats[2:, mc:, mc:], table_cross_blocks(mesh)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_graded_correction_lies_in_the_even_block(refined_graded_mesh):
+    # a rank-one term fix_b w_b / |Gamma| on every entry of column b, in
+    # all four orbit matrices, cancels in the three odd blocks.  The mesh
+    # has an odd number of facade panels, so one straddles x1 = 0.  It is
+    # unplaced: the world-frame reference loses 1e-11 of an entry to
+    # rounding in x - y across the short junction panels of a placed rod.
+    # Measured: column sums within 6.1e-16 of 1/2, raw sums within
+    # 1.5e-13 and blocks within 3.5e-13 of the reference
+    mesh = refined_graded_mesh(RodSpec(L=1.0, delta=0.05), 0)
+    assert mesh.graded and mesh.n_facade // PANEL_ORDER % 2 == 1
+    npm = assemble_np(mesh)
+    ref = dense_np(mesh, correct=False)
+    assert np.abs(npm.weighted_column_sums() - 0.5).max() <= 1e-13
+    assert np.allclose(npm.raw_weighted_column_sums(), mesh.weights @ ref / mesh.weights,
+                       rtol=0.0, atol=1e-12)
+    orbits = mesh.orbits
+    ref_mats = np.stack([ref[np.ix_(orbits[0], orbits[g])] for g in range(4)])
+    for s in range(1, 4):
+        want = np.tensordot(potentials.CHI[s], ref_mats, axes=1)
+        assert np.abs(npm.block(s) - want).max() <= 1e-12 * np.abs(want).max()
+    # the even block takes 4 fix_b w_b / |Gamma| in column b
+    wq = mesh.weights[orbits[0]]
+    fix = npm.correction[orbits[0]] * wq
+    want = np.tensordot(potentials.CHI[0], ref_mats, axes=1) + 4.0 * fix * wq / mesh.weights.sum()
+    assert np.abs(npm.block(0) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_same_side_facade_pairs_are_zero():
@@ -348,7 +413,7 @@ def test_np_kernel_on_disc_is_constant():
     # [DERIVED] on a circle of radius R the kernel equals 1/(4*pi*R)
     mesh = disc_mesh()
     npm = assemble_np(mesh)
-    raw = npm.matrix - np.diag(npm.diag_correction * mesh.weights)
+    raw = npm.matrix - np.diag(npm.correction * mesh.weights)
     kern = raw / mesh.weights[None, :]
     assert np.allclose(kern, 1.0 / (4.0 * np.pi), atol=1e-14)
 
@@ -369,7 +434,7 @@ def test_np_column_sums():
 
 def test_np_diag_correction_vanishes_on_disc():
     npm = assemble_np(disc_mesh())
-    assert np.abs(npm.diag_correction).max() < 1e-12
+    assert np.abs(npm.correction).max() < 1e-12
 
 
 def test_np_spectrum_disc():
@@ -671,17 +736,20 @@ def test_below_the_pair_threshold_every_point_takes_the_direct_sum(expansions):
 
 
 def test_expansion_is_refused_where_a_far_point_could_be_near(expansions, monkeypatch):
-    # a point with |w| >= 2 R is at least a R / 4 from every node, so the
-    # expansion is taken only where a R / 4 >= NEAR_FACTOR max w_j: on this
-    # disc (a R / 4 = 0.35, max w_j = 0.40) below a factor of 0.88, not
-    # above it.  At a factor of 3 points at |w| = 2.01 R are flagged
+    # a point with |w| >= 2 R is at least the gap (a/2)(R - 1/(2R)) between
+    # the confocal ellipses |w| = R and 2 R from every node, so the
+    # expansion is taken only where that gap >= NEAR_FACTOR times the
+    # longest panel: on this disc (gap 0.70, panels 2.20 long) below a
+    # factor of 0.32, not above it.  At a factor of 3 points at
+    # |w| = 2.01 R are flagged
     monkeypatch.setattr(potentials, "FAR_MIN_PAIRS", 0)
     mesh = build_mesh(RodSpec(L=0.0, delta=0.7), n_cap=8)
     phi = DensityVector(values=np.ones(len(mesh)), mesh=mesh)
     radius = _far_radius(mesh)
     pts = joukowski_points(mesh, 2.01 * radius * np.exp(1j * np.arange(64)))
     assert _far_mask(mesh, pts).all()
-    bound = focal(mesh.spec) * radius / 4.0 / mesh.weights.max()
+    gap = focal(mesh.spec) * (radius - 0.5 / radius) / 2.0
+    bound = gap / mesh.panel_lengths.max()
     for factor in (bound * (1.0 - 1e-9), bound * (1.0 + 1e-9), 3.0):
         monkeypatch.setattr(potentials, "NEAR_FACTOR", factor)
         vals, grads, near = single_layer_field(mesh, phi, pts)

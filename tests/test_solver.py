@@ -9,7 +9,9 @@ import scipy.linalg
 from rodfield import (DensityVector, HarmonicBackground, RodSpec, ValidationError,
                       build_mesh, eval_field, eval_grad_u, eval_u, lambda_of_sigma,
                       single_layer_field, solve_forward, transmission_check)
+from rodfield.geometry import default_counts, signed_distance, to_world
 from rodfield.inverse import sensor_circle
+from rodfield.potentials import assemble_np, neumann_data, solve_density
 from rodfield.solver import disc_exterior_grad, disc_exterior_u, disc_interior_u
 
 
@@ -186,3 +188,59 @@ def test_near_insulating_rod_at_default_counts():
     ref = plain_nystrom_density(fine, lambda_of_sigma(spec.sigma0), bg)
     s_ref, _, _ = single_layer_field(fine, ref, probe)
     assert np.abs(s_bem - s_ref).max() <= 5e-6 * np.abs(s_ref).max()
+
+
+THIN_ROD = dict(L=2.0, center=(0.1, -0.2), angle=0.3)
+THIN_BACKGROUNDS = (HarmonicBackground.linear((1.0, 0.5)),
+                    HarmonicBackground.polynomial((0.3, 1.0, 0.5, 1.0, -0.7)))
+
+
+def _perturbations(mesh, sigma0, pts, backgrounds=THIN_BACKGROUNDS):
+    """The perturbation at pts of each of the backgrounds on ``mesh``."""
+    npm = assemble_np(mesh)
+    return [single_layer_field(mesh, solve_density(npm, lambda_of_sigma(sigma0),
+                                                   neumann_data(mesh, bg)), pts)[0]
+            for bg in backgrounds]
+
+
+@pytest.mark.parametrize("sigma0", [2.0, 100.0, 0.01])
+@pytest.mark.parametrize("delta", [0.002, 0.001])
+def test_default_mesh_of_a_thin_rod_is_graded(delta, sigma0):
+    # against the uniform mesh of 2x the cap and 3x the facade counts, on
+    # 64 probes at r = 3: the graded default (n = 960, 992) is off by at
+    # most 1.16e-7 of the perturbation, the uniform default it replaced
+    # (n = 1,072, 2,064) by up to 8.4e-7
+    spec = RodSpec(delta=delta, sigma0=sigma0, **THIN_ROD)
+    mesh = build_mesh(spec)
+    assert mesh.rule == "graded" and len(mesh) == {0.002: 960, 0.001: 992}[delta]
+    probe = sensor_circle(spec.center, 3.0, 64)
+    dc, df = default_counts(spec)
+    refs = _perturbations(build_mesh(spec, 2 * dc, 3 * df), sigma0, probe)
+    for s, ref in zip(_perturbations(mesh, sigma0, probe), refs):
+        assert np.abs(s - ref).max() <= 2e-7 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("sigma0", [2.0, 100.0, 0.01])
+def test_unflagged_points_near_a_thin_rod_are_accurate(sigma0, refined_graded_mesh):
+    # points within 0.1 of the rod, a quarter of them within 6 delta of a
+    # cap junction.  The near band was two node weights, 0.1 to 0.36 of a
+    # panel: on the graded mesh it left points unflagged at up to 6.5e-4 of
+    # the perturbation off a twice refined mesh (sigma0 = 0.01; 3.9e-5 at
+    # sigma0 = 2).  Half a panel leaves them within 3.4e-7 (1.6e-8)
+    delta = 0.001
+    spec = RodSpec(delta=delta, sigma0=sigma0, **THIN_ROD)
+    rng = np.random.default_rng(7)
+    local = np.column_stack([rng.uniform(-1.1, 1.1, 6000), rng.uniform(-0.101, 0.101, 6000)])
+    t = np.linspace(-6.0, 6.0, 25) * delta
+    corner = np.stack(np.meshgrid(1.0 + t, delta + t), axis=-1).reshape(-1, 2)
+    local = np.vstack([local, corner, corner * [-1.0, 1.0], corner * [1.0, -1.0]])
+    pts = to_world(spec, local)
+    dist = signed_distance(spec, pts)
+    pts = pts[(dist > 0.0) & (dist <= 0.1)]
+    bg = THIN_BACKGROUNDS[0]
+    sol = solve_forward(spec, bg)
+    assert sol.mesh.rule == "graded"
+    s, _, near = single_layer_field(sol.mesh, sol.phi, pts)
+    ref, = _perturbations(refined_graded_mesh(spec, 2), sigma0, pts, [bg])
+    assert 0 < np.count_nonzero(near) < len(pts) // 2
+    assert np.abs(s - ref)[~near].max() <= 2e-5 * np.abs(ref).max()
