@@ -129,9 +129,9 @@ def perturbation_linear(a, L: float, c_ax: float, c_tr: float, x) -> NDArray:
 class AsymptoticModel:
     """Closed-form field model for one rod placement and background.
 
-    Evaluation is frame-covariant: world points are pulled into the local
-    frame, the closed forms are evaluated there, and gradients are rotated
-    back.
+    :func:`asymptotic_perturbation` takes and returns rod-frame points and
+    gradients; :func:`asymptotic_field` and the ``asym_*`` wrappers map
+    world points into the frame and rotate the gradient back.
     """
 
     L: float
@@ -201,34 +201,35 @@ def _axis_chunk(model: AsymptoticModel, bg: HarmonicBackground,
     return u, np.stack([g1, g2], axis=1)
 
 
-def asymptotic_perturbation(model: AsymptoticModel, x) -> tuple[NDArray, NDArray]:
-    """The leading-order perturbation u - H (m,) and its gradient (m, 2) on
-    world points (m, 2), for any degree-2 background (see :func:`_axis_chunk`).
+def asymptotic_perturbation(model: AsymptoticModel, xl) -> tuple[NDArray, NDArray]:
+    """The leading-order perturbation u - H (m,) and its rod-frame gradient
+    (m, 2) at rod-frame points (m, 2), for any degree-2 background (:func:`_axis_chunk`).
 
     Formed without H, so no digits cancel where |u - H| is small against
     |H|.  Exact up to rounding at every point but the cap centres, which
     are refused, close to the axis and inside the cap discs included.  On
-    the axis inside the segment (x2 = 0 in the rod frame) the values are the
-    upper-side limits x2 -> +0, the convention of :func:`_arctan_pair`.
+    the axis inside the segment (x2 = 0) the values are the upper-side
+    limits x2 -> +0, the convention of :func:`_arctan_pair`.
 
     Points go in chunks, so the few dozen float temporaries per point fit
     ``potentials.FIELD_CHUNK_BYTES``.
     """
-    xl = np.atleast_2d(to_local(model, x))
+    xl = np.atleast_2d(np.asarray(xl, dtype=float))
     bg = model._local_background()
     rows = max(1, potentials.FIELD_CHUNK_BYTES // 512)
     s = np.empty(len(xl))
     g = np.empty_like(xl)
     for i in range(0, len(xl), rows):
         s[i:i + rows], g[i:i + rows] = _axis_chunk(model, bg, xl[i:i + rows])
-    return s, g @ rotation_matrix(model.angle).T
+    return s, g
 
 
 def asymptotic_field(model: AsymptoticModel, x) -> tuple[NDArray, NDArray]:
     """Leading-order potential u (m,) and gradient (m, 2) on world points
     (m, 2): the background plus :func:`asymptotic_perturbation`."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    s, gs = asymptotic_perturbation(model, x)
+    s, gs = asymptotic_perturbation(model, to_local(model, x))
+    gs = gs @ rotation_matrix(model.angle).T
     return model.background.value(x) + s, model.background.grad(x) + gs
 
 

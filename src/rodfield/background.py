@@ -76,3 +76,9 @@ class HarmonicBackground:
         d3 = c3 * c2a + 0.5 * c4 * s2a
         d4 = -2.0 * c3 * s2a + c4 * c2a
         return HarmonicBackground((c0, d1, d2, d3, d4))
+
+    def in_frame(self, frame) -> "HarmonicBackground":
+        """H' with H'(x) = H(c + R x), c and R the centre and the rotation of
+        ``frame`` (a RodSpec): H's Taylor series about c, rotated."""
+        about_c = (self.value(frame.center), *self.grad(frame.center), *self.coeffs[3:])
+        return HarmonicBackground(about_c).rotated(frame.angle)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .background import HarmonicBackground
 from .config import ConfigError, RunConfig, load_config
-from .geometry import ValidationError
+from .geometry import ValidationError, to_world
 from .inverse import (IdentifiabilityError, SensorSet, fit_rod, sensor_circle,
                       simulate_measurements)
 from .potentials import SolverError
@@ -42,12 +42,11 @@ CSV_BLOCK_ROWS = 256
 
 def _blocks(col: np.ndarray):
     """The CSV cells of one column, a list per block of CSV_BLOCK_ROWS rows:
-    floats by repr, integers and strings as themselves, flags as 0/1."""
-    if col.dtype == bool:
-        col = col.astype(np.int8)
-    fmt = repr if col.dtype.kind == "f" else str
+    floats by repr, integers by str, flags as 0/1 and text as it is."""
+    fmt = {"f": repr, "i": str, "u": str, "b": ("0", "1").__getitem__}.get(col.dtype.kind)
     for start in range(0, len(col), CSV_BLOCK_ROWS):
-        yield list(map(fmt, col[start:start + CSV_BLOCK_ROWS].tolist()))
+        block = col[start:start + CSV_BLOCK_ROWS].tolist()
+        yield block if fmt is None else list(map(fmt, block))
 
 
 def write_csv(path: str, header, *columns) -> None:
@@ -108,6 +107,21 @@ def _field_columns(cfg: RunConfig, pts: np.ndarray, s, gs, near) -> tuple:
     u, g = cfg.background.value(pts) + s, cfg.background.grad(pts) + gs
     refuse_non_finite("u", pts, u, g)
     return u, g[:, 0], g[:, 1], near
+
+
+def _refuse_clashes(args) -> None:
+    """Refuse an output path that names the file of an input or of another
+    output, which would leave one file where two were meant.  Run before
+    any file is opened; ``--data`` is an output under ``--synthesize``."""
+    seen = {}
+    for name in ("config", "data", "out", "density"):
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in seen and (name != "data" or args.synthesize):
+            raise ConfigError(f"--{name} and --{seen[real]} name the same file {path!r}")
+        seen.setdefault(real, name)
 
 
 def _open_outputs(*paths: str | None) -> None:
@@ -240,7 +254,7 @@ def cmd_forward(args) -> int:
     write_csv(args.out, FIELD_HEADER, *cells, *field)
     if args.density:
         write_csv(args.density, ["index", "x1", "x2", "phi"], np.arange(len(sol.mesh)),
-                  *sol.mesh.points.T, sol.phi.values)
+                  *to_world(cfg.rod, sol.mesh.points).T, sol.phi.values)
     print(f"forward: wrote {len(pts)} rows to {args.out}  n={len(sol.mesh)}  "
           f"mesh={sol.mesh.rule}  "
           f"residual={sol.phi.residual:.2e}  blocks={sol.phi.factored_blocks}  "
@@ -309,6 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         # in process gets the code, as from any other error
         return exc.code
     try:
+        _refuse_clashes(args)
         # every non-finite value is refused with its own error line; numpy's
         # overflow and invalid-value warnings would only print before it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

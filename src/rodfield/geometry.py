@@ -3,7 +3,8 @@
 The inclusion is a 2*delta-thick rectangle of length L capped by two
 half-disks of radius delta.  In the rod's local frame the cap centres are
 P = (-L/2, 0) and Q = (L/2, 0); the world placement is a rotation by
-``angle`` followed by a translation by ``center``.
+``angle`` followed by a translation by ``center``.  The mesh stays in the
+rod frame: ``solver`` alone places the rod.
 
 Quadrature: each smooth segment (two caps, two facade sides) is split
 into panels carrying a Gauss-Legendre rule, so sums against the node
@@ -128,14 +129,14 @@ class BoundaryMesh:
     in arc length.  The ``graded`` rule (:func:`graded_panels`) takes its
     panels from ``spec`` alone and ignores the counts given; ``n_cap`` and
     ``n_facade`` then hold its own.  ``n_facade`` is ignored for the disc
-    case L = 0.  Positions and normals are in world coordinates, and
-    ``panel_lengths`` holds the arc length of each node's panel.
+    case L = 0.  Positions and normals are in the rod frame, whatever
+    ``spec.center`` and ``spec.angle``, and ``panel_lengths`` holds the arc
+    length of each node's panel.
 
     The half mesh, the bottom side left to right and then the right cap,
-    is built once in the rod frame; the top side and the left cap are its
-    point reflection x -> -x, node for node, so the mesh is symmetric under
-    both mirrors exactly before the one rigid motion.  Row g of ``orbits``
-    (4, n/4) is g(q) for the elements (e, R1, R2, R1R2) of that mirror
+    is built once; the top side and the left cap are its point reflection
+    x -> -x, node for node, so the mesh is symmetric under both mirrors
+    exactly.  Row g of ``orbits`` (4, n/4) is g(q) for the elements (e, R1, R2, R1R2) of that mirror
     group, q the quarter arc that starts at the middle of the right cap.
     Nodes run counterclockwise, so each mirror reverses the index order:
     R1 is i -> (n_facade - 1 - i) mod n and R2 is
@@ -171,14 +172,13 @@ class BoundaryMesh:
         half = np.concatenate([np.column_stack([s_fac - L / 2.0, np.full(nf, -d)]),
                                [L / 2.0, 0.0] + d * nu_cap])
         half_normals = np.concatenate([np.tile([0.0, -1.0], (nf, 1)), nu_cap])
-        normals = np.concatenate([half_normals, -half_normals])
         n = 2 * (nc + nf)
         q = np.arange(nf + nc // 2, nf + nc // 2 + n // 4) % n
         object.__setattr__(self, "n_cap", nc)
         object.__setattr__(self, "n_facade", nf)
         for name, value in (
-                ("points", to_world(spec, np.concatenate([half, -half]))),
-                ("normals", normals @ rotation_matrix(spec.angle).T),
+                ("points", np.concatenate([half, -half])),
+                ("normals", np.concatenate([half_normals, -half_normals])),
                 ("curvatures", np.tile(np.repeat([0.0, 1.0 / d], [nf, nc]), 2)),
                 ("weights", np.tile(np.concatenate([w_fac, d * w_cap]), 2)),
                 ("panel_lengths", np.tile(np.concatenate([h_fac, d * h_cap]), 2)),

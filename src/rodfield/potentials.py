@@ -43,8 +43,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .background import HarmonicBackground
-from .geometry import (GAUSS_NODES, PANEL_ORDER, BoundaryMesh, ValidationError,
-                       rotation_matrix, to_local)
+from .geometry import GAUSS_NODES, PANEL_ORDER, BoundaryMesh, ValidationError
 
 #: An evaluation point whose nearest node is closer than this many times
 #: that node's panel length gets a proximity flag on the result: off a
@@ -327,15 +326,15 @@ class NpMatrix:
 def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
     """Assemble the orbit matrices of the Nystrom NP matrix for ``mesh``.
 
-    The kernel is evaluated in the rod frame.  The quarter arc q holds
-    n_cap/2 cap nodes and then n_facade/2 nodes of the top side, and so
-    does each of its images, the exact sign flips of its coordinates.
-    Entries with a cap node on either end take the general kernel, in one
-    pass of :func:`_orbit_kernel` over the cap rows.  Facade pairs follow
-    from the straight sides: on one side (x - y).nu_x = 0, so the pair is
-    0, and across the rod x2 - y2 = 2 delta gives the Lorentzian
-    delta / (pi (t^2 + 4 delta^2)) with t = x1 - y1, the kernel of the
-    closed form's A_delta, written by :func:`_cross_facade`.
+    The mesh is in the rod frame, so the matrices do not depend on where
+    the rod is placed.  The quarter arc q holds n_cap/2 cap nodes and then
+    n_facade/2 nodes of the top side, and so does each of its images, the
+    exact sign flips of its coordinates.  Entries with a cap node on either
+    end take the general kernel, in one pass of :func:`_orbit_kernel` over
+    the cap rows.  Facade pairs follow from the straight sides: on one side
+    (x - y).nu_x = 0, so the pair is 0, and across the rod x2 - y2 = 2 delta
+    gives the Lorentzian delta / (pi (t^2 + 4 delta^2)) with t = x1 - y1,
+    the kernel of the closed form's A_delta, written by :func:`_cross_facade`.
 
     The kernel's weighted column sums are 1/2 in the continuum; the
     quadrature leaves a deficit fix_b in column b.  A uniform mesh adds
@@ -345,22 +344,20 @@ def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
     A_g, which cancels in every parity block but (+, +).  Either way every
     weighted column sum is 1/2 to rounding.
     """
-    spec, orbits = mesh.spec, mesh.orbits
+    orbits = mesh.orbits
     q, mc = orbits[0], mesh.n_cap // 2
     m = len(q)
-    xq = to_local(spec, mesh.points[q])
-    nq = mesh.normals[q[:mc]] @ rotation_matrix(spec.angle)
-    wq = mesh.weights[q]
+    xq, wq = mesh.points[q], mesh.weights[q]
     diag = np.arange(m)
 
     # rows on the quarter arc against the columns of each orbit: A_g.
     # The weights are equal along each orbit, so every A_g carries wq.
     mats = np.empty((4, m, m))
-    _orbit_kernel(mats, xq, nq, wq, mc)
+    _orbit_kernel(mats, xq, mesh.normals[q[:mc]], wq, mc)
     if mesh.n_facade:
         mats[:2, mc:, mc:] = 0.0   # same side
         _cross_facade(mats, xq[mc:, 0], wq[mc:], mesh.panel_lengths[q[mc:]], mc,
-                      spec.delta)
+                      mesh.spec.delta)
     mats[0, diag, diag] = mesh.curvatures[q] * wq / (4.0 * np.pi)
 
     # the deficit of each weighted column sum, equal along each orbit
@@ -378,7 +375,8 @@ def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
 
 
 def neumann_data(mesh: BoundaryMesh, bg: HarmonicBackground) -> DensityVector:
-    """Normal derivative of the background sampled at the mesh nodes."""
+    """Normal derivative of the background ``bg``, taken in the rod frame
+    (``HarmonicBackground.in_frame``), at the mesh nodes."""
     g = bg.grad(mesh.points)
     return DensityVector(values=np.einsum("ij,ij->i", g, mesh.normals),
                          mesh=mesh)
@@ -467,31 +465,29 @@ def _direct_field(mesh: BoundaryMesh, pw: NDArray,
     return out, near
 
 
-def _joukowski(spec, a: float, pts: NDArray) -> NDArray:
-    """The exterior Joukowski variable w (m,) of points (m, 2) in the frame
-    of ``spec``: (z - c) e^(-i theta) = a (w + 1/w) / 2 with |w| >= 1, the
-    branch w = s + sqrt(s - 1) sqrt(s + 1), s = (z - c) e^(-i theta) / a.
-    The scratch is chunked to FIELD_CHUNK_BYTES."""
+def _joukowski(a: float, pts: NDArray) -> NDArray:
+    """The exterior Joukowski variable w (m,) of rod-frame points (m, 2):
+    z = a (w + 1/w) / 2 with |w| >= 1, the branch w = s + sqrt(s - 1)
+    sqrt(s + 1), s = z / a.  The scratch is chunked to FIELD_CHUNK_BYTES."""
     w = np.empty(len(pts), dtype=complex)
     rows = max(1, FIELD_CHUNK_BYTES // 96)
     for i in range(0, len(pts), rows):
-        s = to_local(spec, pts[i:i + rows]).view(complex)[:, 0] / a
+        s = np.ascontiguousarray(pts[i:i + rows]).view(complex)[:, 0] / a
         w[i:i + rows] = s + np.sqrt(s - 1.0) * np.sqrt(s + 1.0)
     return w
 
 
-def _multipole_field(mesh: BoundaryMesh, pw: NDArray, w: NDArray,
-                     nodes: NDArray, a: float) -> NDArray:
+def _multipole_field(pw: NDArray, w: NDArray, nodes: NDArray, a: float) -> NDArray:
     """Rows of :func:`_direct_field` at points of Joukowski variable w
     (:func:`_joukowski`), |w| >= FAR_RATIO R, R the largest |w_j| of ``nodes``.
 
     In complex notation 4 pi S = 2 Re F with F(z) = sum_j q_j log(z - y_j),
     q_j = pw[j], and 2 pi grad S = (Re F', -Im F').  As
-    z - y_j = (a/2) (w - w_j) (1 - 1/(w w_j)) e^(i theta), with u = R / w
+    z - y_j = (a/2) (w - w_j) (1 - 1/(w w_j)), with u = R / w
     and c_k = sum_j q_j ((w_j / R)^k + (1 / (w_j R))^k), Re F is
     Q log(a |w| / 2) - Re sum_k c_k u^k / k, Q = sum_j q_j, and
     R dF/dw = u (Q + sum_k c_k u^k), both summed by Horner's rule in u;
-    dz/dw = (a/2) (1 - w^-2) e^(i theta).  (a |w| / 2)^2 is |z - c|^2 to
+    dz/dw = (a/2) (1 - w^-2).  (a |w| / 2)^2 is |z|^2 to
     rounding, so S is not finite where the direct sum's r^2 overflows.
     The scratch is chunked to FIELD_CHUNK_BYTES.
     """
@@ -505,7 +501,7 @@ def _multipole_field(mesh: BoundaryMesh, pw: NDArray, w: NDArray,
         qt *= t
     coef[:-1, 1] = coef[1:, 0] / np.arange(1, FAR_TERMS + 1)
     coef[0, 0] /= 2.0
-    rot = 2.0 * np.exp(-1j * mesh.spec.angle) / (a * R)
+    rot = 2.0 / (a * R)
     out = np.empty((len(w), 3))
     rows = max(1, FIELD_CHUNK_BYTES // 160)
     for i in range(0, len(w), rows):
@@ -525,7 +521,8 @@ def _multipole_field(mesh: BoundaryMesh, pw: NDArray, w: NDArray,
 
 def single_layer_field(mesh: BoundaryMesh, phi: DensityVector,
                        x) -> tuple[NDArray, NDArray, NDArray]:
-    """Single-layer potential of ``phi``, its exact gradient and the near flag.
+    """Single-layer potential of ``phi``, its exact gradient and the near
+    flag, at points ``x`` in the rod frame, with the gradient in that frame.
 
     ``near`` flags points whose nearest node is closer than NEAR_FACTOR
     times its panel length, where the composite Gauss-Legendre rule
@@ -555,12 +552,12 @@ def single_layer_field(mesh: BoundaryMesh, phi: DensityVector,
     far = None
     if len(pts) * len(mesh) >= FAR_MIN_PAIRS:
         a = max(mesh.spec.L / 2.0, 1e-3 * mesh.spec.delta)
-        nodes = _joukowski(mesh.spec, a, mesh.points)
+        nodes = _joukowski(a, mesh.points)
         R = np.abs(nodes).max()
         # the gap between the ellipses |w| = R and |w| = FAR_RATIO R
         rho = FAR_RATIO * R
         if a * (rho + 1.0 / rho - R - 1.0 / R) / 2.0 >= NEAR_FACTOR * mesh.panel_lengths.max():
-            w = _joukowski(mesh.spec, a, pts)
+            w = _joukowski(a, pts)
             far = np.abs(w) >= FAR_RATIO * R
             if np.count_nonzero(far) * len(mesh) < FAR_MIN_PAIRS:
                 far = None
@@ -569,7 +566,7 @@ def single_layer_field(mesh: BoundaryMesh, phi: DensityVector,
     else:
         out = np.empty((len(pts), 3))   # 2 pi dS/dx1, 2 pi dS/dx2, 4 pi S
         near = np.zeros(len(pts), dtype=bool)
-        out[far] = _multipole_field(mesh, pw, w[far], nodes, a)
+        out[far] = _multipole_field(pw, w[far], nodes, a)
         del w   # before the direct sum's scratch is allocated
         out[~far], near[~far] = _direct_field(mesh, pw, pts[~far])
     vals, grads = out[:, 2] / (4.0 * np.pi), out[:, :2] / (2.0 * np.pi)

@@ -41,7 +41,7 @@ def check_mesh_closure(mesh: BoundaryMesh) -> list[CheckResult]:
     w, nu, x = mesh.weights, mesh.normals, mesh.points
     perim_err = abs(w.sum() - spec.perimeter) / spec.perimeter
     closure = float(np.linalg.norm(w @ nu))
-    area = 0.5 * float(np.dot(w, np.einsum("ij,ij->i", x - np.asarray(spec.center), nu)))
+    area = 0.5 * float(np.dot(w, np.einsum("ij,ij->i", x, nu)))
     area_err = abs(area - spec.area) / spec.area
     return [
         CheckResult("mesh perimeter (relative)", perim_err <= 1e-10, perim_err, 1e-10),

@@ -22,7 +22,7 @@ from rodfield import (AsymptoticModel, RodSpec, build_mesh, potentials, sensor_c
 from rodfield.asymptotics import asymptotic_perturbation
 from rodfield.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from rodfield.config import load_config
-from rodfield.geometry import default_counts
+from rodfield.geometry import default_counts, rotation_matrix, to_local
 from rodfield.solver import perturbation
 
 
@@ -124,7 +124,8 @@ def test_grid_commands_write_the_perturbation(model, tmp_path):
         s, gs, _ = single_layer_field(sol.mesh, sol.phi, pts)
     else:
         s, gs = asymptotic_perturbation(
-            AsymptoticModel.from_spec(cfg.rod, cfg.background), pts)
+            AsymptoticModel.from_spec(cfg.rod, cfg.background), to_local(cfg.rod, pts))
+        gs = gs @ rotation_matrix(cfg.rod.angle).T
     fmap, field, dens = (tmp_path / f"{n}.csv" for n in ("fm", "field", "dens"))
     assert main(["fieldmap", "--config", str(path), "--model", model,
                  "--out", str(fmap)]) == EXIT_OK
@@ -298,7 +299,7 @@ def test_invert_two_rod_data_exits_1(tmp_path):
     for center, angle in (((-0.8, 0.3), 0.2), ((0.7, -0.4), 1.9)):
         rod = RodSpec(L=1.0, delta=0.05, center=center, angle=angle, sigma0=2.0)
         u = u + asymptotic_perturbation(
-            AsymptoticModel.from_spec(rod, cfg.background), pts)[0]
+            AsymptoticModel.from_spec(rod, cfg.background), to_local(rod, pts))[0]
     data = tmp_path / "two.csv"
     np.savetxt(data, np.column_stack([pts, u]), delimiter=",",
                header="x1,x2,u", comments="", fmt="%.17g")
@@ -512,6 +513,29 @@ def test_unwritable_fit_leaves_data_unwritten(config_path, tmp_path, capsys):
     assert not data.exists()
 
 
+@pytest.mark.parametrize("argv, options", [
+    (["forward", "--out", "{x}", "--density", "{dir}/./x"], ("--density", "--out")),
+    (["forward", "--out", "{config}"], ("--out", "--config")),
+    (["invert", "--synthesize", "--model", "asymptotic", "--data", "{x}", "--out", "{x}"],
+     ("--out", "--data")),
+    (["invert", "--data", "{data}", "--out", "{data}"], ("--out", "--data")),
+], ids=["forward-out-density", "forward-out-config", "invert-synthesize", "invert-data"])
+def test_an_output_that_names_an_input_or_another_output_is_refused(argv, options, config_path,
+                                                                    tmp_path, capsys):
+    # each exited 0 and left one file where two were meant: the config or
+    # the data overwritten, or the density or fit.json alone in x
+    data = tmp_path / "data.csv"
+    data.write_text("x1,x2,u\n3.0,0.0,3.0\n0.0,3.0,1.5\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    paths = dict(x=str(tmp_path / "x"), dir=str(tmp_path), config=config_path, data=str(data))
+    argv = [argv[0], "--config", config_path, *(a.format(**paths) for a in argv[1:])]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert all(option in err for option in options)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("rod:\n  L: 2.0\n  delta: -1.0\nbackground:\n  a: [1, 0]\n")
@@ -681,11 +705,13 @@ def test_overflowing_output_column_exits_2(argv, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, code, message", [
-    # every rod-frame node collapses onto 0: the solve died in a LinAlgError
-    # traceback ("SVD did not converge") while estimating the condition
-    (["forward"], EXIT_FAILURE, "error: density system has non-finite entries "),
-    (["fieldmap", "--model", "bem"], EXIT_FAILURE,
-     "error: density system has non-finite entries "),
+    # the BEM is solved in the rod frame, so its solve succeeds, and every
+    # grid point is 1e300 from the rod, where r^2 overflows.  While the
+    # mesh was placed, every rod-frame node collapsed onto 0 and the solve
+    # died in a LinAlgError traceback ("SVD did not converge"), later
+    # refused as non-finite entries, exit 1
+    (["forward"], EXIT_USAGE, "error: u - H is not finite at (-3.0, -3.0)"),
+    (["fieldmap", "--model", "bem"], EXIT_USAGE, "error: u - H is not finite at (-3.0, -3.0)"),
     # the closed form wrote nan cells and exited 0
     (["asymptotic"], EXIT_USAGE, "error: u - H is not finite at (-3.0, -3.0)"),
 ], ids=["forward", "fieldmap-bem", "asymptotic"])
@@ -1051,9 +1077,10 @@ def test_forward_solves_a_rod_thinner_than_the_uniform_mesh_allows(delta, sigma0
     cfg = load_config(str(path))
     s = rows[:, 2] - cfg.background.value(rows[:, :2])
     mesh = refined_graded_mesh(cfg.rod, 2)
+    bg = cfg.background.in_frame(cfg.rod)
     phi = potentials.solve_density(potentials.assemble_np(mesh), rodfield.lambda_of_sigma(sigma0),
-                                   potentials.neumann_data(mesh, cfg.background))
-    ref = single_layer_field(mesh, phi, rows[:, :2])[0]
+                                   potentials.neumann_data(mesh, bg))
+    ref = single_layer_field(mesh, phi, to_local(cfg.rod, rows[:, :2]))[0]
     assert np.abs(s - ref).max() <= 1e-6 * np.abs(ref).max()
 
 

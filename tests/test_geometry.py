@@ -157,8 +157,7 @@ def loop_build_mesh(spec, n_cap, n_facade=0):
         facade(d, True, TAG_FACADE_TOP)
         cap(P, np.pi / 2.0, TAG_CAP_LEFT)
 
-    return dict(points=to_world(spec, np.concatenate(pts)),
-                normals=np.concatenate(nrm) @ rotation_matrix(spec.angle).T,
+    return dict(points=np.concatenate(pts), normals=np.concatenate(nrm),
                 curvatures=np.concatenate(kap), weights=np.concatenate(wts),
                 tags=np.concatenate(tags), n_cap=n_cap, n_facade=n_facade)
 
@@ -195,8 +194,7 @@ def test_unplaced_mesh_is_its_own_point_reflection(name):
     spec = dataclasses.replace(MESH_CASES[name][0], center=(0.0, 0.0), angle=0.0)
     mesh = build_mesh(spec, *MESH_CASES[name][1])
     half = len(mesh) // 2
-    # exact, though the rotation by angle 0 may leave a zero component of
-    # a facade normal with either sign
+    # exact: the second half is the first negated
     assert np.array_equal(mesh.points[half:], -mesh.points[:half])
     assert np.array_equal(mesh.normals[half:], -mesh.normals[:half])
 
@@ -214,11 +212,9 @@ def test_orbits_are_mirror_images(name):
     orbits = mesh.orbits
     assert orbits.shape == (4, len(mesh) // 4)
     assert np.array_equal(np.sort(orbits, axis=None), np.arange(len(mesh)))
-    xl = to_local(spec, mesh.points)
-    nl = mesh.normals @ rotation_matrix(spec.angle)
-    # positions carry the rounding of the rigid motion, which grows with
-    # the rod's size and its distance from the origin
-    scale = np.abs(xl).max() + np.abs(spec.center).max()
+    xl, nl = mesh.points, mesh.normals
+    # a mirror image differs from its node by the rounding of the panel rule
+    scale = np.abs(xl).max()
     for g in range(4):
         flip = MIRROR_SIGNS[:, g]
         assert np.abs(xl[orbits[g]] - flip * xl[orbits[0]]).max() <= 1e-14 * scale
@@ -259,9 +255,8 @@ def test_graded_mesh(name):
     assert side[0] == side[-1] == spec.delta / 16.0
     assert side.max() <= spec.L / 32.0 * (1.0 + 1e-12)
     assert np.array_equal(side, side[::-1])
-    xl = to_local(spec, mesh.points)
-    scale = np.abs(xl).max() + np.abs(spec.center).max()
-    nl = mesh.normals @ rotation_matrix(spec.angle)
+    xl, nl = mesh.points, mesh.normals
+    scale = np.abs(xl).max()
     for g in range(4):
         flip = MIRROR_SIGNS[:, g]
         assert np.abs(xl[mesh.orbits[g]] - flip * xl[mesh.orbits[0]]).max() <= 1e-14 * scale

@@ -9,10 +9,12 @@ import scipy.linalg
 from rodfield import (DensityVector, HarmonicBackground, RodSpec, ValidationError,
                       build_mesh, eval_field, eval_grad_u, eval_u, lambda_of_sigma,
                       single_layer_field, solve_forward, transmission_check)
-from rodfield.geometry import default_counts, signed_distance, to_world
+from rodfield.geometry import (default_counts, rotation_matrix, signed_distance, to_local,
+                               to_world)
 from rodfield.inverse import sensor_circle
 from rodfield.potentials import assemble_np, neumann_data, solve_density
-from rodfield.solver import disc_exterior_grad, disc_exterior_u, disc_interior_u
+from rodfield.solver import (disc_exterior_grad, disc_exterior_u, disc_interior_u,
+                            perturbation)
 
 
 def test_lambda_examples():
@@ -196,11 +198,12 @@ THIN_BACKGROUNDS = (HarmonicBackground.linear((1.0, 0.5)),
 
 
 def _perturbations(mesh, sigma0, pts, backgrounds=THIN_BACKGROUNDS):
-    """The perturbation at pts of each of the backgrounds on ``mesh``."""
-    npm = assemble_np(mesh)
-    return [single_layer_field(mesh, solve_density(npm, lambda_of_sigma(sigma0),
-                                                   neumann_data(mesh, bg)), pts)[0]
-            for bg in backgrounds]
+    """The perturbation at world points pts of each of the backgrounds on
+    ``mesh``, placed as its spec."""
+    spec, npm = mesh.spec, assemble_np(mesh)
+    return [single_layer_field(mesh, solve_density(
+        npm, lambda_of_sigma(sigma0), neumann_data(mesh, bg.in_frame(spec))),
+        to_local(spec, pts))[0] for bg in backgrounds]
 
 
 @pytest.mark.parametrize("sigma0", [2.0, 100.0, 0.01])
@@ -240,7 +243,51 @@ def test_unflagged_points_near_a_thin_rod_are_accurate(sigma0, refined_graded_me
     bg = THIN_BACKGROUNDS[0]
     sol = solve_forward(spec, bg)
     assert sol.mesh.rule == "graded"
-    s, _, near = single_layer_field(sol.mesh, sol.phi, pts)
+    s, _, near = single_layer_field(sol.mesh, sol.phi, to_local(spec, pts))
     ref, = _perturbations(refined_graded_mesh(spec, 2), sigma0, pts, [bg])
     assert 0 < np.count_nonzero(near) < len(pts) // 2
     assert np.abs(s - ref)[~near].max() <= 2e-5 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("sigma0", [2.0, 100.0])
+@pytest.mark.parametrize("delta", [1e-3, 1e-5])
+def test_a_rod_far_from_the_origin_is_the_rod_at_the_origin(delta, sigma0):
+    # D18: the same rod, points and field, all placed at (1e5, 3e5) and
+    # turned by 1.0.  While the mesh was placed and mapped back, the
+    # round trip cost digits in proportion to |center| / delta: the
+    # perturbation was off by 2.8e-9 (delta = 1e-3, sigma0 = 2) to 5.2e-6
+    # (1e-5, 100) of its size.  Solved in the rod frame, with only the
+    # points mapped into it, it is off by at most 5.2e-11
+    a, turn = np.array([1.0, 0.5]), rotation_matrix(1.0)
+    origin = RodSpec(L=2.0, delta=delta, sigma0=sigma0)
+    placed = RodSpec(L=2.0, delta=delta, sigma0=sigma0, center=(1e5, 3e5), angle=1.0)
+    pts = sensor_circle((0.0, 0.0), 3.0, 64)
+    s, gs, _, _ = perturbation(origin, HarmonicBackground.linear(a), pts)
+    s_placed, gs_placed, _, _ = perturbation(placed, HarmonicBackground.linear(turn @ a),
+                                             to_world(placed, pts))
+    assert np.abs(s_placed - s).max() <= 1e-9 * np.abs(s).max()
+    assert np.abs(gs_placed @ turn - gs).max() <= 1e-9 * np.abs(gs).max()
+
+
+def test_placed_rod_on_a_quadratic_background_is_the_rod_at_the_origin():
+    # D9's placement.  The rod at the origin sees the background in the
+    # rod frame, H'(x) = H(c + R x): for H = x1^2 - x2^2 its coefficients
+    # are H(c), R^T grad H(c), cos 2 theta and -2 sin 2 theta.  The placed
+    # rod forms the same Neumann data from grad H, and its transmission
+    # check probes the same rod-frame points
+    center, angle = np.array([1.0, 0.5]), 0.3
+    turn = rotation_matrix(angle)
+    bg = HarmonicBackground.polynomial((0.0, 0.0, 0.0, 1.0, 0.0))
+    c1, c2 = turn.T @ [2.0 * center[0], -2.0 * center[1]]
+    bg_origin = HarmonicBackground.polynomial(
+        (center[0] ** 2 - center[1] ** 2, c1, c2, np.cos(2 * angle), -2.0 * np.sin(2 * angle)))
+    origin = RodSpec(L=2.0, delta=0.01, sigma0=3.0)
+    placed = RodSpec(L=2.0, delta=0.01, sigma0=3.0, center=tuple(center), angle=angle)
+    pts = sensor_circle((0.0, 0.0), 3.0, 64)
+    s, _, _, sol = perturbation(origin, bg_origin, pts)
+    s_placed, _, _, sol_placed = perturbation(placed, bg, to_world(placed, pts))
+    assert np.abs(s_placed - s).max() <= 1e-12 * np.abs(s).max()
+    rep, rep_placed = transmission_check(sol), transmission_check(sol_placed)
+    for key in ("flux_out", "flux_in"):
+        assert np.abs(rep_placed[key] - rep[key]).max() <= 1e-12 * np.abs(rep[key]).max()
+    assert abs(rep_placed["max_mismatch"] - rep["max_mismatch"]) <= 1e-12
