@@ -13,7 +13,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.typing import NDArray
 
-from .asymptotics import _cap_terms, _linear_form
 from .background import HarmonicBackground
 from .geometry import RodSpec, ValidationError, rotation_matrix, signed_distance
 from .solver import perturbation
@@ -136,34 +135,23 @@ def simulate_measurements(spec: RodSpec, bg: HarmonicBackground,
 
 
 def _closed_form(params: NDArray, points: NDArray, jac: bool = False):
-    """u - H of a rod with parameters (z0, theta, L, b_ax, b_tr), where
-    b_ax = c_ax*a_loc1 and b_tr = c_tr*a_loc2 are the channel amplitudes,
-    and with ``jac`` also its (m, 6) Jacobian in those parameters.
-
-    At rod-frame points x = (p - z0) R(theta) the rod-frame gradient g
-    comes from f1, f2; d/dz0 is -R g and, since dx/dtheta = (x2, -x1),
-    d/dtheta is g1 x2 - g2 x1.  d/dL comes from the cap terms, times
-    sign(L) as the model uses |L|.  The amplitude columns are exact.
-    """
-    rot = rotation_matrix(params[2])
-    x = (points - params[:2]) @ rot
-    x1, x2 = x[:, 0], x[:, 1]
-    L, b_ax, b_tr = abs(params[3]), params[4], params[5]
-    tq, tp, rq2, rp2, f1, f2, pair, log_qp = _cap_terms(x1, x2, L)
-    u = _linear_form((1.0, 1.0), b_ax, b_tr, pair, log_qp)
+    """s = Re[b log((z - q)/(z - p))]/pi at points z = x1 + i x2 for parameters
+    (z0, theta, L, b_ax, b_tr): b = b_ax + i b_tr = c_ax a_loc1 + i c_tr a_loc2
+    and cap centres p, q = z0 -+ (|L|/2) e^(i theta).  With ``jac`` also the
+    (m, 6) Jacobian: the placement enters only through p and q, a shift dp'
+    of p moving s by Re[dp dp'], with dp = b/(z - p)/pi and dq = -b/(z - q)/pi."""
+    z0, b, turn = params[0] + 1j * params[1], params[4] + 1j * params[5], np.exp(1j * params[2])
+    z = points @ np.array([1.0, 1.0j]) - z0
+    zp, zq = z + abs(params[3]) / 2.0 * turn, z - abs(params[3]) / 2.0 * turn
+    log = np.log(zq / zp)
+    s = (b * log).real / np.pi
     if not jac:
-        return u
-    g1 = (b_ax * f2 + b_tr * f1) / np.pi
-    g2 = (b_ax * f1 - b_tr * f2) / np.pi
-    J = np.empty((len(x), N_PARAMS))
-    J[:, 0] = -(g1 * rot[0, 0] + g2 * rot[0, 1])
-    J[:, 1] = -(g1 * rot[1, 0] + g2 * rot[1, 1])
-    J[:, 2] = g1 * x2 - g2 * x1
-    J[:, 3] = np.sign(params[3]) / (-2.0 * np.pi) * (
-        b_ax * (tq / rq2 + tp / rp2) + b_tr * x2 * (1.0 / rq2 + 1.0 / rp2))
-    J[:, 4] = log_qp / (2.0 * np.pi)
-    J[:, 5] = pair / -np.pi
-    return u, J
+        return s
+    dp, dq = b / (np.pi * zp), -b / (np.pi * zq)
+    shift, spread = dp + dq, (dq - dp) * turn
+    return s, np.column_stack([
+        shift.real, -shift.imag, -abs(params[3]) / 2.0 * spread.imag,
+        np.sign(params[3]) / 2.0 * spread.real, log.real / np.pi, -log.imag / np.pi])
 
 
 def _far_moments(data: SensorSet, signal: NDArray) -> NDArray:
@@ -182,14 +170,13 @@ def _far_moments(data: SensorSet, signal: NDArray) -> NDArray:
 
 
 def _start(data: SensorSet, signal: NDArray) -> NDArray:
-    """LM start: the closed form inverted from the data's far-field moments
-    (:func:`_far_moments`).  The model is s = Re[A log((z - q)/(z - p))] with
-    A = (b_ax + i b_tr)/pi and cap centres p, q, so M_k = A (p'^k - q'^k) for
-    p' = p - c and q' = q - c, c the centroid: p' + q' = M_2/M_1, (q' - p')^2
-    = 4 M_3/M_1 - 3 (M_2/M_1)^2 and A = M_1/(p' - q').  Where that is not
-    finite (no signal, p' = q') or leaves more than START_TOL of the signal
-    RMS, LM starts at the centroid, angle 0, half the sensor radius as length
-    and no amplitudes."""
+    """LM start: :func:`_closed_form` inverted from the data's far-field
+    moments (:func:`_far_moments`).  With A = b/pi its M_k = A (p'^k - q'^k)
+    for p' = p - c and q' = q - c, c the centroid: p' + q' = M_2/M_1,
+    (q' - p')^2 = 4 M_3/M_1 - 3 (M_2/M_1)^2 and A = M_1/(p' - q').  Where that
+    is not finite (no signal, p' = q') or leaves more than START_TOL of the
+    signal RMS, LM starts at the centroid, angle 0, half the sensor radius as
+    length and no amplitudes."""
     c, rho = data.center, data.radius
     M = _far_moments(data, signal)
     with np.errstate(all="ignore"):
@@ -282,10 +269,8 @@ def fit_rod(data: SensorSet) -> FitResult:
     as well; data with no signal are one case, and their ``residual_rel`` is
     None.  Data holding a non-finite value are refused with ValidationError,
     and so are data whose sum of squares of |u - H| would overflow.
-    The strengths' standard errors come from s^2 (J^T J)^-1 at the
-    solution (:func:`_amplitude_stderr`), divided by |a_loc| as the
-    strengths are; an undetermined strength shows as an error of its own
-    size or more, and both errors are None where J^T J is singular.
+    The strengths' standard errors are those of :func:`_amplitude_stderr`
+    over |a_loc|; an undetermined strength shows an error of its size or more.
     """
     _require_identifiable(data.background)
     # a repeated sensor adds a row but no constraint; -0.0 and 0.0 are one point
@@ -312,8 +297,9 @@ def fit_rod(data: SensorSet) -> FitResult:
     c, c_tr = p[4] / a_loc[0], p[5] / a_loc[1]
     se_b = _amplitude_stderr(J, r)
     se, se_tr = (None, None) if se_b is None else (se_b / np.abs(a_loc)).tolist()
-    # fold the theta <-> theta + pi symmetry: theta in [0, pi), L >= 0
-    z0, theta, L = p[:2], p[2] % np.pi, abs(p[3])
+    # fold the theta <-> theta + pi symmetry: theta in [0, pi), L >= 0; mod
+    # pi twice, as a theta just below 0 folds to pi - |theta|, rounding to pi
+    z0, theta, L = p[:2], p[2] % np.pi % np.pi, abs(p[3])
     axis = np.array([np.cos(theta), np.sin(theta)])
     P_hat, Q_hat = z0 - (L / 2.0) * axis, z0 + (L / 2.0) * axis
     rms = float(np.sqrt(np.mean(r**2)))

@@ -238,7 +238,9 @@ def _cross_facade(mats: NDArray, x: NDArray, w: NDArray, h: NDArray,
     length = np.concatenate([h, h[::-1]])[::PANEL_ORDER]
     node = np.arange(2 * k).reshape(panels.shape)
     cols = mc + np.where(node < k, 3 * m * m + node, 2 * m * m + 2 * k - 1 - node)
-    reach = np.sqrt(np.maximum(np.square(CROSS_NEAR_Z / 2.0 * length) - 4.0 * delta**2, 0.0))
+    # near the top of solver.R_RANGE a reach may overflow, and take every row
+    with np.errstate(over="ignore"):
+        reach = np.sqrt(np.maximum(np.square(CROSS_NEAR_Z / 2.0 * length) - 4.0 * delta**2, 0.0))
     rows = x[::-1]   # increasing
     lo = np.searchsorted(rows, centre - reach, side="right")
     count = np.searchsorted(rows, centre + reach, side="left") - lo
@@ -418,8 +420,6 @@ def solve_density(np_matrix: NpMatrix, lam: float, rhs: DensityVector) -> Densit
     residual = 2.0 * np.linalg.norm(r) / scale
     if not np.isfinite(residual) or residual > 1e-10:
         blocks = lam * np.eye(m) - np.tensordot(CHI, mats, axes=1)
-        if not np.isfinite(blocks).all():
-            raise SolverError(f"density system has non-finite entries (lam={lam})")
         raise SolverError(
             f"density solve residual {residual:.2e} exceeds 1.0e-10 "
             f"(largest block condition estimate {np.linalg.cond(blocks).max():.2e}, "

@@ -27,6 +27,10 @@ from .potentials import (DensityVector, assemble_np, neumann_data, single_layer_
 #: 2.6e-7 at this ratio, and it grows tenfold for each decade below.
 DELTA_FLOOR = 1e-10
 
+#: Node distances whose squares, which assembly forms, are normal floats: above,
+#: they overflow; below, they lose digits (L = 2e-155, delta = 1e-158 was 5.6e-6 off).
+R_RANGE = (float(np.sqrt(np.finfo(float).tiny)), float(np.sqrt(np.finfo(float).max)))
+
 
 @dataclass(frozen=True)
 class ForwardSolution:
@@ -49,9 +53,9 @@ def solve_forward(spec: RodSpec, bg: HarmonicBackground,
 
     The mesh is ``build_mesh(spec, n_cap, n_facade)``: counts left out
     take the default rule, which is graded for a thin rod.  A rod with
-    delta < DELTA_FLOOR L, and a mesh whose dense system does not fit in
-    memory (assembly holds four (n/4, n/4) blocks), are refused with
-    ValidationError.
+    delta < DELTA_FLOOR L, a mesh whose node distances leave R_RANGE, and
+    a mesh whose dense system does not fit in memory (assembly holds
+    four (n/4, n/4) blocks), are refused with ValidationError.
     """
     if spec.delta < DELTA_FLOOR * spec.L:
         raise ValidationError(f"delta={spec.delta!r} is below the BEM's floor "
@@ -63,6 +67,13 @@ def solve_forward(spec: RodSpec, bg: HarmonicBackground,
         if 2 * n * n > np.iinfo(np.intp).max:   # bytes of the four (n/4)^2 blocks
             raise MemoryError
         mesh = build_mesh(spec, n_cap, n_facade)
+        # the closest nodes are neighbours (a cap's are nearer than 2 delta)
+        near = np.hypot(*np.diff(mesh.points, axis=0, append=mesh.points[:1]).T).min()
+        if near < R_RANGE[0] or spec.L + 2.0 * spec.delta > R_RANGE[1]:
+            raise ValidationError(f"L={spec.L!r}, delta={spec.delta!r}: its nodes are {near:.3g} "
+                                  f"to {spec.L + 2.0 * spec.delta:.3g} apart, outside the range "
+                                  f"{R_RANGE[0]:.3g} to {R_RANGE[1]:.3g} where their squared "
+                                  "distances are normal floats")
         phi = solve_density(assemble_np(mesh), lam, neumann_data(mesh, bg.in_frame(spec)))
     except MemoryError as exc:
         raise ValidationError(f"the dense system of n={n} nodes (delta="
@@ -126,24 +137,26 @@ def eval_grad_u(sol: ForwardSolution, x) -> tuple[NDArray, NDArray]:
     return g, near
 
 
-def transmission_check(sol: ForwardSolution, idx=None) -> dict:
+def transmission_check(sol: ForwardSolution, idx) -> dict:
     """Flux continuity report: exterior vs sigma0 * interior normal derivative.
 
-    Normal derivatives are approximated at offset points x +- h*nu with
-    h = 5 local spacings, avoiding on-boundary principal values.  The
-    probes are the nodes ``idx``, or else 16 nodes spread evenly over the
-    mesh, in the rod frame.
+    Normal derivatives are approximated at offset points x +- h*nu of the
+    nodes ``idx``, with h = 5 local spacings, avoiding on-boundary principal
+    values.  A node whose h is not below the rod's thickness 2 delta is
+    refused with ValueError: its inner probe could leave the rod.
     """
-    mesh = sol.mesh
-    if idx is None:
-        idx = np.linspace(0, len(mesh) - 1, 16).round().astype(int)
+    mesh, idx = sol.mesh, np.asarray(idx)
+    h = 5.0 * mesh.weights[idx]
+    wide = np.flatnonzero(h >= 2.0 * sol.spec.delta)
+    if wide.size:
+        raise ValueError(f"node {idx[wide[0]]}: its probe step {h[wide[0]]:.3g} is not "
+                         f"below the rod's thickness 2 delta = {2.0 * sol.spec.delta:.3g}")
     pts, nus = mesh.points[idx], mesh.normals[idx]
-    h = 5.0 * mesh.weights[idx][:, None]
     bg = sol.background.in_frame(sol.spec)
 
     flux_out, flux_in = (
         np.einsum("ij,ij->i", bg.grad(x) + single_layer_field(mesh, sol.phi, x)[1], nus)
-        for x in (pts + h * nus, pts - h * nus))
+        for x in (pts + h[:, None] * nus, pts - h[:, None] * nus))
 
     scale = max(float(np.abs(flux_out).max()), float(np.abs(flux_in).max()), 1e-300)
     mismatch = np.abs(flux_out - sol.spec.sigma0 * flux_in) / scale

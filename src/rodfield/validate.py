@@ -136,7 +136,7 @@ def run_validation() -> list[CheckResult]:
     # flux transmission
     sol = solve_forward(RodSpec(L=0.0, delta=1.0, sigma0=2.0),
                         HarmonicBackground.linear([1.0, 0.0]), n_cap=512)
-    rep = transmission_check(sol)
+    rep = transmission_check(sol, idx=np.linspace(0, len(sol.mesh) - 1, 16).round().astype(int))
     checks.append(CheckResult("disc flux transmission", rep["max_mismatch"] <= 0.02,
                               rep["max_mismatch"], 0.02))
     # on the trace-formula check's matrix: the rod is the same

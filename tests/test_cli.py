@@ -737,6 +737,31 @@ def test_refusal_prints_only_its_error_line(argv, config, tmp_path, capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("L, delta, nodes", [
+    # the squared diameter overflows: an OverflowError traceback from
+    # delta**2 in the assembly, exit 1
+    (2.0, 1.4e154, "0.0199 to 2.8e+154"),
+    # a disc's squared diameter overflows, and the closest nodes' squared
+    # distance underflows: both exited 1 with "density system has
+    # non-finite entries"
+    (0.0, 1e155, "3.12e+153 to 2e+155"),
+    (1e-160, 1e-162, "3.12e-164 to 1.02e-160"),
+], ids=["L2-delta1.4e154", "disc-delta1e155", "L1e-160-delta1e-162"])
+@pytest.mark.parametrize("argv", [["forward"], ["fieldmap", "--model", "bem"]],
+                         ids=["forward", "fieldmap-bem"])
+def test_a_rod_whose_squared_distances_leave_the_normal_floats_exits_2(
+        argv, L, delta, nodes, tmp_path, capsys):
+    extent = 3.0 * max(L, delta)
+    config = (f"rod: {{L: {L!r}, delta: {delta!r}, center: [0.0, 0.0], angle: 0.0, sigma0: 2.0}}\n"
+              "background: {a: [1.0, 0.5]}\n"
+              f"grid: {{xmin: {-extent!r}, xmax: {extent!r}, ymin: {-extent!r}, "
+              f"ymax: {extent!r}, nx: 3, ny: 3}}\n")
+    assert _run_grid_command(argv, config, tmp_path) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: L={L!r}, delta={delta!r}: its nodes are {nodes} apart, outside the range "
+        "1.49e-154 to 1.34e+154 where their squared distances are normal floats\n")
+
+
 @pytest.mark.parametrize("model", ["bem", "asymptotic"])
 def test_sensors_round_onto_a_1e300_rod_centre_exit_2(model, tmp_path, capsys):
     # the config's enclosure check passes, but in floats every sensor lands

@@ -357,6 +357,45 @@ def test_fit_jacobian_matches_central_differences():
         assert np.abs(J - fd).max() <= 1e-7 * np.abs(J).max()
 
 
+def test_fit_kernel_is_the_asymptotic_forward_model():
+    # two independent formulas for the closed form: the fit's complex
+    # Re[b log((z - q)/(z - p))]/pi at b = c_ax a_loc1 + i c_tr a_loc2, and
+    # the forward model's arctan pair and log ratio in the rod frame
+    rng = np.random.default_rng(31)
+    pts = sensor_circle((0.0, 0.0), 3.0, 64)
+    for i in range(20):
+        spec = RodSpec(L=rng.uniform(0.5, 2.5), delta=0.05,
+                       center=tuple(rng.uniform(-0.5, 0.5, 2)), angle=rng.uniform(0.0, np.pi),
+                       sigma0=(0.01, 2.0, 100.0)[i % 3])
+        bg = HarmonicBackground.linear(rng.normal(0.0, 1.0, 2))
+        model = AsymptoticModel.from_spec(spec, bg)
+        a_loc = rotation_matrix(spec.angle).T @ bg.linear_part
+        params = np.array([*spec.center, spec.angle, spec.L,
+                           model.strength * a_loc[0], model.strength_transverse * a_loc[1]])
+        s = perturbation(spec, bg, pts, "asymptotic")[0]
+        assert np.abs(inverse._closed_form(params, pts) - s).max() <= 1e-13 * np.abs(s).max()
+
+
+def test_fit_folds_an_angle_just_below_zero_into_0_pi(monkeypatch):
+    # theta = -1e-17 is the rod at theta = 0, but theta % pi rounds to pi,
+    # which is outside [0, pi) and swaps the endpoints
+    lm = inverse._lm
+
+    def lm_ending_below_zero(fun, x0):
+        x, *rest = lm(fun, x0)
+        x = x.copy()
+        x[2] = -1e-17
+        return (x, *rest)
+
+    monkeypatch.setattr(inverse, "_lm", lm_ending_below_zero)
+    data = next(_k_pi_8_data())[2]
+    fit = fit_rod(data)
+    assert 0.0 <= fit.angle < np.pi
+    half = fit.length / 2.0 * np.array([np.cos(-1e-17), np.sin(-1e-17)])
+    assert np.abs(fit.endpoints[0] - (fit.center - half)).max() <= 1e-15
+    assert np.abs(fit.endpoints[1] - (fit.center + half)).max() <= 1e-15
+
+
 def _k_pi_8_data():
     """Noise-free closed-form data of the rods at angles k*pi/8."""
     for k in range(8):

@@ -13,7 +13,7 @@ from rodfield.geometry import (default_counts, rotation_matrix, signed_distance,
                                to_world)
 from rodfield.inverse import sensor_circle
 from rodfield.potentials import assemble_np, neumann_data, solve_density
-from rodfield.solver import (disc_exterior_grad, disc_exterior_u, disc_interior_u,
+from rodfield.solver import (R_RANGE, disc_exterior_grad, disc_exterior_u, disc_interior_u,
                             perturbation)
 
 
@@ -111,9 +111,22 @@ def test_far_field_approaches_background():
 def test_transmission_check_disc():
     sol = solve_forward(RodSpec(L=0.0, delta=1.0, sigma0=2.0),
                         HarmonicBackground.linear((1.0, 0.0)), n_cap=512)
-    rep = transmission_check(sol)
+    rep = transmission_check(sol, idx=np.linspace(0, len(sol.mesh) - 1, 16).round().astype(int))
     assert rep["max_mismatch"] < 0.02
     assert len(rep["flux_out"]) == 16
+
+
+def test_transmission_check_refuses_probes_that_leave_the_rod():
+    # on the default mesh of a rod at delta = 0.01 a facade node's step of
+    # 5 weights passes the thickness 2 delta, so its inner probe is outside;
+    # a cap's nodes are close enough
+    sol = solve_forward(RodSpec(L=2.0, delta=0.01), HarmonicBackground.linear((1.0, 0.5)))
+    top = np.flatnonzero(sol.mesh.tag_mask("facade_top"))
+    assert (5.0 * sol.mesh.weights[top] >= 0.02).all()
+    with pytest.raises(ValueError, match=f"^node {top[3]}: "):
+        transmission_check(sol, idx=top[3:5])
+    cap = np.flatnonzero(sol.mesh.tag_mask("cap_right"))
+    assert len(transmission_check(sol, idx=cap)["flux_in"]) == len(cap)
 
 
 def test_solution_exposes_spec_and_lambda():
@@ -287,7 +300,27 @@ def test_placed_rod_on_a_quadratic_background_is_the_rod_at_the_origin():
     s, _, _, sol = perturbation(origin, bg_origin, pts)
     s_placed, _, _, sol_placed = perturbation(placed, bg, to_world(placed, pts))
     assert np.abs(s_placed - s).max() <= 1e-12 * np.abs(s).max()
-    rep, rep_placed = transmission_check(sol), transmission_check(sol_placed)
+    # the cap nodes: every facade node's inner probe leaves this rod
+    caps = np.flatnonzero(sol.mesh.tag_mask("cap_left") | sol.mesh.tag_mask("cap_right"))
+    rep, rep_placed = (transmission_check(x, idx=caps[::4]) for x in (sol, sol_placed))
     for key in ("flux_out", "flux_in"):
         assert np.abs(rep_placed[key] - rep[key]).max() <= 1e-12 * np.abs(rep[key]).max()
     assert abs(rep_placed["max_mismatch"] - rep["max_mismatch"]) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(2.0, 1.0), (2.0, 0.01), (2.0, 0.001), (0.0, 1.0)],
+                         ids=["L2-delta1", "L2-delta0.01", "L2-delta0.001-graded", "disc"])
+def test_rods_at_the_ends_of_the_distance_range_solve(shape):
+    # just inside R_RANGE: the closest nodes 1.01 times its lower end apart,
+    # or the diameter just under its upper end.  The NP system and the
+    # Neumann data of H = a.x do not depend on the rod's scale, so neither
+    # does the density, up to rounding: 1.5e-12 at scale 7 or 1e100 on the
+    # graded mesh.  At the top a long panel's band reach overflows
+    L, delta = shape
+    bg = HarmonicBackground.linear((1.0, 0.5))
+    ref = solve_forward(RodSpec(L=L, delta=delta), bg)
+    pts = ref.mesh.points
+    closest = np.hypot(*np.diff(pts, axis=0, append=pts[:1]).T).min()
+    for scale in (1.01 * R_RANGE[0] / closest, (1.0 - 1e-9) * R_RANGE[1] / (L + 2.0 * delta)):
+        phi = solve_forward(RodSpec(L=L * scale, delta=delta * scale), bg).phi.values
+        assert np.abs(phi - ref.phi.values).max() <= 1e-11 * np.abs(ref.phi.values).max()
