@@ -235,11 +235,14 @@ def _segment_rule(length: float, n_nodes: int) -> tuple[NDArray, NDArray, NDArra
 #: at each junction is halved GRADED_HALVINGS times toward it.  A facade
 #: side's first panel at each junction is GRADED_FIRST delta long; the
 #: panels double toward the middle while shorter than GRADED_LONGEST L, and
-#: equal panels no longer than that fill the middle.
+#: equal panels no longer than that fill the middle.  The error is set by
+#: the first panel at a junction, not by the middle ones: against delta/16
+#: and L/32 these values have 16-20% fewer nodes and a smaller worst error
+#: off a refined mesh.
 GRADED_CAP_PANELS = 4
 GRADED_HALVINGS = 4
-GRADED_FIRST = 1.0 / 16.0
-GRADED_LONGEST = 1.0 / 32.0
+GRADED_FIRST = 1.0 / 32.0
+GRADED_LONGEST = 1.0 / 16.0
 
 
 def _graded_side(spec: RodSpec) -> tuple[float, int, int]:
@@ -255,8 +258,8 @@ def graded_panels(spec: RodSpec) -> tuple[NDArray, NDArray]:
     junction to the other, and a facade side's, left to right (empty for
     L = 0).  Both are symmetric, so the mesh keeps its mirror orbits.
 
-    At L = 2 a cap has 12 panels, and a side 48 at delta = 0.002, 50 at
-    0.001 and 64 at 1e-5: n = 960, 992 and 1,216.
+    At L = 2 a cap has 12 panels, and a side 36 at delta = 0.002, 38 at
+    0.001 and 52 at 1e-5: n = 768, 800 and 1,024.
     """
     quarter = np.pi / GRADED_CAP_PANELS
     end = quarter / 2.0 ** np.concatenate([[GRADED_HALVINGS], np.arange(GRADED_HALVINGS, 0, -1)])
@@ -278,7 +281,7 @@ def mesh_counts(spec: RodSpec, n_cap: int | None = None,
     Given counts take the uniform rule, and a count left out its
     :func:`default_counts` value.  With both left out the mesh is graded
     where that has fewer nodes than the uniform default, which at L/delta
-    >~ 900 it has (delta <~ 0.0022 at L = 2).
+    >~ 705 it has (delta <~ 0.0028 at L = 2).
     """
     if n_cap is None or n_facade is None:
         dc, df = default_counts(spec)

@@ -53,9 +53,10 @@ def solve_forward(spec: RodSpec, bg: HarmonicBackground,
 
     The mesh is ``build_mesh(spec, n_cap, n_facade)``: counts left out
     take the default rule, which is graded for a thin rod.  A rod with
-    delta < DELTA_FLOOR L, a mesh whose node distances leave R_RANGE, and
-    a mesh whose dense system does not fit in memory (assembly holds
-    four (n/4, n/4) blocks), are refused with ValidationError.
+    delta < DELTA_FLOOR L, a mesh whose node distances leave R_RANGE, a
+    background whose normal derivative on the rod is not finite, and a
+    mesh whose dense system does not fit in memory (assembly holds four
+    (n/4, n/4) blocks), are refused with ValidationError.
     """
     if spec.delta < DELTA_FLOOR * spec.L:
         raise ValidationError(f"delta={spec.delta!r} is below the BEM's floor "
@@ -74,7 +75,11 @@ def solve_forward(spec: RodSpec, bg: HarmonicBackground,
                                   f"to {spec.L + 2.0 * spec.delta:.3g} apart, outside the range "
                                   f"{R_RANGE[0]:.3g} to {R_RANGE[1]:.3g} where their squared "
                                   "distances are normal floats")
-        phi = solve_density(assemble_np(mesh), lam, neumann_data(mesh, bg.in_frame(spec)))
+        rhs = neumann_data(mesh, bg.in_frame(spec))
+        if not np.isfinite(rhs.values).all():
+            raise ValidationError(f"background {bg.coeffs}: its normal derivative on the rod "
+                                  "is not finite")
+        phi = solve_density(assemble_np(mesh), lam, rhs)
     except MemoryError as exc:
         raise ValidationError(f"the dense system of n={n} nodes (delta="
                               f"{spec.delta!r}) does not fit in memory; raise delta "

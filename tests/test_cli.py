@@ -720,6 +720,27 @@ def test_rod_centre_at_1e300_is_refused(argv, code, message, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(message)
 
 
+@pytest.mark.parametrize("argv", [["forward", "--density"], ["fieldmap", "--model", "bem"]],
+                         ids=["forward", "fieldmap-bem"])
+def test_a_background_that_overflows_at_the_rod_exits_2(argv, tmp_path, capsys):
+    # H's gradient at the rod, 2e309 in x1, overflows, so the Neumann data
+    # are infinite: the density solve's residual read nan, exit 1 with
+    # "density solve residual nan exceeds 1.0e-10", on a well-conditioned
+    # system.  The closed form already exited 2
+    config = ROD_AT_1E300_CONFIG.replace("center: [1.0e+300, 0.0]", "center: [10.0, 0.0]")
+    config = config.replace("a: [1.0, 0.5]", "coefficients: [0, 1, 0.5, 1.0e+308, 0]")
+    if argv[0] == "forward":
+        argv = [*argv, str(tmp_path / "density.csv")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run_grid_command(argv, config, tmp_path) == EXIT_USAGE
+    assert not caught
+    assert capsys.readouterr().err == ("error: background (0.0, 1.0, 0.5, 1e+308, 0.0): its "
+                                       "normal derivative on the rod is not finite\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+    assert _run_grid_command(["asymptotic"], config, tmp_path) == EXIT_USAGE
+
+
 @pytest.mark.parametrize("argv, config", [
     *((argv, OVERFLOW_CONFIG) for argv in GRID_COMMANDS),
     (["asymptotic"], ROD_AT_1E300_CONFIG)],
@@ -1085,9 +1106,9 @@ def test_delta_above_the_bem_floor_is_solved(argv, tmp_path, monkeypatch):
 def test_forward_solves_a_rod_thinner_than_the_uniform_mesh_allows(delta, sigma0, tmp_path,
                                                                     refined_graded_mesh, capsys):
     # at delta = 1e-5 the uniform default had n = 200,064 and exited 2, its
-    # dense system out of memory.  The graded mesh has n = 1,216 (1,424 at
-    # 1e-7) and agrees with a twice refined one (n = 3,008 and 3,216) to
-    # 8.5e-8 of the perturbation (measured over both sigma0 and 0.01)
+    # dense system out of memory.  The graded mesh has n = 1,024 (1,232 at
+    # 1e-7) and agrees with a twice refined one (n = 2,048 and 2,256) to
+    # 7.9e-8 of the perturbation (measured over both sigma0 and 0.01)
     path = tmp_path / "run.yaml"
     path.write_text(f"rod: {{L: 2.0, delta: {delta}, center: [0.1, -0.2], angle: 0.3, "
                     f"sigma0: {sigma0}}}\nbackground: {{a: [1.0, 0.5]}}\n"

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from rodfield import RodSpec, ValidationError, build_mesh, to_local, to_world
 from rodfield.cli import CSV_BLOCK_ROWS, write_csv
-from rodfield.geometry import (SEGMENTS, TAG_CAP_LEFT, TAG_CAP_RIGHT, TAG_FACADE_BOTTOM,
-                               BoundaryMesh,
+from rodfield.geometry import (GRADED_FIRST, GRADED_LONGEST, SEGMENTS, TAG_CAP_LEFT,
+                               TAG_CAP_RIGHT, TAG_FACADE_BOTTOM, BoundaryMesh,
                                TAG_FACADE_TOP, _segment_rule, default_counts, mesh_counts,
                                rotation_matrix, signed_distance)
 
@@ -230,11 +230,11 @@ def test_orbits_are_mirror_images(name):
 #: graded meshes: the thin_rod benchmark rods, one far below the uniform
 #: rule's reach, and a placed short rod with an odd number of facade panels
 GRADED_CASES = {
-    "thin_rod_0.002": (RodSpec(L=2.0, delta=0.002, angle=0.4), 960),
-    "thin_rod_0.001": (RodSpec(L=2.0, delta=0.001, angle=0.4), 992),
-    "delta_1e-5": (RodSpec(L=2.0, delta=1e-5, center=(0.1, -0.2), angle=0.3), 1216),
-    "delta_1e-7": (RodSpec(L=2.0, delta=1e-7), 1424),
-    "odd_panels": (RodSpec(L=1.0, delta=0.05, center=(-7.3, 2.9), angle=2.2), 784),
+    "thin_rod_0.002": (RodSpec(L=2.0, delta=0.002, angle=0.4), 768),
+    "thin_rod_0.001": (RodSpec(L=2.0, delta=0.001, angle=0.4), 800),
+    "delta_1e-5": (RodSpec(L=2.0, delta=1e-5, center=(0.1, -0.2), angle=0.3), 1024),
+    "delta_1e-7": (RodSpec(L=2.0, delta=1e-7), 1232),
+    "odd_panels": (RodSpec(L=1.0, delta=0.05, center=(-7.3, 2.9), angle=2.2), 592),
 }
 
 
@@ -250,10 +250,11 @@ def test_graded_mesh(name):
     h = mesh.panel_lengths.reshape(-1, 8)
     assert np.array_equal(h, np.repeat(h[:, :1], 8, axis=1))
     assert np.allclose(h[:, 0], mesh.weights.reshape(-1, 8).sum(axis=1), rtol=1e-14, atol=0)
-    # a side's panels: delta/16 at each junction, doubling, none over L/32
+    # a side's panels: GRADED_FIRST delta at each junction, doubling, none
+    # over GRADED_LONGEST L
     side = h[:mesh.n_facade // 8, 0]
-    assert side[0] == side[-1] == spec.delta / 16.0
-    assert side.max() <= spec.L / 32.0 * (1.0 + 1e-12)
+    assert side[0] == side[-1] == GRADED_FIRST * spec.delta
+    assert side.max() <= GRADED_LONGEST * spec.L * (1.0 + 1e-12)
     assert np.array_equal(side, side[::-1])
     xl, nl = mesh.points, mesh.normals
     scale = np.abs(xl).max()
@@ -264,10 +265,10 @@ def test_graded_mesh(name):
         assert np.array_equal(mesh.weights[mesh.orbits[g]], mesh.weights[mesh.orbits[0]])
 
 
-@pytest.mark.parametrize("delta, rule", [(0.1, "uniform"), (0.0025, "uniform"),
+@pytest.mark.parametrize("delta, rule", [(0.1, "uniform"), (0.003, "uniform"),
                                          (0.0022, "graded"), (0.001, "graded")])
 def test_default_mesh_takes_the_rule_with_fewer_nodes(delta, rule):
-    # the rules cross at L / delta of about 900; given counts stay uniform
+    # the rules cross at L / delta of about 705; given counts stay uniform
     spec = RodSpec(L=2.0, delta=delta)
     uniform, graded = build_mesh(spec, *default_counts(spec)), BoundaryMesh(spec, graded=True)
     mesh = build_mesh(spec)

@@ -15,7 +15,7 @@ from rodfield import (DensityVector, HarmonicBackground, RodSpec,
                       ValidationError, build_mesh, assemble_np, lambda_of_sigma,
                       neumann_data, single_layer, single_layer_field,
                       single_layer_grad, solve_density)
-from rodfield.geometry import (PANEL_ORDER, TAG_FACADE_BOTTOM, TAG_FACADE_TOP,
+from rodfield.geometry import (GAUSS_NODES, PANEL_ORDER, TAG_FACADE_BOTTOM, TAG_FACADE_TOP,
                               default_counts)
 from rodfield.potentials import SolverError
 
@@ -45,23 +45,27 @@ def _facade_panels(mesh, cols):
 def product_facade_weights(mesh, sub=64, order=16):
     """Reference: every opposite-facade entry, the A_delta Lorentzian
     integrated against the source panel's Lagrange basis by a composite
-    sub-rule.  Returns (rows, cols, weights) in dense indices."""
+    sub-rule.  The basis is formed in the panel's own coordinate on (-1, 1),
+    on the Gauss nodes, not on the stored node positions: those are rounded
+    in x1, by 6e-12 of a delta/32 panel at x1 = L/2.  Returns (rows, cols,
+    weights) in dense indices."""
     delta = mesh.spec.delta
     x1 = mesh.points[:, 0]
     t, tw = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(-1.0, 1.0, sub + 1)
+    tau = ((edges[:-1] + edges[1:])[:, None] / 2.0 + t / sub).ravel()
+    y = GAUSS_NODES
+    basis = np.stack([np.prod([(tau - y[k]) / (y[j] - y[k])
+                               for k in range(len(y)) if k != j], axis=0)
+                      for j in range(len(y))], axis=1)
     top, bottom = _facade_sides(mesh)
     out = []
     for rows, cols in ((top, bottom), (bottom, top)):
         panels, lo, hi = _facade_panels(mesh, cols)
         for p, nodes in enumerate(panels):
-            edges = np.linspace(lo[p], hi[p], sub + 1)
-            half = (edges[1] - edges[0]) / 2.0
-            s = ((edges[:-1] + edges[1:])[:, None] / 2.0 + half * t).ravel()
-            ws = np.tile(half * tw, sub)
-            y = x1[nodes]
-            basis = np.stack([np.prod([(s - y[k]) / (y[j] - y[k])
-                                       for k in range(len(y)) if k != j], axis=0)
-                              for j in range(len(y))], axis=1)
+            half = (hi[p] - lo[p]) / 2.0
+            s = (lo[p] + hi[p]) / 2.0 + half * tau
+            ws = np.tile(half * tw / sub, sub)
             lor = delta / (np.pi * ((x1[rows, None] - s) ** 2 + 4.0 * delta**2))
             out.append((np.repeat(rows, len(y)), np.tile(nodes, len(rows)),
                         ((lor * ws) @ basis).ravel()))
@@ -245,8 +249,9 @@ def test_graded_correction_lies_in_the_even_block(refined_graded_mesh):
     # has an odd number of facade panels, so one straddles x1 = 0.  It is
     # unplaced: the world-frame reference loses 1e-11 of an entry to
     # rounding in x - y across the short junction panels of a placed rod.
-    # Measured: column sums within 6.1e-16 of 1/2, raw sums within
-    # 1.5e-13 and blocks within 3.5e-13 of the reference
+    # Measured: column sums within 2.8e-16 of 1/2, raw sums within
+    # 9.8e-15 and blocks within 1.1e-13 of the reference (1.47e-12 off in
+    # the raw sums while the reference's basis took the rounded node x1)
     mesh = refined_graded_mesh(RodSpec(L=1.0, delta=0.05), 0)
     assert mesh.graded and mesh.n_facade // PANEL_ORDER % 2 == 1
     npm = assemble_np(mesh)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from rodfield import geometry
 from rodfield import (DensityVector, HarmonicBackground, RodSpec, ValidationError,
                       build_mesh, eval_field, eval_grad_u, eval_u, lambda_of_sigma,
                       single_layer_field, solve_forward, transmission_check)
@@ -223,17 +224,62 @@ def _perturbations(mesh, sigma0, pts, backgrounds=THIN_BACKGROUNDS):
 @pytest.mark.parametrize("delta", [0.002, 0.001])
 def test_default_mesh_of_a_thin_rod_is_graded(delta, sigma0):
     # against the uniform mesh of 2x the cap and 3x the facade counts, on
-    # 64 probes at r = 3: the graded default (n = 960, 992) is off by at
-    # most 1.16e-7 of the perturbation, the uniform default it replaced
+    # 64 probes at r = 3: the graded default (n = 768, 800) is off by at
+    # most 6.9e-8 of the perturbation (1.16e-7 at n = 960, 992 under the
+    # first graded rule), the uniform default it replaced
     # (n = 1,072, 2,064) by up to 8.4e-7
     spec = RodSpec(delta=delta, sigma0=sigma0, **THIN_ROD)
     mesh = build_mesh(spec)
-    assert mesh.rule == "graded" and len(mesh) == {0.002: 960, 0.001: 992}[delta]
+    assert mesh.rule == "graded" and len(mesh) == {0.002: 768, 0.001: 800}[delta]
     probe = sensor_circle(spec.center, 3.0, 64)
     dc, df = default_counts(spec)
     refs = _perturbations(build_mesh(spec, 2 * dc, 3 * df), sigma0, probe)
     for s, ref in zip(_perturbations(mesh, sigma0, probe), refs):
         assert np.abs(s - ref).max() <= 2e-7 * np.abs(ref).max()
+
+
+def _junction_probes(spec, per_junction=4000):
+    """World points delta to 4 delta off the rod and within 20 delta of one
+    of its four cap junctions, drawn uniformly from the discs around them."""
+    rng = np.random.default_rng(11)
+    r = 20.0 * spec.delta * np.sqrt(rng.uniform(size=per_junction))
+    t = rng.uniform(0.0, 2.0 * np.pi, per_junction)
+    disc = np.column_stack([r * np.cos(t), r * np.sin(t)])
+    pts = to_world(spec, np.concatenate([disc + [sx * spec.L / 2.0, sy * spec.delta]
+                                         for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)]))
+    dist = signed_distance(spec, pts)
+    return pts[(dist >= spec.delta) & (dist <= 4.0 * spec.delta)]
+
+
+@pytest.mark.parametrize("sigma0", [0.01, 100.0])
+@pytest.mark.parametrize("delta", [1e-3, 1e-5])
+def test_graded_rule_has_fewer_nodes_than_the_first_and_its_accuracy(delta, sigma0,
+                                                                      refined_graded_mesh):
+    # the graded rule of delta/32 junction panels and L/16 middle panels
+    # against the first graded rule, delta/16 and L/32, rebuilt here.  Over
+    # L = 2, delta from 2e-3 to 1e-5 and sigma0 in {0.01, 2, 100}, off a
+    # three times refined first rule, the first rule's worst error was
+    # 3.4e-7 on 64 probes at r = 3 and 2.5e-7 on the unflagged probes near
+    # a junction, both at delta = 1e-4, sigma0 = 100; the rule here reads
+    # 2.2e-7 and 2.3e-7.  Against its twice refined self, measured: at most
+    # 7.5e-8 far and 7.7e-8 near a junction
+    spec = RodSpec(delta=delta, sigma0=sigma0, **THIN_ROD)
+    mesh = build_mesh(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "GRADED_FIRST", 1.0 / 16.0)
+        patch.setattr(geometry, "GRADED_LONGEST", 1.0 / 32.0)
+        first = build_mesh(spec)
+    assert mesh.rule == first.rule == "graded" and len(mesh) <= 0.85 * len(first)
+    far, junction = sensor_circle(spec.center, 3.0, 64), _junction_probes(spec)
+    pts = np.vstack([far, junction])
+    near = single_layer_field(mesh, DensityVector(np.zeros(len(mesh)), mesh),
+                              to_local(spec, pts))[2]
+    assert not near[:64].any() and 0 < np.count_nonzero(near) < len(junction)
+    refs = _perturbations(refined_graded_mesh(spec, 2), sigma0, pts)
+    for s, ref in zip(_perturbations(mesh, sigma0, pts), refs):
+        for probes in (slice(None, 64), slice(64, None)):
+            err, scale = np.abs(s - ref)[probes], np.abs(ref[probes]).max()
+            assert err[~near[probes]].max() <= 2.5e-7 * scale
 
 
 @pytest.mark.parametrize("sigma0", [2.0, 100.0, 0.01])
@@ -242,7 +288,10 @@ def test_unflagged_points_near_a_thin_rod_are_accurate(sigma0, refined_graded_me
     # cap junction.  The near band was two node weights, 0.1 to 0.36 of a
     # panel: on the graded mesh it left points unflagged at up to 6.5e-4 of
     # the perturbation off a twice refined mesh (sigma0 = 0.01; 3.9e-5 at
-    # sigma0 = 2).  Half a panel leaves them within 3.4e-7 (1.6e-8)
+    # sigma0 = 2).  Half a panel leaves them within 9.0e-7 (7.8e-8), the
+    # worst above the step from an L/32 to an L/16 facade panel, where the
+    # nearest node's panel is the shorter one (3.3e-7 and 1.6e-8 under the
+    # first graded rule, whose middle panels were L/32)
     delta = 0.001
     spec = RodSpec(delta=delta, sigma0=sigma0, **THIN_ROD)
     rng = np.random.default_rng(7)
