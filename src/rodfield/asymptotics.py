@@ -19,8 +19,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .background import HarmonicBackground
-from .geometry import (PANEL_ORDER, RodSpec, ValidationError, _segment_rule, lambda_of_sigma,
-                       rotation_matrix, to_local)
+from .geometry import (RodSpec, ValidationError, _panel_rule, lambda_of_sigma, rotation_matrix,
+                       to_local)
 from . import potentials
 
 __all__ = [
@@ -281,6 +281,6 @@ def a_delta_apply(psi, delta: float, L: float, x1: float) -> float:
     if not (delta > 0.0 and -L / 2.0 < x1 < L / 2.0):
         raise ValueError(f"need delta > 0 and -L/2 < x1 < L/2, got delta={delta}, x1={x1}")
     h = L / _AXIS_PANELS
-    y = _segment_rule(L, _AXIS_PANELS * PANEL_ORDER)[0].reshape(_AXIS_PANELS, -1) - L / 2.0
+    y = _panel_rule(np.full(_AXIS_PANELS, h))[0].reshape(_AXIS_PANELS, -1) - L / 2.0
     s = (x1 + L / 2.0) * 2.0 / h - (2.0 * np.arange(_AXIS_PANELS) + 1.0)
     return float((potentials.lorentzian_weights(s + 4j * delta / h) * psi(y)).sum())

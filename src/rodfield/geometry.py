@@ -9,13 +9,13 @@ rod frame: ``solver`` alone places the rod.
 Quadrature: each smooth segment (two caps, two facade sides) is split
 into panels carrying a Gauss-Legendre rule, so sums against the node
 weights integrate segment-smooth functions to near machine precision.
-Panels abut the four curvature junctions; no node ever sits on one.  The
-panels follow one of two rules.  The uniform rule makes the panels of a
-segment equal, from node counts per cap and per facade side.  The graded
-rule refines them into both sides of each cap junction, where the field
-of a thin rod localises: the mesh then grows like log(L/delta), not like
-L/delta.  :func:`build_mesh` takes the uniform rule for given counts, and
-by default the rule with fewer nodes.
+Panels abut the four curvature junctions; no node ever sits on one.  One
+rule, :func:`panels`, lays them out.  The uniform mesh has equal panels on
+each segment, from node counts per cap and per facade side.  The graded
+mesh refines them into both sides of each cap junction, where the field of
+a thin rod localises, and grows like log(L/delta), not like L/delta.
+:func:`build_mesh` takes the uniform mesh for given counts, and by
+default the one with fewer nodes.
 """
 
 from __future__ import annotations
@@ -124,10 +124,9 @@ class BoundaryMesh:
     made by ``dataclasses.replace`` is rebuilt and checked like any other.
     Each cap carries ``n_cap`` nodes and each facade side ``n_facade``
     nodes in Gauss-Legendre panels, so weighted sums are high-order
-    accurate boundary integrals.  The uniform rule rounds both counts up
-    to a multiple of PANEL_ORDER and makes the panels of a segment equal
-    in arc length.  The ``graded`` rule (:func:`graded_panels`) takes its
-    panels from ``spec`` alone and ignores the counts given; ``n_cap`` and
+    accurate boundary integrals.  The panels are :func:`panels` of
+    :func:`_rule`: the uniform rule rounds both counts up to a multiple of
+    PANEL_ORDER, and the ``graded`` rule ignores them; ``n_cap`` and
     ``n_facade`` then hold its own.  ``n_facade`` is ignored for the disc
     case L = 0.  Positions and normals are in the rod frame, whatever
     ``spec.center`` and ``spec.angle``, and ``panel_lengths`` holds the arc
@@ -157,15 +156,8 @@ class BoundaryMesh:
     def __post_init__(self) -> None:
         spec = self.spec
         L, d = spec.L, spec.delta
-        if self.graded:
-            (s_cap, w_cap, h_cap), (s_fac, w_fac, h_fac) = map(_panel_rule, graded_panels(spec))
-        else:
-            if self.n_cap < 8:
-                raise ValidationError(f"n_cap must be >= 8, got {self.n_cap}")
-            if L > 0 and self.n_facade < 8:
-                raise ValidationError(f"n_facade must be >= 8, got {self.n_facade}")
-            s_cap, w_cap, h_cap = _segment_rule(np.pi, self.n_cap)
-            s_fac, w_fac, h_fac = _segment_rule(L, self.n_facade) if L > 0 else np.empty((3, 0))
+        rule = _rule(spec, self.n_cap, self.n_facade, self.graded)
+        (s_cap, w_cap, h_cap), (s_fac, w_fac, h_fac) = map(_panel_rule, panels(spec, *rule))
         nc, nf = len(s_cap), len(s_fac)
         theta = s_cap - np.pi / 2.0
         nu_cap = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -205,30 +197,12 @@ PANEL_ORDER = 8
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(PANEL_ORDER)
 
 
-def _panel_rule(lengths: NDArray,
-                starts: NDArray | None = None) -> tuple[NDArray, NDArray, NDArray]:
+def _panel_rule(lengths: NDArray) -> tuple[NDArray, NDArray, NDArray]:
     """Composite Gauss-Legendre nodes, weights and panel lengths, per node,
-    of panels of the given lengths, laid end to end from 0 unless their
-    ``starts`` are given."""
-    if starts is None:
-        starts = np.concatenate([[0.0], np.cumsum(lengths)[:-1]])
+    of panels of the given lengths, laid end to end from 0."""
+    starts = np.concatenate([[0.0], np.cumsum(lengths)[:-1]])
     s = (starts[:, None] + lengths[:, None] * (GAUSS_NODES + 1.0) / 2.0).ravel()
     return s, (lengths[:, None] * GAUSS_WEIGHTS / 2.0).ravel(), np.repeat(lengths, PANEL_ORDER)
-
-
-def _whole_panels(n_nodes: int) -> int:
-    return -(-n_nodes // PANEL_ORDER)
-
-
-def _segment_rule(length: float, n_nodes: int) -> tuple[NDArray, NDArray, NDArray]:
-    """:func:`_panel_rule` on (0, length).
-
-    ``n_nodes`` is rounded up to a multiple of PANEL_ORDER so the panels
-    are equal.
-    """
-    n_panels = _whole_panels(n_nodes)
-    h = length / n_panels
-    return _panel_rule(np.full(n_panels, h), h * np.arange(n_panels))
 
 
 #: The graded rule.  A cap has GRADED_CAP_PANELS equal panels, and the one
@@ -245,28 +219,41 @@ GRADED_FIRST = 1.0 / 32.0
 GRADED_LONGEST = 1.0 / 16.0
 
 
-def _graded_side(spec: RodSpec) -> tuple[float, int, int]:
-    """A graded facade side's first panel length, its number of doubling
-    panels at each end, and its number of equal middle panels."""
+def _rule(spec: RodSpec, n_cap: int, n_facade: int,
+          graded: bool) -> tuple[int, int, float, int, int]:
+    """The arguments of :func:`panels` after ``spec``.  The uniform rule
+    rounds the node counts up to whole panels and neither halves nor
+    doubles; the graded rule takes the GRADED_* constants and ignores the
+    counts."""
+    if not graded:
+        if n_cap < 8:
+            raise ValidationError(f"n_cap must be >= 8, got {n_cap}")
+        if spec.L > 0 and n_facade < 8:
+            raise ValidationError(f"n_facade must be >= 8, got {n_facade}")
+        return -(-n_cap // PANEL_ORDER), 0, 0.0, 0, -(-n_facade // PANEL_ORDER) if spec.L > 0 else 0
+    if spec.L == 0.0:
+        return GRADED_CAP_PANELS, GRADED_HALVINGS, 0.0, 0, 0
     first, longest = GRADED_FIRST * spec.delta, GRADED_LONGEST * spec.L
     steps = max(0, math.ceil(math.log2(longest / first)))
-    return first, steps, math.ceil((spec.L - 2.0 * first * (2**steps - 1)) / longest)
+    return (GRADED_CAP_PANELS, GRADED_HALVINGS, first, steps,
+            math.ceil((spec.L - 2.0 * first * (2**steps - 1)) / longest))
 
 
-def graded_panels(spec: RodSpec) -> tuple[NDArray, NDArray]:
-    """Panel lengths of the graded rule: a cap's in angle, from one
-    junction to the other, and a facade side's, left to right (empty for
-    L = 0).  Both are symmetric, so the mesh keeps its mirror orbits.
-
-    At L = 2 a cap has 12 panels, and a side 36 at delta = 0.002, 38 at
-    0.001 and 52 at 1e-5: n = 768, 800 and 1,024.
+def panels(spec: RodSpec, n_cap: int, halvings: int, first: float, steps: int,
+           n_mid: int) -> tuple[NDArray, NDArray]:
+    """Panel lengths of a cap, in angle from junction to junction: ``n_cap``
+    equal panels, the one at each junction halved ``halvings`` times toward
+    it.  Then of a facade side, left to right (empty for L = 0): ``steps``
+    panels doubling from ``first`` at each junction, and ``n_mid`` equal
+    panels between.  Both are symmetric, so the mesh keeps its mirror
+    orbits.  At L = 2 the graded rule gives a cap 12 panels, and a side 36
+    at delta = 0.002, 38 at 0.001 and 52 at 1e-5: n = 768, 800 and 1,024.
     """
-    quarter = np.pi / GRADED_CAP_PANELS
-    end = quarter / 2.0 ** np.concatenate([[GRADED_HALVINGS], np.arange(GRADED_HALVINGS, 0, -1)])
-    cap = np.concatenate([end, np.full(GRADED_CAP_PANELS - 2, quarter), end[::-1]])
-    if spec.L == 0.0:
+    h = np.pi / n_cap
+    end = h / 2.0 ** np.concatenate([[halvings], np.arange(halvings, 0, -1)])
+    cap = np.concatenate([end, np.full(n_cap - 2, h), end[::-1]]) if n_cap > 1 else end
+    if n_mid == 0:
         return cap, np.empty(0)
-    first, steps, n_mid = _graded_side(spec)
     grown = first * 2.0 ** np.arange(steps)
     middle = (spec.L - 2.0 * grown.sum()) / n_mid
     return cap, np.concatenate([grown, np.full(n_mid, middle), grown[::-1]])
@@ -283,16 +270,14 @@ def mesh_counts(spec: RodSpec, n_cap: int | None = None,
     where that has fewer nodes than the uniform default, which at L/delta
     >~ 705 it has (delta <~ 0.0028 at L = 2).
     """
+    may_grade = n_cap is None and n_facade is None
     if n_cap is None or n_facade is None:
         dc, df = default_counts(spec)
-        if n_cap is None and n_facade is None:
-            _, steps, n_mid = _graded_side(spec) if spec.L > 0 else (0.0, 0, 0)
-            cap, side = GRADED_CAP_PANELS + 2 * GRADED_HALVINGS, 2 * steps + n_mid
-            if cap + side < _whole_panels(dc) + _whole_panels(df):
-                return PANEL_ORDER * cap, PANEL_ORDER * side, True
         n_cap, n_facade = dc if n_cap is None else n_cap, df if n_facade is None else n_facade
-    n_facade = n_facade if spec.L > 0 else 0
-    return PANEL_ORDER * _whole_panels(n_cap), PANEL_ORDER * _whole_panels(n_facade), False
+    rules = [_rule(spec, n_cap, n_facade, graded) for graded in (False, True)[:1 + may_grade]]
+    counts = [(PANEL_ORDER * (c + 2 * h), PANEL_ORDER * (2 * s + m)) for c, h, _, s, m in rules]
+    best = min(counts, key=sum)  # the uniform rule on a tie
+    return (*best, best is not counts[0])
 
 
 def build_mesh(spec: RodSpec, n_cap: int | None = None,

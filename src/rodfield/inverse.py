@@ -264,8 +264,9 @@ def fit_rod(data: SensorSet) -> FitResult:
     ``converged`` means that LM stopped on one of its LM_TOL tests, not at
     MAX_NFEV evaluations, and that the RMS residual is within RESIDUAL_TOL of
     the signal RMS |u - H| or within twice the stated noise: a stop at a
-    wrong local minimum does not count.  Nor does a fit whose signal RMS is
-    at most twice the noise RMS, as the no-rod model s = 0 explains such data
+    wrong local minimum does not count.  Nor does a fit to N_PARAMS sensors,
+    whose residual is zero wherever LM stops, or one whose signal RMS is at
+    most twice the noise RMS, as the no-rod model s = 0 explains such data
     as well; data with no signal are one case, and their ``residual_rel`` is
     None.  Data holding a non-finite value are refused with ValidationError,
     and so are data whose sum of squares of |u - H| would overflow.
@@ -306,7 +307,7 @@ def fit_rod(data: SensorSet) -> FitResult:
     signal_rms = float(np.sqrt(np.mean(signal**2)))
     # where the no-rod model s = 0 fits within the noise, so does any rod;
     # data equal to H has no rod in it, and a zero residual there is no fit
-    converged = (stop != "max_nfev" and signal_rms > 2.0 * data.noise_rms
+    converged = (distinct > N_PARAMS and stop != "max_nfev" and signal_rms > 2.0 * data.noise_rms
                  and rms <= max(RESIDUAL_TOL * signal_rms, 2.0 * data.noise_rms))
     return FitResult(endpoints=(P_hat, Q_hat), strength=float(c),
                      strength_transverse=float(c_tr), center=z0, angle=float(theta),

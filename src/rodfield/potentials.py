@@ -45,9 +45,10 @@ from numpy.typing import NDArray
 from .background import HarmonicBackground
 from .geometry import GAUSS_NODES, PANEL_ORDER, BoundaryMesh, ValidationError
 
-#: An evaluation point whose nearest node is closer than this many times
-#: that node's panel length gets a proximity flag on the result: off a
-#: panel by less than half its length, the panel's Gauss rule degrades.
+#: An evaluation point closer to any node than this many times that node's
+#: panel length gets a proximity flag on the result: off a panel by less
+#: than half its length, the panel's Gauss rule degrades, even where the
+#: nearest node sits on a shorter panel.
 NEAR_FACTOR = 0.5
 
 #: byte budget of the scratch of field evaluation, three (chunk, n) float
@@ -429,10 +430,9 @@ def solve_density(np_matrix: NpMatrix, lam: float, rhs: DensityVector) -> Densit
 
 
 def _near_flags(mesh: BoundaryMesh, r2: NDArray) -> NDArray:
-    """Rows of the squared distances ``r2`` (points, nodes) whose nearest
-    node is closer than NEAR_FACTOR times that node's panel length."""
-    j = np.argmin(r2, axis=1)
-    return np.sqrt(r2[np.arange(len(r2)), j]) < NEAR_FACTOR * mesh.panel_lengths[j]
+    """Rows of the squared distances ``r2`` (points, nodes) with a node
+    closer than NEAR_FACTOR times that node's panel length."""
+    return (r2 < (NEAR_FACTOR * mesh.panel_lengths) ** 2).any(axis=1)
 
 
 def _direct_field(mesh: BoundaryMesh, pw: NDArray,
@@ -524,9 +524,8 @@ def single_layer_field(mesh: BoundaryMesh, phi: DensityVector,
     """Single-layer potential of ``phi``, its exact gradient and the near
     flag, at points ``x`` in the rod frame, with the gradient in that frame.
 
-    ``near`` flags points whose nearest node is closer than NEAR_FACTOR
-    times its panel length, where the composite Gauss-Legendre rule
-    degrades.
+    ``near`` flags points closer to a node than NEAR_FACTOR times that
+    node's panel length, where the composite Gauss-Legendre rule degrades.
 
     Points with |w| >= FAR_RATIO R, w the rod frame's exterior Joukowski
     variable (:func:`_joukowski`, a = max(L/2, 1e-3 delta)) and R the largest

@@ -12,7 +12,7 @@ from rodfield import RodSpec, ValidationError, build_mesh, to_local, to_world
 from rodfield.cli import CSV_BLOCK_ROWS, write_csv
 from rodfield.geometry import (GRADED_FIRST, GRADED_LONGEST, SEGMENTS, TAG_CAP_LEFT,
                                TAG_CAP_RIGHT, TAG_FACADE_BOTTOM, BoundaryMesh,
-                               TAG_FACADE_TOP, _segment_rule, default_counts, mesh_counts,
+                               TAG_FACADE_TOP, default_counts, mesh_counts,
                                rotation_matrix, signed_distance)
 
 
@@ -114,6 +114,19 @@ def test_disc_mesh_has_no_facade():
     assert np.allclose(r, 1.0, atol=1e-14)
 
 
+def equal_panels(length, n_nodes):
+    """Reference: Gauss-Legendre nodes and weights on (0, length) in equal
+    panels of 8 nodes, n_nodes rounded up to whole panels, laid end to end."""
+    n_panels = -(-n_nodes // 8)
+    h = length / n_panels
+    x, w = np.polynomial.legendre.leggauss(8)
+    nodes, start = [], 0.0
+    for _ in range(n_panels):
+        nodes.append(start + h * (x + 1.0) / 2.0)
+        start += h
+    return np.concatenate(nodes), np.tile(h * w / 2.0, n_panels)
+
+
 def loop_build_mesh(spec, n_cap, n_facade=0):
     """Reference: the mesh built segment by segment, each cap and side on
     its own, with a tag per node, as ``build_mesh`` once was."""
@@ -121,7 +134,7 @@ def loop_build_mesh(spec, n_cap, n_facade=0):
     P = np.array([-L / 2.0, 0.0])
     Q = np.array([L / 2.0, 0.0])
     pts, nrm, kap, wts, tags = [], [], [], [], []
-    s_cap, w_cap, _ = _segment_rule(np.pi, n_cap)
+    s_cap, w_cap = equal_panels(np.pi, n_cap)
     n_cap = len(s_cap)
 
     def cap(center, theta0, tag):
@@ -138,7 +151,7 @@ def loop_build_mesh(spec, n_cap, n_facade=0):
         cap(P, np.pi / 2.0, TAG_CAP_LEFT)
         n_facade = 0
     else:
-        s_fac, w_fac, _ = _segment_rule(L, n_facade)
+        s_fac, w_fac = equal_panels(L, n_facade)
         n_facade = len(s_fac)
 
         def facade(y2, reverse, tag):

@@ -275,6 +275,18 @@ def test_fit_refuses_fewer_sensors_than_parameters():
         fit_rod(few)
 
 
+def test_a_fit_with_no_spare_sensor_is_not_converged():
+    # six sensors leave the six parameters no residual to test: on
+    # closed-form data the fit was 0.106 off the rod with residual_rel
+    # 4e-16 and said converged.  A seventh sensor makes the fit exact
+    for count in (6, 7, 8):
+        data = simulate_measurements(SPEC, BG, sensor_circle((0.0, 0.0), 3.0, count),
+                                     source="asymptotic")
+        fit = fit_rod(data)
+        assert fit.converged == (count > 6)
+        assert (endpoint_error(fit, SPEC) <= 1e-10) == (count > 6)
+
+
 def test_fit_counts_repeated_and_signed_zero_sensors_once():
     # five distinct sensors, once with repeated rows and once with a row
     # that differs from another only in the sign of a zero
@@ -511,8 +523,9 @@ def test_start_moments_match_the_fft_of_evenly_spaced_data():
 def test_start_is_finite_on_degenerate_data():
     # collinear sensors leave half the moments undetermined (lstsq takes the
     # minimum norm); six sensors determine M_1..M_3 exactly; data equal to
-    # H have M_1 = 0 and take the fallback start.  The fits end as before
-    # the moment start: the first two converge, the last does not
+    # H have M_1 = 0 and take the fallback start.  The first fit converges;
+    # the six-sensor fit lands on the rod but, with no spare sensor, its
+    # residual proves nothing, so it is not converged; the last misses
     rod = RodSpec(L=1.75, delta=0.05, center=(0.0, 0.0), angle=0.0, sigma0=2.0)
     bg = HarmonicBackground.linear((1.0, 0.0))
     x1 = np.array([-5.0, -4.0, -3.0, -2.0, 2.0, 3.0, 4.0, 5.0])
@@ -530,7 +543,8 @@ def test_start_is_finite_on_degenerate_data():
             assert np.array_equal(start, [*data.center, 0.0, 1.5, 0.0, 0.0])
             assert not fit.converged
         else:
-            assert fit.converged and endpoint_error(fit, spec) <= 1e-10
+            assert fit.converged == (data is not six)
+            assert endpoint_error(fit, spec) <= 1e-10
 
 
 @pytest.mark.parametrize("sigma0, delta, error", [

@@ -93,8 +93,7 @@ def dense_np(mesh, correct=True):
 def dense_near_flags(mesh, pts):
     """Reference: the unchunked near flags, from a dense (m, n) distance."""
     d = np.linalg.norm(pts[:, None, :] - mesh.points[None, :, :], axis=2)
-    j = np.argmin(d, axis=1)
-    return d[np.arange(len(pts)), j] < potentials.NEAR_FACTOR * mesh.panel_lengths[j]
+    return (d < potentials.NEAR_FACTOR * mesh.panel_lengths).any(axis=1)
 
 
 def dense_single_layer(mesh, phi, x):
@@ -554,6 +553,17 @@ def test_near_flags():
     pts = np.array([[0.0, 0.1001], [0.0, 3.0]])
     _, near = single_layer(mesh, phi, pts)
     assert near[0] and not near[1]
+
+
+def test_a_point_off_the_longer_of_two_panels_is_flagged():
+    # above the step from a 0.064 doubling panel to a 0.1246 middle panel of
+    # the default delta = 0.001 mesh, this point's nearest node is on the
+    # short panel (0.52 of it away) while the long panel's nearest node is
+    # 0.27 of that panel away, where its Gauss rule has degraded
+    mesh = build_mesh(RodSpec(L=2.0, delta=0.001))
+    phi = DensityVector(values=np.zeros(len(mesh)), mesh=mesh)
+    _, near = single_layer(mesh, phi, np.array([[0.874, -0.034]]))
+    assert mesh.rule == "graded" and near[0]
 
 
 def _field_case(m):

@@ -282,16 +282,37 @@ def test_graded_rule_has_fewer_nodes_than_the_first_and_its_accuracy(delta, sigm
             assert err[~near[probes]].max() <= 2.5e-7 * scale
 
 
+@pytest.mark.parametrize("delta", [0.1, 0.025, 0.00625])
+def test_unflagged_points_by_a_junction_of_a_uniform_mesh_are_accurate(delta,
+                                                                        refined_graded_mesh):
+    # D17: by a junction, a point's nearest node can sit on a short cap
+    # panel while a long facade panel's rule has already degraded.  Flagged
+    # within half of its nearest node's panel, such points were left
+    # unflagged, off by up to 1.2e-4 of the perturbation (delta = 0.025).
+    # Flagged within half of any node's panel, none is left unflagged at
+    # delta = 0.025 and 0.00625, and at delta = 0.1 the unflagged ones are
+    # within 2.9e-6
+    for sigma0 in (0.01, 2.0, 100.0):
+        spec = RodSpec(delta=delta, sigma0=sigma0, **THIN_ROD)
+        mesh, pts = build_mesh(spec), _junction_probes(spec)
+        near = single_layer_field(mesh, DensityVector(np.zeros(len(mesh)), mesh),
+                                  to_local(spec, pts))[2]
+        assert mesh.rule == "uniform"
+        refs = _perturbations(refined_graded_mesh(spec, 2), sigma0, pts)
+        for s, ref in zip(_perturbations(mesh, sigma0, pts), refs):
+            assert np.abs(s - ref)[~near].max(initial=0.0) <= 5e-6 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("sigma0", [2.0, 100.0, 0.01])
 def test_unflagged_points_near_a_thin_rod_are_accurate(sigma0, refined_graded_mesh):
     # points within 0.1 of the rod, a quarter of them within 6 delta of a
     # cap junction.  The near band was two node weights, 0.1 to 0.36 of a
     # panel: on the graded mesh it left points unflagged at up to 6.5e-4 of
     # the perturbation off a twice refined mesh (sigma0 = 0.01; 3.9e-5 at
-    # sigma0 = 2).  Half a panel leaves them within 9.0e-7 (7.8e-8), the
-    # worst above the step from an L/32 to an L/16 facade panel, where the
-    # nearest node's panel is the shorter one (3.3e-7 and 1.6e-8 under the
-    # first graded rule, whose middle panels were L/32)
+    # sigma0 = 2).  Half of any node's panel leaves them within 2.6e-7
+    # (1.8e-8).  Half the nearest node's panel left 9.0e-7 (7.8e-8) above
+    # the step from an L/32 to an L/16 facade panel, where the nearest node
+    # is on the shorter one
     delta = 0.001
     spec = RodSpec(delta=delta, sigma0=sigma0, **THIN_ROD)
     rng = np.random.default_rng(7)
