@@ -13,20 +13,20 @@ R1: x1 -> -x1 and R2: x2 -> -x2, and the NP kernel is invariant under
 isometries.  So the Nystrom matrix commutes with the group
 {e, R1, R2, R1R2} and splits into four parity blocks of size n/4, one for
 each pair of parities (p1, p2).  Assembly evaluates the kernel in the rod
-frame, only on the rows of one quarter arc, and only where a cap node is
-involved: facade pairs on one side are 0, and across the rod they are
-the closed form's A_delta Lorentzian.  The mirror images of a quarter-arc
-node are the sign flips of its rod-frame coordinates, so one pass over
-chunks of cap rows, with scratch bounded by NP_CHUNK_BYTES, forms the
-differences once for all four orbit matrices.  The Lorentzian is 2 delta
-wide, narrower than a long facade panel, so on the source panels near a
-row it is integrated exactly against the panel's interpolant (product
-quadrature, Helsing & Ojala 2008) by :func:`lorentzian_weights`, which
+frame, only on the rows of one quarter arc, in two row passes.  The
+mirror images of a quarter-arc node are the sign flips of its rod-frame
+coordinates, so one pass over chunks of cap rows, with scratch bounded by
+NP_CHUNK_BYTES, forms the differences once for all four orbit matrices.
+The other writes each top-side row once: against the cap the kernel with
+normal (0, 1), against its own side 0, and across the rod the closed
+form's A_delta Lorentzian.  The Lorentzian is 2 delta wide, narrower than
+a long facade panel, so on the source panels near a row it is integrated
+exactly against the panel's interpolant (product quadrature, Helsing &
+Ojala 2008) by :func:`lorentzian_weights`, which
 ``asymptotics.a_delta_apply`` also uses for A_delta; farther panels take
 the node rule, within 5e-12 of an entry there.  One routine serves equal
-and graded panels.  The density solve factors a block only if the
-data has a part of its parity; a linear background excites two of the
-four.
+and graded panels.  The density solve factors a block only if the data
+has a part of its parity; a linear background excites two of the four.
 
 Outside the rod the field S[phi] is fixed by a few moments of the
 density, so grids of many points far from the rod take S and grad S from
@@ -63,10 +63,12 @@ NP_CHUNK_BYTES = 1 << 19
 #: whose k-th term there is at most 2^(1-k) of sum_j |q_j|, q_j the density
 #: times the node weight (over |w| for dF/dw): FAR_TERMS terms leave a
 #: remainder below 2^(1-FAR_TERMS) of that, and 48 already reached the
-#: rounding of the direct sum.  Its fixed cost is about 0.3 ms at n = 272
-#: and 0.6 ms at n = 2064 (two loops of FAR_TERMS steps), the direct sum's
-#: about 8.5 ns a (point, node) pair, so it is used only where it replaces
-#: at least FAR_MIN_PAIRS pairs, four times the break-even at n = 2064.
+#: rounding of the direct sum.  Its fixed cost is about 0.25 ms at n = 272
+#: and 0.33 ms at n = 768 and 800 (two loops of FAR_TERMS steps), and it
+#: then takes 0.27 us a point, the direct sum 8.5 ns a (point, node) pair:
+#: it breaks even at about 32,000 pairs at n = 272 and 38,000 at n = 768
+#: and 800, and is used only where it replaces at least FAR_MIN_PAIRS
+#: pairs, seven to eight times that.
 FAR_RATIO = 2.0
 FAR_TERMS = 56
 FAR_MIN_PAIRS = 1 << 18
@@ -150,41 +152,33 @@ class DensityVector:
 
 
 def _orbit_kernel(mats: NDArray, x: NDArray, nu: NDArray, w: NDArray, mc: int) -> None:
-    """Write the entries of the orbit matrices ``mats`` (4, m, m) with a
-    cap node at either end.  x (m, 2) and w (m,) are the quarter arc in the
-    rod frame, its first mc nodes on the cap and the rest on the top side,
-    and nu (mc, 2) the normals of its cap nodes.
+    """Write the cap rows of the orbit matrices ``mats`` (4, m, m).  x (m, 2)
+    and w (m,) are the quarter arc in the rod frame, its first mc nodes on
+    the cap and the rest on the top side, and nu (mc, 2) the normals of its
+    cap nodes.
 
     The image g = 2 j2 + j1 (e, R1, R2, R1R2) of a node y is
     (flips[0, j1], flips[1, j2]), where flips[i, j] is y_i for j = 0 and
     -y_i for j = 1.  Each chunk of cap rows a forms d = x_a - g(y_b) from
     x_i - flips[i, j], and r^2 = |d|^2 from their squares, once for all
-    four images.  The same d give the top side's rows b against the cap
-    columns a: x_b - g(x_a) = -g(d) and the normal there is (0, 1), so
-    A_g[b, a] = -s2 d_2 w_a / (2 pi r^2), s2 the sign g gives y2.  The
-    scratch is fourteen (chunk, m) float arrays, NP_CHUNK_BYTES in all.
-    A pair with x_a = g(y_b) gives NaN; the caller writes the diagonal.
+    four images.  The scratch is twelve (chunk, m) float arrays,
+    NP_CHUNK_BYTES in all.  A pair with x_a = g(y_b) gives NaN; the caller
+    writes the diagonal.
     """
     m = len(x)
-    rows = max(1, NP_CHUNK_BYTES // (112 * m))
-    buf = np.empty((14, min(rows, mc), m))
+    rows = max(1, NP_CHUNK_BYTES // (96 * m))
+    buf = np.empty((12, min(rows, mc), m))
     flips = np.stack([x.T, -x.T], axis=1)
     w = w / (2.0 * np.pi)
-    sw = np.multiply.outer([-1.0, 1.0], w[:mc])   # -s2 w_a / (2 pi) for j2 = 0, 1
     with np.errstate(invalid="ignore"):
         for s in range(0, mc, rows):
             xs, ns = x[:mc][s:s + rows].T, nu[s:s + rows].T
             k = xs.shape[1]
-            d, sq, den = buf[:12, :k].reshape(3, 2, 2, k, m)
-            nw = buf[12:, :k]
+            d, sq, den = buf[:, :k].reshape(3, 2, 2, k, m)
             np.subtract(xs[:, None, :, None], flips[:, :, None, :], out=d)
             np.square(d, out=sq)
             np.add(sq[1, :, None], sq[0], out=den)
-            # the top side's rows against this chunk's columns, transposed
-            side = np.multiply(d[1, :, :, mc:], sw[:, s:s + k, None], out=nw[..., mc:])
-            top = mats[:, mc:, s:s + k].transpose(0, 2, 1).reshape(2, 2, k, m - mc)
-            np.divide(side[:, None], den[..., mc:], out=top)
-            d *= np.multiply(ns[:, :, None], w, out=nw)[:, None]
+            d *= np.multiply(ns[:, :, None], w, out=sq[:, 0])[:, None]
             num = np.add(d[1, :, None], d[0], out=sq)
             np.divide(num, den, out=mats[:, s:s + k].reshape(num.shape))
 
@@ -197,60 +191,65 @@ def _orbit_kernel(mats: NDArray, x: NDArray, nu: NDArray, w: NDArray, mc: int) -
 #: correction by 2e-13, four times what a dense assembly allows.
 CROSS_NEAR_Z = 12.0
 
-#: (row, panel) pairs given product weights at a time by :func:`_cross_facade`.
-#: Their scratch, about 0.5 KB a pair, stays within the NP_CHUNK_BYTES of
-#: :func:`_orbit_kernel`; a fixed count, so the entries do not depend on it.
-CROSS_CHUNK = 1024
+#: (row, panel) pairs of the top side's rows against the bottom side's
+#: panels that :func:`_facade_rows` writes at a time.  On the thin-rod
+#: meshes (n = 768, 800, 1,024) 1024 took 10-12% more assembly time, and
+#: 4096 raised the assembly scratch from 0.67-0.72 MB to 0.90-1.07 MB.  A
+#: fixed count, so that no entry depends on NP_CHUNK_BYTES.
+CROSS_CHUNK = 2048
 
 
-def _cross_facade(mats: NDArray, x: NDArray, w: NDArray, h: NDArray,
-                  mc: int, delta: float) -> None:
-    """Write the facade pairs across the rod into the orbit matrices
-    ``mats`` (4, m, m): the top side's rows of A_R2 and A_R1R2 against
-    their top side columns, from index mc on.  x, w and h (k,) are the x1
-    in the rod frame, the weights and the panel lengths of the top side's
-    k quarter-arc nodes, x1 falling from the right junction to the middle.
+def _facade_rows(mats: NDArray, x: NDArray, w: NDArray, h: NDArray,
+                 mc: int, delta: float) -> None:
+    """Write the top side's rows of the orbit matrices ``mats`` (4, m, m),
+    from index mc on.  x (m, 2) and w (m,) are the quarter arc as in
+    :func:`_orbit_kernel`, and h (m - mc,) the panel lengths of its top
+    side nodes, x1 falling from the right junction to the middle.
 
-    Row a is the top node over x1 = x_a; column b is the bottom node at
-    x_b in A_R2 and at -x_b in A_R1R2.  Each entry is the A_delta kernel
-    delta / (pi (t^2 + 4 delta^2)), t the difference in x1, times the
-    node weight.  That node rule serves a source panel (length h, centre
-    c) whose target z = 2 (x_a - c) / h + 4 i delta / h has
-    |z| >= CROSS_NEAR_Z: the kernel's poles lie so far off the panel that
-    its Gauss rule is off by 5e-12 of an entry at most.  The pairs with a
-    nearer panel, |x_a - c| < sqrt((CROSS_NEAR_Z h / 2)^2 - 4 delta^2),
-    are found panel by panel by a band search over the rows, and take the
-    product weights of :func:`lorentzian_weights` against the panel's
-    interpolant in place of the node rule, CROSS_CHUNK pairs at a time.
+    A top node sits at (x1, delta) with normal (0, 1).  Against the image
+    of a cap node y whose y2 that image multiplies by s2 the entry is
+    (delta - s2 y2) w / (2 pi r^2), w the cap node's weight, and against
+    the same side, in A_e and A_R1, it is 0: (x - y).nu_x = 0.  Both are
+    written for every row at once.  Across the rod x2 - y2 = 2 delta gives
+    the closed form's A_delta kernel delta / (pi (t^2 + 4 delta^2)), t the
+    difference in x1, which a row takes against the whole bottom side, left
+    to right, in a row buffer: the node rule, the kernel times the node
+    weight, overwritten on each source panel (length h, centre c) whose
+    target z = 2 (x1 - c) / h + 4 i delta / h has |z| < CROSS_NEAR_Z by
+    the product weights of :func:`lorentzian_weights` against the panel's
+    interpolant.  Farther out the kernel's poles lie so far off the panel
+    that its Gauss rule is off by 5e-12 of an entry at most.  The buffer's
+    first half, the bottom nodes at -x1, is the row of A_R1R2, and its
+    second half, reversed, that of A_R2.  The buffers take CROSS_CHUNK
+    (row, panel) pairs at a time.
     """
-    k, m = len(x), mats.shape[1]
-    dw = delta / np.pi * w
-    for g, sign in ((2, -1.0), (3, 1.0)):
-        blk = mats[g, mc:, mc:]
-        np.add.outer(x, sign * x, out=blk)
-        np.square(blk, out=blk)
-        blk += 4.0 * delta * delta
-        np.divide(dw, blk, out=blk)
-    # the bottom side left to right, by panel: node b < k is column b of
-    # A_R1R2, and node b >= k column 2k-1-b of A_R2; cols are flat indices.
+    k, m, top = len(h), len(x), x[mc:, 0]
+    flips = np.stack([x[:mc].T, -x[:mc].T], axis=1)
+    d2 = delta - flips[1]   # delta - s2 y2 for j2 = 0, 1
+    cap = mats.reshape(2, 2, m, m)[:, :, mc:, :mc]   # [j2, j1] as in _orbit_kernel
+    np.add(np.square(d2)[:, None, None], np.square(top[:, None] - flips[0][:, None]), out=cap)
+    np.divide((d2 * (w[:mc] / (2.0 * np.pi)))[:, None, None], cap, out=cap)
+    mats[:2, mc:, mc:] = 0.0
     # The Gauss nodes are symmetric, so a panel's end nodes give its centre
-    panels = np.concatenate([-x, x[::-1]]).reshape(-1, PANEL_ORDER)
+    bottom = np.concatenate([-top, top[::-1]])
+    panels = bottom.reshape(-1, PANEL_ORDER)
     centre = (panels[:, 0] + panels[:, -1]) / 2.0
     length = np.concatenate([h, h[::-1]])[::PANEL_ORDER]
-    node = np.arange(2 * k).reshape(panels.shape)
-    cols = mc + np.where(node < k, 3 * m * m + node, 2 * m * m + 2 * k - 1 - node)
-    # near the top of solver.R_RANGE a reach may overflow, and take every row
-    with np.errstate(over="ignore"):
-        reach = np.sqrt(np.maximum(np.square(CROSS_NEAR_Z / 2.0 * length) - 4.0 * delta**2, 0.0))
-    rows = x[::-1]   # increasing
-    lo = np.searchsorted(rows, centre - reach, side="right")
-    count = np.searchsorted(rows, centre + reach, side="left") - lo
-    panel = np.repeat(np.arange(len(centre)), count)
-    row = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
-    for s in range(0, len(row), CROSS_CHUNK):
-        p, i = panel[s:s + CROSS_CHUNK], row[s:s + CROSS_CHUNK]
-        z = (2.0 * (rows[i] - centre[p]) + 4j * delta) / length[p]
-        np.put(mats, cols[p] + (m * (mc + k - 1 - i))[:, None], lorentzian_weights(z))
+    dw = delta / np.pi * np.concatenate([w[mc:], w[mc:][::-1]])
+    rows = max(1, CROSS_CHUNK // len(centre))
+    buf = np.empty((min(rows, k), 2 * k))
+    for s in range(0, k, rows):
+        xr = top[s:s + rows, None]
+        band = slice(mc + s, mc + s + len(xr))
+        line = np.subtract(xr, bottom, out=buf[:len(xr)])
+        np.square(line, out=line)
+        line += 4.0 * delta * delta
+        np.divide(dw, line, out=line)
+        z = (2.0 * (xr - centre) + 4j * delta) / length
+        near = np.abs(z) < CROSS_NEAR_Z
+        line.reshape(len(xr), -1, PANEL_ORDER)[near] = lorentzian_weights(z[near])
+        mats[3, band, mc:] = line[:, :k]
+        mats[2, band, mc:] = line[:, k:][:, ::-1]
 
 
 @dataclass(frozen=True)
@@ -332,12 +331,13 @@ def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
     The mesh is in the rod frame, so the matrices do not depend on where
     the rod is placed.  The quarter arc q holds n_cap/2 cap nodes and then
     n_facade/2 nodes of the top side, and so does each of its images, the
-    exact sign flips of its coordinates.  Entries with a cap node on either
-    end take the general kernel, in one pass of :func:`_orbit_kernel` over
-    the cap rows.  Facade pairs follow from the straight sides: on one side
-    (x - y).nu_x = 0, so the pair is 0, and across the rod x2 - y2 = 2 delta
-    gives the Lorentzian delta / (pi (t^2 + 4 delta^2)) with t = x1 - y1,
-    the kernel of the closed form's A_delta, written by :func:`_cross_facade`.
+    exact sign flips of its coordinates.  Each row is written once, in one
+    of two row passes: the cap rows by :func:`_orbit_kernel`, with the
+    general kernel, and the top side's rows by :func:`_facade_rows`, where
+    the straight sides give the kernel in closed form: 0 against the same
+    side, and across the rod, with x2 - y2 = 2 delta, the Lorentzian
+    delta / (pi (t^2 + 4 delta^2)), t = x1 - y1, of the closed form's
+    A_delta.
 
     The kernel's weighted column sums are 1/2 in the continuum; the
     quadrature leaves a deficit fix_b in column b.  A uniform mesh adds
@@ -358,9 +358,7 @@ def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
     mats = np.empty((4, m, m))
     _orbit_kernel(mats, xq, mesh.normals[q[:mc]], wq, mc)
     if mesh.n_facade:
-        mats[:2, mc:, mc:] = 0.0   # same side
-        _cross_facade(mats, xq[mc:, 0], wq[mc:], mesh.panel_lengths[q[mc:]], mc,
-                      mesh.spec.delta)
+        _facade_rows(mats, xq, wq, mesh.panel_lengths[q[mc:]], mc, mesh.spec.delta)
     mats[0, diag, diag] = mesh.curvatures[q] * wq / (4.0 * np.pi)
 
     # the deficit of each weighted column sum, equal along each orbit

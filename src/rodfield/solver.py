@@ -146,8 +146,8 @@ def transmission_check(sol: ForwardSolution, idx) -> dict:
     """Flux continuity report: exterior vs sigma0 * interior normal derivative.
 
     Normal derivatives are approximated at offset points x +- h*nu of the
-    nodes ``idx``, with h = 5 local spacings, avoiding on-boundary principal
-    values.  A node whose h is not below the rod's thickness 2 delta is
+    nodes ``idx``, with h five times the node's weight, avoiding
+    on-boundary principal values.  A node whose h is not below the rod's thickness 2 delta is
     refused with ValueError: its inner probe could leave the rod.
     """
     mesh, idx = sol.mesh, np.asarray(idx)

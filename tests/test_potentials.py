@@ -15,8 +15,8 @@ from rodfield import (DensityVector, HarmonicBackground, RodSpec,
                       ValidationError, build_mesh, assemble_np, lambda_of_sigma,
                       neumann_data, single_layer, single_layer_field,
                       single_layer_grad, solve_density)
-from rodfield.geometry import (GAUSS_NODES, PANEL_ORDER, TAG_FACADE_BOTTOM, TAG_FACADE_TOP,
-                              default_counts)
+from rodfield.geometry import (GAUSS_NODES, PANEL_ORDER, TAG_CAP_LEFT, TAG_CAP_RIGHT,
+                              TAG_FACADE_BOTTOM, TAG_FACADE_TOP, default_counts)
 from rodfield.potentials import SolverError
 
 
@@ -148,7 +148,10 @@ def test_parity_blocks_match_dense_assembly(name):
 @pytest.mark.parametrize("mesh", [
     disc_mesh, rod_mesh,
     lambda: build_mesh(RodSpec(L=2.0, delta=0.001, angle=0.3, center=(0.1, -0.2)),
-                       n_cap=32, n_facade=1000)], ids=["disc", "rod", "thin_rod"])
+                       n_cap=32, n_facade=1000),
+    lambda: build_mesh(RodSpec(L=2.0, delta=0.002)),
+    lambda: build_mesh(RodSpec(L=2.0, delta=1e-5))],
+    ids=["disc", "rod", "thin_rod", "graded", "graded_1e-5"])
 def test_orbit_matrices_do_not_depend_on_the_chunk(mesh, monkeypatch):
     # every entry is formed by itself, so one row per chunk and a single
     # chunk give the same bits
@@ -204,6 +207,88 @@ def test_lorentzian_gather_scratch_is_a_fraction_of_the_block():
     # matrices at n = 2,064
     spec = RodSpec(L=2.0, delta=0.001, angle=0.3, center=(0.1, -0.2))
     assert _assembly_scratch(build_mesh(spec, *default_counts(spec))) <= 3 << 19
+
+
+@pytest.mark.parametrize("delta", [0.001, 1e-5])
+def test_assembly_scratch_of_a_graded_mesh_is_bounded(delta):
+    # measured: 0.67 and 0.69 MB on the default meshes (n = 800, 1,024)
+    assert _assembly_scratch(build_mesh(RodSpec(L=2.0, delta=delta))) <= 3 << 18
+
+
+def loop_top_rows(mesh):
+    """Reference: the top side's rows (4, n_facade/2, n/4) of the four
+    orbit matrices, without the column-identity correction, one entry at a
+    time.  Row a is the top node q_a of the quarter arc q, column b the
+    source node g(q_b).  Against a cap node the entry is the NP kernel
+    <x - y, nu_x> w / (2 pi |x - y|^2), against the same side 0, and
+    across the rod the A_delta kernel: on a source panel of the whole
+    bottom side (length h, centre c, the midpoint of its end nodes) whose
+    target z = (2 (x1 - c) + 4 i delta) / h has |z| < CROSS_NEAR_Z, the
+    product weight lorentzian_weights(z) of the node; on any other, the
+    node rule delta w / (pi ((x1 - y1)^2 + 4 delta^2)).  The nodes are the
+    sign flips of the quarter arc's, as in assembly: the panel rule lays a
+    side's two halves up to 4.4e-16 apart from each other's mirror image."""
+    delta, q = mesh.spec.delta, mesh.orbits[0]
+    pos = np.empty_like(mesh.points)
+    for g in range(4):
+        pos[mesh.orbits[g]] = mesh.points[q] * [(-1.0) ** (g % 2), (-1.0) ** (g // 2)]
+    x, nu, w, h = (a.tolist() for a in (pos, mesh.normals, mesh.weights, mesh.panel_lengths))
+    cap = (mesh.tag_mask(TAG_CAP_RIGHT) | mesh.tag_mask(TAG_CAP_LEFT)).tolist()
+    bottom = np.flatnonzero(mesh.tag_mask(TAG_FACADE_BOTTOM))
+    panel_of = {}
+    for nodes in bottom[np.argsort(pos[bottom, 0])].reshape(-1, PANEL_ORDER).tolist():
+        centre = (x[nodes[0]][0] + x[nodes[-1]][0]) / 2.0
+        panel_of.update((node, (j, centre)) for j, node in enumerate(nodes))
+    rows = q[mesh.n_cap // 2:].tolist()
+    out = np.zeros((4, len(rows), len(q)))
+    for g in range(4):
+        for a, row in enumerate(rows):
+            (x1, x2), (n1, n2) = x[row], nu[row]
+            for b, col in enumerate(mesh.orbits[g].tolist()):
+                y1, y2 = x[col]
+                if cap[col]:
+                    r2 = (x1 - y1) ** 2 + (x2 - y2) ** 2
+                    out[g, a, b] = ((x1 - y1) * n1 + (x2 - y2) * n2) * w[col] / (2.0 * np.pi * r2)
+                elif col in panel_of:
+                    j, centre = panel_of[col]
+                    # z by numpy's complex division, as in assembly: it
+                    # multiplies by 1/h, and Python's division moved these
+                    # entries by up to 9e-14 of a block's largest
+                    z = (2.0 * (x1 - centre) + 4j * delta) / np.array([h[col]])
+                    if np.abs(z[0]) < potentials.CROSS_NEAR_Z:
+                        out[g, a, b] = potentials.lorentzian_weights(z)[0, j]
+                    else:
+                        out[g, a, b] = delta * w[col] / (np.pi * ((x1 - y1) ** 2 + 4.0 * delta**2))
+    return out
+
+
+@pytest.mark.parametrize("mesh", [
+    lambda: build_mesh(RodSpec(L=2.0, delta=0.002)),
+    lambda: build_mesh(RodSpec(L=2.0, delta=1e-5)),
+    SYMMETRY_MESHES["odd_panels"]], ids=["graded", "graded_1e-5", "odd_panels"])
+def test_top_side_rows_match_a_plain_loop(mesh):
+    # on the default graded meshes and on one whose middle panel straddles
+    # x1 = 0, every top-side entry of the four orbit matrices, within 2e-14
+    # of each block's largest entry and the rounding of the rank-one term
+    # taken off.  product_facade_weights cannot serve: at delta = 1e-5 its
+    # sub-panels of an L/16 panel are 100 times wider than the Lorentzian.
+    # Measured: <= 3.1e-16 on the cap columns, and 1.3e-14 across the rod,
+    # the rounding of lorentzian_weights, which takes a single target by a
+    # vector-matrix product and several by a matrix product
+    mesh = mesh()
+    npm = assemble_np(mesh)
+    q, mc = mesh.orbits[0], mesh.n_cap // 2
+    wq = mesh.weights[q]
+    term = np.zeros((4, len(q), len(q)))
+    if mesh.graded:
+        term += npm.correction[q] * wq * wq / (4.0 * wq.sum())
+    else:
+        term[0, np.arange(len(q)), np.arange(len(q))] = npm.correction[q] * wq
+    got, want = (npm.orbit_matrices - term)[:, mc:], loop_top_rows(mesh)
+    for g in range(4):
+        for cols in (slice(None, mc), slice(mc, None)):
+            err = np.abs(got[g, :, cols] - want[g, :, cols]).max()
+            assert err <= 2e-14 * np.abs(want[g, :, cols]).max() + 1e-15 * np.abs(term).max()
 
 
 def table_cross_blocks(mesh):

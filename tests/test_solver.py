@@ -10,8 +10,8 @@ from rodfield import geometry
 from rodfield import (DensityVector, HarmonicBackground, RodSpec, ValidationError,
                       build_mesh, eval_field, eval_grad_u, eval_u, lambda_of_sigma,
                       single_layer_field, solve_forward, transmission_check)
-from rodfield.geometry import (default_counts, rotation_matrix, signed_distance, to_local,
-                               to_world)
+from rodfield.geometry import (GAUSS_NODES, GAUSS_WEIGHTS, PANEL_ORDER, default_counts,
+                               rotation_matrix, signed_distance, to_local, to_world)
 from rodfield.inverse import sensor_circle
 from rodfield.potentials import assemble_np, neumann_data, solve_density
 from rodfield.solver import (R_RANGE, disc_exterior_grad, disc_exterior_u, disc_interior_u,
@@ -206,18 +206,87 @@ def test_near_insulating_rod_at_default_counts():
     assert np.abs(s_bem - s_ref).max() <= 5e-6 * np.abs(s_ref).max()
 
 
+# The sub-rule of panel_resolved_single_layer on a panel's (-1, 1): 16
+# sub-panels of 8 Gauss points, and the Lagrange basis of the panel's
+# Gauss nodes there
+_SUB_T = ((np.arange(16)[:, None] + 0.5) / 8.0 - 1.0 + GAUSS_NODES / 16.0).ravel()
+_SUB_W = np.tile(GAUSS_WEIGHTS / 16.0, 16)
+_SUB_BASIS = np.stack([np.prod([(_SUB_T - GAUSS_NODES[k]) / (GAUSS_NODES[j] - GAUSS_NODES[k])
+                                for k in range(PANEL_ORDER) if k != j], axis=0)
+                       for j in range(PANEL_ORDER)], axis=1)
+
+
+def panel_resolved_single_layer(mesh, phi, x, chunk=64):
+    """S[phi] at rod-frame points x (m, 2), with near panels resolved.  At
+    each point the node sum over every panel with a node within 2 of its
+    lengths is replaced by that panel's degree-7 interpolant of phi,
+    integrated on 16 sub-panels of 8 Gauss points whose nodes lie on the
+    exact segment: the straight side, or the cap's arc about its centre.
+    The rest is the native sum of single_layer_field.  The points go
+    ``chunk`` at a time, so the scratch is bounded."""
+    x = np.asarray(x, dtype=float)
+    values = single_layer_field(mesh, phi, x)[0]
+    nodes = mesh.points.reshape(-1, PANEL_ORDER, 2)
+    h = mesh.panel_lengths[::PANEL_ORDER]
+    ends = nodes[:, 0] + nodes[:, -1]
+    # sub-nodes (panels, 16 * 8, 2): on a side, the mid point plus the
+    # tangent; on a cap, the arc of radius delta about (+-L/2, 0)
+    centre = np.column_stack([np.sign(ends[:, 0]) * mesh.spec.L / 2.0, np.zeros(len(h))])
+    mid = np.arctan2(*(ends - 2.0 * centre).T[::-1])
+    arc = mid[:, None] + h[:, None] / (2.0 * mesh.spec.delta) * _SUB_T
+    on_arc = centre[:, None] + mesh.spec.delta * np.stack([np.cos(arc), np.sin(arc)], axis=-1)
+    step = np.sign(nodes[:, -1, 0] - nodes[:, 0, 0])[:, None] * h[:, None] / 2.0 * _SUB_T
+    on_side = np.stack([ends[:, None, 0] / 2.0 + step, np.repeat(nodes[:, :1, 1], len(_SUB_T), 1)],
+                       axis=-1)
+    cap = mesh.curvatures[::PANEL_ORDER] > 0.0
+    sub = np.where(cap[:, None, None], on_arc, on_side)
+    q_sub = (phi.values.reshape(-1, PANEL_ORDER) @ _SUB_BASIS.T) * h[:, None] / 2.0 * _SUB_W
+    q_node = (phi.values * mesh.weights).reshape(-1, PANEL_ORDER)
+    for s in range(0, len(x), chunk):
+        p = x[s:s + chunk]
+        r2 = np.square(p[:, None, None, :] - nodes).sum(axis=-1)   # (chunk, panels, 8)
+        i, k = np.nonzero((r2 < np.square(2.0 * h)[:, None]).any(axis=-1))
+        resolved = np.einsum("ps,ps->p", q_sub[k], np.log(
+            np.square(p[i, None, :] - sub[k]).sum(axis=-1)))
+        native = np.einsum("pj,pj->p", q_node[k], np.log(r2[i, k]))
+        np.add.at(values, s + i, (resolved - native) / (4.0 * np.pi))
+    return values
+
+
+def test_panel_resolved_single_layer_is_exact_near_a_disc():
+    # 0.02 off a disc of 64 nodes (eight panels) the node rule is off by
+    # 1.4e-3 (4.2e-3 at sigma0 = 100).  Measured: the resolved sum is within
+    # 4.2e-13 of the closed form (1.2e-12)
+    a, sigma0 = np.array([1.0, 0.5]), 2.0
+    sol = solve_forward(RodSpec(L=0.0, delta=1.0, sigma0=sigma0), HarmonicBackground.linear(a),
+                        n_cap=64)
+    t = np.linspace(0.0, 2.0 * np.pi, 97)[:-1]
+    pts = 1.02 * np.column_stack([np.cos(t), np.sin(t)])
+    want = disc_exterior_u(a, 1.0, sigma0, pts) - pts @ a
+    native = single_layer_field(sol.mesh, sol.phi, pts)[0]
+    got = panel_resolved_single_layer(sol.mesh, sol.phi, pts)
+    assert np.abs(native - want).max() > 1e-3
+    assert np.abs(got - want).max() <= 1.5e-12
+
+
 THIN_ROD = dict(L=2.0, center=(0.1, -0.2), angle=0.3)
 THIN_BACKGROUNDS = (HarmonicBackground.linear((1.0, 0.5)),
                     HarmonicBackground.polynomial((0.3, 1.0, 0.5, 1.0, -0.7)))
 
 
-def _perturbations(mesh, sigma0, pts, backgrounds=THIN_BACKGROUNDS):
+def _native_single_layer(mesh, phi, x):
+    return single_layer_field(mesh, phi, x)[0]
+
+
+def _perturbations(mesh, sigma0, pts, backgrounds=THIN_BACKGROUNDS,
+                   field=_native_single_layer):
     """The perturbation at world points pts of each of the backgrounds on
-    ``mesh``, placed as its spec."""
+    ``mesh``, placed as its spec, by ``field(mesh, phi, rod-frame points)``:
+    the native node sum, or panel_resolved_single_layer for a reference."""
     spec, npm = mesh.spec, assemble_np(mesh)
-    return [single_layer_field(mesh, solve_density(
+    return [field(mesh, solve_density(
         npm, lambda_of_sigma(sigma0), neumann_data(mesh, bg.in_frame(spec))),
-        to_local(spec, pts))[0] for bg in backgrounds]
+        to_local(spec, pts)) for bg in backgrounds]
 
 
 @pytest.mark.parametrize("sigma0", [2.0, 100.0, 0.01])
@@ -261,8 +330,9 @@ def test_graded_rule_has_fewer_nodes_than_the_first_and_its_accuracy(delta, sigm
     # three times refined first rule, the first rule's worst error was
     # 3.4e-7 on 64 probes at r = 3 and 2.5e-7 on the unflagged probes near
     # a junction, both at delta = 1e-4, sigma0 = 100; the rule here reads
-    # 2.2e-7 and 2.3e-7.  Against its twice refined self, measured: at most
-    # 7.5e-8 far and 7.7e-8 near a junction
+    # 2.2e-7 and 2.3e-7.  Against its twice refined self, evaluated through
+    # the reference density's panel interpolants, measured: at most 7.5e-8
+    # far and 7.7e-8 near a junction
     spec = RodSpec(delta=delta, sigma0=sigma0, **THIN_ROD)
     mesh = build_mesh(spec)
     with pytest.MonkeyPatch.context() as patch:
@@ -275,7 +345,8 @@ def test_graded_rule_has_fewer_nodes_than_the_first_and_its_accuracy(delta, sigm
     near = single_layer_field(mesh, DensityVector(np.zeros(len(mesh)), mesh),
                               to_local(spec, pts))[2]
     assert not near[:64].any() and 0 < np.count_nonzero(near) < len(junction)
-    refs = _perturbations(refined_graded_mesh(spec, 2), sigma0, pts)
+    refs = _perturbations(refined_graded_mesh(spec, 2), sigma0, pts,
+                          field=panel_resolved_single_layer)
     for s, ref in zip(_perturbations(mesh, sigma0, pts), refs):
         for probes in (slice(None, 64), slice(64, None)):
             err, scale = np.abs(s - ref)[probes], np.abs(ref[probes]).max()
@@ -291,14 +362,15 @@ def test_unflagged_points_by_a_junction_of_a_uniform_mesh_are_accurate(delta,
     # unflagged, off by up to 1.2e-4 of the perturbation (delta = 0.025).
     # Flagged within half of any node's panel, none is left unflagged at
     # delta = 0.025 and 0.00625, and at delta = 0.1 the unflagged ones are
-    # within 2.9e-6
+    # within 2.86e-6 of the reference through its panel interpolants
     for sigma0 in (0.01, 2.0, 100.0):
         spec = RodSpec(delta=delta, sigma0=sigma0, **THIN_ROD)
         mesh, pts = build_mesh(spec), _junction_probes(spec)
         near = single_layer_field(mesh, DensityVector(np.zeros(len(mesh)), mesh),
                                   to_local(spec, pts))[2]
         assert mesh.rule == "uniform"
-        refs = _perturbations(refined_graded_mesh(spec, 2), sigma0, pts)
+        refs = _perturbations(refined_graded_mesh(spec, 2), sigma0, pts,
+                              field=panel_resolved_single_layer)
         for s, ref in zip(_perturbations(mesh, sigma0, pts), refs):
             assert np.abs(s - ref)[~near].max(initial=0.0) <= 5e-6 * np.abs(ref).max()
 
@@ -309,10 +381,13 @@ def test_unflagged_points_near_a_thin_rod_are_accurate(sigma0, refined_graded_me
     # cap junction.  The near band was two node weights, 0.1 to 0.36 of a
     # panel: on the graded mesh it left points unflagged at up to 6.5e-4 of
     # the perturbation off a twice refined mesh (sigma0 = 0.01; 3.9e-5 at
-    # sigma0 = 2).  Half of any node's panel leaves them within 2.6e-7
-    # (1.8e-8).  Half the nearest node's panel left 9.0e-7 (7.8e-8) above
-    # the step from an L/32 to an L/16 facade panel, where the nearest node
-    # is on the shorter one
+    # sigma0 = 2).  Half of any node's panel leaves them within 5.5e-7
+    # (1.8e-8) of the reference through its panel interpolants.  By its
+    # node rule the reference took its largest value, 0.0352, 4e-5 off the
+    # rod, inside its own near band: 2.1 times the true 0.0169, so the
+    # error read 2.6e-7.  Half the nearest node's panel left 9.0e-7 (7.8e-8)
+    # against that reference, above the step from an L/32 to an L/16 facade
+    # panel, where the nearest node is on the shorter one
     delta = 0.001
     spec = RodSpec(delta=delta, sigma0=sigma0, **THIN_ROD)
     rng = np.random.default_rng(7)
@@ -327,7 +402,8 @@ def test_unflagged_points_near_a_thin_rod_are_accurate(sigma0, refined_graded_me
     sol = solve_forward(spec, bg)
     assert sol.mesh.rule == "graded"
     s, _, near = single_layer_field(sol.mesh, sol.phi, to_local(spec, pts))
-    ref, = _perturbations(refined_graded_mesh(spec, 2), sigma0, pts, [bg])
+    ref, = _perturbations(refined_graded_mesh(spec, 2), sigma0, pts, [bg],
+                          field=panel_resolved_single_layer)
     assert 0 < np.count_nonzero(near) < len(pts) // 2
     assert np.abs(s - ref)[~near].max() <= 2e-5 * np.abs(ref).max()
 
