@@ -133,13 +133,15 @@ class BoundaryMesh:
     length of each node's panel.
 
     The half mesh, the bottom side left to right and then the right cap,
-    is built once; the top side and the left cap are its point reflection
-    x -> -x, node for node, so the mesh is symmetric under both mirrors
-    exactly.  Row g of ``orbits`` (4, n/4) is g(q) for the elements (e, R1, R2, R1R2) of that mirror
-    group, q the quarter arc that starts at the middle of the right cap.
-    Nodes run counterclockwise, so each mirror reverses the index order:
-    R1 is i -> (n_facade - 1 - i) mod n and R2 is
-    i -> (2 n_facade + n_cap - 1 - i) mod n.
+    is built once, each segment's second half the mirror image of its
+    first; the top side and the left cap are its point reflection x -> -x,
+    node for node, so the mesh is symmetric under both mirrors exactly.
+    Row g of ``orbits`` (4, n/4) is g(q) for the elements (e, R1, R2, R1R2)
+    of that mirror group, q the quarter arc that starts at the middle of
+    the right cap, and ``points[orbits[g]]`` are the sign flips of
+    ``points[q]``, bit for bit.  Nodes run counterclockwise, so each mirror
+    reverses the index order: R1 is i -> (n_facade - 1 - i) mod n and R2
+    is i -> (2 n_facade + n_cap - 1 - i) mod n.
     """
 
     spec: RodSpec
@@ -159,10 +161,14 @@ class BoundaryMesh:
         rule = _rule(spec, self.n_cap, self.n_facade, self.graded)
         (s_cap, w_cap, h_cap), (s_fac, w_fac, h_fac) = map(_panel_rule, panels(spec, *rule))
         nc, nf = len(s_cap), len(s_fac)
-        theta = s_cap - np.pi / 2.0
+        # the side's right half and the cap's upper half are the mirror
+        # images of the other halves, so that R1 and R2 are exact too
+        theta = s_cap[:nc // 2] - np.pi / 2.0
         nu_cap = np.column_stack([np.cos(theta), np.sin(theta)])
-        half = np.concatenate([np.column_stack([s_fac - L / 2.0, np.full(nf, -d)]),
-                               [L / 2.0, 0.0] + d * nu_cap])
+        nu_cap = np.concatenate([nu_cap, nu_cap[::-1] * [1.0, -1.0]])
+        x1 = s_fac[:nf // 2] - L / 2.0
+        x1 = np.concatenate([x1, -x1[::-1]])
+        half = np.concatenate([np.column_stack([x1, np.full(nf, -d)]), [L / 2.0, 0.0] + d * nu_cap])
         half_normals = np.concatenate([np.tile([0.0, -1.0], (nf, 1)), nu_cap])
         n = 2 * (nc + nf)
         q = np.arange(nf + nc // 2, nf + nc // 2 + n // 4) % n

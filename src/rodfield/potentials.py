@@ -13,17 +13,17 @@ R1: x1 -> -x1 and R2: x2 -> -x2, and the NP kernel is invariant under
 isometries.  So the Nystrom matrix commutes with the group
 {e, R1, R2, R1R2} and splits into four parity blocks of size n/4, one for
 each pair of parities (p1, p2).  Assembly evaluates the kernel in the rod
-frame, only on the rows of one quarter arc, in two row passes.  The
-mirror images of a quarter-arc node are the sign flips of its rod-frame
-coordinates, so one pass over chunks of cap rows, with scratch bounded by
-NP_CHUNK_BYTES, forms the differences once for all four orbit matrices.
-The other writes each top-side row once: against the cap the kernel with
-normal (0, 1), against its own side 0, and across the rod the closed
-form's A_delta Lorentzian.  The Lorentzian is 2 delta wide, narrower than
-a long facade panel, so on the source panels near a row it is integrated
-exactly against the panel's interpolant (product quadrature, Helsing &
-Ojala 2008) by :func:`lorentzian_weights`, which
-``asymptotics.a_delta_apply`` also uses for A_delta; farther panels take
+frame, only on the rows of one quarter arc.  The mirror images of a
+quarter-arc node are the sign flips of its rod-frame coordinates, so one
+pass over chunks of rows, with scratch bounded by NP_CHUNK_BYTES, forms
+the differences once for all four orbit matrices and writes every entry.
+On a top-side row the kernel's arithmetic is the closed form's: 0 against
+its own side, and across the rod the node rule of the A_delta Lorentzian.
+The Lorentzian is 2 delta wide, narrower than a long facade panel, so on
+the source panels near a row that entry alone is overwritten: the
+Lorentzian integrated exactly against the panel's interpolant (product
+quadrature, Helsing & Ojala 2008) by :func:`lorentzian_weights`, which
+``asymptotics.a_delta_apply`` also uses for A_delta; farther panels keep
 the node rule, within 5e-12 of an entry there.  One routine serves equal
 and graded panels.  The density solve factors a block only if the data
 has a part of its parity; a linear background excites two of the four.
@@ -97,12 +97,14 @@ _VANDER_INV = np.linalg.inv(np.vander(GAUSS_NODES, increasing=True))
 # p_k = z^k p_0 + sum_{j<k} z^j c_{k-1-j} = z^k p_0 + (z^j)_j @ _UNROLLED.
 _UNROLLED = np.array([[(1 - (-1) ** (k - j)) / (k - j) if j < k else 0.0
                        for k in range(PANEL_ORDER)] for j in range(PANEL_ORDER)])
-# Targets with |z| >= _FAR_Z take their Cauchy moments from a Gauss rule of
-# three times the panel order, where the recurrence would amplify rounding
-# by |z|^k: both agree with 30-digit quadrature to 1e-13.
+# Targets with |z| >= _FAR_Z take their weights from a Gauss rule of three
+# times the panel order against the Lagrange basis at its nodes, where the
+# recurrence would amplify rounding by |z|^k: both agree with 30-digit
+# quadrature to 1e-13.
 _FAR_Z = 1.3
 _FAR_NODES, _FAR_WEIGHTS = np.polynomial.legendre.leggauss(3 * PANEL_ORDER)
-_FAR_POWERS = _FAR_WEIGHTS[:, None] * _FAR_NODES[:, None] ** np.arange(PANEL_ORDER)
+_FAR_BASIS = (_FAR_WEIGHTS[:, None] * _FAR_NODES[:, None] ** np.arange(PANEL_ORDER)
+              @ _VANDER_INV / (2.0 * np.pi))
 
 
 def lorentzian_weights(z) -> NDArray:
@@ -113,20 +115,24 @@ def lorentzian_weights(z) -> NDArray:
     That is Im(p_k(z)) / (2 pi) times the inverse Vandermonde, with the
     Cauchy moments p_k(z) = int t^k / (t - z) dt (Helsing & Ojala 2008):
     p_0 = log(1 - z) - log(-1 - z), p_{k+1} = z p_k + int t^k dt; far from
-    the panel, the real integral of t^k against the Lorentzian.  Both agree
-    with 30-digit mpmath to 9.1e-15 at |s| < 4, 1e-8 < beta < 10, which at
+    the panel, the Lorentzian against the basis by a Gauss rule.  Both agree
+    with 30-digit mpmath to 9.4e-15 at |s| < 4, 1e-8 < beta < 10, which at
     1 < |s| < 1.3, beta = 1.3e-8 is up to 1.2e-6 of a row's largest entry.
+    Each target takes its own vector-matrix products, v[:, None] @ M: BLAS
+    sums a lone row and a block of rows in different orders, and a
+    target's weights must not depend on the targets that share its call.
     """
     near = np.abs(z) < _FAR_Z
-    p = np.empty(z.shape + (PANEL_ORDER,))
+    out = np.empty(z.shape + (PANEL_ORDER,))
     zn = z[near, None]
     zk = zn ** np.arange(PANEL_ORDER)
-    p[near] = ((np.log(1.0 - zn) - np.log(-1.0 - zn)) * zk + zk @ _UNROLLED).imag
+    p = ((np.log(1.0 - zn) - np.log(-1.0 - zn)) * zk).imag + (zk.imag[:, None] @ _UNROLLED)[:, 0]
+    out[near] = (p[:, None] @ _VANDER_INV)[:, 0] / (2.0 * np.pi)
     zf = z[~near, None]
     t = np.square(_FAR_NODES - zf.real)
     t += zf.imag * zf.imag   # in place: a new broadcast sum took 0.2 ms more at n = 2064
-    p[~near] = np.divide(zf.imag, t, out=t) @ _FAR_POWERS
-    return p @ _VANDER_INV / (2.0 * np.pi)
+    out[~near] = (np.divide(zf.imag, t, out=t)[:, None] @ _FAR_BASIS)[:, 0]
+    return out
 
 
 class SolverError(RuntimeError):
@@ -151,28 +157,29 @@ class DensityVector:
         return float(np.dot(self.mesh.weights, self.values))
 
 
-def _orbit_kernel(mats: NDArray, x: NDArray, nu: NDArray, w: NDArray, mc: int) -> None:
-    """Write the cap rows of the orbit matrices ``mats`` (4, m, m).  x (m, 2)
-    and w (m,) are the quarter arc in the rod frame, its first mc nodes on
-    the cap and the rest on the top side, and nu (mc, 2) the normals of its
-    cap nodes.
+def _orbit_kernel(mats: NDArray, x: NDArray, nu: NDArray, w: NDArray) -> None:
+    """Write every entry of the orbit matrices ``mats`` (4, m, m) with the
+    NP kernel, from the quarter arc's nodes x (m, 2), normals nu (m, 2) and
+    weights w (m,) in the rod frame.
 
     The image g = 2 j2 + j1 (e, R1, R2, R1R2) of a node y is
     (flips[0, j1], flips[1, j2]), where flips[i, j] is y_i for j = 0 and
-    -y_i for j = 1.  Each chunk of cap rows a forms d = x_a - g(y_b) from
+    -y_i for j = 1.  Each chunk of rows a forms d = x_a - g(y_b) from
     x_i - flips[i, j], and r^2 = |d|^2 from their squares, once for all
     four images.  The scratch is twelve (chunk, m) float arrays,
     NP_CHUNK_BYTES in all.  A pair with x_a = g(y_b) gives NaN; the caller
-    writes the diagonal.
+    writes the diagonal.  A top-side row has x2 = delta and nu = (0, 1):
+    against its own side x2 - y2 = 0 gives exactly 0, and across the rod
+    x2 - y2 = 2 delta gives the node rule of the A_delta Lorentzian.
     """
     m = len(x)
     rows = max(1, NP_CHUNK_BYTES // (96 * m))
-    buf = np.empty((12, min(rows, mc), m))
+    buf = np.empty((12, min(rows, m), m))
     flips = np.stack([x.T, -x.T], axis=1)
     w = w / (2.0 * np.pi)
     with np.errstate(invalid="ignore"):
-        for s in range(0, mc, rows):
-            xs, ns = x[:mc][s:s + rows].T, nu[s:s + rows].T
+        for s in range(0, m, rows):
+            xs, ns = x[s:s + rows].T, nu[s:s + rows].T
             k = xs.shape[1]
             d, sq, den = buf[:, :k].reshape(3, 2, 2, k, m)
             np.subtract(xs[:, None, :, None], flips[:, :, None, :], out=d)
@@ -184,7 +191,7 @@ def _orbit_kernel(mats: NDArray, x: NDArray, nu: NDArray, w: NDArray, mc: int) -
 
 
 #: A source panel whose target z, in the panel's coordinates, has |z| at
-#: least this takes the node rule across the rod; a nearer one takes
+#: least this keeps the node rule across the rod; a nearer one takes
 #: :func:`lorentzian_weights`.  The node rule's weights are off by 2e-10
 #: of themselves at |z| = 8, 3e-11 at 10 and 5e-12 at 12: at 8 the column
 #: sums of a uniform mesh with panels 4 delta long moved its diagonal
@@ -192,59 +199,43 @@ def _orbit_kernel(mats: NDArray, x: NDArray, nu: NDArray, w: NDArray, mc: int) -
 CROSS_NEAR_Z = 12.0
 
 #: (row, panel) pairs of the top side's rows against the bottom side's
-#: panels that :func:`_facade_rows` writes at a time.  On the thin-rod
-#: meshes (n = 768, 800, 1,024) 1024 took 10-12% more assembly time, and
-#: 4096 raised the assembly scratch from 0.67-0.72 MB to 0.90-1.07 MB.  A
-#: fixed count, so that no entry depends on NP_CHUNK_BYTES.
+#: panels that :func:`_near_cross_panels` takes at a time.  On the
+#: thin-rod meshes (n = 768, 800, 1,024) 1024 took 8-11% more assembly
+#: time, and 4096 took 1-3% less but raised the assembly scratch from
+#: 0.67 MB to 0.90-1.07 MB.  A fixed count, so that no entry depends on
+#: NP_CHUNK_BYTES.
 CROSS_CHUNK = 2048
 
 
-def _facade_rows(mats: NDArray, x: NDArray, w: NDArray, h: NDArray,
-                 mc: int, delta: float) -> None:
-    """Write the top side's rows of the orbit matrices ``mats`` (4, m, m),
-    from index mc on.  x (m, 2) and w (m,) are the quarter arc as in
-    :func:`_orbit_kernel`, and h (m - mc,) the panel lengths of its top
-    side nodes, x1 falling from the right junction to the middle.
+def _near_cross_panels(mats: NDArray, x: NDArray, h: NDArray, mc: int, delta: float) -> None:
+    """Overwrite the node rule across the rod where it is too coarse.  x
+    (m, 2) is the quarter arc, its first mc nodes on the cap, and h (m - mc,)
+    the panel lengths of its top-side nodes, x1 falling from the right
+    junction to the middle.
 
-    A top node sits at (x1, delta) with normal (0, 1).  Against the image
-    of a cap node y whose y2 that image multiplies by s2 the entry is
-    (delta - s2 y2) w / (2 pi r^2), w the cap node's weight, and against
-    the same side, in A_e and A_R1, it is 0: (x - y).nu_x = 0.  Both are
-    written for every row at once.  Across the rod x2 - y2 = 2 delta gives
-    the closed form's A_delta kernel delta / (pi (t^2 + 4 delta^2)), t the
-    difference in x1, which a row takes against the whole bottom side, left
-    to right, in a row buffer: the node rule, the kernel times the node
-    weight, overwritten on each source panel (length h, centre c) whose
-    target z = 2 (x1 - c) / h + 4 i delta / h has |z| < CROSS_NEAR_Z by
-    the product weights of :func:`lorentzian_weights` against the panel's
-    interpolant.  Farther out the kernel's poles lie so far off the panel
-    that its Gauss rule is off by 5e-12 of an entry at most.  The buffer's
-    first half, the bottom nodes at -x1, is the row of A_R1R2, and its
-    second half, reversed, that of A_R2.  The buffers take CROSS_CHUNK
-    (row, panel) pairs at a time.
+    A top row's entries across the rod are the A_delta kernel
+    delta / (pi (t^2 + 4 delta^2)), t the difference in x1, 2 delta wide.
+    The row takes the whole bottom side, left to right, in a row buffer:
+    its row of A_R1R2, then that of A_R2, reversed.  Each source panel
+    (length h, centre c) whose target z = 2 (x1 - c) / h + 4 i delta / h
+    has |z| < CROSS_NEAR_Z takes the product weights of
+    :func:`lorentzian_weights` against its interpolant; farther out the
+    Gauss rule is off by 5e-12 of an entry at most.  The buffers take
+    CROSS_CHUNK (row, panel) pairs at a time.
     """
-    k, m, top = len(h), len(x), x[mc:, 0]
-    flips = np.stack([x[:mc].T, -x[:mc].T], axis=1)
-    d2 = delta - flips[1]   # delta - s2 y2 for j2 = 0, 1
-    cap = mats.reshape(2, 2, m, m)[:, :, mc:, :mc]   # [j2, j1] as in _orbit_kernel
-    np.add(np.square(d2)[:, None, None], np.square(top[:, None] - flips[0][:, None]), out=cap)
-    np.divide((d2 * (w[:mc] / (2.0 * np.pi)))[:, None, None], cap, out=cap)
-    mats[:2, mc:, mc:] = 0.0
+    k, top = len(h), x[mc:, 0]
     # The Gauss nodes are symmetric, so a panel's end nodes give its centre
-    bottom = np.concatenate([-top, top[::-1]])
-    panels = bottom.reshape(-1, PANEL_ORDER)
+    panels = np.concatenate([-top, top[::-1]]).reshape(-1, PANEL_ORDER)
     centre = (panels[:, 0] + panels[:, -1]) / 2.0
     length = np.concatenate([h, h[::-1]])[::PANEL_ORDER]
-    dw = delta / np.pi * np.concatenate([w[mc:], w[mc:][::-1]])
     rows = max(1, CROSS_CHUNK // len(centre))
     buf = np.empty((min(rows, k), 2 * k))
     for s in range(0, k, rows):
         xr = top[s:s + rows, None]
         band = slice(mc + s, mc + s + len(xr))
-        line = np.subtract(xr, bottom, out=buf[:len(xr)])
-        np.square(line, out=line)
-        line += 4.0 * delta * delta
-        np.divide(dw, line, out=line)
+        line = buf[:len(xr)]
+        line[:, :k] = mats[3, band, mc:]
+        line[:, k:] = mats[2, band, mc:][:, ::-1]
         z = (2.0 * (xr - centre) + 4j * delta) / length
         near = np.abs(z) < CROSS_NEAR_Z
         line.reshape(len(xr), -1, PANEL_ORDER)[near] = lorentzian_weights(z[near])
@@ -331,13 +322,13 @@ def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
     The mesh is in the rod frame, so the matrices do not depend on where
     the rod is placed.  The quarter arc q holds n_cap/2 cap nodes and then
     n_facade/2 nodes of the top side, and so does each of its images, the
-    exact sign flips of its coordinates.  Each row is written once, in one
-    of two row passes: the cap rows by :func:`_orbit_kernel`, with the
-    general kernel, and the top side's rows by :func:`_facade_rows`, where
-    the straight sides give the kernel in closed form: 0 against the same
-    side, and across the rod, with x2 - y2 = 2 delta, the Lorentzian
+    exact sign flips of its coordinates.  :func:`_orbit_kernel` writes
+    every entry with the general kernel, which on the straight sides is
+    the closed form: 0 against the same side, and across the rod, with
+    x2 - y2 = 2 delta, the node rule of the Lorentzian
     delta / (pi (t^2 + 4 delta^2)), t = x1 - y1, of the closed form's
-    A_delta.
+    A_delta.  :func:`_near_cross_panels` then overwrites that node rule
+    on the source panels near each top row by product weights.
 
     The kernel's weighted column sums are 1/2 in the continuum; the
     quadrature leaves a deficit fix_b in column b.  A uniform mesh adds
@@ -356,9 +347,9 @@ def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
     # rows on the quarter arc against the columns of each orbit: A_g.
     # The weights are equal along each orbit, so every A_g carries wq.
     mats = np.empty((4, m, m))
-    _orbit_kernel(mats, xq, mesh.normals[q[:mc]], wq, mc)
+    _orbit_kernel(mats, xq, mesh.normals[q], wq)
     if mesh.n_facade:
-        _facade_rows(mats, xq, wq, mesh.panel_lengths[q[mc:]], mc, mesh.spec.delta)
+        _near_cross_panels(mats, xq, mesh.panel_lengths[q[mc:]], mc, mesh.spec.delta)
     mats[0, diag, diag] = mesh.curvatures[q] * wq / (4.0 * np.pi)
 
     # the deficit of each weighted column sum, equal along each orbit

@@ -15,8 +15,8 @@ import numpy as np
 from .asymptotics import a_delta_apply, f_sq_sum, f_sq_sum_cap_form
 from .background import HarmonicBackground
 from .geometry import BoundaryMesh, RodSpec, build_mesh
-from .potentials import assemble_np, neumann_data, single_layer_grad, solve_density
-from .solver import (ForwardSolution, disc_exterior_u, eval_u, lambda_of_sigma,
+from .potentials import assemble_np, neumann_data, single_layer_field, solve_density
+from .solver import (ForwardSolution, disc_exterior_u, eval_field, lambda_of_sigma,
                      solve_forward, transmission_check)
 
 
@@ -93,7 +93,7 @@ def run_validation() -> list[CheckResult]:
                         HarmonicBackground.linear(a), n_cap=128)
     theta = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
     pts = 3.0 * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    u, _ = eval_u(sol, pts)
+    u = eval_field(sol, pts)[0]
     exact = disc_exterior_u(a, 1.0, 2.0, pts)
     err = float(np.abs(u - exact).max() / np.abs(exact - pts @ a).max())
     checks.append(CheckResult("disc oracle (relative)", err <= 1e-3, err, 1e-3))
@@ -126,7 +126,7 @@ def run_validation() -> list[CheckResult]:
     kphi = npm.apply(phi.values)
     worst = 0.0
     for sgn in (+1.0, -1.0):
-        g, _ = single_layer_grad(mesh, phi, mesh.points[idx] + sgn * h * mesh.normals[idx])
+        g = single_layer_field(mesh, phi, mesh.points[idx] + sgn * h * mesh.normals[idx])[1]
         dn = np.einsum("ij,ij->i", g, mesh.normals[idx])
         ref = sgn * 0.5 * phi.values[idx] + kphi[idx]
         worst = max(worst, float(np.abs(dn - ref).max() / np.abs(phi.values).max()))

@@ -189,9 +189,12 @@ def test_mesh_matches_segment_by_segment_build(name):
     mesh, ref = build_mesh(spec, *counts), loop_build_mesh(spec, *counts)
     n = len(ref["weights"])
     assert len(mesh) == n and (mesh.n_cap, mesh.n_facade) == (ref["n_cap"], ref["n_facade"])
-    # the half mesh is built as before; its reflection differs in rounding
+    # the first half of each segment of the half mesh, the bottom side's
+    # left half and the right cap's lower half, is built as before; their
+    # mirror images and the half mesh's reflection differ in rounding
+    first = np.r_[:mesh.n_facade // 2, mesh.n_facade:mesh.n_facade + mesh.n_cap // 2]
     for key in ("points", "normals"):
-        assert np.array_equal(getattr(mesh, key)[:n // 2], ref[key][:n // 2])
+        assert np.array_equal(getattr(mesh, key)[first], ref[key][first])
     extent = np.abs(ref["points"]).max()
     assert np.abs(mesh.points - ref["points"]).max() <= 1e-15 * extent
     assert np.abs(mesh.normals - ref["normals"]).max() <= 1e-15
@@ -276,6 +279,35 @@ def test_graded_mesh(name):
         assert np.abs(xl[mesh.orbits[g]] - flip * xl[mesh.orbits[0]]).max() <= 1e-14 * scale
         assert np.abs(nl[mesh.orbits[g]] - flip * nl[mesh.orbits[0]]).max() <= 1e-14
         assert np.array_equal(mesh.weights[mesh.orbits[g]], mesh.weights[mesh.orbits[0]])
+
+
+#: meshes whose mirror images are checked bit for bit: the graded default
+#: meshes at L = 2, the uniform default, meshes with an odd number of
+#: panels on a side (uniform and graded), so that one straddles x1 = 0, and
+#: a 128-node disc
+EXACT_MIRROR_CASES = {
+    "graded_0.002": lambda: build_mesh(RodSpec(L=2.0, delta=0.002)),
+    "graded_1e-5": lambda: build_mesh(RodSpec(L=2.0, delta=1e-5)),
+    "uniform_0.01": lambda: build_mesh(RodSpec(L=2.0, delta=0.01)),
+    "odd_panels": lambda: build_mesh(RodSpec(L=2.0, delta=0.1, angle=0.7, center=(0.4, -1.3)),
+                                     n_cap=24, n_facade=40),
+    "odd_panels_graded": lambda: BoundaryMesh(GRADED_CASES["odd_panels"][0], graded=True),
+    "disc": lambda: build_mesh(RodSpec(L=0.0, delta=1.0), n_cap=64),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_MIRROR_CASES)
+def test_mirror_images_are_exact(name):
+    # a node's three mirror images are its exact sign flips, so the NP
+    # assembly, which flips the quarter arc, is the matrix of mesh.points.
+    # While the panel rule laid each half of a segment on its own, R1 and
+    # R2 were off by up to 4.4e-16 at L = 2 and 2.2e-16 on this disc
+    mesh = EXACT_MIRROR_CASES[name]()
+    q = mesh.orbits
+    for g in (1, 2, 3):
+        flip = MIRROR_SIGNS[:, g]
+        assert np.array_equal(mesh.points[q[g]], flip * mesh.points[q[0]])
+        assert np.array_equal(mesh.normals[q[g]], flip * mesh.normals[q[0]])
 
 
 @pytest.mark.parametrize("delta, rule", [(0.1, "uniform"), (0.003, "uniform"),

@@ -211,7 +211,7 @@ def test_lorentzian_gather_scratch_is_a_fraction_of_the_block():
 
 @pytest.mark.parametrize("delta", [0.001, 1e-5])
 def test_assembly_scratch_of_a_graded_mesh_is_bounded(delta):
-    # measured: 0.67 and 0.69 MB on the default meshes (n = 800, 1,024)
+    # measured: 0.67 MB on both default meshes (n = 800, 1,024)
     assert _assembly_scratch(build_mesh(RodSpec(L=2.0, delta=delta))) <= 3 << 18
 
 
@@ -226,17 +226,15 @@ def loop_top_rows(mesh):
     target z = (2 (x1 - c) + 4 i delta) / h has |z| < CROSS_NEAR_Z, the
     product weight lorentzian_weights(z) of the node; on any other, the
     node rule delta w / (pi ((x1 - y1)^2 + 4 delta^2)).  The nodes are the
-    sign flips of the quarter arc's, as in assembly: the panel rule lays a
-    side's two halves up to 4.4e-16 apart from each other's mirror image."""
+    mesh's own, whose mirror images are the exact sign flips that assembly
+    takes (with nodes 4.4e-16 off those, the loop read 4.4e-12 off)."""
     delta, q = mesh.spec.delta, mesh.orbits[0]
-    pos = np.empty_like(mesh.points)
-    for g in range(4):
-        pos[mesh.orbits[g]] = mesh.points[q] * [(-1.0) ** (g % 2), (-1.0) ** (g // 2)]
-    x, nu, w, h = (a.tolist() for a in (pos, mesh.normals, mesh.weights, mesh.panel_lengths))
+    x, nu, w, h = (a.tolist() for a in (mesh.points, mesh.normals, mesh.weights,
+                                        mesh.panel_lengths))
     cap = (mesh.tag_mask(TAG_CAP_RIGHT) | mesh.tag_mask(TAG_CAP_LEFT)).tolist()
     bottom = np.flatnonzero(mesh.tag_mask(TAG_FACADE_BOTTOM))
     panel_of = {}
-    for nodes in bottom[np.argsort(pos[bottom, 0])].reshape(-1, PANEL_ORDER).tolist():
+    for nodes in bottom[np.argsort(mesh.points[bottom, 0])].reshape(-1, PANEL_ORDER).tolist():
         centre = (x[nodes[0]][0] + x[nodes[-1]][0]) / 2.0
         panel_of.update((node, (j, centre)) for j, node in enumerate(nodes))
     rows = q[mesh.n_cap // 2:].tolist()
@@ -272,9 +270,9 @@ def test_top_side_rows_match_a_plain_loop(mesh):
     # of each block's largest entry and the rounding of the rank-one term
     # taken off.  product_facade_weights cannot serve: at delta = 1e-5 its
     # sub-panels of an L/16 panel are 100 times wider than the Lorentzian.
-    # Measured: <= 3.1e-16 on the cap columns, and 1.3e-14 across the rod,
-    # the rounding of lorentzian_weights, which takes a single target by a
-    # vector-matrix product and several by a matrix product
+    # Measured: <= 3.1e-16 on the cap columns, and 2.6e-18 across the rod
+    # (1.3e-14 while lorentzian_weights took a lone target by a
+    # vector-matrix product and several by a matrix product)
     mesh = mesh()
     npm = assemble_np(mesh)
     q, mc = mesh.orbits[0], mesh.n_cap // 2
@@ -319,7 +317,7 @@ def table_cross_blocks(mesh):
 def test_cross_facade_blocks_match_the_offset_table(mesh):
     # the node rule beyond |z| = 12 and the product weights within it,
     # one routine for any panels, against the table that equal panels
-    # allowed.  Measured: <= 1.3e-13 of each block's largest entry
+    # allowed.  Measured: <= 4.8e-13 of each block's largest entry
     mesh = mesh()
     mc = mesh.n_cap // 2
     mats = assemble_np(mesh).orbit_matrices
@@ -356,11 +354,23 @@ def test_graded_correction_lies_in_the_even_block(refined_graded_mesh):
 
 
 def test_same_side_facade_pairs_are_zero():
-    # (x - y).nu_x vanishes on a straight side; the world-frame assembly
-    # wrote rounding there
-    mesh = SYMMETRY_MESHES["odd_panels"]()
-    dense = assemble_np(mesh).matrix
-    for side in _facade_sides(mesh):
+    # (x - y).nu_x vanishes on a straight side, and the kernel's own
+    # arithmetic gives 0 there, with no fill: x2 - y2 = 0 exactly on the
+    # top rows' same-side blocks, A_e and A_R1.  The world-frame assembly
+    # wrote rounding there.  The graded meshes add their rank-one
+    # correction to every entry, so their zeros are read off the kernel
+    meshes = [SYMMETRY_MESHES["odd_panels"](), build_mesh(RodSpec(L=2.0, delta=0.002)),
+              build_mesh(RodSpec(L=2.0, delta=1e-5))]
+    assert [m.rule for m in meshes] == ["uniform", "graded", "graded"]
+    for mesh in meshes:
+        q, mc = mesh.orbits[0], mesh.n_cap // 2
+        mats = np.full((4, len(q), len(q)), np.nan)
+        potentials._orbit_kernel(mats, mesh.points[q], mesh.normals[q], mesh.weights[q])
+        same = mats[:2, mc:, mc:]
+        np.fill_diagonal(same[0], 0.0)   # 0/0: assembly writes the diagonal
+        assert not same.any()
+    dense = assemble_np(meshes[0]).matrix
+    for side in _facade_sides(meshes[0]):
         pairs = dense[np.ix_(side, side)]
         np.fill_diagonal(pairs, 0.0)   # the column-identity correction
         assert not pairs.any()
@@ -395,7 +405,7 @@ def test_lorentzian_table_matches_mpmath(beta):
     # on panels (-1, 1) across a gap 2 delta, beta = 2 delta; offset o puts
     # the source panel at (2 o - 1, 2 o + 1).  beta = 0.25 is the default
     # mesh, 6.4 the finest in validate, where every target takes the far
-    # rule; offsets 2 and 3 take it at every beta.  Measured: <= 3.2e-14 of
+    # rule; offsets 2 and 3 take it at every beta.  Measured: <= 2.0e-14 of
     # the largest entry
     panels = 4
     table = potentials.lorentzian_weights(
@@ -409,7 +419,7 @@ def test_lorentzian_table_matches_mpmath(beta):
 
 def test_lorentzian_weights_match_mpmath_at_any_target():
     # a_delta_apply puts its target anywhere in a panel's coordinates, off
-    # the nodes of the NP table.  Measured: <= 9.1e-15 over 3,000 such
+    # the nodes of the NP table.  Measured: <= 9.4e-15 over 3,000 such
     # draws, where the largest entry is 0.77 and a row sums to <= 1/2
     rng = np.random.default_rng(0)
     z = rng.uniform(-4.0, 4.0, 300) + 1j * 10.0 ** rng.uniform(-8.0, 1.0, 300)
@@ -417,6 +427,24 @@ def test_lorentzian_weights_match_mpmath_at_any_target():
     assert got.shape == (300, PANEL_ORDER)
     ref = np.array([mp_panel_weights(b / 2, s, -1, 1) for s, b in zip(z.real, z.imag)])
     assert np.abs(got - ref).max() <= 2e-14
+
+
+def test_lorentzian_weights_of_a_target_do_not_depend_on_the_call():
+    # a lone target took a vector-matrix product and a batch a matrix
+    # product, which sum in different orders: 3.0e-15 apart at
+    # z = 0.797 + 1i.  Targets with |z| < 1.3 take the recurrence, the
+    # others the Gauss rule
+    rng = np.random.default_rng(4)
+    near = rng.uniform(-0.9, 0.9, 40) + 1j * 10.0 ** rng.uniform(-8.0, -0.05, 40)
+    far = np.concatenate([rng.uniform(-4.0, 4.0, 20) + 1j * rng.uniform(1.3, 10.0, 20),
+                          rng.choice([-1.0, 1.0], 20) * rng.uniform(1.3, 4.0, 20)
+                          + 1j * 10.0 ** rng.uniform(-8.0, 0.0, 20)])
+    z = np.concatenate([[0.797 + 1j], near, far])
+    assert (np.abs(near) < 1.3).all() and (np.abs(far) >= 1.3).all()
+    batch = potentials.lorentzian_weights(z)
+    for i in range(len(z)):
+        assert np.array_equal(potentials.lorentzian_weights(z[i:i + 1])[0], batch[i])
+        assert np.array_equal(potentials.lorentzian_weights(z[i:i + 3])[0], batch[i])
 
 
 def test_opposite_side_facade_pairs_are_the_a_delta_kernel():
