@@ -1,14 +1,13 @@
 """Leading-order closed forms for the perturbed field of a thin rod.
 
-For a linear background a.x the perturbation has an exact leading term
-built from two arctan terms (transverse component) and a log ratio of the
-cap distances (axial component); its gradient is expressed through the
-localisation functions f1, f2, which blow up like 1/delta at the caps.
-Any degree-2 harmonic background H takes the same closed form, at the
-effective field (d1 H at the right cap, d2 H at the rod centre), plus two
-curvature terms that vanish on a linear background: a log term carrying
-d2^2 H and a Poisson term carrying d1 d2 H.  Both are elementary, so u and
-grad u are exact up to rounding everywhere but at the cap centres.
+For a linear background a.x the perturbation has an exact leading term,
+Re[(b/pi) log((z - q)/(z - p))] at z = x1 + i x2 in the rod frame, with p
+and q the cap centres: the log ratio of the cap distances carries the axial
+component, the angle the rod subtends the transverse one.  Any degree-2
+harmonic background H takes the same closed form, at the effective field
+(d1 H at the right cap, d2 H at the rod centre), plus two curvature terms
+that vanish on a linear background.  All are real parts of one analytic
+function, so u and grad u are exact up to rounding but at the cap centres.
 """
 
 from __future__ import annotations
@@ -40,9 +39,9 @@ def cap_points(L: float) -> tuple[NDArray, NDArray]:
 
 
 def f1_f2(x, L: float) -> tuple[NDArray, NDArray]:
-    """Localisation functions of the perturbed gradient (local frame)."""
-    x = np.asarray(x, dtype=float)
-    return _cap_terms(x[..., 0], x[..., 1], L)[4:6]
+    """Localisation functions f1 = -Im lg', f2 = Re lg' of :func:`_cap_logs`."""
+    dlg = _cap_logs(x, L)[2]
+    return -dlg.imag, dlg.real
 
 
 def f_sq_sum(x, L: float) -> NDArray:
@@ -69,60 +68,33 @@ def f_sq_sum_cap_form(x, L: float) -> NDArray:
     return (1.0 / rq - 1.0 / rp) ** 2 + (2.0 / (rp * rq)) * (1.0 - cosang)
 
 
-def _arctan_pair(x1: NDArray, x2: NDArray, L: float) -> NDArray:
-    """arctan((L/2 - x1)/x2) + arctan((L/2 + x1)/x2), x2 = 0 meaning +0.
+def _cap_logs(x, L: float) -> tuple[NDArray, NDArray, NDArray]:
+    """z = x1 + i x2 at rod-frame points x, lg = log((z - q)/(z - p)) and
+    lg' = 1/(z - q) - 1/(z - p), with cap centres p, q = -L/2, L/2.
 
-    On the axis itself the pair jumps across the segment |x1| < L/2; the
-    +0 convention selects the upper-side limit (pi inside, 0 outside).
+    Im lg is the angle the segment subtends at x, signed like x2; x2 = -0
+    counts as +0, so on the axis inside the segment it is pi, the limit
+    from above.  A cap centre is refused with :class:`SingularPointError`.
     """
-    tq = L / 2.0 - x1
-    tp = L / 2.0 + x1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.arctan(tq / x2) + np.arctan(tp / x2)
-    on_axis = x2 == 0.0
-    if np.any(on_axis):
-        limit = np.sign(tq) * (np.pi / 2.0) + np.sign(tp) * (np.pi / 2.0)
-        out = np.where(on_axis, limit, out)
-    return out
-
-
-def _cap_terms(x1: NDArray, x2: NDArray, L: float) -> tuple[NDArray, ...]:
-    """The terms every closed form here is built from, at rod-frame points:
-    (tq, tp, rq2, rp2, f1, f2, pair, log_qp), with tq = x1 - L/2 and
-    tp = x1 + L/2, rq2 = |x - Q|^2 and rp2 = |x - P|^2, the f1, f2 of
-    :func:`f1_f2`, :func:`_arctan_pair` and log(rq2 / rp2).
-    grad(pair) = (-f1, f2) and grad(log_qp) = 2 (f2, f1).  A point on a cap
-    centre (rq2 or rp2 zero) is refused with :class:`SingularPointError`.
-    """
-    tq, tp = x1 - L / 2.0, x1 + L / 2.0
-    rq2, rp2 = tq**2 + x2**2, tp**2 + x2**2
-    if np.any(rq2 == 0.0) or np.any(rp2 == 0.0):
+    x = np.asarray(x, dtype=float)
+    z = x[..., 0] + 1j * (x[..., 1] + 0.0)
+    zq, zp = z - L / 2.0, z + L / 2.0
+    if not (zq.all() and zp.all()):
         raise SingularPointError("evaluation point coincides with a cap centre")
-    return (tq, tp, rq2, rp2, x2 / rq2 - x2 / rp2, tq / rq2 - tp / rp2,
-            _arctan_pair(x1, x2, L), np.log(rq2 / rp2))
-
-
-def _linear_form(a, c_ax: float, c_tr: float, pair: NDArray,
-                 log_qp: NDArray) -> NDArray:
-    """The linear closed form from the arctan pair and log(rq^2 / rp^2)."""
-    return -(c_tr / np.pi) * a[1] * pair + (c_ax / (2.0 * np.pi)) * a[0] * log_qp
+    return z, np.log(zq / zp), 1.0 / zq - 1.0 / zp
 
 
 def perturbation_linear(a, L: float, c_ax: float, c_tr: float, x) -> NDArray:
-    """Leading-order perturbation u - a.x in the rod frame.
+    """Leading-order perturbation u - a.x in the rod frame, Re[(b/pi) lg]
+    with b = c_ax a1 + i c_tr a2 and lg of :func:`_cap_logs`.
 
-    The axial component a1 couples through the log ratio of cap distances
-    with strength c_ax = delta/(lam - 1/2); the transverse component a2
-    couples through the arctan pair with strength c_tr = delta/(lam + 1/2)
-    and opposite sign.  The two channels see opposite ends of the operator
-    spectrum: the axial (cap-charge) response is even across the rod axis
-    while the transverse response is a thin dipole sheet, odd across the
-    axis, whence the distinct resolvent constants.  The model depends on
-    (delta, lam) only through the pair (c_ax, c_tr).
+    The axial channel, c_ax = delta/(lam - 1/2), is even across the rod
+    axis (cap charges); the transverse one, c_tr = delta/(lam + 1/2), a thin
+    dipole sheet, is odd: the two see opposite ends of the operator spectrum.
+    The model depends on (delta, lam) only through (c_ax, c_tr).
     """
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return _linear_form(a, c_ax, c_tr, *_cap_terms(x[..., 0], x[..., 1], L)[6:])
+    b = complex(c_ax * a[0], c_tr * a[1])
+    return (b / np.pi * _cap_logs(x, L)[1]).real
 
 
 @dataclass(frozen=True)
@@ -164,41 +136,24 @@ class AsymptoticModel:
 
 def _axis_chunk(model: AsymptoticModel, bg: HarmonicBackground,
                 xl: NDArray) -> tuple[NDArray, NDArray]:
-    """u - H and its rod-frame gradient on one chunk of rod-frame points.
+    """u - H and its rod-frame gradient on rod-frame points ``xl``:
+    s = Re F - k_log L and grad s = (Re F', -Im F') for F = P(z) lg, with z,
+    lg, lg' of :func:`_cap_logs` and P(z) = b/pi + i k_poisson z - k_log (z - q).
 
-    With rod-frame coefficients (c0, c1, c2, c3, c4) of ``bg``, the leading
-    term is the linear closed form at the effective field
-    a_eff = (d1 H(Q), d2 H(0)) = (c1 + c3 L, c2), plus two curvature terms,
-    both zero on a linear background.  Each is an integral along the axis
-    whose integrand has an elementary antiderivative in t = x1 - y1, with
-    r^2 = t^2 + x2^2, taken between t = x1 - L/2 and x1 + L/2:
-
-    - the log term, (c_ax/2pi) d2^2 H times the integral of log(r^2/rp^2),
-      with d2^2 H = -2 c3 and antiderivative t log r^2 - 2 t + 2 x2 arctan(t/x2);
-    - the Poisson term, -(c_tr/pi) d1 d2 H times the integral of
-      x2 y1 / r^2, with d1 d2 H = c4 and y1 = x1 - t: x1 arctan(t/x2)
-      - (x2/2) log r^2.
-
-    Their gradients follow through the localisation functions f1, f2 of
-    :func:`f1_f2`, since grad(arctan pair) = (-f1, f2) and
-    grad log(rq^2/rp^2) = 2 (f2, f1).
+    From ``bg``'s rod-frame (c0, ..., c4), b = c_ax (c1 + c3 L) + i c_tr c2
+    gives the linear closed form at the effective field (d1 H(Q), d2 H(0));
+    the log term k_log = c_ax d2^2 H / pi = -2 c3 c_ax / pi and the Poisson
+    term k_poisson = c_tr d1 d2 H / pi = c_tr c4 / pi are zero on a linear
+    background, where s and grad s are the linear form's bit for bit.
     """
     L, c_ax, c_tr = model.L, model.strength, model.strength_transverse
     _, c1, c2, c3, c4 = bg.coeffs
-    d1h_q, d22h = c1 + c3 * L, -2.0 * c3
-    x1, x2 = xl[:, 0], xl[:, 1]
-    tq, tp, rq2, rp2, f1, f2, pair, log_qp = _cap_terms(x1, x2, L)
-    u = _linear_form((d1h_q, c2), c_ax, c_tr, pair, log_qp)
-    g1 = (1.0 / np.pi) * (c_ax * f2 * d1h_q + c_tr * f1 * c2)
-    g2 = (1.0 / np.pi) * (c_ax * f1 * d1h_q - c_tr * f2 * c2)
-    k_log, k_poisson = c_ax * d22h / np.pi, c_tr * c4 / np.pi
-    u += (0.5 * k_log * (2.0 * x2 * pair - tq * log_qp - 2.0 * L)
-          - k_poisson * (x1 * pair + 0.5 * x2 * log_qp))
-    g1 += (k_log * (-0.5 * log_qp - L * tp / rp2)
-           - k_poisson * (pair + x2 * f2 - x1 * f1))
-    g2 += (k_log * (pair - L * x2 / rp2)
-           - k_poisson * (x1 * f2 + x2 * f1 + 0.5 * log_qp))
-    return u, np.stack([g1, g2], axis=1)
+    b = complex(c_ax * (c1 + c3 * L), c_tr * c2)
+    k_log, k_poisson = -2.0 * c3 * c_ax / np.pi, c_tr * c4 / np.pi
+    z, lg, dlg = _cap_logs(xl, L)
+    pz = b / np.pi + 1j * k_poisson * z - k_log * (z - L / 2.0)
+    df = (1j * k_poisson - k_log) * lg + pz * dlg
+    return (pz * lg).real - k_log * L, np.stack([df.real, -df.imag], axis=1)
 
 
 def asymptotic_perturbation(model: AsymptoticModel, xl) -> tuple[NDArray, NDArray]:
@@ -208,11 +163,11 @@ def asymptotic_perturbation(model: AsymptoticModel, xl) -> tuple[NDArray, NDArra
     Formed without H, so no digits cancel where |u - H| is small against
     |H|.  Exact up to rounding at every point but the cap centres, which
     are refused, close to the axis and inside the cap discs included.  On
-    the axis inside the segment (x2 = 0) the values are the upper-side
-    limits x2 -> +0, the convention of :func:`_arctan_pair`.
+    the axis inside the segment (x2 = 0 or -0) the values are the upper-side
+    limits x2 -> +0, the convention of :func:`_cap_logs`.
 
-    Points go in chunks, so the few dozen float temporaries per point fit
-    ``potentials.FIELD_CHUNK_BYTES``.
+    Points go in chunks of ``potentials.FIELD_CHUNK_BYTES`` / 512 rows; a
+    chunk's temporaries peak at about 113 bytes a point, seven complex values.
     """
     xl = np.atleast_2d(np.asarray(xl, dtype=float))
     bg = model._local_background()

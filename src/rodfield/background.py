@@ -46,7 +46,9 @@ class HarmonicBackground:
         x = np.asarray(x, dtype=float)
         x1, x2 = x[..., 0], x[..., 1]
         c0, c1, c2, c3, c4 = self.coeffs
-        return c0 + c1 * x1 + c2 * x2 + c3 * (x1**2 - x2**2) + c4 * x1 * x2
+        # a zero coefficient multiplies first, so a linear H stays finite
+        # where x1^2 overflows
+        return c0 + c1 * x1 + c2 * x2 + c3 * (x1 - x2) * (x1 + x2) + c4 * x1 * x2
 
     def grad(self, x) -> NDArray:
         x = np.asarray(x, dtype=float)

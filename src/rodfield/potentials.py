@@ -381,6 +381,14 @@ def solve_density(np_matrix: NpMatrix, lam: float, rhs: DensityVector) -> Densit
     conductivity, which keeps the system away from the NP spectrum.
     Each parity part of ``rhs`` is solved with its own block; a part below
     SKIP_SHARE of the data gets phi = 0 and its block is not factored.
+
+    The node weights w are a left eigenvector of K with eigenvalue 1/2
+    (the column identity), and only the (+, +) block holds it: there
+    w^T phi = w^T b / (lam - 1/2), the rounding of w^T b = 0 divided by
+    about 1/sigma0.  That block is factored as
+    lam I - K + (lam + 1/2) e wq^T / sum(wq), e the ones on the quarter arc,
+    which moves the weights' eigenvalue to 2 lam and leaves every other
+    one, and the zero-charge solution, as they were.
     """
     b = np_matrix.split(rhs.values)
     norms = np.linalg.norm(b, axis=1)
@@ -389,16 +397,18 @@ def solve_density(np_matrix: NpMatrix, lam: float, rhs: DensityVector) -> Densit
     mats = np_matrix.orbit_matrices
     m = b.shape[1]
     diag = np.arange(m)
+    wq = np_matrix.mesh.weights[np_matrix.mesh.orbits[0]]
     # a skipped part leaves r_s = -b_s.  lam I - block is formed in one
     # BLAS pass over the four orbit matrices; np.linalg.solve factors a
-    # copy, so the block is still there for its part of the residual
+    # copy, so the unshifted block is still there for its part of the residual
     r = -b
     system = np.empty((m, m))
     for s in live:
         np.dot(-CHI[s], mats.reshape(4, -1), out=system.reshape(-1))
         system[diag, diag] += lam
         try:
-            phi[s] = np.linalg.solve(system, b[s])
+            phi[s] = np.linalg.solve(
+                system + (lam + 0.5) * wq / wq.sum() if s == 0 else system, b[s])
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"density system is singular (lam={lam})") from exc
         r[s] += system @ phi[s]

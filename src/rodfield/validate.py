@@ -79,13 +79,15 @@ def run_validation() -> list[CheckResult]:
                                   margin <= 1e-3, margin, 1e-3,
                                   f"mesh n={len(mesh)}"))
 
-    # zero-total density for harmonic backgrounds
+    # zero-total density for harmonic backgrounds, the quadratic one also
+    # at high contrast, where the solve divides rounding by lam - 1/2
     bg_quad = HarmonicBackground.polynomial([0.0, 0.0, 0.0, 1.0, 0.0])
-    for bg in (HarmonicBackground.linear([1.0, 1.0]), bg_quad):
-        phi = solve_density(npms[1], lambda_of_sigma(2.0), neumann_data(meshes[1], bg))
+    for bg, sigma0 in ((HarmonicBackground.linear([1.0, 1.0]), 2.0), (bg_quad, 2.0),
+                       (bg_quad, 1e12)):
+        phi = solve_density(npms[1], lambda_of_sigma(sigma0), neumann_data(meshes[1], bg))
         rel = abs(phi.weighted_total()) / max(np.abs(phi.values).max(), 1e-300)
         checks.append(CheckResult("zero weighted total of density", rel <= 1e-8,
-                                  rel, 1e-8))
+                                  rel, 1e-8, f"sigma0={sigma0:g}"))
 
     # analytic disc oracle
     a = np.array([1.0, 0.0])

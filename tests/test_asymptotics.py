@@ -273,6 +273,14 @@ def test_on_axis_branch_convention():
     c_tr = model.strength_transverse
     assert inside == pytest.approx(-c_tr, rel=1e-12)
     assert outside == pytest.approx(0.0, abs=1e-15)
+    # x2 = -0 takes the same limit, bit for bit, on a degree-2 background too
+    # (a z that kept -0 would take the lower-side limit inside the segment)
+    model = AsymptoticModel(L=2.0, delta=0.05, lam=1.5, background=QUAD_BG)
+    x1 = np.array([0.0, 0.3, -0.9, 1.6, -3.0])
+    upper, lower = (asymptotic_perturbation(model, np.column_stack([x1, np.full(5, x2)]))
+                    for x2 in (0.0, -0.0))
+    for a, b in zip(upper, lower):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_grad_matches_finite_difference():
@@ -341,12 +349,18 @@ def test_general_reduces_to_linear():
                       [-1.01, -0.003], [0.3, 1e-12]])
     pts = np.concatenate([grid, to_world(model, local)])
     u, g = asymptotic_field(model, pts)
-    args = (model._local_background().linear_part, model.L, model.strength,
-            model.strength_transverse, to_local(model, pts))
+    a, xl = model._local_background().linear_part, to_local(model, pts)
+    args = (a, model.L, model.strength, model.strength_transverse, xl)
     assert np.array_equal(u, model.background.value(pts) + perturbation_linear(*args))
-    g_loc = perturbation_grad_linear(*args)
+    # the linear form's gradient: Re and -Im of (b/pi) lg'
+    b = complex(model.strength * a[0], model.strength_transverse * a[1])
+    dlg = b / np.pi * asymptotics._cap_logs(xl, model.L)[2]
+    g_loc = np.stack([dlg.real, -dlg.imag], axis=1)
     assert np.array_equal(g, model.background.grad(pts)
                           + g_loc @ rotation_matrix(model.angle).T)
+    # and, to rounding, the f1/f2 form (measured: 2.1e-17 of the largest)
+    ref = perturbation_grad_linear(*args)
+    assert np.abs(g_loc - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_general_odd_symmetry_outside_segment():

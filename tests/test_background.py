@@ -20,6 +20,14 @@ def test_linear_constructor():
     assert np.allclose(bg.hessian(x), 0.0)
 
 
+def test_linear_value_is_finite_where_squares_overflow():
+    # c3 (x1^2 - x2^2) was 0 * inf = nan once |x| passed 1.35e154, where
+    # H itself is finite
+    x = np.array([[1e200, -3.0], [-3.0, 1e300], [1e200, 1e200]])
+    assert np.array_equal(HarmonicBackground.linear((1.0, 0.5)).value(x),
+                          [1e200, 5e299, 1.5e200])
+
+
 def test_polynomial_length_check():
     with pytest.raises(ValueError):
         HarmonicBackground.polynomial((1.0, 2.0))

@@ -17,8 +17,9 @@ import pytest
 
 import rodfield
 from rodfield import cli
-from rodfield import (AsymptoticModel, RodSpec, build_mesh, potentials, sensor_circle,
-                      simulate_measurements, single_layer_field, solve_forward)
+from rodfield import (AsymptoticModel, HarmonicBackground, RodSpec, build_mesh, potentials,
+                      sensor_circle, simulate_measurements, single_layer_field,
+                      solve_forward)
 from rodfield.asymptotics import asymptotic_perturbation
 from rodfield.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from rodfield.config import load_config
@@ -654,9 +655,8 @@ background: {a: [1.0, 0.5]}
 grid: {xmin: 1.0e+200, xmax: 1.0e+300, ymin: -3, ymax: 3, nx: 2, ny: 2}
 """
 
-GRID_COMMANDS = [["forward"], ["fieldmap", "--model", "bem"],
-                 ["fieldmap", "--model", "asymptotic"], ["asymptotic"]]
-GRID_IDS = ["forward", "fieldmap-bem", "fieldmap-asymptotic", "asymptotic"]
+BEM_COMMANDS = [["forward"], ["fieldmap", "--model", "bem"]]
+BEM_IDS = ["forward", "fieldmap-bem"]
 
 #: the rod centred at 1e300 under a 2 x 2 grid over [-3, 3]^2
 ROD_AT_1E300_CONFIG = (OVERFLOW_CONFIG.replace("center: [0.0, 0.0]", "center: [1.0e+300, 0.0]")
@@ -672,7 +672,7 @@ def _run_grid_command(argv, config, tmp_path):
     return code
 
 
-@pytest.mark.parametrize("argv", GRID_COMMANDS, ids=GRID_IDS)
+@pytest.mark.parametrize("argv", BEM_COMMANDS, ids=BEM_IDS)
 def test_overflowing_grid_exits_2(argv, tmp_path, capsys):
     # every grid command wrote nan cells and exited 0
     assert _run_grid_command(argv, OVERFLOW_CONFIG, tmp_path) == EXIT_USAGE
@@ -712,12 +712,35 @@ def test_overflowing_output_column_exits_2(argv, message, tmp_path, capsys):
     # refused as non-finite entries, exit 1
     (["forward"], EXIT_USAGE, "error: u - H is not finite at (-3.0, -3.0)"),
     (["fieldmap", "--model", "bem"], EXIT_USAGE, "error: u - H is not finite at (-3.0, -3.0)"),
-    # the closed form wrote nan cells and exited 0
-    (["asymptotic"], EXIT_USAGE, "error: u - H is not finite at (-3.0, -3.0)"),
-], ids=["forward", "fieldmap-bem", "asymptotic"])
+], ids=BEM_IDS)
 def test_rod_centre_at_1e300_is_refused(argv, code, message, tmp_path, capsys):
     assert _run_grid_command(argv, ROD_AT_1E300_CONFIG, tmp_path) == code
     assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["asymptotic"], OVERFLOW_CONFIG), (["fieldmap", "--model", "asymptotic"], OVERFLOW_CONFIG),
+    (["asymptotic"], ROD_AT_1E300_CONFIG),
+    (["fieldmap", "--model", "asymptotic"], ROD_AT_1E300_CONFIG)],
+    ids=["asymptotic", "fieldmap-asymptotic", "asymptotic-rod-at-1e300",
+         "fieldmap-asymptotic-rod-at-1e300"])
+def test_closed_form_far_from_the_rod_is_the_background(argv, config, tmp_path):
+    # 1e200 to 1e300 from the rod the closed form is below 1e-300 and its
+    # gradient underflows to 0.  Written in real terms, its r^2 overflowed
+    # there, and both commands exited 2 with "u - H is not finite"
+    path, out = tmp_path / "run.yaml", tmp_path / "out.csv"
+    path.write_text(config)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([argv[0], "--config", str(path), *argv[1:], "--out", str(out)])
+    assert code == EXIT_OK and not caught
+    rows = np.array(_read_csv(out)[1:], dtype=float)
+    assert len(rows) == 4
+    if argv[0] == "fieldmap":
+        assert (rows[:, 2] <= 1e-300).all() and (rows[:, 3] == 0.0).all()
+    else:
+        h = HarmonicBackground.linear((1.0, 0.5)).value(rows[:, :2])
+        assert np.array_equal(rows[:, 2:5], np.column_stack([h, np.ones(4), np.full(4, 0.5)]))
 
 
 @pytest.mark.parametrize("argv", [["forward", "--density"], ["fieldmap", "--model", "bem"]],
@@ -741,18 +764,15 @@ def test_a_background_that_overflows_at_the_rod_exits_2(argv, tmp_path, capsys):
     assert _run_grid_command(["asymptotic"], config, tmp_path) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("argv, config", [
-    *((argv, OVERFLOW_CONFIG) for argv in GRID_COMMANDS),
-    (["asymptotic"], ROD_AT_1E300_CONFIG)],
-    ids=[*GRID_IDS, "asymptotic-rod-at-1e300"])
-def test_refusal_prints_only_its_error_line(argv, config, tmp_path, capsys):
+@pytest.mark.parametrize("argv", BEM_COMMANDS, ids=BEM_IDS)
+def test_refusal_prints_only_its_error_line(argv, tmp_path, capsys):
     # numpy's RuntimeWarnings, each with its source line, printed before
     # the error line: "potentials.py:380: RuntimeWarning: overflow
     # encountered in square".  Warnings are recorded here, not printed, so
     # they are added to stderr as a shell would show them
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert _run_grid_command(argv, config, tmp_path) == EXIT_USAGE
+        assert _run_grid_command(argv, OVERFLOW_CONFIG, tmp_path) == EXIT_USAGE
     err = capsys.readouterr().err + "".join(
         warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
     assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -483,11 +483,19 @@ def lu_calls(monkeypatch):
 
 
 def _assert_matches_dense_lu(mesh, sigma0, rhs):
+    # the (+, +) block is factored with the weights' eigenvalue moved from
+    # lam - 1/2 to 2 lam: densely, lam I - K + (lam + 1/2) 1 w^T / sum(w).
+    # The residual is the unshifted system's, which the shift leaves at
+    # rounding only where the data's weighted total is: on "minimal" that
+    # total is 6.8e-12 of sum |w b|, and the residual reads 3.7e-12
     lam = lambda_of_sigma(sigma0)
     phi = solve_density(assemble_np(mesh), lam, rhs)
-    ref = scipy.linalg.solve(lam * np.eye(len(mesh)) - dense_np(mesh), rhs.values)
+    system = lam * np.eye(len(mesh)) - dense_np(mesh)
+    w = mesh.weights
+    ref = scipy.linalg.solve(system + (lam + 0.5) * w / w.sum(), rhs.values)
     assert np.linalg.norm(phi.values - ref) <= 1e-10 * np.linalg.norm(ref)
-    assert phi.residual <= 1e-13
+    ref_residual = np.linalg.norm(system @ ref - rhs.values) / np.linalg.norm(rhs.values)
+    assert abs(phi.residual - ref_residual) <= 1e-13
     return phi
 
 
@@ -606,6 +614,26 @@ def test_solve_density_residual_and_total():
     sys_res = 1.5 * phi.values - npm.apply(phi.values) - rhs.values
     assert np.linalg.norm(sys_res) < 1e-10 * np.linalg.norm(rhs.values)
     assert 0.0 <= phi.residual < 1e-13
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.001])
+def test_density_has_no_total_charge_at_any_contrast(delta):
+    # on a background with a quadratic part the (+, +) block holds the
+    # weights' eigenvalue lam - 1/2, about 1/sigma0: the rounding of
+    # w^T b = 0 came out divided by it, a charge of 4.8e-11 of sum |w phi|
+    # at sigma0 = 1e6 and 4.5e-2 at 1e15 (delta = 0.001), and a wrong far
+    # field, under a 1e-15 residual
+    mesh = build_mesh(RodSpec(L=2.0, delta=delta))
+    npm = assemble_np(mesh)
+    rhs = neumann_data(mesh, HarmonicBackground.polynomial((0.0, 0.3, 1.0, 0.5, 1.0)))
+    for sigma0 in (1e-15, 0.01, 2.0, 100.0, 1e6, 1e12, 1e15):
+        lam = lambda_of_sigma(sigma0)
+        phi = solve_density(npm, lam, rhs)
+        assert phi.factored_blocks == 4
+        w_phi = mesh.weights * phi.values
+        assert abs(w_phi.sum()) <= 1e-14 * np.abs(w_phi).sum(), sigma0
+        sys_res = lam * phi.values - npm.apply(phi.values) - rhs.values
+        assert np.linalg.norm(sys_res) <= 1e-10 * np.linalg.norm(rhs.values), sigma0
 
 
 def test_solve_density_singular_lam_raises():
