@@ -657,10 +657,22 @@ grid: {xmin: 1.0e+200, xmax: 1.0e+300, ymin: -3, ymax: 3, nx: 2, ny: 2}
 
 BEM_COMMANDS = [["forward"], ["fieldmap", "--model", "bem"]]
 BEM_IDS = ["forward", "fieldmap-bem"]
+CLOSED_FORM_COMMANDS = [["fieldmap", "--model", "asymptotic"], ["asymptotic"]]
+CLOSED_FORM_IDS = ["fieldmap-asymptotic", "asymptotic"]
 
 #: the rod centred at 1e300 under a 2 x 2 grid over [-3, 3]^2
 ROD_AT_1E300_CONFIG = (OVERFLOW_CONFIG.replace("center: [0.0, 0.0]", "center: [1.0e+300, 0.0]")
                        .replace("1.0e+200, xmax: 1.0e+300", "-3, xmax: 3"))
+
+#: OVERFLOW_CONFIG's grid taken out to x1 = 1e308 under a rod centred at
+#: x1 = -1e308: the rod-frame x1 of its far column, 2e308, overflows
+FAR_SIDE_CONFIG = (OVERFLOW_CONFIG.replace("center: [0.0, 0.0]", "center: [-1.0e+308, 0.0]")
+                   .replace("xmax: 1.0e+300", "xmax: 1.0e+308"))
+
+#: ROD_AT_1E300_CONFIG in the background x1 + 0.5 x2 + 1e10 (x1^2 - x2^2):
+#: 1e300 from the rod the closed form's curvature term k_log (z - q) overflows
+QUADRATIC_ROD_AT_1E300_CONFIG = ROD_AT_1E300_CONFIG.replace(
+    "a: [1.0, 0.5]", "coefficients: [0, 1, 0.5, 1.0e+10, 0]")
 
 
 def _run_grid_command(argv, config, tmp_path):
@@ -672,11 +684,15 @@ def _run_grid_command(argv, config, tmp_path):
     return code
 
 
-@pytest.mark.parametrize("argv", BEM_COMMANDS, ids=BEM_IDS)
-def test_overflowing_grid_exits_2(argv, tmp_path, capsys):
+@pytest.mark.parametrize("argv, config, where", [
+    *((argv, OVERFLOW_CONFIG, "(1e+200, -3.0)") for argv in BEM_COMMANDS),
+    # the closed form has no r^2 to overflow, but its rod-frame points do
+    *((argv, FAR_SIDE_CONFIG, "(1e+308, -3.0)") for argv in CLOSED_FORM_COMMANDS)],
+    ids=[*BEM_IDS, *CLOSED_FORM_IDS])
+def test_overflowing_grid_exits_2(argv, config, where, tmp_path, capsys):
     # every grid command wrote nan cells and exited 0
-    assert _run_grid_command(argv, OVERFLOW_CONFIG, tmp_path) == EXIT_USAGE
-    assert capsys.readouterr().err == "error: u - H is not finite at (1e+200, -3.0)\n"
+    assert _run_grid_command(argv, config, tmp_path) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: u - H is not finite at {where}\n"
 
 
 def test_overflowing_grid_above_the_expansion_threshold_exits_2(tmp_path, capsys):
@@ -704,17 +720,22 @@ def test_overflowing_output_column_exits_2(argv, message, tmp_path, capsys):
     assert capsys.readouterr().err == message
 
 
-@pytest.mark.parametrize("argv, code, message", [
+@pytest.mark.parametrize("argv, config, code, message", [
     # the BEM is solved in the rod frame, so its solve succeeds, and every
     # grid point is 1e300 from the rod, where r^2 overflows.  While the
     # mesh was placed, every rod-frame node collapsed onto 0 and the solve
     # died in a LinAlgError traceback ("SVD did not converge"), later
     # refused as non-finite entries, exit 1
-    (["forward"], EXIT_USAGE, "error: u - H is not finite at (-3.0, -3.0)"),
-    (["fieldmap", "--model", "bem"], EXIT_USAGE, "error: u - H is not finite at (-3.0, -3.0)"),
-], ids=BEM_IDS)
-def test_rod_centre_at_1e300_is_refused(argv, code, message, tmp_path, capsys):
-    assert _run_grid_command(argv, ROD_AT_1E300_CONFIG, tmp_path) == code
+    (["forward"], ROD_AT_1E300_CONFIG, EXIT_USAGE, "error: u - H is not finite at (-3.0, -3.0)"),
+    (["fieldmap", "--model", "bem"], ROD_AT_1E300_CONFIG, EXIT_USAGE,
+     "error: u - H is not finite at (-3.0, -3.0)"),
+    # the closed form wrote nan cells and exited 0.  On a linear background
+    # it is now finite there (the test below); on this one it overflows
+    (["asymptotic"], QUADRATIC_ROD_AT_1E300_CONFIG, EXIT_USAGE,
+     "error: u - H is not finite at (-3.0, -3.0)"),
+], ids=[*BEM_IDS, "asymptotic"])
+def test_rod_centre_at_1e300_is_refused(argv, config, code, message, tmp_path, capsys):
+    assert _run_grid_command(argv, config, tmp_path) == code
     assert capsys.readouterr().err.startswith(message)
 
 
@@ -725,9 +746,10 @@ def test_rod_centre_at_1e300_is_refused(argv, code, message, tmp_path, capsys):
     ids=["asymptotic", "fieldmap-asymptotic", "asymptotic-rod-at-1e300",
          "fieldmap-asymptotic-rod-at-1e300"])
 def test_closed_form_far_from_the_rod_is_the_background(argv, config, tmp_path):
-    # 1e200 to 1e300 from the rod the closed form is below 1e-300 and its
-    # gradient underflows to 0.  Written in real terms, its r^2 overflowed
-    # there, and both commands exited 2 with "u - H is not finite"
+    # 1e200 to 1e300 from the rod the true s, about 0.064 / r, is far below
+    # H's rounding; the log ratio rounds to 0 there, so du <= 1e-300 and
+    # the gradient underflows to 0.  Written in real terms, its r^2
+    # overflowed there, and both commands exited 2 with "u - H is not finite"
     path, out = tmp_path / "run.yaml", tmp_path / "out.csv"
     path.write_text(config)
     with warnings.catch_warnings(record=True) as caught:
@@ -764,15 +786,19 @@ def test_a_background_that_overflows_at_the_rod_exits_2(argv, tmp_path, capsys):
     assert _run_grid_command(["asymptotic"], config, tmp_path) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("argv", BEM_COMMANDS, ids=BEM_IDS)
-def test_refusal_prints_only_its_error_line(argv, tmp_path, capsys):
+@pytest.mark.parametrize("argv, config", [
+    *((argv, OVERFLOW_CONFIG) for argv in BEM_COMMANDS),
+    *((argv, FAR_SIDE_CONFIG) for argv in CLOSED_FORM_COMMANDS),
+    (["asymptotic"], QUADRATIC_ROD_AT_1E300_CONFIG)],
+    ids=[*BEM_IDS, *CLOSED_FORM_IDS, "asymptotic-rod-at-1e300"])
+def test_refusal_prints_only_its_error_line(argv, config, tmp_path, capsys):
     # numpy's RuntimeWarnings, each with its source line, printed before
     # the error line: "potentials.py:380: RuntimeWarning: overflow
     # encountered in square".  Warnings are recorded here, not printed, so
     # they are added to stderr as a shell would show them
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert _run_grid_command(argv, OVERFLOW_CONFIG, tmp_path) == EXIT_USAGE
+        assert _run_grid_command(argv, config, tmp_path) == EXIT_USAGE
     err = capsys.readouterr().err + "".join(
         warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
     assert err.startswith("error: ") and len(err.splitlines()) == 1
