@@ -3,11 +3,9 @@
 For a linear background a.x the perturbation has an exact leading term,
 Re[(b/pi) log((z - q)/(z - p))] at z = x1 + i x2 in the rod frame, with p
 and q the cap centres: the log ratio of the cap distances carries the axial
-component, the angle the rod subtends the transverse one.  Any degree-2
-harmonic background H takes the same closed form, at the effective field
-(d1 H at the right cap, d2 H at the rod centre), plus two curvature terms
-that vanish on a linear background.  All are real parts of one analytic
-function, so u and grad u are exact up to rounding but at the cap centres.
+component, the angle the rod subtends the transverse one.  A degree-2
+harmonic background H adds two curvature terms, zero on a linear one; all
+are real parts of one analytic function, exact but at the cap centres.
 """
 
 from __future__ import annotations
@@ -134,46 +132,51 @@ class AsymptoticModel:
         return self.background.rotated(self.angle)
 
 
+#: h / L = sum t^n / (n (n + 1)) and h' = -sum t^n / n, n >= 2: to 7e-17 for |t| < 1/4
+_H_SERIES = np.array([[0.0, 0.0]] + [[1 / (n * n + n), -1 / n * (n > 1)] for n in range(1, 27)])
+
+
 def _axis_chunk(model: AsymptoticModel, bg: HarmonicBackground,
                 xl: NDArray) -> tuple[NDArray, NDArray]:
-    """u - H and its rod-frame gradient on rod-frame points ``xl``:
-    s = Re F - k_log L and grad s = (Re F', -Im F') for F = P(z) lg, with z,
-    lg, lg' of :func:`_cap_logs` and P(z) = b/pi + i k_poisson z - k_log (z - q).
+    """u - H and its rod-frame gradient on rod-frame points ``xl``: Re F and
+    (Re F', -Im F') for F = A lg + C h, with z, lg, lg' of :func:`_cap_logs`,
+    h = (z - q) lg + L and h' = lg + t, t = L/(z - p).
 
-    From ``bg``'s rod-frame (c0, ..., c4), b = c_ax (c1 + c3 L) + i c_tr c2
-    gives the linear closed form at the effective field (d1 H(Q), d2 H(0));
-    the log term k_log = c_ax d2^2 H / pi = -2 c3 c_ax / pi and the Poisson
-    term k_poisson = c_tr d1 d2 H / pi = c_tr c4 / pi are zero on a linear
-    background, where s and grad s are the linear form's bit for bit.
+    With ``bg``'s rod-frame (c0, ..., c4), A = (c_ax d1 H + i c_tr d2 H)/pi at
+    the right cap Q, the linear form's at H's gradient there, and C = (2 c3 c_ax
+    + i c_tr c4)/pi carries the curvature: d2^2 H in the log kernel, d1 d2 H in
+    the Poisson kernel times the axial coordinate; on a linear background C = 0,
+    and s and grad s are the linear form's bit for bit.  Far out h, about L t / 2,
+    cancels two terms near L, so where |t| < 1/4 they come from :data:`_H_SERIES`.
     """
     L, c_ax, c_tr = model.L, model.strength, model.strength_transverse
     _, c1, c2, c3, c4 = bg.coeffs
-    b = complex(c_ax * (c1 + c3 * L), c_tr * c2)
-    k_log, k_poisson = -2.0 * c3 * c_ax / np.pi, c_tr * c4 / np.pi
+    a = complex(c_ax * (c1 + c3 * L), c_tr * (c2 + c4 * L / 2.0)) / np.pi
+    c = complex(2.0 * c3 * c_ax, c_tr * c4) / np.pi
     z, lg, dlg = _cap_logs(xl, L)
-    pz = b / np.pi + 1j * k_poisson * z - k_log * (z - L / 2.0)
-    df = (1j * k_poisson - k_log) * lg + pz * dlg
-    return (pz * lg).real - k_log * L, np.stack([df.real, -df.imag], axis=1)
+    t = L / (z + L / 2.0)
+    h, dh = (z - L / 2.0) * lg + L, lg + t
+    far = np.abs(t) < 0.25
+    if far.any():
+        h[far], dh[far] = np.polynomial.polynomial.polyval(t[far], _H_SERIES) * [[L], [1.0]]
+    df = a * dlg + c * dh
+    return (a * lg + c * h).real, np.stack([df.real, -df.imag], axis=1)
 
 
 def asymptotic_perturbation(model: AsymptoticModel, xl) -> tuple[NDArray, NDArray]:
     """The leading-order perturbation u - H (m,) and its rod-frame gradient
-    (m, 2) at rod-frame points (m, 2), for any degree-2 background (:func:`_axis_chunk`).
-
-    Formed without H, so no digits cancel where |u - H| is small against
-    |H|.  Exact up to rounding at every point but the cap centres, which
-    are refused, close to the axis and inside the cap discs included.  On
-    the axis inside the segment (x2 = 0 or -0) the values are the upper-side
-    limits x2 -> +0, the convention of :func:`_cap_logs`.
+    (m, 2) at rod-frame points (m, 2), for any degree-2 background, by
+    :func:`_axis_chunk` without H, so no digits cancel against |H|.  Cap
+    centres are refused; on the axis inside the segment (x2 = 0 or -0) the
+    values are the upper-side limits x2 -> +0 of :func:`_cap_logs`.
 
     Points go in chunks of ``potentials.FIELD_CHUNK_BYTES`` / 512 rows; a
-    chunk's temporaries peak at about 113 bytes a point, seven complex values.
+    chunk's temporaries peak at about 240 bytes a point, fifteen complex values.
     """
     xl = np.atleast_2d(np.asarray(xl, dtype=float))
     bg = model._local_background()
     rows = max(1, potentials.FIELD_CHUNK_BYTES // 512)
-    s = np.empty(len(xl))
-    g = np.empty_like(xl)
+    s, g = np.empty(len(xl)), np.empty_like(xl)
     for i in range(0, len(xl), rows):
         s[i:i + rows], g[i:i + rows] = _axis_chunk(model, bg, xl[i:i + rows])
     return s, g
@@ -208,11 +211,8 @@ def asym_grad_linear(model: AsymptoticModel, x) -> NDArray:
 
 
 def asym_u_general(model: AsymptoticModel, x, n_quad: int | None = None) -> NDArray:
-    """Leading-order potential for any degree-2 harmonic background.
-
-    ``n_quad`` is accepted and ignored: it set the quadrature order of an
-    earlier version, and callers that still pass it keep working.
-    """
+    """Leading-order potential for any degree-2 harmonic background;
+    ``n_quad`` is ignored, and callers that still pass it keep working."""
     return _single(x, asymptotic_field(model, x)[0])
 
 

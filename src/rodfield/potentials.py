@@ -384,11 +384,14 @@ def solve_density(np_matrix: NpMatrix, lam: float, rhs: DensityVector) -> Densit
 
     The node weights w are a left eigenvector of K with eigenvalue 1/2
     (the column identity), and only the (+, +) block holds it: there
-    w^T phi = w^T b / (lam - 1/2), the rounding of w^T b = 0 divided by
-    about 1/sigma0.  That block is factored as
+    w^T phi = w^T b / (lam - 1/2), about sigma0 w^T b.  Where w^T b is
+    within the rounding bound of its sum, n eps sum w|b| over the n nodes,
+    it is the rounding of a zero total, and the block is factored as
     lam I - K + (lam + 1/2) e wq^T / sum(wq), e the ones on the quarter arc,
     which moves the weights' eigenvalue to 2 lam and leaves every other
-    one, and the zero-charge solution, as they were.
+    one, and the zero-charge solution, as they were.  A total above that
+    bound, a coarse mesh's quadrature error, is data: the block is solved
+    as it stands.
     """
     b = np_matrix.split(rhs.values)
     norms = np.linalg.norm(b, axis=1)
@@ -398,6 +401,7 @@ def solve_density(np_matrix: NpMatrix, lam: float, rhs: DensityVector) -> Densit
     m = b.shape[1]
     diag = np.arange(m)
     wq = np_matrix.mesh.weights[np_matrix.mesh.orbits[0]]
+    shift = abs(wq @ b[0]) <= b.size * np.finfo(float).eps * (wq @ np.abs(b[0]))
     # a skipped part leaves r_s = -b_s.  lam I - block is formed in one
     # BLAS pass over the four orbit matrices; np.linalg.solve factors a
     # copy, so the unshifted block is still there for its part of the residual
@@ -408,7 +412,7 @@ def solve_density(np_matrix: NpMatrix, lam: float, rhs: DensityVector) -> Densit
         system[diag, diag] += lam
         try:
             phi[s] = np.linalg.solve(
-                system + (lam + 0.5) * wq / wq.sum() if s == 0 else system, b[s])
+                system + (lam + 0.5) * wq / wq.sum() if s == 0 and shift else system, b[s])
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"density system is singular (lam={lam})") from exc
         r[s] += system @ phi[s]

@@ -490,6 +490,35 @@ def test_general_field_right_near_the_axis():
     _assert_matches_mpmath(model, pts)
 
 
+def test_general_field_far_from_the_rod_is_right_to_rounding():
+    # against the closed form itself at 80 digits: s within 4 eps of the
+    # coefficients' scale and grad s within 4 eps of it over r, from 3 to
+    # 3e20 from the rod.  With z in the coefficient of lg, as below, the
+    # curvature terms cancel like (r/L)^2 and leave -k_log L once lg rounds
+    # to 0, past about 1e16 L
+    model = AsymptoticModel(L=2.0, delta=0.05, lam=1.5,
+                            background=HarmonicBackground.polynomial((0.0, 1.0, 0.5, 1.0, 0.3)))
+    L, c_ax, c_tr = model.L, model.strength, model.strength_transverse
+    _, c1, c2, c3, c4 = model.background.coeffs
+    scale = (abs(complex(c_ax * (c1 + c3 * L), c_tr * c2)) + 2.0 * abs(c3 * c_ax) * L
+             + abs(c_tr * c4) * L) / np.pi
+    theta, eps = np.array([0.3, 1.7, 3.1, 4.4]), np.finfo(float).eps
+    for r in (3.0, 60.0, 3e4, 3e8, 3e16, 3e20):
+        pts = r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        s, g = asymptotic_perturbation(model, pts)
+        with mp.workdps(80):
+            b = mp.mpc(c_ax * (c1 + c3 * L), c_tr * c2) / mp.pi
+            k_log, k_poisson = -2 * mp.mpf(c3) * c_ax / mp.pi, mp.mpf(c_tr) * c4 / mp.pi
+            for i, (x1, x2) in enumerate(pts):
+                z, q = mp.mpc(x1, x2), mp.mpf(L) / 2
+                lg, dlg = mp.log((z - q) / (z + q)), 1 / (z - q) - 1 / (z + q)
+                pz = b + 1j * k_poisson * z - k_log * (z - q)
+                df = (1j * k_poisson - k_log) * lg + pz * dlg
+                assert abs(s[i] - float(mp.re(pz * lg) - k_log * L)) <= 4 * eps * scale, r
+                ref_g = [float(mp.re(df)), -float(mp.im(df))]
+                assert np.linalg.norm(g[i] - ref_g) <= 4 * eps * scale / r, r
+
+
 def test_perturbation_is_the_field_without_background():
     spec = RodSpec(L=1.7, delta=0.03, center=(0.37, -0.21), angle=1.1, sigma0=3.0)
     pts = np.array([[2.0, 0.5], [0.4, 1.3], [-1.8, -0.7]])

@@ -21,8 +21,8 @@ def test_linear_constructor():
 
 
 def test_linear_value_is_finite_where_squares_overflow():
-    # c3 (x1^2 - x2^2) was 0 * inf = nan once |x| passed 1.35e154, where
-    # H itself is finite
+    # with c3 = 0, c3 x1^2 would be 0 * inf = nan once |x| passes 1.35e154,
+    # where H itself is finite
     x = np.array([[1e200, -3.0], [-3.0, 1e300], [1e200, 1e200]])
     assert np.array_equal(HarmonicBackground.linear((1.0, 0.5)).value(x),
                           [1e200, 5e299, 1.5e200])

@@ -669,10 +669,14 @@ ROD_AT_1E300_CONFIG = (OVERFLOW_CONFIG.replace("center: [0.0, 0.0]", "center: [1
 FAR_SIDE_CONFIG = (OVERFLOW_CONFIG.replace("center: [0.0, 0.0]", "center: [-1.0e+308, 0.0]")
                    .replace("xmax: 1.0e+300", "xmax: 1.0e+308"))
 
-#: ROD_AT_1E300_CONFIG in the background x1 + 0.5 x2 + 1e10 (x1^2 - x2^2):
-#: 1e300 from the rod the closed form's curvature term k_log (z - q) overflows
+#: ROD_AT_1E300_CONFIG in the background x1 + 0.5 x2 + x1^2 - x2^2
 QUADRATIC_ROD_AT_1E300_CONFIG = ROD_AT_1E300_CONFIG.replace(
-    "a: [1.0, 0.5]", "coefficients: [0, 1, 0.5, 1.0e+10, 0]")
+    "a: [1.0, 0.5]", "coefficients: [0, 1, 0.5, 1.0, 0]")
+
+#: ... and with x1^2 - x2^2 taken 1e308 times: the closed form's effective
+#: field d1 H(Q) = 1 + 2e308 overflows
+OVERFLOWING_FIELD_ROD_AT_1E300_CONFIG = QUADRATIC_ROD_AT_1E300_CONFIG.replace(
+    "0.5, 1.0, 0]", "0.5, 1.0e+308, 0]")
 
 
 def _run_grid_command(argv, config, tmp_path):
@@ -729,9 +733,9 @@ def test_overflowing_output_column_exits_2(argv, message, tmp_path, capsys):
     (["forward"], ROD_AT_1E300_CONFIG, EXIT_USAGE, "error: u - H is not finite at (-3.0, -3.0)"),
     (["fieldmap", "--model", "bem"], ROD_AT_1E300_CONFIG, EXIT_USAGE,
      "error: u - H is not finite at (-3.0, -3.0)"),
-    # the closed form wrote nan cells and exited 0.  On a linear background
-    # it is now finite there (the test below); on this one it overflows
-    (["asymptotic"], QUADRATIC_ROD_AT_1E300_CONFIG, EXIT_USAGE,
+    # the closed form is finite at a rod 1e300 away (the test below) but
+    # not where its effective field overflows
+    (["asymptotic"], OVERFLOWING_FIELD_ROD_AT_1E300_CONFIG, EXIT_USAGE,
      "error: u - H is not finite at (-3.0, -3.0)"),
 ], ids=[*BEM_IDS, "asymptotic"])
 def test_rod_centre_at_1e300_is_refused(argv, config, code, message, tmp_path, capsys):
@@ -739,17 +743,16 @@ def test_rod_centre_at_1e300_is_refused(argv, config, code, message, tmp_path, c
     assert capsys.readouterr().err.startswith(message)
 
 
-@pytest.mark.parametrize("argv, config", [
-    (["asymptotic"], OVERFLOW_CONFIG), (["fieldmap", "--model", "asymptotic"], OVERFLOW_CONFIG),
-    (["asymptotic"], ROD_AT_1E300_CONFIG),
-    (["fieldmap", "--model", "asymptotic"], ROD_AT_1E300_CONFIG)],
-    ids=["asymptotic", "fieldmap-asymptotic", "asymptotic-rod-at-1e300",
-         "fieldmap-asymptotic-rod-at-1e300"])
-def test_closed_form_far_from_the_rod_is_the_background(argv, config, tmp_path):
-    # 1e200 to 1e300 from the rod the true s, about 0.064 / r, is far below
-    # H's rounding; the log ratio rounds to 0 there, so du <= 1e-300 and
-    # the gradient underflows to 0.  Written in real terms, its r^2
-    # overflowed there, and both commands exited 2 with "u - H is not finite"
+@pytest.mark.parametrize("config, bg", [
+    (OVERFLOW_CONFIG, HarmonicBackground.linear((1.0, 0.5))),
+    (ROD_AT_1E300_CONFIG, HarmonicBackground.linear((1.0, 0.5))),
+    (QUADRATIC_ROD_AT_1E300_CONFIG, HarmonicBackground.polynomial((0.0, 1.0, 0.5, 1.0, 0.0)))],
+    ids=["grid-at-1e200", "rod-at-1e300", "quadratic-rod-at-1e300"])
+@pytest.mark.parametrize("argv", CLOSED_FORM_COMMANDS[::-1], ids=CLOSED_FORM_IDS[::-1])
+def test_closed_form_far_from_the_rod_is_the_background(argv, config, bg, tmp_path):
+    # 1e200 to 1e300 from the rod s is at most about 0.13 L / r, below
+    # 1e-300 and far below H's rounding, and grad s, about L / r^2,
+    # underflows to 0: u and grad u are H's bit for bit
     path, out = tmp_path / "run.yaml", tmp_path / "out.csv"
     path.write_text(config)
     with warnings.catch_warnings(record=True) as caught:
@@ -761,8 +764,8 @@ def test_closed_form_far_from_the_rod_is_the_background(argv, config, tmp_path):
     if argv[0] == "fieldmap":
         assert (rows[:, 2] <= 1e-300).all() and (rows[:, 3] == 0.0).all()
     else:
-        h = HarmonicBackground.linear((1.0, 0.5)).value(rows[:, :2])
-        assert np.array_equal(rows[:, 2:5], np.column_stack([h, np.ones(4), np.full(4, 0.5)]))
+        xy = rows[:, :2]
+        assert np.array_equal(rows[:, 2:5], np.column_stack([bg.value(xy), bg.grad(xy)]))
 
 
 @pytest.mark.parametrize("argv", [["forward", "--density"], ["fieldmap", "--model", "bem"]],
@@ -789,7 +792,7 @@ def test_a_background_that_overflows_at_the_rod_exits_2(argv, tmp_path, capsys):
 @pytest.mark.parametrize("argv, config", [
     *((argv, OVERFLOW_CONFIG) for argv in BEM_COMMANDS),
     *((argv, FAR_SIDE_CONFIG) for argv in CLOSED_FORM_COMMANDS),
-    (["asymptotic"], QUADRATIC_ROD_AT_1E300_CONFIG)],
+    (["asymptotic"], OVERFLOWING_FIELD_ROD_AT_1E300_CONFIG)],
     ids=[*BEM_IDS, *CLOSED_FORM_IDS, "asymptotic-rod-at-1e300"])
 def test_refusal_prints_only_its_error_line(argv, config, tmp_path, capsys):
     # numpy's RuntimeWarnings, each with its source line, printed before
