@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from numpy.typing import NDArray
 
 from .background import HarmonicBackground
@@ -66,9 +67,14 @@ def f_sq_sum_cap_form(x, L: float) -> NDArray:
     return (1.0 / rq - 1.0 / rp) ** 2 + (2.0 / (rp * rq)) * (1.0 - cosang)
 
 
-def _cap_logs(x, L: float) -> tuple[NDArray, NDArray, NDArray]:
-    """z = x1 + i x2 at rod-frame points x, lg = log((z - q)/(z - p)) and
-    lg' = 1/(z - q) - 1/(z - p), with cap centres p, q = -L/2, L/2.
+#: lg = -sum t^n / n, h / L = sum t^n / (n (n + 1)), h' = lg + t: to 7e-17 for |t| < 1/4
+_T_SERIES = np.array([[0.0] * 3] + [[-1 / n, 1 / (n * n + n), -(n > 1) / n] for n in range(1, 27)])
+
+
+def _cap_logs(x, L: float) -> tuple[NDArray, NDArray, NDArray, NDArray]:
+    """z = x1 + i x2 at rod-frame points x, lg = log((z - q)/(z - p)), lg' = L/(z - p)/(z - q)
+    and t = L/(z - p), with cap centres p, q = -L/2, L/2; where |t| < 1/4 lg is summed
+    from :data:`_T_SERIES`, so far out neither lg nor lg' cancels digits.
 
     Im lg is the angle the segment subtends at x, signed like x2; x2 = -0
     counts as +0, so on the axis inside the segment it is pi, the limit
@@ -79,7 +85,12 @@ def _cap_logs(x, L: float) -> tuple[NDArray, NDArray, NDArray]:
     zq, zp = z - L / 2.0, z + L / 2.0
     if not (zq.all() and zp.all()):
         raise SingularPointError("evaluation point coincides with a cap centre")
-    return z, np.log(zq / zp), 1.0 / zq - 1.0 / zp
+    # arrays, not scalars, so that one point's lg can be set from the series too
+    lg, t = np.asarray(np.log(zq / zp)), np.asarray(L / zp)
+    far = np.abs(t) < 0.25
+    if far.any():
+        lg[far] = polyval(t[far], _T_SERIES[:, 0])
+    return z, lg, L / zp / zq, t
 
 
 def perturbation_linear(a, L: float, c_ax: float, c_tr: float, x) -> NDArray:
@@ -132,33 +143,28 @@ class AsymptoticModel:
         return self.background.rotated(self.angle)
 
 
-#: h / L = sum t^n / (n (n + 1)) and h' = -sum t^n / n, n >= 2: to 7e-17 for |t| < 1/4
-_H_SERIES = np.array([[0.0, 0.0]] + [[1 / (n * n + n), -1 / n * (n > 1)] for n in range(1, 27)])
-
-
 def _axis_chunk(model: AsymptoticModel, bg: HarmonicBackground,
                 xl: NDArray) -> tuple[NDArray, NDArray]:
     """u - H and its rod-frame gradient on rod-frame points ``xl``: Re F and
-    (Re F', -Im F') for F = A lg + C h, with z, lg, lg' of :func:`_cap_logs`,
-    h = (z - q) lg + L and h' = lg + t, t = L/(z - p).
+    (Re F', -Im F') for F = A lg + C h, with z, lg, lg', t of :func:`_cap_logs`,
+    h = (z - q) lg + L and h' = lg + t.
 
     With ``bg``'s rod-frame (c0, ..., c4), A = (c_ax d1 H + i c_tr d2 H)/pi at
     the right cap Q, the linear form's at H's gradient there, and C = (2 c3 c_ax
     + i c_tr c4)/pi carries the curvature: d2^2 H in the log kernel, d1 d2 H in
     the Poisson kernel times the axial coordinate; on a linear background C = 0,
     and s and grad s are the linear form's bit for bit.  Far out h, about L t / 2,
-    cancels two terms near L, so where |t| < 1/4 they come from :data:`_H_SERIES`.
+    cancels two terms near L, so where |t| < 1/4 they come from :data:`_T_SERIES`.
     """
     L, c_ax, c_tr = model.L, model.strength, model.strength_transverse
     _, c1, c2, c3, c4 = bg.coeffs
     a = complex(c_ax * (c1 + c3 * L), c_tr * (c2 + c4 * L / 2.0)) / np.pi
     c = complex(2.0 * c3 * c_ax, c_tr * c4) / np.pi
-    z, lg, dlg = _cap_logs(xl, L)
-    t = L / (z + L / 2.0)
+    z, lg, dlg, t = _cap_logs(xl, L)
     h, dh = (z - L / 2.0) * lg + L, lg + t
     far = np.abs(t) < 0.25
     if far.any():
-        h[far], dh[far] = np.polynomial.polynomial.polyval(t[far], _H_SERIES) * [[L], [1.0]]
+        h[far], dh[far] = polyval(t[far], _T_SERIES[:, 1:]) * [[L], [1.0]]
     df = a * dlg + c * dh
     return (a * lg + c * h).real, np.stack([df.real, -df.imag], axis=1)
 
@@ -191,29 +197,24 @@ def asymptotic_field(model: AsymptoticModel, x) -> tuple[NDArray, NDArray]:
     return model.background.value(x) + s, model.background.grad(x) + gs
 
 
-def _single(x, values: NDArray) -> NDArray:
-    """``values`` for points ``x``, or its one row if ``x`` is one point."""
-    return values if np.asarray(x).ndim > 1 else values[0]
-
-
 def asym_u_linear(model: AsymptoticModel, x) -> NDArray:
     """Leading-order potential for a linear background (world frame); any
     other background is refused."""
     if not model.background.is_linear:
         raise ValueError("asym_u_linear requires a linear background")
-    return _single(x, asymptotic_field(model, x)[0])
+    return asymptotic_field(model, x)[0]
 
 
 def asym_grad_linear(model: AsymptoticModel, x) -> NDArray:
     """Leading-order gradient (world frame), the grad u of
     :func:`asymptotic_field`, right on any degree-2 background."""
-    return _single(x, asymptotic_field(model, x)[1])
+    return asymptotic_field(model, x)[1]
 
 
 def asym_u_general(model: AsymptoticModel, x, n_quad: int | None = None) -> NDArray:
     """Leading-order potential for any degree-2 harmonic background;
     ``n_quad`` is ignored, and callers that still pass it keep working."""
-    return _single(x, asymptotic_field(model, x)[0])
+    return asymptotic_field(model, x)[0]
 
 
 #: Equal panels of :func:`a_delta_apply` over the rod.

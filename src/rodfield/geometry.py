@@ -318,5 +318,4 @@ def signed_distance(spec: RodSpec, x: NDArray) -> NDArray:
     xl = to_local(spec, np.atleast_2d(np.asarray(x, dtype=float)))
     t = np.clip(xl[..., 0], -spec.L / 2.0, spec.L / 2.0)
     seg = np.stack([t, np.zeros_like(t)], axis=-1)
-    d = np.linalg.norm(xl - seg, axis=-1) - spec.delta
-    return d if np.asarray(x).ndim > 1 else d[0]
+    return np.linalg.norm(xl - seg, axis=-1) - spec.delta

@@ -121,7 +121,7 @@ def simulate_measurements(spec: RodSpec, bg: HarmonicBackground,
     background that :func:`fit_rod` refuses are refused before the solve.
     """
     _require_identifiable(bg)
-    points = np.asarray(points, dtype=float)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     dist = signed_distance(spec, points)
     if np.any(dist < 2.0 * spec.delta):
         raise PlacementError(

@@ -546,8 +546,9 @@ def single_layer_field(mesh: BoundaryMesh, phi: DensityVector,
     the direct sum: each chunk of points forms d = x - y and r^2 = |d|^2
     once, by direct subtraction (the GEMM expansion of r^2 cancels near the
     boundary).
-    Accepts a single point or an (m, 2) array; a point on a mesh node
-    raises ValidationError.
+    Points are an (m, 2) array, values (m,), gradients (m, 2) and flags
+    (m,); one point (2,) is a set of one.  A point on a mesh node raises
+    ValidationError.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     pw = phi.values * mesh.weights
@@ -571,10 +572,7 @@ def single_layer_field(mesh: BoundaryMesh, phi: DensityVector,
         out[far] = _multipole_field(pw, w[far], nodes, a)
         del w   # before the direct sum's scratch is allocated
         out[~far], near[~far] = _direct_field(mesh, pw, pts[~far])
-    vals, grads = out[:, 2] / (4.0 * np.pi), out[:, :2] / (2.0 * np.pi)
-    if np.ndim(x) == 1:
-        return vals[0], grads[0], near[0]
-    return vals, grads, near
+    return out[:, 2] / (4.0 * np.pi), out[:, :2] / (2.0 * np.pi), near
 
 
 def single_layer(mesh: BoundaryMesh, phi: DensityVector,

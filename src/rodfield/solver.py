@@ -97,6 +97,7 @@ def perturbation(spec: RodSpec, bg: HarmonicBackground, pts, model: str = "bem",
     exactly zero.  Both form s itself in the rod frame, never u - H, which cancels
     digits.  A value that is not finite (r^2 overflows past about 1e154) is refused.
     """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     xl = to_local(spec, pts)
     if model == "bem":
         sol = solve_forward(spec, bg, n_cap=n_cap, n_facade=n_facade)
@@ -123,8 +124,9 @@ def refuse_non_finite(name: str, pts: NDArray, *columns: NDArray) -> None:
 
 
 def eval_field(sol: ForwardSolution, x) -> tuple[NDArray, NDArray, NDArray]:
-    """Total potential u = H + S[phi], its gradient and the near flag."""
-    x = np.asarray(x, dtype=float)
+    """Total potential u = H + S[phi] (m,), its gradient (m, 2) and the near
+    flags (m,) on world points (m, 2)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
     s, g, near = single_layer_field(sol.mesh, sol.phi, to_local(sol.spec, x))
     g = g @ rotation_matrix(sol.spec.angle).T
     return sol.background.value(x) + s, sol.background.grad(x) + g, near

@@ -340,18 +340,19 @@ def test_frame_covariance():
 def test_general_reduces_to_linear():
     # with c3 = c4 = 0 both curvature terms are exact zeros: u and grad u
     # are the linear closed form bit for bit, on the axis and next to the
-    # caps too
+    # caps too, and far out, where lg is summed from its series
     model = linear_model((1.0, 0.4), delta=0.02, center=(0.2, -0.1), angle=0.5)
     g = np.linspace(-2.5, 2.5, 41)
     grid = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
     local = np.array([[0.0, 0.0], [0.3, 0.0], [-0.9, 0.0], [1.5, 0.0], [-3.0, 0.0],
                       [1.0001, 0.0], [1.0001, 1e-4], [-1.00001, 0.0], [0.99, 0.01],
-                      [-1.01, -0.003], [0.3, 1e-12]])
+                      [-1.01, -0.003], [0.3, 1e-12], [3e6, -2e6], [-5.0, 8.0]])
     pts = np.concatenate([grid, to_world(model, local)])
     u, g = asymptotic_field(model, pts)
     a, xl = model._local_background().linear_part, to_local(model, pts)
     args = (a, model.L, model.strength, model.strength_transverse, xl)
     assert np.array_equal(u, model.background.value(pts) + perturbation_linear(*args))
+    assert np.array_equal(asymptotic_perturbation(model, xl)[0], perturbation_linear(*args))
     # the linear form's gradient: Re and -Im of (b/pi) lg'
     b = complex(model.strength * a[0], model.strength_transverse * a[1])
     dlg = b / np.pi * asymptotics._cap_logs(xl, model.L)[2]
@@ -517,6 +518,33 @@ def test_general_field_far_from_the_rod_is_right_to_rounding():
                 assert abs(s[i] - float(mp.re(pz * lg) - k_log * L)) <= 4 * eps * scale, r
                 ref_g = [float(mp.re(df)), -float(mp.im(df))]
                 assert np.linalg.norm(g[i] - ref_g) <= 4 * eps * scale / r, r
+
+
+@pytest.mark.parametrize("bg", [HarmonicBackground.linear((1.0, 0.5)), QUAD_BG],
+                         ids=["linear", "degree-2"])
+def test_closed_form_far_from_the_rod_keeps_its_digits(bg):
+    # s and grad s against the closed form itself at 60 digits, each within
+    # 8 eps of its own size at 25 points a radius, from 3 to 3e10 from the
+    # rod (measured: <= 3.3 eps)
+    model = AsymptoticModel(L=2.0, delta=0.05, lam=1.5, background=bg)
+    L, c_ax, c_tr = model.L, model.strength, model.strength_transverse
+    _, c1, c2, c3, c4 = bg.coeffs
+    theta, eps = 2.0 * np.pi * (np.arange(25) + 0.37) / 25, np.finfo(float).eps
+    for r in (3.0, 300.0, 3e4, 3e6, 3e10):
+        pts = r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        s, g = asymptotic_perturbation(model, pts)
+        ref_s, ref_g = np.empty_like(s), np.empty_like(g)
+        with mp.workdps(60):
+            a = mp.mpc(c_ax * (c1 + c3 * L), c_tr * (c2 + c4 * L / 2.0)) / mp.pi
+            c, q = mp.mpc(2.0 * c3 * c_ax, c_tr * c4) / mp.pi, mp.mpf(L) / 2
+            for i, (x1, x2) in enumerate(pts):
+                z = mp.mpc(x1, x2)
+                lg = mp.log((z - q) / (z + q))
+                df = a * (1 / (z - q) - 1 / (z + q)) + c * (lg + L / (z + q))
+                ref_s[i] = float(mp.re(a * lg + c * ((z - q) * lg + L)))
+                ref_g[i] = float(mp.re(df)), -float(mp.im(df))
+        assert np.abs(s - ref_s).max() <= 8 * eps * np.abs(ref_s).max(), r
+        assert np.abs(g - ref_g).max() <= 8 * eps * np.abs(ref_g).max(), r
 
 
 def test_perturbation_is_the_field_without_background():

@@ -12,6 +12,7 @@ import sys
 import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -750,9 +751,10 @@ def test_rod_centre_at_1e300_is_refused(argv, config, code, message, tmp_path, c
     ids=["grid-at-1e200", "rod-at-1e300", "quadratic-rod-at-1e300"])
 @pytest.mark.parametrize("argv", CLOSED_FORM_COMMANDS[::-1], ids=CLOSED_FORM_IDS[::-1])
 def test_closed_form_far_from_the_rod_is_the_background(argv, config, bg, tmp_path):
-    # 1e200 to 1e300 from the rod s is at most about 0.13 L / r, below
-    # 1e-300 and far below H's rounding, and grad s, about L / r^2,
-    # underflows to 0: u and grad u are H's bit for bit
+    # 1e200 to 1e300 from the rod s is at most about 0.13 L / r, far below
+    # H's rounding, and grad s, about L / r^2, underflows to 0: u and grad u
+    # are H's bit for bit.  1e200 from the rod du is 6.4e-202, right to 1e-14
+    # of a 50-digit evaluation; 1e300 from it du is below 1e-300
     path, out = tmp_path / "run.yaml", tmp_path / "out.csv"
     path.write_text(config)
     with warnings.catch_warnings(record=True) as caught:
@@ -761,7 +763,16 @@ def test_closed_form_far_from_the_rod_is_the_background(argv, config, bg, tmp_pa
     assert code == EXIT_OK and not caught
     rows = np.array(_read_csv(out)[1:], dtype=float)
     assert len(rows) == 4
-    if argv[0] == "fieldmap":
+    if argv[0] == "fieldmap" and config is OVERFLOW_CONFIG:
+        model = AsymptoticModel.from_spec(load_config(str(path)).rod, bg)
+        with mp.workdps(50):   # the rod is at the origin, along x1
+            b = mp.mpc(model.strength * bg.coeffs[1], model.strength_transverse * bg.coeffs[2])
+            # log((z - 1)/(z + 1)), whose ratio is 1 to 200 digits there
+            ref = [abs(float(mp.re(b / mp.pi * mp.log1p(-2 / (mp.mpc(x1, x2) + 1)))))
+                   for x1, x2 in rows[:, :2]]
+        assert (np.abs(rows[:, 2] - ref) <= 1e-14 * np.array(ref)).all()
+        assert (rows[:, 3] == 0.0).all()
+    elif argv[0] == "fieldmap":
         assert (rows[:, 2] <= 1e-300).all() and (rows[:, 3] == 0.0).all()
     else:
         xy = rows[:, :2]

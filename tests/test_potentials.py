@@ -745,11 +745,12 @@ def test_single_layer_field_single_point():
         val, grad, near = single_layer_field(mesh, phi, x)
         ref_val, ref_near = dense_single_layer(mesh, phi, x)
         ref_grad, _ = dense_single_layer_grad(mesh, phi, x)
-        assert np.ndim(val) == 0 and grad.shape == (2,) and np.ndim(near) == 0
-        _assert_close(val, ref_val)
-        _assert_close(grad, ref_grad)
-        assert near == ref_near
-        assert single_layer(mesh, phi, x) == (val, near)
+        assert val.shape == (1,) and grad.shape == (1, 2) and near.shape == (1,)
+        _assert_close(val[0], ref_val)
+        _assert_close(grad[0], ref_grad)
+        assert near[0] == ref_near
+        one_val, one_near = single_layer(mesh, phi, x)
+        assert np.array_equal(one_val, val) and np.array_equal(one_near, near)
 
 
 def test_direct_values_do_not_depend_on_the_chunk():
@@ -763,7 +764,8 @@ def test_direct_values_do_not_depend_on_the_chunk():
     assert near.any()
     for i, x in enumerate(pts):
         val, grad, flag = single_layer_field(mesh, phi, x)
-        assert val == vals[i] and np.array_equal(grad, grads[i]) and flag == near[i]
+        assert np.array_equal(val, vals[i:i + 1]) and np.array_equal(grad, grads[i:i + 1])
+        assert np.array_equal(flag, near[i:i + 1])
     subset = np.random.default_rng(5).permutation(len(pts))[:700]
     val, grad, flag = single_layer_field(mesh, phi, pts[subset])
     assert np.array_equal(val, vals[subset]) and np.array_equal(grad, grads[subset])
@@ -869,12 +871,12 @@ def test_single_far_point_from_the_expansion(expansions, monkeypatch):
     x = joukowski_points(mesh, np.array([2.01 * radius * np.exp(0.9j)]))[0]
     val, grad, near = single_layer_field(mesh, phi, x)
     assert expansions == [1]
-    assert np.ndim(val) == 0 and grad.shape == (2,) and np.ndim(near) == 0
+    assert val.shape == (1,) and grad.shape == (1, 2) and near.shape == (1,)
     ref_val, ref_near = dense_single_layer(mesh, phi, x)
     ref_grad, _ = dense_single_layer_grad(mesh, phi, x)
-    _assert_close(val, ref_val)
-    _assert_close(grad, ref_grad)
-    assert near == ref_near and not near
+    _assert_close(val[0], ref_val)
+    _assert_close(grad[0], ref_grad)
+    assert near[0] == ref_near and not near[0]
 
 
 def test_below_the_pair_threshold_every_point_takes_the_direct_sum(expansions):

@@ -1,21 +1,29 @@
 """Forward transmission solves against analytic and structural oracles."""
 
+import dataclasses
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from rodfield import geometry
-from rodfield import (DensityVector, HarmonicBackground, RodSpec, ValidationError,
-                      build_mesh, eval_field, eval_grad_u, eval_u, lambda_of_sigma,
-                      single_layer_field, solve_forward, transmission_check)
+from rodfield import (AsymptoticModel, DensityVector, HarmonicBackground, RodSpec,
+                      ValidationError, asym_grad_linear, asym_u_general, asym_u_linear,
+                      asymptotic_field, build_mesh, eval_field, eval_grad_u, eval_u,
+                      lambda_of_sigma, simulate_measurements, single_layer,
+                      single_layer_field, single_layer_grad, solve_forward,
+                      transmission_check)
 from rodfield.geometry import (GAUSS_NODES, GAUSS_WEIGHTS, PANEL_ORDER, default_counts,
                                rotation_matrix, signed_distance, to_local, to_world)
 from rodfield.inverse import sensor_circle
 from rodfield.potentials import assemble_np, neumann_data, solve_density
 from rodfield.solver import (R_RANGE, disc_exterior_grad, disc_exterior_u, disc_interior_u,
                             perturbation)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_lambda_examples():
@@ -470,3 +478,57 @@ def test_rods_at_the_ends_of_the_distance_range_solve(shape):
     for scale in (1.01 * R_RANGE[0] / closest, (1.0 - 1e-9) * R_RANGE[1] / (L + 2.0 * delta)):
         phi = solve_forward(RodSpec(L=L * scale, delta=delta * scale), bg).phi.values
         assert np.abs(phi - ref.phi.values).max() <= 1e-11 * np.abs(ref.phi.values).max()
+
+
+#: one world point off a placed rod on a linear background
+ONE_POINT = np.array([3.0, 0.0])
+
+#: every field evaluator on points x, on the rod, background, BEM solution and model of c
+ONE_POINT_CALLS = {
+    "perturbation-bem": lambda c, x: perturbation(c.rod, c.bg, x, "bem")[:3],
+    "perturbation-asymptotic": lambda c, x: perturbation(c.rod, c.bg, x, "asymptotic")[:3],
+    "simulate_measurements": lambda c, x: dataclasses.astuple(
+        simulate_measurements(c.rod, c.bg, x))[:2],
+    "eval_field": lambda c, x: eval_field(c.sol, x),
+    "single_layer_field": lambda c, x: single_layer_field(c.sol.mesh, c.sol.phi, x),
+    "signed_distance": lambda c, x: signed_distance(c.rod, x),
+    "asymptotic_field": lambda c, x: asymptotic_field(c.model, x),
+    "eval_u": lambda c, x: eval_u(c.sol, x),
+    "eval_grad_u": lambda c, x: eval_grad_u(c.sol, x),
+    "single_layer": lambda c, x: single_layer(c.sol.mesh, c.sol.phi, x),
+    "single_layer_grad": lambda c, x: single_layer_grad(c.sol.mesh, c.sol.phi, x),
+    "asym_u_linear": lambda c, x: asym_u_linear(c.model, x),
+    "asym_grad_linear": lambda c, x: asym_grad_linear(c.model, x),
+    "asym_u_general": lambda c, x: asym_u_general(c.model, x),
+}
+
+
+@pytest.fixture(scope="module")
+def one_point_case():
+    rod = RodSpec(L=2.0, delta=0.05, center=(0.3, -0.2), angle=0.4, sigma0=2.0)
+    bg = HarmonicBackground.linear((1.0, 1.0))
+    return SimpleNamespace(rod=rod, bg=bg, sol=solve_forward(rod, bg),
+                           model=AsymptoticModel.from_spec(rod, bg))
+
+
+@pytest.mark.parametrize("name", ONE_POINT_CALLS)
+def test_one_point_is_a_set_of_one(name, one_point_case):
+    # a point set is (m, 2), with (m,) values, (m, 2) gradients and (m,) flags
+    # back; a point given as (2,) is a set of one, the same arrays bit for bit,
+    # so the BEM and the closed form return the same shapes
+    one, many = (ONE_POINT_CALLS[name](one_point_case, x) for x in (ONE_POINT, ONE_POINT[None]))
+    one, many = (r if isinstance(r, tuple) else (r,) for r in (one, many))
+    assert len(one) == len(many)
+    for got, ref in zip(one, many):
+        assert isinstance(got, np.ndarray) and got.shape[:1] == (1,)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_readme_library_example_runs():
+    block = README.read_text().split("## Library\n")[1].split("```python\n")[1].split("```")[0]
+    scope = {}
+    exec(block, scope)
+    assert [np.shape(scope[k]) for k in ("u", "grad", "near")] == [(1,), (1, 2), (1,)]
+    assert [np.shape(scope[k]) for k in ("u_asym", "grad_asym")] == [(1,), (1, 2)]
+    assert scope["fit"].converged
