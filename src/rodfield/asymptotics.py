@@ -24,7 +24,7 @@ from . import potentials
 __all__ = [
     "AsymptoticModel", "cap_points", "f1_f2", "f_sq_sum", "f_sq_sum_cap_form",
     "asym_u_linear", "asym_grad_linear", "asym_u_general", "asymptotic_field",
-    "asymptotic_perturbation", "a_delta_apply", "perturbation_linear",
+    "asymptotic_perturbation", "a_delta_apply",
 ]
 
 
@@ -55,7 +55,7 @@ def f_sq_sum_cap_form(x, L: float) -> NDArray:
     (1/|x-Q| - 1/|x-P|)^2 + (2/(|x-P||x-Q|)) (1 - cos of the P,Q aperture);
     an algebraically independent route used to cross-check f1_f2.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
     P, Q = cap_points(L)
     dp = x - P
     dq = x - Q
@@ -71,39 +71,32 @@ def f_sq_sum_cap_form(x, L: float) -> NDArray:
 _T_SERIES = np.array([[0.0] * 3] + [[-1 / n, 1 / (n * n + n), -(n > 1) / n] for n in range(1, 27)])
 
 
+def _log_ratio(zp, zq, d) -> tuple[NDArray, NDArray, NDArray]:
+    """lg = log(zq/zp), lg' = d/zp/zq and t = d/zp for the offsets zp = z - p and
+    zq = z - q of points z from cap centres p and q = p + d; where |t| < 1/4 lg is
+    summed from :data:`_T_SERIES`, so far out neither lg nor lg' cancels digits.
+    Nothing is refused: at a cap centre lg and lg' are not finite."""
+    lg, t = np.log(zq / zp), d / zp
+    far = np.abs(t) < 0.25
+    if far.any():
+        lg[far] = polyval(t[far], _T_SERIES[:, 0])
+    return lg, d / zp / zq, t
+
+
 def _cap_logs(x, L: float) -> tuple[NDArray, NDArray, NDArray, NDArray]:
-    """z = x1 + i x2 at rod-frame points x, lg = log((z - q)/(z - p)), lg' = L/(z - p)/(z - q)
-    and t = L/(z - p), with cap centres p, q = -L/2, L/2; where |t| < 1/4 lg is summed
-    from :data:`_T_SERIES`, so far out neither lg nor lg' cancels digits.
+    """z = x1 + i x2 at rod-frame points x, and lg, lg' and t of :func:`_log_ratio`
+    for the cap centres p, q = -L/2, L/2.
 
     Im lg is the angle the segment subtends at x, signed like x2; x2 = -0
     counts as +0, so on the axis inside the segment it is pi, the limit
     from above.  A cap centre is refused with :class:`SingularPointError`.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
     z = x[..., 0] + 1j * (x[..., 1] + 0.0)
     zq, zp = z - L / 2.0, z + L / 2.0
     if not (zq.all() and zp.all()):
         raise SingularPointError("evaluation point coincides with a cap centre")
-    # arrays, not scalars, so that one point's lg can be set from the series too
-    lg, t = np.asarray(np.log(zq / zp)), np.asarray(L / zp)
-    far = np.abs(t) < 0.25
-    if far.any():
-        lg[far] = polyval(t[far], _T_SERIES[:, 0])
-    return z, lg, L / zp / zq, t
-
-
-def perturbation_linear(a, L: float, c_ax: float, c_tr: float, x) -> NDArray:
-    """Leading-order perturbation u - a.x in the rod frame, Re[(b/pi) lg]
-    with b = c_ax a1 + i c_tr a2 and lg of :func:`_cap_logs`.
-
-    The axial channel, c_ax = delta/(lam - 1/2), is even across the rod
-    axis (cap charges); the transverse one, c_tr = delta/(lam + 1/2), a thin
-    dipole sheet, is odd: the two see opposite ends of the operator spectrum.
-    The model depends on (delta, lam) only through (c_ax, c_tr).
-    """
-    b = complex(c_ax * a[0], c_tr * a[1])
-    return (b / np.pi * _cap_logs(x, L)[1]).real
+    return (z, *_log_ratio(zp, zq, L))
 
 
 @dataclass(frozen=True)

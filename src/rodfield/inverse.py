@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.typing import NDArray
 
+from .asymptotics import _log_ratio
 from .background import HarmonicBackground
 from .geometry import RodSpec, ValidationError, rotation_matrix, signed_distance
 from .solver import perturbation
@@ -135,23 +136,24 @@ def simulate_measurements(spec: RodSpec, bg: HarmonicBackground,
 
 
 def _closed_form(params: NDArray, points: NDArray, jac: bool = False):
-    """s = Re[b log((z - q)/(z - p))]/pi at points z = x1 + i x2 for parameters
-    (z0, theta, L, b_ax, b_tr): b = b_ax + i b_tr = c_ax a_loc1 + i c_tr a_loc2
-    and cap centres p, q = z0 -+ (|L|/2) e^(i theta).  With ``jac`` also the
-    (m, 6) Jacobian: the placement enters only through p and q, a shift dp'
-    of p moving s by Re[dp dp'], with dp = b/(z - p)/pi and dq = -b/(z - q)/pi."""
-    z0, b, turn = params[0] + 1j * params[1], params[4] + 1j * params[5], np.exp(1j * params[2])
+    """s = Re[A lg] at points z = x1 + i x2 for parameters (z0, theta, L, b_ax, b_tr):
+    A = (b_ax + i b_tr)/pi with b_ax = c_ax a_loc1 and b_tr = c_tr a_loc2, cap centres
+    p, q = z0 -+ (|L|/2) e^(i theta), and lg = log((z - q)/(z - p)) and lg' from the
+    forward model's :func:`asymptotics._log_ratio`.  With ``jac`` also the (m, 6)
+    Jacobian: the placement enters only through p and q, a shift dp' of p moving s
+    by Re[A dp'/(z - p)], so a shift dz0 of both moves it by -Re[A lg' dz0]."""
+    z0, turn = params[0] + 1j * params[1], np.exp(1j * params[2])
+    a, half = complex(params[4], params[5]) / np.pi, abs(params[3]) / 2.0 * turn
     z = points @ np.array([1.0, 1.0j]) - z0
-    zp, zq = z + abs(params[3]) / 2.0 * turn, z - abs(params[3]) / 2.0 * turn
-    log = np.log(zq / zp)
-    s = (b * log).real / np.pi
+    zp, zq = z + half, z - half
+    lg, dlg, _ = _log_ratio(zp, zq, 2.0 * half)
+    s = (a * lg).real
     if not jac:
         return s
-    dp, dq = b / (np.pi * zp), -b / (np.pi * zq)
-    shift, spread = dp + dq, (dq - dp) * turn
+    shift, spread = -a * dlg, -a * (1.0 / zp + 1.0 / zq) * turn
     return s, np.column_stack([
         shift.real, -shift.imag, -abs(params[3]) / 2.0 * spread.imag,
-        np.sign(params[3]) / 2.0 * spread.real, log.real / np.pi, -log.imag / np.pi])
+        np.sign(params[3]) / 2.0 * spread.real, lg.real / np.pi, -lg.imag / np.pi])
 
 
 def _far_moments(data: SensorSet, signal: NDArray) -> NDArray:

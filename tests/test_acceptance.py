@@ -166,7 +166,7 @@ def test_criterion_6_localization_identity():
     assert dev <= 1e-12
 
     delta = 0.01
-    val = delta ** 2 * f_sq_sum(np.array([L / 2 + delta, 0.0]), L)
+    val = delta ** 2 * f_sq_sum(np.array([L / 2 + delta, 0.0]), L)[0]
     assert 0.9 <= val <= 1.0
     _report("criterion 6 localization identity", identity_dev=dev,
             scaled_cap_value=float(val))

@@ -10,10 +10,9 @@ from rodfield import (AsymptoticModel, HarmonicBackground, RodSpec, a_delta_appl
                       asym_grad_linear, asym_u_general, asym_u_linear,
                       asymptotic_field, f1_f2, potentials, sensor_circle,
                       single_layer_field, solve_forward)
-from rodfield import asymptotics
+from rodfield import asymptotics, inverse
 from rodfield.asymptotics import (SingularPointError, asymptotic_perturbation,
-                                  cap_points, f_sq_sum, f_sq_sum_cap_form,
-                                  perturbation_linear)
+                                  cap_points, f_sq_sum, f_sq_sum_cap_form)
 from rodfield.geometry import rotation_matrix, signed_distance, to_local, to_world
 
 
@@ -91,8 +90,9 @@ def loop_general_field(model, x, n_quad):
 
 
 def perturbation_grad_linear(a, L, c_ax, c_tr, x):
-    """Reference: the rod-frame gradient of :func:`perturbation_linear`,
-    through the localisation functions f1 and f2."""
+    """Reference: the rod-frame gradient of the linear closed form
+    Re[(b/pi) lg], b = c_ax a1 + i c_tr a2, through the localisation
+    functions f1 and f2."""
     a = np.asarray(a, dtype=float)
     f1, f2 = f1_f2(x, L)
     gx = c_ax * f2 * a[0] + c_tr * f1 * a[1]
@@ -326,8 +326,8 @@ def test_frame_covariance():
     x_world = np.asarray(center) + x @ R.T
     # perturbations agree when the background rotates with the frame
     a_loc = R.T @ a
-    pert_local = perturbation_linear(a_loc, 2.0, plain.strength,
-                                     plain.strength_transverse, x)
+    pert_local = inverse._closed_form(np.array([0.0, 0.0, 0.0, 2.0, plain.strength * a_loc[0],
+                                                plain.strength_transverse * a_loc[1]]), x)
     pert_world = asym_u_linear(moved, x_world) - moved.background.value(x_world)
     assert np.allclose(pert_world, pert_local, atol=1e-12)
     g_world = asym_grad_linear(moved, x_world) - a
@@ -340,7 +340,8 @@ def test_frame_covariance():
 def test_general_reduces_to_linear():
     # with c3 = c4 = 0 both curvature terms are exact zeros: u and grad u
     # are the linear closed form bit for bit, on the axis and next to the
-    # caps too, and far out, where lg is summed from its series
+    # caps too, and far out, where lg is summed from its series; the linear
+    # closed form is the fit kernel at the rod's own parameters
     model = linear_model((1.0, 0.4), delta=0.02, center=(0.2, -0.1), angle=0.5)
     g = np.linspace(-2.5, 2.5, 41)
     grid = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
@@ -351,8 +352,10 @@ def test_general_reduces_to_linear():
     u, g = asymptotic_field(model, pts)
     a, xl = model._local_background().linear_part, to_local(model, pts)
     args = (a, model.L, model.strength, model.strength_transverse, xl)
-    assert np.array_equal(u, model.background.value(pts) + perturbation_linear(*args))
-    assert np.array_equal(asymptotic_perturbation(model, xl)[0], perturbation_linear(*args))
+    linear = inverse._closed_form(np.array([0.0, 0.0, 0.0, model.L, model.strength * a[0],
+                                            model.strength_transverse * a[1]]), xl)
+    assert np.array_equal(u, model.background.value(pts) + linear)
+    assert np.array_equal(asymptotic_perturbation(model, xl)[0], linear)
     # the linear form's gradient: Re and -Im of (b/pi) lg'
     b = complex(model.strength * a[0], model.strength_transverse * a[1])
     dlg = b / np.pi * asymptotics._cap_logs(xl, model.L)[2]

@@ -1,5 +1,6 @@
 """Fitting the rod to single-measurement circle data."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.optimize
@@ -370,9 +371,9 @@ def test_fit_jacobian_matches_central_differences():
 
 
 def test_fit_kernel_is_the_asymptotic_forward_model():
-    # two independent formulas for the closed form: the fit's complex
-    # Re[b log((z - q)/(z - p))]/pi at b = c_ax a_loc1 + i c_tr a_loc2, and
-    # the forward model's arctan pair and log ratio in the rod frame
+    # the fit places the rod through its world cap centres p and q, the
+    # forward model maps the sensors into the rod frame by to_local: both
+    # take lg from one routine, so this checks the placement
     rng = np.random.default_rng(31)
     pts = sensor_circle((0.0, 0.0), 3.0, 64)
     for i in range(20):
@@ -386,6 +387,43 @@ def test_fit_kernel_is_the_asymptotic_forward_model():
                            model.strength * a_loc[0], model.strength_transverse * a_loc[1]])
         s = perturbation(spec, bg, pts, "asymptotic")[0]
         assert np.abs(inverse._closed_form(params, pts) - s).max() <= 1e-13 * np.abs(s).max()
+
+
+def test_fit_kernel_far_from_the_rod_keeps_its_digits():
+    # s and the six Jacobian columns against the kernel's closed form at 60
+    # digits, on 25 sensors a radius, each column within 8 eps of its own
+    # largest value from 3 to 3e10 from the rod (measured: <= 2.7 eps)
+    params = np.array([0.3, -0.2, 0.4, 2.0, 0.05, 0.025])
+    turn = np.exp(1j * params[2])
+    theta, eps = 2.0 * np.pi * (np.arange(25) + 0.37) / 25, np.finfo(float).eps
+    for r in (3.0, 300.0, 3e4, 3e6, 3e10):
+        pts = r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        s, J = inverse._closed_form(params, pts, jac=True)
+        ref = np.empty((len(pts), 7))
+        with mp.workdps(60):
+            a, u = mp.mpc(params[4], params[5]) / mp.pi, mp.mpc(turn.real, turn.imag)
+            z0, half = mp.mpc(params[0], params[1]), mp.mpf(params[3]) / 2
+            for i, (x1, x2) in enumerate(pts):
+                z = mp.mpc(x1, x2) - z0
+                zp, zq = z + half * u, z - half * u
+                lg, shift, spread = mp.log(zq / zp), a / zp - a / zq, a * u * (1 / zq + 1 / zp)
+                ref[i] = [float(v) for v in (mp.re(a * lg), mp.re(shift), -mp.im(shift),
+                                             half * mp.im(spread), -mp.re(spread) / 2,
+                                             mp.re(lg) / mp.pi, -mp.im(lg) / mp.pi)]
+        got = np.column_stack([s, J])
+        assert (np.abs(got - ref).max(axis=0) <= 8 * eps * np.abs(ref).max(axis=0)).all(), r
+
+
+def test_fit_kernel_at_a_cap_centre_is_not_finite():
+    # the rod z0 = 0, theta = 0, L = 2 has p = -1 and q = 1 exactly: the
+    # kernel refuses nothing, and LM refuses a step whose s is not finite
+    params = np.array([0.0, 0.0, 0.0, 2.0, 0.05, 0.025])
+    pts = np.array([[-1.0, 0.0], [1.0, 0.0], [3.0, 1.0]])
+    with np.errstate(all="ignore"):
+        s, J = inverse._closed_form(params, pts, jac=True)
+        rows = np.isfinite(np.column_stack([inverse._closed_form(params, pts), s, J]))
+    assert rows.all(axis=1).tolist() == [False, False, True]
+    assert not rows[:2, :2].any()
 
 
 def test_fit_folds_an_angle_just_below_zero_into_0_pi(monkeypatch):

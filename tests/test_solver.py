@@ -13,9 +13,10 @@ from rodfield import geometry
 from rodfield import (AsymptoticModel, DensityVector, HarmonicBackground, RodSpec,
                       ValidationError, asym_grad_linear, asym_u_general, asym_u_linear,
                       asymptotic_field, build_mesh, eval_field, eval_grad_u, eval_u,
-                      lambda_of_sigma, simulate_measurements, single_layer,
+                      f1_f2, lambda_of_sigma, simulate_measurements, single_layer,
                       single_layer_field, single_layer_grad, solve_forward,
                       transmission_check)
+from rodfield.asymptotics import f_sq_sum, f_sq_sum_cap_form
 from rodfield.geometry import (GAUSS_NODES, GAUSS_WEIGHTS, PANEL_ORDER, default_counts,
                                rotation_matrix, signed_distance, to_local, to_world)
 from rodfield.inverse import sensor_circle
@@ -483,7 +484,8 @@ def test_rods_at_the_ends_of_the_distance_range_solve(shape):
 #: one world point off a placed rod on a linear background
 ONE_POINT = np.array([3.0, 0.0])
 
-#: every field evaluator on points x, on the rod, background, BEM solution and model of c
+#: every field evaluator and localisation function on points x, on the rod, background,
+#: BEM solution and model of c
 ONE_POINT_CALLS = {
     "perturbation-bem": lambda c, x: perturbation(c.rod, c.bg, x, "bem")[:3],
     "perturbation-asymptotic": lambda c, x: perturbation(c.rod, c.bg, x, "asymptotic")[:3],
@@ -500,6 +502,9 @@ ONE_POINT_CALLS = {
     "asym_u_linear": lambda c, x: asym_u_linear(c.model, x),
     "asym_grad_linear": lambda c, x: asym_grad_linear(c.model, x),
     "asym_u_general": lambda c, x: asym_u_general(c.model, x),
+    "f1_f2": lambda c, x: f1_f2(x, c.rod.L),
+    "f_sq_sum": lambda c, x: f_sq_sum(x, c.rod.L),
+    "f_sq_sum_cap_form": lambda c, x: f_sq_sum_cap_form(x, c.rod.L),
 }
 
 
