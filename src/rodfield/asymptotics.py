@@ -117,8 +117,13 @@ class AsymptoticModel:
 
     @classmethod
     def from_spec(cls, spec: RodSpec, bg: HarmonicBackground) -> "AsymptoticModel":
-        """The model of a placed rod; lam comes from its contrast sigma0."""
-        return cls(L=spec.L, delta=spec.delta, lam=lambda_of_sigma(spec.sigma0),
+        """The model of a placed rod; lam comes from its contrast sigma0, and a
+        sigma0 whose lam rounds to +-1/2 (above about 9.0e15, below 5.6e-17) is refused."""
+        lam = lambda_of_sigma(spec.sigma0)
+        if abs(lam) == 0.5:
+            raise ValidationError(f"sigma0={spec.sigma0!r}: lam rounds to {lam}, so a closed-form "
+                                  "strength delta/(lam -+ 1/2) divides by zero")
+        return cls(L=spec.L, delta=spec.delta, lam=lam,
                    center=spec.center, angle=spec.angle, background=bg)
 
     @property

@@ -86,12 +86,13 @@ class RodSpec:
 
 
 def lambda_of_sigma(sigma0: float) -> float:
-    """Contrast constant (sigma0 + 1) / (2 (sigma0 - 1)); |lam| > 1/2."""
+    """Contrast constant (sigma0 + 1) / (2 (sigma0 - 1)); |lam| > 1/2.  The
+    numerator is halved: doubling sigma0 - 1 overflows above about 9e307."""
     if not np.isfinite(sigma0) or sigma0 <= 0:
         raise ValidationError(f"sigma0 must be > 0, got {sigma0}")
     if sigma0 == 1.0:
         raise ValidationError("sigma0 = 1: no contrast, no inclusion")
-    return (sigma0 + 1.0) / (2.0 * (sigma0 - 1.0))
+    return 0.5 * (sigma0 + 1.0) / (sigma0 - 1.0)
 
 
 def rotation_matrix(angle: float) -> NDArray:

@@ -55,7 +55,8 @@ NEAR_FACTOR = 0.5
 #: arrays: memory is bounded by the chunk, not by the number of points.
 FIELD_CHUNK_BYTES = 1 << 21
 
-#: byte budget of the scratch of one row chunk of the NP assembly kernel.
+#: byte budget of the scratch of one row chunk of either NP assembly pass,
+#: :func:`_orbit_kernel` and :func:`_near_cross_panels`.
 NP_CHUNK_BYTES = 1 << 19
 
 #: Field points with |w| >= FAR_RATIO R, w of :func:`_joukowski` and R the
@@ -198,14 +199,6 @@ def _orbit_kernel(mats: NDArray, x: NDArray, nu: NDArray, w: NDArray) -> None:
 #: correction by 2e-13, four times what a dense assembly allows.
 CROSS_NEAR_Z = 12.0
 
-#: (row, panel) pairs of the top side's rows against the bottom side's
-#: panels that :func:`_near_cross_panels` takes at a time.  On the
-#: thin-rod meshes (n = 768, 800, 1,024) 1024 took 8-11% more assembly
-#: time, and 4096 took 1-3% less but raised the assembly scratch from
-#: 0.67 MB to 0.90-1.07 MB.  A fixed count, so that no entry depends on
-#: NP_CHUNK_BYTES.
-CROSS_CHUNK = 2048
-
 
 def _near_cross_panels(mats: NDArray, x: NDArray, h: NDArray, mc: int, delta: float) -> None:
     """Overwrite the node rule across the rod where it is too coarse.  x
@@ -221,14 +214,16 @@ def _near_cross_panels(mats: NDArray, x: NDArray, h: NDArray, mc: int, delta: fl
     has |z| < CROSS_NEAR_Z takes the product weights of
     :func:`lorentzian_weights` against its interpolant; farther out the
     Gauss rule is off by 5e-12 of an entry at most.  The buffers take
-    CROSS_CHUNK (row, panel) pairs at a time.
+    NP_CHUNK_BYTES // 256 (row, panel) pairs at a time, 2,048 at the
+    default budget: a pair holds PANEL_ORDER floats of the row buffer, its
+    z and, where it is near, the temporaries of lorentzian_weights.
     """
     k, top = len(h), x[mc:, 0]
     # The Gauss nodes are symmetric, so a panel's end nodes give its centre
     panels = np.concatenate([-top, top[::-1]]).reshape(-1, PANEL_ORDER)
     centre = (panels[:, 0] + panels[:, -1]) / 2.0
     length = np.concatenate([h, h[::-1]])[::PANEL_ORDER]
-    rows = max(1, CROSS_CHUNK // len(centre))
+    rows = max(1, NP_CHUNK_BYTES // (256 * len(centre)))
     buf = np.empty((min(rows, k), 2 * k))
     for s in range(0, k, rows):
         xr = top[s:s + rows, None]

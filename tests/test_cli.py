@@ -266,6 +266,24 @@ def test_closed_form_refuses_a_disc(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma0", ["1.0e+17", "1.0e+300", "1.0e-17", "1.0e-300"])
+def test_closed_form_refuses_a_contrast_where_lam_rounds_to_one_half(sigma0, tmp_path, capsys):
+    # lam rounds to +-1/2, so a closed-form strength delta / (lam -+ 1/2)
+    # divided by zero: every closed-form command ended in a
+    # ZeroDivisionError traceback.  The BEM handles both limits
+    path = tmp_path / "run.yaml"
+    path.write_text(CONFIG.replace("sigma0: 2.0", f"sigma0: {sigma0}"))
+    out = tmp_path / "out"
+    for argv in (["asymptotic"], ["fieldmap", "--model", "asymptotic"], ["compare"],
+                 ["invert", "--synthesize", "--model", "asymptotic"]):
+        code = main([argv[0], "--config", str(path), *argv[1:], "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: sigma0={float(sigma0)!r}: ") and len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+    assert main(["forward", "--config", str(path), "--out", str(out)]) == EXIT_OK
+
+
 def test_compare_requires_sweep(tmp_path):
     path = tmp_path / "nosweep.yaml"
     path.write_text("rod:\n  L: 2.0\n  delta: 0.05\nbackground:\n  a: [1, 0]\n")
@@ -958,6 +976,16 @@ def test_validate_runs_clean(capsys):
     code = main(["validate"])
     assert code == EXIT_OK
     assert "pass" in capsys.readouterr().out.lower()
+
+
+def test_a_nan_margin_fails_its_check():
+    # the verdict is the margin against its tolerance, and NaN <= tol is False
+    from rodfield.validate import CheckResult
+
+    check = CheckResult("nan margin", float("nan"), 1e-3)
+    assert check.passed is False
+    assert check.line().startswith("[FAIL] nan margin: nan")
+    assert CheckResult("zero margin", 0.0, 1e-3).passed is True
 
 
 def test_main_looks_up_the_handler_at_call_time(config_path, tmp_path, monkeypatch):

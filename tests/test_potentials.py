@@ -150,11 +150,15 @@ def test_parity_blocks_match_dense_assembly(name):
     lambda: build_mesh(RodSpec(L=2.0, delta=0.001, angle=0.3, center=(0.1, -0.2)),
                        n_cap=32, n_facade=1000),
     lambda: build_mesh(RodSpec(L=2.0, delta=0.002)),
-    lambda: build_mesh(RodSpec(L=2.0, delta=1e-5))],
-    ids=["disc", "rod", "thin_rod", "graded", "graded_1e-5"])
+    lambda: build_mesh(RodSpec(L=2.0, delta=1e-5)),
+    SYMMETRY_MESHES["odd_panels"],
+    lambda: build_mesh(RodSpec(L=2.0, delta=0.01))],
+    ids=["disc", "rod", "thin_rod", "graded", "graded_1e-5", "odd_panels", "uniform"])
 def test_orbit_matrices_do_not_depend_on_the_chunk(mesh, monkeypatch):
     # every entry is formed by itself, so one row per chunk and a single
-    # chunk give the same bits
+    # chunk give the same bits, in the kernel pass and in the cross pass.
+    # odd_panels has a panel split across A_R1R2 and A_R2; the uniform
+    # default's panels are long, so most cross pairs are near
     mesh = mesh()
     mats = {}
     for budget in (1, 1 << 30):

@@ -46,6 +46,21 @@ def test_lambda_invalid_sigma():
             lambda_of_sigma(sigma0)
 
 
+@pytest.mark.parametrize("bg", [HarmonicBackground.linear((1.0, 0.5)),
+                                HarmonicBackground.polynomial((0.0, 1.0, 0.5, 1.0, 0.0))],
+                         ids=["linear", "quadratic"])
+def test_lambda_at_the_largest_contrast_is_one_half(bg):
+    # 2 (sigma0 - 1) overflowed above about 9e307, so lam read 0.0: at
+    # sigma0 = 1e308 the BEM gave u - H = 0.0052 at (3, 0) with exit 0,
+    # against -0.181 at 1e300, and the quadratic solve was refused
+    assert lambda_of_sigma(1e308) == lambda_of_sigma(1e300) == lambda_of_sigma(1e17) == 0.5
+    pts = np.array([[3.0, 0.0], [0.5, 0.3], [-1.5, 0.05]])
+    fields = [perturbation(RodSpec(L=2.0, delta=0.01, sigma0=s), bg, pts, "bem")[:2]
+              for s in (1e308, 1e300, 1e17)]
+    for s, gs in fields[1:]:
+        assert np.array_equal(s, fields[0][0]) and np.array_equal(gs, fields[0][1])
+
+
 def test_disc_exterior_oracle():
     # [DERIVED] analytic disc solution, also the sign fixture: the
     # perturbation opposes a.x outside a conductive disc
