@@ -115,6 +115,20 @@ class AsymptoticModel:
     angle: float = 0.0
     background: HarmonicBackground = None
 
+    def __post_init__(self) -> None:
+        # a model built directly skips RodSpec's checks and from_spec's: at
+        # |lam| = 1/2 a strength divides by zero, and below it, or at
+        # delta <= 0, the field is one that no rod has
+        if not isinstance(self.background, HarmonicBackground):
+            raise ValidationError(f"background must be a HarmonicBackground, "
+                                  f"got {self.background!r}")
+        if not (np.shape(self.center) == (2,) and np.isfinite(
+                [self.L, self.delta, self.lam, self.angle, *self.center]).all()
+                and self.L >= 0.0 and self.delta > 0.0 and abs(self.lam) > 0.5):
+            raise ValidationError(f"need finite L >= 0, delta > 0, |lam| > 1/2, angle and "
+                                  f"center (x, y), got L={self.L!r}, delta={self.delta!r}, "
+                                  f"lam={self.lam!r}, angle={self.angle!r}, center={self.center!r}")
+
     @classmethod
     def from_spec(cls, spec: RodSpec, bg: HarmonicBackground) -> "AsymptoticModel":
         """The model of a placed rod; lam comes from its contrast sigma0, and a

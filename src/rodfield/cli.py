@@ -199,7 +199,7 @@ def cmd_compare(args) -> int:
 def cmd_validate(args) -> int:
     checks = run_validation()
     for c in checks:
-        print(c.line(verbose=args.verbose))
+        print(c.line())
     failed = [c for c in checks if not c.passed]
     print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
     return EXIT_OK if not failed else EXIT_FAILURE
@@ -288,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--config", required=True)
     cp.add_argument("--out", default="compare.json")
 
-    va = sub.add_parser("validate", help="run the built-in cross-check suite")
-    va.add_argument("--verbose", action="store_true")
+    sub.add_parser("validate", help="run the built-in cross-check suite")
 
     iv = sub.add_parser("invert", help="fit rod parameters to boundary data")
     iv.add_argument("--config", required=True)

@@ -332,14 +332,11 @@ def _amplitude_stderr(jac: NDArray, r: NDArray) -> NDArray | None:
 
 
 def distinguishability_gap(spec1: RodSpec, spec2: RodSpec,
-                           bg: HarmonicBackground, points: NDArray,
-                           n_cap: int | None = None,
-                           n_facade: int | None = None) -> float:
+                           bg: HarmonicBackground, points: NDArray) -> float:
     """Max over sensors of |u1 - u2| = |s1 - s2| between the two rods'
     BEM perturbations (full solves)."""
     points = np.asarray(points, dtype=float)
-    s1, s2 = (perturbation(spec, bg, points, "bem", n_cap, n_facade)[0]
-              for spec in (spec1, spec2))
+    s1, s2 = (perturbation(spec, bg, points, "bem")[0] for spec in (spec1, spec2))
     return float(np.abs(s1 - s2).max())
 
 

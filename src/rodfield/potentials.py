@@ -12,11 +12,12 @@ The stadium mesh maps onto itself under the rod-frame mirrors
 R1: x1 -> -x1 and R2: x2 -> -x2, and the NP kernel is invariant under
 isometries.  So the Nystrom matrix commutes with the group
 {e, R1, R2, R1R2} and splits into four parity blocks of size n/4, one for
-each pair of parities (p1, p2).  Assembly evaluates the kernel in the rod
-frame, only on the rows of one quarter arc.  The mirror images of a
-quarter-arc node are the sign flips of its rod-frame coordinates, so one
-pass over chunks of rows, with scratch bounded by NP_CHUNK_BYTES, forms
-the differences once for all four orbit matrices and writes every entry.
+each pair of parities (p1, p2), and only these are stored.  Assembly
+evaluates the kernel in the rod frame on the rows of one quarter arc: its
+nodes' mirror images are the sign flips of their coordinates, so one pass
+over chunks of rows, with scratch bounded by NP_CHUNK_BYTES, forms the
+differences once for all four orbit matrices and writes every entry, and
+two butterflies turn those into the blocks in place.
 On a top-side row the kernel's arithmetic is the closed form's: 0 against
 its own side, and across the rod the node rule of the A_delta Lorentzian.
 The Lorentzian is 2 delta wide, narrower than a long facade panel, so on
@@ -55,8 +56,8 @@ NEAR_FACTOR = 0.5
 #: arrays: memory is bounded by the chunk, not by the number of points.
 FIELD_CHUNK_BYTES = 1 << 21
 
-#: byte budget of the scratch of one row chunk of either NP assembly pass,
-#: :func:`_orbit_kernel` and :func:`_near_cross_panels`.
+#: byte budget of the scratch of one row chunk of each NP assembly pass:
+#: :func:`_orbit_kernel`, :func:`_near_cross_panels` and the butterflies.
 NP_CHUNK_BYTES = 1 << 19
 
 #: Field points with |w| >= FAR_RATIO R, w of :func:`_joukowski` and R the
@@ -240,21 +241,21 @@ def _near_cross_panels(mats: NDArray, x: NDArray, h: NDArray, mc: int, delta: fl
 
 @dataclass(frozen=True)
 class NpMatrix:
-    """Nystrom matrix of the NP operator composed with weights, by mirror orbit.
+    """Nystrom matrix of the NP operator composed with weights, by parity block.
 
     The dense matrix is ``A[i, j] = k(x_i, x_j) * w_j`` with the NP kernel
     k(x, y) = <x - y, nu_x> / (2*pi*|x - y|^2) and diagonal kernel limit
     kappa/(4*pi), plus the column-identity correction of
     :func:`assemble_np`: ``correction[j] * w_j`` is the deficit of column
     j's weighted sum that it made up, on the diagonal entry (uniform mesh)
-    or spread over the column (graded).  It is kept as the
-    four orbit matrices ``A_g[a, b] = A[q_a, g(q_b)]`` on the quarter arc
-    q of ``mesh.orbits``, which give every entry:
-    ``A[h(q), g(q)] = A_{hg}``.  The parity block s,
-    ``sum_g CHI[s, g] * A_g``, is formed only where it is needed.
+    or spread over the column (graded).  The orbit matrices
+    ``A_g[a, b] = A[q_a, g(q_b)]`` on the quarter arc q of ``mesh.orbits``
+    give every entry, ``A[h(q), g(q)] = A_{hg}``; it is kept as the parity
+    blocks ``B_s = sum_g chi_s(g) A_g``, chi_s the characters of the mirror
+    group, which act on the parity parts of :meth:`split`.
     """
 
-    orbit_matrices: NDArray   # (4, n/4, n/4): A_e, A_R1, A_R2, A_R1R2
+    blocks: NDArray   # (4, n/4, n/4): B_s for the parities (+, +), (-, +), (+, -), (-, -)
     mesh: BoundaryMesh = field(repr=False)
     correction: NDArray = field(repr=False)
 
@@ -272,34 +273,24 @@ class NpMatrix:
         out[self.mesh.orbits] = CHI @ parts
         return out
 
-    def block(self, s: int) -> NDArray:
-        """Parity block s, ``sum_g CHI[s, g] * A_g``."""
-        return np.tensordot(CHI[s], self.orbit_matrices, axes=1)
-
     @property
     def matrix(self) -> NDArray:
-        """Dense (n, n) matrix: ``A[h(q), g(q)] = A_{hg}``.  For tests."""
-        dense = np.empty((self.n, self.n))
-        orbits = self.mesh.orbits
-        for h in range(4):
-            for g in range(4):
-                dense[np.ix_(orbits[h], orbits[g])] = self.orbit_matrices[h ^ g]
-        return dense
+        """Dense (n, n) matrix, :meth:`apply` on the unit vectors.  For tests."""
+        return np.stack([self.apply(e) for e in np.eye(self.n)], axis=1)
 
     def apply(self, values: NDArray) -> NDArray:
         """The dense matrix times ``values``, each parity part by its block."""
-        parts = self.split(values)
-        return self.join(np.einsum("sg,gas->sa", CHI, self.orbit_matrices @ parts.T))
+        return self.join((self.blocks @ self.split(values)[:, :, None])[:, :, 0])
 
     def weighted_column_sums(self) -> NDArray:
         """Sum_i w_i k(x_i, x_j) for every column j; 1/2 in the continuum.
 
         Invariant along each orbit, and on the quarter arc equal to the
-        weighted column sums of the sum of the four A_g.
+        weighted column sums of the (+, +) block, the sum of the four A_g.
         """
         wq = self.mesh.weights[self.mesh.orbits[0]]
         out = np.empty(self.n)
-        out[self.mesh.orbits] = (wq @ self.orbit_matrices).sum(axis=0) / wq
+        out[self.mesh.orbits] = wq @ self.blocks[0] / wq
         return out
 
     def raw_weighted_column_sums(self) -> NDArray:
@@ -308,11 +299,11 @@ class NpMatrix:
 
     def eigenvalues(self) -> NDArray:
         """The union of the four block spectra."""
-        return np.concatenate([np.linalg.eigvals(self.block(s)) for s in range(4)])
+        return np.linalg.eigvals(self.blocks).ravel()
 
 
-def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
-    """Assemble the orbit matrices of the Nystrom NP matrix for ``mesh``.
+def _orbit_matrices(mesh: BoundaryMesh) -> NDArray:
+    """The orbit matrices (4, n/4, n/4) of ``mesh``, before the correction.
 
     The mesh is in the rod frame, so the matrices do not depend on where
     the rod is placed.  The quarter arc q holds n_cap/2 cap nodes and then
@@ -323,42 +314,53 @@ def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
     x2 - y2 = 2 delta, the node rule of the Lorentzian
     delta / (pi (t^2 + 4 delta^2)), t = x1 - y1, of the closed form's
     A_delta.  :func:`_near_cross_panels` then overwrites that node rule
-    on the source panels near each top row by product weights.
-
-    The kernel's weighted column sums are 1/2 in the continuum; the
-    quadrature leaves a deficit fix_b in column b.  A uniform mesh adds
-    fix_b to the diagonal entry.  On a graded mesh that correction fails
-    (its junction panels are far shorter than the rest); it adds
-    fix_b w_b / |Gamma| to every entry of column b instead, in all four
-    A_g, which cancels in every parity block but (+, +).  Either way every
-    weighted column sum is 1/2 to rounding.
+    on the source panels near each top row by product weights, and the
+    diagonal, which lies in A_e alone, takes kappa/(4*pi).  The weights
+    are equal along each orbit, so every A_g carries wq.
     """
-    orbits = mesh.orbits
-    q, mc = orbits[0], mesh.n_cap // 2
-    m = len(q)
+    q, mc = mesh.orbits[0], mesh.n_cap // 2
     xq, wq = mesh.points[q], mesh.weights[q]
-    diag = np.arange(m)
-
-    # rows on the quarter arc against the columns of each orbit: A_g.
-    # The weights are equal along each orbit, so every A_g carries wq.
-    mats = np.empty((4, m, m))
+    mats = np.empty((4, len(q), len(q)))
     _orbit_kernel(mats, xq, mesh.normals[q], wq)
     if mesh.n_facade:
         _near_cross_panels(mats, xq, mesh.panel_lengths[q[mc:]], mc, mesh.spec.delta)
-    mats[0, diag, diag] = mesh.curvatures[q] * wq / (4.0 * np.pi)
+    mats[0, np.arange(len(q)), np.arange(len(q))] = mesh.curvatures[q] * wq / (4.0 * np.pi)
+    return mats
 
-    # the deficit of each weighted column sum, equal along each orbit
-    fix = 0.5 - (wq @ mats).sum(axis=0) / wq
+
+def assemble_np(mesh: BoundaryMesh) -> NpMatrix:
+    """Assemble the parity blocks of the Nystrom NP matrix for ``mesh``.
+
+    The kernel's weighted column sums are 1/2 in the continuum; the
+    quadrature leaves a deficit fix_b in column b of the (+, +) block, the
+    sum of the four A_g.  A uniform mesh adds fix_b to the diagonal entry,
+    in A_e and so in every block.  A graded mesh's junction panels are far
+    shorter than the rest, and that fails: it adds fix_b w_b / |Gamma| to
+    every entry of column b of the (+, +) block, the only one it acts on.
+    Either way every weighted column sum is 1/2 to rounding.
+    """
+    blocks, wq = _orbit_matrices(mesh), mesh.weights[mesh.orbits[0]]
+    m = len(wq)
+    # two butterflies (a, b) -> (a + b, a - b), over (0, 1) and (2, 3), then
+    # (0, 2) and (1, 3), turn the orbit matrices into the blocks in place
+    rows = max(1, NP_CHUNK_BYTES // (32 * m))
+    buf = np.empty((4, min(rows, m), m))
+    for s in range(0, m, rows):
+        c = blocks[:, s:s + rows]
+        t = buf[:, :c.shape[1]]   # A_e + A_R1, A_e - A_R1, A_R2 + A_R1R2, A_R2 - A_R1R2
+        np.add(c[0::2], c[1::2], out=t[0::2])
+        np.subtract(c[0::2], c[1::2], out=t[1::2])
+        np.add(t[:2], t[2:], out=c[:2])
+        np.subtract(t[:2], t[2:], out=c[2:])
+    fix = 0.5 - wq @ blocks[0] / wq
     if mesh.graded:
-        # fix_b w_b / |Gamma| on every entry of column b, in each A_g
-        mats += fix * wq / (4.0 * wq.sum())
+        blocks[0] += fix * wq / wq.sum()
     else:
-        # diagonal entries lie in A_e alone, which enters every block with +1
-        mats[0, diag, diag] += fix
+        blocks[:, np.arange(m), np.arange(m)] += fix
     correction = np.empty(len(mesh))
-    correction[orbits] = fix / wq
+    correction[mesh.orbits] = fix / wq
 
-    return NpMatrix(orbit_matrices=mats, mesh=mesh, correction=correction)
+    return NpMatrix(blocks=blocks, mesh=mesh, correction=correction)
 
 
 def neumann_data(mesh: BoundaryMesh, bg: HarmonicBackground) -> DensityVector:
@@ -392,18 +394,17 @@ def solve_density(np_matrix: NpMatrix, lam: float, rhs: DensityVector) -> Densit
     norms = np.linalg.norm(b, axis=1)
     live = np.flatnonzero(norms > SKIP_SHARE * np.linalg.norm(norms))
     phi = np.zeros_like(b)
-    mats = np_matrix.orbit_matrices
+    blocks = np_matrix.blocks
     m = b.shape[1]
     diag = np.arange(m)
     wq = np_matrix.mesh.weights[np_matrix.mesh.orbits[0]]
     shift = abs(wq @ b[0]) <= b.size * np.finfo(float).eps * (wq @ np.abs(b[0]))
-    # a skipped part leaves r_s = -b_s.  lam I - block is formed in one
-    # BLAS pass over the four orbit matrices; np.linalg.solve factors a
-    # copy, so the unshifted block is still there for its part of the residual
+    # a skipped part leaves r_s = -b_s.  np.linalg.solve factors a copy, so
+    # the unshifted lam I - block is still there for its part of the residual
     r = -b
     system = np.empty((m, m))
     for s in live:
-        np.dot(-CHI[s], mats.reshape(4, -1), out=system.reshape(-1))
+        np.negative(blocks[s], out=system)
         system[diag, diag] += lam
         try:
             phi[s] = np.linalg.solve(
@@ -418,10 +419,9 @@ def solve_density(np_matrix: NpMatrix, lam: float, rhs: DensityVector) -> Densit
     scale = max(np.linalg.norm(rhs.values), 1e-300)
     residual = 2.0 * np.linalg.norm(r) / scale
     if not np.isfinite(residual) or residual > 1e-10:
-        blocks = lam * np.eye(m) - np.tensordot(CHI, mats, axes=1)
         raise SolverError(
-            f"density solve residual {residual:.2e} exceeds 1.0e-10 "
-            f"(largest block condition estimate {np.linalg.cond(blocks).max():.2e}, "
+            f"density solve residual {residual:.2e} exceeds 1.0e-10 (largest block "
+            f"condition estimate {np.linalg.cond(lam * np.eye(m) - blocks).max():.2e}, "
             f"lam={lam})")
     return DensityVector(values=np_matrix.join(phi), mesh=np_matrix.mesh,
                          residual=float(residual), factored_blocks=len(live))

@@ -31,12 +31,10 @@ class CheckResult:
     def passed(self) -> bool:
         return bool(self.measured <= self.tol)   # a NaN margin fails
 
-    def line(self, verbose: bool = False) -> str:
+    def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         s = f"[{status}] {self.name}: {self.measured:.3e} (tol {self.tol:.1e})"
-        if verbose and self.detail:
-            s += f"  {self.detail}"
-        return s
+        return f"{s}  {self.detail}" if self.detail else s
 
 
 def check_mesh_closure(mesh: BoundaryMesh) -> list[CheckResult]:
@@ -88,6 +86,7 @@ def run_validation() -> list[CheckResult]:
         phi = solve_density(npms[1], lambda_of_sigma(sigma0), neumann_data(meshes[1], bg))
         rel = abs(phi.weighted_total()) / max(np.abs(phi.values).max(), 1e-300)
         checks.append(CheckResult("zero weighted total of density", rel, 1e-8,
+                                  f"{'linear' if bg.is_linear else 'quadratic'} H, "
                                   f"sigma0={sigma0:g}"))
 
     # analytic disc oracle

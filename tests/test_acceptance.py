@@ -253,7 +253,7 @@ def test_criterion_9_validation_suite():
     results = run_validation()
     elapsed = time.perf_counter() - t0
     failed = [r for r in results if not r.passed]
-    assert not failed, "\n".join(r.line(verbose=True) for r in failed)
+    assert not failed, "\n".join(r.line() for r in failed)
     assert elapsed <= 120.0
     _report("criterion 9 validation suite", checks=len(results),
             seconds=elapsed)

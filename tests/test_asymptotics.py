@@ -6,8 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from rodfield import (AsymptoticModel, HarmonicBackground, RodSpec, a_delta_apply,
-                      asym_grad_linear, asym_u_general, asym_u_linear,
+from rodfield import (AsymptoticModel, HarmonicBackground, RodSpec, ValidationError,
+                      a_delta_apply, asym_grad_linear, asym_u_general, asym_u_linear,
                       asymptotic_field, f1_f2, potentials, sensor_circle,
                       single_layer_field, solve_forward)
 from rodfield import asymptotics, inverse
@@ -560,6 +560,24 @@ def test_perturbation_is_the_field_without_background():
         gs = gs @ rotation_matrix(spec.angle).T
         assert np.allclose(s, u - bg.value(pts), rtol=0, atol=1e-15)
         assert np.allclose(gs, g - bg.grad(pts), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kw", [
+    {"lam": 0.5}, {"lam": -0.5}, {"lam": 0.3}, {"lam": float("nan")}, {"lam": float("inf")},
+    {"delta": 0.0}, {"delta": -0.01}, {"delta": float("inf")},
+    {"L": -1.0}, {"L": float("nan")}, {"angle": float("nan")},
+    {"center": (float("inf"), 0.0)}, {"center": (0.0, 0.0, 0.0)},
+    {"background": None}, {"background": (0.0, 1.0, 0.5, 0.0, 0.0)}],
+    ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_a_model_that_no_rod_has_is_refused(kw):
+    # built directly, a model skips RodSpec's checks and from_spec's: at
+    # lam = +-1/2 asymptotic_field ended in ZeroDivisionError, with delta < 0
+    # or |lam| < 1/2 it returned values, and without a background it ended
+    # in AttributeError
+    args = {"L": 2.0, "delta": 0.01, "lam": 1.5,
+            "background": HarmonicBackground.linear((1.0, 0.5)), **kw}
+    with pytest.raises(ValidationError):
+        AsymptoticModel(**args)
 
 
 def test_general_field_memory_bounded_by_chunk():

@@ -156,14 +156,15 @@ def test_parity_blocks_match_dense_assembly(name):
     ids=["disc", "rod", "thin_rod", "graded", "graded_1e-5", "odd_panels", "uniform"])
 def test_orbit_matrices_do_not_depend_on_the_chunk(mesh, monkeypatch):
     # every entry is formed by itself, so one row per chunk and a single
-    # chunk give the same bits, in the kernel pass and in the cross pass.
+    # chunk give the same bits, in the kernel pass, in the cross pass and
+    # in the butterflies that form the parity blocks.
     # odd_panels has a panel split across A_R1R2 and A_R2; the uniform
     # default's panels are long, so most cross pairs are near
     mesh = mesh()
     mats = {}
     for budget in (1, 1 << 30):
         monkeypatch.setattr(potentials, "NP_CHUNK_BYTES", budget)
-        mats[budget] = assemble_np(mesh).orbit_matrices
+        mats[budget] = assemble_np(mesh).blocks
     assert np.isfinite(mats[1]).all()
     assert np.array_equal(mats[1], mats[1 << 30])
 
@@ -171,7 +172,7 @@ def test_orbit_matrices_do_not_depend_on_the_chunk(mesh, monkeypatch):
 @pytest.mark.parametrize("delta", [0.001, 0.01], ids=["graded", "uniform"])
 def test_mesh_and_orbit_matrices_do_not_depend_on_the_placement(delta):
     # the mesh is built in the rod frame, so a placed rod has the nodes,
-    # normals and matrices of the rod at the origin, bit for bit.  While
+    # normals and parity blocks of the rod at the origin, bit for bit.  While
     # the mesh was placed and mapped back the matrices differed by up to
     # 1.2e-11 of the largest entry here, and by 6.0e-7 at delta = 1e-5 for
     # a rod at (1e3, -2e3), angle 2.1
@@ -181,13 +182,13 @@ def test_mesh_and_orbit_matrices_do_not_depend_on_the_placement(delta):
     assert [m.rule for m in meshes] == [{0.001: "graded", 0.01: "uniform"}[delta]] * 2
     for name in ("points", "normals", "curvatures", "weights", "panel_lengths", "orbits"):
         assert np.array_equal(getattr(meshes[0], name), getattr(meshes[1], name))
-    mats = [assemble_np(m).orbit_matrices for m in meshes]
+    mats = [assemble_np(m).blocks for m in meshes]
     assert np.array_equal(mats[0], mats[1])
 
 
 def _assembly_scratch(mesh):
     """Bytes that the second of two assemblies of ``mesh`` traces beyond
-    its orbit matrices."""
+    its parity blocks."""
     assemble_np(mesh)
     tracemalloc.start()
     try:
@@ -195,7 +196,7 @@ def _assembly_scratch(mesh):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak - npm.orbit_matrices.nbytes
+    return peak - npm.blocks.nbytes
 
 
 def test_assembly_scratch_is_bounded_by_the_chunk():
@@ -271,26 +272,19 @@ def loop_top_rows(mesh):
 def test_top_side_rows_match_a_plain_loop(mesh):
     # on the default graded meshes and on one whose middle panel straddles
     # x1 = 0, every top-side entry of the four orbit matrices, within 2e-14
-    # of each block's largest entry and the rounding of the rank-one term
-    # taken off.  product_facade_weights cannot serve: at delta = 1e-5 its
-    # sub-panels of an L/16 panel are 100 times wider than the Lorentzian.
+    # of each block's largest entry.  product_facade_weights cannot serve:
+    # at delta = 1e-5 its sub-panels of an L/16 panel are 100 times wider
+    # than the Lorentzian.
     # Measured: <= 3.1e-16 on the cap columns, and 2.6e-18 across the rod
     # (1.3e-14 while lorentzian_weights took a lone target by a
     # vector-matrix product and several by a matrix product)
     mesh = mesh()
-    npm = assemble_np(mesh)
-    q, mc = mesh.orbits[0], mesh.n_cap // 2
-    wq = mesh.weights[q]
-    term = np.zeros((4, len(q), len(q)))
-    if mesh.graded:
-        term += npm.correction[q] * wq * wq / (4.0 * wq.sum())
-    else:
-        term[0, np.arange(len(q)), np.arange(len(q))] = npm.correction[q] * wq
-    got, want = (npm.orbit_matrices - term)[:, mc:], loop_top_rows(mesh)
+    mc = mesh.n_cap // 2
+    got, want = potentials._orbit_matrices(mesh)[:, mc:], loop_top_rows(mesh)
     for g in range(4):
         for cols in (slice(None, mc), slice(mc, None)):
             err = np.abs(got[g, :, cols] - want[g, :, cols]).max()
-            assert err <= 2e-14 * np.abs(want[g, :, cols]).max() + 1e-15 * np.abs(term).max()
+            assert err <= 2e-14 * np.abs(want[g, :, cols]).max()
 
 
 def table_cross_blocks(mesh):
@@ -324,19 +318,19 @@ def test_cross_facade_blocks_match_the_offset_table(mesh):
     # allowed.  Measured: <= 4.8e-13 of each block's largest entry
     mesh = mesh()
     mc = mesh.n_cap // 2
-    mats = assemble_np(mesh).orbit_matrices
+    mats = potentials._orbit_matrices(mesh)
     for got, want in zip(mats[2:, mc:, mc:], table_cross_blocks(mesh)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_graded_correction_lies_in_the_even_block(refined_graded_mesh):
-    # a rank-one term fix_b w_b / |Gamma| on every entry of column b, in
-    # all four orbit matrices, cancels in the three odd blocks.  The mesh
+    # a rank-one term fix_b w_b / |Gamma| on every entry of column b acts
+    # on the (+, +) block alone: the three odd blocks do not take it.  The mesh
     # has an odd number of facade panels, so one straddles x1 = 0.  It is
     # unplaced: the world-frame reference loses 1e-11 of an entry to
     # rounding in x - y across the short junction panels of a placed rod.
-    # Measured: column sums within 2.8e-16 of 1/2, raw sums within
-    # 9.8e-15 and blocks within 1.1e-13 of the reference (1.47e-12 off in
+    # Measured: column sums within 4.4e-16 of 1/2, raw sums within
+    # 1.0e-14 and blocks within 1.1e-13 of the reference (1.47e-12 off in
     # the raw sums while the reference's basis took the rounded node x1)
     mesh = refined_graded_mesh(RodSpec(L=1.0, delta=0.05), 0)
     assert mesh.graded and mesh.n_facade // PANEL_ORDER % 2 == 1
@@ -349,20 +343,51 @@ def test_graded_correction_lies_in_the_even_block(refined_graded_mesh):
     ref_mats = np.stack([ref[np.ix_(orbits[0], orbits[g])] for g in range(4)])
     for s in range(1, 4):
         want = np.tensordot(potentials.CHI[s], ref_mats, axes=1)
-        assert np.abs(npm.block(s) - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(npm.blocks[s] - want).max() <= 1e-12 * np.abs(want).max()
     # the even block takes 4 fix_b w_b / |Gamma| in column b
     wq = mesh.weights[orbits[0]]
     fix = npm.correction[orbits[0]] * wq
     want = np.tensordot(potentials.CHI[0], ref_mats, axes=1) + 4.0 * fix * wq / mesh.weights.sum()
-    assert np.abs(npm.block(0) - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(npm.blocks[0] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def butterfly(mats):
+    """Reference: the parity blocks sum_g CHI[s, g] A_g of the orbit
+    matrices (A_e, A_R1, A_R2, A_R1R2), as (A_e +- A_R1) +- (A_R2 +- A_R1R2)."""
+    e, r1, r2, r12 = mats
+    return np.stack([(e + r1) + (r2 + r12), (e - r1) + (r2 - r12),
+                     (e + r1) - (r2 + r12), (e - r1) - (r2 - r12)])
+
+
+@pytest.mark.parametrize("delta", [0.002, 0.01], ids=["graded", "uniform"])
+def test_each_correction_lies_only_where_it_acts(delta):
+    # the graded rank-one term acts on the (+, +) block alone and is added
+    # there alone, so the odd blocks are the butterflies of the orbit
+    # matrices bit for bit; added to all four orbit matrices, it left its
+    # rounding in them.  The uniform correction is added on the diagonal
+    # of every block, and nowhere else
+    mesh = build_mesh(RodSpec(L=2.0, delta=delta))
+    npm, bare = assemble_np(mesh), butterfly(potentials._orbit_matrices(mesh))
+    wq = mesh.weights[mesh.orbits[0]]
+    fix = npm.correction[mesh.orbits[0]] * wq
+    diag = np.eye(len(wq), dtype=bool)
+    if mesh.graded:
+        assert np.array_equal(npm.blocks[1:], bare[1:])
+        want = bare[0] + fix * wq / wq.sum()
+        assert np.abs(npm.blocks[0] - want).max() <= 1e-15 * np.abs(want).max()
+    else:
+        assert np.array_equal(npm.blocks[:, ~diag], bare[:, ~diag])
+        got = npm.blocks[:, diag] - bare[:, diag]
+        assert np.abs(got - fix).max() <= 1e-15 * np.abs(bare).max()
 
 
 def test_same_side_facade_pairs_are_zero():
     # (x - y).nu_x vanishes on a straight side, and the kernel's own
     # arithmetic gives 0 there, with no fill: x2 - y2 = 0 exactly on the
-    # top rows' same-side blocks, A_e and A_R1.  The world-frame assembly
-    # wrote rounding there.  The graded meshes add their rank-one
-    # correction to every entry, so their zeros are read off the kernel
+    # top rows' same-side blocks, A_e and A_R1, and the cross pass and the
+    # diagonal kappa/(4 pi), 0 on a side, leave them so.  The world-frame
+    # assembly wrote rounding there.  The parity blocks, sums of the four
+    # A_g, carry rounding on these pairs, so the orbit matrices are read
     meshes = [SYMMETRY_MESHES["odd_panels"](), build_mesh(RodSpec(L=2.0, delta=0.002)),
               build_mesh(RodSpec(L=2.0, delta=1e-5))]
     assert [m.rule for m in meshes] == ["uniform", "graded", "graded"]
@@ -373,11 +398,7 @@ def test_same_side_facade_pairs_are_zero():
         same = mats[:2, mc:, mc:]
         np.fill_diagonal(same[0], 0.0)   # 0/0: assembly writes the diagonal
         assert not same.any()
-    dense = assemble_np(meshes[0]).matrix
-    for side in _facade_sides(meshes[0]):
-        pairs = dense[np.ix_(side, side)]
-        np.fill_diagonal(pairs, 0.0)   # the column-identity correction
-        assert not pairs.any()
+        assert not potentials._orbit_matrices(mesh)[:2, mc:, mc:].any()
 
 
 def mp_panel_weights(delta, x, lo, hi):
@@ -544,7 +565,7 @@ def test_replaced_spec_rebuilds_the_mesh():
     thick = dataclasses.replace(mesh.spec, delta=0.2)
     replaced = assemble_np(dataclasses.replace(mesh, spec=thick))
     built = assemble_np(build_mesh(thick, n_cap=32, n_facade=64))
-    assert np.array_equal(replaced.orbit_matrices, built.orbit_matrices)
+    assert np.array_equal(replaced.blocks, built.blocks)
 
 
 def test_np_kernel_on_disc_is_constant():
