@@ -23,8 +23,7 @@ from . import potentials
 
 __all__ = [
     "AsymptoticModel", "cap_points", "f1_f2", "f_sq_sum", "f_sq_sum_cap_form",
-    "asym_u_linear", "asym_grad_linear", "asym_u_general", "asymptotic_field",
-    "asymptotic_perturbation", "a_delta_apply",
+    "asymptotic_field", "asymptotic_perturbation", "a_delta_apply",
 ]
 
 
@@ -104,8 +103,8 @@ class AsymptoticModel:
     """Closed-form field model for one rod placement and background.
 
     :func:`asymptotic_perturbation` takes and returns rod-frame points and
-    gradients; :func:`asymptotic_field` and the ``asym_*`` wrappers map
-    world points into the frame and rotate the gradient back.
+    gradients; :func:`asymptotic_field` maps world points into the frame and
+    rotates the gradient back.  A disc (L = 0) has no rod model.
     """
 
     L: float
@@ -117,15 +116,18 @@ class AsymptoticModel:
 
     def __post_init__(self) -> None:
         # a model built directly skips RodSpec's checks and from_spec's: at
-        # |lam| = 1/2 a strength divides by zero, and below it, or at
-        # delta <= 0, the field is one that no rod has
+        # |lam| = 1/2 a strength divides by zero, and below it, at delta <= 0
+        # or on a disc, where the closed form is exactly 0, the field is one
+        # that no rod has
         if not isinstance(self.background, HarmonicBackground):
             raise ValidationError(f"background must be a HarmonicBackground, "
                                   f"got {self.background!r}")
+        if self.L == 0.0:
+            raise ValidationError("L = 0 (disc) has no rod asymptotic model")
         if not (np.shape(self.center) == (2,) and np.isfinite(
                 [self.L, self.delta, self.lam, self.angle, *self.center]).all()
-                and self.L >= 0.0 and self.delta > 0.0 and abs(self.lam) > 0.5):
-            raise ValidationError(f"need finite L >= 0, delta > 0, |lam| > 1/2, angle and "
+                and self.L > 0.0 and self.delta > 0.0 and abs(self.lam) > 0.5):
+            raise ValidationError(f"need finite L > 0, delta > 0, |lam| > 1/2, angle and "
                                   f"center (x, y), got L={self.L!r}, delta={self.delta!r}, "
                                   f"lam={self.lam!r}, angle={self.angle!r}, center={self.center!r}")
 
@@ -210,22 +212,18 @@ def asymptotic_field(model: AsymptoticModel, x) -> tuple[NDArray, NDArray]:
 
 
 def asym_u_linear(model: AsymptoticModel, x) -> NDArray:
-    """Leading-order potential for a linear background (world frame); any
-    other background is refused."""
-    if not model.background.is_linear:
-        raise ValueError("asym_u_linear requires a linear background")
+    """The u of :func:`asymptotic_field`; perfbench's tracing.py and gen_refs.py name it."""
     return asymptotic_field(model, x)[0]
 
 
 def asym_grad_linear(model: AsymptoticModel, x) -> NDArray:
-    """Leading-order gradient (world frame), the grad u of
-    :func:`asymptotic_field`, right on any degree-2 background."""
+    """The grad u of :func:`asymptotic_field`; perfbench's tracing.py names it."""
     return asymptotic_field(model, x)[1]
 
 
 def asym_u_general(model: AsymptoticModel, x, n_quad: int | None = None) -> NDArray:
-    """Leading-order potential for any degree-2 harmonic background;
-    ``n_quad`` is ignored, and callers that still pass it keep working."""
+    """The u of :func:`asymptotic_field`; perfbench's tracing.py and gen_refs.py
+    name it, and gen_refs.py passes ``n_quad``, which is ignored."""
     return asymptotic_field(model, x)[0]
 
 

@@ -25,8 +25,8 @@ import numpy as np
 from .background import HarmonicBackground
 from .config import ConfigError, RunConfig, load_config
 from .geometry import ValidationError, to_world
-from .inverse import (IdentifiabilityError, SensorSet, fit_rod, sensor_circle,
-                      simulate_measurements)
+from .inverse import (RESIDUAL_TOL, IdentifiabilityError, SensorSet, fit_rod,
+                      sensor_circle, simulate_measurements)
 from .potentials import SolverError
 from .solver import perturbation, refuse_non_finite
 from .validate import run_validation
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     iv.add_argument("--noise", type=float, default=0.0,
                     help="noise RMS: added to synthesized data, and stated for "
                          "loaded data; the fit converges only to a residual "
-                         "within twice it or 1e-3 of the signal")
+                         f"within twice it or {RESIDUAL_TOL:g} of the signal")
     iv.add_argument("--model", choices=["bem", "asymptotic"], default="bem")
     iv.add_argument("--out", default="fit.json")
 

@@ -26,7 +26,8 @@ def _require_keys(block: dict, allowed: set, name: str) -> None:
         raise ConfigError(f"'{name}' must be a mapping")
     unknown = set(block) - allowed
     if unknown:
-        raise ConfigError(f"unknown keys in '{name}': {sorted(unknown)}")
+        # by str: YAML keys may mix types (1 and x), which do not compare
+        raise ConfigError(f"unknown keys in '{name}': {sorted(unknown, key=str)}")
 
 
 @dataclass(frozen=True)
@@ -106,10 +107,17 @@ def _background(b: dict) -> dict:
     raise ValueError("need 'a' or 'coefficients'")
 
 
+def _number(v, name: str) -> float:
+    """float(v); a YAML boolean (yes, on, true) is refused, not read as 1."""
+    if isinstance(v, bool):
+        raise ValueError(f"{name} must be a number, got {v!r}")
+    return float(v)
+
+
 def _real(v, name: str) -> float:
     """A real field.  NaN and infinities are refused: no result can use
     them, and NaN passes every comparison check."""
-    f = float(v)
+    f = _number(v, name)
     if not math.isfinite(f):
         raise ValueError(f"{name} must be finite, got {v!r}")
     return f
@@ -117,7 +125,7 @@ def _real(v, name: str) -> float:
 
 def _count(v, name: str, least: int = 1) -> int:
     """An integer field.  A fractional value is refused, not truncated."""
-    f = float(v)
+    f = _number(v, name)
     if not f.is_integer() or f < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
     return int(f)

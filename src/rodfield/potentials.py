@@ -572,14 +572,14 @@ def single_layer_field(mesh: BoundaryMesh, phi: DensityVector,
 
 def single_layer(mesh: BoundaryMesh, phi: DensityVector,
                  x) -> tuple[NDArray, NDArray]:
-    """``(values, near)`` of :func:`single_layer_field`."""
+    """``(values, near)`` of :func:`single_layer_field`; perfbench's tracing.py names it."""
     vals, _, near = single_layer_field(mesh, phi, x)
     return vals, near
 
 
 def single_layer_grad(mesh: BoundaryMesh, phi: DensityVector,
                       x) -> tuple[NDArray, NDArray]:
-    """``(grads, near)`` of :func:`single_layer_field`."""
+    """``(grads, near)`` of :func:`single_layer_field`; perfbench's tracing.py names it."""
     _, grads, near = single_layer_field(mesh, phi, x)
     return grads, near
 

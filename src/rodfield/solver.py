@@ -93,8 +93,8 @@ def perturbation(spec: RodSpec, bg: HarmonicBackground, pts, model: str = "bem",
     gradient, the near flags and the BEM solution (None for the closed form).
 
     'bem' flags points off a panel by less than half its length; 'asymptotic'
-    flags those within 0.1 delta of the rod, and refuses a disc, where it is
-    exactly zero.  Both form s itself in the rod frame, never u - H, which cancels
+    flags those within 0.1 delta of the rod, and its model refuses a disc, where it
+    is exactly zero.  Both form s itself in the rod frame, never u - H, which cancels
     digits.  A value that is not finite (r^2 overflows past about 1e154) is refused.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -103,8 +103,6 @@ def perturbation(spec: RodSpec, bg: HarmonicBackground, pts, model: str = "bem",
         sol = solve_forward(spec, bg, n_cap=n_cap, n_facade=n_facade)
         s, gs, near = single_layer_field(sol.mesh, sol.phi, xl)
     elif model == "asymptotic":
-        if spec.L == 0.0:
-            raise ValidationError("L = 0 (disc) has no rod asymptotic model")
         s, gs = asymptotic_perturbation(AsymptoticModel.from_spec(spec, bg), xl)
         near, sol = signed_distance(spec, pts) < spec.delta * 0.1, None
     else:
@@ -133,13 +131,13 @@ def eval_field(sol: ForwardSolution, x) -> tuple[NDArray, NDArray, NDArray]:
 
 
 def eval_u(sol: ForwardSolution, x) -> tuple[NDArray, NDArray]:
-    """``(u, near)`` of :func:`eval_field`."""
+    """``(u, near)`` of :func:`eval_field`; perfbench's tracing.py and gen_refs.py name it."""
     u, _, near = eval_field(sol, x)
     return u, near
 
 
 def eval_grad_u(sol: ForwardSolution, x) -> tuple[NDArray, NDArray]:
-    """``(grad u, near)`` of :func:`eval_field`."""
+    """``(grad u, near)`` of :func:`eval_field`; perfbench's tracing.py and gen_refs.py name it."""
     _, g, near = eval_field(sol, x)
     return g, near
 

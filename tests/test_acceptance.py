@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from rodfield import (AsymptoticModel, HarmonicBackground, RodSpec,
-                      asym_u_linear, a_delta_apply, assemble_np, build_mesh,
-                      eval_grad_u, eval_u, fit_rod, lambda_of_sigma,
+                      a_delta_apply, assemble_np, asymptotic_field, build_mesh,
+                      eval_field, fit_rod, lambda_of_sigma,
                       neumann_data, sensor_circle, simulate_measurements,
                       solve_density, solve_forward)
 from rodfield.asymptotics import f_sq_sum, f_sq_sum_cap_form
@@ -36,7 +36,7 @@ def test_criterion_1_disc_oracle():
 
     theta = 2.0 * np.pi * np.arange(64) / 64
     pts = 3.0 * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    u_num, _ = eval_u(sol, pts)
+    u_num = eval_field(sol, pts)[0]
     u_ref = disc_exterior_u(a, 1.0, 2.0, pts)
     pert_num = u_num - pts @ a
     pert_ref = u_ref - pts @ a
@@ -62,9 +62,9 @@ def test_criterion_2_asymptotic_convergence():
         spec = RodSpec(L=L, delta=delta, sigma0=sigma0)
         n_facade = 8 * int(np.ceil(2.5 * L / delta / 8))
         sol = solve_forward(spec, bg, n_cap=64, n_facade=n_facade)
-        u_bem, _ = eval_u(sol, probe)
+        u_bem = eval_field(sol, probe)[0]
         model = AsymptoticModel(L=L, delta=delta, lam=lam, background=bg)
-        u_asym = asym_u_linear(model, probe)
+        u_asym = asymptotic_field(model, probe)[0]
         errs[delta] = float(np.abs(u_bem - u_asym).max())
 
     ratios = [errs[d] / d for d in (0.1, 0.05, 0.025)]
@@ -92,14 +92,14 @@ def test_criterion_3_cap_localization():
     for a in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
         sol = solve_forward(spec, HarmonicBackground.linear(a),
                             n_cap=64, n_facade=64)
-        g, _ = eval_grad_u(sol, pts[exterior])
+        g = eval_field(sol, pts[exterior])[1]
         dev = np.linalg.norm(g - np.asarray(a), axis=1)
         x_max = pts[exterior][np.argmax(dev)]
         cap_dist = min(np.linalg.norm(x_max - c) for c in caps)
 
         band = exterior & (np.abs(pts[:, 0]) <= L / 4.0)
         band &= (np.abs(pts[:, 1]) >= delta) & (np.abs(pts[:, 1]) <= 3 * delta)
-        gb, _ = eval_grad_u(sol, pts[band])
+        gb = eval_field(sol, pts[band])[1]
         band_max = np.linalg.norm(gb - np.asarray(a), axis=1).max()
 
         assert cap_dist <= 2.0 * delta

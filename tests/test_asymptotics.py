@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from rodfield import (AsymptoticModel, HarmonicBackground, RodSpec, ValidationError,
-                      a_delta_apply, asym_grad_linear, asym_u_general, asym_u_linear,
-                      asymptotic_field, f1_f2, potentials, sensor_circle,
+                      a_delta_apply, asymptotic_field, f1_f2, potentials, sensor_circle,
                       single_layer_field, solve_forward)
 from rodfield import asymptotics, inverse
 from rodfield.asymptotics import (SingularPointError, asymptotic_perturbation,
@@ -244,7 +243,7 @@ def test_frozen_axial_example():
     # sigma0 = 2, a = (1,0), L = 2, delta = 0.05 at x = (2, 0):
     # u = 2 + 0.05/(2 pi) * ln(1/9)
     model = linear_model((1.0, 0.0))
-    val = asym_u_linear(model, np.array([2.0, 0.0]))
+    val = asymptotic_field(model, np.array([2.0, 0.0]))[0]
     assert val == pytest.approx(2.0 + 0.05 / (2 * np.pi) * np.log(1.0 / 9.0),
                                 rel=1e-12)
     assert val == pytest.approx(1.982514, abs=5e-6)
@@ -253,7 +252,7 @@ def test_frozen_axial_example():
 def test_transverse_far_perpendicular_limit():
     model = linear_model((0.0, 1.0))
     far = np.array([0.0, 500.0])
-    pert = asym_u_linear(model, far) - 500.0
+    pert = asymptotic_field(model, far)[0] - 500.0
     assert abs(pert) < 1e-2
 
 
@@ -261,15 +260,14 @@ def test_transverse_sign_matches_conductive_response():
     # above the rod, a conductive inclusion pulls the transverse
     # potential down toward the rod plane
     model = linear_model((0.0, 1.0))
-    pert = asym_u_linear(model, np.array([0.0, 1.5])) - 1.5
+    pert = asymptotic_field(model, np.array([0.0, 1.5]))[0] - 1.5
     assert pert < 0.0
 
 
 def test_on_axis_branch_convention():
     # x2 = +0 selects the upper-side limit inside the segment
     model = linear_model((0.0, 1.0))
-    inside = asym_u_linear(model, np.array([0.0, 0.0]))
-    outside = asym_u_linear(model, np.array([1.6, 0.0]))
+    inside, outside = asymptotic_field(model, np.array([[0.0, 0.0], [1.6, 0.0]]))[0]
     c_tr = model.strength_transverse
     assert inside == pytest.approx(-c_tr, rel=1e-12)
     assert outside == pytest.approx(0.0, abs=1e-15)
@@ -291,12 +289,13 @@ def test_grad_matches_finite_difference():
     keep = np.min(np.linalg.norm(pts[:, None] - caps[None], axis=2), axis=1) > 0.3
     keep &= np.abs(pts[:, 1]) > 0.05
     pts = pts[keep][:50]
-    g = asym_grad_linear(model, pts)
+    g = asymptotic_field(model, pts)[1]
     eps = 1e-6
     for j in range(2):
         e = np.zeros(2)
         e[j] = eps
-        fd = (asym_u_linear(model, pts + e) - asym_u_linear(model, pts - e)) / (2 * eps)
+        up, dn = (asymptotic_field(model, x)[0] for x in (pts + e, pts - e))
+        fd = (up - dn) / (2 * eps)
         assert np.max(np.abs(g[:, j] - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-6
 
 
@@ -304,14 +303,14 @@ def test_scattered_intensity_independent_of_field_direction():
     # |grad u - a|^2 factors through f1^2 + f2^2 for a fixed channel mix
     model1 = linear_model((1.0, 0.0), delta=0.03)
     x = np.array([[0.8, 0.4], [1.3, -0.2]])
-    e1 = asym_grad_linear(model1, x) - np.array([1.0, 0.0])
+    e1 = asymptotic_field(model1, x)[1] - np.array([1.0, 0.0])
     expected = (model1.strength / np.pi) ** 2 * f_sq_sum(x, 2.0)
     assert np.allclose(np.sum(e1**2, axis=1), expected, rtol=1e-12)
     # axial and transverse channels are orthogonal: intensities add
     model2 = linear_model((0.0, 1.0), delta=0.03)
     model12 = linear_model((1.0, 1.0), delta=0.03)
-    e2 = asym_grad_linear(model2, x) - np.array([0.0, 1.0])
-    e12 = asym_grad_linear(model12, x) - np.array([1.0, 1.0])
+    e2 = asymptotic_field(model2, x)[1] - np.array([0.0, 1.0])
+    e12 = asymptotic_field(model12, x)[1] - np.array([1.0, 1.0])
     assert np.allclose(np.sum(e12**2, axis=1),
                        np.sum(e1**2, axis=1) + np.sum(e2**2, axis=1), rtol=1e-12)
 
@@ -328,12 +327,10 @@ def test_frame_covariance():
     a_loc = R.T @ a
     pert_local = inverse._closed_form(np.array([0.0, 0.0, 0.0, 2.0, plain.strength * a_loc[0],
                                                 plain.strength_transverse * a_loc[1]]), x)
-    pert_world = asym_u_linear(moved, x_world) - moved.background.value(x_world)
-    assert np.allclose(pert_world, pert_local, atol=1e-12)
-    g_world = asym_grad_linear(moved, x_world) - a
-    g_local = (asym_grad_linear(plain.__class__(
-        L=2.0, delta=0.05, lam=1.5,
-        background=HarmonicBackground.linear(a_loc)), x) - a_loc)
+    u_world, g_world = asymptotic_field(moved, x_world)
+    assert np.allclose(u_world - moved.background.value(x_world), pert_local, atol=1e-12)
+    g_local = asymptotic_field(linear_model(a_loc), x)[1] - a_loc
+    g_world = g_world - a
     assert np.allclose(g_world, g_local @ R.T, atol=1e-12)
 
 
@@ -372,7 +369,7 @@ def test_general_odd_symmetry_outside_segment():
     bg = HarmonicBackground.linear((0.0, 1.0))
     model = AsymptoticModel(L=2.0, delta=0.02, lam=1.5, background=bg)
     x = np.array([1.7, 0.0])
-    assert asym_u_general(model, x) == pytest.approx(bg.value(x), abs=1e-12)
+    assert asymptotic_field(model, x)[0] == pytest.approx(bg.value(x), abs=1e-12)
 
 
 def test_general_gradient_matches_finite_difference():
@@ -384,7 +381,7 @@ def test_general_gradient_matches_finite_difference():
     pts = pts[signed_distance(spec, pts) >= 0.1][:60]
     _, g = asymptotic_field(model, pts)
     h = 1e-5
-    fd = np.stack([(asym_u_general(model, pts + e) - asym_u_general(model, pts - e))
+    fd = np.stack([(asymptotic_field(model, pts + e)[0] - asymptotic_field(model, pts - e)[0])
                    / (2 * h) for e in (np.array([h, 0.0]), np.array([0.0, h]))], axis=1)
     rel = np.linalg.norm(g - fd, axis=1) / np.linalg.norm(fd, axis=1)
     assert rel.max() < 1e-6
@@ -565,15 +562,16 @@ def test_perturbation_is_the_field_without_background():
 @pytest.mark.parametrize("kw", [
     {"lam": 0.5}, {"lam": -0.5}, {"lam": 0.3}, {"lam": float("nan")}, {"lam": float("inf")},
     {"delta": 0.0}, {"delta": -0.01}, {"delta": float("inf")},
-    {"L": -1.0}, {"L": float("nan")}, {"angle": float("nan")},
+    {"L": 0.0}, {"L": -1.0}, {"L": float("nan")}, {"angle": float("nan")},
     {"center": (float("inf"), 0.0)}, {"center": (0.0, 0.0, 0.0)},
     {"background": None}, {"background": (0.0, 1.0, 0.5, 0.0, 0.0)}],
     ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_a_model_that_no_rod_has_is_refused(kw):
     # built directly, a model skips RodSpec's checks and from_spec's: at
     # lam = +-1/2 asymptotic_field ended in ZeroDivisionError, with delta < 0
-    # or |lam| < 1/2 it returned values, and without a background it ended
-    # in AttributeError
+    # or |lam| < 1/2 it returned values, without a background it ended in
+    # AttributeError, and on a disc (L = 0) it returned u = H exactly, where
+    # the BEM's u - H at (2, 1) is -0.0625 (delta 0.5, sigma0 3, a = (1, 0.5))
     args = {"L": 2.0, "delta": 0.01, "lam": 1.5,
             "background": HarmonicBackground.linear((1.0, 0.5)), **kw}
     with pytest.raises(ValidationError):

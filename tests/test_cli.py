@@ -570,6 +570,8 @@ def test_bad_config_exit_code(tmp_path, capsys):
     ("a: [1.0, 0.5]", "a: [1.0]"),
     ("a: [1.0, 0.5]", "a: [1.0, 0.5, 7.0]"),
     ("deltas: [0.1, 0.05]", "deltas: 0.1"),
+    # sorted() could not order the unknown keys 1 and x
+    ("  L: 2.0\n", "  L: 2.0\n  1: 2\n  x: 3\n"),
 ])
 def test_malformed_config_exits_2(old, new, tmp_path, capsys):
     # each of these ended in a traceback, or (a 3-vector a) was read silently
@@ -593,6 +595,10 @@ def test_malformed_config_exits_2(old, new, tmp_path, capsys):
     ("probe_count: 16", "probe_count: 16.5", "sweep"),
     # a numpy traceback
     ("probe_count: 16", "probe_count: 0", "sweep"),
+    # YAML booleans, which float() read as 1: L = 1, one sensor, a = (1, 0.5)
+    ("L: 2.0", "L: yes", "rod"),
+    ("count: 32", "count: on", "sensors"),
+    ("a: [1.0, 0.5]", "a: [true, 0.5]", "background"),
     # the probe circle was never checked against the rod.  Around (0, 1) it
     # must exceed sqrt(2) + 3 delta at the sweep's largest delta, 1.71: a
     # radius of 1.6 clears the rod of delta = 0.05 but not that of 0.1

@@ -1,5 +1,6 @@
 """YAML run-configuration parsing and validation."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,8 @@ from rodfield import config
 from rodfield.config import ConfigError, load_config, parse_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+#: the README's example config
+README_EXAMPLE = README.read_text().split("```yaml\n")[1].split("```")[0]
 
 
 BASE = {
@@ -49,6 +52,33 @@ def test_unknown_keys_rejected():
         parse_config(_cfg(frobnicate=1))
     raw = _cfg(sweep={"deltas": [0.1], "probe_off": [0, 1]})
     with pytest.raises(ConfigError, match="probe_off"):
+        parse_config(raw)
+
+
+@pytest.mark.parametrize("where", ["rod", "config"])
+def test_unknown_keys_of_mixed_types_are_listed(where):
+    # sorted() of the keys 1 and x raised TypeError, a traceback from the CLI
+    raw = _cfg()
+    (raw["rod"] if where == "rod" else raw).update({1: 2, "x": 3})
+    with pytest.raises(ConfigError, match=re.escape(f"unknown keys in '{where}': [1, 'x']")):
+        parse_config(raw)
+
+
+#: every real and count field of the README example
+NUMBER_FIELDS = [(block, key) for block, keys in yaml.safe_load(README_EXAMPLE).items()
+                 for key in keys]
+
+
+@pytest.mark.parametrize("block, key", NUMBER_FIELDS + [("background", "coefficients")])
+def test_a_yaml_boolean_is_not_a_number(block, key):
+    # PyYAML reads yes, on and true as True, which float() took for 1.0: L: yes
+    # ran as L = 1 and count: yes as one sensor.  A list stands for its entries
+    raw = yaml.safe_load(README_EXAMPLE)
+    if key == "coefficients":
+        raw["background"] = {"coefficients": [0.0, 1.0, 0.5, 0.0, 0.0]}
+    value = raw[block][key]
+    raw[block][key] = [True, *value[1:]] if isinstance(value, list) else True
+    with pytest.raises(ConfigError, match=f"^{block}: {key} must be a number, got True$"):
         parse_config(raw)
 
 
@@ -141,7 +171,7 @@ def test_load_config_yaml(tmp_path, monkeypatch):
     # libyaml's loader and the pure-Python one give the same config for the
     # README example, and the same refusals
     example = tmp_path / "run.yaml"
-    example.write_text(README.read_text().split("```yaml\n")[1].split("```")[0])
+    example.write_text(README_EXAMPLE)
     bad = tmp_path / "bad.yaml"
     bad.write_text("- just\n- a list\n")
     broken = tmp_path / "broken.yaml"

@@ -7,14 +7,14 @@ import scipy.optimize
 
 from rodfield import (HarmonicBackground, RodSpec, SensorSet, fit_rod,
                       sensor_circle, simulate_measurements)
-from rodfield.asymptotics import AsymptoticModel, asym_u_linear
+from rodfield.asymptotics import AsymptoticModel, asymptotic_field
 from rodfield import inverse
 from rodfield.geometry import rotation_matrix
 from rodfield.cli import load_measurements_csv, main
 from rodfield.inverse import (IdentifiabilityError, PlacementError,
                               endpoint_error)
 from rodfield.geometry import ValidationError
-from rodfield.solver import eval_u, lambda_of_sigma, perturbation, solve_forward
+from rodfield.solver import eval_field, lambda_of_sigma, perturbation, solve_forward
 
 
 SPEC = RodSpec(L=2.0, delta=0.05, center=(0.3, -0.2), angle=0.4, sigma0=2.0)
@@ -71,15 +71,15 @@ def test_model_source_consistency():
 
 @pytest.mark.parametrize("source", ["bem", "asymptotic"])
 def test_synthesized_data_is_background_plus_perturbation(source):
-    # the one forward-model route gives the values that the model's own
-    # u-route (eval_u, asym_u_linear) gave before, bit for bit
+    # the one forward-model route gives the u of the model's own evaluator
+    # (eval_field, asymptotic_field), bit for bit
     data = simulate_measurements(SPEC, BG, POINTS, source=source)
     s = perturbation(SPEC, BG, POINTS, source)[0]
     assert np.array_equal(data.values, BG.value(POINTS) + s)
     if source == "bem":
-        u = eval_u(solve_forward(SPEC, BG), POINTS)[0]
+        u = eval_field(solve_forward(SPEC, BG), POINTS)[0]
     else:
-        u = asym_u_linear(AsymptoticModel.from_spec(SPEC, BG), POINTS)
+        u = asymptotic_field(AsymptoticModel.from_spec(SPEC, BG), POINTS)[0]
     assert np.array_equal(data.values, u)
 
 
@@ -214,7 +214,7 @@ def test_strength_pair_determines_model():
     m_ax2 = AsymptoticModel(L=2.0, delta=0.05 * scale,
                             lam=0.5 + scale * (1.5 - 0.5), background=ax)
     assert m_ax1.strength == pytest.approx(m_ax2.strength, rel=1e-14)
-    assert np.allclose(asym_u_linear(m_ax1, pts), asym_u_linear(m_ax2, pts),
+    assert np.allclose(asymptotic_field(m_ax1, pts)[0], asymptotic_field(m_ax2, pts)[0],
                        atol=1e-12)
     tr = HarmonicBackground.linear((0.0, 1.0))
     m_tr1 = AsymptoticModel(L=2.0, delta=0.05, lam=1.5, background=tr)
@@ -222,7 +222,7 @@ def test_strength_pair_determines_model():
                             lam=scale * (1.5 + 0.5) - 0.5, background=tr)
     assert m_tr1.strength_transverse == pytest.approx(
         m_tr2.strength_transverse, rel=1e-14)
-    assert np.allclose(asym_u_linear(m_tr1, pts), asym_u_linear(m_tr2, pts),
+    assert np.allclose(asymptotic_field(m_tr1, pts)[0], asymptotic_field(m_tr2, pts)[0],
                        atol=1e-12)
 
 

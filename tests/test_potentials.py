@@ -13,8 +13,7 @@ import scipy.linalg
 from rodfield import potentials
 from rodfield import (DensityVector, HarmonicBackground, RodSpec,
                       ValidationError, build_mesh, assemble_np, lambda_of_sigma,
-                      neumann_data, single_layer, single_layer_field,
-                      single_layer_grad, solve_density)
+                      neumann_data, single_layer_field, solve_density)
 from rodfield.geometry import (GAUSS_NODES, PANEL_ORDER, TAG_CAP_LEFT, TAG_CAP_RIGHT,
                               TAG_FACADE_BOTTOM, TAG_FACADE_TOP, default_counts)
 from rodfield.potentials import SolverError
@@ -667,7 +666,7 @@ def test_single_layer_uniform_circle():
     mesh = disc_mesh(128)
     phi = DensityVector(values=np.ones(len(mesh)), mesh=mesh)
     pts = np.array([[2.0, 0.0], [0.0, -3.0], [0.1, 0.2]])
-    vals, near = single_layer(mesh, phi, pts)
+    vals, _, near = single_layer_field(mesh, phi, pts)
     assert vals[0] == pytest.approx(np.log(2.0), abs=1e-10)
     assert vals[1] == pytest.approx(np.log(3.0), abs=1e-10)
     assert vals[2] == pytest.approx(0.0, abs=1e-10)
@@ -681,9 +680,8 @@ def test_single_layer_far_field_decay():
     rhs = neumann_data(mesh, HarmonicBackground.linear((1.0, 0.0)))
     phi = solve_density(npm, lam=1.5, rhs=rhs)
     far = np.array([[50.0, 10.0]])
-    vals, _ = single_layer(mesh, phi, far)
+    vals, g, _ = single_layer_field(mesh, phi, far)
     assert abs(vals[0]) < 1e-2
-    g, _ = single_layer_grad(mesh, phi, far)
     assert np.linalg.norm(g) < 1e-3
 
 
@@ -695,13 +693,12 @@ def test_single_layer_grad_finite_difference():
     rng = np.random.default_rng(11)
     pts = rng.uniform(-3, 3, size=(10, 2))
     pts = pts[np.linalg.norm(pts, axis=1) > 1.8]
-    g, _ = single_layer_grad(mesh, phi, pts)
+    g = single_layer_field(mesh, phi, pts)[1]
     eps = 1e-6
     for j in range(2):
         e = np.zeros(2)
         e[j] = eps
-        up, _ = single_layer(mesh, phi, pts + e)
-        dn, _ = single_layer(mesh, phi, pts - e)
+        up, dn = (single_layer_field(mesh, phi, x)[0] for x in (pts + e, pts - e))
         assert np.allclose(g[:, j], (up - dn) / (2 * eps), atol=1e-7)
 
 
@@ -709,7 +706,7 @@ def test_near_flags():
     mesh = rod_mesh()
     phi = DensityVector(values=np.ones(len(mesh)), mesh=mesh)
     pts = np.array([[0.0, 0.1001], [0.0, 3.0]])
-    _, near = single_layer(mesh, phi, pts)
+    near = single_layer_field(mesh, phi, pts)[2]
     assert near[0] and not near[1]
 
 
@@ -720,7 +717,7 @@ def test_a_point_off_the_longer_of_two_panels_is_flagged():
     # 0.27 of that panel away, where its Gauss rule has degraded
     mesh = build_mesh(RodSpec(L=2.0, delta=0.001))
     phi = DensityVector(values=np.zeros(len(mesh)), mesh=mesh)
-    _, near = single_layer(mesh, phi, np.array([[0.874, -0.034]]))
+    near = single_layer_field(mesh, phi, np.array([[0.874, -0.034]]))[2]
     assert mesh.rule == "graded" and near[0]
 
 
@@ -760,8 +757,6 @@ def test_single_layer_field_matches_dense_across_chunks(chunk, monkeypatch):
         _assert_close(grads, ref_grads)
         assert np.array_equal(near, ref_near)
         assert near.any() or m == 1
-        assert np.array_equal(single_layer(mesh, phi, pts)[0], vals)
-        assert np.array_equal(single_layer_grad(mesh, phi, pts)[0], grads)
 
 
 def test_single_layer_field_single_point():
@@ -774,8 +769,6 @@ def test_single_layer_field_single_point():
         _assert_close(val[0], ref_val)
         _assert_close(grad[0], ref_grad)
         assert near[0] == ref_near
-        one_val, one_near = single_layer(mesh, phi, x)
-        assert np.array_equal(one_val, val) and np.array_equal(one_near, near)
 
 
 def test_direct_values_do_not_depend_on_the_chunk():
@@ -1013,8 +1006,7 @@ def test_evaluation_on_a_mesh_node_is_refused():
     where = re.escape(f"({x1!r}, {x2!r})")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for fn in (single_layer, single_layer_grad, single_layer_field):
-            with pytest.raises(ValidationError, match=where):
-                fn(mesh, phi, np.array([[3.0, 3.0], node]))
-            with pytest.raises(ValidationError, match=where):
-                fn(mesh, phi, node)
+        with pytest.raises(ValidationError, match=where):
+            single_layer_field(mesh, phi, np.array([[3.0, 3.0], node]))
+        with pytest.raises(ValidationError, match=where):
+            single_layer_field(mesh, phi, node)

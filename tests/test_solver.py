@@ -1,7 +1,9 @@
 """Forward transmission solves against analytic and structural oracles."""
 
 import dataclasses
+import re
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,13 +11,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rodfield import geometry
+import rodfield
+from rodfield import asymptotics, geometry, potentials, solver
 from rodfield import (AsymptoticModel, DensityVector, HarmonicBackground, RodSpec,
-                      ValidationError, asym_grad_linear, asym_u_general, asym_u_linear,
-                      asymptotic_field, build_mesh, eval_field, eval_grad_u, eval_u,
-                      f1_f2, lambda_of_sigma, simulate_measurements, single_layer,
-                      single_layer_field, single_layer_grad, solve_forward,
-                      transmission_check)
+                      ValidationError, asymptotic_field, build_mesh, eval_field, f1_f2,
+                      lambda_of_sigma, simulate_measurements, single_layer_field,
+                      solve_forward, transmission_check)
 from rodfield.asymptotics import f_sq_sum, f_sq_sum_cap_form
 from rodfield.geometry import (GAUSS_NODES, GAUSS_WEIGHTS, PANEL_ORDER, default_counts,
                                rotation_matrix, signed_distance, to_local, to_world)
@@ -68,7 +69,7 @@ def test_disc_exterior_oracle():
     sol = solve_forward(RodSpec(L=0.0, delta=1.0, sigma0=2.0),
                         HarmonicBackground.linear(a), n_cap=64)
     pts = np.array([[3.0, 0.0], [0.0, 4.0], [-2.0, 2.0]])
-    u, near = eval_u(sol, pts)
+    u, _, near = eval_field(sol, pts)
     assert not near.any()
     assert np.allclose(u, disc_exterior_u(a, 1.0, 2.0, pts), atol=1e-9)
     # explicit sign check at (3, 0): H = 3, perturbation negative
@@ -81,9 +82,8 @@ def test_disc_interior_uniform_gradient():
     sol = solve_forward(RodSpec(L=0.0, delta=1.0, sigma0=sigma0),
                         HarmonicBackground.linear(a), n_cap=64)
     pts = np.array([[0.0, 0.0], [0.3, -0.2], [-0.5, 0.1]])
-    u, _ = eval_u(sol, pts)
+    u, g, _ = eval_field(sol, pts)
     assert np.allclose(u, disc_interior_u(a, 1.0, sigma0, pts), atol=1e-9)
-    g, _ = eval_grad_u(sol, pts)
     assert np.allclose(g, [0.0, 2.0 / (sigma0 + 1.0)], atol=1e-9)
 
 
@@ -92,7 +92,7 @@ def test_disc_exterior_grad_oracle():
     sol = solve_forward(RodSpec(L=0.0, delta=1.0, sigma0=2.0),
                         HarmonicBackground.linear(a), n_cap=64)
     pts = np.array([[2.5, 1.0], [-3.0, -0.5]])
-    g, _ = eval_grad_u(sol, pts)
+    g = eval_field(sol, pts)[1]
     assert np.allclose(g, disc_exterior_grad(a, 1.0, 2.0, pts), atol=1e-9)
 
 
@@ -103,8 +103,7 @@ def test_rod_field_mirror_symmetry():
                         n_cap=32, n_facade=64)
     pts = np.array([[0.5, 0.8], [1.7, 0.3], [-2.0, 1.1]])
     mirror = pts * np.array([1.0, -1.0])
-    u1, _ = eval_u(sol, pts)
-    u2, _ = eval_u(sol, mirror)
+    u1, u2 = (eval_field(sol, x)[0] for x in (pts, mirror))
     assert np.allclose(u1, u2, atol=1e-12)
 
 
@@ -117,7 +116,7 @@ def test_exterior_harmonicity():
     for p in ([0.0, 1.0], [2.0, 0.5], [-1.5, -0.9]):
         p = np.asarray(p)
         stencil = np.array([p, p + [h, 0], p - [h, 0], p + [0, h], p - [0, h]])
-        u, _ = eval_u(sol, stencil)
+        u = eval_field(sol, stencil)[0]
         lap = (u[1] + u[2] + u[3] + u[4] - 4 * u[0]) / h**2
         assert abs(lap) < 1e-4
 
@@ -129,7 +128,7 @@ def test_far_field_approaches_background():
     # dipole decay: the perturbation falls off like 1/r
     for r, tol in ((250.0, 2e-3), (2500.0, 2e-4)):
         far = np.array([[0.8 * r, 0.6 * r]])
-        u, _ = eval_u(sol, far)
+        u = eval_field(sol, far)[0]
         assert abs(u[0] - bg.value(far)[0]) < tol
 
 
@@ -167,7 +166,7 @@ def test_near_flags_on_eval():
                         HarmonicBackground.linear((1.0, 0.0)),
                         n_cap=32, n_facade=64)
     pts = np.array([[0.0, 0.101], [0.0, 2.0]])
-    _, near = eval_u(sol, pts)
+    near = eval_field(sol, pts)[2]
     assert near[0] and not near[1]
 
 
@@ -500,7 +499,7 @@ def test_rods_at_the_ends_of_the_distance_range_solve(shape):
 ONE_POINT = np.array([3.0, 0.0])
 
 #: every field evaluator and localisation function on points x, on the rod, background,
-#: BEM solution and model of c
+#: BEM solution and model of c (the wrappers around them are in PERFBENCH_WRAPPERS)
 ONE_POINT_CALLS = {
     "perturbation-bem": lambda c, x: perturbation(c.rod, c.bg, x, "bem")[:3],
     "perturbation-asymptotic": lambda c, x: perturbation(c.rod, c.bg, x, "asymptotic")[:3],
@@ -510,13 +509,6 @@ ONE_POINT_CALLS = {
     "single_layer_field": lambda c, x: single_layer_field(c.sol.mesh, c.sol.phi, x),
     "signed_distance": lambda c, x: signed_distance(c.rod, x),
     "asymptotic_field": lambda c, x: asymptotic_field(c.model, x),
-    "eval_u": lambda c, x: eval_u(c.sol, x),
-    "eval_grad_u": lambda c, x: eval_grad_u(c.sol, x),
-    "single_layer": lambda c, x: single_layer(c.sol.mesh, c.sol.phi, x),
-    "single_layer_grad": lambda c, x: single_layer_grad(c.sol.mesh, c.sol.phi, x),
-    "asym_u_linear": lambda c, x: asym_u_linear(c.model, x),
-    "asym_grad_linear": lambda c, x: asym_grad_linear(c.model, x),
-    "asym_u_general": lambda c, x: asym_u_general(c.model, x),
     "f1_f2": lambda c, x: f1_f2(x, c.rod.L),
     "f_sq_sum": lambda c, x: f_sq_sum(x, c.rod.L),
     "f_sq_sum_cap_form": lambda c, x: f_sq_sum_cap_form(x, c.rod.L),
@@ -543,6 +535,64 @@ def test_one_point_is_a_set_of_one(name, one_point_case):
         assert isinstance(got, np.ndarray) and got.shape[:1] == (1,)
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+
+
+#: the seven wrappers that perfbench's tracing.py and gen_refs.py name, each with the
+#: slice of its evaluator that it returns, on points x and the BEM solution and model
+#: of c; no other test calls them, and gen_refs.py passes asym_u_general an n_quad
+PERFBENCH_WRAPPERS = {
+    "eval_u": (lambda c, x: solver.eval_u(c.sol, x),
+               lambda c, x: eval_field(c.sol, x)[::2]),
+    "eval_grad_u": (lambda c, x: solver.eval_grad_u(c.sol, x),
+                    lambda c, x: eval_field(c.sol, x)[1:]),
+    "single_layer": (lambda c, x: potentials.single_layer(c.sol.mesh, c.sol.phi, x),
+                     lambda c, x: single_layer_field(c.sol.mesh, c.sol.phi, x)[::2]),
+    "single_layer_grad": (lambda c, x: potentials.single_layer_grad(c.sol.mesh, c.sol.phi, x),
+                          lambda c, x: single_layer_field(c.sol.mesh, c.sol.phi, x)[1:]),
+    "asym_u_linear": (lambda c, x: asymptotics.asym_u_linear(c.model, x),
+                      lambda c, x: asymptotic_field(c.model, x)[0]),
+    "asym_grad_linear": (lambda c, x: asymptotics.asym_grad_linear(c.model, x),
+                         lambda c, x: asymptotic_field(c.model, x)[1]),
+    "asym_u_general": (lambda c, x: asymptotics.asym_u_general(c.model, x, n_quad=7),
+                       lambda c, x: asymptotic_field(c.model, x)[0]),
+}
+
+
+@pytest.fixture(scope="module")
+def wrapper_cases():
+    rod = RodSpec(L=2.0, delta=0.05, center=(0.3, -0.2), angle=0.4, sigma0=2.0)
+    bgs = (HarmonicBackground.linear((1.0, 1.0)),
+           HarmonicBackground.polynomial((0.1, 1.0, -0.5, 0.3, 0.2)))
+    return [SimpleNamespace(sol=solve_forward(rod, bg), model=AsymptoticModel.from_spec(rod, bg))
+            for bg in bgs]
+
+
+@pytest.mark.parametrize("name", PERFBENCH_WRAPPERS)
+def test_perfbench_wrapper_is_a_slice_of_its_evaluator(name, wrapper_cases):
+    # each wrapper returns its evaluator's slice bit for bit, on a point set and
+    # on one (2,) point, on a linear and a degree-2 background; the BEM's refuse
+    # a point on a mesh node as their evaluator does.  The package does not export it
+    assert not hasattr(rodfield, name)
+    call, evaluator = PERFBENCH_WRAPPERS[name]
+    pts = np.array([[3.0, 0.0], [0.5, 0.9], [-2.0, -1.5], [0.3, 0.2]])
+    for c in wrapper_cases:
+        for x in (pts, pts[0]):
+            got, ref = call(c, x), evaluator(c, x)
+            got, ref = (r if isinstance(r, tuple) else (r,) for r in (got, ref))
+            assert len(got) == len(ref)
+            for g, r in zip(got, ref):
+                assert isinstance(g, np.ndarray) and g.shape[:1] == (len(np.atleast_2d(x)),)
+                assert g.dtype == r.dtype and g.shape == r.shape
+                assert g.tobytes() == r.tobytes()
+    if name.startswith("single_layer"):
+        node = wrapper_cases[0].sol.mesh.points[5]
+        # plain floats, not numpy 2's np.float64(...) reprs
+        x1, x2 = node.tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (np.array([[3.0, 3.0], node]), node):
+                with pytest.raises(ValidationError, match=re.escape(f"({x1!r}, {x2!r})")):
+                    call(wrapper_cases[0], x)
 
 
 def test_readme_library_example_runs():
