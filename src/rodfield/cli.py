@@ -21,6 +21,7 @@ import sys
 import time
 
 import numpy as np
+import orjson
 
 from .background import HarmonicBackground
 from .config import ConfigError, RunConfig, load_config
@@ -40,27 +41,29 @@ EXIT_USAGE = 2
 CSV_BLOCK_ROWS = 256
 
 
-def _blocks(col: np.ndarray):
-    """The CSV cells of one column, a list per block of CSV_BLOCK_ROWS rows:
-    floats by repr, integers by str, flags as 0/1 and text as it is."""
-    fmt = {"f": repr, "i": str, "u": str, "b": ("0", "1").__getitem__}.get(col.dtype.kind)
-    for start in range(0, len(col), CSV_BLOCK_ROWS):
-        block = col[start:start + CSV_BLOCK_ROWS].tolist()
-        yield block if fmt is None else list(map(fmt, block))
-
-
 def write_csv(path: str, header, *columns) -> None:
-    """Write equal-length columns under ``header``.
+    """Write equal-length numeric columns under ``header``.
 
     One header line, then one line per row, each ended by CRLF.  Floats
-    are written as their repr (shortest round-trip form), integers and
-    strings as themselves, and boolean flags as 0/1.  No cell is quoted,
-    so a string cell must not hold a comma, a quote or a line break.
+    are written in their shortest round-trip digits, repr's digits in
+    orjson's spelling (``1e-7``, ``1e16``, ``0.000014``), integers as
+    themselves and boolean flags as 0/1.  A column that is not bool, int
+    or float, or a float cell that is not finite, is refused before the
+    file is opened: orjson would quote a string and write NaN as null.
     """
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\r\n")
-        for block in zip(*(_blocks(np.asarray(c)) for c in columns)):
-            f.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+    cols = [np.asarray(c) for c in columns]
+    for name, c in zip(header, cols, strict=True):
+        if c.dtype.kind not in "biuf":
+            raise ValidationError(f"{path}: column {name} is {c.dtype}, not bool, int or float")
+        if c.dtype.kind == "f" and not np.isfinite(c).all():
+            raise ValidationError(f"{path}: column {name} holds a value that is not finite")
+    cols = [c.view(np.uint8) if c.dtype == bool else c for c in cols]
+    with open(path, "wb") as f:
+        f.write(",".join(header).encode() + b"\r\n")
+        for start in range(0, len(cols[0]), CSV_BLOCK_ROWS):
+            rows = list(zip(*(c[start:start + CSV_BLOCK_ROWS].tolist() for c in cols)))
+            # [[a,b],[c,d]] -> a,b CRLF c,d
+            f.write(orjson.dumps(rows)[2:-2].replace(b"],[", b"\r\n") + b"\r\n")
 
 
 def load_measurements_csv(path: str, bg: HarmonicBackground,
@@ -88,13 +91,11 @@ def load_measurements_csv(path: str, bg: HarmonicBackground,
                      noise_rms=noise_rms)
 
 
-def _grid_or_error(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid points (m, 2) and their x1 and x2 cells: each axis value is
-    formatted once and its text repeated in the order of GridSpec.points."""
+def _grid_or_error(cfg: RunConfig) -> np.ndarray:
+    """The points (m, 2) of the config's grid."""
     if cfg.grid is None:
         raise ConfigError("this command needs a 'grid' block")
-    xs, ys = (np.array(list(map(repr, a.tolist())), dtype=object) for a in cfg.grid.axes())
-    return cfg.grid.points(), np.repeat(xs, len(ys)), np.tile(ys, len(xs))
+    return cfg.grid.points()
 
 
 #: Header of the CSV of ``forward`` and ``asymptotic``.
@@ -144,13 +145,13 @@ def _open_outputs(*paths: str | None) -> None:
 
 def cmd_fieldmap(args) -> int:
     cfg = load_config(args.config)
-    pts, *cells = _grid_or_error(cfg)
+    pts = _grid_or_error(cfg)
     s, gs, near, sol = perturbation(cfg.rod, cfg.background, pts, args.model,
                                     cfg.n_cap, cfg.n_facade)
     dgrad = np.linalg.norm(gs, axis=1)
     refuse_non_finite("|grad(u - H)|", pts, dgrad)
     write_csv(args.out, ["x1", "x2", "du", "dgrad", "near_flag"],
-              *cells, np.abs(s), dgrad, near)
+              *pts.T, np.abs(s), dgrad, near)
     mesh = f"  n={len(sol.mesh)}" if sol is not None else ""
     print(f"fieldmap: wrote {len(pts)} rows to {args.out}{mesh}  "
           f"near={np.count_nonzero(near)}")
@@ -246,12 +247,12 @@ def cmd_invert(args) -> int:
 
 def cmd_forward(args) -> int:
     cfg = load_config(args.config)
-    pts, *cells = _grid_or_error(cfg)
+    pts = _grid_or_error(cfg)
     s, gs, near, sol = perturbation(cfg.rod, cfg.background, pts, "bem",
                                     cfg.n_cap, cfg.n_facade)
     field = _field_columns(cfg, pts, s, gs, near)
     _open_outputs(args.out, args.density)
-    write_csv(args.out, FIELD_HEADER, *cells, *field)
+    write_csv(args.out, FIELD_HEADER, *pts.T, *field)
     if args.density:
         write_csv(args.density, ["index", "x1", "x2", "phi"], np.arange(len(sol.mesh)),
                   *to_world(cfg.rod, sol.mesh.points).T, sol.phi.values)
@@ -264,9 +265,9 @@ def cmd_forward(args) -> int:
 
 def cmd_asymptotic(args) -> int:
     cfg = load_config(args.config)
-    pts, *cells = _grid_or_error(cfg)
+    pts = _grid_or_error(cfg)
     s, gs, near, _ = perturbation(cfg.rod, cfg.background, pts, "asymptotic")
-    write_csv(args.out, FIELD_HEADER, *cells, *_field_columns(cfg, pts, s, gs, near))
+    write_csv(args.out, FIELD_HEADER, *pts.T, *_field_columns(cfg, pts, s, gs, near))
     print(f"asymptotic: wrote {len(pts)} rows to {args.out}")
     return EXIT_OK
 

@@ -39,14 +39,10 @@ class GridSpec:
     nx: int
     ny: int
 
-    def axes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The nx lattice values of x1 and the ny of x2."""
-        return (np.linspace(self.xmin, self.xmax, self.nx),
-                np.linspace(self.ymin, self.ymax, self.ny))
-
     def points(self) -> np.ndarray:
         """The lattice points (nx ny, 2), x1 varying slowest."""
-        X, Y = np.meshgrid(*self.axes(), indexing="ij")
+        X, Y = np.meshgrid(np.linspace(self.xmin, self.xmax, self.nx),
+                           np.linspace(self.ymin, self.ymax, self.ny), indexing="ij")
         return np.stack([X.ravel(), Y.ravel()], axis=1)
 
 
@@ -108,10 +104,14 @@ def _background(b: dict) -> dict:
 
 
 def _number(v, name: str) -> float:
-    """float(v); a YAML boolean (yes, on, true) is refused, not read as 1."""
-    if isinstance(v, bool):
-        raise ValueError(f"{name} must be a number, got {v!r}")
-    return float(v)
+    """float(v); a YAML boolean (yes, on, true) is refused, not read as 1,
+    and a string or a list is refused naming the field."""
+    if not isinstance(v, bool):
+        try:
+            return float(v)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a number, got {v!r}")
 
 
 def _real(v, name: str) -> float:

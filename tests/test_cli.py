@@ -1101,15 +1101,18 @@ LATTICE_CONFIG = CONFIG.replace("xmin: -3.0\n  xmax: 3.0\n  ymin: -3.0\n  ymax: 
 @pytest.mark.parametrize("argv", [["fieldmap"], ["forward"], ["asymptotic"]],
                          ids=["fieldmap", "forward", "asymptotic"])
 def test_grid_cells_are_the_repr_of_the_lattice(argv, tmp_path):
-    # the x1 and x2 cells are formatted once per axis value and repeated
+    # the x1 and x2 cells read back as the lattice points bit for bit,
+    # the sign of -0.0 included
     path = tmp_path / "run.yaml"
     path.write_text(LATTICE_CONFIG)
     out = tmp_path / "out.csv"
     assert main([*argv, "--config", str(path), "--out", str(out)]) == EXIT_OK
     pts = load_config(str(path)).grid.points()
     cells = [row[:2] for row in _read_csv(out)[1:]]
-    assert cells == [[repr(x1), repr(x2)] for x1, x2 in pts.tolist()]
-    assert len(cells) == 391 and "-0.0" in {x2 for _, x2 in cells}
+    got = np.array(cells, dtype=float)
+    assert got.shape == pts.shape == (391, 2)
+    assert (got.view(np.int64) == pts.view(np.int64)).all()
+    assert "-0.0" in {x2 for _, x2 in cells}
 
 
 #: every command that solves the BEM; forward and invert also write the file named here

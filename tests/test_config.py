@@ -72,14 +72,18 @@ NUMBER_FIELDS = [(block, key) for block, keys in yaml.safe_load(README_EXAMPLE).
 @pytest.mark.parametrize("block, key", NUMBER_FIELDS + [("background", "coefficients")])
 def test_a_yaml_boolean_is_not_a_number(block, key):
     # PyYAML reads yes, on and true as True, which float() took for 1.0: L: yes
-    # ran as L = 1 and count: yes as one sensor.  A list stands for its entries
-    raw = yaml.safe_load(README_EXAMPLE)
-    if key == "coefficients":
-        raw["background"] = {"coefficients": [0.0, 1.0, 0.5, 0.0, 0.0]}
-    value = raw[block][key]
-    raw[block][key] = [True, *value[1:]] if isinstance(value, list) else True
-    with pytest.raises(ConfigError, match=f"^{block}: {key} must be a number, got True$"):
-        parse_config(raw)
+    # ran as L = 1 and count: yes as one sensor.  A string or a list was
+    # refused in float()'s words, which name no field.  A list field stands
+    # for its entries
+    for bad in (True, "abc", [1]):
+        raw = yaml.safe_load(README_EXAMPLE)
+        if key == "coefficients":
+            raw["background"] = {"coefficients": [0.0, 1.0, 0.5, 0.0, 0.0]}
+        value = raw[block][key]
+        raw[block][key] = [bad, *value[1:]] if isinstance(value, list) else bad
+        want = re.escape(f"{block}: {key} must be a number, got {bad!r}")
+        with pytest.raises(ConfigError, match=f"^{want}$"):
+            parse_config(raw)
 
 
 def test_background_exclusive_keys():

@@ -1,7 +1,8 @@
 """Mesh construction and coordinate-frame invariants."""
 
-import csv
 import dataclasses
+import struct
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -337,54 +338,54 @@ def test_signed_distance_signs():
     assert d[2] == pytest.approx(2.0 - 0.1, abs=1e-12)
 
 
-def loop_csv(path, header, floats, ints, strs, flags):
-    """Reference: the per-row loop the CSV dumps used before ``write_csv``."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for i in range(len(flags)):
-            w.writerow([ints[i]] + [repr(float(c[i])) for c in floats]
-                       + [str(strs[i]), int(flags[i])])
+#: doubles whose spelling differs between orjson and repr, or is special:
+#: -0.0, subnormals, exponents below 1e-4 and from 1e16 (repr writes 1e-07
+#: and 1e+16), and [1e-5, 1e-4), which orjson writes positionally
+CSV_EDGE_DOUBLES = [-0.0, 0.0, 5e-324, -1e-320, 2.2250738585072014e-308, 1e-7,
+                    -2.5e-7, 1e-5, 1.4123812154717754e-05, 9.999999999999999e-05,
+                    1e-4, 0.1, 1.0 / 3.0, 1e15, 1e16, -1.2345678901234568e16,
+                    1e300, -1.7976931348623157e308]
 
 
-def test_write_csv_matches_row_loop(tmp_path):
-    x = np.array([-0.0, 1e-320, 1e300, -1e300, 0.1, 1.0 / 3.0, -2.5e-7, 0.0])
-    y = np.linspace(-3.0, 3.0, len(x))
-    ints = np.arange(len(x))
-    tags = np.full(len(x), "cap_left")
-    flags = x > 0.0
-    header = ["index", "x", "y", "tag", "flag"]
-    loop_csv(tmp_path / "loop.csv", header, (x, y), ints, tags, flags)
-    write_csv(str(tmp_path / "new.csv"), header, ints, x, y, tags, flags)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
 
 
-def csv_writer_reference(path, header, *columns):
-    """Reference: ``csv.writer`` over the rows, as ``write_csv`` once was."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(zip(*(c.astype(int).tolist() if c.dtype == bool else c.tolist()
-                          for c in map(np.asarray, columns))))
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                max_size=40))
+@settings(max_examples=40, deadline=None)
+def test_write_csv_cells_are_the_shortest_round_trip_digits(tmp_path_factory, drawn):
+    # each float cell has repr's digits and reads back as the same double;
+    # ints and 0/1 flags are written as they are, and every line ends in CRLF
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    values = np.array(CSV_EDGE_DOUBLES + drawn)
+    for rows in (0, 1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 37):
+        x = np.resize(values, rows)
+        y = x[::-1].copy()
+        ints = np.resize(np.array([-2**63, -(2**31), -1, 0, 1, 2**53 + 1, 2**63 - 1]), rows)
+        flags = x > 0.0
+        write_csv(str(path), ["x", "index", "y", "flag"], x, ints, y, flags)
+        text = path.read_bytes()
+        assert text.count(b"\n") == text.count(b"\r\n") == rows + 1
+        lines = text.decode().split("\r\n")
+        assert lines[0] == "x,index,y,flag" and lines[-1] == ""
+        got = [line.split(",") for line in lines[1:-1]]
+        want = zip(x.tolist(), ints.tolist(), y.tolist(), flags.tolist())
+        for cells, (xv, iv, yv, fv) in zip(got, want, strict=True):
+            for cell, v in ((cells[0], xv), (cells[2], yv)):
+                assert Decimal(cell) == Decimal(repr(v)), (cell, v)
+                assert bits(float(cell)) == bits(v), (cell, v)
+            assert cells[1] == str(iv) and cells[3] == ("1" if fv else "0")
 
 
-def test_write_csv_matches_csv_writer_across_blocks(tmp_path):
-    n = 2 * CSV_BLOCK_ROWS + 37
-    rng = np.random.default_rng(7)
-    # few distinct values, -0.0 next to 0.0: each keeps its own text
-    lattice = rng.choice([-0.0, 0.0, 0.5, -1.25, 1.0 / 3.0], size=n)
-    special = rng.choice([np.nan, np.inf, -np.inf, 1e-320, -0.0, 2.5], size=n)
-    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
-    values[:6] = [np.nan, np.inf, -np.inf, 1e-320, -0.0, 0.0]
-    ints = np.arange(n) - n // 2
-    flags = values > 0.0
-    tags = rng.choice(["cap_left", "facade_top"], size=n)
-    header = ["lattice", "special", "values", "index", "flag", "tag"]
-    cols = (lattice, special, values, ints, flags, tags)
-    for rows in (n, CSV_BLOCK_ROWS, 1, 0):
-        for case in (cols, cols[:1], cols[2:3], cols[4:5]):
-            part = [c[:rows] for c in case]
-            csv_writer_reference(tmp_path / "ref.csv", header[:len(part)], *part)
-            write_csv(str(tmp_path / "new.csv"), header[:len(part)], *part)
-            assert ((tmp_path / "new.csv").read_bytes()
-                    == (tmp_path / "ref.csv").read_bytes()), (rows, len(part))
+@pytest.mark.parametrize("column", [
+    np.array([1.0, np.nan]), np.array([np.inf, 0.5]), np.array([0.0, -np.inf]),
+    np.array(["cap_left", "cap_right"]), np.array([1.0, "x"], dtype=object)],
+    ids=["nan", "inf", "-inf", "str", "object"])
+def test_write_csv_refuses_a_cell_it_cannot_write(column, tmp_path):
+    # orjson writes NaN and infinities as null and quotes a string: either
+    # is refused before the file is opened, so no file is left behind
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValidationError, match="column c "):
+        write_csv(str(path), ["i", "c"], np.arange(2), column)
+    assert not path.exists()
