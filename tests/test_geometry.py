@@ -361,7 +361,7 @@ def test_write_csv_cells_are_the_shortest_round_trip_digits(tmp_path_factory, dr
     values = np.array(CSV_EDGE_DOUBLES + drawn)
     for rows in (0, 1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 37):
         x = np.resize(values, rows)
-        y = x[::-1].copy()
+        y = x[::-1]
         ints = np.resize(np.array([-2**63, -(2**31), -1, 0, 1, 2**53 + 1, 2**63 - 1]), rows)
         flags = x > 0.0
         write_csv(str(path), ["x", "index", "y", "flag"], x, ints, y, flags)
