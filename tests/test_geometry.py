@@ -1,5 +1,6 @@
 """Mesh construction and coordinate-frame invariants."""
 
+import csv
 import dataclasses
 import struct
 from decimal import Decimal
@@ -376,6 +377,71 @@ def test_write_csv_cells_are_the_shortest_round_trip_digits(tmp_path_factory, dr
                 assert Decimal(cell) == Decimal(repr(v)), (cell, v)
                 assert bits(float(cell)) == bits(v), (cell, v)
             assert cells[1] == str(iv) and cells[3] == ("1" if fv else "0")
+
+
+def assert_same_csv(new, ref, columns):
+    """``new`` has ``ref``'s lines and cells; a float cell may be spelled
+    otherwise but has the same digits and reads back as the same double."""
+    new_lines, ref_lines = new.read_bytes().split(b"\r\n"), ref.read_bytes().split(b"\r\n")
+    assert new_lines[0] == ref_lines[0] and len(new_lines) == len(ref_lines)
+    assert new_lines[-1] == ref_lines[-1] == b""
+    for row, (got, want) in enumerate(zip(new_lines[1:-1], ref_lines[1:-1]), start=1):
+        got, want = got.decode().split(","), want.decode().split(",")
+        assert len(got) == len(want), row
+        for c, g, w in zip(columns, got, want):
+            if c.dtype.kind == "f":
+                assert Decimal(g) == Decimal(w) and bits(float(g)) == bits(float(w)), (row, g, w)
+            else:
+                assert g == w, (row, g, w)
+
+
+def loop_csv(path, header, floats, ints, flags):
+    """Reference: the per-row loop the CSV dumps used before ``write_csv``."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        for i in range(len(flags)):
+            w.writerow([ints[i]] + [repr(float(c[i])) for c in floats] + [int(flags[i])])
+
+
+def test_write_csv_matches_row_loop(tmp_path):
+    x = np.array([-0.0, 1e-320, 1e300, -1e300, 0.1, 1.0 / 3.0, -2.5e-7, 0.0])
+    y = np.linspace(-3.0, 3.0, len(x))
+    ints = np.arange(len(x))
+    flags = x > 0.0
+    header = ["index", "x", "y", "flag"]
+    loop_csv(tmp_path / "loop.csv", header, (x, y), ints, flags)
+    write_csv(str(tmp_path / "new.csv"), header, ints, x, y, flags)
+    assert_same_csv(tmp_path / "new.csv", tmp_path / "loop.csv", (ints, x, y, flags))
+
+
+def csv_writer_reference(path, header, *columns):
+    """Reference: ``csv.writer`` over the rows, as ``write_csv`` once was."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(zip(*(c.astype(int).tolist() if c.dtype == bool else c.tolist()
+                          for c in map(np.asarray, columns))))
+
+
+def test_write_csv_matches_csv_writer_across_blocks(tmp_path):
+    n = 2 * CSV_BLOCK_ROWS + 37
+    rng = np.random.default_rng(7)
+    # few distinct values, -0.0 next to 0.0: each keeps its own text
+    lattice = rng.choice([-0.0, 0.0, 0.5, -1.25, 1.0 / 3.0], size=n)
+    special = rng.choice([1e-320, 5e-324, -0.0, 2.5, 1e16, 1.4e-05], size=n)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
+    values[:6] = [1e-7, 1e16, -1e-5, 1e-320, -0.0, 0.0]
+    ints = np.arange(n) - n // 2
+    flags = values > 0.0
+    header = ["lattice", "special", "values", "index", "flag"]
+    cols = (lattice, special, values, ints, flags)
+    for rows in (n, CSV_BLOCK_ROWS, 1, 0):
+        for case in (cols, cols[:1], cols[2:3], cols[4:5]):
+            part = [c[:rows] for c in case]
+            csv_writer_reference(tmp_path / "ref.csv", header[:len(part)], *part)
+            write_csv(str(tmp_path / "new.csv"), header[:len(part)], *part)
+            assert_same_csv(tmp_path / "new.csv", tmp_path / "ref.csv", part)
 
 
 @pytest.mark.parametrize("column", [
