@@ -21,11 +21,6 @@ from .geometry import (RodSpec, ValidationError, _panel_rule, lambda_of_sigma, r
                        to_local)
 from . import potentials
 
-__all__ = [
-    "AsymptoticModel", "cap_points", "f1_f2", "f_sq_sum", "f_sq_sum_cap_form",
-    "asymptotic_field", "asymptotic_perturbation", "a_delta_apply",
-]
-
 
 class SingularPointError(ValidationError):
     """Evaluation requested at a cap centre, where f1/f2 are singular."""

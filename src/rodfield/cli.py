@@ -29,7 +29,7 @@ from .geometry import ValidationError, to_world
 from .inverse import (RESIDUAL_TOL, IdentifiabilityError, SensorSet, fit_rod,
                       sensor_circle, simulate_measurements)
 from .potentials import SolverError
-from .solver import perturbation, refuse_non_finite
+from .solver import MODELS, perturbation, refuse_non_finite
 from .validate import run_validation
 
 EXIT_OK = 0
@@ -39,6 +39,9 @@ EXIT_USAGE = 2
 #: Rows formatted at a time by :func:`write_csv`: the cells it holds at
 #: once are bounded by the block, not by the table.
 CSV_BLOCK_ROWS = 256
+
+#: Header of the CSV of forward and asymptotic; its first three make it a measurement file.
+FIELD_HEADER = ["x1", "x2", "u", "ux", "uy", "near_boundary_flag"]
 
 
 def write_csv(path: str, header, *columns) -> None:
@@ -68,14 +71,17 @@ def write_csv(path: str, header, *columns) -> None:
 
 def load_measurements_csv(path: str, bg: HarmonicBackground,
                           noise_rms: float = 0.0) -> SensorSet:
-    """The sensors of a CSV with header x1,x2,u (further columns ignored)."""
+    """The sensors of a CSV with header x1,x2,u (further columns ignored); a
+    byte-order mark and blank lines, which editors and spreadsheets add, are passed over."""
     pts, vals = [], []
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["x1", "x2", "u"]:
-            raise ValidationError(f"{path}: expected header x1,x2,u")
+        if header is None or [h.strip() for h in header[:3]] != FIELD_HEADER[:3]:
+            raise ValidationError(f"{path}: expected header {','.join(FIELD_HEADER[:3])}")
         for ln, row in enumerate(reader, start=2):
+            if not row:
+                continue
             try:
                 x1, x2, u = map(float, row[:3])
             except ValueError as exc:
@@ -96,10 +102,6 @@ def _grid_or_error(cfg: RunConfig) -> np.ndarray:
     if cfg.grid is None:
         raise ConfigError("this command needs a 'grid' block")
     return cfg.grid.points()
-
-
-#: Header of the CSV of ``forward`` and ``asymptotic``.
-FIELD_HEADER = ["x1", "x2", "u", "ux", "uy", "near_boundary_flag"]
 
 
 def _field_columns(cfg: RunConfig, pts: np.ndarray, s, gs, near) -> tuple:
@@ -238,7 +240,7 @@ def cmd_invert(args) -> int:
     data_out = args.data if args.synthesize else None
     _open_outputs(data_out, args.out)
     if data_out:
-        write_csv(data_out, ["x1", "x2", "u"], *data.points.T, data.values)
+        write_csv(data_out, FIELD_HEADER[:3], *data.points.T, data.values)
     with open(args.out, "w") as f:
         f.write(text + "\n")
     print(text)
@@ -282,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fm = sub.add_parser("fieldmap", help="perturbed field magnitudes on a grid")
     fm.add_argument("--config", required=True)
-    fm.add_argument("--model", choices=["bem", "asymptotic"], default="bem")
+    fm.add_argument("--model", choices=MODELS, default="bem")
     fm.add_argument("--out", default="fieldmap.csv")
 
     cp = sub.add_parser("compare", help="BEM vs asymptotic error sweep over delta")
@@ -300,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="noise RMS: added to synthesized data, and stated for "
                          "loaded data; the fit converges only to a residual "
                          f"within twice it or {RESIDUAL_TOL:g} of the signal")
-    iv.add_argument("--model", choices=["bem", "asymptotic"], default="bem")
+    iv.add_argument("--model", choices=MODELS, default="bem")
     iv.add_argument("--out", default="fit.json")
 
     fw = sub.add_parser("forward", help="full boundary-integral field on a grid")

@@ -16,9 +16,42 @@ class ConfigError(ValueError):
     """Raised for unknown keys, missing blocks or inconsistent values."""
 
 
+def _unique_keys(base: type) -> type:
+    """The PyYAML loader ``base``, refusing a key given twice in one mapping,
+    where the second would silently replace the first.  A key merged in by
+    ``<<`` may still be given again: YAML's explicit key overrides it."""
+
+    class Loader(base):
+        def __init__(self, stream):
+            super().__init__(stream)
+            self._checked = set()
+
+        def flatten_mapping(self, node):
+            # runs on each mapping before its merged keys are spliced in, and
+            # again on a merged or aliased one that already holds them
+            if node not in self._checked:
+                self._checked.add(node)
+                seen = set()
+                for key_node, _ in node.value:
+                    if key_node.tag == "tag:yaml.org,2002:merge":
+                        continue
+                    key = self.construct_object(key_node)
+                    try:
+                        if key in seen:
+                            raise yaml.constructor.ConstructorError(
+                                "while constructing a mapping", node.start_mark,
+                                f"found duplicate key {key!r}", key_node.start_mark)
+                        seen.add(key)
+                    except TypeError:   # an unhashable key, which PyYAML refuses
+                        pass
+            super().flatten_mapping(node)
+
+    return Loader
+
+
 # libyaml's parser where PyYAML was built with it, the pure-Python one
 # otherwise: both build the same plain data from a config
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_LOADER = _unique_keys(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def _require_keys(block: dict, allowed: set, name: str) -> None:
@@ -84,12 +117,14 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
+def _given(block: dict, parsers: dict) -> dict:
+    """The keys of ``parsers`` that ``block`` gives, parsed; the rest keep their defaults."""
+    return {k: parse(block[k], k) for k, parse in parsers.items() if k in block}
+
+
 def _rod(r: dict) -> dict:
-    return {"rod": RodSpec(L=_real(r.get("L", 0.0), "L"),
-                           delta=_real(r["delta"], "delta"),
-                           center=_pair(r.get("center", (0.0, 0.0)), "center"),
-                           angle=_real(r.get("angle", 0.0), "angle"),
-                           sigma0=_real(r.get("sigma0", 2.0), "sigma0"))}
+    return {"rod": RodSpec(L=_real(r.get("L", 0.0), "L"), delta=_real(r["delta"], "delta"),
+                           **_given(r, {"center": _pair, "angle": _real, "sigma0": _real}))}
 
 
 def _background(b: dict) -> dict:
@@ -159,19 +194,17 @@ def _sensors(s: dict) -> dict:
 
 
 def _solver(s: dict) -> dict:
-    return {k: _count(s[k], k) for k in ("n_cap", "n_facade") if k in s}
+    return _given(s, {"n_cap": _count, "n_facade": _count})
 
 
 def _sweep(s: dict) -> dict:
-    deltas = tuple(_real(d, "deltas") for d in _list(s.get("deltas", ()), "deltas"))
-    if any(d <= 0 for d in deltas):
+    given = _given(s, {"deltas": lambda v, k: tuple(_real(d, k) for d in _list(v, k)),
+                       "probe_radius": _real,
+                       "probe_count": lambda v, k: _points(_count(v, k), k),
+                       "probe_offset": _pair})
+    if any(d <= 0 for d in given.get("deltas", ())):
         raise ValueError("deltas must be positive")
-    return {"sweep_deltas": deltas,
-            "sweep_probe_radius": _real(s.get("probe_radius", 3.0), "probe_radius"),
-            "sweep_probe_count": _points(_count(s.get("probe_count", 64), "probe_count"),
-                                         "probe_count"),
-            "sweep_probe_offset": _pair(s.get("probe_offset", (0.0, 1.0)),
-                                        "probe_offset")}
+    return {f"sweep_{k}": v for k, v in given.items()}
 
 
 def _list(v, name: str) -> list | tuple:

@@ -31,19 +31,28 @@ DELTA_FLOOR = 1e-10
 #: they overflow; below, they lose digits (L = 2e-155, delta = 1e-158 was 5.6e-6 off).
 R_RANGE = (float(np.sqrt(np.finfo(float).tiny)), float(np.sqrt(np.finfo(float).max)))
 
+#: The forward models of :func:`perturbation`: the BEM and the closed form.
+MODELS = ("bem", "asymptotic")
+
 
 @dataclass(frozen=True)
 class ForwardSolution:
     """Solved transmission problem for one rod and one background."""
 
-    mesh: BoundaryMesh = field(repr=False)
     phi: DensityVector = field(repr=False)
-    lam: float = 0.0
-    background: HarmonicBackground = None
+    background: HarmonicBackground
+
+    @property
+    def mesh(self) -> BoundaryMesh:
+        return self.phi.mesh
 
     @property
     def spec(self) -> RodSpec:
         return self.mesh.spec
+
+    @property
+    def lam(self) -> float:
+        return lambda_of_sigma(self.spec.sigma0)
 
 
 def solve_forward(spec: RodSpec, bg: HarmonicBackground,
@@ -63,7 +72,6 @@ def solve_forward(spec: RodSpec, bg: HarmonicBackground,
                               f"{DELTA_FLOOR:g} L = {DELTA_FLOOR * spec.L!r}, under which its "
                               "error passes 2.6e-7 of the field")
     n = 2 * sum(mesh_counts(spec, n_cap, n_facade)[:2])
-    lam = lambda_of_sigma(spec.sigma0)
     try:
         if 2 * n * n > np.iinfo(np.intp).max:   # bytes of the four (n/4)^2 blocks
             raise MemoryError
@@ -79,12 +87,12 @@ def solve_forward(spec: RodSpec, bg: HarmonicBackground,
         if not np.isfinite(rhs.values).all():
             raise ValidationError(f"background {bg.coeffs}: its normal derivative on the rod "
                                   "is not finite")
-        phi = solve_density(assemble_np(mesh), lam, rhs)
+        phi = solve_density(assemble_np(mesh), lambda_of_sigma(spec.sigma0), rhs)
     except MemoryError as exc:
         raise ValidationError(f"the dense system of n={n} nodes (delta="
                               f"{spec.delta!r}) does not fit in memory; raise delta "
                               "or lower solver.n_cap and n_facade") from exc
-    return ForwardSolution(mesh=mesh, phi=phi, lam=lam, background=bg)
+    return ForwardSolution(phi, bg)
 
 
 def perturbation(spec: RodSpec, bg: HarmonicBackground, pts, model: str = "bem",
@@ -106,7 +114,7 @@ def perturbation(spec: RodSpec, bg: HarmonicBackground, pts, model: str = "bem",
         s, gs = asymptotic_perturbation(AsymptoticModel.from_spec(spec, bg), xl)
         near, sol = signed_distance(spec, pts) < spec.delta * 0.1, None
     else:
-        raise ValueError(f"unknown forward model {model!r}")
+        raise ValueError(f"unknown forward model {model!r}, not one of {MODELS}")
     gs = gs @ rotation_matrix(spec.angle).T
     refuse_non_finite("u - H", pts, s, gs)
     return s, gs, near, sol

@@ -124,8 +124,7 @@ def run_validation() -> list[CheckResult]:
     mask &= np.abs(mesh.points[:, 0]) < 0.7
     idx = np.flatnonzero(mask)[::8]
     # on the zero background the probe fluxes are d_nu S[phi] at x +- 5w nu
-    rep = transmission_check(ForwardSolution(mesh=mesh, phi=phi, lam=lam,
-                                             background=HarmonicBackground((0.0,) * 5)), idx)
+    rep = transmission_check(ForwardSolution(phi, HarmonicBackground((0.0,) * 5)), idx)
     kphi = npm.apply(phi.values)[idx]
     worst = float(max(np.abs(rep["flux_out"] - (0.5 * phi.values[idx] + kphi)).max(),
                       np.abs(rep["flux_in"] - (-0.5 * phi.values[idx] + kphi)).max())
@@ -139,8 +138,7 @@ def run_validation() -> list[CheckResult]:
     checks.append(CheckResult("disc flux transmission", rep["max_mismatch"], 0.02))
     # on the trace-formula check's matrix: the rod is the same
     bg = HarmonicBackground.linear([1.0, 1.0])
-    sol = ForwardSolution(mesh=mesh, phi=solve_density(npm, lam, neumann_data(mesh, bg)),
-                          lam=lam, background=bg)
+    sol = ForwardSolution(solve_density(npm, lam, neumann_data(mesh, bg)), bg)
     # probe only the facade midsection, away from the caps
     mask = (sol.mesh.tag_mask("facade_top") | sol.mesh.tag_mask("facade_bottom"))
     mask &= np.abs(sol.mesh.points[:, 0]) < 0.5

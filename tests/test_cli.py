@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import rodfield
-from rodfield import cli
+from rodfield import cli, solver
 from rodfield import (AsymptoticModel, HarmonicBackground, RodSpec, build_mesh, potentials,
                       sensor_circle, simulate_measurements, single_layer_field,
                       solve_forward)
@@ -85,6 +85,20 @@ def test_fieldmap_bem(config_path, tmp_path, capsys):
     summary = capsys.readouterr().out
     assert _near_count(summary) == sum(int(r[4]) for r in rows[1:])
     assert "  n=128  " in summary   # 2 * (n_cap + n_facade)
+
+
+def test_fieldmap_bem_on_a_101_by_101_grid(tmp_path, capsys):
+    # the benchmark's fieldmap grid: 105 of its points lie within half of a
+    # node's panel, so that a change to the near rule shows
+    path, out = tmp_path / "fieldmap.yaml", tmp_path / "fieldmap.csv"
+    path.write_text("rod: {L: 2.0, delta: 0.01, center: [0.0, 0.0], angle: 0.0, sigma0: 2.0}\n"
+                    "background: {a: [1.0, 0.5]}\n"
+                    "grid: {xmin: -3.0, xmax: 3.0, ymin: -3.0, ymax: 3.0, nx: 101, ny: 101}\n")
+    assert main(["fieldmap", "--config", str(path), "--model", "bem",
+                 "--out", str(out)]) == EXIT_OK
+    cells = np.array(_read_csv(out)[1:], dtype=float)
+    assert cells.shape == (10201, 5) and np.isfinite(cells).all()
+    assert _near_count(capsys.readouterr().out) == 105 == cells[:, 4].sum()
 
 
 def test_fieldmap_asymptotic_matches_repeat(config_path, tmp_path):
@@ -441,6 +455,51 @@ def test_invert_non_finite_data_exits_2(column, cell, config_path, tmp_path, cap
     code = main(["invert", "--config", config_path, "--data", str(data), "--out", out])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"error: {data}:6: ")
+
+
+@pytest.mark.parametrize("edit", [lambda b: b + b"\r\n", lambda b: b"\xef\xbb\xbf" + b,
+                                  lambda b: b.replace(b"\r\n", b"\r\n\r\n", 3)],
+                         ids=["trailing-crlf", "byte-order-mark", "blank-lines"])
+def test_invert_reads_data_with_a_bom_or_blank_lines(edit, config_path, tmp_path):
+    # the file invert --synthesize wrote was refused as "bad row []" with one
+    # more CRLF, and as "expected header x1,x2,u" behind a byte-order mark
+    data, out = tmp_path / "meas.csv", tmp_path / "fit.json"
+    assert main(["invert", "--config", config_path, "--synthesize", "--model",
+                 "asymptotic", "--data", str(data), "--out", str(out)]) == EXIT_OK
+    fit = out.read_text()
+    data.write_bytes(edit(data.read_bytes()))
+    assert main(["invert", "--config", config_path, "--data", str(data),
+                 "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == fit
+
+
+@pytest.mark.parametrize("row", ["1.0", "1.0,2.0", " "])
+def test_invert_a_row_of_fewer_than_three_cells_exits_2(row, config_path, tmp_path, capsys):
+    data = tmp_path / "meas.csv"
+    data.write_text(f"x1,x2,u\n3.0,0.0,3.0\n{row}\n")
+    code = main(["invert", "--config", config_path, "--data", str(data),
+                 "--out", str(tmp_path / "fit.json")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {data}:3: bad row ")
+
+
+@pytest.mark.parametrize("command", ["forward", "asymptotic"])
+def test_a_field_csv_is_a_measurement_file(command, config_path, tmp_path):
+    # its header starts with the measurement header, which has one definition
+    out = tmp_path / "field.csv"
+    assert main([command, "--config", config_path, "--out", str(out)]) == EXIT_OK
+    cells = np.array(_read_csv(out)[1:], dtype=float)
+    data = cli.load_measurements_csv(str(out), load_config(config_path).background)
+    np.testing.assert_array_equal(data.points, cells[:, :2])
+    np.testing.assert_array_equal(data.values, cells[:, 2])
+
+
+def test_model_choices_are_the_solvers_models():
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for name in ("fieldmap", "invert"):
+        model = next(a for a in commands[name]._actions if a.dest == "model")
+        assert model.choices is solver.MODELS
 
 
 def test_invert_three_sensors_exits_1(config_path, tmp_path, capsys):

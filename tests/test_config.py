@@ -7,7 +7,8 @@ import pytest
 import yaml
 
 from rodfield import config
-from rodfield.config import ConfigError, load_config, parse_config
+from rodfield.config import ConfigError, RunConfig, load_config, parse_config
+from rodfield.geometry import RodSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 #: the README's example config
@@ -182,7 +183,7 @@ def test_load_config_yaml(tmp_path, monkeypatch):
     broken.write_text("rod: {L: 2.0, delta: 0.05\n")
     loaded = []
     for loader in (yaml.CSafeLoader, yaml.SafeLoader):
-        monkeypatch.setattr(config, "_LOADER", loader)
+        monkeypatch.setattr(config, "_LOADER", config._unique_keys(loader))
         loaded.append(load_config(str(example)))
         with pytest.raises(ConfigError, match="mapping"):
             load_config(str(bad))
@@ -192,3 +193,45 @@ def test_load_config_yaml(tmp_path, monkeypatch):
     assert loaded[0].rod.delta == 0.05
     assert loaded[0].grid.nx == 101
     assert loaded[0].sweep_deltas == (0.1, 0.05, 0.025)
+
+
+def test_a_key_left_out_keeps_its_dataclass_default():
+    # the parsers pass on only the keys a file gives: RodSpec and RunConfig
+    # state every default but L = 0, which RodSpec lacks
+    cfg = parse_config({"rod": {"delta": 0.05}, "background": {"a": [1.0, 0.0]}, "sweep": {}})
+    assert cfg.rod == RodSpec(L=0.0, delta=0.05)
+    assert cfg == RunConfig(rod=cfg.rod, background=cfg.background)
+
+
+@pytest.fixture(params=["CSafeLoader", "SafeLoader"])
+def loader(request, monkeypatch):
+    """config's loader on libyaml's parser, its default, or on the pure-Python one."""
+    if request.param == "SafeLoader":
+        monkeypatch.setattr(config, "_LOADER", config._unique_keys(yaml.SafeLoader))
+    assert issubclass(config._LOADER, getattr(yaml, request.param))
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("rod: {L: 2.0, delta: 0.05, delta: 0.5}\nbackground: {a: [1.0, 0.0]}\n", "delta", 1),
+    ("rod: {L: 2.0, delta: 0.05}\nbackground: {a: [1.0, 0.0]}\nrod: {L: 1.0, delta: 0.5}\n",
+     "rod", 3),
+    ("rod:\n  L: 2.0\n  delta: 0.05\nbackground:\n  a: [1.0, 0.0]\n  a: [0.0, 1.0]\n", "a", 6),
+], ids=["in-a-block", "top-level", "block-style"])
+def test_a_repeated_key_is_refused(loader, text, key, line, tmp_path):
+    # the second value silently replaced the first: delta = 0.5, the second rod
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"(?s)duplicate key '{key}'.*line {line}, "):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("rod", [
+    "{<<: &thick {L: 2.0, delta: 0.5}, delta: 0.05}",
+    # the merged mapping is spliced twice, the second time holding the keys
+    # of its own merge and its explicit delta
+    "{<<: [&thin {delta: 0.05, <<: &long {L: 2.0, delta: 0.5}}, *thin]}",
+], ids=["override", "merged-twice"])
+def test_an_explicit_key_overrides_a_merged_one(loader, rod, tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text(f"rod: {rod}\nbackground: {{a: [1.0, 0.0]}}\n")
+    assert load_config(str(path)).rod == RodSpec(L=2.0, delta=0.05)

@@ -13,8 +13,8 @@ import scipy.linalg
 
 import rodfield
 from rodfield import asymptotics, geometry, potentials, solver
-from rodfield import (AsymptoticModel, DensityVector, HarmonicBackground, RodSpec,
-                      ValidationError, asymptotic_field, build_mesh, eval_field, f1_f2,
+from rodfield import (AsymptoticModel, DensityVector, ForwardSolution, HarmonicBackground,
+                      RodSpec, ValidationError, asymptotic_field, build_mesh, eval_field, f1_f2,
                       lambda_of_sigma, simulate_measurements, single_layer_field,
                       solve_forward, transmission_check)
 from rodfield.asymptotics import f_sq_sum, f_sq_sum_cap_form
@@ -159,6 +159,17 @@ def test_solution_exposes_spec_and_lambda():
                         n_cap=16, n_facade=32)
     assert sol.spec == spec
     assert sol.lam == pytest.approx(lambda_of_sigma(4.0))
+    # the density carries the mesh, the mesh the rod, the rod lam: a solution
+    # stores only phi and the background, so no copy can disagree with them
+    assert [f.name for f in dataclasses.fields(ForwardSolution)] == ["phi", "background"]
+    assert sol.mesh is sol.phi.mesh
+    assert sol.lam == lambda_of_sigma(sol.spec.sigma0)
+
+
+def test_an_unknown_model_is_refused_naming_the_models():
+    with pytest.raises(ValueError, match=re.escape(f"'fem', not one of {solver.MODELS}")):
+        perturbation(RodSpec(L=2.0, delta=0.1), HarmonicBackground.linear((1.0, 0.0)),
+                     [[0.0, 2.0]], "fem")
 
 
 def test_near_flags_on_eval():
