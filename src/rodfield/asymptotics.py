@@ -17,13 +17,9 @@ from numpy.polynomial.polynomial import polyval
 from numpy.typing import NDArray
 
 from .background import HarmonicBackground
-from .geometry import (RodSpec, ValidationError, _panel_rule, lambda_of_sigma, rotation_matrix,
-                       to_local)
+from .geometry import (RodSpec, ValidationError, _finite, _panel_rule, lambda_of_sigma,
+                       rotation_matrix, to_local)
 from . import potentials
-
-
-class SingularPointError(ValidationError):
-    """Evaluation requested at a cap centre, where f1/f2 are singular."""
 
 
 def cap_points(L: float) -> tuple[NDArray, NDArray]:
@@ -56,22 +52,24 @@ def f_sq_sum_cap_form(x, L: float) -> NDArray:
     rp = np.linalg.norm(dp, axis=-1)
     rq = np.linalg.norm(dq, axis=-1)
     if np.any(rp == 0.0) or np.any(rq == 0.0):
-        raise SingularPointError("evaluation point coincides with a cap centre")
+        raise ValidationError("evaluation point coincides with a cap centre")
     cosang = np.einsum("...i,...i->...", dp, dq) / (rp * rq)
     return (1.0 / rq - 1.0 / rp) ** 2 + (2.0 / (rp * rq)) * (1.0 - cosang)
 
 
-#: lg = -sum t^n / n, h / L = sum t^n / (n (n + 1)), h' = lg + t: to 7e-17 for |t| < 1/4
+#: Far out, where |t| < _T_FAR, lg = -sum t^n / n, h / L = sum t^n / (n (n + 1)) and
+#: h' = lg + t are summed from _T_SERIES, to 7e-17
+_T_FAR = 0.25
 _T_SERIES = np.array([[0.0] * 3] + [[-1 / n, 1 / (n * n + n), -(n > 1) / n] for n in range(1, 27)])
 
 
 def _log_ratio(zp, zq, d) -> tuple[NDArray, NDArray, NDArray]:
     """lg = log(zq/zp), lg' = d/zp/zq and t = d/zp for the offsets zp = z - p and
-    zq = z - q of points z from cap centres p and q = p + d; where |t| < 1/4 lg is
-    summed from :data:`_T_SERIES`, so far out neither lg nor lg' cancels digits.
+    zq = z - q of points z from cap centres p and q = p + d; where |t| < :data:`_T_FAR`
+    lg is summed from :data:`_T_SERIES`, so far out neither lg nor lg' cancels digits.
     Nothing is refused: at a cap centre lg and lg' are not finite."""
     lg, t = np.log(zq / zp), d / zp
-    far = np.abs(t) < 0.25
+    far = np.abs(t) < _T_FAR
     if far.any():
         lg[far] = polyval(t[far], _T_SERIES[:, 0])
     return lg, d / zp / zq, t
@@ -83,13 +81,13 @@ def _cap_logs(x, L: float) -> tuple[NDArray, NDArray, NDArray, NDArray]:
 
     Im lg is the angle the segment subtends at x, signed like x2; x2 = -0
     counts as +0, so on the axis inside the segment it is pi, the limit
-    from above.  A cap centre is refused with :class:`SingularPointError`.
+    from above.  A cap centre is refused with :class:`ValidationError`.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     z = x[..., 0] + 1j * (x[..., 1] + 0.0)
     zq, zp = z - L / 2.0, z + L / 2.0
     if not (zq.all() and zp.all()):
-        raise SingularPointError("evaluation point coincides with a cap centre")
+        raise ValidationError("evaluation point coincides with a cap centre")
     return (z, *_log_ratio(zp, zq, L))
 
 
@@ -105,26 +103,22 @@ class AsymptoticModel:
     L: float
     delta: float
     lam: float
+    background: HarmonicBackground
     center: tuple[float, float] = (0.0, 0.0)
     angle: float = 0.0
-    background: HarmonicBackground = None
 
     def __post_init__(self) -> None:
-        # a model built directly skips RodSpec's checks and from_spec's: at
-        # |lam| = 1/2 a strength divides by zero, and below it, at delta <= 0
-        # or on a disc, where the closed form is exactly 0, the field is one
-        # that no rod has
+        # the placement is a rod's, checked by RodSpec; at |lam| = 1/2 a
+        # strength divides by zero, and below it or on a disc, where the
+        # closed form is exactly 0, the field is one that no rod has
+        RodSpec(self.L, self.delta, self.center, self.angle)
+        if self.L == 0.0:
+            raise ValidationError("L = 0 (disc) has no rod asymptotic model")
+        if not (_finite(self.lam) and abs(self.lam) > 0.5):
+            raise ValidationError(f"need a finite |lam| > 1/2, got lam={self.lam!r}")
         if not isinstance(self.background, HarmonicBackground):
             raise ValidationError(f"background must be a HarmonicBackground, "
                                   f"got {self.background!r}")
-        if self.L == 0.0:
-            raise ValidationError("L = 0 (disc) has no rod asymptotic model")
-        if not (np.shape(self.center) == (2,) and np.isfinite(
-                [self.L, self.delta, self.lam, self.angle, *self.center]).all()
-                and self.L > 0.0 and self.delta > 0.0 and abs(self.lam) > 0.5):
-            raise ValidationError(f"need finite L > 0, delta > 0, |lam| > 1/2, angle and "
-                                  f"center (x, y), got L={self.L!r}, delta={self.delta!r}, "
-                                  f"lam={self.lam!r}, angle={self.angle!r}, center={self.center!r}")
 
     @classmethod
     def from_spec(cls, spec: RodSpec, bg: HarmonicBackground) -> "AsymptoticModel":
@@ -163,7 +157,7 @@ def _axis_chunk(model: AsymptoticModel, bg: HarmonicBackground,
     + i c_tr c4)/pi carries the curvature: d2^2 H in the log kernel, d1 d2 H in
     the Poisson kernel times the axial coordinate; on a linear background C = 0,
     and s and grad s are the linear form's bit for bit.  Far out h, about L t / 2,
-    cancels two terms near L, so where |t| < 1/4 they come from :data:`_T_SERIES`.
+    cancels two terms near L, so where |t| < :data:`_T_FAR` they come from :data:`_T_SERIES`.
     """
     L, c_ax, c_tr = model.L, model.strength, model.strength_transverse
     _, c1, c2, c3, c4 = bg.coeffs
@@ -171,7 +165,7 @@ def _axis_chunk(model: AsymptoticModel, bg: HarmonicBackground,
     c = complex(2.0 * c3 * c_ax, c_tr * c4) / np.pi
     z, lg, dlg, t = _cap_logs(xl, L)
     h, dh = (z - L / 2.0) * lg + L, lg + t
-    far = np.abs(t) < 0.25
+    far = np.abs(t) < _T_FAR
     if far.any():
         h[far], dh[far] = polyval(t[far], _T_SERIES[:, 1:]) * [[L], [1.0]]
     df = a * dlg + c * dh

@@ -21,6 +21,7 @@ default the one with fewer nodes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,11 @@ class ValidationError(ValueError):
     """Raised when a rod specification or mesh request is invalid."""
 
 
+def _finite(v) -> bool:
+    """Whether ``v`` is a finite real number; None, a string and a bool are not."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class RodSpec:
     """Geometric and material description of the rod inclusion.
@@ -46,7 +52,7 @@ class RodSpec:
     L: length of the straight segment (>= 0; L = 0 degenerates to a disc
        of radius delta, used as the analytic-oracle case).
     delta: half-thickness (> 0).
-    center: world position of the geometric centre.
+    center: world position of the geometric centre, two finite reals.
     angle: rotation of the rod axis, radians.
     sigma0: inclusion conductivity (> 0, != 1; background is 1).
     """
@@ -58,18 +64,17 @@ class RodSpec:
     sigma0: float = 2.0
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.L) or self.L < 0:
-            raise ValidationError(f"L must be >= 0, got {self.L}")
-        if not np.isfinite(self.delta) or self.delta <= 0:
-            raise ValidationError(f"delta must be > 0, got {self.delta}")
-        if not np.isfinite(self.angle):
-            raise ValidationError(f"angle must be finite, got {self.angle}")
-        if not np.isfinite(self.sigma0) or self.sigma0 <= 0:
-            raise ValidationError(f"sigma0 must be > 0, got {self.sigma0}")
-        if self.sigma0 == 1.0:
-            raise ValidationError("sigma0 = 1 gives no contrast with the background")
-        if len(self.center) != 2 or not np.isfinite(self.center).all():
-            raise ValidationError(f"center must be a finite 2-vector, got {self.center}")
+        if not (_finite(self.L) and self.L >= 0):
+            raise ValidationError(f"L must be a finite real number >= 0, got {self.L!r}")
+        if not (_finite(self.delta) and self.delta > 0):
+            raise ValidationError(f"delta must be a finite real number > 0, got {self.delta!r}")
+        if not _finite(self.angle):
+            raise ValidationError(f"angle must be a finite real number, got {self.angle!r}")
+        lambda_of_sigma(self.sigma0)
+        c = self.center
+        if not ((isinstance(c, (tuple, list)) or np.ndim(c) == 1) and len(c) == 2
+                and all(map(_finite, c))):
+            raise ValidationError(f"center must be two finite real numbers, got {c!r}")
 
     @property
     def perimeter(self) -> float:
@@ -87,11 +92,12 @@ class RodSpec:
 
 def lambda_of_sigma(sigma0: float) -> float:
     """Contrast constant (sigma0 + 1) / (2 (sigma0 - 1)); |lam| > 1/2.  The
-    numerator is halved: doubling sigma0 - 1 overflows above about 9e307."""
-    if not np.isfinite(sigma0) or sigma0 <= 0:
-        raise ValidationError(f"sigma0 must be > 0, got {sigma0}")
+    numerator is halved: doubling sigma0 - 1 overflows above about 9e307.
+    Its refusals are the only contrast check: :class:`RodSpec` makes them here."""
+    if not (_finite(sigma0) and sigma0 > 0):
+        raise ValidationError(f"sigma0 must be a finite real number > 0, got {sigma0!r}")
     if sigma0 == 1.0:
-        raise ValidationError("sigma0 = 1: no contrast, no inclusion")
+        raise ValidationError("sigma0 = 1 gives no contrast with the background")
     return 0.5 * (sigma0 + 1.0) / (sigma0 - 1.0)
 
 

@@ -24,10 +24,6 @@ class IdentifiabilityError(ValueError):
     sensors than fit parameters)."""
 
 
-class PlacementError(ValidationError):
-    """Raised when a sensor sits too close to the rod for the models."""
-
-
 # A fit converges only to an RMS residual within this share of the signal
 # RMS |u - H| (or within twice the stated noise).  Over 24 rod angles
 # (L = 2, delta = 0.05, 64 sensors at radius 3) correct fits reach <= 3e-14
@@ -125,7 +121,7 @@ def simulate_measurements(spec: RodSpec, bg: HarmonicBackground,
     points = np.atleast_2d(np.asarray(points, dtype=float))
     dist = signed_distance(spec, points)
     if np.any(dist < 2.0 * spec.delta):
-        raise PlacementError(
+        raise ValidationError(
             f"sensor within 2*delta of the rod (min distance {dist.min():.3g})")
     values = bg.value(points) + perturbation(spec, bg, points, source,
                                              n_cap, n_facade)[0]

@@ -79,8 +79,11 @@ FAR_MIN_PAIRS = 1 << 18
 #: the other parts, not data: for a linear background a.nu two of the four
 #: parts are about 1e-16 of it.  Such a part is not solved (phi = 0); it
 #: still enters the residual, which adds about this share to it, far
-#: inside the 1e-10 gate.
+#: inside SOLVE_RESIDUAL_TOL.
 SKIP_SHARE = 1e-13
+
+#: A density solve whose residual, relative to the data, passes this is refused.
+SOLVE_RESIDUAL_TOL = 1e-10
 
 #: Character table of the mirror group.  Column g is the group element
 #: (e, R1, R2, R1R2), row s the parity (p1, p2) in the order (+, +),
@@ -418,10 +421,10 @@ def solve_density(np_matrix: NpMatrix, lam: float, rhs: DensityVector) -> Densit
     # looks tiny relative to phi itself
     scale = max(np.linalg.norm(rhs.values), 1e-300)
     residual = 2.0 * np.linalg.norm(r) / scale
-    if not np.isfinite(residual) or residual > 1e-10:
+    if not np.isfinite(residual) or residual > SOLVE_RESIDUAL_TOL:
         raise SolverError(
-            f"density solve residual {residual:.2e} exceeds 1.0e-10 (largest block "
-            f"condition estimate {np.linalg.cond(lam * np.eye(m) - blocks).max():.2e}, "
+            f"density solve residual {residual:.2e} exceeds {SOLVE_RESIDUAL_TOL:.1e} (largest "
+            f"block condition estimate {np.linalg.cond(lam * np.eye(m) - blocks).max():.2e}, "
             f"lam={lam})")
     return DensityVector(values=np_matrix.join(phi), mesh=np_matrix.mesh,
                          residual=float(residual), factored_blocks=len(live))

@@ -10,8 +10,8 @@ from rodfield import (AsymptoticModel, HarmonicBackground, RodSpec, ValidationEr
                       a_delta_apply, asymptotic_field, f1_f2, potentials, sensor_circle,
                       single_layer_field, solve_forward)
 from rodfield import asymptotics, inverse
-from rodfield.asymptotics import (SingularPointError, asymptotic_perturbation,
-                                  cap_points, f_sq_sum, f_sq_sum_cap_form)
+from rodfield.asymptotics import (asymptotic_perturbation, cap_points, f_sq_sum,
+                                  f_sq_sum_cap_form)
 from rodfield.geometry import rotation_matrix, signed_distance, to_local, to_world
 
 
@@ -206,9 +206,9 @@ def test_f1_f2_near_cap_values():
 
 
 def test_f_singular_at_caps():
-    with pytest.raises(SingularPointError):
+    with pytest.raises(ValidationError, match="coincides with a cap centre"):
         f1_f2(np.array([1.0, 0.0]), 2.0)
-    with pytest.raises(SingularPointError):
+    with pytest.raises(ValidationError, match="coincides with a cap centre"):
         f_sq_sum_cap_form(np.array([-1.0, 0.0]), 2.0)
 
 
@@ -564,6 +564,7 @@ def test_perturbation_is_the_field_without_background():
     {"delta": 0.0}, {"delta": -0.01}, {"delta": float("inf")},
     {"L": 0.0}, {"L": -1.0}, {"L": float("nan")}, {"angle": float("nan")},
     {"center": (float("inf"), 0.0)}, {"center": (0.0, 0.0, 0.0)},
+    {"center": 5.0}, {"center": None}, {"center": (1, "x")},
     {"background": None}, {"background": (0.0, 1.0, 0.5, 0.0, 0.0)}],
     ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_a_model_that_no_rod_has_is_refused(kw):

@@ -18,8 +18,8 @@ import pytest
 
 import rodfield
 from rodfield import cli, solver
-from rodfield import (AsymptoticModel, HarmonicBackground, RodSpec, build_mesh, potentials,
-                      sensor_circle, simulate_measurements, single_layer_field,
+from rodfield import (AsymptoticModel, HarmonicBackground, RodSpec, ValidationError, build_mesh,
+                      potentials, sensor_circle, simulate_measurements, single_layer_field,
                       solve_forward)
 from rodfield.asymptotics import asymptotic_perturbation
 from rodfield.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
@@ -296,6 +296,21 @@ def test_closed_form_refuses_a_contrast_where_lam_rounds_to_one_half(sigma0, tmp
         assert err.startswith(f"error: sigma0={float(sigma0)!r}: ") and len(err.splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
     assert main(["forward", "--config", str(path), "--out", str(out)]) == EXIT_OK
+
+
+def test_a_contrast_of_one_has_one_message(tmp_path, capsys):
+    # RodSpec said "sigma0 = 1 gives no contrast with the background" and
+    # lambda_of_sigma "sigma0 = 1: no contrast, no inclusion"; RodSpec now
+    # takes the refusal from lambda_of_sigma
+    with pytest.raises(ValidationError) as spec_err:
+        RodSpec(L=2.0, delta=0.05, sigma0=1.0)
+    with pytest.raises(ValidationError) as lam_err:
+        rodfield.lambda_of_sigma(1.0)
+    assert str(spec_err.value) == str(lam_err.value)
+    path = tmp_path / "run.yaml"
+    path.write_text(CONFIG.replace("sigma0: 2.0", "sigma0: 1.0"))
+    assert main(["forward", "--config", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: rod: {lam_err.value}\n"
 
 
 def test_compare_requires_sweep(tmp_path):

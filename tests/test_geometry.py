@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rodfield import RodSpec, ValidationError, build_mesh, to_local, to_world
+from rodfield import (AsymptoticModel, HarmonicBackground, RodSpec, ValidationError, build_mesh,
+                      lambda_of_sigma, to_local, to_world)
 from rodfield.cli import CSV_BLOCK_ROWS, write_csv
 from rodfield.geometry import (GRADED_FIRST, GRADED_LONGEST, SEGMENTS, TAG_CAP_LEFT,
                                TAG_CAP_RIGHT, TAG_FACADE_BOTTOM, BoundaryMesh,
@@ -32,6 +33,27 @@ def test_spec_validation():
     for center in ((np.nan, 0.0), (0.0, np.inf)):
         with pytest.raises(ValidationError, match="center"):
             RodSpec(L=2.0, delta=0.1, center=center)
+
+
+#: Values of a rod field that are not real numbers, or a centre that is not two of them
+NOT_REAL = [("L", None), ("L", True), ("L", "2"), ("delta", None), ("delta", "0.1"),
+            ("angle", None), ("angle", False), ("sigma0", None), ("sigma0", "2"),
+            ("sigma0", True), ("center", 5.0), ("center", None), ("center", (1, "x")),
+            ("center", (True, 0.0)), ("center", "ab"), ("center", np.zeros((2, 2)))]
+
+
+@pytest.mark.parametrize("field, value", NOT_REAL, ids=lambda v: " ".join(repr(v).split()))
+def test_a_field_that_is_not_a_real_number_is_refused_naming_it(field, value):
+    # numpy's isfinite or len raised TypeError, and L = True was taken as 1
+    args = {"L": 2.0, "delta": 0.1, field: value}
+    with pytest.raises(ValidationError, match=f"^{field} "):
+        RodSpec(**args)
+    if field == "sigma0":
+        with pytest.raises(ValidationError, match="^sigma0 "):
+            lambda_of_sigma(value)
+    else:
+        with pytest.raises(ValidationError, match=f"^{field} "):
+            AsymptoticModel(lam=1.5, background=HarmonicBackground.linear((1.0, 0.5)), **args)
 
 
 def test_perimeter_and_area():

@@ -11,8 +11,7 @@ from rodfield.asymptotics import AsymptoticModel, asymptotic_field
 from rodfield import inverse
 from rodfield.geometry import rotation_matrix
 from rodfield.cli import load_measurements_csv, main
-from rodfield.inverse import (IdentifiabilityError, PlacementError,
-                              endpoint_error)
+from rodfield.inverse import IdentifiabilityError, endpoint_error
 from rodfield.geometry import ValidationError
 from rodfield.solver import eval_field, lambda_of_sigma, perturbation, solve_forward
 
@@ -44,7 +43,7 @@ def test_sensor_circle_layout():
 
 def test_placement_error_for_close_sensors():
     close = sensor_circle((0.3, -0.2), 1.02, 64)
-    with pytest.raises(PlacementError):
+    with pytest.raises(ValidationError, match="sensor within 2\\*delta of the rod"):
         simulate_measurements(SPEC, BG, close)
 
 

@@ -1,6 +1,8 @@
 """Forward transmission solves against analytic and structural oracles."""
 
 import dataclasses
+import importlib
+import pkgutil
 import re
 import tracemalloc
 import warnings
@@ -613,3 +615,28 @@ def test_readme_library_example_runs():
     assert [np.shape(scope[k]) for k in ("u", "grad", "near")] == [(1,), (1, 2), (1,)]
     assert [np.shape(scope[k]) for k in ("u_asym", "grad_asym")] == [(1,), (1, 2)]
     assert scope["fit"].converged
+
+
+def test_readme_library_names_resolve_as_written():
+    # perturbation, signed_distance, f_sq_sum and f_sq_sum_cap_form were
+    # listed bare beside the exported names, and `from rodfield import`
+    # refused each of them.  A call, or the bare name of a function or class
+    # of rodfield's, resolves from rodfield; module.name from that module
+    prose = README.read_text().split("## Library\n")[1].split("```python\n")[0]
+    modules = {m.name: importlib.import_module(f"rodfield.{m.name}")
+               for m in pkgutil.iter_modules(rodfield.__path__)}
+    defined = {name for mod in modules.values() for name, v in vars(mod).items()
+               if callable(v) and getattr(v, "__module__", "").startswith("rodfield")}
+    checked, missing = 0, []
+    for name, call in re.findall(r"`([A-Za-z_][\w.]*)(\(?)[^`]*`", prose):
+        head, _, attr = name.rpartition(".")
+        if head in modules:
+            found = hasattr(modules[head], attr)
+        elif not head and (call or name in defined):
+            found = hasattr(rodfield, name)
+        else:
+            continue
+        checked += 1
+        if not found:
+            missing.append(name)
+    assert checked > 20 and not missing
