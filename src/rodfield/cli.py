@@ -24,7 +24,7 @@ import numpy as np
 import orjson
 
 from .background import HarmonicBackground
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, load_config
 from .geometry import ValidationError, to_world
 from .inverse import (RESIDUAL_TOL, IdentifiabilityError, SensorSet, fit_rod,
                       sensor_circle, simulate_measurements)
@@ -97,21 +97,6 @@ def load_measurements_csv(path: str, bg: HarmonicBackground,
                      noise_rms=noise_rms)
 
 
-def _grid_or_error(cfg: RunConfig) -> np.ndarray:
-    """The points (m, 2) of the config's grid."""
-    if cfg.grid is None:
-        raise ConfigError("this command needs a 'grid' block")
-    return cfg.grid.points()
-
-
-def _field_columns(cfg: RunConfig, pts: np.ndarray, s, gs, near) -> tuple:
-    """The columns under FIELD_HEADER after x1, x2: u = H + s, grad u and
-    the near flag."""
-    u, g = cfg.background.value(pts) + s, cfg.background.grad(pts) + gs
-    refuse_non_finite("u", pts, u, g)
-    return u, g[:, 0], g[:, 1], near
-
-
 def _refuse_clashes(args) -> None:
     """Refuse an output path that names the file of an input or of another
     output, which would leave one file where two were meant.  Run before
@@ -145,11 +130,27 @@ def _open_outputs(*paths: str | None) -> None:
         raise
 
 
-def cmd_fieldmap(args) -> int:
+def _grid_perturbation(args, model: str) -> tuple:
+    """The config, its grid points (m, 2), and there the perturbation s,
+    its gradient, the near flags and the BEM solution of ``model``."""
     cfg = load_config(args.config)
-    pts = _grid_or_error(cfg)
-    s, gs, near, sol = perturbation(cfg.rod, cfg.background, pts, args.model,
-                                    cfg.n_cap, cfg.n_facade)
+    if cfg.grid is None:
+        raise ConfigError("this command needs a 'grid' block")
+    pts = cfg.grid.points()
+    return cfg, pts, *perturbation(cfg.rod, cfg.background, pts, model, cfg.n_cap, cfg.n_facade)
+
+
+def _write_field(path: str, bg: HarmonicBackground, pts, s, gs, near, *more_outputs) -> None:
+    """Write u = H + s, grad u and the near flags under FIELD_HEADER, once
+    they are finite and ``path`` and ``more_outputs`` are open."""
+    u, g = bg.value(pts) + s, bg.grad(pts) + gs
+    refuse_non_finite("u", pts, u, g)
+    _open_outputs(path, *more_outputs)
+    write_csv(path, FIELD_HEADER, *pts.T, u, *g.T, near)
+
+
+def cmd_fieldmap(args) -> int:
+    cfg, pts, s, gs, near, sol = _grid_perturbation(args, args.model)
     dgrad = np.linalg.norm(gs, axis=1)
     refuse_non_finite("|grad(u - H)|", pts, dgrad)
     write_csv(args.out, ["x1", "x2", "du", "dgrad", "near_flag"],
@@ -214,10 +215,9 @@ def cmd_invert(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
     cfg = load_config(args.config)
-    if cfg.sensors is None:
-        raise ConfigError("invert needs a 'sensors' block")
-
     if args.synthesize:
+        if cfg.sensors is None:
+            raise ConfigError("invert needs a 'sensors' block")
         points = sensor_circle(cfg.sensors.center, cfg.sensors.radius,
                                cfg.sensors.count)
         data = simulate_measurements(cfg.rod, cfg.background, points,
@@ -248,13 +248,8 @@ def cmd_invert(args) -> int:
 
 
 def cmd_forward(args) -> int:
-    cfg = load_config(args.config)
-    pts = _grid_or_error(cfg)
-    s, gs, near, sol = perturbation(cfg.rod, cfg.background, pts, "bem",
-                                    cfg.n_cap, cfg.n_facade)
-    field = _field_columns(cfg, pts, s, gs, near)
-    _open_outputs(args.out, args.density)
-    write_csv(args.out, FIELD_HEADER, *pts.T, *field)
+    cfg, pts, s, gs, near, sol = _grid_perturbation(args, "bem")
+    _write_field(args.out, cfg.background, pts, s, gs, near, args.density)
     if args.density:
         write_csv(args.density, ["index", "x1", "x2", "phi"], np.arange(len(sol.mesh)),
                   *to_world(cfg.rod, sol.mesh.points).T, sol.phi.values)
@@ -266,10 +261,8 @@ def cmd_forward(args) -> int:
 
 
 def cmd_asymptotic(args) -> int:
-    cfg = load_config(args.config)
-    pts = _grid_or_error(cfg)
-    s, gs, near, _ = perturbation(cfg.rod, cfg.background, pts, "asymptotic")
-    write_csv(args.out, FIELD_HEADER, *pts.T, *_field_columns(cfg, pts, s, gs, near))
+    cfg, pts, s, gs, near, _ = _grid_perturbation(args, "asymptotic")
+    _write_field(args.out, cfg.background, pts, s, gs, near)
     print(f"asymptotic: wrote {len(pts)} rows to {args.out}")
     return EXIT_OK
 

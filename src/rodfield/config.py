@@ -54,10 +54,10 @@ def _unique_keys(base: type) -> type:
 _LOADER = _unique_keys(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
-def _require_keys(block: dict, allowed: set, name: str) -> None:
+def _require_keys(block: dict, allowed: dict, name: str) -> None:
     if not isinstance(block, dict):
         raise ConfigError(f"'{name}' must be a mapping")
-    unknown = set(block) - allowed
+    unknown = block.keys() - allowed
     if unknown:
         # by str: YAML keys may mix types (1 and x), which do not compare
         raise ConfigError(f"unknown keys in '{name}': {sorted(unknown, key=str)}")
@@ -117,33 +117,15 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
-def _given(block: dict, parsers: dict) -> dict:
-    """The keys of ``parsers`` that ``block`` gives, parsed; the rest keep their defaults."""
-    return {k: parse(block[k], k) for k, parse in parsers.items() if k in block}
-
-
-def _rod(r: dict) -> dict:
-    return {"rod": RodSpec(L=_real(r.get("L", 0.0), "L"), delta=_real(r["delta"], "delta"),
-                           **_given(r, {"center": _pair, "angle": _real, "sigma0": _real}))}
-
-
-def _background(b: dict) -> dict:
-    if "a" in b and "coefficients" in b:
-        raise ValueError("give either 'a' or 'coefficients', not both")
-    if "a" in b:
-        return {"background": HarmonicBackground.linear(_pair(b["a"], "a"))}
-    if "coefficients" in b:
-        return {"background": HarmonicBackground.polynomial(
-            [_real(c, "coefficients") for c in _list(b["coefficients"], "coefficients")])}
-    raise ValueError("need 'a' or 'coefficients'")
-
-
 def _number(v, name: str) -> float:
     """float(v); a YAML boolean (yes, on, true) is refused, not read as 1,
-    and a string or a list is refused naming the field."""
+    and a string or a list is refused naming the field.  An integer past
+    the float range is read as an infinity, which the fields refuse."""
     if not isinstance(v, bool):
         try:
             return float(v)
+        except OverflowError:
+            return math.inf if v > 0 else -math.inf
         except (TypeError, ValueError):
             pass
     raise ValueError(f"{name} must be a number, got {v!r}")
@@ -180,33 +162,6 @@ def _points(m: int, name: str) -> int:
     return m
 
 
-def _grid(g: dict) -> dict:
-    lims = (_real(g[k], k) for k in ("xmin", "xmax", "ymin", "ymax"))
-    nx, ny = _count(g["nx"], "nx", 2), _count(g["ny"], "ny", 2)
-    _points(nx * ny, "nx * ny")
-    return {"grid": GridSpec(*lims, nx, ny)}
-
-
-def _sensors(s: dict) -> dict:
-    return {"sensors": SensorSpec(_pair(s.get("center", (0.0, 0.0)), "center"),
-                                  _real(s["radius"], "radius"),
-                                  _points(_count(s["count"], "count"), "count"))}
-
-
-def _solver(s: dict) -> dict:
-    return _given(s, {"n_cap": _count, "n_facade": _count})
-
-
-def _sweep(s: dict) -> dict:
-    given = _given(s, {"deltas": lambda v, k: tuple(_real(d, k) for d in _list(v, k)),
-                       "probe_radius": _real,
-                       "probe_count": lambda v, k: _points(_count(v, k), k),
-                       "probe_offset": _pair})
-    if any(d <= 0 for d in given.get("deltas", ())):
-        raise ValueError("deltas must be positive")
-    return {f"sweep_{k}": v for k, v in given.items()}
-
-
 def _list(v, name: str) -> list | tuple:
     """A list field: a YAML string or mapping is refused, not read entry by
     entry ("12" as (1, 2), {0: 1, 1: 2} as (1, 2))."""
@@ -215,30 +170,72 @@ def _list(v, name: str) -> list | tuple:
     return v
 
 
+def _reals(v, name: str) -> tuple[float, ...]:
+    return tuple(_real(x, name) for x in _list(v, name))
+
+
 def _pair(v, name: str) -> tuple[float, float]:
     if len(_list(v, name)) != 2:
         raise ValueError(f"{name} must have two entries, got {v!r}")
     return _real(v[0], name), _real(v[1], name)
 
 
-# block -> (allowed keys, parser returning RunConfig fields), in parse order
+def _circle_count(v, name: str) -> int:
+    return _points(_count(v, name), name)
+
+
+def _background(a=None, coefficients=None) -> dict:
+    if a is not None and coefficients is not None:
+        raise ValueError("give either 'a' or 'coefficients', not both")
+    if a is not None:
+        return {"background": HarmonicBackground.linear(a)}
+    if coefficients is not None:
+        return {"background": HarmonicBackground.polynomial(coefficients)}
+    raise ValueError("need 'a' or 'coefficients'")
+
+
+def _grid(nx: int, ny: int, **limits) -> dict:
+    _points(nx * ny, "nx * ny")
+    return {"grid": GridSpec(nx=nx, ny=ny, **limits)}
+
+
+def _sweep(**given) -> dict:
+    if any(d <= 0 for d in given.get("deltas", ())):
+        raise ValueError("deltas must be positive")
+    return {f"sweep_{k}": v for k, v in given.items()}
+
+
+_GRID = {"nx": lambda v, k: _count(v, k, 2), "ny": lambda v, k: _count(v, k, 2),
+         **dict.fromkeys(("xmin", "xmax", "ymin", "ymax"), _real)}
+
+# block -> ({key: parser}, the keys it must give, its parsed keys -> RunConfig
+# fields), in parse order.  A key left out keeps its dataclass default.
 _BLOCKS = {
-    "rod": ({"L", "delta", "center", "angle", "sigma0"}, _rod),
-    "background": ({"a", "coefficients"}, _background),
-    "grid": ({"xmin", "xmax", "ymin", "ymax", "nx", "ny"}, _grid),
-    "sensors": ({"center", "radius", "count"}, _sensors),
-    "solver": ({"n_cap", "n_facade"}, _solver),
-    "sweep": ({"deltas", "probe_radius", "probe_count", "probe_offset"}, _sweep),
+    "rod": ({"L": _real, "delta": _real, "center": _pair, "angle": _real, "sigma0": _real},
+            {"delta"}, lambda L=0.0, **given: {"rod": RodSpec(L=L, **given)}),
+    "background": ({"a": _pair, "coefficients": _reals}, set(), _background),
+    "grid": (_GRID, set(_GRID), _grid),
+    "sensors": ({"center": _pair, "radius": _real, "count": _circle_count}, {"radius", "count"},
+                lambda center=(0.0, 0.0), **given: {"sensors": SensorSpec(center, **given)}),
+    "solver": ({"n_cap": _count, "n_facade": _count}, set(), dict),
+    "sweep": ({"deltas": _reals, "probe_radius": _real, "probe_count": _circle_count,
+               "probe_offset": _pair}, set(), _sweep),
 }
 
 
 def _parse_block(name: str, block) -> dict:
     """Parse one block with its typo-checked keys.  A missing key or a
     malformed value is refused as a ConfigError that names the block."""
-    keys, parse = _BLOCKS[name]
-    _require_keys(block, keys, name)
+    parsers, required, fields = _BLOCKS[name]
+    _require_keys(block, parsers, name)
     try:
-        return parse(block)
+        given = {}
+        for key, parse in parsers.items():
+            if key in block:
+                given[key] = parse(block[key], key)
+            elif key in required:
+                raise KeyError(key)
+        return fields(**given)
     except KeyError as exc:
         raise ConfigError(f"{name} block missing {exc}") from exc
     except (TypeError, ValueError, IndexError) as exc:
@@ -256,7 +253,7 @@ def _check_encloses(rod: RodSpec, center, radius: float, name: str) -> None:
 
 
 def parse_config(raw: dict) -> RunConfig:
-    _require_keys(raw, set(_BLOCKS), "config")
+    _require_keys(raw, _BLOCKS, "config")
     for name in ("rod", "background"):
         if name not in raw:
             raise ConfigError(f"missing required '{name}' block")

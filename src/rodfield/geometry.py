@@ -41,8 +41,12 @@ class ValidationError(ValueError):
 
 
 def _finite(v) -> bool:
-    """Whether ``v`` is a finite real number; None, a string and a bool are not."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    """Whether ``v`` is a finite real number; None, a string, a bool and an
+    integer past the float range are not."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)

@@ -337,6 +337,26 @@ def test_invert_synthesize_round_trip(config_path, tmp_path, capsys):
     assert code == EXIT_OK
 
 
+def test_invert_data_needs_no_sensors_block(config_path, tmp_path, capsys):
+    # the block is read only to synthesize, but a fit of loaded data refused
+    # a config without one
+    data, fit = tmp_path / "meas.csv", tmp_path / "fit.json"
+    assert main(["invert", "--config", config_path, "--synthesize", "--model", "asymptotic",
+                 "--data", str(data), "--out", str(fit)]) == EXIT_OK
+    sensors = "sensors:\n  center: [0.0, 0.0]\n  radius: 3.0\n  count: 32\n"
+    assert CONFIG.count(sensors) == 1
+    path = tmp_path / "no_sensors.yaml"
+    path.write_text(CONFIG.replace(sensors, ""))
+    refit = tmp_path / "refit.json"
+    assert main(["invert", "--config", str(path), "--data", str(data),
+                 "--out", str(refit)]) == EXIT_OK
+    assert refit.read_bytes() == fit.read_bytes()
+    capsys.readouterr()
+    assert main(["invert", "--config", str(path), "--synthesize", "--model", "asymptotic",
+                 "--data", str(tmp_path / "new.csv"), "--out", str(refit)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: invert needs a 'sensors' block\n"
+
+
 def test_invert_two_rod_data_exits_1(tmp_path):
     # the data holds two rods' perturbations, which no single rod explains
     path = tmp_path / "two.yaml"

@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from rodfield import config
+from rodfield.cli import EXIT_USAGE, main
 from rodfield.config import ConfigError, RunConfig, load_config, parse_config
 from rodfield.geometry import RodSpec
 
@@ -85,6 +86,36 @@ def test_a_yaml_boolean_is_not_a_number(block, key):
         want = re.escape(f"{block}: {key} must be a number, got {bad!r}")
         with pytest.raises(ConfigError, match=f"^{want}$"):
             parse_config(raw)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("block, key", NUMBER_FIELDS)
+def test_an_integer_past_the_float_range_exits_2(block, key, sign, tmp_path, capsys):
+    # float() raised OverflowError on the integer: a traceback with exit 1
+    raw = yaml.safe_load(README_EXAMPLE)
+    value = raw[block][key]
+    raw[block][key] = [sign * 10**400, *value[1:]] if isinstance(value, list) else sign * 10**400
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["compare", "--config", str(path), "--out", str(tmp_path / "c.json")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {block}: {key} must be ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("block, key", NUMBER_FIELDS + [("background", "coefficients")])
+def test_every_key_takes_effect(block, key):
+    # a key that a block allows but its parser leaves unread would be
+    # accepted and ignored: a changed value must change the config
+    raw = yaml.safe_load(README_EXAMPLE)
+    if key == "coefficients":
+        raw["background"] = {"coefficients": [0.0, 1.0, 0.5, 0.0, 0.0]}
+    before = parse_config(raw)
+    value = raw[block][key]
+    last = value[-1] if isinstance(value, list) else value
+    last += 1 if isinstance(last, int) else 0.01
+    raw[block][key] = [*value[:-1], last] if isinstance(value, list) else last
+    assert parse_config(raw) != before
 
 
 def test_background_exclusive_keys():

@@ -35,11 +35,15 @@ def test_spec_validation():
             RodSpec(L=2.0, delta=0.1, center=center)
 
 
-#: Values of a rod field that are not real numbers, or a centre that is not two of them
+#: Values of a rod field that are not real numbers, or a centre that is not two of them,
+#: and integers past the float range, on which math.isfinite raised OverflowError
 NOT_REAL = [("L", None), ("L", True), ("L", "2"), ("delta", None), ("delta", "0.1"),
             ("angle", None), ("angle", False), ("sigma0", None), ("sigma0", "2"),
             ("sigma0", True), ("center", 5.0), ("center", None), ("center", (1, "x")),
-            ("center", (True, 0.0)), ("center", "ab"), ("center", np.zeros((2, 2)))]
+            ("center", (True, 0.0)), ("center", "ab"), ("center", np.zeros((2, 2))),
+            *(pytest.param(field, value, id=f"{field} 10**400") for field, value in
+              [("L", 10**400), ("delta", 10**400), ("angle", 10**400), ("sigma0", 10**400),
+               ("center", (0.0, 10**400))])]
 
 
 @pytest.mark.parametrize("field, value", NOT_REAL, ids=lambda v: " ".join(repr(v).split()))
