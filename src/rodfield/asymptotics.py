@@ -234,7 +234,7 @@ def a_delta_apply(psi, delta: float, L: float, x1: float) -> float:
     n <= 5, and 6.0e-15 for cos 3y1 and e^y1 (L = 2, delta 1e-1 to 1e-9).
     """
     if not (delta > 0.0 and -L / 2.0 < x1 < L / 2.0):
-        raise ValueError(f"need delta > 0 and -L/2 < x1 < L/2, got delta={delta}, x1={x1}")
+        raise ValidationError(f"need delta > 0 and -L/2 < x1 < L/2, got delta={delta}, x1={x1}")
     h = L / _AXIS_PANELS
     y = _panel_rule(np.full(_AXIS_PANELS, h))[0].reshape(_AXIS_PANELS, -1) - L / 2.0
     s = (x1 + L / 2.0) * 2.0 / h - (2.0 * np.arange(_AXIS_PANELS) + 1.0)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .geometry import ValidationError
+
 
 @dataclass(frozen=True)
 class HarmonicBackground:
@@ -23,14 +25,14 @@ class HarmonicBackground:
     def linear(cls, a) -> "HarmonicBackground":
         a = np.asarray(a, dtype=float)
         if a.shape != (2,):
-            raise ValueError(f"expected a 2-vector a, got shape {a.shape}")
+            raise ValidationError(f"expected a 2-vector a, got shape {a.shape}")
         return cls((0.0, float(a[0]), float(a[1]), 0.0, 0.0))
 
     @classmethod
     def polynomial(cls, coeffs) -> "HarmonicBackground":
         coeffs = tuple(float(c) for c in coeffs)
         if len(coeffs) != 5:
-            raise ValueError(f"expected 5 coefficients, got {len(coeffs)}")
+            raise ValidationError(f"expected 5 coefficients, got {len(coeffs)}")
         return cls(coeffs)
 
     @property

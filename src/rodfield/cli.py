@@ -4,8 +4,9 @@ Subcommands: fieldmap, compare, validate, invert, forward, asymptotic.
 Outputs are CSV/JSON data files; plotting is left to external tools.
 This module holds every data-file format: the numerical modules return
 arrays and open no files.
-Exit codes: 0 success, 1 validation/convergence failure, 2 usage/config
-errors.
+Exit codes: 0 success; 2 a refused input (a ValidationError, or an OSError
+on a file); 1 no trustworthy answer (a SolverError, a failed validate check
+or an unconverged fit).
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ import numpy as np
 import orjson
 
 from .background import HarmonicBackground
-from .config import ConfigError, load_config
+from .config import load_config
 from .geometry import ValidationError, to_world
-from .inverse import (RESIDUAL_TOL, IdentifiabilityError, SensorSet, fit_rod,
-                      sensor_circle, simulate_measurements)
+from .inverse import RESIDUAL_TOL, SensorSet, fit_rod, sensor_circle, simulate_measurements
 from .potentials import SolverError
 from .solver import MODELS, perturbation, refuse_non_finite
 from .validate import run_validation
@@ -108,7 +108,7 @@ def _refuse_clashes(args) -> None:
             continue
         real = os.path.realpath(path)
         if real in seen and (name != "data" or args.synthesize):
-            raise ConfigError(f"--{name} and --{seen[real]} name the same file {path!r}")
+            raise ValidationError(f"--{name} and --{seen[real]} name the same file {path!r}")
         seen.setdefault(real, name)
 
 
@@ -135,7 +135,7 @@ def _grid_perturbation(args, model: str) -> tuple:
     its gradient, the near flags and the BEM solution of ``model``."""
     cfg = load_config(args.config)
     if cfg.grid is None:
-        raise ConfigError("this command needs a 'grid' block")
+        raise ValidationError("this command needs a 'grid' block")
     pts = cfg.grid.points()
     return cfg, pts, *perturbation(cfg.rod, cfg.background, pts, model, cfg.n_cap, cfg.n_facade)
 
@@ -164,7 +164,7 @@ def cmd_fieldmap(args) -> int:
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     if not cfg.sweep_deltas:
-        raise ConfigError("compare needs a 'sweep' block with a deltas list")
+        raise ValidationError("compare needs a 'sweep' block with a deltas list")
     # Probe circle offset from the rod center: on the axis the leading
     # error term has a sign change that masks the delta decay.
     probe = sensor_circle(cfg.probe_center, cfg.sweep_probe_radius,
@@ -211,13 +211,13 @@ def cmd_validate(args) -> int:
 
 def cmd_invert(args) -> int:
     if not (math.isfinite(args.noise) and args.noise >= 0.0):
-        raise ConfigError(f"--noise: must be finite and >= 0, got {args.noise!r}")
+        raise ValidationError(f"--noise: must be finite and >= 0, got {args.noise!r}")
     if args.seed < 0:
-        raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
+        raise ValidationError(f"--seed: must be >= 0, got {args.seed}")
     cfg = load_config(args.config)
     if args.synthesize:
         if cfg.sensors is None:
-            raise ConfigError("invert needs a 'sensors' block")
+            raise ValidationError("invert needs a 'sensors' block")
         points = sensor_circle(cfg.sensors.center, cfg.sensors.radius,
                                cfg.sensors.count)
         data = simulate_measurements(cfg.rod, cfg.background, points,
@@ -226,13 +226,13 @@ def cmd_invert(args) -> int:
                                      n_facade=cfg.n_facade)
     else:
         if args.data is None:
-            raise ConfigError("invert: provide a data CSV with --data or use --synthesize")
+            raise ValidationError("invert: provide a data CSV with --data or use --synthesize")
         try:
             data = load_measurements_csv(args.data, cfg.background,
                                          noise_rms=args.noise)
         except FileNotFoundError as exc:
-            raise ConfigError(f"invert: data file not found: {args.data}\n"
-                              "hint: pass --synthesize to generate it first") from exc
+            raise ValidationError(f"invert: data file not found: {args.data}\n"
+                                  "hint: pass --synthesize to generate it first") from exc
 
     result = fit_rod(data)
     # strict JSON: a non-finite value raises before any file is opened
@@ -324,11 +324,11 @@ def main(argv: list[str] | None = None) -> int:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # looked up per call, so that a rebound cmd_* (a tracer's span) runs
             return globals()[f"cmd_{args.command}"](args)
-    except (ConfigError, ValidationError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         # OSError: a missing or unreadable input file, an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SolverError, IdentifiabilityError) as exc:
+    except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

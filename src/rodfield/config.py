@@ -9,11 +9,7 @@ import numpy as np
 import yaml
 
 from .background import HarmonicBackground
-from .geometry import RodSpec
-
-
-class ConfigError(ValueError):
-    """Raised for unknown keys, missing blocks or inconsistent values."""
+from .geometry import RodSpec, ValidationError
 
 
 def _unique_keys(base: type) -> type:
@@ -56,11 +52,11 @@ _LOADER = _unique_keys(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 def _require_keys(block: dict, allowed: dict, name: str) -> None:
     if not isinstance(block, dict):
-        raise ConfigError(f"'{name}' must be a mapping")
+        raise ValidationError(f"'{name}' must be a mapping")
     unknown = block.keys() - allowed
     if unknown:
         # by str: YAML keys may mix types (1 and x), which do not compare
-        raise ConfigError(f"unknown keys in '{name}': {sorted(unknown, key=str)}")
+        raise ValidationError(f"unknown keys in '{name}': {sorted(unknown, key=str)}")
 
 
 @dataclass(frozen=True)
@@ -111,9 +107,9 @@ def load_config(path: str) -> RunConfig:
         with open(path) as f:
             raw = yaml.load(f, Loader=_LOADER)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ValidationError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
+        raise ValidationError(f"{path}: top level must be a mapping")
     return parse_config(raw)
 
 
@@ -225,7 +221,7 @@ _BLOCKS = {
 
 def _parse_block(name: str, block) -> dict:
     """Parse one block with its typo-checked keys.  A missing key or a
-    malformed value is refused as a ConfigError that names the block."""
+    malformed value is refused as a ValidationError that names the block."""
     parsers, required, fields = _BLOCKS[name]
     _require_keys(block, parsers, name)
     try:
@@ -237,9 +233,9 @@ def _parse_block(name: str, block) -> dict:
                 raise KeyError(key)
         return fields(**given)
     except KeyError as exc:
-        raise ConfigError(f"{name} block missing {exc}") from exc
+        raise ValidationError(f"{name} block missing {exc}") from exc
     except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+        raise ValidationError(f"{name}: {exc}") from exc
 
 
 def _check_encloses(rod: RodSpec, center, radius: float, name: str) -> None:
@@ -248,15 +244,15 @@ def _check_encloses(rod: RodSpec, center, radius: float, name: str) -> None:
     P, Q = rod.cap_centers_world()
     reach = max(np.linalg.norm(P - c), np.linalg.norm(Q - c)) + rod.delta
     if reach + 2.0 * rod.delta >= radius:
-        raise ConfigError(f"{name}: circle does not enclose the rod with "
-                          f"a 2*delta margin (delta={rod.delta!r})")
+        raise ValidationError(f"{name}: circle does not enclose the rod with "
+                              f"a 2*delta margin (delta={rod.delta!r})")
 
 
 def parse_config(raw: dict) -> RunConfig:
     _require_keys(raw, _BLOCKS, "config")
     for name in ("rod", "background"):
         if name not in raw:
-            raise ConfigError(f"missing required '{name}' block")
+            raise ValidationError(f"missing required '{name}' block")
     kwargs = {}
     for name in _BLOCKS:
         if name in raw:

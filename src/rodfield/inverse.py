@@ -16,12 +16,8 @@ from numpy.typing import NDArray
 from .asymptotics import _log_ratio
 from .background import HarmonicBackground
 from .geometry import RodSpec, ValidationError, rotation_matrix, signed_distance
+from .potentials import SolverError
 from .solver import perturbation
-
-
-class IdentifiabilityError(ValueError):
-    """Raised when the data cannot constrain the rod (a = 0, or fewer
-    sensors than fit parameters)."""
 
 
 # A fit converges only to an RMS residual within this share of the signal
@@ -97,7 +93,7 @@ class FitResult:
 
 def _require_identifiable(bg: HarmonicBackground) -> None:
     if not bg.is_linear or np.linalg.norm(bg.linear_part) == 0.0:
-        raise IdentifiabilityError("fit requires a nontrivial linear background")
+        raise SolverError("fit requires a nontrivial linear background")
 
 
 def sensor_circle(center, radius: float, count: int) -> NDArray:
@@ -131,12 +127,12 @@ def simulate_measurements(spec: RodSpec, bg: HarmonicBackground,
                      background=bg, noise_rms=noise_rms)
 
 
-def _closed_form(params: NDArray, points: NDArray, jac: bool = False):
+def _closed_form(params: NDArray, points: NDArray) -> tuple[NDArray, NDArray]:
     """s = Re[A lg] at points z = x1 + i x2 for parameters (z0, theta, L, b_ax, b_tr):
     A = (b_ax + i b_tr)/pi with b_ax = c_ax a_loc1 and b_tr = c_tr a_loc2, cap centres
     p, q = z0 -+ (|L|/2) e^(i theta), and lg = log((z - q)/(z - p)) and lg' from the
-    forward model's :func:`asymptotics._log_ratio`.  With ``jac`` also the (m, 6)
-    Jacobian: the placement enters only through p and q, a shift dp' of p moving s
+    forward model's :func:`asymptotics._log_ratio`; and its (m, 6) Jacobian.
+    The placement enters only through p and q, a shift dp' of p moving s
     by Re[A dp'/(z - p)], so a shift dz0 of both moves it by -Re[A lg' dz0]."""
     z0, turn = params[0] + 1j * params[1], np.exp(1j * params[2])
     a, half = complex(params[4], params[5]) / np.pi, abs(params[3]) / 2.0 * turn
@@ -144,8 +140,6 @@ def _closed_form(params: NDArray, points: NDArray, jac: bool = False):
     zp, zq = z + half, z - half
     lg, dlg, _ = _log_ratio(zp, zq, 2.0 * half)
     s = (a * lg).real
-    if not jac:
-        return s
     shift, spread = -a * dlg, -a * (1.0 / zp + 1.0 / zq) * turn
     return s, np.column_stack([
         shift.real, -shift.imag, -abs(params[3]) / 2.0 * spread.imag,
@@ -183,7 +177,7 @@ def _start(data: SensorSet, signal: NDArray) -> NDArray:
         A = -np.pi * M[0] / d
         start = np.array([*(c + rho / 2.0 * np.array([mid.real, mid.imag])),
                           np.angle(d), rho * abs(d), A.real, A.imag])
-        rms = np.sqrt(np.mean((_closed_form(start, data.points) - signal) ** 2))
+        rms = np.sqrt(np.mean((_closed_form(start, data.points)[0] - signal) ** 2))
     if rms <= START_TOL * np.sqrt(np.mean(signal**2)) + 2.0 * data.noise_rms:
         return start
     return np.array([*c, 0.0, rho / 2.0, 0.0, 0.0])
@@ -275,8 +269,8 @@ def fit_rod(data: SensorSet) -> FitResult:
     # a repeated sensor adds a row but no constraint; -0.0 and 0.0 are one point
     distinct = len(set(map(tuple, data.points.tolist())))
     if distinct < N_PARAMS:
-        raise IdentifiabilityError(f"fit needs at least {N_PARAMS} sensors for its "
-                                   f"{N_PARAMS} parameters, got {distinct} distinct")
+        raise SolverError(f"fit needs at least {N_PARAMS} sensors for its "
+                          f"{N_PARAMS} parameters, got {distinct} distinct")
     if not (np.isfinite(data.points).all() and np.isfinite(data.values).all()):
         raise ValidationError("data: a value is not finite (noise past the float range?)")
     signal = data.values - data.background.value(data.points)
@@ -287,7 +281,7 @@ def fit_rod(data: SensorSet) -> FitResult:
                               "sum of squares overflows")
 
     def fun(p: NDArray) -> tuple[NDArray, NDArray]:
-        u, J = _closed_form(p, data.points, jac=True)
+        u, J = _closed_form(p, data.points)
         return u - signal, J
 
     p, r, J, stop, nfev = _lm(fun, _start(data, signal))

@@ -141,7 +141,10 @@ def lorentzian_weights(z) -> NDArray:
 
 
 class SolverError(RuntimeError):
-    """Raised when the density system is singular or ill-conditioned."""
+    """Raised where an admissible input gives no trustworthy answer: a
+    singular or ill-conditioned density system, or data that cannot
+    constrain the fitted rod.  The CLI exits 1 on it, and 2 on a
+    ``ValidationError``, which refuses the input itself."""
 
 
 @dataclass(frozen=True)
@@ -520,10 +523,9 @@ def _multipole_field(pw: NDArray, w: NDArray, nodes: NDArray, a: float) -> NDArr
     return out
 
 
-def single_layer_field(mesh: BoundaryMesh, phi: DensityVector,
-                       x) -> tuple[NDArray, NDArray, NDArray]:
-    """Single-layer potential of ``phi``, its exact gradient and the near
-    flag, at points ``x`` in the rod frame, with the gradient in that frame.
+def single_layer_field(phi: DensityVector, x) -> tuple[NDArray, NDArray, NDArray]:
+    """Single-layer potential of ``phi`` on its mesh, its exact gradient and
+    the near flag, at points ``x`` in the rod frame, with the gradient in that frame.
 
     ``near`` flags points closer to a node than NEAR_FACTOR times that
     node's panel length, where the composite Gauss-Legendre rule degrades.
@@ -548,7 +550,7 @@ def single_layer_field(mesh: BoundaryMesh, phi: DensityVector,
     (m,); one point (2,) is a set of one.  A point on a mesh node raises
     ValidationError.
     """
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    pts, mesh = np.atleast_2d(np.asarray(x, dtype=float)), phi.mesh
     pw = phi.values * mesh.weights
     far = None
     if len(pts) * len(mesh) >= FAR_MIN_PAIRS:
@@ -575,14 +577,16 @@ def single_layer_field(mesh: BoundaryMesh, phi: DensityVector,
 
 def single_layer(mesh: BoundaryMesh, phi: DensityVector,
                  x) -> tuple[NDArray, NDArray]:
-    """``(values, near)`` of :func:`single_layer_field`; perfbench's tracing.py names it."""
-    vals, _, near = single_layer_field(mesh, phi, x)
+    """``(values, near)`` of :func:`single_layer_field`; perfbench's tracing.py names
+    it and reads ``mesh``, which must be ``phi.mesh``."""
+    vals, _, near = single_layer_field(phi, x)
     return vals, near
 
 
 def single_layer_grad(mesh: BoundaryMesh, phi: DensityVector,
                       x) -> tuple[NDArray, NDArray]:
-    """``(grads, near)`` of :func:`single_layer_field`; perfbench's tracing.py names it."""
-    _, grads, near = single_layer_field(mesh, phi, x)
+    """``(grads, near)`` of :func:`single_layer_field`; perfbench's tracing.py names
+    it and reads ``mesh``, which must be ``phi.mesh``."""
+    _, grads, near = single_layer_field(phi, x)
     return grads, near
 

@@ -109,12 +109,12 @@ def perturbation(spec: RodSpec, bg: HarmonicBackground, pts, model: str = "bem",
     xl = to_local(spec, pts)
     if model == "bem":
         sol = solve_forward(spec, bg, n_cap=n_cap, n_facade=n_facade)
-        s, gs, near = single_layer_field(sol.mesh, sol.phi, xl)
+        s, gs, near = single_layer_field(sol.phi, xl)
     elif model == "asymptotic":
         s, gs = asymptotic_perturbation(AsymptoticModel.from_spec(spec, bg), xl)
         near, sol = signed_distance(spec, pts) < spec.delta * 0.1, None
     else:
-        raise ValueError(f"unknown forward model {model!r}, not one of {MODELS}")
+        raise ValidationError(f"unknown forward model {model!r}, not one of {MODELS}")
     gs = gs @ rotation_matrix(spec.angle).T
     refuse_non_finite("u - H", pts, s, gs)
     return s, gs, near, sol
@@ -133,7 +133,7 @@ def eval_field(sol: ForwardSolution, x) -> tuple[NDArray, NDArray, NDArray]:
     """Total potential u = H + S[phi] (m,), its gradient (m, 2) and the near
     flags (m,) on world points (m, 2)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    s, g, near = single_layer_field(sol.mesh, sol.phi, to_local(sol.spec, x))
+    s, g, near = single_layer_field(sol.phi, to_local(sol.spec, x))
     g = g @ rotation_matrix(sol.spec.angle).T
     return sol.background.value(x) + s, sol.background.grad(x) + g, near
 
@@ -156,19 +156,19 @@ def transmission_check(sol: ForwardSolution, idx) -> dict:
     Normal derivatives are approximated at offset points x +- h*nu of the
     nodes ``idx``, with h five times the node's weight, avoiding
     on-boundary principal values.  A node whose h is not below the rod's thickness 2 delta is
-    refused with ValueError: its inner probe could leave the rod.
+    refused with ValidationError: its inner probe could leave the rod.
     """
     mesh, idx = sol.mesh, np.asarray(idx)
     h = 5.0 * mesh.weights[idx]
     wide = np.flatnonzero(h >= 2.0 * sol.spec.delta)
     if wide.size:
-        raise ValueError(f"node {idx[wide[0]]}: its probe step {h[wide[0]]:.3g} is not "
-                         f"below the rod's thickness 2 delta = {2.0 * sol.spec.delta:.3g}")
+        raise ValidationError(f"node {idx[wide[0]]}: its probe step {h[wide[0]]:.3g} is not "
+                              f"below the rod's thickness 2 delta = {2.0 * sol.spec.delta:.3g}")
     pts, nus = mesh.points[idx], mesh.normals[idx]
     bg = sol.background.in_frame(sol.spec)
 
     flux_out, flux_in = (
-        np.einsum("ij,ij->i", bg.grad(x) + single_layer_field(mesh, sol.phi, x)[1], nus)
+        np.einsum("ij,ij->i", bg.grad(x) + single_layer_field(sol.phi, x)[1], nus)
         for x in (pts + h[:, None] * nus, pts - h[:, None] * nus))
 
     scale = max(float(np.abs(flux_out).max()), float(np.abs(flux_in).max()), 1e-300)

@@ -137,7 +137,7 @@ def test_grid_commands_write_the_perturbation(model, tmp_path):
     if model == "bem":
         sol = solve_forward(cfg.rod, cfg.background, n_cap=cfg.n_cap,
                             n_facade=cfg.n_facade)
-        s, gs, _ = single_layer_field(sol.mesh, sol.phi, pts)
+        s, gs, _ = single_layer_field(sol.phi, pts)
     else:
         s, gs = asymptotic_perturbation(
             AsymptoticModel.from_spec(cfg.rod, cfg.background), to_local(cfg.rod, pts))
@@ -1317,7 +1317,7 @@ def test_forward_solves_a_rod_thinner_than_the_uniform_mesh_allows(delta, sigma0
     bg = cfg.background.in_frame(cfg.rod)
     phi = potentials.solve_density(potentials.assemble_np(mesh), rodfield.lambda_of_sigma(sigma0),
                                    potentials.neumann_data(mesh, bg))
-    ref = single_layer_field(mesh, phi, to_local(cfg.rod, rows[:, :2]))[0]
+    ref = single_layer_field(phi, to_local(cfg.rod, rows[:, :2]))[0]
     assert np.abs(s - ref).max() <= 1e-6 * np.abs(ref).max()
 
 

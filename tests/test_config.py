@@ -8,8 +8,8 @@ import yaml
 
 from rodfield import config
 from rodfield.cli import EXIT_USAGE, main
-from rodfield.config import ConfigError, RunConfig, load_config, parse_config
-from rodfield.geometry import RodSpec
+from rodfield.config import RunConfig, load_config, parse_config
+from rodfield.geometry import RodSpec, ValidationError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 #: the README's example config
@@ -39,21 +39,21 @@ def test_minimal_config():
 
 
 def test_missing_blocks():
-    with pytest.raises(ConfigError, match="rod"):
+    with pytest.raises(ValidationError, match="rod"):
         parse_config({"background": {"a": [1.0, 0.0]}})
-    with pytest.raises(ConfigError, match="background"):
+    with pytest.raises(ValidationError, match="background"):
         parse_config({"rod": dict(BASE["rod"])})
 
 
 def test_unknown_keys_rejected():
     raw = _cfg()
     raw["rod"]["lenght"] = 3.0
-    with pytest.raises(ConfigError, match="lenght"):
+    with pytest.raises(ValidationError, match="lenght"):
         parse_config(raw)
-    with pytest.raises(ConfigError, match="frobnicate"):
+    with pytest.raises(ValidationError, match="frobnicate"):
         parse_config(_cfg(frobnicate=1))
     raw = _cfg(sweep={"deltas": [0.1], "probe_off": [0, 1]})
-    with pytest.raises(ConfigError, match="probe_off"):
+    with pytest.raises(ValidationError, match="probe_off"):
         parse_config(raw)
 
 
@@ -62,7 +62,7 @@ def test_unknown_keys_of_mixed_types_are_listed(where):
     # sorted() of the keys 1 and x raised TypeError, a traceback from the CLI
     raw = _cfg()
     (raw["rod"] if where == "rod" else raw).update({1: 2, "x": 3})
-    with pytest.raises(ConfigError, match=re.escape(f"unknown keys in '{where}': [1, 'x']")):
+    with pytest.raises(ValidationError, match=re.escape(f"unknown keys in '{where}': [1, 'x']")):
         parse_config(raw)
 
 
@@ -84,7 +84,7 @@ def test_a_yaml_boolean_is_not_a_number(block, key):
         value = raw[block][key]
         raw[block][key] = [bad, *value[1:]] if isinstance(value, list) else bad
         want = re.escape(f"{block}: {key} must be a number, got {bad!r}")
-        with pytest.raises(ConfigError, match=f"^{want}$"):
+        with pytest.raises(ValidationError, match=f"^{want}$"):
             parse_config(raw)
 
 
@@ -121,10 +121,10 @@ def test_every_key_takes_effect(block, key):
 def test_background_exclusive_keys():
     raw = _cfg()
     raw["background"] = {"a": [1.0, 0.0], "coefficients": [0, 1, 0, 0, 0]}
-    with pytest.raises(ConfigError, match="not both"):
+    with pytest.raises(ValidationError, match="not both"):
         parse_config(raw)
     raw["background"] = {}
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match="^background: need 'a' or 'coefficients'$"):
         parse_config(raw)
 
 
@@ -138,7 +138,8 @@ def test_polynomial_background():
 def test_invalid_rod_values():
     raw = _cfg()
     raw["rod"]["delta"] = -0.1
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError,
+                       match=r"^rod: delta must be a finite real number > 0, got -0\.1$"):
         parse_config(raw)
 
 
@@ -148,7 +149,7 @@ def test_grid_block():
     cfg = parse_config(raw)
     assert cfg.grid.points().shape == (6, 2)
     raw["grid"]["nx"] = 1
-    with pytest.raises(ConfigError, match=">= 2"):
+    with pytest.raises(ValidationError, match=">= 2"):
         parse_config(raw)
 
 
@@ -157,7 +158,7 @@ def test_sensor_circle_must_enclose_rod():
     cfg = parse_config(raw)
     assert cfg.sensors.radius == 3.0
     raw["sensors"]["radius"] = 1.0
-    with pytest.raises(ConfigError, match="enclose"):
+    with pytest.raises(ValidationError, match="enclose"):
         parse_config(raw)
 
 
@@ -169,11 +170,11 @@ def test_sweep_block():
     assert cfg.sweep_probe_radius == 4.0
     assert cfg.sweep_probe_offset == (0.5, 0.5)
     raw["sweep"]["deltas"] = [0.1, -0.05]
-    with pytest.raises(ConfigError, match="positive"):
+    with pytest.raises(ValidationError, match="positive"):
         parse_config(raw)
     raw["sweep"]["deltas"] = [0.1]
     raw["sweep"]["probe_offset"] = [1.0]
-    with pytest.raises(ConfigError, match="two entries"):
+    with pytest.raises(ValidationError, match="two entries"):
         parse_config(raw)
 
 
@@ -190,7 +191,7 @@ def test_sweep_block():
     ("rod", {"L": 2.0, "delta": 0.05, "center": "12"}, "rod: center must have"),
 ])
 def test_malformed_block_names_it(block, value, match):
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(ValidationError, match=match):
         parse_config(_cfg(**{block: value}))
 
 
@@ -199,7 +200,7 @@ def test_solver_block():
     assert (cfg.n_cap, cfg.n_facade) == (64, 128)
     # n_quad set the order of a quadrature the closed form no longer has;
     # it was read and ignored, and is refused now like any unknown key
-    with pytest.raises(ConfigError, match="unknown keys in 'solver'"):
+    with pytest.raises(ValidationError, match="unknown keys in 'solver'"):
         parse_config(_cfg(solver={"n_cap": 64, "n_facade": 128, "n_quad": 48}))
 
 
@@ -216,9 +217,10 @@ def test_load_config_yaml(tmp_path, monkeypatch):
     for loader in (yaml.CSafeLoader, yaml.SafeLoader):
         monkeypatch.setattr(config, "_LOADER", config._unique_keys(loader))
         loaded.append(load_config(str(example)))
-        with pytest.raises(ConfigError, match="mapping"):
+        with pytest.raises(ValidationError, match="mapping"):
             load_config(str(bad))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(str(broken))}: while parsing a flow mapping"):
             load_config(str(broken))
     assert loaded[0] == loaded[1]
     assert loaded[0].rod.delta == 0.05
@@ -252,7 +254,7 @@ def test_a_repeated_key_is_refused(loader, text, key, line, tmp_path):
     # the second value silently replaced the first: delta = 0.5, the second rod
     path = tmp_path / "run.yaml"
     path.write_text(text)
-    with pytest.raises(ConfigError, match=f"(?s)duplicate key '{key}'.*line {line}, "):
+    with pytest.raises(ValidationError, match=f"(?s)duplicate key '{key}'.*line {line}, "):
         load_config(str(path))
 
 

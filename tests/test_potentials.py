@@ -666,7 +666,7 @@ def test_single_layer_uniform_circle():
     mesh = disc_mesh(128)
     phi = DensityVector(values=np.ones(len(mesh)), mesh=mesh)
     pts = np.array([[2.0, 0.0], [0.0, -3.0], [0.1, 0.2]])
-    vals, _, near = single_layer_field(mesh, phi, pts)
+    vals, _, near = single_layer_field(phi, pts)
     assert vals[0] == pytest.approx(np.log(2.0), abs=1e-10)
     assert vals[1] == pytest.approx(np.log(3.0), abs=1e-10)
     assert vals[2] == pytest.approx(0.0, abs=1e-10)
@@ -680,7 +680,7 @@ def test_single_layer_far_field_decay():
     rhs = neumann_data(mesh, HarmonicBackground.linear((1.0, 0.0)))
     phi = solve_density(npm, lam=1.5, rhs=rhs)
     far = np.array([[50.0, 10.0]])
-    vals, g, _ = single_layer_field(mesh, phi, far)
+    vals, g, _ = single_layer_field(phi, far)
     assert abs(vals[0]) < 1e-2
     assert np.linalg.norm(g) < 1e-3
 
@@ -693,12 +693,12 @@ def test_single_layer_grad_finite_difference():
     rng = np.random.default_rng(11)
     pts = rng.uniform(-3, 3, size=(10, 2))
     pts = pts[np.linalg.norm(pts, axis=1) > 1.8]
-    g = single_layer_field(mesh, phi, pts)[1]
+    g = single_layer_field(phi, pts)[1]
     eps = 1e-6
     for j in range(2):
         e = np.zeros(2)
         e[j] = eps
-        up, dn = (single_layer_field(mesh, phi, x)[0] for x in (pts + e, pts - e))
+        up, dn = (single_layer_field(phi, x)[0] for x in (pts + e, pts - e))
         assert np.allclose(g[:, j], (up - dn) / (2 * eps), atol=1e-7)
 
 
@@ -706,7 +706,7 @@ def test_near_flags():
     mesh = rod_mesh()
     phi = DensityVector(values=np.ones(len(mesh)), mesh=mesh)
     pts = np.array([[0.0, 0.1001], [0.0, 3.0]])
-    near = single_layer_field(mesh, phi, pts)[2]
+    near = single_layer_field(phi, pts)[2]
     assert near[0] and not near[1]
 
 
@@ -717,7 +717,7 @@ def test_a_point_off_the_longer_of_two_panels_is_flagged():
     # 0.27 of that panel away, where its Gauss rule has degraded
     mesh = build_mesh(RodSpec(L=2.0, delta=0.001))
     phi = DensityVector(values=np.zeros(len(mesh)), mesh=mesh)
-    near = single_layer_field(mesh, phi, np.array([[0.874, -0.034]]))[2]
+    near = single_layer_field(phi, np.array([[0.874, -0.034]]))[2]
     assert mesh.rule == "graded" and near[0]
 
 
@@ -750,7 +750,7 @@ def test_single_layer_field_matches_dense_across_chunks(chunk, monkeypatch):
         monkeypatch.setattr(potentials, "FIELD_CHUNK_BYTES", 24 * n * chunk)
     for m in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 2):
         mesh, phi, pts = _field_case(m)
-        vals, grads, near = single_layer_field(mesh, phi, pts)
+        vals, grads, near = single_layer_field(phi, pts)
         ref_vals, ref_near = dense_single_layer(mesh, phi, pts)
         ref_grads, _ = dense_single_layer_grad(mesh, phi, pts)
         _assert_close(vals, ref_vals)
@@ -762,7 +762,7 @@ def test_single_layer_field_matches_dense_across_chunks(chunk, monkeypatch):
 def test_single_layer_field_single_point():
     mesh, phi, pts = _field_case(8)
     for x in pts[:2]:
-        val, grad, near = single_layer_field(mesh, phi, x)
+        val, grad, near = single_layer_field(phi, x)
         ref_val, ref_near = dense_single_layer(mesh, phi, x)
         ref_grad, _ = dense_single_layer_grad(mesh, phi, x)
         assert val.shape == (1,) and grad.shape == (1, 2) and near.shape == (1,)
@@ -778,14 +778,14 @@ def test_direct_values_do_not_depend_on_the_chunk():
     n = len(SYMMETRY_MESHES["odd_panels"]())
     mesh, phi, pts = _field_case((potentials.FAR_MIN_PAIRS - 1) // n)
     assert len(pts) > 2 * potentials.FIELD_CHUNK_BYTES // (24 * n)
-    vals, grads, near = single_layer_field(mesh, phi, pts)
+    vals, grads, near = single_layer_field(phi, pts)
     assert near.any()
     for i, x in enumerate(pts):
-        val, grad, flag = single_layer_field(mesh, phi, x)
+        val, grad, flag = single_layer_field(phi, x)
         assert np.array_equal(val, vals[i:i + 1]) and np.array_equal(grad, grads[i:i + 1])
         assert np.array_equal(flag, near[i:i + 1])
     subset = np.random.default_rng(5).permutation(len(pts))[:700]
-    val, grad, flag = single_layer_field(mesh, phi, pts[subset])
+    val, grad, flag = single_layer_field(phi, pts[subset])
     assert np.array_equal(val, vals[subset]) and np.array_equal(grad, grads[subset])
     assert np.array_equal(flag, near[subset])
 
@@ -871,7 +871,7 @@ def test_far_points_from_the_expansion_match_dense(name, size, expansions, monke
         side = int(np.ceil(np.sqrt(2.2 * potentials.FAR_MIN_PAIRS / n)))
     mesh, phi, pts = _far_case(name, side)
     far = _far_mask(mesh, pts)
-    vals, grads, near = single_layer_field(mesh, phi, pts)
+    vals, grads, near = single_layer_field(phi, pts)
     assert expansions == [np.count_nonzero(far)]
     assert far.mean() > 0.4 and (~far).sum() > 16
     ref_vals, ref_near = dense_single_layer(mesh, phi, pts)
@@ -887,7 +887,7 @@ def test_single_far_point_from_the_expansion(expansions, monkeypatch):
     radius = _far_radius(mesh)
     # just outside the far ellipse, off both rod axes
     x = joukowski_points(mesh, np.array([2.01 * radius * np.exp(0.9j)]))[0]
-    val, grad, near = single_layer_field(mesh, phi, x)
+    val, grad, near = single_layer_field(phi, x)
     assert expansions == [1]
     assert val.shape == (1,) and grad.shape == (1, 2) and near.shape == (1,)
     ref_val, ref_near = dense_single_layer(mesh, phi, x)
@@ -905,7 +905,7 @@ def test_below_the_pair_threshold_every_point_takes_the_direct_sum(expansions):
     ring = joukowski_points(mesh, 3.0 * radius * np.exp(1j * angle))
     pw = phi.values * mesh.weights
     direct, direct_near = potentials._direct_field(mesh, pw, ring[1:])
-    vals, grads, near = single_layer_field(mesh, phi, ring[1:])
+    vals, grads, near = single_layer_field(phi, ring[1:])
     assert expansions == []
     assert np.array_equal(vals, direct[:, 2] / (4.0 * np.pi))
     assert np.array_equal(grads, direct[:, :2] / (2.0 * np.pi))
@@ -913,10 +913,10 @@ def test_below_the_pair_threshold_every_point_takes_the_direct_sum(expansions):
     # the threshold counts the far points only
     inner = joukowski_points(mesh, 1.5 * radius * np.exp(1j * angle[1:]))
     assert not _far_mask(mesh, inner).any()
-    single_layer_field(mesh, phi, np.vstack([ring[1:], inner]))
+    single_layer_field(phi, np.vstack([ring[1:], inner]))
     assert expansions == []
     # one point more reaches the threshold: every point is far
-    single_layer_field(mesh, phi, ring)
+    single_layer_field(phi, ring)
     assert expansions == [m]
 
 
@@ -937,7 +937,7 @@ def test_expansion_is_refused_where_a_far_point_could_be_near(expansions, monkey
     bound = gap / mesh.panel_lengths.max()
     for factor in (bound * (1.0 - 1e-9), bound * (1.0 + 1e-9), 3.0):
         monkeypatch.setattr(potentials, "NEAR_FACTOR", factor)
-        vals, grads, near = single_layer_field(mesh, phi, pts)
+        vals, grads, near = single_layer_field(phi, pts)
     assert expansions == [64]
     assert near.any() and np.array_equal(near, dense_near_flags(mesh, pts))
 
@@ -966,7 +966,7 @@ def test_expansion_matches_a_long_double_direct_sum(name, expansions, monkeypatc
                         neumann_data(mesh, bg))
     t = np.linspace(-half, half, 61)
     pts = np.stack(np.meshgrid(t, t), axis=-1).reshape(-1, 2)
-    vals, grads, near = single_layer_field(mesh, phi, pts)
+    vals, grads, near = single_layer_field(phi, pts)
     far = _far_mask(mesh, pts)
     assert expansions == [np.count_nonzero(far)] and far.mean() > 0.5
     assert np.array_equal(near, dense_near_flags(mesh, pts))
@@ -989,7 +989,7 @@ def test_a_disc_takes_the_expansion_outside_nearly_the_circle_of_twice_its_radiu
                         neumann_data(mesh, HarmonicBackground.linear((1.0, 0.5))))
     t = np.linspace(-3.0, 3.0, 101)
     pts = np.stack(np.meshgrid(t, t), axis=-1).reshape(-1, 2)
-    single_layer_field(mesh, phi, pts)
+    single_layer_field(phi, pts)
     far = _far_mask(mesh, pts)
     assert expansions == [np.count_nonzero(far)] and far.mean() >= 0.83
     # the far region is nearly |z| >= FAR_RATIO delta: its nearest grid
@@ -1007,6 +1007,6 @@ def test_evaluation_on_a_mesh_node_is_refused():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=where):
-            single_layer_field(mesh, phi, np.array([[3.0, 3.0], node]))
+            single_layer_field(phi, np.array([[3.0, 3.0], node]))
         with pytest.raises(ValidationError, match=where):
-            single_layer_field(mesh, phi, node)
+            single_layer_field(phi, node)

@@ -235,10 +235,10 @@ def test_near_insulating_rod_at_default_counts():
     probe = sensor_circle((0.1, 0.05), 2.0, 64)
     sol = solve_forward(spec, bg)
     assert len(sol.mesh) == 384
-    s_bem, _, _ = single_layer_field(sol.mesh, sol.phi, probe)
+    s_bem, _, _ = single_layer_field(sol.phi, probe)
     fine = build_mesh(spec, n_cap=128, n_facade=960)
     ref = plain_nystrom_density(fine, lambda_of_sigma(spec.sigma0), bg)
-    s_ref, _, _ = single_layer_field(fine, ref, probe)
+    s_ref, _, _ = single_layer_field(ref, probe)
     assert np.abs(s_bem - s_ref).max() <= 5e-6 * np.abs(s_ref).max()
 
 
@@ -252,7 +252,7 @@ _SUB_BASIS = np.stack([np.prod([(_SUB_T - GAUSS_NODES[k]) / (GAUSS_NODES[j] - GA
                        for j in range(PANEL_ORDER)], axis=1)
 
 
-def panel_resolved_single_layer(mesh, phi, x, chunk=64):
+def panel_resolved_single_layer(phi, x, chunk=64):
     """S[phi] at rod-frame points x (m, 2), with near panels resolved.  At
     each point the node sum over every panel with a node within 2 of its
     lengths is replaced by that panel's degree-7 interpolant of phi,
@@ -260,8 +260,8 @@ def panel_resolved_single_layer(mesh, phi, x, chunk=64):
     exact segment: the straight side, or the cap's arc about its centre.
     The rest is the native sum of single_layer_field.  The points go
     ``chunk`` at a time, so the scratch is bounded."""
-    x = np.asarray(x, dtype=float)
-    values = single_layer_field(mesh, phi, x)[0]
+    x, mesh = np.asarray(x, dtype=float), phi.mesh
+    values = single_layer_field(phi, x)[0]
     nodes = mesh.points.reshape(-1, PANEL_ORDER, 2)
     h = mesh.panel_lengths[::PANEL_ORDER]
     ends = nodes[:, 0] + nodes[:, -1]
@@ -299,8 +299,8 @@ def test_panel_resolved_single_layer_is_exact_near_a_disc():
     t = np.linspace(0.0, 2.0 * np.pi, 97)[:-1]
     pts = 1.02 * np.column_stack([np.cos(t), np.sin(t)])
     want = disc_exterior_u(a, 1.0, sigma0, pts) - pts @ a
-    native = single_layer_field(sol.mesh, sol.phi, pts)[0]
-    got = panel_resolved_single_layer(sol.mesh, sol.phi, pts)
+    native = single_layer_field(sol.phi, pts)[0]
+    got = panel_resolved_single_layer(sol.phi, pts)
     assert np.abs(native - want).max() > 1e-3
     assert np.abs(got - want).max() <= 1.5e-12
 
@@ -310,17 +310,17 @@ THIN_BACKGROUNDS = (HarmonicBackground.linear((1.0, 0.5)),
                     HarmonicBackground.polynomial((0.3, 1.0, 0.5, 1.0, -0.7)))
 
 
-def _native_single_layer(mesh, phi, x):
-    return single_layer_field(mesh, phi, x)[0]
+def _native_single_layer(phi, x):
+    return single_layer_field(phi, x)[0]
 
 
 def _perturbations(mesh, sigma0, pts, backgrounds=THIN_BACKGROUNDS,
                    field=_native_single_layer):
     """The perturbation at world points pts of each of the backgrounds on
-    ``mesh``, placed as its spec, by ``field(mesh, phi, rod-frame points)``:
+    ``mesh``, placed as its spec, by ``field(phi, rod-frame points)``:
     the native node sum, or panel_resolved_single_layer for a reference."""
     spec, npm = mesh.spec, assemble_np(mesh)
-    return [field(mesh, solve_density(
+    return [field(solve_density(
         npm, lambda_of_sigma(sigma0), neumann_data(mesh, bg.in_frame(spec))),
         to_local(spec, pts)) for bg in backgrounds]
 
@@ -378,7 +378,7 @@ def test_graded_rule_has_fewer_nodes_than_the_first_and_its_accuracy(delta, sigm
     assert mesh.rule == first.rule == "graded" and len(mesh) <= 0.85 * len(first)
     far, junction = sensor_circle(spec.center, 3.0, 64), _junction_probes(spec)
     pts = np.vstack([far, junction])
-    near = single_layer_field(mesh, DensityVector(np.zeros(len(mesh)), mesh),
+    near = single_layer_field(DensityVector(np.zeros(len(mesh)), mesh),
                               to_local(spec, pts))[2]
     assert not near[:64].any() and 0 < np.count_nonzero(near) < len(junction)
     refs = _perturbations(refined_graded_mesh(spec, 2), sigma0, pts,
@@ -402,7 +402,7 @@ def test_unflagged_points_by_a_junction_of_a_uniform_mesh_are_accurate(delta,
     for sigma0 in (0.01, 2.0, 100.0):
         spec = RodSpec(delta=delta, sigma0=sigma0, **THIN_ROD)
         mesh, pts = build_mesh(spec), _junction_probes(spec)
-        near = single_layer_field(mesh, DensityVector(np.zeros(len(mesh)), mesh),
+        near = single_layer_field(DensityVector(np.zeros(len(mesh)), mesh),
                                   to_local(spec, pts))[2]
         assert mesh.rule == "uniform"
         refs = _perturbations(refined_graded_mesh(spec, 2), sigma0, pts,
@@ -437,7 +437,7 @@ def test_unflagged_points_near_a_thin_rod_are_accurate(sigma0, refined_graded_me
     bg = THIN_BACKGROUNDS[0]
     sol = solve_forward(spec, bg)
     assert sol.mesh.rule == "graded"
-    s, _, near = single_layer_field(sol.mesh, sol.phi, to_local(spec, pts))
+    s, _, near = single_layer_field(sol.phi, to_local(spec, pts))
     ref, = _perturbations(refined_graded_mesh(spec, 2), sigma0, pts, [bg],
                           field=panel_resolved_single_layer)
     assert 0 < np.count_nonzero(near) < len(pts) // 2
@@ -519,7 +519,7 @@ ONE_POINT_CALLS = {
     "simulate_measurements": lambda c, x: dataclasses.astuple(
         simulate_measurements(c.rod, c.bg, x))[:2],
     "eval_field": lambda c, x: eval_field(c.sol, x),
-    "single_layer_field": lambda c, x: single_layer_field(c.sol.mesh, c.sol.phi, x),
+    "single_layer_field": lambda c, x: single_layer_field(c.sol.phi, x),
     "signed_distance": lambda c, x: signed_distance(c.rod, x),
     "asymptotic_field": lambda c, x: asymptotic_field(c.model, x),
     "f1_f2": lambda c, x: f1_f2(x, c.rod.L),
@@ -559,9 +559,9 @@ PERFBENCH_WRAPPERS = {
     "eval_grad_u": (lambda c, x: solver.eval_grad_u(c.sol, x),
                     lambda c, x: eval_field(c.sol, x)[1:]),
     "single_layer": (lambda c, x: potentials.single_layer(c.sol.mesh, c.sol.phi, x),
-                     lambda c, x: single_layer_field(c.sol.mesh, c.sol.phi, x)[::2]),
+                     lambda c, x: single_layer_field(c.sol.phi, x)[::2]),
     "single_layer_grad": (lambda c, x: potentials.single_layer_grad(c.sol.mesh, c.sol.phi, x),
-                          lambda c, x: single_layer_field(c.sol.mesh, c.sol.phi, x)[1:]),
+                          lambda c, x: single_layer_field(c.sol.phi, x)[1:]),
     "asym_u_linear": (lambda c, x: asymptotics.asym_u_linear(c.model, x),
                       lambda c, x: asymptotic_field(c.model, x)[0]),
     "asym_grad_linear": (lambda c, x: asymptotics.asym_grad_linear(c.model, x),
