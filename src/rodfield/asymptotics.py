@@ -17,8 +17,8 @@ from numpy.polynomial.polynomial import polyval
 from numpy.typing import NDArray
 
 from .background import HarmonicBackground
-from .geometry import (RodSpec, ValidationError, _finite, _panel_rule, lambda_of_sigma,
-                       rotation_matrix, to_local)
+from .geometry import (RodSpec, ValidationError, _finite, _panel_rule, as_points,
+                       lambda_of_sigma, rotation_matrix, to_local)
 from . import potentials
 
 
@@ -45,7 +45,7 @@ def f_sq_sum_cap_form(x, L: float) -> NDArray:
     (1/|x-Q| - 1/|x-P|)^2 + (2/(|x-P||x-Q|)) (1 - cos of the P,Q aperture);
     an algebraically independent route used to cross-check f1_f2.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = as_points(x)
     P, Q = cap_points(L)
     dp = x - P
     dq = x - Q
@@ -83,7 +83,7 @@ def _cap_logs(x, L: float) -> tuple[NDArray, NDArray, NDArray, NDArray]:
     counts as +0, so on the axis inside the segment it is pi, the limit
     from above.  A cap centre is refused with :class:`ValidationError`.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = as_points(x)
     z = x[..., 0] + 1j * (x[..., 1] + 0.0)
     zq, zp = z - L / 2.0, z + L / 2.0
     if not (zq.all() and zp.all()):
@@ -108,10 +108,12 @@ class AsymptoticModel:
     angle: float = 0.0
 
     def __post_init__(self) -> None:
-        # the placement is a rod's, checked by RodSpec; at |lam| = 1/2 a
+        # the placement is a rod's, checked by RodSpec, which also gives the
+        # centre as a tuple of two floats; at |lam| = 1/2 a
         # strength divides by zero, and below it or on a disc, where the
         # closed form is exactly 0, the field is one that no rod has
-        RodSpec(self.L, self.delta, self.center, self.angle)
+        placement = RodSpec(self.L, self.delta, self.center, self.angle)
+        object.__setattr__(self, "center", placement.center)
         if self.L == 0.0:
             raise ValidationError("L = 0 (disc) has no rod asymptotic model")
         if not (_finite(self.lam) and abs(self.lam) > 0.5):
@@ -182,7 +184,7 @@ def asymptotic_perturbation(model: AsymptoticModel, xl) -> tuple[NDArray, NDArra
     Points go in chunks of ``potentials.FIELD_CHUNK_BYTES`` / 512 rows; a
     chunk's temporaries peak at about 240 bytes a point, fifteen complex values.
     """
-    xl = np.atleast_2d(np.asarray(xl, dtype=float))
+    xl = as_points(xl)
     bg = model._local_background()
     rows = max(1, potentials.FIELD_CHUNK_BYTES // 512)
     s, g = np.empty(len(xl)), np.empty_like(xl)
@@ -194,7 +196,7 @@ def asymptotic_perturbation(model: AsymptoticModel, xl) -> tuple[NDArray, NDArra
 def asymptotic_field(model: AsymptoticModel, x) -> tuple[NDArray, NDArray]:
     """Leading-order potential u (m,) and gradient (m, 2) on world points
     (m, 2): the background plus :func:`asymptotic_perturbation`."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = as_points(x)
     s, gs = asymptotic_perturbation(model, to_local(model, x))
     gs = gs @ rotation_matrix(model.angle).T
     return model.background.value(x) + s, model.background.grad(x) + gs

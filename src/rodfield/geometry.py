@@ -56,7 +56,8 @@ class RodSpec:
     L: length of the straight segment (>= 0; L = 0 degenerates to a disc
        of radius delta, used as the analytic-oracle case).
     delta: half-thickness (> 0).
-    center: world position of the geometric centre, two finite reals.
+    center: world position of the geometric centre, two finite reals,
+       stored as a tuple of two floats so that specs compare and hash.
     angle: rotation of the rod axis, radians.
     sigma0: inclusion conductivity (> 0, != 1; background is 1).
     """
@@ -79,6 +80,7 @@ class RodSpec:
         if not ((isinstance(c, (tuple, list)) or np.ndim(c) == 1) and len(c) == 2
                 and all(map(_finite, c))):
             raise ValidationError(f"center must be two finite real numbers, got {c!r}")
+        object.__setattr__(self, "center", (float(c[0]), float(c[1])))
 
     @property
     def perimeter(self) -> float:
@@ -324,9 +326,18 @@ def default_counts(spec: RodSpec) -> tuple[int, int]:
     return n_cap, max(32, int(np.ceil(n_facade)))
 
 
+def as_points(x) -> NDArray:
+    """Points ``x`` as an (m, 2) float array, one point (2,) a set of one; any
+    other shape is refused with ValidationError."""
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != 2:
+        raise ValidationError(f"points must be (m, 2) or one (2,) point, got shape {pts.shape}")
+    return np.atleast_2d(pts)
+
+
 def signed_distance(spec: RodSpec, x: NDArray) -> NDArray:
-    """Signed distance to the rod boundary (negative inside)."""
-    xl = to_local(spec, np.atleast_2d(np.asarray(x, dtype=float)))
+    """Signed distance to the rod boundary (negative inside) at points (m, 2)."""
+    xl = to_local(spec, as_points(x))
     t = np.clip(xl[..., 0], -spec.L / 2.0, spec.L / 2.0)
     seg = np.stack([t, np.zeros_like(t)], axis=-1)
     return np.linalg.norm(xl - seg, axis=-1) - spec.delta

@@ -15,7 +15,7 @@ from numpy.typing import NDArray
 
 from .asymptotics import _log_ratio
 from .background import HarmonicBackground
-from .geometry import RodSpec, ValidationError, rotation_matrix, signed_distance
+from .geometry import RodSpec, ValidationError, as_points, rotation_matrix, signed_distance
 from .potentials import SolverError
 from .solver import perturbation
 
@@ -114,7 +114,7 @@ def simulate_measurements(spec: RodSpec, bg: HarmonicBackground,
     background that :func:`fit_rod` refuses are refused before the solve.
     """
     _require_identifiable(bg)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = as_points(points)
     dist = signed_distance(spec, points)
     if np.any(dist < 2.0 * spec.delta):
         raise ValidationError(
@@ -325,7 +325,6 @@ def distinguishability_gap(spec1: RodSpec, spec2: RodSpec,
                            bg: HarmonicBackground, points: NDArray) -> float:
     """Max over sensors of |u1 - u2| = |s1 - s2| between the two rods'
     BEM perturbations (full solves)."""
-    points = np.asarray(points, dtype=float)
     s1, s2 = (perturbation(spec, bg, points, "bem")[0] for spec in (spec1, spec2))
     return float(np.abs(s1 - s2).max())
 

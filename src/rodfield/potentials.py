@@ -44,7 +44,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .background import HarmonicBackground
-from .geometry import GAUSS_NODES, PANEL_ORDER, BoundaryMesh, ValidationError
+from .geometry import GAUSS_NODES, PANEL_ORDER, BoundaryMesh, ValidationError, as_points
 
 #: An evaluation point closer to any node than this many times that node's
 #: panel length gets a proximity flag on the result: off a panel by less
@@ -394,8 +394,11 @@ def solve_density(np_matrix: NpMatrix, lam: float, rhs: DensityVector) -> Densit
     which moves the weights' eigenvalue to 2 lam and leaves every other
     one, and the zero-charge solution, as they were.  A total above that
     bound, a coarse mesh's quadrature error, is data: the block is solved
-    as it stands.
+    as it stands.  Data ``rhs`` on another mesh than ``np_matrix`` are
+    refused with ValidationError.
     """
+    if rhs.mesh != np_matrix.mesh:
+        raise ValidationError("rhs is on another mesh than np_matrix")
     b = np_matrix.split(rhs.values)
     norms = np.linalg.norm(b, axis=1)
     live = np.flatnonzero(norms > SKIP_SHARE * np.linalg.norm(norms))
@@ -550,7 +553,7 @@ def single_layer_field(phi: DensityVector, x) -> tuple[NDArray, NDArray, NDArray
     (m,); one point (2,) is a set of one.  A point on a mesh node raises
     ValidationError.
     """
-    pts, mesh = np.atleast_2d(np.asarray(x, dtype=float)), phi.mesh
+    pts, mesh = as_points(x), phi.mesh
     pw = phi.values * mesh.weights
     far = None
     if len(pts) * len(mesh) >= FAR_MIN_PAIRS:

@@ -16,8 +16,8 @@ from numpy.typing import NDArray
 
 from .asymptotics import AsymptoticModel, asymptotic_perturbation
 from .background import HarmonicBackground
-from .geometry import (BoundaryMesh, RodSpec, ValidationError, build_mesh, lambda_of_sigma,
-                       mesh_counts, rotation_matrix, signed_distance, to_local)
+from .geometry import (BoundaryMesh, RodSpec, ValidationError, as_points, build_mesh,
+                       lambda_of_sigma, mesh_counts, rotation_matrix, signed_distance, to_local)
 from .potentials import (DensityVector, assemble_np, neumann_data, single_layer_field,
                          solve_density)
 
@@ -105,7 +105,7 @@ def perturbation(spec: RodSpec, bg: HarmonicBackground, pts, model: str = "bem",
     is exactly zero.  Both form s itself in the rod frame, never u - H, which cancels
     digits.  A value that is not finite (r^2 overflows past about 1e154) is refused.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    pts = as_points(pts)
     xl = to_local(spec, pts)
     if model == "bem":
         sol = solve_forward(spec, bg, n_cap=n_cap, n_facade=n_facade)
@@ -132,7 +132,7 @@ def refuse_non_finite(name: str, pts: NDArray, *columns: NDArray) -> None:
 def eval_field(sol: ForwardSolution, x) -> tuple[NDArray, NDArray, NDArray]:
     """Total potential u = H + S[phi] (m,), its gradient (m, 2) and the near
     flags (m,) on world points (m, 2)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = as_points(x)
     s, g, near = single_layer_field(sol.phi, to_local(sol.spec, x))
     g = g @ rotation_matrix(sol.spec.angle).T
     return sol.background.value(x) + s, sol.background.grad(x) + g, near

@@ -60,6 +60,19 @@ def test_a_field_that_is_not_a_real_number_is_refused_naming_it(field, value):
             AsymptoticModel(lam=1.5, background=HarmonicBackground.linear((1.0, 0.5)), **args)
 
 
+def test_a_placement_with_an_array_centre_compares_and_hashes():
+    # the centre was kept as given: an array centre made == raise numpy's
+    # ambiguous truth value ValueError, and a spec's hash raise TypeError
+    spec, ref = RodSpec(L=2.0, delta=0.1, center=np.array([0.0, 0.0])), RodSpec(L=2.0, delta=0.1)
+    assert spec == ref and hash(spec) == hash(ref)
+    bg = HarmonicBackground.linear((1.0, 0.5))
+    model, ref_model = (AsymptoticModel(L=2.0, delta=0.1, lam=1.5, background=bg, center=c)
+                        for c in (np.array([0.0, 0.0]), (0.0, 0.0)))
+    assert model == ref_model
+    for placed in (spec, model):
+        assert placed.center == (0.0, 0.0) and all(type(c) is float for c in placed.center)
+
+
 def test_perimeter_and_area():
     spec = RodSpec(L=2.0, delta=0.1)
     assert spec.perimeter == pytest.approx(2 * 2.0 + 2 * np.pi * 0.1)

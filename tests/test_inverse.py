@@ -468,6 +468,7 @@ def test_fit_uses_the_analytic_jacobian(monkeypatch):
         assert len(calls) == 1 + nfev
         assert fit.iterations == nfev <= 3
         assert fit.converged and endpoint_error(fit, spec) < 1e-12
+        assert 0.0 <= fit.angle < np.pi
 
 
 def _random_rods(seed, count):

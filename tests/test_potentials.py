@@ -652,6 +652,18 @@ def test_density_has_no_total_charge_at_any_contrast(delta):
         assert np.linalg.norm(sys_res) <= 1e-10 * np.linalg.norm(rhs.values), sigma0
 
 
+def test_solve_density_refuses_data_on_another_mesh():
+    # the data were split by the orbits of the matrix's mesh, whatever mesh
+    # they were on: a 192-node mesh's data on another 192-node mesh's
+    # matrix gave a density 0.19 off, at residual 2.9e-16, with no error
+    bg = HarmonicBackground.polynomial((0.0, 1.0, 0.5, 0.3, 0.2))
+    first, second = (build_mesh(RodSpec(L=L, delta=delta), n_cap=32, n_facade=64)
+                     for L, delta in ((2.0, 0.1), (1.0, 0.05)))
+    assert len(first) == len(second) == 192
+    with pytest.raises(ValidationError, match="^rhs is on another mesh than np_matrix$"):
+        solve_density(assemble_np(first), 1.5, neumann_data(second, bg))
+
+
 def test_solve_density_singular_lam_raises():
     # lam = 1/2 sits on the spectrum (constant eigenfunction)
     mesh = disc_mesh()

@@ -452,7 +452,8 @@ def test_a_rod_far_from_the_origin_is_the_rod_at_the_origin(delta, sigma0):
     # round trip cost digits in proportion to |center| / delta: the
     # perturbation was off by 2.8e-9 (delta = 1e-3, sigma0 = 2) to 5.2e-6
     # (1e-5, 100) of its size.  Solved in the rod frame, with only the
-    # points mapped into it, it is off by at most 5.2e-11
+    # points mapped into it, it is off by at most 5.2e-11 on the sensors,
+    # and by 1.0e-10 on the unflagged points of a 21 x 21 fieldmap lattice
     a, turn = np.array([1.0, 0.5]), rotation_matrix(1.0)
     origin = RodSpec(L=2.0, delta=delta, sigma0=sigma0)
     placed = RodSpec(L=2.0, delta=delta, sigma0=sigma0, center=(1e5, 3e5), angle=1.0)
@@ -462,6 +463,14 @@ def test_a_rod_far_from_the_origin_is_the_rod_at_the_origin(delta, sigma0):
                                              to_world(placed, pts))
     assert np.abs(s_placed - s).max() <= 1e-9 * np.abs(s).max()
     assert np.abs(gs_placed @ turn - gs).max() <= 1e-9 * np.abs(gs).max()
+    g = np.linspace(-3.0, 3.0, 21)
+    pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    s, gs, near, _ = perturbation(origin, HarmonicBackground.linear(a), pts)
+    s_placed, gs_placed, near_placed, _ = perturbation(
+        placed, HarmonicBackground.linear(turn @ a), to_world(placed, pts))
+    keep = ~(near | near_placed)
+    assert np.abs(s_placed - s)[keep].max() <= 1e-9 * np.abs(s[keep]).max()
+    assert np.abs(gs_placed @ turn - gs)[keep].max() <= 1e-9 * np.abs(gs[keep]).max()
 
 
 def test_placed_rod_on_a_quadratic_background_is_the_rod_at_the_origin():
@@ -548,6 +557,16 @@ def test_one_point_is_a_set_of_one(name, one_point_case):
         assert isinstance(got, np.ndarray) and got.shape[:1] == (1,)
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ONE_POINT_CALLS)
+def test_points_of_another_shape_are_refused_naming_the_shape(name, one_point_case):
+    # a (3,) point or a (4, 3) set ended in numpy's bare broadcast ValueError,
+    # a (2, 2, 2) set passed signed_distance, and f1_f2 read the first two
+    # columns of a (4, 3) set
+    for shape in [(), (0,), (3,), (4, 3), (2, 2, 2)]:
+        with pytest.raises(ValidationError, match=re.escape(f"got shape {shape}")):
+            ONE_POINT_CALLS[name](one_point_case, np.ones(shape))
 
 
 #: the seven wrappers that perfbench's tracing.py and gen_refs.py name, each with the
